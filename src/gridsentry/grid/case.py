@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,11 @@ class GridCase:
         return [b.id for b in self.buses if b.kind == "generator"]
 
     @property
+    def generation_buses(self) -> list[int]:
+        """Buses of the generation sensors, in sensor order (slack first)."""
+        return [self.slack_bus] + self.generator_buses
+
+    @property
     def load_buses(self) -> list[int]:
         return [b.id for b in self.buses if b.kind == "load"]
 
@@ -64,6 +69,11 @@ class GridCase:
         """Indices of branches incident to a bus."""
         return [i for i, br in enumerate(self.branches)
                 if bus_id in (br.from_bus, br.to_bus)]
+
+    @cached_property
+    def topology(self) -> Topology:
+        """The case compiled for the solvers, built on first use."""
+        return Topology(self)
 
 
 def load_case(path: str | Path = DEFAULT_CASE) -> GridCase:
@@ -145,7 +155,6 @@ def validate_case(case: GridCase) -> None:
         raise CaseError("network graph is disconnected")
 
 
-@lru_cache(maxsize=32)
 def build_admittance(case: GridCase) -> np.ndarray:
     """Bus admittance matrix from the branch pi-model (taps = 1, no bus shunts)."""
     n = case.n_bus
@@ -162,23 +171,35 @@ def build_admittance(case: GridCase) -> np.ndarray:
     return Y
 
 
-@lru_cache(maxsize=32)
-def branch_admittances(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
-    """(Yf, Yt) such that sending/receiving branch currents are Yf@V, Yt@V."""
-    nb, n = len(case.branches), case.n_bus
-    Yf = np.zeros((nb, n), dtype=complex)
-    Yt = np.zeros((nb, n), dtype=complex)
-    for i, br in enumerate(case.branches):
-        f, t = br.from_bus - 1, br.to_bus - 1
-        ys = 1.0 / complex(br.resistance, br.reactance)
-        ysh = 0.5j * br.line_charging
-        Yf[i, f] = ys + ysh
-        Yf[i, t] = -ys
-        Yt[i, t] = ys + ysh
-        Yt[i, f] = -ys
-    Yf.setflags(write=False)
-    Yt.setflags(write=False)
-    return Yf, Yt
+class Topology:
+    """Admittances and 0-based index arrays of a case, built once per case.
+
+    `power_rows`/`power_anchor` stack the complex powers the 39-sensor model
+    measures, each of the form V[anchor] * conj(row @ V): the sending-end
+    flow of every branch (Yf rows at their from-bus), then the injection at
+    each generation sensor's bus (Y rows at that bus).
+    """
+
+    def __init__(self, case: GridCase):
+        n, nbr = case.n_bus, len(case.branches)
+        self.Y = build_admittance(case)
+        self.Yf = np.zeros((nbr, n), dtype=complex)
+        for i, br in enumerate(case.branches):
+            ys = 1.0 / complex(br.resistance, br.reactance)
+            self.Yf[i, br.from_bus - 1] = ys + 0.5j * br.line_charging
+            self.Yf[i, br.to_bus - 1] = -ys
+        self.from_bus = np.array([br.from_bus - 1 for br in case.branches],
+                                 dtype=int)
+        self.buses = np.arange(n)
+        self.pv = np.array(case.generator_buses, dtype=int) - 1
+        self.pq = np.array(case.load_buses, dtype=int) - 1
+        self.pvpq = np.sort(np.concatenate([self.pv, self.pq]))
+        self.nonslack = np.delete(self.buses, case.slack_bus - 1)
+        self.gen_order = np.array(case.generation_buses) - 1
+        self.power_rows = np.vstack([self.Yf, self.Y[self.gen_order]])
+        self.power_anchor = np.concatenate([self.from_bus, self.gen_order])
+        for arr in vars(self).values():
+            arr.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +219,7 @@ def sensor_map(case: GridCase) -> list[tuple[int, str, str]]:
     rows = []
     for i, br in enumerate(case.branches):
         rows.append((FLOW_OFFSET + i, "flow", f"{br.from_bus}-{br.to_bus}"))
-    gen_order = [case.slack_bus] + case.generator_buses
-    for j, bus in enumerate(gen_order):
+    for j, bus in enumerate(case.generation_buses):
         rows.append((GEN_OFFSET + j, "generation", str(bus)))
     for b in case.buses:
         rows.append((VOLT_OFFSET + b.id - 1, "voltage", str(b.id)))
@@ -217,8 +237,7 @@ def sensor_map_hash(case: GridCase) -> str:
 
 
 def generation_sensor_index(case: GridCase, bus_id: int) -> int:
-    gen_order = [case.slack_bus] + case.generator_buses
-    return GEN_OFFSET + gen_order.index(bus_id)
+    return GEN_OFFSET + case.generation_buses.index(bus_id)
 
 
 def voltage_sensor_index(case: GridCase, bus_id: int) -> int:

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
-from .case import GridCase, N_SENSORS, branch_admittances, build_admittance
-from .powerflow import MeasurementFrame
+from .case import GridCase, N_SENSORS, Topology
+from .powerflow import MeasurementFrame, power_derivatives
 
 
 class RankDeficientError(RuntimeError):
@@ -24,48 +25,21 @@ class StateEstimate:
     iterations: int
 
 
-def _measurement_model(case: GridCase, va: np.ndarray, vm: np.ndarray,
-                       gen_loads: np.ndarray):
-    """h(x) and its Jacobian w.r.t. [va(non-slack) | vm(all)]."""
-    n = case.n_bus
-    Y = build_admittance(case)
-    Yf, _ = branch_admittances(case)
-    f_idx = np.array([br.from_bus - 1 for br in case.branches])
-    slack = case.slack_bus - 1
-    nonslack = np.array([i for i in range(n) if i != slack])
+def _measurement_model(topo: Topology, va: np.ndarray, vm: np.ndarray,
+                       gen_offset: np.ndarray):
+    """h(x) and its Jacobian w.r.t. [va(non-slack) | vm(all)].
 
+    gen_offset is added to the power rows: the load at each generation
+    sensor's bus, zero for the flow sensors.
+    """
     V = vm * np.exp(1j * va)
-    Vnorm = V / np.abs(V)
-    I = Y @ V
-    If = Yf @ V
-    S = V * np.conj(I)
-
-    nb = len(case.branches)
-    Cf = np.zeros((nb, n))
-    Cf[np.arange(nb), f_idx] = 1.0
-
-    dSf_dVa = 1j * (np.conj(np.diag(If)) @ Cf @ np.diag(V)
-                    - np.diag(V[f_idx]) @ np.conj(Yf @ np.diag(V)))
-    dSf_dVm = (np.conj(np.diag(If)) @ Cf @ np.diag(Vnorm)
-               + np.diag(V[f_idx]) @ np.conj(Yf @ np.diag(Vnorm)))
-    dS_dVa = 1j * np.diag(V) @ np.conj(np.diag(I) - Y @ np.diag(V))
-    dS_dVm = np.diag(V) @ np.conj(Y @ np.diag(Vnorm)) + np.conj(np.diag(I)) @ np.diag(Vnorm)
-
-    gen_order = [case.slack_bus] + case.generator_buses
-    g_idx = np.array([b - 1 for b in gen_order])
-
-    h = np.concatenate([
-        (V[f_idx] * np.conj(If)).real,
-        S.real[g_idx] + gen_loads[g_idx],
-        vm,
-    ])
-
-    H = np.zeros((N_SENSORS, len(nonslack) + n))
-    H[:nb, :len(nonslack)] = dSf_dVa[:, nonslack].real
-    H[:nb, len(nonslack):] = dSf_dVm.real
-    H[nb:nb + 5, :len(nonslack)] = dS_dVa[np.ix_(g_idx, nonslack)].real
-    H[nb:nb + 5, len(nonslack):] = dS_dVm[g_idx, :].real
-    H[nb + 5:, len(nonslack):] = np.eye(n)
+    S, dS_dVa, dS_dVm = power_derivatives(topo.power_rows, topo.power_anchor, V)
+    h = np.concatenate([S.real + gen_offset, vm])
+    k, ns = len(S), len(topo.nonslack)
+    H = np.zeros((N_SENSORS, ns + len(vm)))
+    H[:k, :ns] = dS_dVa[:, topo.nonslack].real
+    H[:k, ns:] = dS_dVm.real
+    np.fill_diagonal(H[k:, ns:], 1.0)  # voltage sensors measure vm directly
     return h, H
 
 
@@ -79,18 +53,23 @@ def estimate_state(case: GridCase, frame: MeasurementFrame, weights: np.ndarray,
     sensor predictions; scenario data carries no load at generator buses, so
     the default is zeros.
     """
-    z = np.asarray(frame.values, dtype=float)
-    if z.shape != (N_SENSORS,):
-        raise ValueError(f"frame must have {N_SENSORS} values")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (N_SENSORS,) or np.any(weights <= 0):
-        raise ValueError("weights must be 39 positive variances")
-    gen_loads = (np.zeros(case.n_bus) if gen_bus_loads is None
-                 else np.asarray(gen_bus_loads, dtype=float))
-
     n = case.n_bus
-    slack = case.slack_bus - 1
-    nonslack = np.array([i for i in range(n) if i != slack])
+    z = np.asarray(frame.values, dtype=float)
+    if z.shape != (N_SENSORS,) or not np.all(np.isfinite(z)):
+        raise ValueError(f"frame must have {N_SENSORS} finite values")
+    weights = np.asarray(weights, dtype=float)
+    if (weights.shape != (N_SENSORS,) or not np.all(np.isfinite(weights))
+            or np.any(weights <= 0)):
+        raise ValueError("weights must be 39 finite positive variances")
+    gen_loads = (np.zeros(n) if gen_bus_loads is None
+                 else np.asarray(gen_bus_loads, dtype=float))
+    if gen_loads.shape != (n,) or not np.all(np.isfinite(gen_loads)):
+        raise ValueError(f"gen_bus_loads must have {n} finite values")
+
+    topo = case.topology
+    nonslack = topo.nonslack
+    gen_offset = np.zeros(len(topo.power_anchor))
+    gen_offset[-len(topo.gen_order):] = gen_loads[topo.gen_order]
     W = 1.0 / weights
 
     # initialize magnitudes from the direct voltage sensors, angles flat
@@ -102,20 +81,18 @@ def estimate_state(case: GridCase, frame: MeasurementFrame, weights: np.ndarray,
     iterations = 0
     h = np.zeros(N_SENSORS)
     for iterations in range(1, max_iter + 1):
-        h, H = _measurement_model(case, va, vm, gen_loads)
+        h, H = _measurement_model(topo, va, vm, gen_offset)
         r = z - h
         grad = H.T @ (W * r)
         G = H.T @ (W[:, None] * H)
-        try:
-            c = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficientError("WLS gain matrix is rank deficient") from exc
-        dx = np.linalg.solve(c.T, np.linalg.solve(c, grad))
+        _, dx, info = dposv(G, grad)  # Cholesky factor-and-solve
+        if info != 0:
+            raise RankDeficientError("WLS gain matrix is rank deficient")
         va[nonslack] += dx[:len(nonslack)]
         vm += dx[len(nonslack):]
         if np.max(np.abs(dx)) < tol:
             # at a stationary point of the weighted SSR
-            h, _ = _measurement_model(case, va, vm, gen_loads)
+            h, _ = _measurement_model(topo, va, vm, gen_offset)
             converged = True
             break
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case import (GridCase, N_SENSORS, branch_admittances, build_admittance)
+from .case import GridCase, N_SENSORS, Topology
 
 
 class SingularJacobianError(RuntimeError):
@@ -24,19 +24,30 @@ class PowerFlowSolution:
     max_mismatch: float
 
 
-def _complex_voltage(sol: PowerFlowSolution) -> np.ndarray:
-    return sol.voltage_magnitude * np.exp(1j * sol.voltage_angle)
+def power_derivatives(M: np.ndarray, anchor: np.ndarray, V: np.ndarray):
+    """Complex powers S_k = V[anchor_k] * conj((M @ V)_k) and dS/dVa, dS/dVm.
+
+    With M = Y and anchor = every bus, S are the bus injections; with Yf rows
+    anchored at their from-bus, the sending-end branch flows. Derivatives are
+    with respect to every bus angle and magnitude (MATPOWER's dSbus_dV and
+    dSbr_dV, in broadcast form).
+    """
+    Va = V[anchor]
+    S = Va * np.conj(M @ V)
+    A = Va[:, None] * np.conj(M * V)  # V[anchor_k] * conj(M_kj V_j)
+    diag = (np.arange(len(anchor)), anchor)
+    dS_dVa = -1j * A
+    dS_dVa[diag] += 1j * S
+    dS_dVm = A / np.abs(V)
+    dS_dVm[diag] += S / np.abs(Va)
+    return S, dS_dVa, dS_dVm
 
 
-def _ds_dv(Y: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives of complex bus injections w.r.t. angle and magnitude."""
-    I = Y @ V
-    diagV = np.diag(V)
-    diagI = np.diag(I)
-    diagVnorm = np.diag(V / np.abs(V))
-    dS_dVa = 1j * diagV @ np.conj(diagI - Y @ diagV)
-    dS_dVm = diagV @ np.conj(Y @ diagVnorm) + np.conj(diagI) @ diagVnorm
-    return dS_dVa, dS_dVm
+def _jacobian(topo: Topology, V: np.ndarray) -> np.ndarray:
+    """d[P(pvpq), Q(pq)] / d[Va(pvpq), Vm(pq)] of the Newton-Raphson step."""
+    _, dS_dVa, dS_dVm = power_derivatives(topo.Y, topo.buses, V)
+    dS = np.hstack([dS_dVa[:, topo.pvpq], dS_dVm[:, topo.pq]])
+    return np.vstack([dS[topo.pvpq].real, dS[topo.pq].imag])
 
 
 def solve_power_flow(case: GridCase,
@@ -59,11 +70,8 @@ def solve_power_flow(case: GridCase,
     if loads_p.shape != (n,) or loads_q.shape != (n,):
         raise ValueError(f"load vectors must have shape ({n},)")
 
-    Y = build_admittance(case)
-    slack = case.slack_bus - 1
-    pv = np.array([b - 1 for b in case.generator_buses], dtype=int)
-    pq = np.array([b.id - 1 for b in case.buses if b.kind == "load"], dtype=int)
-    pvpq = np.sort(np.concatenate([pv, pq]))
+    topo = case.topology
+    Y, pq, pvpq = topo.Y, topo.pq, topo.pvpq
 
     # scheduled injections (generation minus load)
     p_sched = -loads_p.copy()
@@ -79,52 +87,28 @@ def solve_power_flow(case: GridCase,
     for b in case.buses:
         if b.kind in ("slack", "generator"):
             vm[b.id - 1] = b.voltage_setpoint
-    va[slack] = 0.0
+    va[case.slack_bus - 1] = 0.0
 
-    converged = False
-    iterations = 0
-    max_mismatch = np.inf
-    npq = len(pq)
-    for iterations in range(1, max_iter + 1):
+    # the mismatch is checked before each Newton step and after the last one
+    for iterations in range(max_iter + 1):
         V = vm * np.exp(1j * va)
         S = V * np.conj(Y @ V)
-        dp = p_sched[pvpq] - S.real[pvpq]
-        dq = q_sched[pq] - S.imag[pq]
-        mis = np.concatenate([dp, dq])
+        mis = np.concatenate([p_sched[pvpq] - S.real[pvpq],
+                              q_sched[pq] - S.imag[pq]])
         max_mismatch = float(np.max(np.abs(mis)))
-        if max_mismatch < tol:
-            converged = True
-            iterations -= 1
+        if max_mismatch < tol or iterations == max_iter:
             break
-        dS_dVa, dS_dVm = _ds_dv(Y, V)
-        J = np.block([
-            [dS_dVa[np.ix_(pvpq, pvpq)].real, dS_dVm[np.ix_(pvpq, pq)].real],
-            [dS_dVa[np.ix_(pq, pvpq)].imag, dS_dVm[np.ix_(pq, pq)].imag],
-        ])
         try:
-            dx = np.linalg.solve(J, mis)
+            dx = np.linalg.solve(_jacobian(topo, V), mis)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
-                f"singular Jacobian at iteration {iterations}") from exc
+                f"singular Jacobian at iteration {iterations + 1}") from exc
         va[pvpq] += dx[:len(pvpq)]
         vm[pq] += dx[len(pvpq):]
-    else:
-        # final mismatch after the last update
-        V = vm * np.exp(1j * va)
-        S = V * np.conj(Y @ V)
-        dp = p_sched[pvpq] - S.real[pvpq]
-        dq = q_sched[pq] - S.imag[pq]
-        max_mismatch = float(np.max(np.abs(np.concatenate([dp, dq]))))
-        converged = max_mismatch < tol
+    converged = max_mismatch < tol
 
-    V = vm * np.exp(1j * va)
-    S = V * np.conj(Y @ V)
-    Yf, _ = branch_admittances(case)
-    f_idx = np.array([br.from_bus - 1 for br in case.branches])
-    flows = (V[f_idx] * np.conj(Yf @ V)).real
-
-    gen_order = [case.slack_bus] + case.generator_buses
-    gen_p = np.array([S.real[b - 1] + loads_p[b - 1] for b in gen_order])
+    flows = (V[topo.from_bus] * np.conj(topo.Yf @ V)).real
+    gen_p = S.real[topo.gen_order] + loads_p[topo.gen_order]
 
     return PowerFlowSolution(
         voltage_magnitude=vm, voltage_angle=va,

@@ -29,6 +29,8 @@ from gridsentry.neural import (Dense, LSTM, LeakyReLU, ReLU,
 from gridsentry.scenario import (LABELS, covert_attack_run, generate_scenario,
                                  make_attack_spec, random_system, simulate)
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 1234
 NOISE_SIGMA = 0.10  # acceptance regime; see the decisions ledger
 

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect, fsolve
 
-from gridsentry.grid import (Branch, Bus, CaseError, GridCase, N_SENSORS,
-                             build_admittance, estimate_state, load_case,
-                             measure, sensor_map, sensor_values,
-                             solve_power_flow)
+from gridsentry.dispatch import plan_generation, synthesize_loads
+from gridsentry.grid import (Branch, Bus, CaseError, GridCase,
+                             MeasurementFrame, N_SENSORS, build_admittance,
+                             estimate_state, load_case, measure, noise_scale,
+                             sensor_map, sensor_values, solve_power_flow)
+from gridsentry.grid.estimation import _measurement_model
+from gridsentry.grid.powerflow import _jacobian
+from gridsentry.scenario import generate_scenario
 
 # voltage magnitudes of the shipped base case, frozen from an independent
 # root-finding solve (scipy fsolve on the complex mismatch equations)
@@ -109,6 +113,17 @@ def test_admittance_no_shunt_rowsum(case):
 def test_admittance_symmetric(case):
     Y = build_admittance(case)
     np.testing.assert_allclose(Y, Y.T)
+
+
+def test_topology_matches_case(case):
+    topo = case.topology
+    assert topo is case.topology
+    np.testing.assert_array_equal(topo.Y, build_admittance(case))
+    gen_sensors = [int(e) for _, kind, e in sensor_map(case)
+                   if kind == "generation"]
+    assert (topo.gen_order + 1).tolist() == gen_sensors
+    assert (topo.power_anchor + 1).tolist() == (
+        [br.from_bus for br in case.branches] + gen_sensors)
 
 
 # ---------------------------------------------------------------- power flow
@@ -341,8 +356,105 @@ def test_se_gross_error_objective(case):
 def test_se_bad_inputs(case):
     sol = solve_base(case)
     frame = measure(case, sol, 0.0, np.random.default_rng(0))
+    ok = se_weights(case, sol)
     with pytest.raises(ValueError):
         estimate_state(case, frame, np.zeros(39))
-    from gridsentry.grid import MeasurementFrame
     with pytest.raises(ValueError):
         estimate_state(case, MeasurementFrame(0, np.zeros(5)), np.ones(39))
+    nan_frame = MeasurementFrame(0, frame.values.copy())
+    nan_frame.values[3] = np.nan
+    with pytest.raises(ValueError):
+        estimate_state(case, nan_frame, ok)
+    for bad in (np.nan, np.inf):
+        w = ok.copy()
+        w[7] = bad
+        with pytest.raises(ValueError):
+            estimate_state(case, frame, w)
+    with pytest.raises(ValueError):
+        estimate_state(case, frame, ok, gen_bus_loads=np.zeros(8))
+    with pytest.raises(ValueError):
+        estimate_state(case, frame, ok, gen_bus_loads=np.full(14, np.nan))
+
+
+# ------------------------------------------- derivatives in the sigma=0.10 regime
+
+@pytest.fixture(scope="module")
+def sigma10_estimates(case):
+    """(frame, weights, estimate) per hour of a normal series at sigma = 0.10,
+    with weights taken from the noisy values as the SE_DNN variant does."""
+    loads = synthesize_loads((90, 110), 24, np.random.default_rng(5))
+    series = generate_scenario(case, plan_generation(loads), loads, None,
+                               noise_sigma=0.10, seed=5)
+    out = []
+    for t, values in enumerate(series.values):
+        frame = MeasurementFrame(t, values)
+        w = noise_scale(values, 0.10) ** 2
+        out.append((frame, w, estimate_state(case, frame, w)))
+    return out
+
+
+def central_difference(f, x, eps=1e-6):
+    cols = []
+    for j in range(len(x)):
+        step = np.zeros_like(x)
+        step[j] = eps
+        cols.append((f(x + step) - f(x - step)) / (2 * eps))
+    return np.stack(cols, axis=1)
+
+
+def states(case, estimates):
+    """The estimator's state at a sigma = 0.10 frame, and a random perturbation."""
+    est = estimates[0][2]
+    rng = np.random.default_rng(11)
+    va = est.voltage_angle + rng.normal(0.0, 0.05, case.n_bus)
+    va[case.slack_bus - 1] = 0.0
+    vm = est.voltage_magnitude + rng.normal(0.0, 0.02, case.n_bus)
+    return [(est.voltage_angle, est.voltage_magnitude), (va, vm)]
+
+
+def test_se_jacobian_finite_difference(case, sigma10_estimates):
+    topo = case.topology
+    ns = len(topo.nonslack)
+    offset = np.zeros(len(topo.power_anchor))
+
+    for va0, vm0 in states(case, sigma10_estimates):
+        def h_of(x):
+            va = va0.copy()
+            va[topo.nonslack] = x[:ns]
+            return _measurement_model(topo, va, x[ns:], offset)[0]
+
+        x0 = np.concatenate([va0[topo.nonslack], vm0])
+        H = _measurement_model(topo, va0, vm0, offset)[1]
+        assert H.shape == (N_SENSORS, 27)
+        H_fd = central_difference(h_of, x0)
+        assert np.linalg.norm(H - H_fd) <= 1e-6 * np.linalg.norm(H)
+
+
+def test_powerflow_jacobian_finite_difference(case, sigma10_estimates):
+    topo = case.topology
+    pvpq, pq = topo.pvpq, topo.pq
+
+    for va0, vm0 in states(case, sigma10_estimates):
+        def mismatch(x):
+            va, vm = va0.copy(), vm0.copy()
+            va[pvpq] = x[:len(pvpq)]
+            vm[pq] = x[len(pvpq):]
+            V = vm * np.exp(1j * va)
+            S = V * np.conj(topo.Y @ V)
+            return np.concatenate([S.real[pvpq], S.imag[pq]])
+
+        x0 = np.concatenate([va0[pvpq], vm0[pq]])
+        J = _jacobian(topo, vm0 * np.exp(1j * va0))
+        J_fd = central_difference(mismatch, x0)
+        assert np.linalg.norm(J - J_fd) <= 1e-6 * np.linalg.norm(J)
+
+
+def test_se_converged_frame_is_stationary(case, sigma10_estimates):
+    frame, w, est = next(e for e in sigma10_estimates if e[2].converged)
+    z, W = frame.values, 1.0 / w
+    h, H = _measurement_model(case.topology, est.voltage_angle,
+                              est.voltage_magnitude,
+                              np.zeros(len(case.topology.power_anchor)))
+    np.testing.assert_array_equal(h, est.predicted_measurements)
+    grad = H.T @ (W * (z - h))
+    assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(H.T @ (W * z))
