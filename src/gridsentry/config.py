@@ -6,23 +6,18 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import yaml
 
 from . import __version__
 from .detector.models import VARIANTS
+from .detector.pipeline import STAGE_DEFAULTS
 from .grid.case import DEFAULT_CASE
 from .neural import TrainConfig
 
 OUTPUT_ROOT_ENV = "GRIDSENTRY_OUTPUT_ROOT"
-
-DEFAULT_TRAIN_STAGES = {
-    "autoencoder": {"learning_rate": 1e-3, "epochs": 60, "batch_size": 256},
-    "predictor": {"learning_rate": 5e-3, "epochs": 120, "batch_size": 8},
-    "classifier": {"learning_rate": 2e-3, "epochs": 80, "batch_size": 256},
-}
 
 
 class ConfigError(ValueError):
@@ -42,16 +37,18 @@ class RunConfig:
     normal_series: int = 15
     series_per_condition_per_level: int = 4
     variants: tuple[str, ...] = VARIANTS
+    # stage -> TrainConfig keys that override that stage's STAGE_DEFAULTS row
     train_stages: dict = field(default_factory=lambda: {
-        k: dict(v) for k, v in DEFAULT_TRAIN_STAGES.items()})
+        stage: {k: v for k, v in asdict(cfg).items() if k != "seed"}
+        for stage, cfg in STAGE_DEFAULTS.items()})
     split_fraction: float = 0.8
     holdout_replications: int = 5
     holdout_l_values: tuple[int, ...] = (1, 2, 3, 4)
     workers: int = 1
 
     def stage_config(self, stage: str) -> TrainConfig:
-        params = self.train_stages.get(stage, DEFAULT_TRAIN_STAGES[stage])
-        return TrainConfig(**params)
+        return replace(STAGE_DEFAULTS[stage],
+                       **self.train_stages.get(stage, {}))
 
     def canonical(self) -> dict:
         return json.loads(json.dumps(asdict(self), sort_keys=True))
@@ -117,10 +114,15 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("series counts must be positive")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
-    for stage, params in cfg.train_stages.items():
-        if stage not in DEFAULT_TRAIN_STAGES:
+    if not isinstance(cfg.train_stages, dict):
+        raise ConfigError("train_stages must map stage names to settings")
+    for stage in cfg.train_stages:
+        if stage not in STAGE_DEFAULTS:
             raise ConfigError(f"unknown training stage {stage!r}")
-        TrainConfig(**params)  # raises on bad values
+        try:
+            cfg.stage_config(stage)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"train_stages.{stage}: {exc}") from None
     return cfg
 
 

@@ -1,6 +1,6 @@
 from .chisquare import chi_square_detect
 from .models import (CLASSIFIER_INPUT, CODE_SIZE, LAGS, ModelBundle,
-                     ResidualFrame, SensorMapMismatchError,
+                     SensorMapMismatchError,
                      UntrainedBundleError, VARIANTS, check_sensor_map,
                      classify, fit_autoencoder, fit_classifier, fit_predictor,
                      load_bundle, predict_and_residual, save_bundle,
@@ -12,7 +12,7 @@ from .preprocess import (EPSILON, PreprocessStats, assert_normal_lineage,
 
 __all__ = [
     "chi_square_detect", "CLASSIFIER_INPUT", "CODE_SIZE", "LAGS",
-    "ModelBundle", "ResidualFrame", "SensorMapMismatchError",
+    "ModelBundle", "SensorMapMismatchError",
     "UntrainedBundleError", "VARIANTS", "check_sensor_map", "classify",
     "fit_autoencoder", "fit_classifier", "fit_predictor", "load_bundle",
     "predict_and_residual", "save_bundle", "state_checksum",

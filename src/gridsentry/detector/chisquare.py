@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import chi2
 
 
 def chi_square_detect(residuals: np.ndarray, window: int,
@@ -15,6 +14,7 @@ def chi_square_detect(residuals: np.ndarray, window: int,
     window*m degrees of freedom, and the alarm threshold is its 1-alpha
     quantile. Trailing frames that do not fill a window are dropped.
     """
+    from scipy.stats import chi2  # slow to import; no CLI stage needs it
     residuals = np.asarray(residuals, dtype=float)
     if residuals.ndim == 1:
         residuals = residuals[:, None]

@@ -48,12 +48,6 @@ class SensorMapMismatchError(RuntimeError):
 
 
 @dataclass
-class ResidualFrame:
-    timestamp: int
-    residuals: np.ndarray  # (39,) in standardized-difference space
-
-
-@dataclass
 class ModelBundle:
     variant: str
     stats: PreprocessStats
@@ -195,8 +189,10 @@ def _se_residual_row(case: GridCase, values: np.ndarray, timestamp: int,
 
 
 def predict_and_residual(bundle: ModelBundle, series,
-                         case: GridCase | None = None) -> list[ResidualFrame]:
-    """Residual sequence for one series under the bundle's variant.
+                         case: GridCase | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(timestamps (M,), residuals (M, 39)) for one series under the
+    bundle's variant.
 
     Residuals live in standardized-difference space for every variant and
     are emitted for original frames lags+1 .. T-1 (the first lags differenced
@@ -233,8 +229,7 @@ def predict_and_residual(bundle: ModelBundle, series,
     else:  # pragma: no cover - guarded by __post_init__
         raise ValueError(bundle.variant)
 
-    return [ResidualFrame(timestamp=int(j + 1), residuals=residuals[k])
-            for k, j in enumerate(idx)]
+    return idx + 1, residuals
 
 
 def classify(bundle: ModelBundle, features: np.ndarray):

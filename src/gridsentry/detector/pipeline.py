@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..grid import GridCase, sensor_map_hash
@@ -11,20 +13,12 @@ from .models import (ModelBundle, classify, fit_autoencoder, fit_classifier,
                      fit_predictor, predict_and_residual, state_checksum)
 from .preprocess import assert_normal_lineage, fit_preprocess, preprocess
 
-DEFAULT_STAGE_CONFIGS = {
+# the one table of per-stage training defaults; callers re-seed each fit
+STAGE_DEFAULTS = {
     "autoencoder": TrainConfig(learning_rate=1e-3, epochs=60, batch_size=256),
     "predictor": TrainConfig(learning_rate=5e-3, epochs=120, batch_size=8),
     "classifier": TrainConfig(learning_rate=2e-3, epochs=80, batch_size=256),
 }
-
-
-def _stage_config(configs: dict | None, stage: str, seed: int) -> TrainConfig:
-    base = (configs or {}).get(stage, DEFAULT_STAGE_CONFIGS[stage])
-    return TrainConfig(learning_rate=base.learning_rate, epochs=base.epochs,
-                       batch_size=base.batch_size, seed=seed,
-                       optimizer=base.optimizer,
-                       optimizer_kwargs=dict(base.optimizer_kwargs),
-                       patience=base.patience)
 
 
 def series_features(bundle: ModelBundle, series, case: GridCase | None = None):
@@ -36,10 +30,9 @@ def series_features(bundle: ModelBundle, series, case: GridCase | None = None):
     keeps persistent level shifts visible to the classifier, which first
     differencing would cancel.
     """
-    frames = predict_and_residual(bundle, series, case=case)
-    ts = np.array([f.timestamp for f in frames])
+    ts, residuals = predict_and_residual(bundle, series, case=case)
     obs = bundle.stats.standardize_raw(np.asarray(series.values)[ts])
-    x = np.concatenate([np.array([f.residuals for f in frames]), obs], axis=1)
+    x = np.concatenate([residuals, obs], axis=1)
     labels = np.array([LABEL_INDEX[series.labels[t]] for t in ts])
     return x, labels, ts
 
@@ -62,7 +55,10 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int = 0,
     Stage order: preprocess stats -> autoencoder (AEN variant) -> predictor
     (AEN/RNN variants) -> residual features with frozen upstream models ->
     classifier. Stats, autoencoder, and predictor see normal series only.
+    stage_configs maps stage names to TrainConfigs that replace that stage's
+    STAGE_DEFAULTS row; fits are seeded seed, seed+1, seed+2 in stage order.
     """
+    stages = {**STAGE_DEFAULTS, **(stage_configs or {})}
     normals = [s for s in series_list
                if s.metadata.get("condition", "normal") == "normal"
                and all(lbl == "normal" for lbl in s.labels)]
@@ -77,16 +73,16 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int = 0,
     z_normals = [preprocess(s, stats) for s in normals]
 
     if variant == "AEN_RNN_DNN":
-        cfg = _stage_config(stage_configs, "autoencoder", seed)
+        cfg = replace(stages["autoencoder"], seed=seed)
         enc, dec, hist = fit_autoencoder(np.concatenate(z_normals), cfg)
         bundle.encoder, bundle.decoder = enc, dec
         bundle.history["autoencoder"] = hist
         codes = np.stack([enc.forward(z) for z in z_normals])
-        cfg = _stage_config(stage_configs, "predictor", seed + 1)
+        cfg = replace(stages["predictor"], seed=seed + 1)
         bundle.predictor, hist = fit_predictor(codes, cfg)
         bundle.history["predictor"] = hist
     elif variant == "RNN_DNN":
-        cfg = _stage_config(stage_configs, "predictor", seed + 1)
+        cfg = replace(stages["predictor"], seed=seed + 1)
         bundle.predictor, hist = fit_predictor(np.stack(z_normals), cfg)
         bundle.history["predictor"] = hist
     elif variant != "SE_DNN":
@@ -102,7 +98,7 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int = 0,
             raise RuntimeError(f"{name} parameters changed during "
                                "residual generation")
 
-    cfg = _stage_config(stage_configs, "classifier", seed + 2)
+    cfg = replace(stages["classifier"], seed=seed + 2)
     bundle.classifier, hist = fit_classifier(x, y, cfg)
     bundle.history["classifier"] = hist
     return bundle

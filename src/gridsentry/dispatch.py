@@ -8,13 +8,9 @@ daily minimum-up simplification and proportional dispatch.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
-
-from .grid import GridCase
-from .grid.powerflow import solve_power_flow
 
 N_LOAD_BUSES = 9
 N_GENERATORS = 4
@@ -71,32 +67,12 @@ class LoadProfile:
     horizon: int
     demand: np.ndarray  # (T, 9) active pu, column order = load buses 4,5,7,9..14
 
-    def to_csv(self, load_buses: list[int] | None = None) -> str:
-        buses = load_buses or [4, 5, 7, 9, 10, 11, 12, 13, 14]
-        buf = io.StringIO()
-        buf.write("hour," + ",".join(f"bus{b}" for b in buses) + "\n")
-        for t in range(self.horizon):
-            buf.write(f"{t}," + ",".join(f"{v:.6f}" for v in self.demand[t]) + "\n")
-        return buf.getvalue()
-
 
 @dataclass
 class GenerationPlan:
     horizon: int
     commitment: np.ndarray  # (T, 4) bool, column order = generator buses 2,3,6,8
     setpoint: np.ndarray    # (T, 4) active pu
-    flow_violations: list[int] | None = None  # hours flagged a posteriori
-
-    def to_csv(self, gen_buses: list[int] | None = None) -> str:
-        buses = gen_buses or [2, 3, 6, 8]
-        buf = io.StringIO()
-        buf.write("hour," + ",".join(f"on{b}" for b in buses) + ","
-                  + ",".join(f"p{b}" for b in buses) + "\n")
-        for t in range(self.horizon):
-            buf.write(f"{t},"
-                      + ",".join(str(int(v)) for v in self.commitment[t]) + ","
-                      + ",".join(f"{v:.6f}" for v in self.setpoint[t]) + "\n")
-        return buf.getvalue()
 
 
 def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
@@ -133,8 +109,7 @@ def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
 
 def plan_generation(loads: LoadProfile,
                     specs: tuple[GeneratorSpec, ...] = DEFAULT_GENERATORS,
-                    loss_factor: float = 0.03,
-                    case: GridCase | None = None) -> GenerationPlan:
+                    loss_factor: float = 0.03) -> GenerationPlan:
     """Greedy merit-order commitment plus proportional dispatch.
 
     Units are committed cheapest-first until capacity covers demand
@@ -184,30 +159,4 @@ def plan_generation(loads: LoadProfile,
                               prev[both] + ramps[both])
         setpoint[t] = np.where(on, p, 0.0)
 
-    plan = GenerationPlan(horizon=T, commitment=commitment, setpoint=setpoint)
-    if case is not None:
-        plan.flow_violations = check_flow_limits(case, plan, loads, specs)
-    return plan
-
-
-def check_flow_limits(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
-                      specs: tuple[GeneratorSpec, ...] = DEFAULT_GENERATORS,
-                      power_factor: float = 0.95) -> list[int]:
-    """A-posteriori line-limit check: hours where any branch exceeds its limit."""
-    limits = np.array([br.flow_limit for br in case.branches])
-    q_ratio = np.tan(np.arccos(power_factor))
-    violating = []
-    warm = None
-    for t in range(plan.horizon):
-        lp = np.zeros(case.n_bus)
-        lp[[b - 1 for b in case.load_buses]] = loads.demand[t]
-        lq = lp * q_ratio
-        setp = {s.bus: plan.setpoint[t, i] for i, s in enumerate(specs)}
-        sol = solve_power_flow(case, lp, lq, setp, warm_start=warm)
-        if not sol.converged:
-            violating.append(t)
-            continue
-        warm = sol
-        if np.any(np.abs(sol.line_flow_active) > limits):
-            violating.append(t)
-    return violating
+    return GenerationPlan(horizon=T, commitment=commitment, setpoint=setpoint)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .detector.models import fit_classifier
-from .detector.pipeline import (dataset_features, evaluate_predictions,
-                                _stage_config)
+from .detector.pipeline import (STAGE_DEFAULTS, dataset_features,
+                                evaluate_predictions)
 from .neural import softmax
 from .scenario.generate import LABELS, LABEL_INDEX
 
@@ -281,9 +281,12 @@ def holdout_experiment(bundle, series_list, l: int, replications: int,
     Per replication: draw l of the 5 levels without replacement, train the
     classifier on normal series plus attack/fault series at those levels,
     then score accuracy on the attack/fault series at the held-out levels.
+    classifier_config (default: the classifier's STAGE_DEFAULTS row) is
+    re-seeded seed + 1000*l + rep for each replication.
     """
     if not 1 <= l <= 4:
         raise ValueError("l must be in 1..4")
+    base = classifier_config or STAGE_DEFAULTS["classifier"]
     # feature extraction is the expensive part; do it once per series
     cache = [(series, dataset_features(bundle, [series], case=case))
              for series in series_list]
@@ -313,9 +316,7 @@ def holdout_experiment(bundle, series_list, l: int, replications: int,
             else:
                 test_x.append(x)
                 test_y.append(y)
-        cfg = _stage_config({"classifier": classifier_config}
-                            if classifier_config else None,
-                            "classifier", seed + 1000 * l + rep)
+        cfg = replace(base, seed=seed + 1000 * l + rep)
         classifier, _ = fit_classifier(np.concatenate(train_x),
                                        np.concatenate(train_y), cfg)
         probs = softmax(classifier.forward(np.concatenate(test_x)))

@@ -1,16 +1,14 @@
 from .gradcheck import grad_check
-from .layers import (CHECK_FINITE, Dense, LSTM, LeakyReLU, NumericalError,
-                     ReLU, SequencePredictor, Sequential, Sigmoid, Softmax,
-                     lstm_step, softmax)
+from .layers import (Dense, LSTM, LeakyReLU, NumericalError, ReLU,
+                     SequencePredictor, Sequential, Sigmoid, softmax)
 from .losses import mse, softmax_cross_entropy
-from .optim import Adam, SGD, make_optimizer
-from .serialize import get_state, load_state, save_state, set_state
+from .optim import Adam
+from .serialize import get_state, set_state
 from .train import TrainConfig, train
 
 __all__ = [
-    "grad_check", "CHECK_FINITE", "Dense", "LSTM", "LeakyReLU",
-    "NumericalError", "ReLU", "SequencePredictor", "Sequential", "Sigmoid",
-    "Softmax", "lstm_step", "softmax", "mse", "softmax_cross_entropy",
-    "Adam", "SGD", "make_optimizer", "get_state", "load_state", "save_state",
-    "set_state", "TrainConfig", "train",
+    "grad_check", "Dense", "LSTM", "LeakyReLU", "NumericalError", "ReLU",
+    "SequencePredictor", "Sequential", "Sigmoid", "softmax", "mse",
+    "softmax_cross_entropy", "Adam", "get_state", "set_state", "TrainConfig",
+    "train",
 ]

@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# checked at layer boundaries; cheap at the scales this package runs at
-CHECK_FINITE = True
-
 
 class NumericalError(FloatingPointError):
     """A layer produced NaN/Inf."""
 
 
 def _check(name: str, arr: np.ndarray) -> np.ndarray:
-    if CHECK_FINITE and not np.all(np.isfinite(arr)):
+    """Finite check at layer boundaries; cheap at the scales used here."""
+    if not np.all(np.isfinite(arr)):
         raise NumericalError(f"non-finite values out of {name}")
     return arr
 
@@ -112,19 +110,6 @@ class Sigmoid(Layer):
 
     def backward(self, dy):
         return dy * self._y * (1.0 - self._y)
-
-
-class Softmax(Layer):
-    """Standalone softmax; pair training with the fused cross-entropy loss
-    instead of backpropagating through this layer."""
-
-    def forward(self, x):
-        self._y = softmax(x)
-        return self._y
-
-    def backward(self, dy):
-        dot = np.sum(dy * self._y, axis=-1, keepdims=True)
-        return self._y * (dy - dot)
 
 
 class Sequential(Layer):
@@ -230,21 +215,6 @@ class LSTM(Layer):
             dh_next = dz @ Wh.T
             dc_next = dc * f
         return dx
-
-
-def lstm_step(lstm: LSTM, x_t: np.ndarray, state: tuple[np.ndarray, np.ndarray]
-              ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One recurrence step (inference); x_t is (B, D), state is (h, c)."""
-    H = lstm.hidden
-    h, c = state
-    z = x_t @ lstm.params["Wx"] + h @ lstm.params["Wh"] + lstm.params["b"]
-    i = _sigmoid(z[:, :H])
-    f = _sigmoid(z[:, H:2 * H])
-    g = np.tanh(z[:, 2 * H:3 * H])
-    o = _sigmoid(z[:, 3 * H:])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, (h_new, c_new)
 
 
 class SequencePredictor(Layer):

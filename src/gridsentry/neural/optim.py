@@ -1,19 +1,8 @@
-"""Parameter-update rules over the flat parameters() view of a model."""
+"""Adam parameter updates over the flat parameters() view of a model."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class SGD:
-    def __init__(self, learning_rate: float):
-        if learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
-        self.lr = learning_rate
-
-    def step(self, parameters) -> None:
-        for _, params, grads, k in parameters:
-            params[k] -= self.lr * grads[k]
 
 
 class Adam:
@@ -45,10 +34,3 @@ class Adam:
             vhat = self.v[name] / (1 - b2 ** self.t)
             params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-
-def make_optimizer(kind: str, learning_rate: float, **kw):
-    if kind == "sgd":
-        return SGD(learning_rate)
-    if kind == "adam":
-        return Adam(learning_rate, **kw)
-    raise ValueError(f"unknown optimizer '{kind}'")

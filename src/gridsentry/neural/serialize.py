@@ -1,12 +1,8 @@
-"""Model parameter persistence: versioned npz of the flat parameter view."""
+"""Copy a model's parameters out of and back into its flat parameter view."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
-
-FORMAT_VERSION = 1
 
 
 def get_state(model) -> dict[str, np.ndarray]:
@@ -21,23 +17,3 @@ def set_state(model, state: dict[str, np.ndarray]) -> None:
             raise ValueError(f"shape mismatch for '{name}'")
         params[k] = state[name].copy()
 
-
-def save_state(model, path: str | Path, extra: dict[str, np.ndarray] | None = None
-               ) -> None:
-    arrays = {f"param/{k}": v for k, v in get_state(model).items()}
-    if extra:
-        arrays.update({f"extra/{k}": np.asarray(v) for k, v in extra.items()})
-    arrays["format_version"] = np.array(FORMAT_VERSION)
-    np.savez(path, **arrays)
-
-
-def load_state(model, path: str | Path) -> dict[str, np.ndarray]:
-    with np.load(path) as data:
-        if int(data["format_version"]) != FORMAT_VERSION:
-            raise ValueError("unsupported model file version")
-        state = {k[len("param/"):]: data[k] for k in data.files
-                 if k.startswith("param/")}
-        extra = {k[len("extra/"):]: data[k] for k in data.files
-                 if k.startswith("extra/")}
-    set_state(model, state)
-    return extra

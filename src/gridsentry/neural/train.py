@@ -2,30 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .layers import NumericalError
 from .losses import mse, softmax_cross_entropy
-from .optim import make_optimizer
+from .optim import Adam
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 50
     batch_size: int = 64
     seed: int = 0
-    optimizer: str = "adam"
-    optimizer_kwargs: dict = field(default_factory=dict)
-    patience: int | None = None  # early stop after this many non-improving epochs
 
     def __post_init__(self):
         if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError("learning_rate must be >= 0")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
 
 
 def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
@@ -40,11 +39,8 @@ def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
     if n == 0:
         raise ValueError("empty training data")
     rng = np.random.default_rng(config.seed)
-    opt = make_optimizer(config.optimizer, config.learning_rate,
-                         **config.optimizer_kwargs)
+    opt = Adam(config.learning_rate)
     history: list[float] = []
-    best = np.inf
-    stale = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         total = 0.0
@@ -71,14 +67,5 @@ def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
             opt.step(model.parameters())
             total += value
             batches += 1
-        epoch_loss = total / batches
-        history.append(epoch_loss)
-        if config.patience is not None:
-            if epoch_loss < best - 1e-12:
-                best = epoch_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
+        history.append(total / batches)
     return history

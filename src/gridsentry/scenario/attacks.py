@@ -73,9 +73,12 @@ def make_attack_spec(case: GridCase, target: int, level: int,
                       access_set(case, target))
 
 
-def _reduce_target(u: np.ndarray, committed: np.ndarray, spec, t: int,
-                   gen_buses=GENERATOR_BUSES) -> tuple[np.ndarray, bool]:
-    """Additive attack signal a = -fraction * u on the target entry."""
+def reduce_target(u: np.ndarray, committed: np.ndarray,
+                  spec: AttackSpec | FaultSpec, t: int,
+                  gen_buses=GENERATOR_BUSES) -> tuple[np.ndarray, bool]:
+    """Control vector after the additive signal a = -fraction * u on the
+    target entry, and whether it applied this hour. Attacks and faults share
+    this control path; only attacks mask sensors downstream."""
     if not spec.start_hour <= t < spec.end_hour:
         return u.copy(), False
     g = gen_buses.index(spec.target_generator)
@@ -84,18 +87,6 @@ def _reduce_target(u: np.ndarray, committed: np.ndarray, spec, t: int,
     out = u.copy()
     out[g] = out[g] + (-spec.fraction * out[g])
     return out, True
-
-
-def attacked_control(u: np.ndarray, committed: np.ndarray, spec: AttackSpec,
-                     t: int) -> tuple[np.ndarray, bool]:
-    """Manipulated control vector and whether the attack applied this hour."""
-    return _reduce_target(u, committed, spec, t)
-
-
-def apply_fault(u: np.ndarray, committed: np.ndarray, spec: FaultSpec,
-                t: int) -> tuple[np.ndarray, bool]:
-    """Same control-path reduction as an attack; no sensor masking downstream."""
-    return _reduce_target(u, committed, spec, t)
 
 
 def simulate_nominal(attacker_case: GridCase, loads_p: np.ndarray,

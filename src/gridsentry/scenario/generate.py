@@ -12,8 +12,8 @@ import numpy as np
 from ..dispatch import DEFAULT_GENERATORS, GenerationPlan, LoadProfile
 from ..grid import GridCase, N_SENSORS
 from ..grid.powerflow import measure, sensor_values, solve_power_flow
-from .attacks import (AttackSpec, FaultSpec, GENERATOR_BUSES, apply_fault,
-                      attacked_control, mask_measurements, simulate_nominal)
+from .attacks import (AttackSpec, FaultSpec, GENERATOR_BUSES,
+                      mask_measurements, reduce_target, simulate_nominal)
 
 # fixed 9-label order used everywhere downstream
 LABELS = ("normal",
@@ -115,8 +115,7 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
 
         applied = False
         if condition is not None:
-            fn = attacked_control if is_attack else apply_fault
-            u_phys, applied = fn(u, committed, condition, t)
+            u_phys, applied = reduce_target(u, committed, condition, t)
             if (condition.start_hour <= t < condition.end_hour) and not applied:
                 noop_hours.append(t)
         else:

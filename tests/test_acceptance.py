@@ -54,18 +54,9 @@ def world(tmp_path_factory, case):
     data_dir = cli.cmd_gen_data(cfg, out / "data")
     series = cli.load_dataset(data_dir)
     train, test = cli.split_series(series, cfg.split_fraction, cfg.seed)
-    stage_configs = {
-        "autoencoder": TrainConfig(learning_rate=1e-3, epochs=60,
-                                   batch_size=256),
-        "predictor": TrainConfig(learning_rate=5e-3, epochs=120,
-                                 batch_size=8),
-        "classifier": TrainConfig(learning_rate=2e-3, epochs=80,
-                                  batch_size=256),
-    }
     bundles, matrices = {}, {}
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
         bundle = pipeline.train_bundle(variant, train, case, seed=cfg.seed,
-                                       stage_configs=stage_configs,
                                        noise_sigma=cfg.noise_sigma)
         preds, truth = pipeline.evaluate_predictions(bundle, test, case=case)
         bundles[variant] = bundle

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +11,12 @@ import yaml
 import gridsentry.cli as cli
 from gridsentry.config import (ConfigError, RunManifest, config_hash,
                                load_config, resolve_output_dir)
+from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.evaluation import HoldoutResult
+from gridsentry.neural import TrainConfig
 from gridsentry.scenario import LABELS, ScenarioSeries
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(path, **overrides):
@@ -60,6 +67,38 @@ def test_config_validation_before_compute(tmp_path):
     path = write_config(tmp_path / "c.yaml", unknown_key=1)
     with pytest.raises(ConfigError, match="unknown"):
         load_config(path)
+    # every bad train_stages entry is a ConfigError naming stage and key
+    for stages, pattern in (
+            ({"critic": {"epochs": 5}}, "critic"),
+            ({"classifier": {"lr": 1}}, "classifier.*lr"),
+            ({"classifier": {"batch_size": 0}}, "classifier.*batch_size"),
+            ({"predictor": {"epochs": 0}}, "predictor.*epochs"),
+            ({"predictor": {"epochs": 2.5}}, "predictor.*epochs"),
+            ({"autoencoder": {"learning_rate": -1}},
+             "autoencoder.*learning_rate"),
+            ({"classifier": 5}, "classifier"),
+            ([], "train_stages")):
+        path = write_config(tmp_path / "c.yaml", train_stages=stages)
+        with pytest.raises(ConfigError, match=pattern):
+            load_config(path)
+
+
+def test_partial_stage_override_keeps_stage_defaults(tmp_path):
+    path = write_config(tmp_path / "c.yaml",
+                        train_stages={"classifier": {"epochs": 5}})
+    cfg = load_config(path)
+    assert cfg.stage_config("classifier") == TrainConfig(
+        learning_rate=2e-3, epochs=5, batch_size=256)
+    assert cfg.stage_config("predictor") == STAGE_DEFAULTS["predictor"]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a second to import and no CLI stage uses it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, gridsentry.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_config_hash_stable(tmp_path):

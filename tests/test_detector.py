@@ -171,11 +171,10 @@ def test_se_residuals_near_zero_on_noiseless(case):
     stats = fit_preprocess([synthetic_series(
         np.random.default_rng(6).standard_normal((200, N_SENSORS)))])
     bundle = ModelBundle(variant="SE_DNN", stats=stats, noise_sigma=0.01)
-    frames = predict_and_residual(bundle, series, case=case)
-    assert len(frames) == series.horizon - 1 - LAGS
-    for frame in frames:
-        raw = frame.residuals * stats.std
-        assert np.max(np.abs(raw)) < 1e-6
+    ts, residuals = predict_and_residual(bundle, series, case=case)
+    assert residuals.shape == (series.horizon - 1 - LAGS, N_SENSORS)
+    np.testing.assert_array_equal(ts, np.arange(LAGS + 1, series.horizon))
+    assert np.max(np.abs(residuals * stats.std)) < 1e-6
 
 
 def test_residual_alignment_rnn(case, normal_series):
@@ -185,11 +184,14 @@ def test_residual_alignment_rnn(case, normal_series):
     cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4, seed=0)
     z = np.stack([preprocess(s, stats) for s in normal_series])
     bundle.predictor, _ = fit_predictor(z, cfg)
-    frames = predict_and_residual(bundle, series)
-    assert frames[0].timestamp == LAGS + 1
-    assert frames[-1].timestamp == series.horizon - 1
-    x, y, ts = series_features(bundle, series)
-    assert x.shape == (len(frames), CLASSIFIER_INPUT)
+    ts, residuals = predict_and_residual(bundle, series)
+    assert ts[0] == LAGS + 1
+    assert ts[-1] == series.horizon - 1
+    assert residuals.shape == (len(ts), N_SENSORS)
+    x, y, feature_ts = series_features(bundle, series)
+    assert x.shape == (len(ts), CLASSIFIER_INPUT)
+    np.testing.assert_array_equal(feature_ts, ts)
+    np.testing.assert_array_equal(x[:, :N_SENSORS], residuals)
     np.testing.assert_array_equal(y, 0)  # all-normal series
 
 
@@ -294,9 +296,9 @@ def test_bundle_roundtrip(tmp_path, case, normal_series):
     probe = np.random.default_rng(3).standard_normal((4, CLASSIFIER_INPUT))
     np.testing.assert_array_equal(classify(loaded, probe)[1],
                                   classify(bundle, probe)[1])
-    f1 = predict_and_residual(bundle, normal_series[0])
-    f2 = predict_and_residual(loaded, normal_series[0])
-    np.testing.assert_array_equal(f1[0].residuals, f2[0].residuals)
+    _, r1 = predict_and_residual(bundle, normal_series[0])
+    _, r2 = predict_and_residual(loaded, normal_series[0])
+    np.testing.assert_array_equal(r1, r2)
 
 
 def test_sensor_map_mismatch_refused(case):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from gridsentry.neural import (Dense, LSTM, LeakyReLU, ReLU,
-                               SequencePredictor, Sequential, Sigmoid,
-                               Softmax, TrainConfig, grad_check, get_state,
-                               load_state, lstm_step, mse, save_state,
-                               set_state, softmax, softmax_cross_entropy,
-                               train)
+                               SequencePredictor, Sequential, TrainConfig,
+                               grad_check, get_state, mse, set_state, softmax,
+                               softmax_cross_entropy, train)
 
 
 def rng(seed=0):
@@ -93,21 +91,27 @@ def test_lstm_forget_gate_saturation():
     h0 = np.zeros((1, H))
     c0 = rng(2).standard_normal((1, H))
     x = rng(3).standard_normal((1, 2))
-    _, (_, c1) = lstm_step(cell, x, (h0, c0))
+    cell.forward(x[:, None], state=(h0, c0))
+    _, c1 = cell.final_state
     z = x @ cell.params["Wx"] + h0 @ cell.params["Wh"] + cell.params["b"]
     i = 1 / (1 + np.exp(-z[:, :H]))
     g = np.tanh(z[:, 2 * H:3 * H])
     np.testing.assert_allclose(c1, c0 + i * g, atol=1e-6)
 
 
-def test_lstm_step_matches_sequence_forward():
+def test_lstm_chunked_forward_matches_full():
+    # stateful contract: carrying final_state across chunks of one series
+    # gives the same hidden states and final state as one full pass
     cell = LSTM(3, 4, rng(4))
     x = rng(5).standard_normal((2, 6, 3))
     hs = cell.forward(x)
-    state = (np.zeros((2, 4)), np.zeros((2, 4)))
-    for t in range(6):
-        h, state = lstm_step(cell, x[:, t], state)
-        np.testing.assert_allclose(h, hs[:, t], atol=1e-12)
+    h_end, c_end = cell.final_state
+    head = cell.forward(x[:, :2])
+    tail = cell.forward(x[:, 2:], state=cell.final_state)
+    np.testing.assert_allclose(np.concatenate([head, tail], axis=1), hs,
+                               atol=1e-12)
+    np.testing.assert_allclose(cell.final_state[0], h_end, atol=1e-12)
+    np.testing.assert_allclose(cell.final_state[1], c_end, atol=1e-12)
 
 
 def test_lstm_bptt_grad_matches_finite_differences():
@@ -209,6 +213,10 @@ def test_config_validation():
         TrainConfig(learning_rate=-1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError):
+        TrainConfig(batch_size=0)
+    with pytest.raises(ValueError):
+        TrainConfig(epochs=2.5)
 
 
 # ---------------------------------------------------------------- autoencoder shape
@@ -227,18 +235,6 @@ def test_autoencoder_grad_check():
 
 
 # ---------------------------------------------------------------- persistence
-
-def test_state_roundtrip(tmp_path):
-    model = make_mlp([3, 5, 2], seed=3)
-    x = rng(1).standard_normal((4, 3))
-    ref = model.forward(x)
-    path = tmp_path / "model.npz"
-    save_state(model, path, extra={"label_order": np.arange(9)})
-    clone = make_mlp([3, 5, 2], seed=99)
-    extra = load_state(clone, path)
-    np.testing.assert_array_equal(clone.forward(x), ref)
-    np.testing.assert_array_equal(extra["label_order"], np.arange(9))
-
 
 def test_set_state_shape_guard():
     model = make_mlp([3, 5, 2], seed=3)

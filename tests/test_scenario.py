@@ -6,11 +6,11 @@ from gridsentry.grid import (Branch, GridCase, generation_sensor_index,
                              load_case, sensor_values, solve_power_flow,
                              voltage_sensor_index)
 from gridsentry.scenario import (AttackSpec, FaultSpec, LABELS, LinearSystem,
-                                 ScenarioSeries, access_set, apply_fault,
-                                 attacked_control, covert_attack_run,
-                                 generate_scenario, linear_mask_bias,
-                                 make_attack_spec, mask_measurements,
-                                 random_system, simulate, simulate_nominal)
+                                 ScenarioSeries, access_set,
+                                 covert_attack_run, generate_scenario,
+                                 linear_mask_bias, make_attack_spec,
+                                 mask_measurements, random_system,
+                                 reduce_target, simulate, simulate_nominal)
 
 
 @pytest.fixture(scope="module")
@@ -35,20 +35,20 @@ ALL_ON = np.ones(4, dtype=bool)
 def test_attack_levels(case):
     u = np.array([0.8, 0.5, 0.4, 0.3])
     spec = make_attack_spec(case, 2, 3, 0, 10)
-    out, applied = attacked_control(u, ALL_ON, spec, 5)
+    out, applied = reduce_target(u, ALL_ON, spec, 5)
     assert applied
     assert out[0] == pytest.approx(0.8 * (1 - 0.6))
     np.testing.assert_array_equal(out[1:], u[1:])
 
     spec5 = make_attack_spec(case, 2, 5, 0, 10)
-    out5, _ = attacked_control(u, ALL_ON, spec5, 5)
+    out5, _ = reduce_target(u, ALL_ON, spec5, 5)
     assert out5[0] == pytest.approx(0.0)
 
 
 def test_attack_outside_window(case):
     u = np.array([0.8, 0.5, 0.4, 0.3])
     spec = make_attack_spec(case, 2, 3, 5, 10)
-    out, applied = attacked_control(u, ALL_ON, spec, 2)
+    out, applied = reduce_target(u, ALL_ON, spec, 2)
     assert not applied
     np.testing.assert_array_equal(out, u)
 
@@ -57,15 +57,15 @@ def test_attack_uncommitted_noop(case):
     u = np.array([0.8, 0.5, 0.4, 0.0])
     committed = np.array([True, True, True, False])
     spec = make_attack_spec(case, 8, 5, 0, 10)
-    out, applied = attacked_control(u, committed, spec, 5)
+    out, applied = reduce_target(u, committed, spec, 5)
     assert not applied
     np.testing.assert_array_equal(out, u)
 
 
 def test_fault_matches_attack_control_path(case):
     u = np.array([0.8, 0.5, 0.4, 0.3])
-    a, _ = attacked_control(u, ALL_ON, make_attack_spec(case, 6, 2, 0, 10), 3)
-    f, _ = apply_fault(u, ALL_ON, FaultSpec(6, 2, 0, 10), 3)
+    a, _ = reduce_target(u, ALL_ON, make_attack_spec(case, 6, 2, 0, 10), 3)
+    f, _ = reduce_target(u, ALL_ON, FaultSpec(6, 2, 0, 10), 3)
     np.testing.assert_array_equal(a, f)
 
 
@@ -132,7 +132,7 @@ def test_mask_full_access_full_knowledge_covert(case, world):
     # full access + perfect model + zero noise: masked frame IS the nominal frame
     lp, lq, u = fixed_inputs(case, world)
     spec = make_attack_spec(case, 3, 4, 0, 48)
-    u_att, _ = attacked_control(u, ALL_ON, spec, 10)
+    u_att, _ = reduce_target(u, ALL_ON, spec, 10)
     y_att, _ = simulate_nominal(case, lp, lq, u_att)
     y_nom, _ = simulate_nominal(case, lp, lq, u)
     masked = mask_measurements(y_att, y_nom, frozenset(range(39)), 0.0,
@@ -144,7 +144,7 @@ def test_mask_partial_access_leaks(case, world):
     # non-access sensors keep the attacked physics
     lp, lq, u = fixed_inputs(case, world)
     spec = make_attack_spec(case, 8, 5, 0, 48)
-    u_att, _ = attacked_control(u, ALL_ON, spec, 10)
+    u_att, _ = reduce_target(u, ALL_ON, spec, 10)
     y_att, _ = simulate_nominal(case, lp, lq, u_att)
     y_nom, _ = simulate_nominal(case, lp, lq, u)
     masked = mask_measurements(y_att, y_nom, spec.sensor_access, 0.0,
