@@ -16,6 +16,7 @@ from .detector.models import VARIANTS
 from .detector.pipeline import STAGE_DEFAULTS
 from .grid.case import DEFAULT_CASE
 from .neural import TrainConfig
+from .scenario.attacks import LEVEL_FRACTIONS
 
 OUTPUT_ROOT_ENV = "GRIDSENTRY_OUTPUT_ROOT"
 
@@ -54,12 +55,6 @@ class RunConfig:
         return json.loads(json.dumps(asdict(self), sort_keys=True))
 
 
-def _as_pair(value, name) -> tuple:
-    if (not isinstance(value, (list, tuple))) or len(value) != 2:
-        raise ConfigError(f"{name} must be a pair")
-    return tuple(value)
-
-
 def resolve_output_dir(path: str) -> Path:
     root = os.environ.get(OUTPUT_ROOT_ENV)
     out = Path(path)
@@ -87,16 +82,12 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("output_dir is required")
 
     raw.setdefault("case_file", str(DEFAULT_CASE))
-    cfg = RunConfig(**{**raw,
-                       "num_households": _as_pair(
-                           raw.get("num_households", (90, 110)),
-                           "num_households"),
-                       "window": _as_pair(raw.get("window", (24, 104)),
-                                          "window"),
-                       "levels": tuple(raw.get("levels", (1, 2, 3, 4, 5))),
-                       "variants": tuple(raw.get("variants", VARIANTS)),
-                       "holdout_l_values": tuple(
-                           raw.get("holdout_l_values", (1, 2, 3, 4)))})
+    cfg = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
+                       for key, value in raw.items()})
+    for name in ("num_households", "window"):
+        value = getattr(cfg, name)
+        if not isinstance(value, tuple) or len(value) != 2:
+            raise ConfigError(f"{name} must be a pair")
 
     if not Path(cfg.case_file).exists():
         raise ConfigError(f"case file not found: {cfg.case_file}")
@@ -104,8 +95,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("horizon must cover at least one day")
     if not 0 <= cfg.window[0] < cfg.window[1] <= cfg.horizon:
         raise ConfigError("window must fit inside the horizon")
-    if any(lvl not in (1, 2, 3, 4, 5) for lvl in cfg.levels):
-        raise ConfigError("levels must be drawn from 1..5")
+    if any(lvl not in LEVEL_FRACTIONS for lvl in cfg.levels):
+        raise ConfigError(
+            f"levels must be drawn from {sorted(LEVEL_FRACTIONS)}")
     if any(v not in VARIANTS for v in cfg.variants):
         raise ConfigError(f"variants must be drawn from {VARIANTS}")
     if not 0 < cfg.split_fraction < 1:
@@ -123,6 +115,9 @@ def load_config(path: str | Path) -> RunConfig:
             cfg.stage_config(stage)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"train_stages.{stage}: {exc}") from None
+        if "seed" in cfg.train_stages[stage]:
+            raise ConfigError(f"train_stages.{stage}: seed is derived from "
+                              "the run seed and cannot be set")
     return cfg
 
 

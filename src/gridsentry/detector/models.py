@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..grid import (GridCase, MeasurementFrame, N_SENSORS, estimate_state,
-                    noise_scale, sensor_map_hash)
+from ..grid import (GridCase, N_SENSORS, estimate_state, noise_scale,
+                    sensor_map_hash)
 from ..neural import (Dense, LeakyReLU, ReLU, SequencePredictor, Sequential,
                       Sigmoid, TrainConfig, get_state, set_state, softmax,
                       train)
@@ -36,7 +36,7 @@ AEN_HIDDEN = (32, 20)
 PREDICTOR_HIDDEN = 32
 CLASSIFIER_HIDDEN = (64, 32)
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 
 
 class UntrainedBundleError(RuntimeError):
@@ -55,9 +55,6 @@ class ModelBundle:
     encoder: Sequential | None = None
     decoder: Sequential | None = None
     predictor: SequencePredictor | None = None
-    code_size: int = CODE_SIZE
-    lags: int = LAGS
-    label_order: tuple = LABELS
     sensor_hash: str = ""
     noise_sigma: float = 0.01
     history: dict = field(default_factory=dict)
@@ -65,12 +62,6 @@ class ModelBundle:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "AEN_RNN_DNN" and self.code_size != CODE_SIZE:
-            raise ValueError(f"AEN code size must be {CODE_SIZE}")
-        if self.lags != LAGS:
-            raise ValueError(f"lag count must be {LAGS}")
-        if tuple(self.label_order) != LABELS:
-            raise ValueError("label order must match the scenario label set")
         if self.classifier is not None:
             head = self.classifier.layers[0]
             tail = self.classifier.layers[-1]
@@ -118,43 +109,42 @@ def build_classifier(rng: np.random.Generator, hidden=CLASSIFIER_HIDDEN):
     return _mlp((CLASSIFIER_INPUT, *hidden, N_LABELS), [ReLU, Sigmoid], rng)
 
 
-def fit_autoencoder(z: np.ndarray, config: TrainConfig,
-                    hidden=AEN_HIDDEN, code_size=CODE_SIZE):
+def fit_autoencoder(z: np.ndarray, config: TrainConfig):
     """Train encoder+decoder on preprocessed normal frames (N, 39)."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != N_SENSORS:
         raise ValueError(f"autoencoder input must be (N, {N_SENSORS})")
     rng = np.random.default_rng(config.seed)
-    enc, dec = build_autoencoder(rng, hidden=hidden, code_size=code_size)
+    enc, dec = build_autoencoder(rng)
     model = Sequential([enc, dec])
     history = train(model, z, z, config, loss="mse")
     return enc, dec, history
 
 
-def fit_predictor(sequences: np.ndarray, config: TrainConfig, lags: int = LAGS,
-                  hidden: int = PREDICTOR_HIDDEN):
+def fit_predictor(sequences: np.ndarray, config: TrainConfig):
     """Train a stateful one-step-ahead predictor on (N, T, C) sequences.
 
-    Targets with index < lags are masked out, so a T-step series contributes
-    T - lags training targets.
+    Targets with index < LAGS are masked out, so a T-step series contributes
+    T - LAGS training targets.
     """
     seq = np.asarray(sequences, dtype=float)
     if seq.ndim != 3:
         raise ValueError("predictor input must be (N, T, C)")
     n, t, c = seq.shape
-    if t < lags + 1:
-        raise ValueError(f"sequences must span at least {lags + 1} steps")
-    model = SequencePredictor(c, hidden, c, np.random.default_rng(config.seed))
+    if t < LAGS + 1:
+        raise ValueError(f"sequences must span at least {LAGS + 1} steps")
+    model = SequencePredictor(c, PREDICTOR_HIDDEN, c,
+                              np.random.default_rng(config.seed))
     x = seq[:, :-1]
     y = seq[:, 1:]
     mask = np.zeros((n, t - 1))
-    mask[:, lags - 1:] = 1.0  # position j predicts original index j+1
+    mask[:, LAGS - 1:] = 1.0  # position j predicts original index j+1
     history = train(model, x, y, config, loss="mse", mask=mask)
     return model, history
 
 
 def fit_classifier(features: np.ndarray, labels: np.ndarray,
-                   config: TrainConfig, hidden=CLASSIFIER_HIDDEN):
+                   config: TrainConfig):
     """Train the 9-label head on (N, 78) residual++observation features."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
@@ -166,7 +156,7 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray,
     missing = [LABELS[i] for i in range(N_LABELS) if i not in present]
     if missing:
         raise ValueError(f"training data missing classes: {missing}")
-    model = build_classifier(np.random.default_rng(config.seed), hidden=hidden)
+    model = build_classifier(np.random.default_rng(config.seed))
     history = train(model, features, labels.astype(int), config,
                     loss="cross_entropy")
     return model, history
@@ -180,11 +170,10 @@ def _require(bundle: ModelBundle, attr: str):
     return value
 
 
-def _se_residual_row(case: GridCase, values: np.ndarray, timestamp: int,
+def _se_residual_row(case: GridCase, values: np.ndarray,
                      noise_sigma: float) -> np.ndarray:
     weights = noise_scale(values, noise_sigma) ** 2
-    frame = MeasurementFrame(timestamp=timestamp, values=values)
-    est = estimate_state(case, frame, weights)
+    est = estimate_state(case, values, weights)
     return values - est.predicted_measurements
 
 
@@ -195,14 +184,14 @@ def predict_and_residual(bundle: ModelBundle, series,
     bundle's variant.
 
     Residuals live in standardized-difference space for every variant and
-    are emitted for original frames lags+1 .. T-1 (the first lags differenced
+    are emitted for original frames LAGS+1 .. T-1 (the first LAGS differenced
     frames are predictor warm-up). Model parameters are never mutated.
     """
     z = preprocess(series, bundle.stats)  # (T-1, 39); row j <-> frame j+1
     t_z = z.shape[0]
-    if t_z <= bundle.lags:
-        raise ValueError("series too short for the configured lag count")
-    idx = np.arange(bundle.lags, t_z)  # z rows with a usable prediction
+    if t_z <= LAGS:
+        raise ValueError(f"series too short for {LAGS} lags")
+    idx = np.arange(LAGS, t_z)  # z rows with a usable prediction
 
     if bundle.variant == "AEN_RNN_DNN":
         encoder = _require(bundle, "encoder")
@@ -221,9 +210,8 @@ def predict_and_residual(bundle: ModelBundle, series,
             raise ValueError("SE_DNN residuals need the grid case")
         values = np.asarray(series.values, dtype=float)
         rows = []
-        for j in idx:
-            t = j + 1
-            raw = _se_residual_row(case, values[t], t, bundle.noise_sigma)
+        for t in idx + 1:
+            raw = _se_residual_row(case, values[t], bundle.noise_sigma)
             rows.append(raw / bundle.stats.std)
         residuals = np.array(rows)
     else:  # pragma: no cover - guarded by __post_init__
@@ -239,15 +227,9 @@ def classify(bundle: ModelBundle, features: np.ndarray):
     """
     classifier = _require(bundle, "classifier")
     features = np.asarray(features, dtype=float)
-    single = features.ndim == 1
-    if single:
-        features = features[None]
     probs = softmax(classifier.forward(features))
     picks = np.argmax(probs, axis=1)  # argmax takes the first maximum
-    names = [bundle.label_order[p] for p in picks]
-    if single:
-        return names[0], probs[0]
-    return names, probs
+    return [LABELS[p] for p in picks], probs
 
 
 # ------------------------------------------------------------------ storage
@@ -266,16 +248,8 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "meta/format_version": np.array(BUNDLE_FORMAT_VERSION),
         "meta/variant": np.array(bundle.variant),
         "meta/std": bundle.stats.std,
-        "meta/epsilon": np.array(bundle.stats.epsilon),
-        "meta/raw_mean": (bundle.stats.raw_mean
-                          if bundle.stats.raw_mean is not None
-                          else np.zeros(0)),
-        "meta/raw_std": (bundle.stats.raw_std
-                         if bundle.stats.raw_std is not None
-                         else np.zeros(0)),
-        "meta/code_size": np.array(bundle.code_size),
-        "meta/lags": np.array(bundle.lags),
-        "meta/label_order": np.array(bundle.label_order),
+        "meta/raw_mean": bundle.stats.raw_mean,
+        "meta/raw_std": bundle.stats.raw_std,
         "meta/sensor_hash": np.array(bundle.sensor_hash),
         "meta/noise_sigma": np.array(bundle.noise_sigma),
     }
@@ -290,25 +264,18 @@ def load_bundle(path: str | Path) -> ModelBundle:
         if int(data["meta/format_version"]) != BUNDLE_FORMAT_VERSION:
             raise ValueError("unsupported bundle file version")
         variant = str(data["meta/variant"])
-        raw_mean = data["meta/raw_mean"]
-        raw_std = data["meta/raw_std"]
-        stats = PreprocessStats(
-            std=data["meta/std"], epsilon=float(data["meta/epsilon"]),
-            raw_mean=raw_mean if raw_mean.size else None,
-            raw_std=raw_std if raw_std.size else None)
+        stats = PreprocessStats(std=data["meta/std"],
+                                raw_mean=data["meta/raw_mean"],
+                                raw_std=data["meta/raw_std"])
         bundle = ModelBundle(
             variant=variant, stats=stats,
-            code_size=int(data["meta/code_size"]),
-            lags=int(data["meta/lags"]),
-            label_order=tuple(str(s) for s in data["meta/label_order"]),
             sensor_hash=str(data["meta/sensor_hash"]),
             noise_sigma=float(data["meta/noise_sigma"]))
         rng = np.random.default_rng(0)
         if any(k.startswith("encoder/") for k in data.files):
-            bundle.encoder, bundle.decoder = build_autoencoder(
-                rng, code_size=bundle.code_size)
+            bundle.encoder, bundle.decoder = build_autoencoder(rng)
         if any(k.startswith("predictor/") for k in data.files):
-            width = bundle.code_size if variant == "AEN_RNN_DNN" else N_SENSORS
+            width = CODE_SIZE if variant == "AEN_RNN_DNN" else N_SENSORS
             bundle.predictor = SequencePredictor(width, PREDICTOR_HIDDEN,
                                                  width, rng)
         if any(k.startswith("classifier/") for k in data.files):

@@ -21,32 +21,20 @@ class PreprocessStats:
     """
 
     std: np.ndarray
-    epsilon: float = EPSILON
-    raw_mean: np.ndarray | None = None
-    raw_std: np.ndarray | None = None
+    raw_mean: np.ndarray
+    raw_std: np.ndarray
 
     def __post_init__(self):
-        std = np.asarray(self.std, dtype=float)
-        if std.shape != (N_SENSORS,):
-            raise ValueError(f"std must have length {N_SENSORS}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if np.any(std < self.epsilon):
-            raise ValueError("std below the epsilon floor")
-        object.__setattr__(self, "std", std)
-        for name in ("raw_mean", "raw_std"):
-            value = getattr(self, name)
-            if value is not None:
-                value = np.asarray(value, dtype=float)
-                if value.shape != (N_SENSORS,):
-                    raise ValueError(f"{name} must have length {N_SENSORS}")
-                object.__setattr__(self, name, value)
-        if self.raw_std is not None and np.any(self.raw_std < self.epsilon):
-            raise ValueError("raw_std below the epsilon floor")
+        for name in ("std", "raw_mean", "raw_std"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (N_SENSORS,):
+                raise ValueError(f"{name} must have length {N_SENSORS}")
+            object.__setattr__(self, name, value)
+        for name in ("std", "raw_std"):
+            if np.any(getattr(self, name) < EPSILON):
+                raise ValueError(f"{name} below the epsilon floor")
 
     def standardize_raw(self, values: np.ndarray) -> np.ndarray:
-        if self.raw_mean is None or self.raw_std is None:
-            raise ValueError("stats carry no raw-observation moments")
         return (values - self.raw_mean) / self.raw_std
 
 
@@ -58,8 +46,8 @@ def _frames(series) -> np.ndarray:
     return values
 
 
-def fit_preprocess(series_list, epsilon: float = EPSILON) -> PreprocessStats:
-    """Std of first differences per sensor, floored at epsilon.
+def fit_preprocess(series_list) -> PreprocessStats:
+    """Std of first differences per sensor, floored at EPSILON.
 
     series_list is an iterable of ScenarioSeries (or raw (T, 39) arrays);
     differences never cross series boundaries.
@@ -76,11 +64,10 @@ def fit_preprocess(series_list, epsilon: float = EPSILON) -> PreprocessStats:
     if total < 100:
         raise ValueError(f"need at least 100 training frames, got {total}")
     stacked = np.concatenate(diffs, axis=0)
-    std = np.maximum(stacked.std(axis=0, ddof=1), epsilon)
+    std = np.maximum(stacked.std(axis=0, ddof=1), EPSILON)
     raw = np.concatenate(raws, axis=0)
-    raw_std = np.maximum(raw.std(axis=0, ddof=1), epsilon)
-    return PreprocessStats(std=std, epsilon=epsilon,
-                           raw_mean=raw.mean(axis=0), raw_std=raw_std)
+    raw_std = np.maximum(raw.std(axis=0, ddof=1), EPSILON)
+    return PreprocessStats(std=std, raw_mean=raw.mean(axis=0), raw_std=raw_std)
 
 
 def preprocess(series, stats: PreprocessStats) -> np.ndarray:

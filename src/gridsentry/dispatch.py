@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 N_LOAD_BUSES = 9
-N_GENERATORS = 4
 
 # 24-point diurnal base shape (mean ~1, evening peak). Synthetic stand-in for
 # aggregated residential consumption; deliberately flat enough that daily
@@ -28,6 +27,7 @@ DIURNAL_SHAPE = np.array([
 # mean household demand in pu, calibrated so ~100 households/bus over 9 buses
 # give a system mean load of ~2.15 pu on the 14-bus case
 HOUSEHOLD_MEAN_PU = 2.15 / (9 * 100 * DIURNAL_SHAPE.mean())
+SCALE_SIGMA = 0.3  # log-std of the per-household demand scale
 
 
 class InfeasibleDispatchError(RuntimeError):
@@ -77,8 +77,7 @@ class GenerationPlan:
 
 def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
                      rng: np.random.Generator,
-                     jitter_sigma: float = 0.05,
-                     scale_sigma: float = 0.3) -> LoadProfile:
+                     jitter_sigma: float = 0.05) -> LoadProfile:
     """Aggregate per-bus household curves into an hourly demand matrix.
 
     Household count per bus is drawn once from the closed integer range;
@@ -95,8 +94,9 @@ def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
     demand = np.empty((horizon, N_LOAD_BUSES))
     for i, n in enumerate(counts):
         # lognormal scales with mean HOUSEHOLD_MEAN_PU
-        scales = rng.lognormal(np.log(HOUSEHOLD_MEAN_PU) - 0.5 * scale_sigma**2,
-                               scale_sigma, size=n)
+        scales = rng.lognormal(
+            np.log(HOUSEHOLD_MEAN_PU) - 0.5 * SCALE_SIGMA**2, SCALE_SIGMA,
+            size=n)
         base = scales.sum() * shape
         if jitter_sigma > 0:
             jitter = rng.lognormal(-0.5 * jitter_sigma**2, jitter_sigma,

@@ -15,7 +15,6 @@ from .scenario.generate import LABELS, LABEL_INDEX
 
 N_LABELS = len(LABELS)
 ATTACK_BUSES = (2, 3, 6, 8)
-CLASS_OF_LABEL = ["normal"] + ["attack"] * 4 + ["fault"] * 4
 THREE_CLASSES = ("normal", "attack", "fault")
 
 
@@ -122,16 +121,12 @@ def _collapse_three_class(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def aggregate_report(matrix: ConfusionMatrix,
-                     condition_on: str = "truth") -> ClassificationReport:
+def aggregate_report(matrix: ConfusionMatrix) -> ClassificationReport:
     """Per-label, collapsed 3-class, and within-class localization metrics.
 
     Localization metrics for a bus are computed on the sub-matrix restricted
-    to frames whose true class matches (condition_on="truth", the default) or
-    whose predicted class matches (condition_on="prediction").
+    to frames whose true class matches.
     """
-    if condition_on not in ("truth", "prediction"):
-        raise ValueError("condition_on must be 'truth' or 'prediction'")
     counts = matrix.counts
     convention = {}
 
@@ -156,15 +151,11 @@ def aggregate_report(matrix: ConfusionMatrix,
         for k, bus in enumerate(ATTACK_BUSES):
             li = rows[k]
             tp = int(counts[li, li])
-            if condition_on == "truth":
-                # frame set restricted to true class = cls: misdetections
-                # (predictions outside the class) count as localization
-                # misses, predictions into the class from outside do not
-                fp = int(counts[rows, li].sum()) - tp
-                fn = int(counts[li, :].sum()) - tp
-            else:
-                fp = int(counts[:, li].sum()) - tp
-                fn = int(counts[li, rows].sum()) - tp
+            # frame set restricted to true class = cls: misdetections
+            # (predictions outside the class) count as localization
+            # misses, predictions into the class from outside do not
+            fp = int(counts[rows, li].sum()) - tp
+            fn = int(counts[li, :].sum()) - tp
             p, r, f, conv = _prf(tp, fp, fn)
             localization[(cls, bus)] = (p, r, f)
             if conv:

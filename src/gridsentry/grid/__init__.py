@@ -3,15 +3,14 @@ from .case import (Branch, Bus, CaseError, DEFAULT_CASE, GridCase, N_SENSORS,
                    sensor_map, sensor_map_csv, sensor_map_hash,
                    voltage_sensor_index)
 from .estimation import RankDeficientError, StateEstimate, estimate_state
-from .powerflow import (MeasurementFrame, PowerFlowSolution,
-                        SingularJacobianError, measure, noise_scale,
-                        sensor_values, solve_power_flow)
+from .powerflow import (PowerFlowSolution, SingularJacobianError, measure,
+                        noise_scale, sensor_values, solve_power_flow)
 
 __all__ = [
     "Branch", "Bus", "CaseError", "DEFAULT_CASE", "GridCase", "N_SENSORS",
     "build_admittance", "generation_sensor_index", "load_case", "sensor_map",
     "sensor_map_csv", "sensor_map_hash", "voltage_sensor_index",
     "RankDeficientError", "StateEstimate", "estimate_state",
-    "MeasurementFrame", "PowerFlowSolution", "SingularJacobianError",
-    "measure", "noise_scale", "sensor_values", "solve_power_flow",
+    "PowerFlowSolution", "SingularJacobianError", "measure", "noise_scale",
+    "sensor_values", "solve_power_flow",
 ]

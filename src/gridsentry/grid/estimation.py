@@ -8,7 +8,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .case import GridCase, N_SENSORS, Topology
-from .powerflow import MeasurementFrame, power_derivatives
+from .powerflow import power_derivatives
 
 
 class RankDeficientError(RuntimeError):
@@ -43,18 +43,18 @@ def _measurement_model(topo: Topology, va: np.ndarray, vm: np.ndarray,
     return h, H
 
 
-def estimate_state(case: GridCase, frame: MeasurementFrame, weights: np.ndarray,
+def estimate_state(case: GridCase, values: np.ndarray, weights: np.ndarray,
                    gen_bus_loads: np.ndarray | None = None,
                    tol: float = 1e-10, max_iter: int = 30) -> StateEstimate:
     """Gauss-Newton WLS fit of (voltage magnitudes, angles) to one frame.
 
-    weights are per-sensor measurement variances. gen_bus_loads is the full
-    14-bus active load vector used to translate bus injections into generation
-    sensor predictions; scenario data carries no load at generator buses, so
-    the default is zeros.
+    values is the (39,) measurement frame and weights its per-sensor
+    measurement variances. gen_bus_loads is the full 14-bus active load vector
+    used to translate bus injections into generation sensor predictions;
+    scenario data carries no load at generator buses, so the default is zeros.
     """
     n = case.n_bus
-    z = np.asarray(frame.values, dtype=float)
+    z = np.asarray(values, dtype=float)
     if z.shape != (N_SENSORS,) or not np.all(np.isfinite(z)):
         raise ValueError(f"frame must have {N_SENSORS} finite values")
     weights = np.asarray(weights, dtype=float)

@@ -122,26 +122,20 @@ def sensor_values(case: GridCase, sol: PowerFlowSolution) -> np.ndarray:
                            sol.voltage_magnitude])
 
 
-@dataclass
-class MeasurementFrame:
-    timestamp: int
-    values: np.ndarray  # (39,)
+NOISE_FLOOR = 0.01  # signal magnitude below which sensor noise stops shrinking
 
 
-def noise_scale(noiseless: np.ndarray, noise_sigma: float,
-                floor: float = 0.01) -> np.ndarray:
+def noise_scale(noiseless: np.ndarray, noise_sigma: float) -> np.ndarray:
     """Per-sensor noise std: proportional with a floor on the signal magnitude."""
-    return noise_sigma * np.maximum(np.abs(noiseless), floor)
+    return noise_sigma * np.maximum(np.abs(noiseless), NOISE_FLOOR)
 
 
 def measure(case: GridCase, sol: PowerFlowSolution, noise_sigma: float,
-            rng: np.random.Generator, timestamp: int = 0) -> MeasurementFrame:
+            rng: np.random.Generator) -> np.ndarray:
     """Sensor function plus i.i.d. zero-mean Gaussian noise."""
     if not sol.converged:
         raise ValueError("cannot measure a non-converged solution")
     clean = sensor_values(case, sol)
     if noise_sigma == 0:
-        values = clean
-    else:
-        values = clean + rng.standard_normal(N_SENSORS) * noise_scale(clean, noise_sigma)
-    return MeasurementFrame(timestamp=timestamp, values=values)
+        return clean
+    return clean + rng.standard_normal(N_SENSORS) * noise_scale(clean, noise_sigma)

@@ -74,14 +74,14 @@ def make_attack_spec(case: GridCase, target: int, level: int,
 
 
 def reduce_target(u: np.ndarray, committed: np.ndarray,
-                  spec: AttackSpec | FaultSpec, t: int,
-                  gen_buses=GENERATOR_BUSES) -> tuple[np.ndarray, bool]:
+                  spec: AttackSpec | FaultSpec, t: int
+                  ) -> tuple[np.ndarray, bool]:
     """Control vector after the additive signal a = -fraction * u on the
     target entry, and whether it applied this hour. Attacks and faults share
     this control path; only attacks mask sensors downstream."""
     if not spec.start_hour <= t < spec.end_hour:
         return u.copy(), False
-    g = gen_buses.index(spec.target_generator)
+    g = GENERATOR_BUSES.index(spec.target_generator)
     if not committed[g]:
         return u.copy(), False  # no-op; caller logs the hour
     out = u.copy()
@@ -89,19 +89,18 @@ def reduce_target(u: np.ndarray, committed: np.ndarray,
     return out, True
 
 
-def simulate_nominal(attacker_case: GridCase, loads_p: np.ndarray,
+def simulate_nominal(case: GridCase, loads_p: np.ndarray,
                      loads_q: np.ndarray, u: np.ndarray,
-                     warm_start: PowerFlowSolution | None = None,
-                     gen_buses=GENERATOR_BUSES
+                     warm_start: PowerFlowSolution | None = None
                      ) -> tuple[np.ndarray | None, PowerFlowSolution | None]:
     """Attacker's disguise template: noiseless sensors under the original
-    control, computed on the attacker's model. None on non-convergence."""
-    setp = {b: u[i] for i, b in enumerate(gen_buses)}
-    sol = solve_power_flow(attacker_case, loads_p, loads_q, setp,
-                           warm_start=warm_start)
+    control, computed on the attacker's grid model `case`. None on
+    non-convergence."""
+    setp = {b: u[i] for i, b in enumerate(GENERATOR_BUSES)}
+    sol = solve_power_flow(case, loads_p, loads_q, setp, warm_start=warm_start)
     if not sol.converged:
         return None, None
-    return sensor_values(attacker_case, sol), sol
+    return sensor_values(case, sol), sol
 
 
 def mask_measurements(true_values: np.ndarray, y_hat: np.ndarray,

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dispatch import DEFAULT_GENERATORS, GenerationPlan, LoadProfile
+from ..dispatch import GenerationPlan, LoadProfile
 from ..grid import GridCase, N_SENSORS
-from ..grid.powerflow import measure, sensor_values, solve_power_flow
+from ..grid.powerflow import measure, solve_power_flow
 from .attacks import (AttackSpec, FaultSpec, GENERATOR_BUSES,
                       mask_measurements, reduce_target, simulate_nominal)
 
@@ -80,8 +80,7 @@ def condition_label(condition) -> str:
 
 def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
                       condition: AttackSpec | FaultSpec | None,
-                      noise_sigma: float, seed: int,
-                      attacker_case: GridCase | None = None) -> ScenarioSeries:
+                      noise_sigma: float, seed: int) -> ScenarioSeries:
     """Hour loop: apply condition to the control, solve, measure, mask.
 
     Measurement and masking noise use per-hour generator streams derived
@@ -93,7 +92,6 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
     T = plan.horizon
     label = condition_label(condition)
     is_attack = isinstance(condition, AttackSpec)
-    attacker_case = attacker_case or case
     load_idx = [b - 1 for b in case.load_buses]
 
     values = np.empty((T, N_SENSORS))
@@ -126,15 +124,13 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
         rng_meas = np.random.default_rng([seed, 0, t])
         if sol.converged:
             warm = sol
-            frame = measure(case, sol, noise_sigma, rng_meas, timestamp=t)
-            last_values = frame.values
-            row = frame.values
+            row = last_values = measure(case, sol, noise_sigma, rng_meas)
         else:
             gap_hours.append(t)
             row = last_values if last_values is not None else np.full(N_SENSORS, np.nan)
 
         if is_attack and applied:
-            y_hat, nominal_sol = simulate_nominal(attacker_case, lp, lq, u,
+            y_hat, nominal_sol = simulate_nominal(case, lp, lq, u,
                                                   warm_start=attacker_warm)
             if y_hat is None:
                 template_fallback_hours.append(t)

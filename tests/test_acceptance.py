@@ -14,13 +14,12 @@ import yaml
 from scipy.stats import spearmanr
 
 import gridsentry.cli as cli
-from gridsentry.config import RunConfig, RunManifest, load_config
+from gridsentry.config import RunConfig, RunManifest
 from gridsentry.detector import chi_square_detect, pipeline
 from gridsentry.detector.models import build_autoencoder, build_classifier
 from gridsentry.dispatch import plan_generation, synthesize_loads
-from gridsentry.evaluation import (ConfusionMatrix, aggregate_report,
-                                   holdout_experiment, macro_f1,
-                                   precision_recall_f1)
+from gridsentry.evaluation import (ConfusionMatrix, holdout_experiment,
+                                   macro_f1, precision_recall_f1)
 from gridsentry.grid import load_case, solve_power_flow
 from gridsentry.grid.case import DEFAULT_CASE
 from gridsentry.neural import (Dense, LSTM, LeakyReLU, ReLU,

@@ -14,7 +14,7 @@ from gridsentry.config import (ConfigError, RunManifest, config_hash,
 from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.evaluation import HoldoutResult
 from gridsentry.neural import TrainConfig
-from gridsentry.scenario import LABELS, ScenarioSeries
+from gridsentry.scenario import LABELS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -76,6 +76,7 @@ def test_config_validation_before_compute(tmp_path):
             ({"predictor": {"epochs": 2.5}}, "predictor.*epochs"),
             ({"autoencoder": {"learning_rate": -1}},
              "autoencoder.*learning_rate"),
+            ({"classifier": {"seed": 5}}, "classifier.*seed"),
             ({"classifier": 5}, "classifier"),
             ([], "train_stages")):
         path = write_config(tmp_path / "c.yaml", train_stages=stages)
@@ -145,6 +146,21 @@ def test_gen_data_deterministic(workspace, tmp_path):
     first = RunManifest.read(data_dir)["files"]
     second = RunManifest.read(rerun)["files"]
     assert first == second
+
+
+def test_gen_data_workers_match_serial(tmp_path):
+    files = {}
+    for workers in (1, 2):
+        path = write_config(tmp_path / f"w{workers}.yaml", horizon=24,
+                            window=[6, 18], normal_series=1,
+                            series_per_condition_per_level=1, workers=workers)
+        out = tmp_path / f"data{workers}"
+        assert cli.main(["--config", str(path), "gen-data",
+                         "--out", str(out)]) == 0
+        files[workers] = RunManifest.read(out)["files"]
+        del files[workers]["config.json"]  # records `workers` itself
+    assert len(files[1]) == 2 * (1 + 8)  # a CSV and a .meta.json per series
+    assert files[2] == files[1]
 
 
 def test_split_is_series_level_and_stratified(workspace):

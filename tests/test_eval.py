@@ -8,7 +8,6 @@ from gridsentry.evaluation import (ConfusionMatrix, HoldoutResult,
                                    precision_recall_f1, report_rows,
                                    severity_sweep, sweep_csv)
 from gridsentry.neural import TrainConfig
-from gridsentry.scenario import LABELS
 
 
 def pairs_from_matrix(counts):

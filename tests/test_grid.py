@@ -5,10 +5,10 @@ import pytest
 from scipy.optimize import bisect, fsolve
 
 from gridsentry.dispatch import plan_generation, synthesize_loads
-from gridsentry.grid import (Branch, Bus, CaseError, GridCase,
-                             MeasurementFrame, N_SENSORS, build_admittance,
-                             estimate_state, load_case, measure, noise_scale,
-                             sensor_map, sensor_values, solve_power_flow)
+from gridsentry.grid import (Branch, Bus, CaseError, GridCase, N_SENSORS,
+                             build_admittance, estimate_state, load_case,
+                             measure, noise_scale, sensor_map, sensor_values,
+                             solve_power_flow)
 from gridsentry.grid.estimation import _measurement_model
 from gridsentry.grid.powerflow import _jacobian
 from gridsentry.scenario import generate_scenario
@@ -263,8 +263,8 @@ def test_measure_zero_noise_identity(case):
     sol = solve_base(case)
     rng = np.random.default_rng(0)
     frame = measure(case, sol, 0.0, rng)
-    np.testing.assert_array_equal(frame.values, sensor_values(case, sol))
-    assert frame.values.shape == (N_SENSORS,)
+    np.testing.assert_array_equal(frame, sensor_values(case, sol))
+    assert frame.shape == (N_SENSORS,)
 
 
 def test_measure_rejects_unconverged(case):
@@ -277,7 +277,7 @@ def test_measure_rejects_unconverged(case):
 def test_measure_noise_std(case):
     sol = solve_base(case)
     rng = np.random.default_rng(7)
-    draws = np.stack([measure(case, sol, 0.01, rng).values for _ in range(10_000)])
+    draws = np.stack([measure(case, sol, 0.01, rng) for _ in range(10_000)])
     clean = sensor_values(case, sol)
     expected = 0.01 * np.maximum(np.abs(clean), 0.01)
     sample = draws.std(axis=0)
@@ -286,8 +286,8 @@ def test_measure_noise_std(case):
 
 def test_measure_deterministic(case):
     sol = solve_base(case)
-    a = measure(case, sol, 0.01, np.random.default_rng(42)).values
-    b = measure(case, sol, 0.01, np.random.default_rng(42)).values
+    a = measure(case, sol, 0.01, np.random.default_rng(42))
+    b = measure(case, sol, 0.01, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
@@ -318,7 +318,7 @@ def test_se_recovers_exact_data(case):
                                atol=1e-6)
     np.testing.assert_allclose(est.voltage_angle, sol.voltage_angle, atol=1e-6)
     assert est.objective == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(est.predicted_measurements, frame.values, atol=1e-8)
+    np.testing.assert_allclose(est.predicted_measurements, frame, atol=1e-8)
 
 
 def test_se_noisy_residual_mean(case):
@@ -331,7 +331,7 @@ def test_se_noisy_residual_mean(case):
         frame = measure(case, sol, 0.01, rng)
         est = estimate_state(case, frame, w, gen_bus_loads=p)
         assert est.objective > 0
-        res.append(frame.values - est.predicted_measurements)
+        res.append(frame - est.predicted_measurements)
     res = np.asarray(res)
     # residual mean per sensor is near zero relative to the noise scale
     std = np.sqrt(w)
@@ -348,7 +348,7 @@ def test_se_gross_error_objective(case):
         frame = measure(case, sol, 0.01, rng)
         normal_obj.append(estimate_state(case, frame, w, gen_bus_loads=p).objective)
     frame = measure(case, sol, 0.01, rng)
-    frame.values[5] += 1.0
+    frame[5] += 1.0
     bad = estimate_state(case, frame, w, gen_bus_loads=p)
     assert bad.objective > np.percentile(normal_obj, 99)
 
@@ -360,9 +360,9 @@ def test_se_bad_inputs(case):
     with pytest.raises(ValueError):
         estimate_state(case, frame, np.zeros(39))
     with pytest.raises(ValueError):
-        estimate_state(case, MeasurementFrame(0, np.zeros(5)), np.ones(39))
-    nan_frame = MeasurementFrame(0, frame.values.copy())
-    nan_frame.values[3] = np.nan
+        estimate_state(case, np.zeros(5), np.ones(39))
+    nan_frame = frame.copy()
+    nan_frame[3] = np.nan
     with pytest.raises(ValueError):
         estimate_state(case, nan_frame, ok)
     for bad in (np.nan, np.inf):
@@ -386,9 +386,8 @@ def sigma10_estimates(case):
     series = generate_scenario(case, plan_generation(loads), loads, None,
                                noise_sigma=0.10, seed=5)
     out = []
-    for t, values in enumerate(series.values):
-        frame = MeasurementFrame(t, values)
-        w = noise_scale(values, 0.10) ** 2
+    for frame in series.values:
+        w = noise_scale(frame, 0.10) ** 2
         out.append((frame, w, estimate_state(case, frame, w)))
     return out
 
@@ -451,7 +450,7 @@ def test_powerflow_jacobian_finite_difference(case, sigma10_estimates):
 
 def test_se_converged_frame_is_stationary(case, sigma10_estimates):
     frame, w, est = next(e for e in sigma10_estimates if e[2].converged)
-    z, W = frame.values, 1.0 / w
+    z, W = frame, 1.0 / w
     h, H = _measurement_model(case.topology, est.voltage_angle,
                               est.voltage_magnitude,
                               np.zeros(len(case.topology.power_anchor)))
