@@ -63,6 +63,10 @@ def resolve_output_dir(path: str) -> Path:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse and fully validate a YAML run config before any compute."""
     path = Path(path)
@@ -88,6 +92,9 @@ def load_config(path: str | Path) -> RunConfig:
         value = getattr(cfg, name)
         if not isinstance(value, tuple) or len(value) != 2:
             raise ConfigError(f"{name} must be a pair")
+    for name in ("levels", "variants", "holdout_l_values"):
+        if not isinstance(getattr(cfg, name), tuple):
+            raise ConfigError(f"{name} must be a list")
 
     if not Path(cfg.case_file).exists():
         raise ConfigError(f"case file not found: {cfg.case_file}")
@@ -100,6 +107,13 @@ def load_config(path: str | Path) -> RunConfig:
             f"levels must be drawn from {sorted(LEVEL_FRACTIONS)}")
     if any(v not in VARIANTS for v in cfg.variants):
         raise ConfigError(f"variants must be drawn from {VARIANTS}")
+    # holdout trains on l levels and tests on the rest, so one must remain
+    max_l = len(LEVEL_FRACTIONS) - 1
+    if any(not _is_int(l) or not 1 <= l <= max_l
+           for l in cfg.holdout_l_values):
+        raise ConfigError(f"holdout_l_values must be integers in 1..{max_l}")
+    if not _is_int(cfg.holdout_replications) or cfg.holdout_replications < 1:
+        raise ConfigError("holdout_replications must be an integer >= 1")
     if not 0 < cfg.split_fraction < 1:
         raise ConfigError("split_fraction must be in (0, 1)")
     if cfg.normal_series < 1 or cfg.series_per_condition_per_level < 1:

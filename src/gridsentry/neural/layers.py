@@ -21,12 +21,13 @@ def _check(name: str, arr: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
+
+    min(x, -x) is -|x| but passes a NaN through with its sign bit.
+    """
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -50,8 +51,11 @@ class Layer:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        for k in self.params:
-            self.grads[k] = np.zeros_like(self.params[k])
+        for k, p in self.params.items():
+            if k in self.grads:
+                self.grads[k].fill(0.0)
+            else:
+                self.grads[k] = np.zeros_like(p)
 
     def parameters(self):
         """Flat (name, params-dict, grads-dict, key) view for optimizers."""
@@ -171,18 +175,19 @@ class LSTM(Layer):
         self._h0c0 = (h.copy(), c.copy())
         hs = np.empty((B, T, H))
         Wx, Wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
+        # input products for every step at once: (T, B, 4H)
+        xw = np.matmul(x.transpose(1, 0, 2), Wx)
         for t in range(T):
-            z = x[:, t] @ Wx + h @ Wh + b
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H:2 * H])
+            z = xw[t] + h @ Wh + b
+            s = _sigmoid(z)
+            i, f, o = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
             g = np.tanh(z[:, 2 * H:3 * H])
-            o = _sigmoid(z[:, 3 * H:])
             c_prev = c
             c = f * c_prev + i * g
             tc = np.tanh(c)
             h = o * tc
             hs[:, t] = h
-            self._cache.append((i, f, g, o, c_prev, tc, h))
+            self._cache.append((s, g, c_prev, tc, h))
         self.final_state = (h, c)
         return _check("LSTM", hs)
 
@@ -190,31 +195,33 @@ class LSTM(Layer):
         B, T, H = dhs.shape
         x = self._x
         Wx, Wh = self.params["Wx"], self.params["Wh"]
-        dx = np.empty_like(x)
+        dzs = np.zeros((T, B, 4 * H))
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            i, f, g, o, c_prev, tc, _h = self._cache[t]
+            s, g, c_prev, tc, _h = self._cache[t]
+            i, f, o = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
             dh = dhs[:, t] + dh_next
-            do = dh * tc
             dc = dh * o * (1.0 - tc * tc) + dc_next
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dz = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ], axis=1)
-            h_prev = self._cache[t - 1][6] if t > 0 else self._h0c0[0]
-            self.grads["Wx"] += x[:, t].T @ dz
+            dz = dzs[t]
+            # d(gate) for i, f and o, times the sigmoid slope s * (1 - s)
+            # over the whole row; the g slot (zero until now) then gets
+            # its tanh slope
+            np.multiply(dc, g, out=dz[:, :H])
+            np.multiply(dc, c_prev, out=dz[:, H:2 * H])
+            np.multiply(dh, tc, out=dz[:, 3 * H:])
+            dz *= s
+            dz *= 1.0 - s
+            dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+            h_prev = self._cache[t - 1][4] if t > 0 else self._h0c0[0]
             self.grads["Wh"] += h_prev.T @ dz
             self.grads["b"] += dz.sum(axis=0)
-            dx[:, t] = dz @ Wx.T
             dh_next = dz @ Wh.T
             dc_next = dc * f
-        return dx
+        # the per-step input products, summed from the last step back
+        xdz = np.matmul(x.transpose(1, 2, 0), dzs)
+        self.grads["Wx"] += xdz[::-1].sum(axis=0)
+        return np.matmul(dzs, Wx.T).transpose(1, 0, 2)
 
 
 class SequencePredictor(Layer):

@@ -28,9 +28,12 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1 ** self.t)
-            vhat = self.v[name] / (1 - b2 ** self.t)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1 ** self.t)
+            vhat = v / (1 - b2 ** self.t)
             params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 

@@ -45,14 +45,12 @@ class ScenarioSeries:
 
     @classmethod
     def from_csv(cls, text: str, metadata: dict | None = None) -> "ScenarioSeries":
-        lines = text.strip().splitlines()
-        vals, labels = [], []
-        for line in lines[1:]:
-            parts = line.split(",")
-            vals.append([float(v) for v in parts[1:1 + N_SENSORS]])
-            labels.append(parts[-1])
-        return cls(values=np.array(vals), labels=labels,
-                   metadata=metadata or {})
+        rows = text.strip().splitlines()[1:]
+        # numpy's parser rounds correctly, so values equal float(str)
+        values = np.loadtxt(rows, delimiter=",",
+                            usecols=range(1, 1 + N_SENSORS), ndmin=2)
+        labels = [row.rsplit(",", 1)[1] for row in rows]
+        return cls(values=values, labels=labels, metadata=metadata or {})
 
     def save(self, path: str | Path) -> None:
         path = Path(path)

@@ -67,6 +67,13 @@ def test_config_validation_before_compute(tmp_path):
     path = write_config(tmp_path / "c.yaml", unknown_key=1)
     with pytest.raises(ConfigError, match="unknown"):
         load_config(path)
+    # list fields, and holdout settings that would only fail in `holdout`
+    for key, value in (("levels", 3), ("variants", 3),
+                       ("holdout_l_values", 3), ("holdout_l_values", [7]),
+                       ("holdout_replications", 0)):
+        path = write_config(tmp_path / "c.yaml", **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
     # every bad train_stages entry is a ConfigError naming stage and key
     for stages, pattern in (
             ({"critic": {"epochs": 5}}, "critic"),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from gridsentry.neural import (Dense, LSTM, LeakyReLU, ReLU,
+from gridsentry.neural import (Adam, Dense, LSTM, LeakyReLU, ReLU,
                                SequencePredictor, Sequential, TrainConfig,
                                grad_check, get_state, mse, set_state, softmax,
                                softmax_cross_entropy, train)
+from gridsentry.neural.layers import _sigmoid
 
 
 def rng(seed=0):
@@ -128,6 +129,132 @@ def test_sequence_predictor_grad_with_mask():
     mask = np.zeros((2, 12))
     mask[:, 4:] = 1.0
     assert grad_check(model, x, y, mask=mask) < 1e-4
+
+
+# ---------------------------------------------------------------- reference forms
+# The kernels must return the same bits as these plain forms: a masked
+# sigmoid, a per-step LSTM and an out-of-place Adam.
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_lstm(params, x, dhs, state=None):
+    """Per-step forward and backward; (hs, final_state, dx, grads)."""
+    Wx, Wh, b = params["Wx"], params["Wh"], params["b"]
+    B, T, _ = x.shape
+    H = Wh.shape[0]
+    h = np.zeros((B, H)) if state is None else state[0].copy()
+    c = np.zeros((B, H)) if state is None else state[1].copy()
+    h0 = h
+    hs = np.empty((B, T, H))
+    cache = []
+    for t in range(T):
+        z = x[:, t] @ Wx + h @ Wh + b
+        i = ref_sigmoid(z[:, :H])
+        f = ref_sigmoid(z[:, H:2 * H])
+        g = np.tanh(z[:, 2 * H:3 * H])
+        o = ref_sigmoid(z[:, 3 * H:])
+        c_prev = c
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        hs[:, t] = h
+        cache.append((i, f, g, o, c_prev, tc, h))
+    final = (h, c)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    dx = np.empty_like(x)
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        i, f, g, o, c_prev, tc, _h = cache[t]
+        dh = dhs[:, t] + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dz = np.concatenate([dc * g * i * (1.0 - i),
+                             dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g),
+                             do * o * (1.0 - o)], axis=1)
+        h_prev = cache[t - 1][6] if t > 0 else h0
+        grads["Wx"] += x[:, t].T @ dz
+        grads["Wh"] += h_prev.T @ dz
+        grads["b"] += dz.sum(axis=0)
+        dx[:, t] = dz @ Wx.T
+        dh_next = dz @ Wh.T
+        dc_next = dc * f
+    return hs, final, dx, grads
+
+
+def ref_adam_step(state, params, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    for k, g in grads.items():
+        m, v = state.get(k, (np.zeros_like(g), np.zeros_like(g)))
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        state[k] = (m, v)
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        params[k] = params[k] - lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_sigmoid_bits_match_reference():
+    x = np.concatenate([rng(40).standard_normal(997) * 12,
+                        [0.0, -0.0, 800.0, -800.0, np.nan]])
+    for arr in (x, x.reshape(1, -1), x[:1000].reshape(40, 25)):
+        ref = ref_sigmoid(arr)
+        out = _sigmoid(arr)
+        np.testing.assert_array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+    assert _sigmoid(np.array([-800.0]))[0] == 0.0
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("with_state", [False, True])
+@pytest.mark.parametrize("D", [13, 39])
+def test_lstm_bits_match_per_step_reference(batch, with_state, D):
+    # the predictor's widths: 13 codes (AEN_RNN_DNN) or 39 sensors (RNN_DNN)
+    H, T = 32, 11
+    cell = LSTM(D, H, rng(41))
+    cell.params["b"] = rng(42).standard_normal(4 * H)
+    x = rng(43).standard_normal((batch, T, D))
+    dhs = rng(44).standard_normal((batch, T, H))
+    state = None
+    if with_state:
+        state = (rng(45).standard_normal((batch, H)),
+                 rng(46).standard_normal((batch, H)))
+    hs_ref, final_ref, dx_ref, grads_ref = ref_lstm(cell.params, x, dhs,
+                                                    state)
+    hs = cell.forward(x, state=state)
+    cell.zero_grad()
+    dx = cell.backward(dhs)
+    assert np.array_equal(hs, hs_ref)
+    assert np.array_equal(cell.final_state[0], final_ref[0])
+    assert np.array_equal(cell.final_state[1], final_ref[1])
+    assert np.array_equal(dx, dx_ref)
+    for k in ("Wx", "Wh", "b"):
+        assert np.array_equal(cell.grads[k], grads_ref[k]), k
+
+
+def test_adam_bits_match_reference():
+    model = SequencePredictor(5, 6, 5, rng(47))
+    params = {name: p[k].copy() for name, p, _, k in model.parameters()}
+    opt, ref_state = Adam(5e-3), {}
+    for step in range(1, 6):
+        r = rng(48 + step)
+        grads = {}
+        for name, _, g, k in model.parameters():
+            g[k][...] = r.standard_normal(g[k].shape)
+            grads[name] = g[k].copy()
+        opt.step(model.parameters())
+        ref_adam_step(ref_state, params, grads, step, 5e-3)
+    for name, p, _, k in model.parameters():
+        assert np.array_equal(p[k], params[name]), name
+        assert np.array_equal(opt.m[name], ref_state[name][0]), name
+        assert np.array_equal(opt.v[name], ref_state[name][1]), name
 
 
 # ---------------------------------------------------------------- losses

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gridsentry.dispatch import plan_generation, synthesize_loads
-from gridsentry.grid import (Branch, GridCase, generation_sensor_index,
-                             load_case, sensor_values, solve_power_flow,
+from gridsentry.grid import (Branch, GridCase, N_SENSORS,
+                             generation_sensor_index, load_case,
+                             sensor_values, solve_power_flow,
                              voltage_sensor_index)
 from gridsentry.scenario import (AttackSpec, FaultSpec, LABELS, LinearSystem,
                                  ScenarioSeries, access_set,
@@ -279,3 +280,26 @@ def test_series_csv_roundtrip(tmp_path, case, world):
     np.testing.assert_array_equal(back.values, s.values)
     assert back.labels == s.labels
     assert back.metadata == s.metadata
+
+    def float_parse(text):
+        # the reader's reference form: float() on each value field
+        return np.array([[float(v) for v in line.split(",")[1:1 + N_SENSORS]]
+                         for line in text.strip().splitlines()[1:]])
+
+    # a leading power-flow gap hour is an all-NaN row (generate.py), and
+    # extreme or signed-zero values must come back bit for bit
+    values = np.random.default_rng(6).standard_normal((5, N_SENSORS)) * 50
+    values[0] = np.nan
+    values[1, :6] = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300,
+                     0.1 + 0.2, 1 / 3]
+    labels = ["normal", "normal", "fault_6", "fault_6", "normal"]
+    for series in (ScenarioSeries(values, labels),
+                   ScenarioSeries(values[2:3], labels[2:3])):
+        text = series.to_csv()
+        back = ScenarioSeries.from_csv(text)
+        assert back.values.shape == series.values.shape
+        assert back.labels == series.labels
+        assert np.array_equal(back.values.view(np.uint64),
+                              float_parse(text).view(np.uint64))
+        assert np.array_equal(back.values.view(np.uint64),
+                              series.values.view(np.uint64))
