@@ -12,9 +12,8 @@ import numpy as np
 
 from .config import (RunConfig, RunManifest, config_hash, load_config,
                      resolve_output_dir)
-from .detector import (check_sensor_map, load_bundle, save_bundle,
-                       train_bundle)
-from .detector.pipeline import evaluate_predictions
+from .detector import load_bundle, save_bundle, train_bundle, trained
+from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import plan_generation, synthesize_loads
 from .evaluation import (ConfusionMatrix, aggregate_report, format_report,
                          holdout_csv, holdout_experiment, macro_f1,
@@ -150,11 +149,10 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
 def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
                  out_dir: Path, gate: float | None = None) -> int:
     case = load_case(cfg.case_file)
-    bundle = load_bundle(bundle_path)
-    check_sensor_map(bundle, case)
+    bundle = load_bundle(bundle_path, case)
     series_list = load_dataset(data_dir)
     _, test_set = split_series(series_list, cfg.split_fraction, cfg.seed)
-    preds, truth = evaluate_predictions(bundle, test_set, case=case)
+    preds, truth = evaluate_predictions(bundle, test_set, case)
     matrix = ConfusionMatrix.from_pairs(preds, truth)
     report = aggregate_report(matrix)
 
@@ -189,12 +187,11 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
 def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
                 out_dir: Path) -> Path:
     case = load_case(cfg.case_file)
-    bundle = load_bundle(bundle_path)
-    check_sensor_map(bundle, case)
-    series_list = load_dataset(data_dir)
+    bundle = load_bundle(bundle_path, case)
+    rows = feature_rows(bundle, load_dataset(data_dir), case)
     results = [holdout_experiment(
-        bundle, series_list, l, cfg.holdout_replications, cfg.seed,
-        case=case, classifier_config=cfg.stage_config("classifier"))
+        rows, l, cfg.holdout_replications, cfg.seed,
+        classifier_config=cfg.stage_config("classifier"))
         for l in cfg.holdout_l_values]
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,21 +217,14 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
     case = load_case(cfg.case_file)
     series_list = load_dataset(data_dir)
     _, test_set = split_series(series_list, cfg.split_fraction, cfg.seed)
-    by_level: dict = {}
-    for series in test_set:
-        level = series.metadata.get("level")
-        if level is not None:
-            by_level.setdefault(level, []).append(series)
-    normals = [s for s in test_set if s.metadata.get("level") is None]
-    for level in by_level:
-        by_level[level] = by_level[level] + normals
-
     bundles = {}
     for path in bundle_paths:
-        bundle = load_bundle(path)
-        check_sensor_map(bundle, case)
+        bundle = load_bundle(path, case)
         bundles[bundle.variant] = bundle
-    rows = severity_sweep(by_level, bundles, case=case)
+    rows = [{"variant": variant, **row}
+            for variant, bundle in bundles.items()
+            for row in severity_sweep(feature_rows(bundle, test_set, case),
+                                      trained(bundle, "classifier"))]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "severity.csv"

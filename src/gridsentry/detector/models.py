@@ -21,7 +21,7 @@ from ..grid import (GridCase, N_SENSORS, estimate_state, noise_scale,
 from ..neural import (Dense, LeakyReLU, ReLU, SequencePredictor, Sequential,
                       Sigmoid, TrainConfig, get_state, set_state, softmax,
                       train)
-from ..scenario.generate import LABELS, LABEL_INDEX
+from ..scenario.generate import LABELS
 from .preprocess import PreprocessStats, preprocess
 
 VARIANTS = ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN")
@@ -69,12 +69,6 @@ class ModelBundle:
                 raise ValueError(f"classifier input must be {CLASSIFIER_INPUT}")
             if tail.params["W"].shape[1] != N_LABELS:
                 raise ValueError(f"classifier output must be {N_LABELS}")
-
-
-def check_sensor_map(bundle: ModelBundle, case: GridCase) -> None:
-    if bundle.sensor_hash and bundle.sensor_hash != sensor_map_hash(case):
-        raise SensorMapMismatchError(
-            "bundle trained on a different sensor index map; refusing to run")
 
 
 def state_checksum(model) -> str:
@@ -150,8 +144,6 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[1] != CLASSIFIER_INPUT:
         raise ValueError(f"classifier input must be (N, {CLASSIFIER_INPUT})")
-    if labels.dtype.kind in "US":
-        labels = np.array([LABEL_INDEX[str(lbl)] for lbl in labels])
     present = set(np.unique(labels).tolist())
     missing = [LABELS[i] for i in range(N_LABELS) if i not in present]
     if missing:
@@ -162,7 +154,8 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray,
     return model, history
 
 
-def _require(bundle: ModelBundle, attr: str):
+def trained(bundle: ModelBundle, attr: str):
+    """The bundle's `attr` model; UntrainedBundleError when it is missing."""
     value = getattr(bundle, attr)
     if value is None:
         raise UntrainedBundleError(
@@ -177,8 +170,7 @@ def _se_residual_row(case: GridCase, values: np.ndarray,
     return values - est.predicted_measurements
 
 
-def predict_and_residual(bundle: ModelBundle, series,
-                         case: GridCase | None = None
+def predict_and_residual(bundle: ModelBundle, series, case: GridCase
                          ) -> tuple[np.ndarray, np.ndarray]:
     """(timestamps (M,), residuals (M, 39)) for one series under the
     bundle's variant.
@@ -194,20 +186,18 @@ def predict_and_residual(bundle: ModelBundle, series,
     idx = np.arange(LAGS, t_z)  # z rows with a usable prediction
 
     if bundle.variant == "AEN_RNN_DNN":
-        encoder = _require(bundle, "encoder")
-        decoder = _require(bundle, "decoder")
-        predictor = _require(bundle, "predictor")
+        encoder = trained(bundle, "encoder")
+        decoder = trained(bundle, "decoder")
+        predictor = trained(bundle, "predictor")
         codes = encoder.forward(z)
         pred_codes = predictor.forward(codes[None, :-1])[0]
         z_hat = decoder.forward(pred_codes)  # row j-1 predicts z row j
         residuals = z[idx] - z_hat[idx - 1]
     elif bundle.variant == "RNN_DNN":
-        predictor = _require(bundle, "predictor")
+        predictor = trained(bundle, "predictor")
         z_hat = predictor.forward(z[None, :-1])[0]
         residuals = z[idx] - z_hat[idx - 1]
     elif bundle.variant == "SE_DNN":
-        if case is None:
-            raise ValueError("SE_DNN residuals need the grid case")
         values = np.asarray(series.values, dtype=float)
         rows = []
         for t in idx + 1:
@@ -220,16 +210,15 @@ def predict_and_residual(bundle: ModelBundle, series,
     return idx + 1, residuals
 
 
-def classify(bundle: ModelBundle, features: np.ndarray):
-    """Label names and probability rows for (N, 78) features.
+def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:
+    """Label indices for (N, 78) features: the argmax of the softmax.
 
-    Argmax of the softmax; exact ties resolve to the lowest label index.
+    Exact ties resolve to the lowest label index. The softmax stays before
+    the argmax: two near-equal logits can round to equal probabilities, and
+    the argmax of the raw logits would break that tie differently.
     """
-    classifier = _require(bundle, "classifier")
-    features = np.asarray(features, dtype=float)
-    probs = softmax(classifier.forward(features))
-    picks = np.argmax(probs, axis=1)  # argmax takes the first maximum
-    return [LABELS[p] for p in picks], probs
+    probs = softmax(classifier.forward(np.asarray(features, dtype=float)))
+    return np.argmax(probs, axis=1)  # argmax takes the first maximum
 
 
 # ------------------------------------------------------------------ storage
@@ -259,10 +248,20 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     np.savez(path, **arrays)
 
 
-def load_bundle(path: str | Path) -> ModelBundle:
+def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
+    """Read a bundle file trained against `case`'s sensor index map.
+
+    A bundle whose sensor-map hash is missing, empty or not `case`'s is
+    refused with SensorMapMismatchError.
+    """
     with np.load(Path(path)) as data:
         if int(data["meta/format_version"]) != BUNDLE_FORMAT_VERSION:
             raise ValueError("unsupported bundle file version")
+        if ("meta/sensor_hash" not in data.files
+                or str(data["meta/sensor_hash"]) != sensor_map_hash(case)):
+            raise SensorMapMismatchError(
+                "bundle trained on a different sensor index map; "
+                "refusing to run")
         variant = str(data["meta/variant"])
         stats = PreprocessStats(std=data["meta/std"],
                                 raw_mean=data["meta/raw_mean"],

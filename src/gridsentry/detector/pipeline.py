@@ -10,7 +10,8 @@ from ..grid import GridCase, sensor_map_hash
 from ..neural import TrainConfig
 from ..scenario.generate import LABEL_INDEX
 from .models import (ModelBundle, classify, fit_autoencoder, fit_classifier,
-                     fit_predictor, predict_and_residual, state_checksum)
+                     fit_predictor, predict_and_residual, state_checksum,
+                     trained)
 from .preprocess import assert_normal_lineage, fit_preprocess, preprocess
 
 # the one table of per-stage training defaults; callers re-seed each fit
@@ -21,7 +22,7 @@ STAGE_DEFAULTS = {
 }
 
 
-def series_features(bundle: ModelBundle, series, case: GridCase | None = None):
+def series_features(bundle: ModelBundle, series, case: GridCase):
     """(features (M, 78), label indices (M,), timestamps (M,)) for one series.
 
     Feature row = residual (standardized-difference space) ++ raw observation
@@ -30,21 +31,32 @@ def series_features(bundle: ModelBundle, series, case: GridCase | None = None):
     keeps persistent level shifts visible to the classifier, which first
     differencing would cancel.
     """
-    ts, residuals = predict_and_residual(bundle, series, case=case)
+    ts, residuals = predict_and_residual(bundle, series, case)
     obs = bundle.stats.standardize_raw(np.asarray(series.values)[ts])
     x = np.concatenate([residuals, obs], axis=1)
     labels = np.array([LABEL_INDEX[series.labels[t]] for t in ts])
     return x, labels, ts
 
 
-def dataset_features(bundle: ModelBundle, series_list,
-                     case: GridCase | None = None):
+def dataset_features(bundle: ModelBundle, series_list, case: GridCase):
     xs, ys = [], []
     for series in series_list:
-        x, y, _ = series_features(bundle, series, case=case)
+        x, y, _ = series_features(bundle, series, case)
         xs.append(x)
         ys.append(y)
     return np.concatenate(xs), np.concatenate(ys)
+
+
+def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
+    """(level, features, label indices) per series, in series_list order.
+
+    level is the series' severity level, None for a normal series. The
+    holdout and severity stages work on these rows, so each series'
+    features are computed once per stage.
+    """
+    return [(series.metadata.get("level"),
+             *series_features(bundle, series, case)[:2])
+            for series in series_list]
 
 
 def train_bundle(variant: str, series_list, case: GridCase, seed: int = 0,
@@ -92,7 +104,7 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int = 0,
     frozen = {name: state_checksum(m) for name, m in (
         ("encoder", bundle.encoder), ("decoder", bundle.decoder),
         ("predictor", bundle.predictor)) if m is not None}
-    x, y = dataset_features(bundle, series_list, case=case)
+    x, y = dataset_features(bundle, series_list, case)
     for name, digest in frozen.items():
         if state_checksum(getattr(bundle, name)) != digest:
             raise RuntimeError(f"{name} parameters changed during "
@@ -104,10 +116,8 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int = 0,
     return bundle
 
 
-def evaluate_predictions(bundle: ModelBundle, series_list,
-                         case: GridCase | None = None):
+def evaluate_predictions(bundle: ModelBundle, series_list, case: GridCase):
     """(predicted label indices, true label indices) over a dataset."""
-    x, truth = dataset_features(bundle, series_list, case=case)
-    names, _ = classify(bundle, x)
-    preds = np.array([LABEL_INDEX[name] for name in names])
-    return preds, truth
+    classifier = trained(bundle, "classifier")
+    x, truth = dataset_features(bundle, series_list, case)
+    return classify(classifier, x), truth

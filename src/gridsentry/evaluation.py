@@ -7,15 +7,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detector.models import fit_classifier
-from .detector.pipeline import (STAGE_DEFAULTS, dataset_features,
-                                evaluate_predictions)
-from .neural import softmax
-from .scenario.generate import LABELS, LABEL_INDEX
+from .detector.models import N_LABELS, classify, fit_classifier
+from .detector.pipeline import STAGE_DEFAULTS
+from .scenario import GENERATOR_BUSES, LABELS, LABEL_INDEX, LEVEL_FRACTIONS
 
-N_LABELS = len(LABELS)
-ATTACK_BUSES = (2, 3, 6, 8)
 THREE_CLASSES = ("normal", "attack", "fault")
+# label indices of each 3-class group: a label name starts with its class
+CLASS_GROUPS = [[i for i, name in enumerate(LABELS)
+                 if name.split("_")[0] == cls] for cls in THREE_CLASSES]
 
 
 def _label_index(label) -> int:
@@ -37,13 +36,17 @@ class ConfusionMatrix:
 
     @classmethod
     def from_pairs(cls, predictions, truths) -> "ConfusionMatrix":
-        predictions = list(predictions)
-        truths = list(truths)
-        if len(predictions) != len(truths):
+        """Count (truth, prediction) pairs of label indices."""
+        index = (np.asarray(truths), np.asarray(predictions))
+        if index[0].shape != index[1].shape:
             raise ValueError("predictions and truths differ in length")
         matrix = cls()
-        for pred, truth in zip(predictions, truths):
-            matrix.counts[_label_index(truth), _label_index(pred)] += 1
+        if index[0].size:
+            if any(a.dtype.kind not in "iu" or a.min() < 0
+                   or a.max() >= N_LABELS for a in index):
+                raise ValueError(
+                    f"label indices must be integers in 0..{N_LABELS - 1}")
+            np.add.at(matrix.counts, index, 1)
         return matrix
 
     @property
@@ -113,10 +116,9 @@ class ClassificationReport:
 
 def _collapse_three_class(counts: np.ndarray) -> np.ndarray:
     """Sum the 9x9 blocks into the 3x3 normal/attack/fault matrix."""
-    groups = [[0], [1, 2, 3, 4], [5, 6, 7, 8]]
     out = np.zeros((3, 3), dtype=int)
-    for i, rows in enumerate(groups):
-        for j, cols in enumerate(groups):
+    for i, rows in enumerate(CLASS_GROUPS):
+        for j, cols in enumerate(CLASS_GROUPS):
             out[i, j] = counts[np.ix_(rows, cols)].sum()
     return out
 
@@ -146,10 +148,9 @@ def aggregate_report(matrix: ConfusionMatrix) -> ClassificationReport:
             convention[name] = conv
 
     localization = {}
-    blocks = {"attack": [1, 2, 3, 4], "fault": [5, 6, 7, 8]}
-    for cls, rows in blocks.items():
-        for k, bus in enumerate(ATTACK_BUSES):
-            li = rows[k]
+    for cls, rows in zip(THREE_CLASSES[1:], CLASS_GROUPS[1:]):
+        for bus in GENERATOR_BUSES:
+            li = LABEL_INDEX[f"{cls}_{bus}"]
             tp = int(counts[li, li])
             # frame set restricted to true class = cls: misdetections
             # (predictions outside the class) count as localization
@@ -213,30 +214,28 @@ def report_rows(report: ClassificationReport) -> list[dict]:
 
 # ---------------------------------------------------------------- severity
 
-def severity_sweep(datasets_by_level: dict, bundles_by_variant: dict,
-                   case=None) -> list[dict]:
-    """Per (variant, target bus, level): F1 of the true attack label.
+def severity_sweep(rows, classifier) -> list[dict]:
+    """Per (target bus, level): F1 of the true attack label.
 
-    datasets_by_level maps level -> list of ScenarioSeries (all conditions at
-    that level plus whatever normals the caller includes). Emits plot-ready
-    rows: variant, bus, level, f1.
+    rows are (level, features, label indices) per series, level None for a
+    normal series. Each level's frame set is that level's rows followed by
+    the normal rows, classified by `classifier`. Emits plot-ready rows: bus,
+    level, f1.
     """
-    levels = sorted(datasets_by_level)
+    levels = sorted({level for level, _, _ in rows if level is not None})
     if not levels:
-        raise ValueError("no level datasets supplied")
-    rows = []
-    for variant, bundle in bundles_by_variant.items():
-        for level in levels:
-            series_list = datasets_by_level[level]
-            if not series_list:
-                raise ValueError(f"no data for level {level}")
-            preds, truth = evaluate_predictions(bundle, series_list, case=case)
-            matrix = ConfusionMatrix.from_pairs(preds, truth)
-            for bus in ATTACK_BUSES:
-                _, _, f1 = precision_recall_f1(matrix, f"attack_{bus}")
-                rows.append({"variant": variant, "bus": bus,
-                             "level": level, "f1": f1})
-    return rows
+        raise ValueError("no severity-level rows supplied")
+    normals = [(x, y) for level, x, y in rows if level is None]
+    out = []
+    for level in levels:
+        kept = [(x, y) for lvl, x, y in rows if lvl == level] + normals
+        preds = classify(classifier, np.concatenate([x for x, _ in kept]))
+        matrix = ConfusionMatrix.from_pairs(
+            preds, np.concatenate([y for _, y in kept]))
+        for bus in GENERATOR_BUSES:
+            _, _, f1 = precision_recall_f1(matrix, f"attack_{bus}")
+            out.append({"bus": bus, "level": level, "f1": f1})
+    return out
 
 
 def sweep_csv(rows: list[dict]) -> str:
@@ -259,32 +258,25 @@ class HoldoutResult:
     iqr: float
 
 
-def _series_level(series) -> int | None:
-    return series.metadata.get("level")
-
-
-def holdout_experiment(bundle, series_list, l: int, replications: int,
-                       seed: int, case=None,
+def holdout_experiment(rows, l: int, replications: int, seed: int,
                        classifier_config=None) -> HoldoutResult:
     """Retrain the classifier on l randomly drawn attack levels, test on the
-    rest; the upstream feature models stay frozen.
+    rest; the features, and so the upstream feature models, stay fixed.
 
-    Per replication: draw l of the 5 levels without replacement, train the
-    classifier on normal series plus attack/fault series at those levels,
-    then score accuracy on the attack/fault series at the held-out levels.
+    rows are (level, features, label indices) per series, level None for a
+    normal series. Per replication: draw l of the severity levels without
+    replacement, train the classifier on the normal rows plus the rows at
+    those levels, then score accuracy on the rows at the held-out levels.
     classifier_config (default: the classifier's STAGE_DEFAULTS row) is
     re-seeded seed + 1000*l + rep for each replication.
     """
-    if not 1 <= l <= 4:
-        raise ValueError("l must be in 1..4")
+    if not 1 <= l < len(LEVEL_FRACTIONS):
+        raise ValueError(f"l must be in 1..{len(LEVEL_FRACTIONS) - 1}")
     base = classifier_config or STAGE_DEFAULTS["classifier"]
-    # feature extraction is the expensive part; do it once per series
-    cache = [(series, dataset_features(bundle, [series], case=case))
-             for series in series_list]
-    all_levels = sorted({lvl for s, _ in cache
-                         if (lvl := _series_level(s)) is not None})
-    if len(all_levels) != 5:
-        raise ValueError(f"expected 5 severity levels, found {all_levels}")
+    all_levels = sorted({level for level, _, _ in rows if level is not None})
+    if all_levels != sorted(LEVEL_FRACTIONS):
+        raise ValueError(f"expected severity levels {sorted(LEVEL_FRACTIONS)}"
+                         f", found {all_levels}")
 
     accuracies = []
     level_sets = []
@@ -299,8 +291,7 @@ def holdout_experiment(bundle, series_list, l: int, replications: int,
         level_sets.append(train_levels)
 
         train_x, train_y, test_x, test_y = [], [], [], []
-        for series, (x, y) in cache:
-            level = _series_level(series)
+        for level, x, y in rows:
             if level is None or level in train_levels:
                 train_x.append(x)
                 train_y.append(y)
@@ -310,8 +301,7 @@ def holdout_experiment(bundle, series_list, l: int, replications: int,
         cfg = replace(base, seed=seed + 1000 * l + rep)
         classifier, _ = fit_classifier(np.concatenate(train_x),
                                        np.concatenate(train_y), cfg)
-        probs = softmax(classifier.forward(np.concatenate(test_x)))
-        preds = np.argmax(probs, axis=1)
+        preds = classify(classifier, np.concatenate(test_x))
         accuracies.append(float(np.mean(preds == np.concatenate(test_y))))
 
     acc = np.array(accuracies)

@@ -1,4 +1,3 @@
-from .gradcheck import grad_check
 from .layers import (Dense, LSTM, LeakyReLU, NumericalError, ReLU,
                      SequencePredictor, Sequential, Sigmoid, softmax)
 from .losses import mse, softmax_cross_entropy
@@ -7,7 +6,7 @@ from .serialize import get_state, set_state
 from .train import TrainConfig, train
 
 __all__ = [
-    "grad_check", "Dense", "LSTM", "LeakyReLU", "NumericalError", "ReLU",
+    "Dense", "LSTM", "LeakyReLU", "NumericalError", "ReLU",
     "SequencePredictor", "Sequential", "Sigmoid", "softmax", "mse",
     "softmax_cross_entropy", "Adam", "get_state", "set_state", "TrainConfig",
     "train",

@@ -11,6 +11,7 @@ import yaml
 import gridsentry.cli as cli
 from gridsentry.config import (ConfigError, RunManifest, config_hash,
                                load_config, resolve_output_dir)
+from gridsentry.detector import pipeline
 from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.evaluation import HoldoutResult
 from gridsentry.neural import TrainConfig
@@ -223,8 +224,7 @@ def test_holdout_command_plumbing(workspace, monkeypatch):
     base, config_path, data_dir = workspace
     bundle_path = data_dir / "models" / "bundle_SE_DNN.npz"
 
-    def stub_holdout(bundle, series_list, l, replications, seed, case=None,
-                     classifier_config=None):
+    def stub_holdout(rows, l, replications, seed, classifier_config=None):
         return HoldoutResult(l=l, accuracies=[0.5] * replications,
                              level_sets=[(1, 2, 3, 4)] * replications,
                              median=0.5, iqr=0.0)
@@ -238,6 +238,40 @@ def test_holdout_command_plumbing(workspace, monkeypatch):
     assert len(lines) == 1 + 2  # one l value, two replications
     summary = json.loads((data_dir / "reports" / "holdout.json").read_text())
     assert summary[0]["l"] == 4
+
+
+def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
+    # holdout over four l values, and report over the test split, run the
+    # residual model once per series, not once per l or once per level
+    config_path = write_config(
+        tmp_path / "run.yaml", horizon=36, window=[7, 31],
+        levels=[1, 2, 3, 4, 5], normal_series=4, variants=["RNN_DNN"],
+        holdout_l_values=[1, 2, 3, 4], holdout_replications=1,
+        train_stages={"predictor": {"epochs": 2},
+                      "classifier": {"epochs": 2, "batch_size": 128}})
+    data_dir = tmp_path / "data"
+    assert cli.main(["--config", str(config_path), "gen-data"]) == 0
+    assert cli.main(["--config", str(config_path), "train",
+                     "--data", str(data_dir), "--variant", "RNN_DNN"]) == 0
+    bundle_path = str(data_dir / "models" / "bundle_RNN_DNN.npz")
+    series = cli.load_dataset(data_dir)
+    _, test = cli.split_series(series, 0.8, 77)
+
+    calls = []
+    residuals = pipeline.predict_and_residual
+
+    def counting(bundle, one_series, case):
+        calls.append(one_series.metadata["seed"])
+        return residuals(bundle, one_series, case)
+
+    monkeypatch.setattr(pipeline, "predict_and_residual", counting)
+    assert cli.main(["--config", str(config_path), "holdout",
+                     "--data", str(data_dir), "--bundle", bundle_path]) == 0
+    assert len(calls) == len(series)
+    calls.clear()
+    assert cli.main(["--config", str(config_path), "report",
+                     "--data", str(data_dir), "--bundles", bundle_path]) == 0
+    assert len(calls) == len(test)
 
 
 def test_evaluate_refuses_wrong_sensor_map(workspace, tmp_path):

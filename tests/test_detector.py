@@ -4,16 +4,17 @@ import pytest
 from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
                                  ModelBundle, PreprocessStats,
                                  SensorMapMismatchError, UntrainedBundleError,
-                                 assert_normal_lineage, check_sensor_map,
-                                 chi_square_detect, classify, fit_autoencoder,
+                                 assert_normal_lineage, classify,
+                                 evaluate_predictions, fit_autoencoder,
                                  fit_classifier, fit_predictor, fit_preprocess,
                                  load_bundle, predict_and_residual, preprocess,
                                  save_bundle, series_features, state_checksum)
 from gridsentry.detector.models import build_classifier
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
-from gridsentry.neural import TrainConfig
+from gridsentry.neural import TrainConfig, softmax
 from gridsentry.scenario import LABELS, ScenarioSeries, generate_scenario
+from oracles import chi_square_detect
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +164,9 @@ def make_stub_bundle(variant, case, **kwargs):
 def test_untrained_bundle_errors(case, normal_series):
     bundle = make_stub_bundle("RNN_DNN", case)
     with pytest.raises(UntrainedBundleError):
-        predict_and_residual(bundle, normal_series[0])
-    with pytest.raises(UntrainedBundleError):
-        classify(bundle, np.zeros((1, CLASSIFIER_INPUT)))
+        predict_and_residual(bundle, normal_series[0], case)
+    with pytest.raises(UntrainedBundleError, match="classifier"):
+        evaluate_predictions(bundle, normal_series[:1], case)
 
 
 def test_se_residuals_near_zero_on_noiseless(case):
@@ -190,11 +191,11 @@ def test_residual_alignment_rnn(case, normal_series):
     cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4, seed=0)
     z = np.stack([preprocess(s, stats) for s in normal_series])
     bundle.predictor, _ = fit_predictor(z, cfg)
-    ts, residuals = predict_and_residual(bundle, series)
+    ts, residuals = predict_and_residual(bundle, series, case)
     assert ts[0] == LAGS + 1
     assert ts[-1] == series.horizon - 1
     assert residuals.shape == (len(ts), N_SENSORS)
-    x, y, feature_ts = series_features(bundle, series)
+    x, y, feature_ts = series_features(bundle, series, case)
     assert x.shape == (len(ts), CLASSIFIER_INPUT)
     np.testing.assert_array_equal(feature_ts, ts)
     np.testing.assert_array_equal(x[:, :N_SENSORS], residuals)
@@ -208,7 +209,7 @@ def test_residual_generation_leaves_models_frozen(case, normal_series):
     bundle.predictor, _ = fit_predictor(
         z, TrainConfig(epochs=3, batch_size=4, seed=0))
     before = state_checksum(bundle.predictor)
-    predict_and_residual(bundle, normal_series[0])
+    predict_and_residual(bundle, normal_series[0], case)
     assert state_checksum(bundle.predictor) == before
 
 
@@ -230,11 +231,9 @@ def test_classifier_separable_toy():
     x, y = separable_toy()
     cfg = TrainConfig(learning_rate=2e-3, epochs=60, batch_size=64, seed=0)
     model, _ = fit_classifier(x, y, cfg)
-    stats = unit_stats()
-    bundle = ModelBundle(variant="RNN_DNN", stats=stats, classifier=model)
-    names, probs = classify(bundle, x)
+    probs = softmax(model.forward(x))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-    accuracy = np.mean([LABELS.index(n) for n in names] == y)
+    accuracy = np.mean(classify(model, x) == y)
     assert accuracy > 0.99
 
 
@@ -246,9 +245,8 @@ def test_classifier_missing_class_listed():
 
 
 def test_classify_trivial_and_ties():
-    stats = unit_stats()
     model = build_classifier(np.random.default_rng(0))
-    bundle = ModelBundle(variant="SE_DNN", stats=stats, classifier=model)
+    x = np.zeros((1, CLASSIFIER_INPUT))
 
     # force known logits through a zeroed final layer
     for layer in model.layers:
@@ -256,15 +254,14 @@ def test_classify_trivial_and_ties():
             layer.params[k] = np.zeros_like(layer.params[k])
     final = model.layers[-1]
     final.params["b"] = np.array([10.0, 0, 0, 0, 0, 0, 0, 0, 0])
-    names, probs = classify(bundle, np.zeros((1, CLASSIFIER_INPUT)))
-    assert names == ["normal"]
-    assert probs[0, 0] > 0.999
+    assert [LABELS[i] for i in classify(model, x)] == ["normal"]
+    assert softmax(model.forward(x))[0, 0] > 0.999
 
     final.params["b"] = np.array([0.0, 5.0, 5.0, 0, 0, 0, 0, 0, 0])
-    names, _ = classify(bundle, np.zeros((1, CLASSIFIER_INPUT)))
+    names = [LABELS[i] for i in classify(model, x)]
     assert names == ["attack_2"]  # exact tie resolves to the lower index
 
-    again, _ = classify(bundle, np.zeros((1, CLASSIFIER_INPUT)))
+    again = [LABELS[i] for i in classify(model, x)]
     assert again == names
 
 
@@ -277,7 +274,7 @@ def test_variant_shared_classifier_path(case):
     outs = []
     for variant in ("RNN_DNN", "AEN_RNN_DNN"):
         bundle = ModelBundle(variant=variant, stats=stats, classifier=model)
-        outs.append(classify(bundle, x)[1])
+        outs.append(bundle.classifier.forward(x))
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
@@ -296,28 +293,37 @@ def test_bundle_roundtrip(tmp_path, case, normal_series):
 
     path = tmp_path / "bundle.npz"
     save_bundle(bundle, path)
-    loaded = load_bundle(path)
+    loaded = load_bundle(path, case)
     assert loaded.variant == "RNN_DNN"
     for name in ("std", "raw_mean", "raw_std"):
         np.testing.assert_array_equal(getattr(loaded.stats, name),
                                       getattr(stats, name))
     probe = np.random.default_rng(3).standard_normal((4, CLASSIFIER_INPUT))
-    np.testing.assert_array_equal(classify(loaded, probe)[1],
-                                  classify(bundle, probe)[1])
-    _, r1 = predict_and_residual(bundle, normal_series[0])
-    _, r2 = predict_and_residual(loaded, normal_series[0])
+    np.testing.assert_array_equal(loaded.classifier.forward(probe),
+                                  bundle.classifier.forward(probe))
+    _, r1 = predict_and_residual(bundle, normal_series[0], case)
+    _, r2 = predict_and_residual(loaded, normal_series[0], case)
     np.testing.assert_array_equal(r1, r2)
 
 
-def test_sensor_map_mismatch_refused(case):
+def test_sensor_map_mismatch_refused(tmp_path, case):
     stats = unit_stats()
-    bundle = ModelBundle(variant="SE_DNN", stats=stats,
-                         sensor_hash="not-the-real-hash")
-    with pytest.raises(SensorMapMismatchError):
-        check_sensor_map(bundle, case)
+    path = tmp_path / "bundle.npz"
+    # a different hash, an empty one, and none at all are all refused
+    for sensor_hash in ("not-the-real-hash", ""):
+        save_bundle(ModelBundle(variant="SE_DNN", stats=stats,
+                                sensor_hash=sensor_hash), path)
+        with pytest.raises(SensorMapMismatchError):
+            load_bundle(path, case)
     good = ModelBundle(variant="SE_DNN", stats=stats,
                        sensor_hash=sensor_map_hash(case))
-    check_sensor_map(good, case)
+    save_bundle(good, path)
+    assert load_bundle(path, case).sensor_hash == sensor_map_hash(case)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "meta/sensor_hash"}
+    np.savez(path, **arrays)
+    with pytest.raises(SensorMapMismatchError):
+        load_bundle(path, case)
 
 
 def test_bundle_architecture_conformance():

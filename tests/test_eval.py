@@ -8,6 +8,7 @@ from gridsentry.evaluation import (ConfusionMatrix, HoldoutResult,
                                    precision_recall_f1, report_rows,
                                    severity_sweep, sweep_csv)
 from gridsentry.neural import TrainConfig
+from gridsentry.scenario import LABEL_INDEX
 
 
 def pairs_from_matrix(counts):
@@ -46,8 +47,8 @@ def test_confusion_empty():
 
 
 def test_confusion_three_frame_example():
-    truths = ["normal", "attack_2", "attack_2"]
-    preds = ["normal", "fault_2", "attack_2"]
+    truths = [LABEL_INDEX[n] for n in ("normal", "attack_2", "attack_2")]
+    preds = [LABEL_INDEX[n] for n in ("normal", "fault_2", "attack_2")]
     matrix = ConfusionMatrix.from_pairs(preds, truths)
     assert matrix.counts[0, 0] == 1
     assert matrix.counts[1, 5] == 1
@@ -60,6 +61,11 @@ def test_confusion_rejects_bad_input():
         ConfusionMatrix.from_pairs(["bogus"], ["normal"])
     with pytest.raises(ValueError):
         ConfusionMatrix.from_pairs([0, 1], [0])
+    for bad in (9, -1):
+        with pytest.raises(ValueError):
+            ConfusionMatrix.from_pairs([bad], [0])
+        with pytest.raises(ValueError):
+            ConfusionMatrix.from_pairs([0], [bad])
 
 
 # ---------------------------------------------------------------- metrics
@@ -188,25 +194,22 @@ def test_report_rendering():
 
 # ---------------------------------------------------------------- severity
 
-class StubBundle:
-    pass
+class StubClassifier:
+    """Logits that pick the label index stored in feature column 0."""
+
+    def forward(self, x):
+        return 10.0 * np.eye(9)[x[:, 0].astype(int)]
 
 
-def test_severity_sweep_shape_and_values(monkeypatch):
-    # stub residual/classify path: predictions equal truth except level 1
-    def stub_eval(bundle, series_list, case=None):
-        truth = np.array(sum((s["truth"] for s in series_list), []))
-        if series_list[0]["level"] == 1:
-            preds = np.zeros_like(truth)
-        else:
-            preds = truth.copy()
-        return preds, truth
-
-    monkeypatch.setattr(ev, "evaluate_predictions", stub_eval)
-    datasets = {lvl: [{"level": lvl, "truth": [0, 1, 2, 3, 4, 5, 6, 7, 8]}]
-                for lvl in range(1, 6)}
-    bundles = {v: StubBundle() for v in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN")}
-    rows = severity_sweep(datasets, bundles)
+def test_severity_sweep_shape_and_values():
+    # predictions equal truth except at level 1, where they are all normal
+    truth = np.arange(9)
+    level_rows = [(lvl, (np.zeros(9) if lvl == 1 else truth)[:, None], truth)
+                  for lvl in range(1, 6)]
+    rows = []
+    for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
+        rows += [{"variant": variant, **row}
+                 for row in severity_sweep(level_rows, StubClassifier())]
     assert len(rows) == 3 * 4 * 5
     for row in rows:
         assert row["f1"] == (0.0 if row["level"] == 1 else 1.0)
@@ -217,23 +220,19 @@ def test_severity_sweep_shape_and_values(monkeypatch):
 
 def test_severity_sweep_missing_level():
     with pytest.raises(ValueError):
-        severity_sweep({}, {})
+        severity_sweep([], StubClassifier())
+    normal_only = [(None, np.zeros((9, 1)), np.zeros(9, dtype=int))]
     with pytest.raises(ValueError):
-        severity_sweep({1: []}, {"RNN_DNN": StubBundle()})
+        severity_sweep(normal_only, StubClassifier())
 
 
 # ---------------------------------------------------------------- holdout
 
-class StubSeries:
-    def __init__(self, level, features, labels):
-        self.metadata = {} if level is None else {"level": level}
-        self.features = features
-        self.labels_arr = labels
-
-
 def make_holdout_world(seed=0):
+    """(level, features, labels) rows: one normal series, then one series of
+    the eight attack/fault labels at each of the five levels."""
     rng = np.random.default_rng(seed)
-    series = []
+    rows = []
 
     def block(label_set, level, n=12):
         feats, labels = [], []
@@ -242,30 +241,26 @@ def make_holdout_world(seed=0):
             center[lbl] = 5.0
             feats.append(center + 0.2 * rng.standard_normal((n, 78)))
             labels.append(np.full(n, lbl))
-        series.append(StubSeries(level, np.concatenate(feats),
-                                 np.concatenate(labels)))
+        rows.append((level, np.concatenate(feats), np.concatenate(labels)))
 
     block([0], None)  # normal-only series
     for level in range(1, 6):
         block(list(range(1, 9)), level)
-    return series
+    return rows
 
 
-def test_holdout_mechanics(monkeypatch):
-    monkeypatch.setattr(
-        ev, "dataset_features",
-        lambda bundle, lst, case=None: (lst[0].features, lst[0].labels_arr))
-    series = make_holdout_world()
+def test_holdout_mechanics():
+    rows = make_holdout_world()
     cfg = TrainConfig(learning_rate=5e-3, epochs=15, batch_size=32, seed=0)
-    result = holdout_experiment(StubBundle(), series, l=4, replications=3,
-                                seed=42, classifier_config=cfg)
+    result = holdout_experiment(rows, l=4, replications=3, seed=42,
+                                classifier_config=cfg)
     assert isinstance(result, HoldoutResult)
     assert len(result.accuracies) == 3
     for train_levels in result.level_sets:
         assert len(train_levels) == 4  # exactly one held-out level
 
-    again = holdout_experiment(StubBundle(), series, l=4, replications=3,
-                               seed=42, classifier_config=cfg)
+    again = holdout_experiment(rows, l=4, replications=3, seed=42,
+                               classifier_config=cfg)
     assert again.level_sets == result.level_sets
     assert again.accuracies == result.accuracies
 
@@ -274,13 +269,9 @@ def test_holdout_mechanics(monkeypatch):
     assert len(csv.splitlines()) == 4
 
 
-def test_holdout_validation(monkeypatch):
-    monkeypatch.setattr(
-        ev, "dataset_features",
-        lambda bundle, lst, case=None: (lst[0].features, lst[0].labels_arr))
-    series = make_holdout_world()
+def test_holdout_validation():
+    rows = make_holdout_world()
     with pytest.raises(ValueError):
-        holdout_experiment(StubBundle(), series, l=0, replications=1, seed=0)
+        holdout_experiment(rows, l=0, replications=1, seed=0)
     with pytest.raises(ValueError):
-        holdout_experiment(StubBundle(), series[:2], l=2, replications=1,
-                           seed=0)
+        holdout_experiment(rows[:2], l=2, replications=1, seed=0)

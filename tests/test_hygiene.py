@@ -1,7 +1,7 @@
 """Static checks over the source and test trees.
 
-No linter is a dependency, so the unused-import check is an AST scan here,
-where the fast `-m "not acceptance"` loop runs it.
+No linter is a dependency, so these checks are AST scans here, where the
+fast `-m "not acceptance"` loop runs them.
 """
 
 import ast
@@ -31,3 +31,26 @@ def test_no_unused_imports():
     unused = {str(path.relative_to(ROOT)): names for path in paths
               if (names := unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+def test_no_test_only_public_names():
+    # a public function or class that no code in src/ reads is there only
+    # for its tests; such oracles live in tests/oracles.py. Package
+    # __init__ re-exports do not count as reads.
+    trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text())
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "__init__.py"}
+    assert trees
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(f"{path}:{node.name}" for path, tree in trees.items()
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in read)
+    assert unread == []

@@ -6,12 +6,13 @@ from gridsentry.grid import (Branch, GridCase, N_SENSORS,
                              generation_sensor_index, load_case,
                              sensor_values, solve_power_flow,
                              voltage_sensor_index)
-from gridsentry.scenario import (AttackSpec, FaultSpec, LABELS, LinearSystem,
+from gridsentry.scenario import (AttackSpec, FaultSpec, LABELS,
                                  ScenarioSeries, access_set,
-                                 covert_attack_run, generate_scenario,
-                                 linear_mask_bias, make_attack_spec,
-                                 mask_measurements, random_system,
-                                 reduce_target, simulate, simulate_nominal)
+                                 generate_scenario, make_attack_spec,
+                                 mask_measurements, reduce_target,
+                                 simulate_nominal)
+from oracles import (LinearSystem, covert_attack_run, linear_mask_bias,
+                     random_system, simulate)
 
 
 @pytest.fixture(scope="module")
