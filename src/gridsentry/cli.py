@@ -215,12 +215,15 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
 def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
                out_dir: Path) -> Path:
     case = load_case(cfg.case_file)
-    series_list = load_dataset(data_dir)
-    _, test_set = split_series(series_list, cfg.split_fraction, cfg.seed)
     bundles = {}
     for path in bundle_paths:
         bundle = load_bundle(path, case)
+        if bundle.variant in bundles:
+            raise ValueError(f"report got two {bundle.variant} bundles; "
+                             "pass one bundle per variant")
         bundles[bundle.variant] = bundle
+    series_list = load_dataset(data_dir)
+    _, test_set = split_series(series_list, cfg.split_fraction, cfg.seed)
     rows = [{"variant": variant, **row}
             for variant, bundle in bundles.items()
             for row in severity_sweep(feature_rows(bundle, test_set, case),

@@ -233,6 +233,14 @@ def _submodels(bundle: ModelBundle):
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
+    """Write `bundle` to an .npz file; load_bundle reads it back.
+
+    A bundle without a sensor-map hash is refused here with ValueError,
+    since load_bundle would refuse the file it makes.
+    """
+    if not bundle.sensor_hash:
+        raise ValueError("bundle has no sensor-map hash; load_bundle "
+                         "would refuse it")
     arrays = {
         "meta/format_version": np.array(BUNDLE_FORMAT_VERSION),
         "meta/variant": np.array(bundle.variant),

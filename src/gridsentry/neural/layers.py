@@ -38,7 +38,13 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Base: parameters and gradients are aligned name -> array dicts."""
+    """Base: parameters and gradients are aligned name -> array dicts.
+
+    backward(dy) adds the parameter gradients into `grads` and returns the
+    gradient w.r.t. the layer input. Dense, LSTM and the two containers
+    take input_grad=False to skip that last product and return None; a
+    container passes it on to its first layer only.
+    """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -51,14 +57,14 @@ class Layer:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        for k, p in self.params.items():
-            if k in self.grads:
-                self.grads[k].fill(0.0)
+        for _, params, grads, k in self.parameters():
+            if k in grads:
+                grads[k].fill(0.0)
             else:
-                self.grads[k] = np.zeros_like(p)
+                grads[k] = np.zeros_like(params[k])
 
     def parameters(self):
-        """Flat (name, params-dict, grads-dict, key) view for optimizers."""
+        """(name, params-dict, grads-dict, key) entries, one per parameter."""
         return [(k, self.params, self.grads, k) for k in self.params]
 
 
@@ -77,12 +83,12 @@ class Dense(Layer):
         self._x = x
         return _check("Dense", x @ self.params["W"] + self.params["b"])
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x2 = self._x.reshape(-1, self._x.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         self.grads["W"] += x2.T @ dy2
         self.grads["b"] += dy2.sum(axis=0)
-        return dy @ self.params["W"].T
+        return dy @ self.params["W"].T if input_grad else None
 
 
 class ReLU(Layer):
@@ -126,14 +132,11 @@ class Sequential(Layer):
             x = layer.forward(x)
         return x
 
-    def backward(self, dy):
-        for layer in reversed(self.layers):
+    def backward(self, dy, input_grad=True):
+        first, *rest = self.layers
+        for layer in reversed(rest):
             dy = layer.backward(dy)
-        return dy
-
-    def zero_grad(self):
-        for layer in self.layers:
-            layer.zero_grad()
+        return first.backward(dy, input_grad=input_grad)
 
     def parameters(self):
         """Flat (name, params-dict, grads-dict, key) view, recursing into
@@ -191,7 +194,7 @@ class LSTM(Layer):
         self.final_state = (h, c)
         return _check("LSTM", hs)
 
-    def backward(self, dhs):
+    def backward(self, dhs, input_grad=True):
         B, T, H = dhs.shape
         x = self._x
         Wx, Wh = self.params["Wx"], self.params["Wh"]
@@ -221,6 +224,8 @@ class LSTM(Layer):
         # the per-step input products, summed from the last step back
         xdz = np.matmul(x.transpose(1, 2, 0), dzs)
         self.grads["Wx"] += xdz[::-1].sum(axis=0)
+        if not input_grad:
+            return None
         return np.matmul(dzs, Wx.T).transpose(1, 0, 2)
 
 
@@ -237,12 +242,9 @@ class SequencePredictor(Layer):
         hs = self.lstm.forward(x, state=state)
         return self.head.forward(hs)
 
-    def backward(self, dy):
-        return self.lstm.backward(self.head.backward(dy))
-
-    def zero_grad(self):
-        self.lstm.zero_grad()
-        self.head.zero_grad()
+    def backward(self, dy, input_grad=True):
+        return self.lstm.backward(self.head.backward(dy),
+                                  input_grad=input_grad)
 
     def parameters(self):
         out = []

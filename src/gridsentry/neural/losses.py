@@ -25,18 +25,20 @@ def mse(pred: np.ndarray, target: np.ndarray,
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
-                          ) -> tuple[float, np.ndarray, np.ndarray]:
+                          ) -> tuple[float, np.ndarray]:
     """Fused softmax + cross entropy for integer class labels.
 
-    Returns (mean loss, grad w.r.t. logits = (p - onehot) / batch, probs).
+    Returns (mean loss, grad w.r.t. logits = (p - onehot) / batch); the
+    gradient is built in place in the softmax output.
     """
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ValueError("logits must be (batch, classes), labels (batch,)")
     p = softmax(logits)
     n = logits.shape[0]
-    picked = np.clip(p[np.arange(n), labels], EPS, None)
+    rows = np.arange(n)
+    picked = np.clip(p[rows, labels], EPS, None)
     loss = float(-np.mean(np.log(picked)))
-    grad = p.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n, p
+    p[rows, labels] -= 1.0
+    p /= n
+    return loss, p

@@ -1,4 +1,4 @@
-"""Adam parameter updates over the flat parameters() view of a model."""
+"""Adam parameter updates over a model's flat parameter vector."""
 
 from __future__ import annotations
 
@@ -17,23 +17,23 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, parameters) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update the flat `params` in place from the aligned flat `grads`
+        (see train.flatten_parameters)."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, params, grads, k in parameters:
-            g = grads[k]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            m, v = self.m[name], self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        if self.m is None:
+            self.m = np.zeros_like(grads)
+            self.v = np.zeros_like(grads)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1 - b1) * grads
+        v *= b2
+        v += (1 - b2) * grads * grads
+        mhat = m / (1 - b1 ** self.t)
+        vhat = v / (1 - b2 ** self.t)
+        params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 

@@ -27,6 +27,25 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer >= 1")
 
 
+def flatten_parameters(model) -> tuple[np.ndarray, np.ndarray]:
+    """Move a model's parameters and gradients into two flat vectors.
+
+    Every params[k] and grads[k] entry is rebound to a C-contiguous reshaped
+    view of its vector, in parameters() order, so that an optimizer step or
+    a gradient reset is one operation on one array. Returns (params, grads).
+    """
+    entries = model.parameters()
+    params = np.concatenate([p[k].ravel() for _, p, _, k in entries])
+    grads = np.concatenate([g[k].ravel() for _, _, g, k in entries])
+    start = 0
+    for _, p, g, k in entries:
+        shape, stop = p[k].shape, start + p[k].size
+        p[k] = params[start:stop].reshape(shape)
+        g[k] = grads[start:stop].reshape(shape)
+        start = stop
+    return params, grads
+
+
 def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
           loss: str = "mse", mask: np.ndarray | None = None) -> list[float]:
     """Train in place; returns the per-epoch mean loss history.
@@ -40,6 +59,7 @@ def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
         raise ValueError("empty training data")
     rng = np.random.default_rng(config.seed)
     opt = Adam(config.learning_rate)
+    params, grads = flatten_parameters(model)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -56,15 +76,15 @@ def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
                 mb = mask[idx] if mask is not None else None
                 value, grad = mse(out, yb, mask=mb)
             elif loss == "cross_entropy":
-                value, grad, _ = softmax_cross_entropy(out, yb)
+                value, grad = softmax_cross_entropy(out, yb)
             else:
                 raise ValueError(f"unknown loss '{loss}'")
             if not np.isfinite(value):
                 raise RuntimeError(f"NaN loss at epoch {epoch}; "
                                    "inspect the first non-finite layer output")
-            model.zero_grad()
-            model.backward(grad)
-            opt.step(model.parameters())
+            grads.fill(0.0)
+            model.backward(grad, input_grad=False)
+            opt.step(params, grads)
             total += value
             batches += 1
         history.append(total / batches)

@@ -144,7 +144,7 @@ def grad_check(model, x: np.ndarray, target: np.ndarray, loss: str = "mse",
     if loss == "mse":
         _, grad = mse(out, target, mask=mask)
     else:
-        _, grad, _ = softmax_cross_entropy(out, target)
+        _, grad = softmax_cross_entropy(out, target)
     model.zero_grad()
     model.backward(grad)
     analytic = {name: grads[k].copy()

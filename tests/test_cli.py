@@ -220,6 +220,21 @@ def test_report_severity_csv(workspace):
     assert len(lines) == 1 + 4  # one variant, four buses, one level
 
 
+def test_report_refuses_repeated_variant(workspace, tmp_path, monkeypatch):
+    # two bundles of one variant would silently keep only the last; the
+    # stage refuses them before it reads the dataset
+    base, config_path, data_dir = workspace
+    bundle_path = str(data_dir / "models" / "bundle_SE_DNN.npz")
+    read = []
+    monkeypatch.setattr(cli, "load_dataset", read.append)
+    out = tmp_path / "reports"
+    with pytest.raises(ValueError, match="two SE_DNN bundles"):
+        cli.main(["--config", str(config_path), "report",
+                  "--data", str(data_dir), "--out", str(out),
+                  "--bundles", f"{bundle_path},{bundle_path}"])
+    assert read == [] and not out.exists()
+
+
 def test_holdout_command_plumbing(workspace, monkeypatch):
     base, config_path, data_dir = workspace
     bundle_path = data_dir / "models" / "bundle_SE_DNN.npz"

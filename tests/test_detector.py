@@ -309,21 +309,31 @@ def test_bundle_roundtrip(tmp_path, case, normal_series):
 def test_sensor_map_mismatch_refused(tmp_path, case):
     stats = unit_stats()
     path = tmp_path / "bundle.npz"
-    # a different hash, an empty one, and none at all are all refused
-    for sensor_hash in ("not-the-real-hash", ""):
-        save_bundle(ModelBundle(variant="SE_DNN", stats=stats,
-                                sensor_hash=sensor_hash), path)
-        with pytest.raises(SensorMapMismatchError):
-            load_bundle(path, case)
+    # an empty hash is refused at write time
+    with pytest.raises(ValueError, match="sensor-map hash"):
+        save_bundle(ModelBundle(variant="SE_DNN", stats=stats), path)
+    assert not path.exists()
+    save_bundle(ModelBundle(variant="SE_DNN", stats=stats,
+                            sensor_hash="not-the-real-hash"), path)
+    with pytest.raises(SensorMapMismatchError):
+        load_bundle(path, case)
     good = ModelBundle(variant="SE_DNN", stats=stats,
                        sensor_hash=sensor_map_hash(case))
     save_bundle(good, path)
     assert load_bundle(path, case).sensor_hash == sensor_map_hash(case)
     with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files if k != "meta/sensor_hash"}
-    np.savez(path, **arrays)
-    with pytest.raises(SensorMapMismatchError):
-        load_bundle(path, case)
+        arrays = {k: data[k] for k in data.files}
+    # a hand-written file with an empty hash, or with none at all, is
+    # refused at load time
+    for drop in (False, True):
+        written = dict(arrays)
+        if drop:
+            del written["meta/sensor_hash"]
+        else:
+            written["meta/sensor_hash"] = np.array("")
+        np.savez(path, **written)
+        with pytest.raises(SensorMapMismatchError):
+            load_bundle(path, case)
 
 
 def test_bundle_architecture_conformance():

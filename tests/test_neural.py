@@ -5,7 +5,9 @@ from gridsentry.neural import (Adam, Dense, LSTM, LeakyReLU, ReLU,
                                SequencePredictor, Sequential, TrainConfig,
                                get_state, mse, set_state, softmax,
                                softmax_cross_entropy, train)
+from gridsentry.detector.models import build_autoencoder, build_classifier
 from gridsentry.neural.layers import _sigmoid
+from gridsentry.neural.train import flatten_parameters
 from oracles import grad_check
 
 
@@ -134,7 +136,8 @@ def test_sequence_predictor_grad_with_mask():
 
 # ---------------------------------------------------------------- reference forms
 # The kernels must return the same bits as these plain forms: a masked
-# sigmoid, a per-step LSTM and an out-of-place Adam.
+# sigmoid, a per-step LSTM, an out-of-place per-parameter Adam, a copying
+# cross entropy and a training loop over per-parameter arrays.
 
 def ref_sigmoid(x):
     out = np.empty_like(x)
@@ -240,9 +243,50 @@ def test_lstm_bits_match_per_step_reference(batch, with_state, D):
         assert np.array_equal(cell.grads[k], grads_ref[k]), k
 
 
+def ref_cross_entropy(logits, labels):
+    p = softmax(logits)
+    n = logits.shape[0]
+    picked = np.clip(p[np.arange(n), labels], 1e-12, None)
+    loss = float(-np.mean(np.log(picked)))
+    grad = p.copy()
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad / n
+
+
+def ref_train(model, x, y, config, loss="mse", mask=None):
+    """train() over per-parameter arrays: full backward, per-name Adam."""
+    order_rng = np.random.default_rng(config.seed)
+    state, history, step = {}, [], 0
+    for _ in range(config.epochs):
+        order = order_rng.permutation(x.shape[0])
+        total, batches = 0.0, 0
+        for start in range(0, x.shape[0], config.batch_size):
+            idx = order[start:start + config.batch_size]
+            out = model.forward(x[idx])
+            if loss == "mse":
+                mb = mask[idx] if mask is not None else None
+                value, grad = mse(out, y[idx], mask=mb)
+            else:
+                value, grad = ref_cross_entropy(out, y[idx])
+            model.zero_grad()
+            model.backward(grad)
+            step += 1
+            entries = model.parameters()
+            params = {name: p[k] for name, p, _, k in entries}
+            grads = {name: g[k] for name, _, g, k in entries}
+            ref_adam_step(state, params, grads, step, config.learning_rate)
+            for name, p, _, k in entries:
+                p[k] = params[name]
+            total += value
+            batches += 1
+        history.append(total / batches)
+    return history
+
+
 def test_adam_bits_match_reference():
     model = SequencePredictor(5, 6, 5, rng(47))
     params = {name: p[k].copy() for name, p, _, k in model.parameters()}
+    flat_params, flat_grads = flatten_parameters(model)
     opt, ref_state = Adam(5e-3), {}
     for step in range(1, 6):
         r = rng(48 + step)
@@ -250,12 +294,96 @@ def test_adam_bits_match_reference():
         for name, _, g, k in model.parameters():
             g[k][...] = r.standard_normal(g[k].shape)
             grads[name] = g[k].copy()
-        opt.step(model.parameters())
+        opt.step(flat_params, flat_grads)
         ref_adam_step(ref_state, params, grads, step, 5e-3)
+    start = 0
     for name, p, _, k in model.parameters():
+        stop = start + p[k].size
+        m = opt.m[start:stop].reshape(p[k].shape)
+        v = opt.v[start:stop].reshape(p[k].shape)
+        assert np.shares_memory(p[k], flat_params), name
         assert np.array_equal(p[k], params[name]), name
-        assert np.array_equal(opt.m[name], ref_state[name][0]), name
-        assert np.array_equal(opt.v[name], ref_state[name][1]), name
+        assert np.array_equal(m, ref_state[name][0]), name
+        assert np.array_equal(v, ref_state[name][1]), name
+        start = stop
+    assert start == flat_params.size
+
+
+def _classifier_fit():
+    x = rng(60).standard_normal((300, 78))
+    return (lambda: build_classifier(rng(61)), x, np.arange(300) % 9,
+            TrainConfig(learning_rate=2e-3, epochs=4, batch_size=128,
+                        seed=62), {"loss": "cross_entropy"})
+
+
+def _predictor_fit():
+    mask = np.zeros((7, 12))
+    mask[:, 4:] = 1.0
+    seq = rng(63).standard_normal((7, 13, 5))
+    return (lambda: SequencePredictor(5, 6, 5, rng(64)), seq[:, :-1],
+            seq[:, 1:], TrainConfig(learning_rate=5e-3, epochs=3,
+                                    batch_size=3, seed=65), {"mask": mask})
+
+
+def _autoencoder_fit():
+    x = rng(66).standard_normal((50, 39))
+    return (lambda: Sequential(list(build_autoencoder(rng(67)))), x, x,
+            TrainConfig(learning_rate=1e-3, epochs=3, batch_size=16,
+                        seed=68), {})
+
+
+@pytest.mark.parametrize("fit", [_classifier_fit, _predictor_fit,
+                                 _autoencoder_fit],
+                         ids=["classifier", "masked_predictor",
+                              "autoencoder"])
+def test_train_bits_match_reference(fit):
+    # partial last batches: 300 = 2*128 + 44, 7 = 2*3 + 1, 50 = 3*16 + 2
+    build, x, y, config, kwargs = fit()
+    model, ref_model = build(), build()
+    history = train(model, x, y, config, **kwargs)
+    ref_history = ref_train(ref_model, x, y, config, **kwargs)
+    assert np.array_equal(history, ref_history)
+    state, ref_state = get_state(model), get_state(ref_model)
+    assert state.keys() == ref_state.keys()
+    for name in state:
+        assert np.array_equal(state[name], ref_state[name]), name
+    # every parameter and gradient is a view of one flat vector apiece
+    entries = model.parameters()
+    params = [p[k] for _, p, _, k in entries]
+    grads = [g[k] for _, _, g, k in entries]
+    for arrays in (params, grads):
+        flat = arrays[0].base
+        assert flat.ndim == 1 and flat.size == sum(a.size for a in arrays)
+        for a in arrays:
+            assert a.base is flat and np.shares_memory(a, flat)
+            assert a.flags.c_contiguous
+    assert not np.shares_memory(params[0].base, grads[0].base)
+
+
+def get_grads(model):
+    return {name: g[k].copy() for name, _, g, k in model.parameters()}
+
+
+def test_backward_without_input_grad():
+    # input_grad=False returns None and leaves the parameter gradients as
+    # they are with it
+    r = rng(70)
+    models = [
+        (Dense(4, 3, r), r.standard_normal((6, 4))),
+        (LSTM(3, 4, r), r.standard_normal((2, 5, 3))),
+        (make_mlp([4, 5, 3], seed=71), r.standard_normal((6, 4))),
+        (SequencePredictor(3, 4, 2, r), r.standard_normal((2, 5, 3))),
+    ]
+    for model, x in models:
+        dy = rng(72).standard_normal(model.forward(x).shape)
+        model.zero_grad()
+        dx = model.backward(dy)
+        assert dx.shape == x.shape
+        full = get_grads(model)
+        model.zero_grad()
+        assert model.backward(dy, input_grad=False) is None
+        for name, g in get_grads(model).items():
+            assert np.array_equal(g, full[name]), name
 
 
 # ---------------------------------------------------------------- losses
@@ -269,7 +397,8 @@ def test_mse_zero_on_equal():
 
 def test_cross_entropy_uniform():
     logits = np.zeros((5, 9))
-    loss, _, p = softmax_cross_entropy(logits, np.arange(5) % 9)
+    loss, _ = softmax_cross_entropy(logits, np.arange(5) % 9)
+    p = softmax(logits)
     assert loss == pytest.approx(np.log(9))
     np.testing.assert_allclose(p, 1 / 9)
 
@@ -277,7 +406,8 @@ def test_cross_entropy_uniform():
 def test_fused_ce_gradient_formula_and_fd():
     logits = rng(12).standard_normal((6, 4))
     labels = np.array([0, 1, 2, 3, 0, 1])
-    _, grad, p = softmax_cross_entropy(logits, labels)
+    _, grad = softmax_cross_entropy(logits, labels)
+    p = softmax(logits)
     onehot = np.eye(4)[labels]
     np.testing.assert_allclose(grad, (p - onehot) / 6, atol=1e-12)
 

@@ -5,6 +5,7 @@ when a refactor moves one; this runs its installers in a fresh process so
 that happens in the quick test loop rather than first in the benchmark.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,29 @@ def test_perfbench_patch_sites_bound():
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_optim_step_span_once_per_batch():
+    # neural.optim_step_s and neural.batches stay per-batch measures: one
+    # Adam.step span for every mini-batch of a traced train()
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]",
+        "import numpy as np",
+        "import gridsentry.cli",
+        "from tracer import Ledger, Tracer",
+        "tracer = Tracer(Ledger())",
+        "tracer.install()",
+        "from gridsentry.detector import models",
+        "from gridsentry.neural import TrainConfig",
+        "x = np.random.default_rng(0).standard_normal((20, 78))",
+        "models.fit_classifier(x, np.arange(20) % 9,",
+        "                      TrainConfig(epochs=3, batch_size=8))",
+        "print(json.dumps({'steps': tracer.spans['setup', 'neural.optim_step'][0],",
+        "                  'batches': tracer.counts['neural.batches']}))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout.splitlines()[-1])
+    assert counts == {"steps": 3 * 3, "batches": 3 * 3}  # ceil(20 / 8) = 3
