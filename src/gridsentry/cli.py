@@ -15,9 +15,9 @@ from .config import (RunConfig, RunManifest, config_hash, load_config,
 from .detector import load_bundle, save_bundle, train_bundle, trained
 from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import plan_generation, synthesize_loads
-from .evaluation import (ConfusionMatrix, aggregate_report, format_report,
-                         holdout_csv, holdout_experiment, macro_f1,
-                         report_rows, severity_sweep, sweep_csv)
+from .evaluation import (ConfusionMatrix, aggregate_report, csv_table,
+                         format_report, holdout_experiment, macro_f1,
+                         report_rows, severity_sweep)
 from .grid import load_case
 from .scenario import (FaultSpec, GENERATOR_BUSES, ScenarioSeries,
                        generate_scenario, make_attack_spec)
@@ -60,11 +60,12 @@ def _generate_one(args):
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(out_dir, config_hash(cfg))
-    (out_dir / "config.json").write_text(
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config_path = out_dir / "config.json"
+    config_path.write_text(
         json.dumps(cfg.canonical(), indent=2, sort_keys=True) + "\n")
-    manifest.add_file(out_dir / "config.json")
+    paths = [config_path]
 
     jobs = [(cfg.canonical(), *job) for job in _series_jobs(cfg)]
     failures = []
@@ -78,15 +79,14 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
         if series.metadata.get("gap_hours"):
             failures.append(filename)
         series.save(out_dir / filename)
-        manifest.add_file(out_dir / filename)
-        manifest.add_file((out_dir / filename).with_suffix(".meta.json"))
+        paths += [out_dir / filename,
+                  (out_dir / filename).with_suffix(".meta.json")]
         conditions_seen.add(series.metadata["condition"])
         conditions_seen.update(series.labels)
-    manifest.set_stage("gen-data", "ok" if not failures else "partial",
-                       series=len(results),
-                       conditions=sorted(conditions_seen),
-                       solver_gaps=failures)
-    manifest.write()
+    manifest.record("gen-data", paths,
+                    status="ok" if not failures else "partial",
+                    series=len(results), conditions=sorted(conditions_seen),
+                    solver_gaps=failures)
     if len(failures) == len(results):
         raise RuntimeError("every series hit solver gaps; generation failed")
     return out_dir
@@ -123,6 +123,7 @@ def split_series(series_list, fraction: float, seed: int):
 
 def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
               out_dir: Path) -> Path:
+    manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     series_list = load_dataset(data_dir)
     train_set, _ = split_series(series_list, cfg.split_fraction, cfg.seed)
@@ -136,18 +137,14 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
     save_bundle(bundle, bundle_path)
     history_path = out_dir / f"history_{variant}.json"
     history_path.write_text(json.dumps(bundle.history, indent=2) + "\n")
-
-    manifest = RunManifest(out_dir, config_hash(cfg))
-    manifest.add_file(bundle_path)
-    manifest.add_file(history_path)
-    manifest.set_stage(f"train-{variant}", "ok",
-                       training_series=len(train_set))
-    manifest.write()
+    manifest.record(f"train-{variant}", [bundle_path, history_path],
+                    training_series=len(train_set))
     return bundle_path
 
 
 def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
                  out_dir: Path, gate: float | None = None) -> int:
+    manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
     series_list = load_dataset(data_dir)
@@ -161,22 +158,14 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     text_path = out_dir / f"report_{variant}.txt"
     text_path.write_text(format_report(report))
     rows_path = out_dir / f"report_{variant}.csv"
-    with open(rows_path, "w") as fh:
-        fh.write("section,name,precision,recall,f1\n")
-        for row in report_rows(report):
-            fh.write(f"{row['section']},{row['name']},"
-                     f"{row['precision']:.6f},{row['recall']:.6f},"
-                     f"{row['f1']:.6f}\n")
+    rows_path.write_text(csv_table(("section", "name", "precision",
+                                    "recall", "f1"), report_rows(report)))
     conf_path = out_dir / f"confusion_{variant}.csv"
     np.savetxt(conf_path, matrix.counts, fmt="%d", delimiter=",")
-
-    manifest = RunManifest(out_dir, config_hash(cfg))
-    for path in (text_path, rows_path, conf_path):
-        manifest.add_file(path)
     score = macro_f1(matrix)
-    manifest.set_stage(f"evaluate-{variant}", "ok", frames=matrix.total,
-                       macro_f1=score, accuracy=matrix.accuracy())
-    manifest.write()
+    manifest.record(f"evaluate-{variant}", [text_path, rows_path, conf_path],
+                    frames=matrix.total, macro_f1=score,
+                    accuracy=matrix.accuracy())
     print(format_report(report))
     print(f"macro-F1: {score:.4f}")
     if gate is not None and score < gate:
@@ -186,6 +175,7 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
 
 def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
                 out_dir: Path) -> Path:
+    manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
     rows = feature_rows(bundle, load_dataset(data_dir), case)
@@ -196,24 +186,24 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "holdout.csv"
-    csv_path.write_text(holdout_csv(results))
+    csv_path.write_text(csv_table(
+        ("l", "replication", "accuracy"),
+        ({"l": r.l, "replication": rep, "accuracy": acc}
+         for r in results for rep, acc in enumerate(r.accuracies))))
     summary_path = out_dir / "holdout.json"
     summary_path.write_text(json.dumps(
         [{"l": r.l, "median": r.median, "iqr": r.iqr,
           "level_sets": [list(s) for s in r.level_sets]} for r in results],
         indent=2) + "\n")
-    manifest = RunManifest(out_dir, config_hash(cfg))
-    manifest.add_file(csv_path)
-    manifest.add_file(summary_path)
-    manifest.set_stage("holdout", "ok",
-                       l_values=list(cfg.holdout_l_values),
-                       replications=cfg.holdout_replications)
-    manifest.write()
+    manifest.record("holdout", [csv_path, summary_path],
+                    l_values=list(cfg.holdout_l_values),
+                    replications=cfg.holdout_replications)
     return csv_path
 
 
 def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
                out_dir: Path) -> Path:
+    manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundles = {}
     for path in bundle_paths:
@@ -231,12 +221,10 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "severity.csv"
-    csv_path.write_text(sweep_csv(rows))
-    manifest = RunManifest(out_dir, config_hash(cfg))
-    manifest.add_file(csv_path)
-    manifest.set_stage("report", "ok", variants=sorted(bundles))
-    manifest.write()
-    print(sweep_csv(rows))
+    table = csv_table(("variant", "bus", "level", "f1"), rows)
+    csv_path.write_text(table)
+    manifest.record("report", [csv_path], variants=sorted(bundles))
+    print(table)
     return csv_path
 
 
@@ -281,31 +269,23 @@ def main(argv=None) -> int:
     cfg = load_config(args.config)
 
     if args.command == "gen-data":
-        out = resolve_output_dir(args.out or cfg.output_dir)
-        cmd_gen_data(cfg, out)
+        cmd_gen_data(cfg, resolve_output_dir(args.out or cfg.output_dir))
         return 0
     data_dir = resolve_output_dir(args.data)
-    default_models = data_dir / "models"
-    default_reports = data_dir / "reports"
+    out = (resolve_output_dir(args.out) if args.out else
+           data_dir / ("models" if args.command == "train" else "reports"))
     if args.command == "train":
-        cmd_train(cfg, data_dir, args.variant,
-                  resolve_output_dir(args.out) if args.out else default_models)
+        cmd_train(cfg, data_dir, args.variant, out)
         return 0
     if args.command == "evaluate":
-        return cmd_evaluate(
-            cfg, data_dir, Path(args.bundle),
-            resolve_output_dir(args.out) if args.out else default_reports,
-            gate=args.gate)
+        return cmd_evaluate(cfg, data_dir, Path(args.bundle), out,
+                            gate=args.gate)
     if args.command == "holdout":
-        cmd_holdout(cfg, data_dir, Path(args.bundle),
-                    resolve_output_dir(args.out) if args.out
-                    else default_reports)
+        cmd_holdout(cfg, data_dir, Path(args.bundle), out)
         return 0
     if args.command == "report":
-        cmd_report(cfg, data_dir,
-                   [Path(p) for p in args.bundles.split(",")],
-                   resolve_output_dir(args.out) if args.out
-                   else default_reports)
+        cmd_report(cfg, data_dir, [Path(p) for p in args.bundles.split(",")],
+                   out)
         return 0
     raise AssertionError(args.command)
 

@@ -149,29 +149,39 @@ def file_sha256(path: Path) -> str:
 
 
 class RunManifest:
-    """Ledger of every artifact a command emits, keyed by relative path."""
+    """Ledger of every artifact written to one directory, keyed by relative
+    path, and of the stages that wrote them.
+
+    Opening a directory loads its `manifest.json`, so each stage adds to the
+    files and stages already recorded there; a manifest from another config
+    is refused before the stage writes anything.
+    """
 
     def __init__(self, directory: Path, cfg_hash: str):
         self.directory = Path(directory)
-        self.data = {
-            "config_hash": cfg_hash,
-            "package_version": __version__,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "stages": {},
-            "files": {},
-        }
+        self.path = self.directory / "manifest.json"
+        if self.path.exists():
+            self.data = self.read(self.directory)
+            if self.data["config_hash"] != cfg_hash:
+                raise ConfigError(f"{self.directory} holds the outputs of "
+                                  "another config; use a fresh directory")
+        else:
+            self.data = {
+                "config_hash": cfg_hash,
+                "package_version": __version__,
+                "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+                "stages": {},
+                "files": {},
+            }
 
-    def add_file(self, path: Path) -> None:
-        rel = str(Path(path).relative_to(self.directory))
-        self.data["files"][rel] = file_sha256(Path(path))
-
-    def set_stage(self, name: str, status: str, **extra) -> None:
-        self.data["stages"][name] = {"status": status, **extra}
-
-    def write(self) -> Path:
-        out = self.directory / "manifest.json"
-        out.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
-        return out
+    def record(self, stage: str, paths, status: str = "ok", **extra) -> None:
+        """Hash `paths`, set `stages[stage]` and write the manifest."""
+        for path in paths:
+            rel = str(Path(path).relative_to(self.directory))
+            self.data["files"][rel] = file_sha256(Path(path))
+        self.data["stages"][stage] = {"status": status, **extra}
+        self.path.write_text(
+            json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
     @staticmethod
     def read(directory: Path) -> dict:

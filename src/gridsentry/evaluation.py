@@ -196,20 +196,25 @@ def format_report(report: ClassificationReport) -> str:
 
 def report_rows(report: ClassificationReport) -> list[dict]:
     """Machine-readable flat rows (section, name, precision, recall, f1)."""
-    rows = []
-    for name, metrics in report.per_label.items():
-        rows.append({"section": "label", "name": name,
-                     "precision": metrics[0], "recall": metrics[1],
-                     "f1": metrics[2]})
-    for name, metrics in report.three_class.items():
-        rows.append({"section": "class", "name": name,
-                     "precision": metrics[0], "recall": metrics[1],
-                     "f1": metrics[2]})
-    for (cls, bus), metrics in report.localization.items():
-        rows.append({"section": "localization", "name": f"{cls}@{bus}",
-                     "precision": metrics[0], "recall": metrics[1],
-                     "f1": metrics[2]})
-    return rows
+    localization = {f"{cls}@{bus}": metrics
+                    for (cls, bus), metrics in report.localization.items()}
+    sections = (("label", report.per_label), ("class", report.three_class),
+                ("localization", localization))
+    return [{"section": section, "name": name,
+             "precision": p, "recall": r, "f1": f}
+            for section, table in sections
+            for name, (p, r, f) in table.items()]
+
+
+def csv_table(columns, rows) -> str:
+    """CSV text of `rows` (dicts) under the header `columns`: floats to six
+    decimals, every other value as written."""
+    buf = io.StringIO()
+    buf.write(",".join(columns) + "\n")
+    for row in rows:
+        buf.write(",".join(f"{row[c]:.6f}" if isinstance(row[c], float)
+                           else str(row[c]) for c in columns) + "\n")
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------- severity
@@ -236,15 +241,6 @@ def severity_sweep(rows, classifier) -> list[dict]:
             _, _, f1 = precision_recall_f1(matrix, f"attack_{bus}")
             out.append({"bus": bus, "level": level, "f1": f1})
     return out
-
-
-def sweep_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    buf.write("variant,bus,level,f1\n")
-    for row in rows:
-        buf.write(f"{row['variant']},{row['bus']},{row['level']},"
-                  f"{row['f1']:.6f}\n")
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------- holdout
@@ -308,12 +304,3 @@ def holdout_experiment(rows, l: int, replications: int, seed: int,
     q1, q3 = np.percentile(acc, [25, 75])
     return HoldoutResult(l=l, accuracies=accuracies, level_sets=level_sets,
                          median=float(np.median(acc)), iqr=float(q3 - q1))
-
-
-def holdout_csv(results: list[HoldoutResult]) -> str:
-    buf = io.StringIO()
-    buf.write("l,replication,accuracy\n")
-    for result in results:
-        for rep, acc in enumerate(result.accuracies):
-            buf.write(f"{result.l},{rep},{acc:.6f}\n")
-    return buf.getvalue()

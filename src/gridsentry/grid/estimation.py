@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .case import GridCase, N_SENSORS, Topology
+from .case import GridCase, N_SENSORS, Topology, VOLT_OFFSET
 from .powerflow import power_derivatives
 
 
@@ -73,8 +73,7 @@ def estimate_state(case: GridCase, values: np.ndarray, weights: np.ndarray,
     W = 1.0 / weights
 
     # initialize magnitudes from the direct voltage sensors, angles flat
-    vm = z[25:].copy()
-    vm = np.clip(vm, 0.5, 1.5)
+    vm = np.clip(z[VOLT_OFFSET:], 0.5, 1.5)
     va = np.zeros(n)
 
     converged = False

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import yaml
 import gridsentry.cli as cli
 from gridsentry.config import (ConfigError, RunManifest, config_hash,
                                load_config, resolve_output_dir)
-from gridsentry.detector import pipeline
+from gridsentry.detector import SensorMapMismatchError, pipeline
 from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.evaluation import HoldoutResult
 from gridsentry.neural import TrainConfig
@@ -235,15 +236,15 @@ def test_report_refuses_repeated_variant(workspace, tmp_path, monkeypatch):
     assert read == [] and not out.exists()
 
 
+def stub_holdout(rows, l, replications, seed, classifier_config=None):
+    return HoldoutResult(l=l, accuracies=[0.5] * replications,
+                         level_sets=[(1, 2, 3, 4)] * replications,
+                         median=0.5, iqr=0.0)
+
+
 def test_holdout_command_plumbing(workspace, monkeypatch):
     base, config_path, data_dir = workspace
     bundle_path = data_dir / "models" / "bundle_SE_DNN.npz"
-
-    def stub_holdout(rows, l, replications, seed, classifier_config=None):
-        return HoldoutResult(l=l, accuracies=[0.5] * replications,
-                             level_sets=[(1, 2, 3, 4)] * replications,
-                             median=0.5, iqr=0.0)
-
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
     assert cli.main(["--config", str(config_path), "holdout",
                      "--data", str(data_dir),
@@ -253,6 +254,38 @@ def test_holdout_command_plumbing(workspace, monkeypatch):
     assert len(lines) == 1 + 2  # one l value, two replications
     summary = json.loads((data_dir / "reports" / "holdout.json").read_text())
     assert summary[0]["l"] == 4
+
+
+def test_stages_sharing_a_directory_keep_each_others_records(
+        workspace, tmp_path, monkeypatch):
+    # evaluate and holdout both write to one directory; the manifest there
+    # lists the files of both, not only those of the stage that ran last
+    base, config_path, data_dir = workspace
+    bundle_path = str(data_dir / "models" / "bundle_SE_DNN.npz")
+    monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
+    out = tmp_path / "shared"
+    for stage in ("evaluate", "holdout"):
+        assert cli.main(["--config", str(config_path), stage,
+                         "--data", str(data_dir), "--bundle", bundle_path,
+                         "--out", str(out)]) == 0
+    manifest = RunManifest.read(out)
+    on_disk = {p.name for p in out.iterdir() if p.name != "manifest.json"}
+    assert set(manifest["files"]) == on_disk
+    assert set(manifest["stages"]) == {"evaluate-SE_DNN", "holdout"}
+
+
+def test_gen_data_refuses_directory_of_another_config(tmp_path):
+    out = tmp_path / "data"
+    small = dict(horizon=24, window=[6, 18], normal_series=1,
+                 series_per_condition_per_level=1)
+    first = write_config(tmp_path / "l5.yaml", levels=[5], **small)
+    assert cli.main(["--config", str(first), "gen-data",
+                     "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    other = write_config(tmp_path / "l4.yaml", levels=[4], **small)
+    with pytest.raises(ConfigError, match=re.escape(str(out))):
+        cli.main(["--config", str(other), "gen-data", "--out", str(out)])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
@@ -297,6 +330,6 @@ def test_evaluate_refuses_wrong_sensor_map(workspace, tmp_path):
     arrays["meta/sensor_hash"] = np.array("wrong")
     broken = tmp_path / "broken.npz"
     np.savez(broken, **arrays)
-    with pytest.raises(Exception, match="sensor"):
+    with pytest.raises(SensorMapMismatchError, match="sensor"):
         cli.main(["--config", str(config_path), "evaluate",
                   "--data", str(data_dir), "--bundle", str(broken)])

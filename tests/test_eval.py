@@ -3,10 +3,10 @@ import pytest
 
 import gridsentry.evaluation as ev
 from gridsentry.evaluation import (ConfusionMatrix, HoldoutResult,
-                                   aggregate_report, format_report,
-                                   holdout_csv, holdout_experiment, macro_f1,
+                                   aggregate_report, csv_table, format_report,
+                                   holdout_experiment, macro_f1,
                                    precision_recall_f1, report_rows,
-                                   severity_sweep, sweep_csv)
+                                   severity_sweep)
 from gridsentry.neural import TrainConfig
 from gridsentry.scenario import LABEL_INDEX
 
@@ -190,6 +190,21 @@ def test_report_rendering():
     assert "attack@2" in text
     rows = report_rows(report)
     assert len(rows) == 9 + 3 + 8
+    lines = csv_table(("section", "name", "precision", "recall", "f1"),
+                      rows).splitlines()
+    assert lines[0] == "section,name,precision,recall,f1"
+    assert len(lines) == 1 + 9 + 3 + 8
+    assert lines[1] == "label,normal,1.000000,1.000000,1.000000"
+    assert lines[-1] == "localization,fault@8,1.000000,1.000000,1.000000"
+
+
+def test_csv_table_formats_floats_only():
+    rows = [{"l": 4, "rep": np.int64(1), "acc": 0.5, "f1": np.float64(1 / 3),
+             "name": "attack@2"}]
+    assert csv_table(("name", "l", "rep", "acc", "f1"), rows) == (
+        "name,l,rep,acc,f1\nattack@2,4,1,0.500000,0.333333\n")
+    assert csv_table(("l", "replication", "accuracy"), []) == (
+        "l,replication,accuracy\n")
 
 
 # ---------------------------------------------------------------- severity
@@ -213,7 +228,7 @@ def test_severity_sweep_shape_and_values():
     assert len(rows) == 3 * 4 * 5
     for row in rows:
         assert row["f1"] == (0.0 if row["level"] == 1 else 1.0)
-    csv = sweep_csv(rows)
+    csv = csv_table(("variant", "bus", "level", "f1"), rows)
     assert csv.splitlines()[0] == "variant,bus,level,f1"
     assert len(csv.splitlines()) == 61
 
@@ -263,10 +278,6 @@ def test_holdout_mechanics():
                                classifier_config=cfg)
     assert again.level_sets == result.level_sets
     assert again.accuracies == result.accuracies
-
-    csv = holdout_csv([result])
-    assert csv.splitlines()[0] == "l,replication,accuracy"
-    assert len(csv.splitlines()) == 4
 
 
 def test_holdout_validation():
