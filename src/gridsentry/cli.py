@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (RunConfig, RunManifest, config_hash, load_config,
-                     resolve_output_dir)
+from .config import (ConfigError, RunConfig, RunManifest, config_hash,
+                     load_config, resolve_output_dir)
 from .detector import load_bundle, save_bundle, train_bundle, trained
 from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import plan_generation, synthesize_loads
@@ -19,8 +19,8 @@ from .evaluation import (ConfusionMatrix, aggregate_report, csv_table,
                          format_report, holdout_experiment, macro_f1,
                          report_rows, severity_sweep)
 from .grid import load_case
-from .scenario import (FaultSpec, GENERATOR_BUSES, ScenarioSeries,
-                       generate_scenario, make_attack_spec)
+from .scenario import (FaultSpec, GENERATOR_BUSES, LEVEL_FRACTIONS,
+                       ScenarioSeries, generate_scenario, make_attack_spec)
 
 
 def _series_jobs(cfg: RunConfig):
@@ -41,9 +41,7 @@ def _series_jobs(cfg: RunConfig):
 
 
 def _generate_one(args):
-    cfg_dict, filename, kind, target, level, seed = args
-    cfg = RunConfig(**cfg_dict)
-    case = load_case(cfg.case_file)
+    cfg, case, filename, kind, target, level, seed = args
     rng = np.random.default_rng(seed)
     loads = synthesize_loads(cfg.num_households, cfg.horizon, rng)
     plan = plan_generation(loads)
@@ -67,7 +65,8 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
         json.dumps(cfg.canonical(), indent=2, sort_keys=True) + "\n")
     paths = [config_path]
 
-    jobs = [(cfg.canonical(), *job) for job in _series_jobs(cfg)]
+    case = load_case(cfg.case_file)
+    jobs = [(cfg, case, *job) for job in _series_jobs(cfg)]
     failures = []
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -175,6 +174,11 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
 
 def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
                 out_dir: Path) -> Path:
+    # each replication trains on l levels and tests on the others, so the
+    # dataset must hold every level; refuse before loading anything
+    if set(cfg.levels) != set(LEVEL_FRACTIONS):
+        raise ConfigError(f"holdout needs levels {sorted(LEVEL_FRACTIONS)}, "
+                          f"the config has levels {list(cfg.levels)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)

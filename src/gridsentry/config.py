@@ -14,7 +14,6 @@ import yaml
 from . import __version__
 from .detector.models import VARIANTS
 from .detector.pipeline import STAGE_DEFAULTS
-from .grid.case import DEFAULT_CASE
 from .neural import TrainConfig
 from .scenario.attacks import LEVEL_FRACTIONS
 
@@ -27,7 +26,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    case_file: str
+    # None is the packaged case (grid.case.DEFAULT_CASE); it is recorded as
+    # null, so config.json does not depend on where the package lives
+    case_file: str | None
     output_dir: str
     seed: int
     horizon: int = 120
@@ -85,7 +86,7 @@ def load_config(path: str | Path) -> RunConfig:
     if "output_dir" not in raw:
         raise ConfigError("output_dir is required")
 
-    raw.setdefault("case_file", str(DEFAULT_CASE))
+    raw.setdefault("case_file", None)
     cfg = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
                        for key, value in raw.items()})
     for name in ("num_households", "window"):
@@ -96,7 +97,7 @@ def load_config(path: str | Path) -> RunConfig:
         if not isinstance(getattr(cfg, name), tuple):
             raise ConfigError(f"{name} must be a list")
 
-    if not Path(cfg.case_file).exists():
+    if cfg.case_file is not None and not Path(cfg.case_file).exists():
         raise ConfigError(f"case file not found: {cfg.case_file}")
     if cfg.horizon < 24:
         raise ConfigError("horizon must cover at least one day")

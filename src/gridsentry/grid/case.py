@@ -76,9 +76,10 @@ class GridCase:
         return Topology(self)
 
 
-def load_case(path: str | Path = DEFAULT_CASE) -> GridCase:
-    """Parse a plain-text case file (see data/ieee14.case for the schema)."""
-    path = Path(path)
+def load_case(path: str | Path | None = None) -> GridCase:
+    """Parse a plain-text case file (see data/ieee14.case for the schema);
+    None is the packaged IEEE 14-bus case, DEFAULT_CASE."""
+    path = Path(DEFAULT_CASE if path is None else path)
     if not path.exists():
         raise CaseError(f"case file not found: {path}")
     base_mva = None
@@ -198,8 +199,27 @@ class Topology:
         self.gen_order = np.array(case.generation_buses) - 1
         self.power_rows = np.vstack([self.Yf, self.Y[self.gen_order]])
         self.power_anchor = np.concatenate([self.from_bus, self.gen_order])
-        for arr in vars(self).values():
-            arr.setflags(write=False)
+
+        # Newton-Raphson power flow: the buses whose voltage magnitude is
+        # fixed (slack and PV) with their setpoints, and the slack's angle
+        fixed = [b for b in case.buses if b.kind in ("slack", "generator")]
+        self.fixed = np.array([b.id - 1 for b in fixed], dtype=int)
+        self.fixed_vm = np.array([b.voltage_setpoint for b in fixed],
+                                 dtype=float)
+        self.slack = case.slack_bus - 1
+        # positions of P(pvpq) and Q(pq) in S.view(float), where bus i's
+        # P and Q sit at 2i and 2i + 1
+        self.mis_index = np.concatenate([2 * self.pvpq, 2 * self.pq + 1])
+        # positions of the Jacobian d[P(pvpq), Q(pq)] / d[Va(pvpq), Vm(pq)]
+        # in concatenate([dS_dVa, dS_dVm], axis=1).view(float), an (n, 4n)
+        # array whose complex column c holds its real and imaginary parts
+        # at 2c and 2c + 1
+        bus, part = np.divmod(self.mis_index, 2)
+        cols = np.concatenate([self.pvpq, n + self.pq])
+        self.jac_index = (4 * n * bus + part)[:, None] + 2 * cols
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------

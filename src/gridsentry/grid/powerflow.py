@@ -46,8 +46,8 @@ def power_derivatives(M: np.ndarray, anchor: np.ndarray, V: np.ndarray):
 def _jacobian(topo: Topology, V: np.ndarray) -> np.ndarray:
     """d[P(pvpq), Q(pq)] / d[Va(pvpq), Vm(pq)] of the Newton-Raphson step."""
     _, dS_dVa, dS_dVm = power_derivatives(topo.Y, topo.buses, V)
-    dS = np.hstack([dS_dVa[:, topo.pvpq], dS_dVm[:, topo.pq]])
-    return np.vstack([dS[topo.pvpq].real, dS[topo.pq].imag])
+    dS = np.concatenate([dS_dVa, dS_dVm], axis=1)
+    return dS.view(float).take(topo.jac_index)
 
 
 def solve_power_flow(case: GridCase,
@@ -71,31 +71,29 @@ def solve_power_flow(case: GridCase,
         raise ValueError(f"load vectors must have shape ({n},)")
 
     topo = case.topology
-    Y, pq, pvpq = topo.Y, topo.pq, topo.pvpq
+    Y, pq, pvpq, mis_index = topo.Y, topo.pq, topo.pvpq, topo.mis_index
 
-    # scheduled injections (generation minus load)
-    p_sched = -loads_p.copy()
+    # scheduled injections (generation minus load) at the mismatch rows,
+    # in the order of S.view(float).take(mis_index)
+    p_sched = -loads_p
     for bus_id, p in gen_setpoints.items():
         p_sched[bus_id - 1] += p
-    q_sched = -loads_q.copy()
+    sched = np.concatenate([p_sched[pvpq], -loads_q[pq]])
 
     vm = np.ones(n)
     va = np.zeros(n)
     if warm_start is not None and warm_start.converged:
         vm = warm_start.voltage_magnitude.copy()
         va = warm_start.voltage_angle.copy()
-    for b in case.buses:
-        if b.kind in ("slack", "generator"):
-            vm[b.id - 1] = b.voltage_setpoint
-    va[case.slack_bus - 1] = 0.0
+    vm[topo.fixed] = topo.fixed_vm
+    va[topo.slack] = 0.0
 
     # the mismatch is checked before each Newton step and after the last one
     for iterations in range(max_iter + 1):
         V = vm * np.exp(1j * va)
         S = V * np.conj(Y @ V)
-        mis = np.concatenate([p_sched[pvpq] - S.real[pvpq],
-                              q_sched[pq] - S.imag[pq]])
-        max_mismatch = float(np.max(np.abs(mis)))
+        mis = sched - S.view(float).take(mis_index)
+        max_mismatch = float(np.abs(mis).max())
         if max_mismatch < tol or iterations == max_iter:
             break
         try:

@@ -38,9 +38,8 @@ class ScenarioSeries:
         buf = io.StringIO()
         buf.write("hour," + ",".join(f"s{i:02d}" for i in range(N_SENSORS))
                   + ",label\n")
-        for t in range(self.horizon):
-            row = ",".join(repr(float(v)) for v in self.values[t])
-            buf.write(f"{t},{row},{self.labels[t]}\n")
+        for t, row in enumerate(self.values.tolist()):
+            buf.write(f"{t},{','.join(map(repr, row))},{self.labels[t]}\n")
         return buf.getvalue()
 
     @classmethod
@@ -90,7 +89,12 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
     T = plan.horizon
     label = condition_label(condition)
     is_attack = isinstance(condition, AttackSpec)
-    load_idx = [b - 1 for b in case.load_buses]
+    # 14-bus demand of every hour; the solves get read-only row views
+    load_p = np.zeros((T, case.n_bus))
+    load_p[:, [b - 1 for b in case.load_buses]] = loads.demand
+    load_q = load_p * REACTIVE_RATIO
+    load_p.setflags(write=False)
+    load_q.setflags(write=False)
 
     values = np.empty((T, N_SENSORS))
     labels: list[str] = []
@@ -103,9 +107,7 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
     last_values = None
 
     for t in range(T):
-        lp = np.zeros(case.n_bus)
-        lp[load_idx] = loads.demand[t]
-        lq = lp * REACTIVE_RATIO
+        lp, lq = load_p[t], load_q[t]
         u = plan.setpoint[t].astype(float)
         committed = plan.commitment[t]
 

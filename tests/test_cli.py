@@ -15,6 +15,7 @@ from gridsentry.config import (ConfigError, RunManifest, config_hash,
 from gridsentry.detector import SensorMapMismatchError, pipeline
 from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.evaluation import HoldoutResult
+from gridsentry.grid import DEFAULT_CASE
 from gridsentry.neural import TrainConfig
 from gridsentry.scenario import LABELS
 
@@ -242,27 +243,63 @@ def stub_holdout(rows, l, replications, seed, classifier_config=None):
                          median=0.5, iqr=0.0)
 
 
-def test_holdout_command_plumbing(workspace, monkeypatch):
-    base, config_path, data_dir = workspace
+def holdout_config(base):
+    """The workspace config with every level, which `holdout` requires; the
+    stub ignores that the workspace dataset holds only level 5."""
+    return write_config(base / "holdout.yaml", levels=[1, 2, 3, 4, 5])
+
+
+def test_holdout_command_plumbing(workspace, tmp_path, monkeypatch):
+    base, _, data_dir = workspace
     bundle_path = data_dir / "models" / "bundle_SE_DNN.npz"
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
-    assert cli.main(["--config", str(config_path), "holdout",
-                     "--data", str(data_dir),
+    out = tmp_path / "reports"
+    assert cli.main(["--config", str(holdout_config(tmp_path)), "holdout",
+                     "--data", str(data_dir), "--out", str(out),
                      "--bundle", str(bundle_path)]) == 0
-    lines = (data_dir / "reports" / "holdout.csv").read_text().splitlines()
+    lines = (out / "holdout.csv").read_text().splitlines()
     assert lines[0] == "l,replication,accuracy"
     assert len(lines) == 1 + 2  # one l value, two replications
-    summary = json.loads((data_dir / "reports" / "holdout.json").read_text())
+    summary = json.loads((out / "holdout.json").read_text())
     assert summary[0]["l"] == 4
+
+
+def test_holdout_refuses_partial_levels_before_loading(tmp_path, monkeypatch):
+    # holdout needs every level; with levels [5] it stops before it reads
+    # the bundle or the dataset and before it makes its directory
+    config_path = write_config(tmp_path / "run.yaml")
+    assert load_config(config_path).levels == (5,)
+    read = []
+    monkeypatch.setattr(cli, "load_bundle", lambda *a: read.append(a))
+    monkeypatch.setattr(cli, "load_dataset", read.append)
+    out = tmp_path / "reports"
+    with pytest.raises(ConfigError, match="levels"):
+        cli.main(["--config", str(config_path), "holdout",
+                  "--data", str(tmp_path / "data"), "--out", str(out),
+                  "--bundle", str(tmp_path / "bundle_SE_DNN.npz")])
+    assert read == [] and not out.exists()
+
+
+def test_default_case_recorded_without_checkout_path(workspace):
+    # the workspace config names no case_file: config.json records null, so
+    # two checkouts of one commit write the same bytes; a given path is kept
+    _, config_path, data_dir = workspace
+    text = (data_dir / "config.json").read_text()
+    assert json.loads(text)["case_file"] is None
+    assert str(SRC.parent) not in text
+    explicit = write_config(config_path.parent / "explicit.yaml",
+                            case_file=str(DEFAULT_CASE))
+    assert load_config(explicit).canonical()["case_file"] == str(DEFAULT_CASE)
 
 
 def test_stages_sharing_a_directory_keep_each_others_records(
         workspace, tmp_path, monkeypatch):
     # evaluate and holdout both write to one directory; the manifest there
     # lists the files of both, not only those of the stage that ran last
-    base, config_path, data_dir = workspace
+    base, _, data_dir = workspace
     bundle_path = str(data_dir / "models" / "bundle_SE_DNN.npz")
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
+    config_path = holdout_config(tmp_path)
     out = tmp_path / "shared"
     for stage in ("evaluate", "holdout"):
         assert cli.main(["--config", str(config_path), stage,

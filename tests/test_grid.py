@@ -10,8 +10,11 @@ from gridsentry.grid import (Branch, Bus, CaseError, GridCase, N_SENSORS,
                              measure, noise_scale, sensor_map, sensor_values,
                              solve_power_flow)
 from gridsentry.grid.estimation import _measurement_model
-from gridsentry.grid.powerflow import _jacobian
-from gridsentry.scenario import generate_scenario
+from gridsentry.grid.powerflow import (PowerFlowSolution, _jacobian,
+                                      power_derivatives)
+from gridsentry.scenario import (GENERATOR_BUSES, generate_scenario,
+                                 simulate_nominal)
+from gridsentry.scenario.generate import REACTIVE_RATIO
 
 # voltage magnitudes of the shipped base case, frozen from an independent
 # root-finding solve (scipy fsolve on the complex mismatch equations)
@@ -124,6 +127,17 @@ def test_topology_matches_case(case):
     assert (topo.gen_order + 1).tolist() == gen_sensors
     assert (topo.power_anchor + 1).tolist() == (
         [br.from_bus for br in case.branches] + gen_sensors)
+    # the power flow's fixed-voltage buses are the slack and the generators,
+    # pinned to their setpoints
+    assert (topo.fixed + 1).tolist() == [case.slack_bus] + case.generator_buses
+    assert topo.fixed_vm.tolist() == [case.bus(b).voltage_setpoint
+                                      for b in topo.fixed + 1]
+    assert topo.slack + 1 == case.slack_bus
+    n = case.n_bus
+    assert topo.jac_index.shape == (2 * n - 2 - len(case.generator_buses),) * 2
+    for name, value in vars(topo).items():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
 
 
 # ---------------------------------------------------------------- power flow
@@ -255,6 +269,132 @@ def test_nonconvergence_is_flagged(case):
         # a singular Jacobian is the one allowed explicit error
         from gridsentry.grid import SingularJacobianError
         assert isinstance(exc, SingularJacobianError)
+
+
+# ---------------------------------------------------------------- reference forms
+# The solver must return the same bits as these plain forms of the same
+# Newton-Raphson step: a Jacobian stacked from fancy-indexed blocks, a
+# mismatch gathered piece by piece and a loop pinning the fixed voltages.
+
+def ref_jacobian(topo, V):
+    _, dS_dVa, dS_dVm = power_derivatives(topo.Y, topo.buses, V)
+    dS = np.hstack([dS_dVa[:, topo.pvpq], dS_dVm[:, topo.pq]])
+    return np.vstack([dS[topo.pvpq].real, dS[topo.pq].imag])
+
+
+def ref_solve(case, loads_p, loads_q, gen_setpoints, warm_start=None,
+              tol=1e-8, max_iter=20):
+    n = case.n_bus
+    topo = case.topology
+    Y, pq, pvpq = topo.Y, topo.pq, topo.pvpq
+    p_sched = -loads_p.copy()
+    for bus_id, p in gen_setpoints.items():
+        p_sched[bus_id - 1] += p
+    q_sched = -loads_q.copy()
+    vm = np.ones(n)
+    va = np.zeros(n)
+    if warm_start is not None and warm_start.converged:
+        vm = warm_start.voltage_magnitude.copy()
+        va = warm_start.voltage_angle.copy()
+    for b in case.buses:
+        if b.kind in ("slack", "generator"):
+            vm[b.id - 1] = b.voltage_setpoint
+    va[case.slack_bus - 1] = 0.0
+    for iterations in range(max_iter + 1):
+        V = vm * np.exp(1j * va)
+        S = V * np.conj(Y @ V)
+        mis = np.concatenate([p_sched[pvpq] - S.real[pvpq],
+                              q_sched[pq] - S.imag[pq]])
+        max_mismatch = float(np.max(np.abs(mis)))
+        if max_mismatch < tol or iterations == max_iter:
+            break
+        dx = np.linalg.solve(ref_jacobian(topo, V), mis)
+        va[pvpq] += dx[:len(pvpq)]
+        vm[pq] += dx[len(pvpq):]
+    return PowerFlowSolution(
+        voltage_magnitude=vm, voltage_angle=va,
+        line_flow_active=(V[topo.from_bus] * np.conj(topo.Yf @ V)).real,
+        generation_active=S.real[topo.gen_order] + loads_p[topo.gen_order],
+        converged=max_mismatch < tol, iterations=iterations,
+        max_mismatch=max_mismatch)
+
+
+def assert_same_solution(sol, ref):
+    for name in ("voltage_magnitude", "voltage_angle", "line_flow_active",
+                 "generation_active"):
+        assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+    assert sol.iterations == ref.iterations
+    assert sol.max_mismatch == ref.max_mismatch
+    assert sol.converged == ref.converged
+
+
+@pytest.fixture(scope="module")
+def load_chain(case):
+    """(lp, lq, setpoints) of 24 dispatched hours, as the hour loop builds
+    them."""
+    loads = synthesize_loads((90, 110), 24, np.random.default_rng(8))
+    plan = plan_generation(loads)
+    out = []
+    for t in range(loads.horizon):
+        lp = np.zeros(case.n_bus)
+        lp[[b - 1 for b in case.load_buses]] = loads.demand[t]
+        setp = {b: float(plan.setpoint[t, i])
+                for i, b in enumerate(GENERATOR_BUSES)}
+        out.append((lp, lp * REACTIVE_RATIO, setp))
+    return out
+
+
+def test_cold_solves_match_reference_form(case, load_chain):
+    p, q = base_loads(case)
+    inputs = [(p, q, BASE_SETPOINTS)] + load_chain[::6]
+    for lp, lq, setp in inputs:
+        sol = solve_power_flow(case, lp, lq, setp)
+        assert sol.converged
+        assert_same_solution(sol, ref_solve(case, lp, lq, setp))
+
+
+def test_warm_solves_match_reference_form(case, load_chain):
+    # each side warm-starts from its own previous hour
+    rng = np.random.default_rng(9)
+    warm = warm_ref = None
+    for lp, lq, setp in load_chain:
+        scale = 1.0 + rng.normal(0.0, 0.02, case.n_bus)
+        lp, lq = lp * scale, lq * scale
+        sol = solve_power_flow(case, lp, lq, setp, warm_start=warm)
+        ref = ref_solve(case, lp, lq, setp, warm_start=warm_ref)
+        assert sol.converged
+        assert_same_solution(sol, ref)
+        warm, warm_ref = sol, ref
+
+
+def test_attacker_nominal_solve_matches_reference_form(case, load_chain):
+    # the attacker's template, on the true model and on a perturbed one
+    perturbed = GridCase(case.buses,
+                         tuple(Branch(b.from_bus, b.to_bus, b.resistance,
+                                      b.reactance * 1.05, b.line_charging,
+                                      b.flow_limit) for b in case.branches),
+                         case.base_power)
+    for model in (case, perturbed):
+        warm = warm_ref = None
+        for lp, lq, setp in load_chain[:6]:
+            u = np.array([setp[b] for b in GENERATOR_BUSES])
+            y_hat, sol = simulate_nominal(model, lp, lq, u, warm_start=warm)
+            ref = ref_solve(model, lp, lq, setp, warm_start=warm_ref)
+            assert_same_solution(sol, ref)
+            assert np.array_equal(y_hat, sensor_values(model, ref))
+            warm, warm_ref = sol, ref
+
+
+def test_exhausted_solve_matches_reference_form(case):
+    # too few Newton steps for a heavy load: flagged, and the same flag,
+    # mismatch and state as the reference
+    p, q = base_loads(case)
+    for max_iter in (0, 1, 2):
+        sol = solve_power_flow(case, 2 * p, 2 * q, BASE_SETPOINTS,
+                               max_iter=max_iter)
+        ref = ref_solve(case, 2 * p, 2 * q, BASE_SETPOINTS, max_iter=max_iter)
+        assert not sol.converged and sol.iterations == max_iter
+        assert_same_solution(sol, ref)
 
 
 # ---------------------------------------------------------------- measurement
@@ -446,6 +586,15 @@ def test_powerflow_jacobian_finite_difference(case, sigma10_estimates):
         J = _jacobian(topo, vm0 * np.exp(1j * va0))
         J_fd = central_difference(mismatch, x0)
         assert np.linalg.norm(J - J_fd) <= 1e-6 * np.linalg.norm(J)
+
+
+def test_powerflow_jacobian_matches_reference_form(case, sigma10_estimates):
+    topo = case.topology
+    for va0, vm0 in states(case, sigma10_estimates):
+        V = vm0 * np.exp(1j * va0)
+        J = _jacobian(topo, V)
+        assert J.flags.c_contiguous
+        assert np.array_equal(J, ref_jacobian(topo, V))
 
 
 def test_se_converged_frame_is_stationary(case, sigma10_estimates):

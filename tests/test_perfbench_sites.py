@@ -52,3 +52,40 @@ def test_optim_step_span_once_per_batch():
     assert result.returncode == 0, result.stderr
     counts = json.loads(result.stdout.splitlines()[-1])
     assert counts == {"steps": 3 * 3, "batches": 3 * 3}  # ceil(20 / 8) = 3
+
+
+def test_every_solve_is_a_powerflow_span():
+    # powerflow.calls and powerflow.iters_mean count every solve of an
+    # attack series: one per hour, plus the attacker's nominal solve in each
+    # hour the attack applied
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]",
+        "import numpy as np",
+        "import gridsentry.cli",
+        "from tracer import Ledger, Tracer",
+        "tracer = Tracer(Ledger())",
+        "tracer.install()",
+        "from gridsentry.dispatch import plan_generation, synthesize_loads",
+        "from gridsentry.grid import load_case",
+        "from gridsentry.scenario import generate_scenario, make_attack_spec",
+        "case = load_case()",
+        "loads = synthesize_loads((90, 110), 30, np.random.default_rng(3))",
+        "spec = make_attack_spec(case, 2, 3, 6, 20)",
+        "s = generate_scenario(case, plan_generation(loads), loads, spec,",
+        "                      0.10, seed=3)",
+        "print(json.dumps({'spans': tracer.spans['setup', 'powerflow'][0],",
+        "                  'iters': tracer.counts['powerflow.iters'],",
+        "                  'unconverged': tracer.counts['powerflow.unconverged'],",
+        "                  'meta': s.metadata}))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.splitlines()[-1])
+    meta = out["meta"]
+    assert meta["gap_hours"] == meta["template_fallback_hours"] == []
+    attacked = (20 - 6) - len(meta["noop_hours"])
+    assert attacked > 0
+    assert out["spans"] == 30 + attacked
+    assert out["iters"] >= out["spans"] and out["unconverged"] == 0

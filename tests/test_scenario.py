@@ -304,3 +304,29 @@ def test_series_csv_roundtrip(tmp_path, case, world):
                               float_parse(text).view(np.uint64))
         assert np.array_equal(back.values.view(np.uint64),
                               series.values.view(np.uint64))
+
+
+def ref_to_csv(series):
+    """The writer's reference form: repr of each value boxed as a float."""
+    lines = ["hour," + ",".join(f"s{i:02d}" for i in range(N_SENSORS))
+             + ",label"]
+    for t in range(series.horizon):
+        row = ",".join(repr(float(v)) for v in series.values[t])
+        lines.append(f"{t},{row},{series.labels[t]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_series_csv_bytes_match_reference_form(case, world):
+    loads, plan = world
+    spec = make_attack_spec(case, 6, 3, 10, 30)
+    generated = generate_scenario(case, plan, loads, spec, 0.10, seed=12)
+    values = np.random.default_rng(13).standard_normal((6, N_SENSORS)) * 50
+    values[0] = np.nan  # a gap hour before any converged one
+    values[3] = np.nan
+    values[1, :7] = [-0.0, 0.0, 5e-324, 1.797e308, 1.7976931348623157e308,
+                     0.1 + 0.2, -1e-300]
+    values[2, :3] = [np.inf, -np.inf, 1 / 3]
+    labels = ["normal", "normal", "attack_2", "attack_2", "normal", "normal"]
+    for series in (generated, ScenarioSeries(values, labels),
+                   ScenarioSeries(values[1:2], labels[1:2])):
+        assert series.to_csv() == ref_to_csv(series)
