@@ -13,7 +13,8 @@ import numpy as np
 from .config import (ConfigError, RunConfig, RunManifest, config_hash,
                      load_config, resolve_output_dir)
 from .detector import load_bundle, save_bundle, train_bundle, trained
-from .detector.pipeline import evaluate_predictions, feature_rows
+from .detector.pipeline import (STAGE_DEFAULTS, evaluate_predictions,
+                                feature_rows)
 from .dispatch import plan_generation, synthesize_loads
 from .evaluation import (ConfusionMatrix, aggregate_report, csv_table,
                          format_report, holdout_experiment, macro_f1,
@@ -122,14 +123,16 @@ def split_series(series_list, fraction: float, seed: int):
 
 def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
               out_dir: Path) -> Path:
+    if variant not in cfg.variants:
+        raise ConfigError(f"variant {variant!r} is not in the config's "
+                          f"variants {list(cfg.variants)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     series_list = load_dataset(data_dir)
     train_set, _ = split_series(series_list, cfg.split_fraction, cfg.seed)
-    stage_configs = {stage: cfg.stage_config(stage)
-                     for stage in cfg.train_stages}
     bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
-                          stage_configs=stage_configs,
+                          stage_configs={stage: cfg.stage_config(stage)
+                                         for stage in STAGE_DEFAULTS},
                           noise_sigma=cfg.noise_sigma)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle_path = out_dir / f"bundle_{variant}.npz"
@@ -154,8 +157,9 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
 
     out_dir.mkdir(parents=True, exist_ok=True)
     variant = bundle.variant
+    text = format_report(report)
     text_path = out_dir / f"report_{variant}.txt"
-    text_path.write_text(format_report(report))
+    text_path.write_text(text)
     rows_path = out_dir / f"report_{variant}.csv"
     rows_path.write_text(csv_table(("section", "name", "precision",
                                     "recall", "f1"), report_rows(report)))
@@ -165,7 +169,7 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     manifest.record(f"evaluate-{variant}", [text_path, rows_path, conf_path],
                     frames=matrix.total, macro_f1=score,
                     accuracy=matrix.accuracy())
-    print(format_report(report))
+    print(text)
     print(f"macro-F1: {score:.4f}")
     if gate is not None and score < gate:
         return 1

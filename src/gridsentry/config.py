@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -89,10 +90,15 @@ def load_config(path: str | Path) -> RunConfig:
     raw.setdefault("case_file", None)
     cfg = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
                        for key, value in raw.items()})
+    for name in ("seed", "horizon", "normal_series",
+                 "series_per_condition_per_level", "workers"):
+        if not _is_int(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be an integer")
     for name in ("num_households", "window"):
         value = getattr(cfg, name)
-        if not isinstance(value, tuple) or len(value) != 2:
-            raise ConfigError(f"{name} must be a pair")
+        if (not isinstance(value, tuple) or len(value) != 2
+                or not all(map(_is_int, value))):
+            raise ConfigError(f"{name} must be a pair of integers")
     for name in ("levels", "variants", "holdout_l_values"):
         if not isinstance(getattr(cfg, name), tuple):
             raise ConfigError(f"{name} must be a list")
@@ -103,6 +109,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("horizon must cover at least one day")
     if not 0 <= cfg.window[0] < cfg.window[1] <= cfg.horizon:
         raise ConfigError("window must fit inside the horizon")
+    if not 1 <= cfg.num_households[0] <= cfg.num_households[1]:
+        raise ConfigError("num_households must be [low, high] with "
+                          "1 <= low <= high")
+    sigma = cfg.noise_sigma
+    if (not isinstance(sigma, (int, float)) or isinstance(sigma, bool)
+            or not math.isfinite(sigma) or sigma < 0):
+        raise ConfigError("noise_sigma must be a finite number >= 0")
     if any(lvl not in LEVEL_FRACTIONS for lvl in cfg.levels):
         raise ConfigError(
             f"levels must be drawn from {sorted(LEVEL_FRACTIONS)}")

@@ -185,29 +185,20 @@ def predict_and_residual(bundle: ModelBundle, series, case: GridCase
         raise ValueError(f"series too short for {LAGS} lags")
     idx = np.arange(LAGS, t_z)  # z rows with a usable prediction
 
-    if bundle.variant == "AEN_RNN_DNN":
-        encoder = trained(bundle, "encoder")
-        decoder = trained(bundle, "decoder")
-        predictor = trained(bundle, "predictor")
-        codes = encoder.forward(z)
-        pred_codes = predictor.forward(codes[None, :-1])[0]
-        z_hat = decoder.forward(pred_codes)  # row j-1 predicts z row j
-        residuals = z[idx] - z_hat[idx - 1]
-    elif bundle.variant == "RNN_DNN":
-        predictor = trained(bundle, "predictor")
-        z_hat = predictor.forward(z[None, :-1])[0]
-        residuals = z[idx] - z_hat[idx - 1]
-    elif bundle.variant == "SE_DNN":
+    if bundle.variant == "SE_DNN":
         values = np.asarray(series.values, dtype=float)
         rows = []
         for t in idx + 1:
             raw = _se_residual_row(case, values[t], bundle.noise_sigma)
             rows.append(raw / bundle.stats.std)
-        residuals = np.array(rows)
-    else:  # pragma: no cover - guarded by __post_init__
-        raise ValueError(bundle.variant)
+        return idx + 1, np.array(rows)
 
-    return idx + 1, residuals
+    coded = bundle.variant == "AEN_RNN_DNN"
+    codes = trained(bundle, "encoder").forward(z) if coded else z
+    z_hat = trained(bundle, "predictor").forward(codes[None, :-1])[0]
+    if coded:
+        z_hat = trained(bundle, "decoder").forward(z_hat)
+    return idx + 1, z[idx] - z_hat[idx - 1]  # row j-1 predicts z row j
 
 
 def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:

@@ -38,15 +38,6 @@ def series_features(bundle: ModelBundle, series, case: GridCase):
     return x, labels, ts
 
 
-def dataset_features(bundle: ModelBundle, series_list, case: GridCase):
-    xs, ys = [], []
-    for series in series_list:
-        x, y, _ = series_features(bundle, series, case)
-        xs.append(x)
-        ys.append(y)
-    return np.concatenate(xs), np.concatenate(ys)
-
-
 def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
     """(level, features, label indices) per series, in series_list order.
 
@@ -59,18 +50,22 @@ def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
             for series in series_list]
 
 
-def train_bundle(variant: str, series_list, case: GridCase, seed: int = 0,
-                 stage_configs: dict | None = None,
-                 noise_sigma: float = 0.01) -> ModelBundle:
+def _stacked(rows):
+    """(features, label indices) of feature_rows, concatenated in order."""
+    return (np.concatenate([x for _, x, _ in rows]),
+            np.concatenate([y for _, _, y in rows]))
+
+
+def train_bundle(variant: str, series_list, case: GridCase, seed: int,
+                 stage_configs: dict, noise_sigma: float) -> ModelBundle:
     """Train one detector variant on a list of ScenarioSeries.
 
     Stage order: preprocess stats -> autoencoder (AEN variant) -> predictor
     (AEN/RNN variants) -> residual features with frozen upstream models ->
     classifier. Stats, autoencoder, and predictor see normal series only.
-    stage_configs maps stage names to TrainConfigs that replace that stage's
-    STAGE_DEFAULTS row; fits are seeded seed, seed+1, seed+2 in stage order.
+    stage_configs maps every stage name to its TrainConfig; fits are seeded
+    seed, seed+1, seed+2 in stage order.
     """
-    stages = {**STAGE_DEFAULTS, **(stage_configs or {})}
     normals = [s for s in series_list
                if s.metadata.get("condition", "normal") == "normal"
                and all(lbl == "normal" for lbl in s.labels)]
@@ -82,35 +77,30 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int = 0,
     bundle = ModelBundle(variant=variant, stats=stats,
                          sensor_hash=sensor_map_hash(case),
                          noise_sigma=noise_sigma)
-    z_normals = [preprocess(s, stats) for s in normals]
+    sequences = [preprocess(s, stats) for s in normals]
 
     if variant == "AEN_RNN_DNN":
-        cfg = replace(stages["autoencoder"], seed=seed)
-        enc, dec, hist = fit_autoencoder(np.concatenate(z_normals), cfg)
+        cfg = replace(stage_configs["autoencoder"], seed=seed)
+        enc, dec, hist = fit_autoencoder(np.concatenate(sequences), cfg)
         bundle.encoder, bundle.decoder = enc, dec
         bundle.history["autoencoder"] = hist
-        codes = np.stack([enc.forward(z) for z in z_normals])
-        cfg = replace(stages["predictor"], seed=seed + 1)
-        bundle.predictor, hist = fit_predictor(codes, cfg)
+        sequences = [enc.forward(z) for z in sequences]
+    if variant != "SE_DNN":
+        cfg = replace(stage_configs["predictor"], seed=seed + 1)
+        bundle.predictor, hist = fit_predictor(np.stack(sequences), cfg)
         bundle.history["predictor"] = hist
-    elif variant == "RNN_DNN":
-        cfg = replace(stages["predictor"], seed=seed + 1)
-        bundle.predictor, hist = fit_predictor(np.stack(z_normals), cfg)
-        bundle.history["predictor"] = hist
-    elif variant != "SE_DNN":
-        raise ValueError(f"unknown variant {variant!r}")
 
     # residual generation must not touch the frozen feature models
     frozen = {name: state_checksum(m) for name, m in (
         ("encoder", bundle.encoder), ("decoder", bundle.decoder),
         ("predictor", bundle.predictor)) if m is not None}
-    x, y = dataset_features(bundle, series_list, case)
+    x, y = _stacked(feature_rows(bundle, series_list, case))
     for name, digest in frozen.items():
         if state_checksum(getattr(bundle, name)) != digest:
             raise RuntimeError(f"{name} parameters changed during "
                                "residual generation")
 
-    cfg = replace(stages["classifier"], seed=seed + 2)
+    cfg = replace(stage_configs["classifier"], seed=seed + 2)
     bundle.classifier, hist = fit_classifier(x, y, cfg)
     bundle.history["classifier"] = hist
     return bundle
@@ -119,5 +109,5 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int = 0,
 def evaluate_predictions(bundle: ModelBundle, series_list, case: GridCase):
     """(predicted label indices, true label indices) over a dataset."""
     classifier = trained(bundle, "classifier")
-    x, truth = dataset_features(bundle, series_list, case)
+    x, truth = _stacked(feature_rows(bundle, series_list, case))
     return classify(classifier, x), truth

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .detector.models import N_LABELS, classify, fit_classifier
-from .detector.pipeline import STAGE_DEFAULTS
 from .scenario import GENERATOR_BUSES, LABELS, LABEL_INDEX, LEVEL_FRACTIONS
 
 THREE_CLASSES = ("normal", "attack", "fault")
@@ -61,35 +60,23 @@ class ConfusionMatrix:
 def _prf(tp: int, fp: int, fn: int):
     """Precision/recall/F1 with the zero-denominator-is-zero convention.
 
-    Returns (precision, recall, f1, by_convention) where by_convention flags
-    any metric that is 0 only because its denominator was 0.
+    Returns (precision, recall, f1, by_convention) where by_convention names
+    each metric that is 0 only because its denominator was 0.
     """
-    convention = []
-    if tp + fp == 0:
-        precision, p_conv = 0.0, True
-    else:
-        precision, p_conv = tp / (tp + fp), False
-    if tp + fn == 0:
-        recall, r_conv = 0.0, True
-    else:
-        recall, r_conv = tp / (tp + fn), False
-    if precision + recall == 0:
-        f1, f_conv = 0.0, True
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-        f_conv = False
-    if p_conv:
-        convention.append("precision")
-    if r_conv:
-        convention.append("recall")
-    if f_conv:
-        convention.append("f1")
-    return precision, recall, f1, tuple(convention)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+    convention = tuple(name for name, denominator in (
+        ("precision", tp + fp), ("recall", tp + fn),
+        ("f1", precision + recall)) if not denominator)
+    return precision, recall, f1, convention
 
 
-def _one_vs_rest(counts: np.ndarray, index: int):
+def _one_vs_rest(counts: np.ndarray, index: int, rows=slice(None)):
+    """_prf of label `index`, counting false positives over truth `rows`."""
     tp = int(counts[index, index])
-    fp = int(counts[:, index].sum() - tp)
+    fp = int(counts[rows, index].sum() - tp)
     fn = int(counts[index, :].sum() - tp)
     return _prf(tp, fp, fn)
 
@@ -130,42 +117,28 @@ def aggregate_report(matrix: ConfusionMatrix) -> ClassificationReport:
     to frames whose true class matches.
     """
     counts = matrix.counts
-    convention = {}
-
-    per_label = {}
-    for i, name in enumerate(LABELS):
-        p, r, f, conv = _one_vs_rest(counts, i)
-        per_label[name] = (p, r, f)
-        if conv:
-            convention[name] = conv
-
     collapsed = _collapse_three_class(counts)
-    three_class = {}
-    for i, name in enumerate(THREE_CLASSES):
-        p, r, f, conv = _one_vs_rest(collapsed, i)
-        three_class[name] = (p, r, f)
-        if conv:
-            convention[name] = conv
-
-    localization = {}
-    for cls, rows in zip(THREE_CLASSES[1:], CLASS_GROUPS[1:]):
-        for bus in GENERATOR_BUSES:
-            li = LABEL_INDEX[f"{cls}_{bus}"]
-            tp = int(counts[li, li])
-            # frame set restricted to true class = cls: misdetections
-            # (predictions outside the class) count as localization
-            # misses, predictions into the class from outside do not
-            fp = int(counts[rows, li].sum()) - tp
-            fn = int(counts[li, :].sum()) - tp
-            p, r, f, conv = _prf(tp, fp, fn)
-            localization[(cls, bus)] = (p, r, f)
-            if conv:
-                convention[f"{cls}@{bus}"] = conv
-
+    # section -> [(table key, convention key, _one_vs_rest result)]; within
+    # a true class, misdetections (predictions outside the class) count as
+    # localization misses, predictions into the class from outside do not
+    sections = {
+        "per_label": [(name, name, _one_vs_rest(counts, i))
+                      for i, name in enumerate(LABELS)],
+        "three_class": [(name, name, _one_vs_rest(collapsed, i))
+                        for i, name in enumerate(THREE_CLASSES)],
+        "localization": [
+            ((cls, bus), f"{cls}@{bus}",
+             _one_vs_rest(counts, LABEL_INDEX[f"{cls}_{bus}"], rows))
+            for cls, rows in zip(THREE_CLASSES[1:], CLASS_GROUPS[1:])
+            for bus in GENERATOR_BUSES],
+    }
     return ClassificationReport(
-        per_label=per_label, three_class=three_class,
-        localization=localization, accuracy=matrix.accuracy(),
-        total=matrix.total, zero_by_convention=convention)
+        **{section: {key: metrics[:3] for key, _, metrics in entries}
+           for section, entries in sections.items()},
+        accuracy=matrix.accuracy(), total=matrix.total,
+        zero_by_convention={name: metrics[3]
+                            for entries in sections.values()
+                            for _, name, metrics in entries if metrics[3]})
 
 
 def format_report(report: ClassificationReport) -> str:
@@ -255,7 +228,7 @@ class HoldoutResult:
 
 
 def holdout_experiment(rows, l: int, replications: int, seed: int,
-                       classifier_config=None) -> HoldoutResult:
+                       classifier_config) -> HoldoutResult:
     """Retrain the classifier on l randomly drawn attack levels, test on the
     rest; the features, and so the upstream feature models, stay fixed.
 
@@ -263,12 +236,11 @@ def holdout_experiment(rows, l: int, replications: int, seed: int,
     normal series. Per replication: draw l of the severity levels without
     replacement, train the classifier on the normal rows plus the rows at
     those levels, then score accuracy on the rows at the held-out levels.
-    classifier_config (default: the classifier's STAGE_DEFAULTS row) is
-    re-seeded seed + 1000*l + rep for each replication.
+    classifier_config is re-seeded seed + 1000*l + rep for each
+    replication.
     """
     if not 1 <= l < len(LEVEL_FRACTIONS):
         raise ValueError(f"l must be in 1..{len(LEVEL_FRACTIONS) - 1}")
-    base = classifier_config or STAGE_DEFAULTS["classifier"]
     all_levels = sorted({level for level, _, _ in rows if level is not None})
     if all_levels != sorted(LEVEL_FRACTIONS):
         raise ValueError(f"expected severity levels {sorted(LEVEL_FRACTIONS)}"
@@ -294,7 +266,7 @@ def holdout_experiment(rows, l: int, replications: int, seed: int,
             else:
                 test_x.append(x)
                 test_y.append(y)
-        cfg = replace(base, seed=seed + 1000 * l + rep)
+        cfg = replace(classifier_config, seed=seed + 1000 * l + rep)
         classifier, _ = fit_classifier(np.concatenate(train_x),
                                        np.concatenate(train_y), cfg)
         preds = classify(classifier, np.concatenate(test_x))

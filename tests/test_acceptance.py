@@ -19,7 +19,8 @@ from gridsentry.detector import pipeline
 from gridsentry.detector.models import build_autoencoder, build_classifier
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.evaluation import (ConfusionMatrix, holdout_experiment,
-                                   macro_f1, precision_recall_f1)
+                                   macro_f1, precision_recall_f1,
+                                   severity_sweep)
 from gridsentry.grid import load_case, solve_power_flow
 from gridsentry.grid.case import DEFAULT_CASE
 from gridsentry.neural import (Dense, LSTM, LeakyReLU, ReLU,
@@ -56,8 +57,10 @@ def world(tmp_path_factory, case):
     train, test = cli.split_series(series, cfg.split_fraction, cfg.seed)
     bundles, matrices = {}, {}
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
-        bundle = pipeline.train_bundle(variant, train, case, seed=cfg.seed,
-                                       noise_sigma=cfg.noise_sigma)
+        bundle = pipeline.train_bundle(
+            variant, train, case, seed=cfg.seed,
+            stage_configs=pipeline.STAGE_DEFAULTS,
+            noise_sigma=cfg.noise_sigma)
         preds, truth = pipeline.evaluate_predictions(bundle, test, case=case)
         bundles[variant] = bundle
         matrices[variant] = ConfusionMatrix.from_pairs(preds, truth)
@@ -291,21 +294,12 @@ def test_criterion_8_baseline_gap(world):
 # ------------------------------------------------- 9: severity trend
 
 def test_criterion_9_severity_trend(world, case):
-    by_level = {}
-    for series in world["test"]:
-        level = series.metadata.get("level")
-        if level is not None:
-            by_level.setdefault(level, []).append(series)
-    normals = [s for s in world["test"] if s.metadata.get("level") is None]
     bundle = world["bundles"]["AEN_RNN_DNN"]
     f1_by_bus = {bus: {} for bus in (2, 3, 6, 8)}
-    for level in sorted(by_level):
-        preds, truth = pipeline.evaluate_predictions(
-            bundle, by_level[level] + normals, case=case)
-        matrix = ConfusionMatrix.from_pairs(preds, truth)
-        for bus in (2, 3, 6, 8):
-            f1_by_bus[bus][level] = precision_recall_f1(
-                matrix, f"attack_{bus}")[2]
+    for row in severity_sweep(pipeline.feature_rows(bundle, world["test"],
+                                                    case),
+                              bundle.classifier):
+        f1_by_bus[row["bus"]][row["level"]] = row["f1"]
     for bus, scores in f1_by_bus.items():
         assert scores[5] >= scores[1]                # level 5 >= level 1
         values = [scores[lvl] for lvl in sorted(scores)]

@@ -77,6 +77,20 @@ def test_config_validation_before_compute(tmp_path):
         path = write_config(tmp_path / "c.yaml", **{key: value})
         with pytest.raises(ConfigError, match=key):
             load_config(path)
+    # malformed numbers that gen-data would take, or fail on only after it
+    # has written config.json
+    for key, value in (("seed", 1.5), ("horizon", 60.5),
+                       ("normal_series", 1.5),
+                       ("series_per_condition_per_level", 1.5),
+                       ("workers", 2.5), ("num_households", [5, 1]),
+                       ("num_households", [0, 3]),
+                       ("num_households", [1.5, 3]), ("window", [2.5, 20]),
+                       ("noise_sigma", "abc"), ("noise_sigma", -0.1),
+                       ("noise_sigma", float("nan")),
+                       ("noise_sigma", float("inf"))):
+        path = write_config(tmp_path / "c.yaml", **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
     # every bad train_stages entry is a ConfigError naming stage and key
     for stages, pattern in (
             ({"critic": {"epochs": 5}}, "critic"),
@@ -209,6 +223,20 @@ def test_train_evaluate_roundtrip(workspace):
                      "--data", str(data_dir),
                      "--bundle", str(bundle_path),
                      "--gate", "1.01"]) == 1
+
+
+def test_train_refuses_variant_outside_config(tmp_path, monkeypatch):
+    # write_config's variants list only SE_DNN; training another variant
+    # stops before the case or the dataset is read and before models/ exists
+    config_path = write_config(tmp_path / "run.yaml")
+    read = []
+    monkeypatch.setattr(cli, "load_case", read.append)
+    monkeypatch.setattr(cli, "load_dataset", read.append)
+    data_dir = tmp_path / "data"
+    with pytest.raises(ConfigError, match="RNN_DNN"):
+        cli.main(["--config", str(config_path), "train",
+                  "--data", str(data_dir), "--variant", "RNN_DNN"])
+    assert read == [] and not (data_dir / "models").exists()
 
 
 def test_report_severity_csv(workspace):

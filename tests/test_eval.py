@@ -198,6 +198,110 @@ def test_report_rendering():
     assert lines[-1] == "localization,fault@8,1.000000,1.000000,1.000000"
 
 
+# ---------------------------------------------------------- reference forms
+
+def ref_prf(tp, fp, fn):
+    """The one-vs-rest metrics written out branch by branch."""
+    convention = []
+    if tp + fp == 0:
+        precision, p_conv = 0.0, True
+    else:
+        precision, p_conv = tp / (tp + fp), False
+    if tp + fn == 0:
+        recall, r_conv = 0.0, True
+    else:
+        recall, r_conv = tp / (tp + fn), False
+    if precision + recall == 0:
+        f1, f_conv = 0.0, True
+    else:
+        f1 = 2 * precision * recall / (precision + recall)
+        f_conv = False
+    if p_conv:
+        convention.append("precision")
+    if r_conv:
+        convention.append("recall")
+    if f_conv:
+        convention.append("f1")
+    return precision, recall, f1, tuple(convention)
+
+
+def ref_one_vs_rest(counts, index):
+    tp = int(counts[index, index])
+    fp = int(counts[:, index].sum() - tp)
+    fn = int(counts[index, :].sum() - tp)
+    return ref_prf(tp, fp, fn)
+
+
+def ref_aggregate_report(matrix):
+    """aggregate_report with one hand-written loop per section."""
+    counts = matrix.counts
+    convention = {}
+
+    per_label = {}
+    for i, name in enumerate(ev.LABELS):
+        p, r, f, conv = ref_one_vs_rest(counts, i)
+        per_label[name] = (p, r, f)
+        if conv:
+            convention[name] = conv
+
+    collapsed = ev._collapse_three_class(counts)
+    three_class = {}
+    for i, name in enumerate(ev.THREE_CLASSES):
+        p, r, f, conv = ref_one_vs_rest(collapsed, i)
+        three_class[name] = (p, r, f)
+        if conv:
+            convention[name] = conv
+
+    localization = {}
+    for cls, rows in zip(ev.THREE_CLASSES[1:], ev.CLASS_GROUPS[1:]):
+        for bus in ev.GENERATOR_BUSES:
+            li = LABEL_INDEX[f"{cls}_{bus}"]
+            tp = int(counts[li, li])
+            fp = int(counts[rows, li].sum()) - tp
+            fn = int(counts[li, :].sum()) - tp
+            p, r, f, conv = ref_prf(tp, fp, fn)
+            localization[(cls, bus)] = (p, r, f)
+            if conv:
+                convention[f"{cls}@{bus}"] = conv
+
+    return ev.ClassificationReport(
+        per_label=per_label, three_class=three_class,
+        localization=localization, accuracy=matrix.accuracy(),
+        total=matrix.total, zero_by_convention=convention)
+
+
+def test_report_matches_reference_form():
+    # sparse matrices with whole rows and columns zeroed, so every
+    # zero-by-convention branch fires in every section
+    rng = np.random.default_rng(11)
+    columns = ("section", "name", "precision", "recall", "f1")
+    fired = set()
+    for _ in range(1500):
+        density = rng.uniform(0.02, 0.6)
+        counts = rng.integers(1, 30, size=(9, 9)) * (
+            rng.random((9, 9)) < density)
+        counts[rng.random(9) < 0.2, :] = 0
+        counts[:, rng.random(9) < 0.2] = 0
+        matrix = ConfusionMatrix(counts=counts)
+        report = aggregate_report(matrix)
+        ref = ref_aggregate_report(matrix)
+        assert report == ref
+        assert format_report(report) == format_report(ref)
+        assert (csv_table(columns, report_rows(report)).encode()
+                == csv_table(columns, report_rows(ref)).encode())
+        assert list(report.zero_by_convention.items()) == \
+            list(ref.zero_by_convention.items())
+        assert macro_f1(matrix) == float(np.mean(
+            [ref_one_vs_rest(counts, i)[2] for i in range(9)]))
+        fired.update(("localization" if "@" in key else
+                      "label" if key in ev.LABELS else "class", metric)
+                     for key, conv in ref.zero_by_convention.items()
+                     for metric in conv)
+    assert fired == {(section, metric)
+                     for section in ("label", "class", "localization")
+                     for metric in ("precision", "recall", "f1")}
+
+
 def test_csv_table_formats_floats_only():
     rows = [{"l": 4, "rep": np.int64(1), "acc": 0.5, "f1": np.float64(1 / 3),
              "name": "attack@2"}]
@@ -282,7 +386,10 @@ def test_holdout_mechanics():
 
 def test_holdout_validation():
     rows = make_holdout_world()
+    cfg = TrainConfig(learning_rate=5e-3, epochs=15, batch_size=32)
     with pytest.raises(ValueError):
-        holdout_experiment(rows, l=0, replications=1, seed=0)
+        holdout_experiment(rows, l=0, replications=1, seed=0,
+                           classifier_config=cfg)
     with pytest.raises(ValueError):
-        holdout_experiment(rows[:2], l=2, replications=1, seed=0)
+        holdout_experiment(rows[:2], l=2, replications=1, seed=0,
+                           classifier_config=cfg)

@@ -7,6 +7,8 @@ fast `-m "not acceptance"` loop runs them.
 import ast
 from pathlib import Path
 
+from gridsentry.config import RunConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -54,3 +56,21 @@ def test_no_test_only_public_names():
                     and not node.name.startswith("_")
                     and node.name not in read)
     assert unread == []
+
+
+def test_every_config_field_is_read():
+    # a RunConfig field that only load_config reads is a key the config
+    # accepts and validates but nothing acts on
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        stack = [ast.parse(path.read_text())]
+        while stack:
+            node = stack.pop()
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "load_config"):
+                continue
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+    assert sorted(set(RunConfig.__dataclass_fields__) - read) == []
