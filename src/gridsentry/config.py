@@ -102,6 +102,10 @@ def load_config(path: str | Path) -> RunConfig:
     for name in ("levels", "variants", "holdout_l_values"):
         if not isinstance(getattr(cfg, name), tuple):
             raise ConfigError(f"{name} must be a list")
+    if not isinstance(cfg.output_dir, str):
+        raise ConfigError("output_dir must be a path string")
+    if cfg.case_file is not None and not isinstance(cfg.case_file, str):
+        raise ConfigError("case_file must be a path string")
 
     if cfg.case_file is not None and not Path(cfg.case_file).exists():
         raise ConfigError(f"case file not found: {cfg.case_file}")
@@ -112,10 +116,13 @@ def load_config(path: str | Path) -> RunConfig:
     if not 1 <= cfg.num_households[0] <= cfg.num_households[1]:
         raise ConfigError("num_households must be [low, high] with "
                           "1 <= low <= high")
-    sigma = cfg.noise_sigma
-    if (not isinstance(sigma, (int, float)) or isinstance(sigma, bool)
-            or not math.isfinite(sigma) or sigma < 0):
-        raise ConfigError("noise_sigma must be a finite number >= 0")
+    for name in ("noise_sigma", "split_fraction"):
+        value = getattr(cfg, name)
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
+            raise ConfigError(f"{name} must be a finite number")
+    if cfg.noise_sigma < 0:
+        raise ConfigError("noise_sigma must be >= 0")
     if any(lvl not in LEVEL_FRACTIONS for lvl in cfg.levels):
         raise ConfigError(
             f"levels must be drawn from {sorted(LEVEL_FRACTIONS)}")

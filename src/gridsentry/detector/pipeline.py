@@ -62,15 +62,15 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
 
     Stage order: preprocess stats -> autoencoder (AEN variant) -> predictor
     (AEN/RNN variants) -> residual features with frozen upstream models ->
-    classifier. Stats, autoencoder, and predictor see normal series only.
-    stage_configs maps every stage name to its TrainConfig; fits are seeded
-    seed, seed+1, seed+2 in stage order.
+    classifier. Stats, autoencoder, and predictor see the normal-condition
+    series only, and a normal-condition series with any non-normal frame
+    label is refused. stage_configs maps every stage name to its
+    TrainConfig; fits are seeded seed, seed+1, seed+2 in stage order.
     """
     normals = [s for s in series_list
-               if s.metadata.get("condition", "normal") == "normal"
-               and all(lbl == "normal" for lbl in s.labels)]
+               if s.metadata.get("condition", "normal") == "normal"]
     if not normals:
-        raise ValueError("training set contains no all-normal series")
+        raise ValueError("training set contains no normal series")
     assert_normal_lineage(normals)
 
     stats = fit_preprocess(normals)

@@ -27,8 +27,8 @@ class PreprocessStats:
     def __post_init__(self):
         for name in ("std", "raw_mean", "raw_std"):
             value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (N_SENSORS,):
-                raise ValueError(f"{name} must have length {N_SENSORS}")
+            if value.shape != (N_SENSORS,) or not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be {N_SENSORS} finite values")
             object.__setattr__(self, name, value)
         for name in ("std", "raw_std"):
             if np.any(getattr(self, name) < EPSILON):
@@ -85,10 +85,7 @@ def assert_normal_lineage(series_list) -> None:
     """Data hygiene check: reconstruction/prediction training sees only
     frames labeled normal."""
     for i, series in enumerate(series_list):
-        labels = getattr(series, "labels", None)
-        if labels is None:
-            continue
-        bad = {lbl for lbl in labels if lbl != "normal"}
+        bad = {lbl for lbl in series.labels if lbl != "normal"}
         if bad:
             raise ValueError(
                 f"series {i} carries non-normal labels {sorted(bad)}; "

@@ -28,6 +28,8 @@ DIURNAL_SHAPE = np.array([
 # give a system mean load of ~2.15 pu on the 14-bus case
 HOUSEHOLD_MEAN_PU = 2.15 / (9 * 100 * DIURNAL_SHAPE.mean())
 SCALE_SIGMA = 0.3  # log-std of the per-household demand scale
+JITTER_SIGMA = 0.05  # log-std of the per-(bus, hour) demand jitter
+LOSS_FACTOR = 0.03  # network losses the committed capacity must also cover
 
 
 class InfeasibleDispatchError(RuntimeError):
@@ -41,7 +43,6 @@ class GeneratorSpec:
     max_output: float
     ramp_limit: float       # pu per hour
     marginal_cost: float    # currency per pu-hour
-    startup_cost: float
 
     def __post_init__(self):
         if not (0 <= self.min_output <= self.max_output):
@@ -52,13 +53,13 @@ class GeneratorSpec:
 
 DEFAULT_GENERATORS = (
     GeneratorSpec(bus=2, min_output=0.10, max_output=1.00, ramp_limit=0.15,
-                  marginal_cost=8.0, startup_cost=40.0),
+                  marginal_cost=8.0),
     GeneratorSpec(bus=3, min_output=0.10, max_output=0.85, ramp_limit=0.15,
-                  marginal_cost=12.0, startup_cost=30.0),
+                  marginal_cost=12.0),
     GeneratorSpec(bus=6, min_output=0.08, max_output=0.75, ramp_limit=0.15,
-                  marginal_cost=18.0, startup_cost=25.0),
+                  marginal_cost=18.0),
     GeneratorSpec(bus=8, min_output=0.08, max_output=0.70, ramp_limit=0.15,
-                  marginal_cost=24.0, startup_cost=20.0),
+                  marginal_cost=24.0),
 )
 
 
@@ -76,8 +77,7 @@ class GenerationPlan:
 
 
 def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
-                     rng: np.random.Generator,
-                     jitter_sigma: float = 0.05) -> LoadProfile:
+                     rng: np.random.Generator) -> LoadProfile:
     """Aggregate per-bus household curves into an hourly demand matrix.
 
     Household count per bus is drawn once from the closed integer range;
@@ -97,33 +97,28 @@ def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
         scales = rng.lognormal(
             np.log(HOUSEHOLD_MEAN_PU) - 0.5 * SCALE_SIGMA**2, SCALE_SIGMA,
             size=n)
-        base = scales.sum() * shape
-        if jitter_sigma > 0:
-            jitter = rng.lognormal(-0.5 * jitter_sigma**2, jitter_sigma,
-                                   size=horizon)
-        else:
-            jitter = 1.0
-        demand[:, i] = base * jitter
+        jitter = rng.lognormal(-0.5 * JITTER_SIGMA**2, JITTER_SIGMA,
+                               size=horizon)
+        demand[:, i] = scales.sum() * shape * jitter
     return LoadProfile(horizon=horizon, demand=demand)
 
 
-def plan_generation(loads: LoadProfile,
-                    specs: tuple[GeneratorSpec, ...] = DEFAULT_GENERATORS,
-                    loss_factor: float = 0.03) -> GenerationPlan:
+def plan_generation(loads: LoadProfile) -> GenerationPlan:
     """Greedy merit-order commitment plus proportional dispatch.
 
-    Units are committed cheapest-first until capacity covers demand
-    * (1 + loss_factor); any unit needed at some hour of a day stays
-    committed for that whole day (minimum-up simplification). Dispatch is
-    proportional to capacity among committed units, clipped to output and
+    Units of DEFAULT_GENERATORS are committed cheapest-first until capacity
+    covers demand * (1 + LOSS_FACTOR); any unit needed at some hour of a day
+    stays committed for that whole day (minimum-up simplification). Dispatch
+    is proportional to capacity among committed units, clipped to output and
     ramp limits; the slack bus absorbs the (small) residual imbalance.
     """
     T = loads.horizon
+    specs = DEFAULT_GENERATORS
     order = np.argsort([s.marginal_cost for s in specs])
     caps = np.array([s.max_output for s in specs])
     mins = np.array([s.min_output for s in specs])
     ramps = np.array([s.ramp_limit for s in specs])
-    target = loads.demand.sum(axis=1) * (1.0 + loss_factor)
+    target = loads.demand.sum(axis=1) * (1.0 + LOSS_FACTOR)
 
     infeasible = np.flatnonzero(target > caps.sum())
     if infeasible.size:

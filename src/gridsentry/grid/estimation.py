@@ -10,6 +10,10 @@ from scipy.linalg.lapack import dposv
 from .case import GridCase, N_SENSORS, Topology, VOLT_OFFSET
 from .powerflow import power_derivatives
 
+# Gauss-Newton stops when no state component moves by TOL, or after MAX_ITER
+TOL = 1e-10
+MAX_ITER = 30
+
 
 class RankDeficientError(RuntimeError):
     """The WLS gain matrix is rank deficient."""
@@ -25,16 +29,11 @@ class StateEstimate:
     iterations: int
 
 
-def _measurement_model(topo: Topology, va: np.ndarray, vm: np.ndarray,
-                       gen_offset: np.ndarray):
-    """h(x) and its Jacobian w.r.t. [va(non-slack) | vm(all)].
-
-    gen_offset is added to the power rows: the load at each generation
-    sensor's bus, zero for the flow sensors.
-    """
+def _measurement_model(topo: Topology, va: np.ndarray, vm: np.ndarray):
+    """h(x) and its Jacobian w.r.t. [va(non-slack) | vm(all)]."""
     V = vm * np.exp(1j * va)
     S, dS_dVa, dS_dVm = power_derivatives(topo.power_rows, topo.power_anchor, V)
-    h = np.concatenate([S.real + gen_offset, vm])
+    h = np.concatenate([S.real, vm])
     k, ns = len(S), len(topo.nonslack)
     H = np.zeros((N_SENSORS, ns + len(vm)))
     H[:k, :ns] = dS_dVa[:, topo.nonslack].real
@@ -43,17 +42,16 @@ def _measurement_model(topo: Topology, va: np.ndarray, vm: np.ndarray,
     return h, H
 
 
-def estimate_state(case: GridCase, values: np.ndarray, weights: np.ndarray,
-                   gen_bus_loads: np.ndarray | None = None,
-                   tol: float = 1e-10, max_iter: int = 30) -> StateEstimate:
+def estimate_state(case: GridCase, values: np.ndarray,
+                   weights: np.ndarray) -> StateEstimate:
     """Gauss-Newton WLS fit of (voltage magnitudes, angles) to one frame.
 
     values is the (39,) measurement frame and weights its per-sensor
-    measurement variances. gen_bus_loads is the full 14-bus active load vector
-    used to translate bus injections into generation sensor predictions;
-    scenario data carries no load at generator buses, so the default is zeros.
+    measurement variances. A generation sensor reads its bus's generation,
+    which is the bus injection plus the bus load; scenario data puts load
+    only on the load buses, so the generation rows predict the bare
+    injection and carry no load term.
     """
-    n = case.n_bus
     z = np.asarray(values, dtype=float)
     if z.shape != (N_SENSORS,) or not np.all(np.isfinite(z)):
         raise ValueError(f"frame must have {N_SENSORS} finite values")
@@ -61,26 +59,18 @@ def estimate_state(case: GridCase, values: np.ndarray, weights: np.ndarray,
     if (weights.shape != (N_SENSORS,) or not np.all(np.isfinite(weights))
             or np.any(weights <= 0)):
         raise ValueError("weights must be 39 finite positive variances")
-    gen_loads = (np.zeros(n) if gen_bus_loads is None
-                 else np.asarray(gen_bus_loads, dtype=float))
-    if gen_loads.shape != (n,) or not np.all(np.isfinite(gen_loads)):
-        raise ValueError(f"gen_bus_loads must have {n} finite values")
 
     topo = case.topology
     nonslack = topo.nonslack
-    gen_offset = np.zeros(len(topo.power_anchor))
-    gen_offset[-len(topo.gen_order):] = gen_loads[topo.gen_order]
     W = 1.0 / weights
 
     # initialize magnitudes from the direct voltage sensors, angles flat
     vm = np.clip(z[VOLT_OFFSET:], 0.5, 1.5)
-    va = np.zeros(n)
+    va = np.zeros(case.n_bus)
 
     converged = False
-    iterations = 0
-    h = np.zeros(N_SENSORS)
-    for iterations in range(1, max_iter + 1):
-        h, H = _measurement_model(topo, va, vm, gen_offset)
+    for iterations in range(1, MAX_ITER + 1):
+        h, H = _measurement_model(topo, va, vm)
         r = z - h
         grad = H.T @ (W * r)
         G = H.T @ (W[:, None] * H)
@@ -89,9 +79,9 @@ def estimate_state(case: GridCase, values: np.ndarray, weights: np.ndarray,
             raise RankDeficientError("WLS gain matrix is rank deficient")
         va[nonslack] += dx[:len(nonslack)]
         vm += dx[len(nonslack):]
-        if np.max(np.abs(dx)) < tol:
+        if np.max(np.abs(dx)) < TOL:
             # at a stationary point of the weighted SSR
-            h, _ = _measurement_model(topo, va, vm, gen_offset)
+            h, _ = _measurement_model(topo, va, vm)
             converged = True
             break
 

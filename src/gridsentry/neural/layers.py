@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+LEAKY_SLOPE = 0.01  # LeakyReLU's slope below zero
+
 
 class NumericalError(FloatingPointError):
     """A layer produced NaN/Inf."""
@@ -101,16 +103,12 @@ class ReLU(Layer):
 
 
 class LeakyReLU(Layer):
-    def __init__(self, alpha: float = 0.01):
-        super().__init__()
-        self.alpha = alpha
-
     def forward(self, x):
         self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
+        return np.where(self._mask, x, LEAKY_SLOPE * x)
 
     def backward(self, dy):
-        return np.where(self._mask, dy, self.alpha * dy)
+        return np.where(self._mask, dy, LEAKY_SLOPE * dy)
 
 
 class Sigmoid(Layer):

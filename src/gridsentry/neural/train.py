@@ -19,11 +19,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if isinstance(self.learning_rate, bool) or self.learning_rate < 0:
+            raise ValueError("learning_rate must be a number >= 0")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool) or value < 1):
                 raise ValueError(f"{name} must be an integer >= 1")
 
 

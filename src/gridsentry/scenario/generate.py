@@ -59,9 +59,10 @@ class ScenarioSeries:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSeries":
+        # a missing sidecar raises: without its condition the series
+        # would pass for a normal one
         path = Path(path)
-        meta_path = path.with_suffix(".meta.json")
-        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+        meta = json.loads(path.with_suffix(".meta.json").read_text())
         return cls.from_csv(path.read_text(), metadata=meta)
 
 

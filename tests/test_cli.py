@@ -87,7 +87,9 @@ def test_config_validation_before_compute(tmp_path):
                        ("num_households", [1.5, 3]), ("window", [2.5, 20]),
                        ("noise_sigma", "abc"), ("noise_sigma", -0.1),
                        ("noise_sigma", float("nan")),
-                       ("noise_sigma", float("inf"))):
+                       ("noise_sigma", float("inf")),
+                       ("split_fraction", "abc"), ("split_fraction", True),
+                       ("case_file", 5), ("output_dir", 5)):
         path = write_config(tmp_path / "c.yaml", **{key: value})
         with pytest.raises(ConfigError, match=key):
             load_config(path)
@@ -98,6 +100,11 @@ def test_config_validation_before_compute(tmp_path):
             ({"classifier": {"batch_size": 0}}, "classifier.*batch_size"),
             ({"predictor": {"epochs": 0}}, "predictor.*epochs"),
             ({"predictor": {"epochs": 2.5}}, "predictor.*epochs"),
+            ({"classifier": {"epochs": True}}, "classifier.*epochs"),
+            ({"classifier": {"batch_size": True}},
+             "classifier.*batch_size"),
+            ({"classifier": {"learning_rate": True}},
+             "classifier.*learning_rate"),
             ({"autoencoder": {"learning_rate": -1}},
              "autoencoder.*learning_rate"),
             ({"classifier": {"seed": 5}}, "classifier.*seed"),

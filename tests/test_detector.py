@@ -8,7 +8,8 @@ from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
                                  evaluate_predictions, fit_autoencoder,
                                  fit_classifier, fit_predictor, fit_preprocess,
                                  load_bundle, predict_and_residual, preprocess,
-                                 save_bundle, series_features, state_checksum)
+                                 save_bundle, series_features, state_checksum,
+                                 train_bundle)
 from gridsentry.detector.models import build_classifier
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
@@ -108,6 +109,33 @@ def test_lineage_assertion():
     bad.labels[2] = "attack_2"
     with pytest.raises(ValueError, match="attack_2"):
         assert_normal_lineage([bad])
+
+
+def test_train_bundle_refuses_tainted_normal_series(case, normal_series):
+    # a normal-condition series with an attack label fails the training
+    # run before any fit, instead of dropping out of the training data
+    tainted = normal_series[0]
+    labels = list(tainted.labels)
+    labels[10] = "attack_2"
+    tainted = ScenarioSeries(values=tainted.values, labels=labels,
+                             metadata=dict(tainted.metadata))
+    assert tainted.metadata["condition"] == "normal"
+    tiny = TrainConfig(epochs=1, batch_size=4)
+    stages = dict.fromkeys(("autoencoder", "predictor", "classifier"), tiny)
+    with pytest.raises(ValueError, match=r"non-normal labels \['attack_2'\]"):
+        train_bundle("RNN_DNN", [*normal_series, tainted], case, seed=0,
+                     stage_configs=stages, noise_sigma=0.01)
+
+
+def test_preprocess_stats_refuse_non_finite():
+    for name in ("std", "raw_mean", "raw_std"):
+        for bad in (np.nan, np.inf, -np.inf):
+            fields = {"std": np.ones(N_SENSORS),
+                      "raw_mean": np.zeros(N_SENSORS),
+                      "raw_std": np.ones(N_SENSORS)}
+            fields[name][3] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be 39 finite"):
+                PreprocessStats(**fields)
 
 
 # ---------------------------------------------------------------- autoencoder

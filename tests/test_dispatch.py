@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gridsentry.dispatch import (DEFAULT_GENERATORS, DIURNAL_SHAPE,
-                                 GeneratorSpec, InfeasibleDispatchError,
-                                 LoadProfile, plan_generation,
-                                 synthesize_loads)
+                                 HOUSEHOLD_MEAN_PU, JITTER_SIGMA,
+                                 LOSS_FACTOR, SCALE_SIGMA,
+                                 InfeasibleDispatchError, LoadProfile,
+                                 plan_generation, synthesize_loads)
 
 
 def rng(seed=0):
@@ -22,9 +23,21 @@ def test_loads_deterministic_and_positive():
 
 
 def test_loads_single_household_shape():
-    p = synthesize_loads((1, 1), 24, rng(1), jitter_sigma=0.0)
-    # every bus is the identical diurnal base shape up to scale
-    ratio = p.demand / DIURNAL_SHAPE[:, None]
+    p = synthesize_loads((1, 1), 24, rng(1))
+    # replay the stream: the household counts, then per bus one household
+    # scale and one jitter per hour
+    r = rng(1)
+    np.testing.assert_array_equal(r.integers(1, 2, size=9), 1)
+    expected, jitter = np.empty((24, 9)), np.empty((24, 9))
+    for i in range(9):
+        scale = r.lognormal(np.log(HOUSEHOLD_MEAN_PU) - 0.5 * SCALE_SIGMA**2,
+                            SCALE_SIGMA, size=1)
+        jitter[:, i] = r.lognormal(-0.5 * JITTER_SIGMA**2, JITTER_SIGMA,
+                                   size=24)
+        expected[:, i] = scale.sum() * DIURNAL_SHAPE * jitter[:, i]
+    np.testing.assert_array_equal(p.demand, expected)
+    # jitter aside, every bus is the identical diurnal base shape up to scale
+    ratio = p.demand / (DIURNAL_SHAPE[:, None] * jitter)
     np.testing.assert_allclose(ratio, np.broadcast_to(ratio[0], ratio.shape),
                                rtol=1e-12)
 
@@ -56,11 +69,14 @@ def flat_profile(total, horizon=24):
 
 def test_merit_order_single_unit():
     cheapest = min(DEFAULT_GENERATORS, key=lambda s: s.marginal_cost)
-    plan = plan_generation(flat_profile(cheapest.max_output), loss_factor=0.0)
+    # demand plus losses just below the cheapest unit's capacity
+    demand = 0.99 * cheapest.max_output / (1 + LOSS_FACTOR)
+    plan = plan_generation(flat_profile(demand))
     idx = DEFAULT_GENERATORS.index(cheapest)
     assert np.all(plan.commitment[:, idx])
     assert not plan.commitment[:, [i for i in range(4) if i != idx]].any()
-    np.testing.assert_allclose(plan.setpoint[:, idx], cheapest.max_output)
+    np.testing.assert_allclose(plan.setpoint[:, idx],
+                               demand * (1 + LOSS_FACTOR))
 
 
 def test_zero_demand():
@@ -70,15 +86,17 @@ def test_zero_demand():
 
 
 def test_ramp_clipping():
-    specs = tuple(GeneratorSpec(s.bus, s.min_output, s.max_output, 0.1,
-                                s.marginal_cost, s.startup_cost)
-                  for s in DEFAULT_GENERATORS)
+    ramp = 0.15
+    assert all(s.ramp_limit == ramp for s in DEFAULT_GENERATORS)
+    # the 2.0 -> 2.5 pu demand step asks some unit for more than its ramp
     demand = np.full((48, 9), 2.0 / 9.0)
     demand[24:] += 0.5 / 9.0
-    plan = plan_generation(LoadProfile(48, demand), specs=specs)
+    plan = plan_generation(LoadProfile(48, demand))
     steps = np.abs(np.diff(plan.setpoint, axis=0))
     both = plan.commitment[1:] & plan.commitment[:-1]
-    assert np.all(steps[both] <= 0.1 + 1e-12)
+    assert np.all(steps[both] <= ramp + 1e-12)
+    # some step sits at the limit, so the clip fired
+    assert np.max(steps[both]) == pytest.approx(ramp, abs=1e-12)
 
 
 def test_infeasible_demand():
@@ -104,7 +122,8 @@ def test_plan_invariants_on_synthetic_loads():
     assert np.all(steps[both] <= np.broadcast_to(ramps, steps.shape)[both] + 1e-12)
     # energy adequacy
     committed_cap = (on * caps).sum(axis=1)
-    assert np.all(committed_cap >= loads.demand.sum(axis=1) * 1.03 - 1e-9)
+    target = loads.demand.sum(axis=1) * (1 + LOSS_FACTOR)
+    assert np.all(committed_cap >= target - 1e-9)
     # merit-order monotonicity: committed sets are prefixes of the cost order
     order = np.argsort([s.marginal_cost for s in DEFAULT_GENERATORS])
     for t in range(plan.horizon):

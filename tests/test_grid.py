@@ -442,6 +442,15 @@ def test_sensor_map(case):
 
 # ---------------------------------------------------------------- estimation
 
+def solve_gen_free_base(case):
+    """The base case with no load at the generation sensors' buses, as in
+    scenario data: estimate_state's generation rows carry no load term."""
+    p, q = base_loads(case)
+    gen = np.array(case.generation_buses) - 1
+    p[gen] = q[gen] = 0.0
+    return solve_power_flow(case, p, q, BASE_SETPOINTS)
+
+
 def se_weights(case, sol, sigma=0.01):
     clean = sensor_values(case, sol)
     std = sigma * np.maximum(np.abs(clean), 0.01)
@@ -449,10 +458,9 @@ def se_weights(case, sol, sigma=0.01):
 
 
 def test_se_recovers_exact_data(case):
-    sol = solve_base(case)
-    p, _ = base_loads(case)
+    sol = solve_gen_free_base(case)
     frame = measure(case, sol, 0.0, np.random.default_rng(0))
-    est = estimate_state(case, frame, se_weights(case, sol), gen_bus_loads=p)
+    est = estimate_state(case, frame, se_weights(case, sol))
     assert est.converged
     np.testing.assert_allclose(est.voltage_magnitude, sol.voltage_magnitude,
                                atol=1e-6)
@@ -462,14 +470,13 @@ def test_se_recovers_exact_data(case):
 
 
 def test_se_noisy_residual_mean(case):
-    sol = solve_base(case)
-    p, _ = base_loads(case)
+    sol = solve_gen_free_base(case)
     w = se_weights(case, sol)
     rng = np.random.default_rng(3)
     res = []
     for _ in range(1000):
         frame = measure(case, sol, 0.01, rng)
-        est = estimate_state(case, frame, w, gen_bus_loads=p)
+        est = estimate_state(case, frame, w)
         assert est.objective > 0
         res.append(frame - est.predicted_measurements)
     res = np.asarray(res)
@@ -479,17 +486,16 @@ def test_se_noisy_residual_mean(case):
 
 
 def test_se_gross_error_objective(case):
-    sol = solve_base(case)
-    p, _ = base_loads(case)
+    sol = solve_gen_free_base(case)
     w = se_weights(case, sol)
     rng = np.random.default_rng(4)
     normal_obj = []
     for _ in range(200):
         frame = measure(case, sol, 0.01, rng)
-        normal_obj.append(estimate_state(case, frame, w, gen_bus_loads=p).objective)
+        normal_obj.append(estimate_state(case, frame, w).objective)
     frame = measure(case, sol, 0.01, rng)
     frame[5] += 1.0
-    bad = estimate_state(case, frame, w, gen_bus_loads=p)
+    bad = estimate_state(case, frame, w)
     assert bad.objective > np.percentile(normal_obj, 99)
 
 
@@ -510,10 +516,6 @@ def test_se_bad_inputs(case):
         w[7] = bad
         with pytest.raises(ValueError):
             estimate_state(case, frame, w)
-    with pytest.raises(ValueError):
-        estimate_state(case, frame, ok, gen_bus_loads=np.zeros(8))
-    with pytest.raises(ValueError):
-        estimate_state(case, frame, ok, gen_bus_loads=np.full(14, np.nan))
 
 
 # ------------------------------------------- derivatives in the sigma=0.10 regime
@@ -554,16 +556,15 @@ def states(case, estimates):
 def test_se_jacobian_finite_difference(case, sigma10_estimates):
     topo = case.topology
     ns = len(topo.nonslack)
-    offset = np.zeros(len(topo.power_anchor))
 
     for va0, vm0 in states(case, sigma10_estimates):
         def h_of(x):
             va = va0.copy()
             va[topo.nonslack] = x[:ns]
-            return _measurement_model(topo, va, x[ns:], offset)[0]
+            return _measurement_model(topo, va, x[ns:])[0]
 
         x0 = np.concatenate([va0[topo.nonslack], vm0])
-        H = _measurement_model(topo, va0, vm0, offset)[1]
+        H = _measurement_model(topo, va0, vm0)[1]
         assert H.shape == (N_SENSORS, 27)
         H_fd = central_difference(h_of, x0)
         assert np.linalg.norm(H - H_fd) <= 1e-6 * np.linalg.norm(H)
@@ -601,8 +602,7 @@ def test_se_converged_frame_is_stationary(case, sigma10_estimates):
     frame, w, est = next(e for e in sigma10_estimates if e[2].converged)
     z, W = frame, 1.0 / w
     h, H = _measurement_model(case.topology, est.voltage_angle,
-                              est.voltage_magnitude,
-                              np.zeros(len(case.topology.power_anchor)))
+                              est.voltage_magnitude)
     np.testing.assert_array_equal(h, est.predicted_measurements)
     grad = H.T @ (W * (z - h))
     assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(H.T @ (W * z))

@@ -74,3 +74,68 @@ def test_every_config_field_is_read():
                 read.add(node.attr)
             stack.extend(ast.iter_child_nodes(node))
     assert sorted(set(RunConfig.__dataclass_fields__) - read) == []
+
+
+# defaulted parameters that no src/ call passes, each kept on purpose
+UNPASSED_DEFAULTS_KEPT = {
+    # the console entry point reads sys.argv; tests pass argv
+    ("main", "argv"),
+    # the non-convergence and bisection-oracle tests set these, and they
+    # show that a power-flow solve says when it did not converge
+    ("solve_power_flow", "tol"), ("solve_power_flow", "max_iter"),
+    # the gradient-fidelity criterion builds small networks with these
+    ("build_autoencoder", "hidden"), ("build_autoencoder", "code_size"),
+    ("build_classifier", "hidden"),
+}
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(callable name, parameter, positional index or None) per defaulted
+    parameter of a function; an __init__ is called through its class name
+    and a method's index does not count self or cls."""
+    owners = {id(item): node.name for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = node.name
+        if name == "__init__":
+            name = owners[id(node)]
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        skip = 1 if positional[:1] in (["self"], ["cls"]) else 0
+        first = len(positional) - len(args.defaults)
+        for i in range(first, len(positional)):
+            yield name, positional[i], i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def passes(call: ast.Call, param: str, index) -> bool:
+    """Whether a call hands `param` a value, by keyword or by position."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (len(call.args) > index
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_is_overridden_in_src():
+    # a default that no src/ call overrides is a setting only tests vary:
+    # it belongs in a module constant. Calls match functions by name.
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src").rglob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unpassed = sorted((name, param) for tree in trees
+                      for name, param, index in defaulted_parameters(tree)
+                      if not any(passes(call, param, index)
+                                 for call in calls.get(name, [])))
+    assert unpassed == sorted(UNPASSED_DEFAULTS_KEPT)

@@ -70,7 +70,7 @@ def test_softmax_overflow_stable():
 
 
 def test_leaky_relu_negative_slope():
-    lr = LeakyReLU(alpha=0.01)
+    lr = LeakyReLU()
     x = np.array([[-2.0, 3.0]])
     lr.forward(x)
     grad = lr.backward(np.ones_like(x))

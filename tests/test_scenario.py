@@ -281,6 +281,10 @@ def test_series_csv_roundtrip(tmp_path, case, world):
     np.testing.assert_array_equal(back.values, s.values)
     assert back.labels == s.labels
     assert back.metadata == s.metadata
+    # without its sidecar the series' condition is unknown
+    p.with_suffix(".meta.json").unlink()
+    with pytest.raises(FileNotFoundError, match="series.meta.json"):
+        ScenarioSeries.load(p)
 
     def float_parse(text):
         # the reader's reference form: float() on each value field
