@@ -20,8 +20,9 @@ from .evaluation import (ConfusionMatrix, aggregate_report, csv_table,
                          format_report, holdout_experiment, macro_f1,
                          report_rows, severity_sweep)
 from .grid import load_case
-from .scenario import (FaultSpec, GENERATOR_BUSES, LEVEL_FRACTIONS,
-                       ScenarioSeries, generate_scenario, make_attack_spec)
+from .scenario import (GENERATOR_BUSES, KINDS, LEVEL_FRACTIONS,
+                       ScenarioSeries, condition_name, generate_scenario,
+                       make_condition)
 
 
 def _series_jobs(cfg: RunConfig):
@@ -30,13 +31,14 @@ def _series_jobs(cfg: RunConfig):
     for idx in range(cfg.normal_series):
         jobs.append((f"normal_s{idx:02d}.csv", "normal", 0, 0,
                      cfg.seed * 1000003 + idx))
-    for kind_code, kind in ((1, "attack"), (2, "fault")):
+    for kind_code, kind in enumerate(KINDS, start=1):
         for target in GENERATOR_BUSES:
             for level in cfg.levels:
                 for idx in range(cfg.series_per_condition_per_level):
                     seed = (cfg.seed * 1000003 + kind_code * 100000
                             + target * 10000 + level * 100 + idx)
-                    jobs.append((f"{kind}_{target}_l{level}_s{idx:02d}.csv",
+                    name = condition_name(kind, target)
+                    jobs.append((f"{name}_l{level}_s{idx:02d}.csv",
                                  kind, target, level, seed))
     return jobs
 
@@ -46,13 +48,8 @@ def _generate_one(args):
     rng = np.random.default_rng(seed)
     loads = synthesize_loads(cfg.num_households, cfg.horizon, rng)
     plan = plan_generation(loads)
-    start, end = cfg.window
-    if kind == "normal":
-        condition = None
-    elif kind == "attack":
-        condition = make_attack_spec(case, target, level, start, end)
-    else:
-        condition = FaultSpec(target, level, start, end)
+    condition = (None if kind == "normal" else
+                 make_condition(case, kind, target, level, *cfg.window))
     series = generate_scenario(case, plan, loads, condition,
                                noise_sigma=cfg.noise_sigma, seed=seed)
     return filename, series
@@ -105,7 +102,7 @@ def split_series(series_list, fraction: float, seed: int):
     """Deterministic series-level split, stratified by (condition, level)."""
     groups: dict = {}
     for series in series_list:
-        key = (series.metadata.get("condition", "normal"),
+        key = (series.metadata["condition"],
                series.metadata.get("level", 0))
         groups.setdefault(key, []).append(series)
     train, test = [], []

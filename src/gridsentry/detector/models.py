@@ -21,7 +21,7 @@ from ..grid import (GridCase, N_SENSORS, estimate_state, noise_scale,
 from ..neural import (Dense, LeakyReLU, ReLU, SequencePredictor, Sequential,
                       Sigmoid, TrainConfig, get_state, set_state, softmax,
                       train)
-from ..scenario.generate import LABELS
+from ..scenario import LABELS
 from .preprocess import PreprocessStats, preprocess
 
 VARIANTS = ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN")
@@ -51,12 +51,12 @@ class SensorMapMismatchError(RuntimeError):
 class ModelBundle:
     variant: str
     stats: PreprocessStats
+    sensor_hash: str
+    noise_sigma: float
     classifier: Sequential | None = None
     encoder: Sequential | None = None
     decoder: Sequential | None = None
     predictor: SequencePredictor | None = None
-    sensor_hash: str = ""
-    noise_sigma: float = 0.01
     history: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..grid import GridCase, sensor_map_hash
 from ..neural import TrainConfig
-from ..scenario.generate import LABEL_INDEX
+from ..scenario import LABEL_INDEX
 from .models import (ModelBundle, classify, fit_autoencoder, fit_classifier,
                      fit_predictor, predict_and_residual, state_checksum,
                      trained)
@@ -68,7 +68,7 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
     TrainConfig; fits are seeded seed, seed+1, seed+2 in stage order.
     """
     normals = [s for s in series_list
-               if s.metadata.get("condition", "normal") == "normal"]
+               if s.metadata["condition"] == "normal"]
     if not normals:
         raise ValueError("training set contains no normal series")
     assert_normal_lineage(normals)

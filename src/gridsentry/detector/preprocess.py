@@ -83,10 +83,12 @@ def preprocess(series, stats: PreprocessStats) -> np.ndarray:
 
 def assert_normal_lineage(series_list) -> None:
     """Data hygiene check: reconstruction/prediction training sees only
-    frames labeled normal."""
-    for i, series in enumerate(series_list):
+    frames labeled normal. A series is named by the seed its metadata
+    records."""
+    for series in series_list:
         bad = {lbl for lbl in series.labels if lbl != "normal"}
         if bad:
             raise ValueError(
-                f"series {i} carries non-normal labels {sorted(bad)}; "
+                f"series of seed {series.metadata.get('seed')} carries "
+                f"non-normal labels {sorted(bad)}; "
                 "autoencoder/predictor training must only see normal data")

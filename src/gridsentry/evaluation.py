@@ -8,12 +8,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .detector.models import N_LABELS, classify, fit_classifier
-from .scenario import GENERATOR_BUSES, LABELS, LABEL_INDEX, LEVEL_FRACTIONS
+from .scenario import (GENERATOR_BUSES, KINDS, LABELS, LABEL_INDEX,
+                       LEVEL_FRACTIONS, THREE_CLASSES, condition_name)
 
-THREE_CLASSES = ("normal", "attack", "fault")
-# label indices of each 3-class group: a label name starts with its class
-CLASS_GROUPS = [[i for i, name in enumerate(LABELS)
-                 if name.split("_")[0] == cls] for cls in THREE_CLASSES]
+# label indices of each 3-class group, in THREE_CLASSES order
+CLASS_GROUPS = [[LABEL_INDEX["normal"]],
+                *([LABEL_INDEX[condition_name(kind, bus)]
+                   for bus in GENERATOR_BUSES] for kind in KINDS)]
 
 
 def _label_index(label) -> int:
@@ -128,8 +129,9 @@ def aggregate_report(matrix: ConfusionMatrix) -> ClassificationReport:
                         for i, name in enumerate(THREE_CLASSES)],
         "localization": [
             ((cls, bus), f"{cls}@{bus}",
-             _one_vs_rest(counts, LABEL_INDEX[f"{cls}_{bus}"], rows))
-            for cls, rows in zip(THREE_CLASSES[1:], CLASS_GROUPS[1:])
+             _one_vs_rest(counts, LABEL_INDEX[condition_name(cls, bus)],
+                          rows))
+            for cls, rows in zip(KINDS, CLASS_GROUPS[1:])
             for bus in GENERATOR_BUSES],
     }
     return ClassificationReport(
@@ -211,7 +213,8 @@ def severity_sweep(rows, classifier) -> list[dict]:
         matrix = ConfusionMatrix.from_pairs(
             preds, np.concatenate([y for _, y in kept]))
         for bus in GENERATOR_BUSES:
-            _, _, f1 = precision_recall_f1(matrix, f"attack_{bus}")
+            _, _, f1 = precision_recall_f1(matrix,
+                                            condition_name("attack", bus))
             out.append({"bus": bus, "level": level, "f1": f1})
     return out
 

@@ -150,8 +150,8 @@ class Sequential(Layer):
 class LSTM(Layer):
     """Full-sequence LSTM: (B, T, D) -> hidden states (B, T, H).
 
-    Gate order i, f, g, o. Supports an explicit initial state so callers can
-    carry state across consecutive chunks of one series (stateful contract).
+    Gate order i, f, g, o. Every forward starts from zero hidden and cell
+    states.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
@@ -164,16 +164,15 @@ class LSTM(Layer):
         self.params["b"] = np.zeros(4 * hidden)
         self.zero_grad()
 
-    def forward(self, x, state: tuple[np.ndarray, np.ndarray] | None = None):
+    def forward(self, x):
         B, T, D = x.shape
         if D != self.in_dim:
             raise ValueError(f"LSTM expects width {self.in_dim}, got {D}")
         H = self.hidden
-        h = np.zeros((B, H)) if state is None else state[0].copy()
-        c = np.zeros((B, H)) if state is None else state[1].copy()
+        h = np.zeros((B, H))
+        c = np.zeros((B, H))
         self._x = x
         self._cache = []
-        self._h0c0 = (h.copy(), c.copy())
         hs = np.empty((B, T, H))
         Wx, Wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
         # input products for every step at once: (T, B, 4H)
@@ -183,13 +182,12 @@ class LSTM(Layer):
             s = _sigmoid(z)
             i, f, o = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
             g = np.tanh(z[:, 2 * H:3 * H])
-            c_prev = c
+            h_prev, c_prev = h, c
             c = f * c_prev + i * g
             tc = np.tanh(c)
             h = o * tc
             hs[:, t] = h
-            self._cache.append((s, g, c_prev, tc, h))
-        self.final_state = (h, c)
+            self._cache.append((s, g, c_prev, tc, h_prev))
         return _check("LSTM", hs)
 
     def backward(self, dhs, input_grad=True):
@@ -200,7 +198,7 @@ class LSTM(Layer):
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            s, g, c_prev, tc, _h = self._cache[t]
+            s, g, c_prev, tc, h_prev = self._cache[t]
             i, f, o = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
             dh = dhs[:, t] + dh_next
             dc = dh * o * (1.0 - tc * tc) + dc_next
@@ -214,7 +212,6 @@ class LSTM(Layer):
             dz *= s
             dz *= 1.0 - s
             dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
-            h_prev = self._cache[t - 1][4] if t > 0 else self._h0c0[0]
             self.grads["Wh"] += h_prev.T @ dz
             self.grads["b"] += dz.sum(axis=0)
             dh_next = dz @ Wh.T
@@ -236,9 +233,8 @@ class SequencePredictor(Layer):
         self.lstm = LSTM(in_dim, hidden, rng)
         self.head = Dense(hidden, out_dim, rng)
 
-    def forward(self, x, state=None):
-        hs = self.lstm.forward(x, state=state)
-        return self.head.forward(hs)
+    def forward(self, x):
+        return self.head.forward(self.lstm.forward(x))
 
     def backward(self, dy, input_grad=True):
         return self.lstm.backward(self.head.backward(dy),
@@ -250,7 +246,3 @@ class SequencePredictor(Layer):
             for k in layer.params:
                 out.append((f"{prefix}.{k}", layer.params, layer.grads, k))
         return out
-
-    @property
-    def final_state(self):
-        return self.lstm.final_state

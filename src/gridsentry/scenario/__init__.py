@@ -1,13 +1,13 @@
-from .attacks import (AttackSpec, FaultSpec, GENERATOR_BUSES, LEVEL_FRACTIONS,
-                      access_set, make_attack_spec, mask_measurements,
+from .attacks import (Condition, GENERATOR_BUSES, KINDS, LABELS, LABEL_INDEX,
+                      LEVEL_FRACTIONS, THREE_CLASSES, access_set,
+                      condition_name, make_condition, mask_measurements,
                       reduce_target, simulate_nominal)
-from .generate import (LABELS, LABEL_INDEX, ScenarioSeries, condition_label,
-                       generate_scenario)
+from .generate import ScenarioSeries, generate_scenario
 
 __all__ = [
-    "AttackSpec", "FaultSpec", "GENERATOR_BUSES", "LEVEL_FRACTIONS",
-    "access_set", "make_attack_spec", "mask_measurements", "reduce_target",
+    "Condition", "GENERATOR_BUSES", "KINDS", "LABELS", "LABEL_INDEX",
+    "LEVEL_FRACTIONS", "THREE_CLASSES", "access_set", "condition_name",
+    "make_condition", "mask_measurements", "reduce_target",
     "simulate_nominal",
-    "LABELS", "LABEL_INDEX", "ScenarioSeries", "condition_label",
-    "generate_scenario",
+    "ScenarioSeries", "generate_scenario",
 ]

@@ -1,8 +1,9 @@
-"""Covert attack and fault primitives on the generator control vector."""
+"""Attack and fault conditions, the labels they derive, and the covert
+attack primitives on the generator control vector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,65 +28,74 @@ def access_set(case: GridCase, target_bus: int) -> frozenset[int]:
     return frozenset(idx)
 
 
+KINDS = ("attack", "fault")
+
+
+def condition_name(kind: str, bus: int) -> str:
+    """Frame label of a `kind` condition on generator `bus`; the one place
+    a label is spelled."""
+    return f"{kind}_{bus}"
+
+
+# fixed 9-label order used everywhere downstream
+LABELS = ("normal", *(condition_name(kind, bus)
+                      for kind in KINDS for bus in GENERATOR_BUSES))
+LABEL_INDEX = {name: i for i, name in enumerate(LABELS)}
+THREE_CLASSES = ("normal", *KINDS)
+
+
 @dataclass(frozen=True)
-class AttackSpec:
+class Condition:
+    """An attack or a fault: the same cut of the target generator's output
+    over hours [start_hour, end_hour). An attack also replaces the sensors
+    in sensor_access with the attacker's template; a fault's is empty."""
+
+    kind: str
     target_generator: int
     level: int
     start_hour: int
     end_hour: int
-    sensor_access: frozenset[int] = field(default_factory=frozenset)
+    sensor_access: frozenset[int]
 
     def __post_init__(self):
-        _check_window(self)
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.target_generator not in GENERATOR_BUSES:
+            raise ValueError(
+                f"target must be a generator bus, got {self.target_generator}")
+        if self.level not in LEVEL_FRACTIONS:
+            raise ValueError(f"level must be 1..5, got {self.level}")
+        if not 0 <= self.start_hour < self.end_hour:
+            raise ValueError("need 0 <= start_hour < end_hour")
+
+    @property
+    def label(self) -> str:
+        return condition_name(self.kind, self.target_generator)
 
     @property
     def fraction(self) -> float:
         return LEVEL_FRACTIONS[self.level]
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    target_generator: int
-    level: int
-    start_hour: int
-    end_hour: int
-
-    def __post_init__(self):
-        _check_window(self)
-
-    @property
-    def fraction(self) -> float:
-        return LEVEL_FRACTIONS[self.level]
-
-
-def _check_window(spec) -> None:
-    if spec.target_generator not in GENERATOR_BUSES:
-        raise ValueError(f"target must be a generator bus, got {spec.target_generator}")
-    if spec.level not in LEVEL_FRACTIONS:
-        raise ValueError(f"level must be 1..5, got {spec.level}")
-    if not 0 <= spec.start_hour < spec.end_hour:
-        raise ValueError("need 0 <= start_hour < end_hour")
-
-
-def make_attack_spec(case: GridCase, target: int, level: int,
-                     start_hour: int, end_hour: int) -> AttackSpec:
-    return AttackSpec(target, level, start_hour, end_hour,
-                      access_set(case, target))
+def make_condition(case: GridCase, kind: str, target: int, level: int,
+                   start_hour: int, end_hour: int) -> Condition:
+    """A `kind` condition on generator `target`; an attack reaches the
+    sensors of access_set(case, target)."""
+    access = access_set(case, target) if kind == "attack" else frozenset()
+    return Condition(kind, target, level, start_hour, end_hour, access)
 
 
 def reduce_target(u: np.ndarray, committed: np.ndarray,
-                  spec: AttackSpec | FaultSpec, t: int
-                  ) -> tuple[np.ndarray, bool]:
-    """Control vector after the additive signal a = -fraction * u on the
-    target entry, and whether it applied this hour. Attacks and faults share
-    this control path; only attacks mask sensors downstream."""
-    if not spec.start_hour <= t < spec.end_hour:
-        return u.copy(), False
-    g = GENERATOR_BUSES.index(spec.target_generator)
+                  condition: Condition) -> tuple[np.ndarray, bool]:
+    """Control vector of an hour inside the condition's window after the
+    additive signal a = -fraction * u on the target entry, and whether it
+    applied. Attacks and faults share this control path; only attacks mask
+    sensors downstream."""
+    g = GENERATOR_BUSES.index(condition.target_generator)
     if not committed[g]:
         return u.copy(), False  # no-op; caller logs the hour
     out = u.copy()
-    out[g] = out[g] + (-spec.fraction * out[g])
+    out[g] = out[g] + (-condition.fraction * out[g])
     return out, True
 
 

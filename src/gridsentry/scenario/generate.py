@@ -12,14 +12,8 @@ import numpy as np
 from ..dispatch import GenerationPlan, LoadProfile
 from ..grid import GridCase, N_SENSORS
 from ..grid.powerflow import measure, solve_power_flow
-from .attacks import (AttackSpec, FaultSpec, GENERATOR_BUSES,
-                      mask_measurements, reduce_target, simulate_nominal)
-
-# fixed 9-label order used everywhere downstream
-LABELS = ("normal",
-          "attack_2", "attack_3", "attack_6", "attack_8",
-          "fault_2", "fault_3", "fault_6", "fault_8")
-LABEL_INDEX = {name: i for i, name in enumerate(LABELS)}
+from .attacks import (Condition, GENERATOR_BUSES, LABELS, mask_measurements,
+                      reduce_target, simulate_nominal)
 
 REACTIVE_RATIO = float(np.tan(np.arccos(0.95)))  # constant 0.95 power factor
 
@@ -59,25 +53,20 @@ class ScenarioSeries:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSeries":
-        # a missing sidecar raises: without its condition the series
-        # would pass for a normal one
+        # a missing sidecar or condition raises: without its condition
+        # the series would pass for a normal one
         path = Path(path)
-        meta = json.loads(path.with_suffix(".meta.json").read_text())
+        sidecar = path.with_suffix(".meta.json")
+        meta = json.loads(sidecar.read_text())
+        condition = meta.get("condition") if isinstance(meta, dict) else None
+        if condition not in LABELS:
+            raise ValueError(f"{sidecar} records no condition from LABELS, "
+                             f"got {condition!r}")
         return cls.from_csv(path.read_text(), metadata=meta)
 
 
-def condition_label(condition) -> str:
-    if condition is None:
-        return "normal"
-    if isinstance(condition, AttackSpec):
-        return f"attack_{condition.target_generator}"
-    if isinstance(condition, FaultSpec):
-        return f"fault_{condition.target_generator}"
-    raise TypeError(f"unsupported condition {condition!r}")
-
-
 def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
-                      condition: AttackSpec | FaultSpec | None,
+                      condition: Condition | None,
                       noise_sigma: float, seed: int) -> ScenarioSeries:
     """Hour loop: apply condition to the control, solve, measure, mask.
 
@@ -88,8 +77,7 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
     if plan.horizon != loads.horizon:
         raise ValueError("plan and loads disagree on horizon")
     T = plan.horizon
-    label = condition_label(condition)
-    is_attack = isinstance(condition, AttackSpec)
+    label = "normal" if condition is None else condition.label
     # 14-bus demand of every hour; the solves get read-only row views
     load_p = np.zeros((T, case.n_bus))
     load_p[:, [b - 1 for b in case.load_buses]] = loads.demand
@@ -110,15 +98,16 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
     for t in range(T):
         lp, lq = load_p[t], load_q[t]
         u = plan.setpoint[t].astype(float)
-        committed = plan.commitment[t]
 
+        in_window = (condition is not None
+                     and condition.start_hour <= t < condition.end_hour)
         applied = False
-        if condition is not None:
-            u_phys, applied = reduce_target(u, committed, condition, t)
-            if (condition.start_hour <= t < condition.end_hour) and not applied:
+        u_phys = u
+        if in_window:
+            u_phys, applied = reduce_target(u, plan.commitment[t],
+                                             condition)
+            if not applied:
                 noop_hours.append(t)
-        else:
-            u_phys = u
 
         setp = {b: u_phys[i] for i, b in enumerate(GENERATOR_BUSES)}
         sol = solve_power_flow(case, lp, lq, setp, warm_start=warm)
@@ -130,7 +119,7 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
             gap_hours.append(t)
             row = last_values if last_values is not None else np.full(N_SENSORS, np.nan)
 
-        if is_attack and applied:
+        if applied and condition.kind == "attack":
             y_hat, nominal_sol = simulate_nominal(case, lp, lq, u,
                                                   warm_start=attacker_warm)
             if y_hat is None:
@@ -145,8 +134,6 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
                                         noise_sigma, rng_mask)
 
         values[t] = row
-        in_window = (condition is not None
-                     and condition.start_hour <= t < condition.end_hour)
         labels.append(label if in_window else "normal")
 
     meta = {

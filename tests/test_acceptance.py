@@ -26,7 +26,7 @@ from gridsentry.grid.case import DEFAULT_CASE
 from gridsentry.neural import (Dense, LSTM, LeakyReLU, ReLU,
                                SequencePredictor, Sequential, Sigmoid,
                                TrainConfig)
-from gridsentry.scenario import LABELS, generate_scenario, make_attack_spec
+from gridsentry.scenario import LABELS, generate_scenario, make_condition
 from oracles import (chi_square_detect, covert_attack_run, grad_check,
                      random_system, simulate)
 
@@ -130,7 +130,7 @@ def test_criterion_3_local_covertness(case):
                                  noise_sigma=0.0, seed=7)
     hour = 27
     for level in (1, 2, 3, 4, 5):
-        spec = make_attack_spec(case, 3, level, 24, 30)
+        spec = make_condition(case, "attack", 3, level, 24, 30)
         attacked = generate_scenario(case, plan, loads, spec,
                                      noise_sigma=0.0, seed=7)
         delta = np.abs(attacked.values[hour] - baseline.values[hour])

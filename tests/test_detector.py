@@ -122,7 +122,9 @@ def test_train_bundle_refuses_tainted_normal_series(case, normal_series):
     assert tainted.metadata["condition"] == "normal"
     tiny = TrainConfig(epochs=1, batch_size=4)
     stages = dict.fromkeys(("autoencoder", "predictor", "classifier"), tiny)
-    with pytest.raises(ValueError, match=r"non-normal labels \['attack_2'\]"):
+    seed = tainted.metadata["seed"]
+    with pytest.raises(ValueError, match=rf"seed {seed} carries non-normal "
+                                         r"labels \['attack_2'\]"):
         train_bundle("RNN_DNN", [*normal_series, tainted], case, seed=0,
                      stage_configs=stages, noise_sigma=0.01)
 
@@ -183,10 +185,10 @@ def test_predictor_too_short():
 
 # ---------------------------------------------------------------- residuals
 
-def make_stub_bundle(variant, case, **kwargs):
-    stats = unit_stats()
-    return ModelBundle(variant=variant, stats=stats,
-                       sensor_hash=sensor_map_hash(case), **kwargs)
+def make_stub_bundle(variant, case, stats=None, **kwargs):
+    return ModelBundle(variant=variant, stats=stats or unit_stats(),
+                       sensor_hash=sensor_map_hash(case), noise_sigma=0.01,
+                       **kwargs)
 
 
 def test_untrained_bundle_errors(case, normal_series):
@@ -205,7 +207,7 @@ def test_se_residuals_near_zero_on_noiseless(case):
                                noise_sigma=0.0, seed=0)
     stats = fit_preprocess([synthetic_series(
         np.random.default_rng(6).standard_normal((200, N_SENSORS)))])
-    bundle = ModelBundle(variant="SE_DNN", stats=stats, noise_sigma=0.01)
+    bundle = make_stub_bundle("SE_DNN", case, stats)
     ts, residuals = predict_and_residual(bundle, series, case=case)
     assert residuals.shape == (series.horizon - 1 - LAGS, N_SENSORS)
     np.testing.assert_array_equal(ts, np.arange(LAGS + 1, series.horizon))
@@ -215,7 +217,7 @@ def test_se_residuals_near_zero_on_noiseless(case):
 def test_residual_alignment_rnn(case, normal_series):
     series = normal_series[0]
     stats = fit_preprocess(normal_series)
-    bundle = ModelBundle(variant="RNN_DNN", stats=stats)
+    bundle = make_stub_bundle("RNN_DNN", case, stats)
     cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4, seed=0)
     z = np.stack([preprocess(s, stats) for s in normal_series])
     bundle.predictor, _ = fit_predictor(z, cfg)
@@ -232,7 +234,7 @@ def test_residual_alignment_rnn(case, normal_series):
 
 def test_residual_generation_leaves_models_frozen(case, normal_series):
     stats = fit_preprocess(normal_series)
-    bundle = ModelBundle(variant="RNN_DNN", stats=stats)
+    bundle = make_stub_bundle("RNN_DNN", case, stats)
     z = np.stack([preprocess(s, stats) for s in normal_series])
     bundle.predictor, _ = fit_predictor(
         z, TrainConfig(epochs=3, batch_size=4, seed=0))
@@ -301,7 +303,7 @@ def test_variant_shared_classifier_path(case):
     x = np.random.default_rng(2).standard_normal((5, CLASSIFIER_INPUT))
     outs = []
     for variant in ("RNN_DNN", "AEN_RNN_DNN"):
-        bundle = ModelBundle(variant=variant, stats=stats, classifier=model)
+        bundle = make_stub_bundle(variant, case, stats, classifier=model)
         outs.append(bundle.classifier.forward(x))
     np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -310,8 +312,7 @@ def test_variant_shared_classifier_path(case):
 
 def test_bundle_roundtrip(tmp_path, case, normal_series):
     stats = fit_preprocess(normal_series)
-    bundle = ModelBundle(variant="RNN_DNN", stats=stats,
-                         sensor_hash=sensor_map_hash(case))
+    bundle = make_stub_bundle("RNN_DNN", case, stats)
     z = np.stack([preprocess(s, stats) for s in normal_series])
     bundle.predictor, _ = fit_predictor(
         z, TrainConfig(epochs=3, batch_size=4, seed=0))
@@ -339,14 +340,15 @@ def test_sensor_map_mismatch_refused(tmp_path, case):
     path = tmp_path / "bundle.npz"
     # an empty hash is refused at write time
     with pytest.raises(ValueError, match="sensor-map hash"):
-        save_bundle(ModelBundle(variant="SE_DNN", stats=stats), path)
+        save_bundle(ModelBundle(variant="SE_DNN", stats=stats,
+                                sensor_hash="", noise_sigma=0.01), path)
     assert not path.exists()
     save_bundle(ModelBundle(variant="SE_DNN", stats=stats,
-                            sensor_hash="not-the-real-hash"), path)
+                            sensor_hash="not-the-real-hash",
+                            noise_sigma=0.01), path)
     with pytest.raises(SensorMapMismatchError):
         load_bundle(path, case)
-    good = ModelBundle(variant="SE_DNN", stats=stats,
-                       sensor_hash=sensor_map_hash(case))
+    good = make_stub_bundle("SE_DNN", case, stats)
     save_bundle(good, path)
     assert load_bundle(path, case).sensor_hash == sensor_map_hash(case)
     with np.load(path) as data:
@@ -366,7 +368,8 @@ def test_sensor_map_mismatch_refused(tmp_path, case):
 
 def test_bundle_architecture_conformance():
     with pytest.raises(ValueError):
-        ModelBundle(variant="nope", stats=unit_stats())
+        ModelBundle(variant="nope", stats=unit_stats(), sensor_hash="",
+                    noise_sigma=0.01)
 
 
 # ---------------------------------------------------------------- chi square

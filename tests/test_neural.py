@@ -88,34 +88,26 @@ def test_lstm_zero_weights():
 
 
 def test_lstm_forget_gate_saturation():
-    # forget bias -> +inf: new cell state approaches c + i*g
+    # forget bias -> +inf: the second step's cell state approaches c1 + i2*g2
     H = 3
     cell = LSTM(2, H, rng(1))
     cell.params["b"][H:2 * H] = 20.0
-    h0 = np.zeros((1, H))
-    c0 = rng(2).standard_normal((1, H))
-    x = rng(3).standard_normal((1, 2))
-    cell.forward(x[:, None], state=(h0, c0))
-    _, c1 = cell.final_state
-    z = x @ cell.params["Wx"] + h0 @ cell.params["Wh"] + cell.params["b"]
-    i = 1 / (1 + np.exp(-z[:, :H]))
-    g = np.tanh(z[:, 2 * H:3 * H])
-    np.testing.assert_allclose(c1, c0 + i * g, atol=1e-6)
-
-
-def test_lstm_chunked_forward_matches_full():
-    # stateful contract: carrying final_state across chunks of one series
-    # gives the same hidden states and final state as one full pass
-    cell = LSTM(3, 4, rng(4))
-    x = rng(5).standard_normal((2, 6, 3))
+    x = rng(3).standard_normal((1, 2, 2))
     hs = cell.forward(x)
-    h_end, c_end = cell.final_state
-    head = cell.forward(x[:, :2])
-    tail = cell.forward(x[:, 2:], state=cell.final_state)
-    np.testing.assert_allclose(np.concatenate([head, tail], axis=1), hs,
-                               atol=1e-12)
-    np.testing.assert_allclose(cell.final_state[0], h_end, atol=1e-12)
-    np.testing.assert_allclose(cell.final_state[1], c_end, atol=1e-12)
+    Wx, Wh, b = cell.params["Wx"], cell.params["Wh"], cell.params["b"]
+
+    def gates(z):
+        i = 1 / (1 + np.exp(-z[:, :H]))
+        o = 1 / (1 + np.exp(-z[:, 3 * H:]))
+        return i, np.tanh(z[:, 2 * H:3 * H]), o
+
+    i1, g1, o1 = gates(x[:, 0] @ Wx + b)  # first step, from zero state
+    c1 = i1 * g1
+    h1 = o1 * np.tanh(c1)
+    np.testing.assert_allclose(hs[:, 0], h1, atol=1e-12)
+    i2, g2, o2 = gates(x[:, 1] @ Wx + h1 @ Wh + b)
+    np.testing.assert_allclose(hs[:, 1], o2 * np.tanh(c1 + i2 * g2),
+                               atol=1e-6)
 
 
 def test_lstm_bptt_grad_matches_finite_differences():
@@ -148,13 +140,13 @@ def ref_sigmoid(x):
     return out
 
 
-def ref_lstm(params, x, dhs, state=None):
-    """Per-step forward and backward; (hs, final_state, dx, grads)."""
+def ref_lstm(params, x, dhs):
+    """Per-step forward and backward from zero state; (hs, dx, grads)."""
     Wx, Wh, b = params["Wx"], params["Wh"], params["b"]
     B, T, _ = x.shape
     H = Wh.shape[0]
-    h = np.zeros((B, H)) if state is None else state[0].copy()
-    c = np.zeros((B, H)) if state is None else state[1].copy()
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
     h0 = h
     hs = np.empty((B, T, H))
     cache = []
@@ -170,7 +162,6 @@ def ref_lstm(params, x, dhs, state=None):
         h = o * tc
         hs[:, t] = h
         cache.append((i, f, g, o, c_prev, tc, h))
-    final = (h, c)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dx = np.empty_like(x)
     dh_next = np.zeros((B, H))
@@ -191,7 +182,7 @@ def ref_lstm(params, x, dhs, state=None):
         dx[:, t] = dz @ Wx.T
         dh_next = dz @ Wh.T
         dc_next = dc * f
-    return hs, final, dx, grads
+    return hs, dx, grads
 
 
 def ref_adam_step(state, params, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -217,27 +208,25 @@ def test_sigmoid_bits_match_reference():
 
 
 @pytest.mark.parametrize("batch", [1, 8])
-@pytest.mark.parametrize("with_state", [False, True])
+@pytest.mark.parametrize("reused", [False, True])
 @pytest.mark.parametrize("D", [13, 39])
-def test_lstm_bits_match_per_step_reference(batch, with_state, D):
-    # the predictor's widths: 13 codes (AEN_RNN_DNN) or 39 sensors (RNN_DNN)
+def test_lstm_bits_match_per_step_reference(batch, reused, D):
+    # the predictor's widths: 13 codes (AEN_RNN_DNN) or 39 sensors (RNN_DNN);
+    # a cell reused after another forward and backward starts from zeros
     H, T = 32, 11
     cell = LSTM(D, H, rng(41))
     cell.params["b"] = rng(42).standard_normal(4 * H)
     x = rng(43).standard_normal((batch, T, D))
     dhs = rng(44).standard_normal((batch, T, H))
-    state = None
-    if with_state:
-        state = (rng(45).standard_normal((batch, H)),
-                 rng(46).standard_normal((batch, H)))
-    hs_ref, final_ref, dx_ref, grads_ref = ref_lstm(cell.params, x, dhs,
-                                                    state)
-    hs = cell.forward(x, state=state)
+    if reused:
+        earlier = rng(45).standard_normal((batch, T + 2, D))
+        cell.forward(earlier)
+        cell.backward(np.ones((batch, T + 2, H)))
+    hs_ref, dx_ref, grads_ref = ref_lstm(cell.params, x, dhs)
+    hs = cell.forward(x)
     cell.zero_grad()
     dx = cell.backward(dhs)
     assert np.array_equal(hs, hs_ref)
-    assert np.array_equal(cell.final_state[0], final_ref[0])
-    assert np.array_equal(cell.final_state[1], final_ref[1])
     assert np.array_equal(dx, dx_ref)
     for k in ("Wx", "Wh", "b"):
         assert np.array_equal(cell.grads[k], grads_ref[k]), k

@@ -57,7 +57,8 @@ def test_optim_step_span_once_per_batch():
 def test_every_solve_is_a_powerflow_span():
     # powerflow.calls and powerflow.iters_mean count every solve of an
     # attack series: one per hour, plus the attacker's nominal solve in each
-    # hour the attack applied
+    # hour the attack applied; a fault on the same loads makes no attacker
+    # solve, so it adds exactly one span per hour
     code = "\n".join([
         "import json, sys",
         f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]",
@@ -68,24 +69,33 @@ def test_every_solve_is_a_powerflow_span():
         "tracer.install()",
         "from gridsentry.dispatch import plan_generation, synthesize_loads",
         "from gridsentry.grid import load_case",
-        "from gridsentry.scenario import generate_scenario, make_attack_spec",
+        "from gridsentry.scenario import generate_scenario, make_condition",
         "case = load_case()",
         "loads = synthesize_loads((90, 110), 30, np.random.default_rng(3))",
-        "spec = make_attack_spec(case, 2, 3, 6, 20)",
-        "s = generate_scenario(case, plan_generation(loads), loads, spec,",
-        "                      0.10, seed=3)",
-        "print(json.dumps({'spans': tracer.spans['setup', 'powerflow'][0],",
-        "                  'iters': tracer.counts['powerflow.iters'],",
-        "                  'unconverged': tracer.counts['powerflow.unconverged'],",
-        "                  'meta': s.metadata}))",
+        "plan = plan_generation(loads)",
+        "out = {}",
+        "for kind in ('attack', 'fault'):",
+        "    before = tracer.spans['setup', 'powerflow'][0]",
+        "    spec = make_condition(case, kind, 2, 3, 6, 20)",
+        "    s = generate_scenario(case, plan, loads, spec, 0.10, seed=3)",
+        "    out[kind] = {'spans': tracer.spans['setup', 'powerflow'][0]",
+        "                          - before, 'meta': s.metadata}",
+        "out['iters'] = tracer.counts['powerflow.iters']",
+        "out['unconverged'] = tracer.counts['powerflow.unconverged']",
+        "print(json.dumps(out))",
     ])
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout.splitlines()[-1])
-    meta = out["meta"]
+    attack, fault = out["attack"], out["fault"]
+    meta = attack["meta"]
     assert meta["gap_hours"] == meta["template_fallback_hours"] == []
     attacked = (20 - 6) - len(meta["noop_hours"])
     assert attacked > 0
-    assert out["spans"] == 30 + attacked
-    assert out["iters"] >= out["spans"] and out["unconverged"] == 0
+    assert attack["spans"] == 30 + attacked
+    assert fault["meta"]["gap_hours"] == []
+    assert fault["meta"]["noop_hours"] == meta["noop_hours"]
+    assert fault["spans"] == fault["meta"]["horizon"] == 30
+    total = attack["spans"] + fault["spans"]
+    assert out["iters"] >= total and out["unconverged"] == 0

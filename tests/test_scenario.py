@@ -6,9 +6,9 @@ from gridsentry.grid import (Branch, GridCase, N_SENSORS,
                              generation_sensor_index, load_case,
                              sensor_values, solve_power_flow,
                              voltage_sensor_index)
-from gridsentry.scenario import (AttackSpec, FaultSpec, LABELS,
-                                 ScenarioSeries, access_set,
-                                 generate_scenario, make_attack_spec,
+from gridsentry.scenario import (Condition, LABELS, ScenarioSeries,
+                                 THREE_CLASSES, access_set,
+                                 generate_scenario, make_condition,
                                  mask_measurements, reduce_target,
                                  simulate_nominal)
 from oracles import (LinearSystem, covert_attack_run, linear_mask_bias,
@@ -36,48 +36,68 @@ ALL_ON = np.ones(4, dtype=bool)
 
 def test_attack_levels(case):
     u = np.array([0.8, 0.5, 0.4, 0.3])
-    spec = make_attack_spec(case, 2, 3, 0, 10)
-    out, applied = reduce_target(u, ALL_ON, spec, 5)
+    spec = make_condition(case, "attack", 2, 3, 0, 10)
+    out, applied = reduce_target(u, ALL_ON, spec)
     assert applied
     assert out[0] == pytest.approx(0.8 * (1 - 0.6))
     np.testing.assert_array_equal(out[1:], u[1:])
 
-    spec5 = make_attack_spec(case, 2, 5, 0, 10)
-    out5, _ = reduce_target(u, ALL_ON, spec5, 5)
+    spec5 = make_condition(case, "attack", 2, 5, 0, 10)
+    out5, _ = reduce_target(u, ALL_ON, spec5)
     assert out5[0] == pytest.approx(0.0)
 
 
-def test_attack_outside_window(case):
-    u = np.array([0.8, 0.5, 0.4, 0.3])
-    spec = make_attack_spec(case, 2, 3, 5, 10)
-    out, applied = reduce_target(u, ALL_ON, spec, 2)
-    assert not applied
-    np.testing.assert_array_equal(out, u)
+def test_attack_outside_window(case, world):
+    # before the window no cut applies: the hours match a normal series
+    # of the same seed bit for bit
+    loads, plan = world
+    spec = make_condition(case, "attack", 2, 3, 5, 10)
+    s = generate_scenario(case, plan, loads, spec, 0.01, seed=4)
+    nominal = generate_scenario(case, plan, loads, None, 0.01, seed=4)
+    np.testing.assert_array_equal(s.values[:5], nominal.values[:5])
+    assert s.labels[:5] == ["normal"] * 5 and s.labels[5] == "attack_2"
 
 
 def test_attack_uncommitted_noop(case):
     u = np.array([0.8, 0.5, 0.4, 0.0])
     committed = np.array([True, True, True, False])
-    spec = make_attack_spec(case, 8, 5, 0, 10)
-    out, applied = reduce_target(u, committed, spec, 5)
+    spec = make_condition(case, "attack", 8, 5, 0, 10)
+    out, applied = reduce_target(u, committed, spec)
     assert not applied
     np.testing.assert_array_equal(out, u)
 
 
 def test_fault_matches_attack_control_path(case):
     u = np.array([0.8, 0.5, 0.4, 0.3])
-    a, _ = reduce_target(u, ALL_ON, make_attack_spec(case, 6, 2, 0, 10), 3)
-    f, _ = reduce_target(u, ALL_ON, FaultSpec(6, 2, 0, 10), 3)
+    a, _ = reduce_target(u, ALL_ON,
+                         make_condition(case, "attack", 6, 2, 0, 10))
+    f, _ = reduce_target(u, ALL_ON,
+                         make_condition(case, "fault", 6, 2, 0, 10))
     np.testing.assert_array_equal(a, f)
 
 
 def test_spec_validation(case):
     with pytest.raises(ValueError):
-        make_attack_spec(case, 4, 1, 0, 10)   # not a generator
+        make_condition(case, "attack", 4, 1, 0, 10)   # not a generator
     with pytest.raises(ValueError):
-        AttackSpec(2, 6, 0, 10)               # bad level
+        Condition("attack", 2, 6, 0, 10, frozenset())  # bad level
     with pytest.raises(ValueError):
-        FaultSpec(2, 1, 10, 10)               # empty window
+        make_condition(case, "fault", 2, 1, 10, 10)   # empty window
+    with pytest.raises(ValueError, match="kind"):
+        make_condition(case, "outage", 2, 1, 0, 10)   # unknown kind
+
+
+def test_labels_derive_from_conditions(case):
+    assert LABELS == ("normal",
+                      "attack_2", "attack_3", "attack_6", "attack_8",
+                      "fault_2", "fault_3", "fault_6", "fault_8")
+    assert THREE_CLASSES == ("normal", "attack", "fault")
+    attack = make_condition(case, "attack", 6, 2, 0, 10)
+    fault = make_condition(case, "fault", 6, 2, 0, 10)
+    assert (attack.label, fault.label) == ("attack_6", "fault_6")
+    assert attack.sensor_access == access_set(case, 6)
+    assert fault.sensor_access == frozenset()
+    assert attack.fraction == fault.fraction == 0.4
 
 
 def test_access_set_topology(case):
@@ -133,8 +153,8 @@ def test_mask_empty_access(case, world):
 def test_mask_full_access_full_knowledge_covert(case, world):
     # full access + perfect model + zero noise: masked frame IS the nominal frame
     lp, lq, u = fixed_inputs(case, world)
-    spec = make_attack_spec(case, 3, 4, 0, 48)
-    u_att, _ = reduce_target(u, ALL_ON, spec, 10)
+    spec = make_condition(case, "attack", 3, 4, 0, 48)
+    u_att, _ = reduce_target(u, ALL_ON, spec)
     y_att, _ = simulate_nominal(case, lp, lq, u_att)
     y_nom, _ = simulate_nominal(case, lp, lq, u)
     masked = mask_measurements(y_att, y_nom, frozenset(range(39)), 0.0,
@@ -145,8 +165,8 @@ def test_mask_full_access_full_knowledge_covert(case, world):
 def test_mask_partial_access_leaks(case, world):
     # non-access sensors keep the attacked physics
     lp, lq, u = fixed_inputs(case, world)
-    spec = make_attack_spec(case, 8, 5, 0, 48)
-    u_att, _ = reduce_target(u, ALL_ON, spec, 10)
+    spec = make_condition(case, "attack", 8, 5, 0, 48)
+    u_att, _ = reduce_target(u, ALL_ON, spec)
     y_att, _ = simulate_nominal(case, lp, lq, u_att)
     y_nom, _ = simulate_nominal(case, lp, lq, u)
     masked = mask_measurements(y_att, y_nom, spec.sensor_access, 0.0,
@@ -208,7 +228,7 @@ def test_normal_scenario_deterministic(case, world):
 
 def test_attack_scenario_masks_generation_sensor(case, world):
     loads, plan = world
-    spec = make_attack_spec(case, 8, 5, 12, 36)
+    spec = make_condition(case, "attack", 8, 5, 12, 36)
     s = generate_scenario(case, plan, loads, spec, 0.0, seed=8)
     g8 = generation_sensor_index(case, 8)
     t = 20
@@ -220,7 +240,7 @@ def test_attack_scenario_masks_generation_sensor(case, world):
 
 def test_fault_scenario_exposes_generation_sensor(case, world):
     loads, plan = world
-    spec = FaultSpec(8, 5, 12, 36)
+    spec = make_condition(case, "fault", 8, 5, 12, 36)
     s = generate_scenario(case, plan, loads, spec, 0.0, seed=8)
     g8 = generation_sensor_index(case, 8)
     assert s.values[20, g8] == pytest.approx(0.0, abs=1e-6)
@@ -230,8 +250,8 @@ def test_fault_scenario_exposes_generation_sensor(case, world):
 
 def test_attack_fault_differ_only_on_access(case, world):
     loads, plan = world
-    att = make_attack_spec(case, 6, 3, 12, 36)
-    flt = FaultSpec(6, 3, 12, 36)
+    att = make_condition(case, "attack", 6, 3, 12, 36)
+    flt = make_condition(case, "fault", 6, 3, 12, 36)
     sa = generate_scenario(case, plan, loads, att, 0.01, seed=21)
     sf = generate_scenario(case, plan, loads, flt, 0.01, seed=21)
     non_access = sorted(set(range(39)) - att.sensor_access)
@@ -249,7 +269,7 @@ def test_local_covertness(case, world):
     loads, plan = world
     nominal = generate_scenario(case, plan, loads, None, 0.0, seed=3)
     for level in range(1, 6):
-        spec = make_attack_spec(case, 2, level, 12, 36, )
+        spec = make_condition(case, "attack", 2, level, 12, 36)
         s = generate_scenario(case, plan, loads, spec, 0.0, seed=3)
         acc = sorted(spec.sensor_access)
         non_access = sorted(set(range(39)) - spec.sensor_access)
@@ -262,7 +282,7 @@ def test_local_covertness(case, world):
 
 def test_labels_and_metadata(case, world):
     loads, plan = world
-    spec = make_attack_spec(case, 3, 2, 10, 20)
+    spec = make_condition(case, "attack", 3, 2, 10, 20)
     s = generate_scenario(case, plan, loads, spec, 0.01, seed=5)
     assert set(s.labels) <= set(LABELS)
     assert s.labels[10] == "attack_3" and s.labels[19] == "attack_3"
@@ -273,7 +293,7 @@ def test_labels_and_metadata(case, world):
 
 def test_series_csv_roundtrip(tmp_path, case, world):
     loads, plan = world
-    spec = make_attack_spec(case, 3, 2, 10, 20)
+    spec = make_condition(case, "attack", 3, 2, 10, 20)
     s = generate_scenario(case, plan, loads, spec, 0.01, seed=5)
     p = tmp_path / "series.csv"
     s.save(p)
@@ -281,7 +301,12 @@ def test_series_csv_roundtrip(tmp_path, case, world):
     np.testing.assert_array_equal(back.values, s.values)
     assert back.labels == s.labels
     assert back.metadata == s.metadata
-    # without its sidecar the series' condition is unknown
+    # without its sidecar, or a known condition in it, the series would
+    # pass for a normal one in the split and in training
+    for sidecar in ("{}", "[]", '{"condition": "attack_5"}'):
+        p.with_suffix(".meta.json").write_text(sidecar)
+        with pytest.raises(ValueError, match="series.meta.json"):
+            ScenarioSeries.load(p)
     p.with_suffix(".meta.json").unlink()
     with pytest.raises(FileNotFoundError, match="series.meta.json"):
         ScenarioSeries.load(p)
@@ -322,7 +347,7 @@ def ref_to_csv(series):
 
 def test_series_csv_bytes_match_reference_form(case, world):
     loads, plan = world
-    spec = make_attack_spec(case, 6, 3, 10, 30)
+    spec = make_condition(case, "attack", 6, 3, 10, 30)
     generated = generate_scenario(case, plan, loads, spec, 0.10, seed=12)
     values = np.random.default_rng(13).standard_normal((6, N_SENSORS)) * 50
     values[0] = np.nan  # a gap hour before any converged one
