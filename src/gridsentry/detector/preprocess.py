@@ -50,13 +50,18 @@ def fit_preprocess(series_list) -> PreprocessStats:
     """Std of first differences per sensor, floored at EPSILON.
 
     series_list is an iterable of ScenarioSeries (or raw (T, 39) arrays);
-    differences never cross series boundaries.
+    differences never cross series boundaries. A series with a non-finite
+    frame, such as a leading power-flow gap hour, is refused by its seed.
     """
     diffs = []
     raws = []
     total = 0
     for series in series_list:
         values = _frames(series)
+        if not np.all(np.isfinite(values)):
+            meta = getattr(series, "metadata", {})
+            raise ValueError(f"series of seed {meta.get('seed')} has non-finite"
+                             f" frames, gap hours {meta.get('gap_hours')}")
         total += values.shape[0]
         raws.append(values)
         if values.shape[0] >= 2:

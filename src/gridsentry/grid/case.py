@@ -156,25 +156,12 @@ def validate_case(case: GridCase) -> None:
         raise CaseError("network graph is disconnected")
 
 
-def build_admittance(case: GridCase) -> np.ndarray:
-    """Bus admittance matrix from the branch pi-model (taps = 1, no bus shunts)."""
-    n = case.n_bus
-    Y = np.zeros((n, n), dtype=complex)
-    for br in case.branches:
-        f, t = br.from_bus - 1, br.to_bus - 1
-        ys = 1.0 / complex(br.resistance, br.reactance)
-        ysh = 0.5j * br.line_charging
-        Y[f, f] += ys + ysh
-        Y[t, t] += ys + ysh
-        Y[f, t] -= ys
-        Y[t, f] -= ys
-    Y.setflags(write=False)
-    return Y
-
-
 class Topology:
     """Admittances and 0-based index arrays of a case, built once per case.
 
+    Each branch is a pi-model (taps = 1, no bus shunts): its Yf and Yt rows
+    give the currents into it at its from- and to-bus, and the bus
+    admittance matrix Y sums those rows into the rows of their buses.
     `power_rows`/`power_anchor` stack the complex powers the 39-sensor model
     measures, each of the form V[anchor] * conj(row @ V): the sending-end
     flow of every branch (Yf rows at their from-bus), then the injection at
@@ -183,12 +170,16 @@ class Topology:
 
     def __init__(self, case: GridCase):
         n, nbr = case.n_bus, len(case.branches)
-        self.Y = build_admittance(case)
         self.Yf = np.zeros((nbr, n), dtype=complex)
+        self.Yt = np.zeros((nbr, n), dtype=complex)
+        self.Y = np.zeros((n, n), dtype=complex)
         for i, br in enumerate(case.branches):
+            f, t = br.from_bus - 1, br.to_bus - 1
             ys = 1.0 / complex(br.resistance, br.reactance)
-            self.Yf[i, br.from_bus - 1] = ys + 0.5j * br.line_charging
-            self.Yf[i, br.to_bus - 1] = -ys
+            self.Yf[i, f] = self.Yt[i, t] = ys + 0.5j * br.line_charging
+            self.Yf[i, t] = self.Yt[i, f] = -ys
+            self.Y[f] += self.Yf[i]
+            self.Y[t] += self.Yt[i]
         self.from_bus = np.array([br.from_bus - 1 for br in case.branches],
                                  dtype=int)
         self.buses = np.arange(n)
@@ -254,11 +245,3 @@ def sensor_map_csv(case: GridCase) -> str:
 
 def sensor_map_hash(case: GridCase) -> str:
     return hashlib.sha256(sensor_map_csv(case).encode()).hexdigest()[:16]
-
-
-def generation_sensor_index(case: GridCase, bus_id: int) -> int:
-    return GEN_OFFSET + case.generation_buses.index(bus_id)
-
-
-def voltage_sensor_index(case: GridCase, bus_id: int) -> int:
-    return VOLT_OFFSET + bus_id - 1

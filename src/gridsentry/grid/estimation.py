@@ -8,7 +8,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .case import GridCase, N_SENSORS, Topology, VOLT_OFFSET
-from .powerflow import power_derivatives
+from .powerflow import power_derivatives, sensor_function
 
 # Gauss-Newton stops when no state component moves by TOL, or after MAX_ITER
 TOL = 1e-10
@@ -32,8 +32,9 @@ class StateEstimate:
 def _measurement_model(topo: Topology, va: np.ndarray, vm: np.ndarray):
     """h(x) and its Jacobian w.r.t. [va(non-slack) | vm(all)]."""
     V = vm * np.exp(1j * va)
-    S, dS_dVa, dS_dVm = power_derivatives(topo.power_rows, topo.power_anchor, V)
-    h = np.concatenate([S.real, vm])
+    h, S = sensor_function(topo, V, vm)
+    dS_dVa, dS_dVm = power_derivatives(topo.power_rows, topo.power_anchor,
+                                       V, S)
     k, ns = len(S), len(topo.nonslack)
     H = np.zeros((N_SENSORS, ns + len(vm)))
     H[:k, :ns] = dS_dVa[:, topo.nonslack].real

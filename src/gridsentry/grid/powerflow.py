@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case import GridCase, N_SENSORS, Topology
+from .case import GEN_OFFSET, GridCase, N_SENSORS, Topology, VOLT_OFFSET
 
 
 class SingularJacobianError(RuntimeError):
@@ -17,36 +17,42 @@ class SingularJacobianError(RuntimeError):
 class PowerFlowSolution:
     voltage_magnitude: np.ndarray  # (14,)
     voltage_angle: np.ndarray      # (14,) radians, slack at 0
-    line_flow_active: np.ndarray   # (20,) sending-end convention
-    generation_active: np.ndarray  # (5,) [slack, gen 2, 3, 6, 8]
+    sensors: np.ndarray            # (39,) noiseless, in sensor-map order
     converged: bool
     iterations: int
     max_mismatch: float
 
 
-def power_derivatives(M: np.ndarray, anchor: np.ndarray, V: np.ndarray):
-    """Complex powers S_k = V[anchor_k] * conj((M @ V)_k) and dS/dVa, dS/dVm.
+def complex_power(M: np.ndarray, anchor: np.ndarray, V: np.ndarray):
+    """S_k = V[anchor_k] * conj((M @ V)_k): the bus injections with M = Y and
+    anchor = every bus, the sending-end flows with Yf rows at their from-bus."""
+    return V[anchor] * np.conj(M @ V)
 
-    With M = Y and anchor = every bus, S are the bus injections; with Yf rows
-    anchored at their from-bus, the sending-end branch flows. Derivatives are
-    with respect to every bus angle and magnitude (MATPOWER's dSbus_dV and
-    dSbr_dV, in broadcast form).
-    """
+
+def power_derivatives(M: np.ndarray, anchor: np.ndarray, V: np.ndarray,
+                      S: np.ndarray):
+    """dS/dVa and dS/dVm of the caller's S = complex_power(M, anchor, V), by
+    every bus angle and magnitude (MATPOWER's dSbus_dV and dSbr_dV)."""
     Va = V[anchor]
-    S = Va * np.conj(M @ V)
     A = Va[:, None] * np.conj(M * V)  # V[anchor_k] * conj(M_kj V_j)
     diag = (np.arange(len(anchor)), anchor)
     dS_dVa = -1j * A
     dS_dVa[diag] += 1j * S
     dS_dVm = A / np.abs(V)
     dS_dVm[diag] += S / np.abs(Va)
-    return S, dS_dVa, dS_dVm
+    return dS_dVa, dS_dVm
 
 
-def _jacobian(topo: Topology, V: np.ndarray) -> np.ndarray:
-    """d[P(pvpq), Q(pq)] / d[Va(pvpq), Vm(pq)] of the Newton-Raphson step."""
-    _, dS_dVa, dS_dVm = power_derivatives(topo.Y, topo.buses, V)
-    dS = np.concatenate([dS_dVa, dS_dVm], axis=1)
+def sensor_function(topo: Topology, V: np.ndarray, vm: np.ndarray):
+    """h(V) = [Re S over power_rows | vm], the 39 sensors at voltages V of
+    magnitudes vm, with no load at the generation buses; and that S."""
+    S = complex_power(topo.power_rows, topo.power_anchor, V)
+    return np.concatenate([S.real, vm]), S
+
+
+def _jacobian(topo: Topology, V: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """d[P(pvpq), Q(pq)] / d[Va(pvpq), Vm(pq)] at bus injections S."""
+    dS = np.concatenate(power_derivatives(topo.Y, topo.buses, V, S), axis=1)
     return dS.view(float).take(topo.jac_index)
 
 
@@ -71,7 +77,7 @@ def solve_power_flow(case: GridCase,
         raise ValueError(f"load vectors must have shape ({n},)")
 
     topo = case.topology
-    Y, pq, pvpq, mis_index = topo.Y, topo.pq, topo.pvpq, topo.mis_index
+    pq, pvpq, mis_index = topo.pq, topo.pvpq, topo.mis_index
 
     # scheduled injections (generation minus load) at the mismatch rows,
     # in the order of S.view(float).take(mis_index)
@@ -91,13 +97,13 @@ def solve_power_flow(case: GridCase,
     # the mismatch is checked before each Newton step and after the last one
     for iterations in range(max_iter + 1):
         V = vm * np.exp(1j * va)
-        S = V * np.conj(Y @ V)
+        S = complex_power(topo.Y, topo.buses, V)
         mis = sched - S.view(float).take(mis_index)
         max_mismatch = float(np.abs(mis).max())
         if max_mismatch < tol or iterations == max_iter:
             break
         try:
-            dx = np.linalg.solve(_jacobian(topo, V), mis)
+            dx = np.linalg.solve(_jacobian(topo, V, S), mis)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {iterations + 1}") from exc
@@ -105,19 +111,13 @@ def solve_power_flow(case: GridCase,
         vm[pq] += dx[len(pvpq):]
     converged = max_mismatch < tol
 
-    flows = (V[topo.from_bus] * np.conj(topo.Yf @ V)).real
-    gen_p = S.real[topo.gen_order] + loads_p[topo.gen_order]
+    # a generation sensor reads the injection plus its bus's load
+    sensors, _ = sensor_function(topo, V, vm)
+    sensors[GEN_OFFSET:VOLT_OFFSET] += loads_p[topo.gen_order]
 
     return PowerFlowSolution(
-        voltage_magnitude=vm, voltage_angle=va,
-        line_flow_active=flows, generation_active=gen_p,
+        voltage_magnitude=vm, voltage_angle=va, sensors=sensors,
         converged=converged, iterations=iterations, max_mismatch=max_mismatch)
-
-
-def sensor_values(case: GridCase, sol: PowerFlowSolution) -> np.ndarray:
-    """Noiseless 39-sensor vector [20 line flows | 5 generations | 14 voltages]."""
-    return np.concatenate([sol.line_flow_active, sol.generation_active,
-                           sol.voltage_magnitude])
 
 
 NOISE_FLOOR = 0.01  # signal magnitude below which sensor noise stops shrinking
@@ -128,12 +128,12 @@ def noise_scale(noiseless: np.ndarray, noise_sigma: float) -> np.ndarray:
     return noise_sigma * np.maximum(np.abs(noiseless), NOISE_FLOOR)
 
 
-def measure(case: GridCase, sol: PowerFlowSolution, noise_sigma: float,
+def measure(sol: PowerFlowSolution, noise_sigma: float,
             rng: np.random.Generator) -> np.ndarray:
     """Sensor function plus i.i.d. zero-mean Gaussian noise."""
     if not sol.converged:
         raise ValueError("cannot measure a non-converged solution")
-    clean = sensor_values(case, sol)
+    clean = sol.sensors
     if noise_sigma == 0:
-        return clean
+        return clean.copy()
     return clean + rng.standard_normal(N_SENSORS) * noise_scale(clean, noise_sigma)

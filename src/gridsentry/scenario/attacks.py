@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import (GridCase, generation_sensor_index, voltage_sensor_index)
-from ..grid.powerflow import (PowerFlowSolution, noise_scale, sensor_values,
-                              solve_power_flow)
+from ..grid import GridCase, sensor_map
+from ..grid.powerflow import PowerFlowSolution, noise_scale, solve_power_flow
 
 # severity level -> fraction of planned generation removed
 LEVEL_FRACTIONS = {1: 0.2, 2: 0.4, 3: 0.6, 4: 0.8, 5: 1.0}
@@ -22,8 +21,8 @@ def access_set(case: GridCase, target_bus: int) -> frozenset[int]:
     the flow sensors of all incident branches."""
     if target_bus not in case.generator_buses:
         raise ValueError(f"bus {target_bus} is not a generator bus")
-    idx = {generation_sensor_index(case, target_bus),
-           voltage_sensor_index(case, target_bus)}
+    idx = {i for i, kind, element in sensor_map(case)
+           if kind != "flow" and element == str(target_bus)}
     idx.update(case.branches_at(target_bus))
     return frozenset(idx)
 
@@ -102,15 +101,13 @@ def reduce_target(u: np.ndarray, committed: np.ndarray,
 def simulate_nominal(case: GridCase, loads_p: np.ndarray,
                      loads_q: np.ndarray, u: np.ndarray,
                      warm_start: PowerFlowSolution | None = None
-                     ) -> tuple[np.ndarray | None, PowerFlowSolution | None]:
-    """Attacker's disguise template: noiseless sensors under the original
-    control, computed on the attacker's grid model `case`. None on
-    non-convergence."""
+                     ) -> PowerFlowSolution | None:
+    """Attacker's disguise template: the solution under the original
+    control, computed on the attacker's grid model `case`, whose `sensors`
+    are the template. None on non-convergence."""
     setp = {b: u[i] for i, b in enumerate(GENERATOR_BUSES)}
     sol = solve_power_flow(case, loads_p, loads_q, setp, warm_start=warm_start)
-    if not sol.converged:
-        return None, None
-    return sensor_values(case, sol), sol
+    return sol if sol.converged else None
 
 
 def mask_measurements(true_values: np.ndarray, y_hat: np.ndarray,

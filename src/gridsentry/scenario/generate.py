@@ -12,8 +12,8 @@ import numpy as np
 from ..dispatch import GenerationPlan, LoadProfile
 from ..grid import GridCase, N_SENSORS
 from ..grid.powerflow import measure, solve_power_flow
-from .attacks import (Condition, GENERATOR_BUSES, LABELS, mask_measurements,
-                      reduce_target, simulate_nominal)
+from .attacks import (Condition, GENERATOR_BUSES, LABELS, LEVEL_FRACTIONS,
+                      mask_measurements, reduce_target, simulate_nominal)
 
 REACTIVE_RATIO = float(np.tan(np.arccos(0.95)))  # constant 0.95 power factor
 
@@ -54,7 +54,8 @@ class ScenarioSeries:
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSeries":
         # a missing sidecar or condition raises: without its condition
-        # the series would pass for a normal one
+        # the series would pass for a normal one, and an attack or fault
+        # without its severity would join every level's training rows
         path = Path(path)
         sidecar = path.with_suffix(".meta.json")
         meta = json.loads(sidecar.read_text())
@@ -62,6 +63,11 @@ class ScenarioSeries:
         if condition not in LABELS:
             raise ValueError(f"{sidecar} records no condition from LABELS, "
                              f"got {condition!r}")
+        if condition != "normal" and (
+                {"level", "target", "window"} - set(meta)
+                or meta["level"] not in list(LEVEL_FRACTIONS)):
+            raise ValueError(f"{sidecar} records a {condition} series without "
+                             "target, window and a level from LEVEL_FRACTIONS")
         return cls.from_csv(path.read_text(), metadata=meta)
 
 
@@ -114,20 +120,20 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
         rng_meas = np.random.default_rng([seed, 0, t])
         if sol.converged:
             warm = sol
-            row = last_values = measure(case, sol, noise_sigma, rng_meas)
+            row = last_values = measure(sol, noise_sigma, rng_meas)
         else:
             gap_hours.append(t)
             row = last_values if last_values is not None else np.full(N_SENSORS, np.nan)
 
         if applied and condition.kind == "attack":
-            y_hat, nominal_sol = simulate_nominal(case, lp, lq, u,
-                                                  warm_start=attacker_warm)
-            if y_hat is None:
+            nominal = simulate_nominal(case, lp, lq, u,
+                                       warm_start=attacker_warm)
+            if nominal is None:
                 template_fallback_hours.append(t)
                 y_hat = last_template
             else:
-                attacker_warm = nominal_sol
-                last_template = y_hat
+                attacker_warm = nominal
+                y_hat = last_template = nominal.sensors
             if y_hat is not None:
                 rng_mask = np.random.default_rng([seed, 1, t])
                 row = mask_measurements(row, y_hat, condition.sensor_access,

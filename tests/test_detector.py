@@ -94,6 +94,20 @@ def test_fit_preprocess_insufficient_data():
         fit_preprocess([synthetic_series(np.ones((40, N_SENSORS)))])
 
 
+def test_fit_preprocess_refuses_non_finite_frames():
+    # a power-flow gap hour with nothing before it to repeat is an all-NaN
+    # row (generate.py); the refusal names that cause, not the NaN stats
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((200, N_SENSORS))
+    values[0] = np.nan
+    gappy = ScenarioSeries(values=values, labels=["normal"] * 200,
+                           metadata={"condition": "normal", "seed": 41,
+                                     "gap_hours": [0]})
+    clean = synthetic_series(rng.standard_normal((200, N_SENSORS)))
+    with pytest.raises(ValueError, match=r"seed 41 .*gap hours \[0\]"):
+        fit_preprocess([clean, gappy])
+
+
 def test_fit_preprocess_deterministic():
     rng = np.random.default_rng(3)
     data = [synthetic_series(rng.standard_normal((300, N_SENSORS)))]

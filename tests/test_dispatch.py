@@ -152,6 +152,7 @@ def test_flow_check_runs():
     # every hour of a default-fleet plan solves within every branch limit,
     # under the power factor scenario generation uses
     from gridsentry.grid import load_case, solve_power_flow
+    from gridsentry.grid.case import GEN_OFFSET
     from gridsentry.scenario.generate import REACTIVE_RATIO
     case = load_case()
     limits = np.array([br.flow_limit for br in case.branches])
@@ -168,7 +169,7 @@ def test_flow_check_runs():
         warm = solve_power_flow(case, lp, lp * REACTIVE_RATIO, setp,
                                 warm_start=warm)
         assert warm.converged, f"hour {t} did not converge"
-        flows.append(np.abs(warm.line_flow_active))
+        flows.append(np.abs(warm.sensors[:GEN_OFFSET]))  # line flows
     flows = np.array(flows)
 
     def over_limit_hours(limits):

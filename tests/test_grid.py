@@ -6,9 +6,9 @@ from scipy.optimize import bisect, fsolve
 
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, Bus, CaseError, GridCase, N_SENSORS,
-                             build_admittance, estimate_state, load_case,
-                             measure, noise_scale, sensor_map, sensor_values,
-                             solve_power_flow)
+                             estimate_state, load_case, measure, noise_scale,
+                             sensor_map, solve_power_flow)
+from gridsentry.grid.case import GEN_OFFSET, VOLT_OFFSET
 from gridsentry.grid.estimation import _measurement_model
 from gridsentry.grid.powerflow import (PowerFlowSolution, _jacobian,
                                       power_derivatives)
@@ -89,15 +89,30 @@ def toy_case(branches, n=2):
     return GridCase(tuple(buses), tuple(branches), 100.0)
 
 
+def ref_admittance(case):
+    """Bus admittance matrix from the branch pi-model, entry by entry."""
+    n = case.n_bus
+    Y = np.zeros((n, n), dtype=complex)
+    for br in case.branches:
+        f, t = br.from_bus - 1, br.to_bus - 1
+        ys = 1.0 / complex(br.resistance, br.reactance)
+        ysh = 0.5j * br.line_charging
+        Y[f, f] += ys + ysh
+        Y[t, t] += ys + ysh
+        Y[f, t] -= ys
+        Y[t, f] -= ys
+    return Y
+
+
 def test_admittance_single_branch():
     c = toy_case([Branch(1, 2, 0.0, 0.1, 0.0, 1.0)])
-    Y = build_admittance(c)
+    Y = c.topology.Y
     assert Y[0, 1] == pytest.approx(-1.0 / 0.1j)
     assert Y[1, 0] == Y[0, 1]
 
 
 def test_admittance_offdiag_count(case):
-    Y = build_admittance(case)
+    Y = case.topology.Y
     iu = np.triu_indices(14, k=1)
     assert int(np.count_nonzero(Y[iu])) == 20
 
@@ -108,20 +123,20 @@ def test_admittance_no_shunt_rowsum(case):
                     tuple(Branch(b.from_bus, b.to_bus, b.resistance, b.reactance,
                                  0.0, b.flow_limit) for b in case.branches),
                     case.base_power)
-    Y = build_admittance(flat)
+    Y = flat.topology.Y
     off = Y - np.diag(np.diag(Y))
     np.testing.assert_allclose(np.diag(Y), -off.sum(axis=1), atol=1e-12)
 
 
 def test_admittance_symmetric(case):
-    Y = build_admittance(case)
+    Y = case.topology.Y
     np.testing.assert_allclose(Y, Y.T)
 
 
 def test_topology_matches_case(case):
     topo = case.topology
     assert topo is case.topology
-    np.testing.assert_array_equal(topo.Y, build_admittance(case))
+    assert np.array_equal(topo.Y, ref_admittance(case))
     gen_sensors = [int(e) for _, kind, e in sensor_map(case)
                    if kind == "generation"]
     assert (topo.gen_order + 1).tolist() == gen_sensors
@@ -154,8 +169,8 @@ def test_zero_injection_fixed_point(case):
     z = np.zeros(14)
     sol = solve_power_flow(flat, z, z, {g: 0.0 for g in flat.generator_buses})
     assert sol.converged
-    np.testing.assert_allclose(sol.line_flow_active, 0.0, atol=1e-9)
-    np.testing.assert_allclose(sol.generation_active, 0.0, atol=1e-9)
+    # line flows and generations
+    np.testing.assert_allclose(sol.sensors[:VOLT_OFFSET], 0.0, atol=1e-9)
     np.testing.assert_allclose(sol.voltage_magnitude, 1.0, atol=1e-9)
 
 
@@ -174,7 +189,7 @@ def test_base_case_against_live_oracle(case):
     """Independent oracle: hybrid-Powell root finding on the mismatch equations."""
     sol = solve_base(case)
     p, q = base_loads(case)
-    Y = np.array(build_admittance(case))
+    Y = case.topology.Y
     pv = [b - 1 for b in case.generator_buses]
     pq = [b - 1 for b in case.load_buses]
     psched = -p.copy()
@@ -226,23 +241,23 @@ def test_two_bus_against_bisection_oracle():
 def test_power_balance_invariant(case):
     sol = solve_base(case)
     p, q = base_loads(case)
-    Y = np.array(build_admittance(case))
+    Y = case.topology.Y
     V = sol.voltage_magnitude * np.exp(1j * sol.voltage_angle)
     inj = (V * np.conj(Y @ V)).real
     gen = np.zeros(14)
     for b, val in BASE_SETPOINTS.items():
         gen[b - 1] = val
-    gen[0] = sol.generation_active[0] - p[0]
+    gen[0] = sol.sensors[GEN_OFFSET] - p[0]
     np.testing.assert_allclose(inj[1:], (gen - p)[1:], atol=1e-6)
 
 
 def test_slack_absorption(case):
     sol = solve_base(case)
     p, _ = base_loads(case)
-    Y = np.array(build_admittance(case))
+    Y = case.topology.Y
     V = sol.voltage_magnitude * np.exp(1j * sol.voltage_angle)
     losses = float(np.sum((V * np.conj(Y @ V)).real))
-    total_gen = float(np.sum(sol.generation_active))
+    total_gen = float(np.sum(sol.sensors[GEN_OFFSET:VOLT_OFFSET]))
     assert total_gen - np.sum(p) - losses == pytest.approx(0.0, abs=1e-6)
 
 
@@ -277,7 +292,8 @@ def test_nonconvergence_is_flagged(case):
 # mismatch gathered piece by piece and a loop pinning the fixed voltages.
 
 def ref_jacobian(topo, V):
-    _, dS_dVa, dS_dVm = power_derivatives(topo.Y, topo.buses, V)
+    S = V * np.conj(topo.Y @ V)
+    dS_dVa, dS_dVm = power_derivatives(topo.Y, topo.buses, V, S)
     dS = np.hstack([dS_dVa[:, topo.pvpq], dS_dVm[:, topo.pq]])
     return np.vstack([dS[topo.pvpq].real, dS[topo.pq].imag])
 
@@ -311,17 +327,17 @@ def ref_solve(case, loads_p, loads_q, gen_setpoints, warm_start=None,
         dx = np.linalg.solve(ref_jacobian(topo, V), mis)
         va[pvpq] += dx[:len(pvpq)]
         vm[pq] += dx[len(pvpq):]
+    flows = (V[topo.from_bus] * np.conj(topo.Yf @ V)).real
+    gen_p = S.real[topo.gen_order] + loads_p[topo.gen_order]
     return PowerFlowSolution(
         voltage_magnitude=vm, voltage_angle=va,
-        line_flow_active=(V[topo.from_bus] * np.conj(topo.Yf @ V)).real,
-        generation_active=S.real[topo.gen_order] + loads_p[topo.gen_order],
+        sensors=np.concatenate([flows, gen_p, vm]),
         converged=max_mismatch < tol, iterations=iterations,
         max_mismatch=max_mismatch)
 
 
 def assert_same_solution(sol, ref):
-    for name in ("voltage_magnitude", "voltage_angle", "line_flow_active",
-                 "generation_active"):
+    for name in ("voltage_magnitude", "voltage_angle", "sensors"):
         assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
     assert sol.iterations == ref.iterations
     assert sol.max_mismatch == ref.max_mismatch
@@ -378,11 +394,21 @@ def test_attacker_nominal_solve_matches_reference_form(case, load_chain):
         warm = warm_ref = None
         for lp, lq, setp in load_chain[:6]:
             u = np.array([setp[b] for b in GENERATOR_BUSES])
-            y_hat, sol = simulate_nominal(model, lp, lq, u, warm_start=warm)
+            sol = simulate_nominal(model, lp, lq, u, warm_start=warm)
             ref = ref_solve(model, lp, lq, setp, warm_start=warm_ref)
             assert_same_solution(sol, ref)
-            assert np.array_equal(y_hat, sensor_values(model, ref))
             warm, warm_ref = sol, ref
+
+
+def test_scenario_hour_sensors_are_the_estimators_model(case, load_chain):
+    # scenario hours put no load at the generation buses, so the power flow's
+    # sensors are the estimator's h at the solved state, bit for bit
+    for lp, lq, setp in load_chain[::6]:
+        sol = solve_power_flow(case, lp, lq, setp)
+        assert sol.converged
+        h = _measurement_model(case.topology, sol.voltage_angle,
+                               sol.voltage_magnitude)[0]
+        assert np.array_equal(h, sol.sensors)
 
 
 def test_exhausted_solve_matches_reference_form(case):
@@ -402,8 +428,8 @@ def test_exhausted_solve_matches_reference_form(case):
 def test_measure_zero_noise_identity(case):
     sol = solve_base(case)
     rng = np.random.default_rng(0)
-    frame = measure(case, sol, 0.0, rng)
-    np.testing.assert_array_equal(frame, sensor_values(case, sol))
+    frame = measure(sol, 0.0, rng)
+    np.testing.assert_array_equal(frame, sol.sensors)
     assert frame.shape == (N_SENSORS,)
 
 
@@ -411,14 +437,14 @@ def test_measure_rejects_unconverged(case):
     sol = solve_base(case)
     sol.converged = False
     with pytest.raises(ValueError):
-        measure(case, sol, 0.01, np.random.default_rng(0))
+        measure(sol, 0.01, np.random.default_rng(0))
 
 
 def test_measure_noise_std(case):
     sol = solve_base(case)
     rng = np.random.default_rng(7)
-    draws = np.stack([measure(case, sol, 0.01, rng) for _ in range(10_000)])
-    clean = sensor_values(case, sol)
+    draws = np.stack([measure(sol, 0.01, rng) for _ in range(10_000)])
+    clean = sol.sensors
     expected = 0.01 * np.maximum(np.abs(clean), 0.01)
     sample = draws.std(axis=0)
     np.testing.assert_allclose(sample, expected, rtol=0.05)
@@ -426,8 +452,8 @@ def test_measure_noise_std(case):
 
 def test_measure_deterministic(case):
     sol = solve_base(case)
-    a = measure(case, sol, 0.01, np.random.default_rng(42))
-    b = measure(case, sol, 0.01, np.random.default_rng(42))
+    a = measure(sol, 0.01, np.random.default_rng(42))
+    b = measure(sol, 0.01, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
@@ -451,16 +477,16 @@ def solve_gen_free_base(case):
     return solve_power_flow(case, p, q, BASE_SETPOINTS)
 
 
-def se_weights(case, sol, sigma=0.01):
-    clean = sensor_values(case, sol)
+def se_weights(sol, sigma=0.01):
+    clean = sol.sensors
     std = sigma * np.maximum(np.abs(clean), 0.01)
     return std ** 2
 
 
 def test_se_recovers_exact_data(case):
     sol = solve_gen_free_base(case)
-    frame = measure(case, sol, 0.0, np.random.default_rng(0))
-    est = estimate_state(case, frame, se_weights(case, sol))
+    frame = measure(sol, 0.0, np.random.default_rng(0))
+    est = estimate_state(case, frame, se_weights(sol))
     assert est.converged
     np.testing.assert_allclose(est.voltage_magnitude, sol.voltage_magnitude,
                                atol=1e-6)
@@ -471,11 +497,11 @@ def test_se_recovers_exact_data(case):
 
 def test_se_noisy_residual_mean(case):
     sol = solve_gen_free_base(case)
-    w = se_weights(case, sol)
+    w = se_weights(sol)
     rng = np.random.default_rng(3)
     res = []
     for _ in range(1000):
-        frame = measure(case, sol, 0.01, rng)
+        frame = measure(sol, 0.01, rng)
         est = estimate_state(case, frame, w)
         assert est.objective > 0
         res.append(frame - est.predicted_measurements)
@@ -487,13 +513,13 @@ def test_se_noisy_residual_mean(case):
 
 def test_se_gross_error_objective(case):
     sol = solve_gen_free_base(case)
-    w = se_weights(case, sol)
+    w = se_weights(sol)
     rng = np.random.default_rng(4)
     normal_obj = []
     for _ in range(200):
-        frame = measure(case, sol, 0.01, rng)
+        frame = measure(sol, 0.01, rng)
         normal_obj.append(estimate_state(case, frame, w).objective)
-    frame = measure(case, sol, 0.01, rng)
+    frame = measure(sol, 0.01, rng)
     frame[5] += 1.0
     bad = estimate_state(case, frame, w)
     assert bad.objective > np.percentile(normal_obj, 99)
@@ -501,8 +527,8 @@ def test_se_gross_error_objective(case):
 
 def test_se_bad_inputs(case):
     sol = solve_base(case)
-    frame = measure(case, sol, 0.0, np.random.default_rng(0))
-    ok = se_weights(case, sol)
+    frame = measure(sol, 0.0, np.random.default_rng(0))
+    ok = se_weights(sol)
     with pytest.raises(ValueError):
         estimate_state(case, frame, np.zeros(39))
     with pytest.raises(ValueError):
@@ -584,7 +610,8 @@ def test_powerflow_jacobian_finite_difference(case, sigma10_estimates):
             return np.concatenate([S.real[pvpq], S.imag[pq]])
 
         x0 = np.concatenate([va0[pvpq], vm0[pq]])
-        J = _jacobian(topo, vm0 * np.exp(1j * va0))
+        V = vm0 * np.exp(1j * va0)
+        J = _jacobian(topo, V, V * np.conj(topo.Y @ V))
         J_fd = central_difference(mismatch, x0)
         assert np.linalg.norm(J - J_fd) <= 1e-6 * np.linalg.norm(J)
 
@@ -593,7 +620,7 @@ def test_powerflow_jacobian_matches_reference_form(case, sigma10_estimates):
     topo = case.topology
     for va0, vm0 in states(case, sigma10_estimates):
         V = vm0 * np.exp(1j * va0)
-        J = _jacobian(topo, V)
+        J = _jacobian(topo, V, V * np.conj(topo.Y @ V))
         assert J.flags.c_contiguous
         assert np.array_equal(J, ref_jacobian(topo, V))
 

@@ -139,3 +139,36 @@ def test_every_default_is_overridden_in_src():
                       if not any(passes(call, param, index)
                                  for call in calls.get(name, [])))
     assert unpassed == sorted(UNPASSED_DEFAULTS_KEPT)
+
+
+POWERFLOW = "src/gridsentry/grid/powerflow.py"
+
+
+def test_one_home_for_the_grid_physics():
+    # the complex power V[anchor] * conj(M @ V) is spelled once, with its
+    # derivatives beside it, and a branch's series admittance 1 / (r + jx)
+    # is computed in one place, where Topology builds the branch rows
+    conj_sites, admittance_sites = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        stack = [(ast.parse(path.read_text()), None)]
+        while stack:
+            node, func = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                func = node.name
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("conj", "conjugate")):
+                conj_sites.append((rel, func, node.lineno))
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and isinstance(node.right, ast.Call)
+                    and getattr(node.right.func, "id", None) == "complex"):
+                admittance_sites.append(f"{rel}:{node.lineno}")
+            stack.extend((child, func)
+                         for child in ast.iter_child_nodes(node))
+    homes = {(POWERFLOW, "complex_power"), (POWERFLOW, "power_derivatives")}
+    stray = sorted(f"{rel}:{line}" for rel, func, line in conj_sites
+                   if (rel, func) not in homes)
+    assert (stray, len(admittance_sites)) == ([], 1), (stray,
+                                                       admittance_sites)
+    assert {(rel, func) for rel, func, _ in conj_sites} == homes

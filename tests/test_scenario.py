@@ -1,11 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from gridsentry.dispatch import plan_generation, synthesize_loads
-from gridsentry.grid import (Branch, GridCase, N_SENSORS,
-                             generation_sensor_index, load_case,
-                             sensor_values, solve_power_flow,
-                             voltage_sensor_index)
+from gridsentry.grid import (Branch, GridCase, N_SENSORS, load_case,
+                             sensor_map, solve_power_flow)
 from gridsentry.scenario import (Condition, LABELS, ScenarioSeries,
                                  THREE_CLASSES, access_set,
                                  generate_scenario, make_condition,
@@ -18,6 +18,11 @@ from oracles import (LinearSystem, covert_attack_run, linear_mask_bias,
 @pytest.fixture(scope="module")
 def case():
     return load_case()
+
+
+def sensor_index(case, kind, element):
+    """Index of the sensor that sensor_map lists as (kind, element)."""
+    return next(i for i, k, e in sensor_map(case) if (k, e) == (kind, element))
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +108,8 @@ def test_labels_derive_from_conditions(case):
 def test_access_set_topology(case):
     acc = access_set(case, 8)
     # bus 8 hangs off bus 7 through a single branch
-    assert generation_sensor_index(case, 8) in acc
-    assert voltage_sensor_index(case, 8) in acc
+    assert sensor_index(case, "generation", "8") in acc
+    assert sensor_index(case, "voltage", "8") in acc
     flows = [i for i in acc if i < 20]
     assert len(flows) == 1
     acc2 = access_set(case, 2)
@@ -123,10 +128,10 @@ def fixed_inputs(case, world, t=20):
 
 def test_nominal_template_matches_plant(case, world):
     lp, lq, u = fixed_inputs(case, world)
-    y_hat, _ = simulate_nominal(case, lp, lq, u)
+    y_hat = simulate_nominal(case, lp, lq, u).sensors
     setp = {b: u[i] for i, b in enumerate([2, 3, 6, 8])}
     sol = solve_power_flow(case, lp, lq, setp)
-    np.testing.assert_array_equal(y_hat, sensor_values(case, sol))
+    np.testing.assert_array_equal(y_hat, sol.sensors)
 
 
 def test_nominal_template_model_mismatch(case, world):
@@ -136,15 +141,15 @@ def test_nominal_template_model_mismatch(case, world):
                                       b.reactance * 1.05, b.line_charging,
                                       b.flow_limit) for b in case.branches),
                          case.base_power)
-    y_true, _ = simulate_nominal(case, lp, lq, u)
-    y_est, _ = simulate_nominal(perturbed, lp, lq, u)
+    y_true = simulate_nominal(case, lp, lq, u).sensors
+    y_est = simulate_nominal(perturbed, lp, lq, u).sensors
     dev = np.max(np.abs(y_true - y_est))
     assert dev > 1e-6  # imperfect attacker model visibly deviates
 
 
 def test_mask_empty_access(case, world):
     lp, lq, u = fixed_inputs(case, world)
-    y, _ = simulate_nominal(case, lp, lq, u)
+    y = simulate_nominal(case, lp, lq, u).sensors
     rng = np.random.default_rng(0)
     out = mask_measurements(y, y * 0.5, frozenset(), 0.01, rng)
     np.testing.assert_array_equal(out, y)
@@ -155,8 +160,8 @@ def test_mask_full_access_full_knowledge_covert(case, world):
     lp, lq, u = fixed_inputs(case, world)
     spec = make_condition(case, "attack", 3, 4, 0, 48)
     u_att, _ = reduce_target(u, ALL_ON, spec)
-    y_att, _ = simulate_nominal(case, lp, lq, u_att)
-    y_nom, _ = simulate_nominal(case, lp, lq, u)
+    y_att = simulate_nominal(case, lp, lq, u_att).sensors
+    y_nom = simulate_nominal(case, lp, lq, u).sensors
     masked = mask_measurements(y_att, y_nom, frozenset(range(39)), 0.0,
                                np.random.default_rng(0))
     np.testing.assert_array_equal(masked, y_nom)
@@ -167,8 +172,8 @@ def test_mask_partial_access_leaks(case, world):
     lp, lq, u = fixed_inputs(case, world)
     spec = make_condition(case, "attack", 8, 5, 0, 48)
     u_att, _ = reduce_target(u, ALL_ON, spec)
-    y_att, _ = simulate_nominal(case, lp, lq, u_att)
-    y_nom, _ = simulate_nominal(case, lp, lq, u)
+    y_att = simulate_nominal(case, lp, lq, u_att).sensors
+    y_nom = simulate_nominal(case, lp, lq, u).sensors
     masked = mask_measurements(y_att, y_nom, spec.sensor_access, 0.0,
                                np.random.default_rng(0))
     non_access = sorted(set(range(39)) - spec.sensor_access)
@@ -230,7 +235,7 @@ def test_attack_scenario_masks_generation_sensor(case, world):
     loads, plan = world
     spec = make_condition(case, "attack", 8, 5, 12, 36)
     s = generate_scenario(case, plan, loads, spec, 0.0, seed=8)
-    g8 = generation_sensor_index(case, 8)
+    g8 = sensor_index(case, "generation", "8")
     t = 20
     # masked sensor reads the planned setpoint, slack covers the shortfall
     assert s.values[t, g8] == pytest.approx(plan.setpoint[t, 3], abs=1e-6)
@@ -242,7 +247,7 @@ def test_fault_scenario_exposes_generation_sensor(case, world):
     loads, plan = world
     spec = make_condition(case, "fault", 8, 5, 12, 36)
     s = generate_scenario(case, plan, loads, spec, 0.0, seed=8)
-    g8 = generation_sensor_index(case, 8)
+    g8 = sensor_index(case, "generation", "8")
     assert s.values[20, g8] == pytest.approx(0.0, abs=1e-6)
     assert s.labels[20] == "fault_8"
     assert s.labels[5] == "normal"
@@ -302,8 +307,15 @@ def test_series_csv_roundtrip(tmp_path, case, world):
     assert back.labels == s.labels
     assert back.metadata == s.metadata
     # without its sidecar, or a known condition in it, the series would
-    # pass for a normal one in the split and in training
-    for sidecar in ("{}", "[]", '{"condition": "attack_5"}'):
+    # pass for a normal one in the split and in training; an attack or
+    # fault without its severity would join every level's training rows
+    for sidecar in ("{}", "[]", '{"condition": "attack_5"}',
+                    '{"condition": "attack_2"}',
+                    *(json.dumps({k: v for k, v in s.metadata.items()
+                                  if k != key})
+                      for key in ("level", "target", "window")),
+                    *(json.dumps({**s.metadata, "level": level})
+                      for level in (None, 0, 6, "2"))):
         p.with_suffix(".meta.json").write_text(sidecar)
         with pytest.raises(ValueError, match="series.meta.json"):
             ScenarioSeries.load(p)
