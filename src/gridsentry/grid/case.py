@@ -190,6 +190,11 @@ class Topology:
         self.gen_order = np.array(case.generation_buses) - 1
         self.power_rows = np.vstack([self.Yf, self.Y[self.gen_order]])
         self.power_anchor = np.concatenate([self.from_bus, self.gen_order])
+        # flat positions (k * n + anchor[k]) of each row's anchor entry in
+        # the (rows, n) derivatives of Y and of power_rows
+        self.bus_diag = self.buses * (n + 1)
+        rows = np.arange(len(self.power_anchor))
+        self.power_diag = n * rows + self.power_anchor
 
         # Newton-Raphson power flow: the buses whose voltage magnitude is
         # fixed (slack and PV) with their setpoints, and the slack's angle
@@ -208,6 +213,14 @@ class Topology:
         bus, part = np.divmod(self.mis_index, 2)
         cols = np.concatenate([self.pvpq, n + self.pq])
         self.jac_index = (4 * n * bus + part)[:, None] + 2 * cols
+
+        # WLS state estimation over x = [va(nonslack) | vm]: positions of
+        # d Re(S over power_rows) / dx in the same (rows, 4n) float view of
+        # the power_rows derivatives, and the voltage sensors' rows dvm/dx
+        cols = np.concatenate([self.nonslack, n + self.buses])
+        self.se_index = (4 * n * rows)[:, None] + 2 * cols
+        self.se_volt_rows = np.hstack([np.zeros((n, len(self.nonslack))),
+                                       np.eye(n)])
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)

@@ -5,18 +5,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .case import GridCase, N_SENSORS, Topology, VOLT_OFFSET
 from .powerflow import power_derivatives, sensor_function
 
-# Gauss-Newton stops when no state component moves by TOL, or after MAX_ITER
+# Gauss-Newton stops at a stationary point, where the weighted gradient
+# |H^T W r| is at most GRAD_TOL |H^T W z|, when no state component moves by
+# TOL, or after MAX_ITER linearizations
+GRAD_TOL = 1e-8
 TOL = 1e-10
 MAX_ITER = 30
 
 
 class RankDeficientError(RuntimeError):
-    """The WLS gain matrix is rank deficient."""
+    """The WLS gain matrix is rank deficient: it is singular, or its step is
+    not finite or not a descent direction."""
 
 
 @dataclass
@@ -26,20 +29,17 @@ class StateEstimate:
     predicted_measurements: np.ndarray  # (39,)
     objective: float                 # weighted sum of squared residuals
     converged: bool
-    iterations: int
+    iterations: int                  # linearizations of h made
 
 
 def _measurement_model(topo: Topology, va: np.ndarray, vm: np.ndarray):
     """h(x) and its Jacobian w.r.t. [va(non-slack) | vm(all)]."""
     V = vm * np.exp(1j * va)
     h, S = sensor_function(topo, V, vm)
-    dS_dVa, dS_dVm = power_derivatives(topo.power_rows, topo.power_anchor,
-                                       V, S)
-    k, ns = len(S), len(topo.nonslack)
-    H = np.zeros((N_SENSORS, ns + len(vm)))
-    H[:k, :ns] = dS_dVa[:, topo.nonslack].real
-    H[:k, ns:] = dS_dVm.real
-    np.fill_diagonal(H[k:, ns:], 1.0)  # voltage sensors measure vm directly
+    dS = np.concatenate(power_derivatives(topo.power_rows, topo.power_anchor,
+                                          topo.power_diag, V, S), axis=1)
+    H = np.concatenate([dS.view(float).take(topo.se_index),
+                        topo.se_volt_rows])
     return h, H
 
 
@@ -51,7 +51,8 @@ def estimate_state(case: GridCase, values: np.ndarray,
     measurement variances. A generation sensor reads its bus's generation,
     which is the bus injection plus the bus load; scenario data puts load
     only on the load buses, so the generation rows predict the bare
-    injection and carry no load term.
+    injection and carry no load term. The returned state, predictions and
+    objective all belong to the last point reached.
     """
     z = np.asarray(values, dtype=float)
     if z.shape != (N_SENSORS,) or not np.all(np.isfinite(z)):
@@ -72,17 +73,26 @@ def estimate_state(case: GridCase, values: np.ndarray,
     converged = False
     for iterations in range(1, MAX_ITER + 1):
         h, H = _measurement_model(topo, va, vm)
-        r = z - h
-        grad = H.T @ (W * r)
-        G = H.T @ (W[:, None] * H)
-        _, dx, info = dposv(G, grad)  # Cholesky factor-and-solve
-        if info != 0:
-            raise RankDeficientError("WLS gain matrix is rank deficient")
+        HtW = H.T * W
+        grad = HtW @ (z - h)
+        scale = HtW @ z
+        if grad @ grad <= GRAD_TOL ** 2 * (scale @ scale):  # norms, squared
+            converged = True
+            break
+        if iterations == MAX_ITER:
+            break  # h and the objective are this state's; take no step
+        try:
+            dx = np.linalg.solve(HtW @ H, grad)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficientError("WLS gain matrix is singular") from exc
+        # a step with a non-finite component has a non-finite slope
+        if not 0.0 < grad @ dx < np.inf:
+            raise RankDeficientError(
+                "WLS step is not a finite descent direction")
         va[nonslack] += dx[:len(nonslack)]
         vm += dx[len(nonslack):]
-        if np.max(np.abs(dx)) < TOL:
-            # at a stationary point of the weighted SSR
-            h, _ = _measurement_model(topo, va, vm)
+        if abs(dx).max() < TOL:
+            h, _ = sensor_function(topo, vm * np.exp(1j * va), vm)
             converged = True
             break
 

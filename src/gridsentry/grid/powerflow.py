@@ -29,17 +29,18 @@ def complex_power(M: np.ndarray, anchor: np.ndarray, V: np.ndarray):
     return V[anchor] * np.conj(M @ V)
 
 
-def power_derivatives(M: np.ndarray, anchor: np.ndarray, V: np.ndarray,
-                      S: np.ndarray):
+def power_derivatives(M: np.ndarray, anchor: np.ndarray, diag: np.ndarray,
+                      V: np.ndarray, S: np.ndarray):
     """dS/dVa and dS/dVm of the caller's S = complex_power(M, anchor, V), by
-    every bus angle and magnitude (MATPOWER's dSbus_dV and dSbr_dV)."""
+    every bus angle and magnitude (MATPOWER's dSbus_dV and dSbr_dV); diag
+    holds the flat positions k * n + anchor[k] (Topology's bus_diag and
+    power_diag)."""
     Va = V[anchor]
     A = Va[:, None] * np.conj(M * V)  # V[anchor_k] * conj(M_kj V_j)
-    diag = (np.arange(len(anchor)), anchor)
     dS_dVa = -1j * A
-    dS_dVa[diag] += 1j * S
+    dS_dVa.ravel()[diag] += 1j * S
     dS_dVm = A / np.abs(V)
-    dS_dVm[diag] += S / np.abs(Va)
+    dS_dVm.ravel()[diag] += S / np.abs(Va)
     return dS_dVa, dS_dVm
 
 
@@ -52,7 +53,8 @@ def sensor_function(topo: Topology, V: np.ndarray, vm: np.ndarray):
 
 def _jacobian(topo: Topology, V: np.ndarray, S: np.ndarray) -> np.ndarray:
     """d[P(pvpq), Q(pq)] / d[Va(pvpq), Vm(pq)] at bus injections S."""
-    dS = np.concatenate(power_derivatives(topo.Y, topo.buses, V, S), axis=1)
+    dS = np.concatenate(power_derivatives(topo.Y, topo.buses, topo.bus_diag,
+                                          V, S), axis=1)
     return dS.view(float).take(topo.jac_index)
 
 

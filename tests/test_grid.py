@@ -6,10 +6,10 @@ from scipy.optimize import bisect, fsolve
 
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, Bus, CaseError, GridCase, N_SENSORS,
-                             estimate_state, load_case, measure, noise_scale,
-                             sensor_map, solve_power_flow)
+                             estimate_state, estimation, load_case, measure,
+                             noise_scale, sensor_map, solve_power_flow)
 from gridsentry.grid.case import GEN_OFFSET, VOLT_OFFSET
-from gridsentry.grid.estimation import _measurement_model
+from gridsentry.grid.estimation import RankDeficientError, _measurement_model
 from gridsentry.grid.powerflow import (PowerFlowSolution, _jacobian,
                                       power_derivatives)
 from gridsentry.scenario import (GENERATOR_BUSES, generate_scenario,
@@ -293,7 +293,8 @@ def test_nonconvergence_is_flagged(case):
 
 def ref_jacobian(topo, V):
     S = V * np.conj(topo.Y @ V)
-    dS_dVa, dS_dVm = power_derivatives(topo.Y, topo.buses, V, S)
+    dS_dVa, dS_dVm = power_derivatives(topo.Y, topo.buses, topo.bus_diag,
+                                       V, S)
     dS = np.hstack([dS_dVa[:, topo.pvpq], dS_dVm[:, topo.pq]])
     return np.vstack([dS[topo.pvpq].real, dS[topo.pq].imag])
 
@@ -544,6 +545,36 @@ def test_se_bad_inputs(case):
             estimate_state(case, frame, w)
 
 
+def test_se_singular_gain_is_rank_deficient(case, monkeypatch):
+    sol = solve_gen_free_base(case)
+    frame = measure(sol, 0.0, np.random.default_rng(0))
+    model = estimation._measurement_model
+
+    def blind(topo, va, vm):
+        h, H = model(topo, va, vm)
+        H[:, 3] = 0.0  # no sensor sees one bus angle
+        return h, H
+
+    monkeypatch.setattr(estimation, "_measurement_model", blind)
+    with pytest.raises(RankDeficientError, match="singular"):
+        estimate_state(case, frame, se_weights(sol))
+
+
+@pytest.mark.parametrize("step", [
+    lambda G, g: np.full_like(g, np.nan),
+    lambda G, g: np.where(np.arange(len(g)) == 5, -np.inf, g),
+    lambda G, g: -g,  # uphill
+], ids=["nan", "one-inf", "ascent"])
+def test_se_bad_step_is_rank_deficient(case, monkeypatch, step):
+    # a solve of a near-singular gain can return a step that is not finite
+    # or does not descend; the estimator refuses it rather than taking it
+    sol = solve_gen_free_base(case)
+    frame = measure(sol, 0.0, np.random.default_rng(0))
+    monkeypatch.setattr(np.linalg, "solve", step)
+    with pytest.raises(RankDeficientError, match="descent"):
+        estimate_state(case, frame, se_weights(sol))
+
+
 # ------------------------------------------- derivatives in the sigma=0.10 regime
 
 @pytest.fixture(scope="module")
@@ -626,10 +657,27 @@ def test_powerflow_jacobian_matches_reference_form(case, sigma10_estimates):
 
 
 def test_se_converged_frame_is_stationary(case, sigma10_estimates):
-    frame, w, est = next(e for e in sigma10_estimates if e[2].converged)
-    z, W = frame, 1.0 / w
-    h, H = _measurement_model(case.topology, est.voltage_angle,
-                              est.voltage_magnitude)
-    np.testing.assert_array_equal(h, est.predicted_measurements)
-    grad = H.T @ (W * (z - h))
-    assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(H.T @ (W * z))
+    converged = [e for e in sigma10_estimates if e[2].converged]
+    # measured: 8 of the 24 frames converge, in 7-15 iterations
+    assert len(converged) >= 8
+    for frame, w, est in converged:
+        z, W = frame, 1.0 / w
+        h, H = _measurement_model(case.topology, est.voltage_angle,
+                                  est.voltage_magnitude)
+        np.testing.assert_array_equal(h, est.predicted_measurements)
+        grad = H.T @ (W * (z - h))
+        assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(H.T @ (W * z))
+
+
+def test_se_unconverged_estimate_is_one_point(case, sigma10_estimates):
+    # an estimate that runs out of iterations still reports the state that
+    # its predictions and objective were computed at
+    unconverged = [e for e in sigma10_estimates if not e[2].converged]
+    assert unconverged
+    for frame, w, est in unconverged:
+        assert est.iterations == estimation.MAX_ITER
+        h, _ = _measurement_model(case.topology, est.voltage_angle,
+                                  est.voltage_magnitude)
+        np.testing.assert_array_equal(h, est.predicted_measurements)
+        assert est.objective == pytest.approx(np.sum((frame - h) ** 2 / w),
+                                              rel=1e-12)

@@ -35,6 +35,23 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def test_src_does_not_import_scipy():
+    # scipy is a test dependency (pyproject's `test` extra); the package
+    # runs on numpy's LAPACK alone
+    sites = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                sites.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert sites == []
+
+
 def test_no_test_only_public_names():
     # a public function or class that no code in src/ reads is there only
     # for its tests; such oracles live in tests/oracles.py. Package
