@@ -99,20 +99,28 @@ def load_dataset(data_dir: Path) -> list[ScenarioSeries]:
 
 
 def split_series(series_list, fraction: float, seed: int):
-    """Deterministic series-level split, stratified by (condition, level)."""
+    """Deterministic series-level split, stratified by (condition, level).
+
+    Each group keeps at least one series on either side, so a group of
+    fewer than 2 series is refused with ConfigError.
+    """
     groups: dict = {}
     for series in series_list:
         key = (series.metadata["condition"],
                series.metadata.get("level", 0))
         groups.setdefault(key, []).append(series)
+    small = {key: len(members) for key, members in sorted(groups.items())
+             if len(members) < 2}
+    if small:
+        raise ConfigError(f"the split needs at least 2 series per "
+                          f"(condition, level) group; got {small}")
     train, test = [], []
     for group_id, key in enumerate(sorted(groups)):
         members = groups[key]
         order = np.random.default_rng([seed, 7, group_id])
         idx = order.permutation(len(members))
-        n_train = int(round(fraction * len(members)))
-        if len(members) >= 2:
-            n_train = min(max(n_train, 1), len(members) - 1)
+        n_train = min(max(int(round(fraction * len(members))), 1),
+                      len(members) - 1)
         for j, k in enumerate(idx):
             (train if j < n_train else test).append(members[k])
     return train, test

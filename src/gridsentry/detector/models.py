@@ -18,13 +18,18 @@ import numpy as np
 
 from ..grid import (GridCase, N_SENSORS, estimate_state, noise_scale,
                     sensor_map_hash)
-from ..neural import (Dense, LeakyReLU, ReLU, SequencePredictor, Sequential,
-                      Sigmoid, TrainConfig, get_state, set_state, softmax,
-                      train)
+from ..neural import (Dense, LSTM, LeakyReLU, ReLU, Sequential, Sigmoid,
+                      TrainConfig, get_state, set_state, softmax, train)
 from ..scenario import LABELS
 from .preprocess import PreprocessStats, preprocess
 
-VARIANTS = ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN")
+# the sub-models each variant trains, by ModelBundle attribute
+SUBMODELS = {
+    "AEN_RNN_DNN": ("encoder", "decoder", "predictor", "classifier"),
+    "RNN_DNN": ("predictor", "classifier"),
+    "SE_DNN": ("classifier",),
+}
+VARIANTS = tuple(SUBMODELS)
 
 CODE_SIZE = 13
 LAGS = 10
@@ -36,7 +41,7 @@ AEN_HIDDEN = (32, 20)
 PREDICTOR_HIDDEN = 32
 CLASSIFIER_HIDDEN = (64, 32)
 
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 
 
 class UntrainedBundleError(RuntimeError):
@@ -56,19 +61,12 @@ class ModelBundle:
     classifier: Sequential | None = None
     encoder: Sequential | None = None
     decoder: Sequential | None = None
-    predictor: SequencePredictor | None = None
+    predictor: Sequential | None = None
     history: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.classifier is not None:
-            head = self.classifier.layers[0]
-            tail = self.classifier.layers[-1]
-            if head.params["W"].shape[0] != CLASSIFIER_INPUT:
-                raise ValueError(f"classifier input must be {CLASSIFIER_INPUT}")
-            if tail.params["W"].shape[1] != N_LABELS:
-                raise ValueError(f"classifier output must be {N_LABELS}")
 
 
 def state_checksum(model) -> str:
@@ -96,6 +94,12 @@ def build_autoencoder(rng: np.random.Generator,
     dec = _mlp((code_size, *reversed(hidden), N_SENSORS),
                [LeakyReLU] * len(hidden), rng)
     return enc, dec
+
+
+def build_predictor(width: int, rng: np.random.Generator):
+    # an LSTM, then a dense readout at every time step back to `width`
+    return Sequential([LSTM(width, PREDICTOR_HIDDEN, rng),
+                       Dense(PREDICTOR_HIDDEN, width, rng)])
 
 
 def build_classifier(rng: np.random.Generator, hidden=CLASSIFIER_HIDDEN):
@@ -127,8 +131,7 @@ def fit_predictor(sequences: np.ndarray, config: TrainConfig):
     n, t, c = seq.shape
     if t < LAGS + 1:
         raise ValueError(f"sequences must span at least {LAGS + 1} steps")
-    model = SequencePredictor(c, PREDICTOR_HIDDEN, c,
-                              np.random.default_rng(config.seed))
+    model = build_predictor(c, np.random.default_rng(config.seed))
     x = seq[:, :-1]
     y = seq[:, 1:]
     mask = np.zeros((n, t - 1))
@@ -214,19 +217,11 @@ def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------ storage
 
-def _submodels(bundle: ModelBundle):
-    out = {}
-    for name in ("encoder", "decoder", "predictor", "classifier"):
-        model = getattr(bundle, name)
-        if model is not None:
-            out[name] = model
-    return out
-
-
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     """Write `bundle` to an .npz file; load_bundle reads it back.
 
-    A bundle without a sensor-map hash is refused here with ValueError,
+    A bundle without a sensor-map hash (ValueError) or without one of its
+    variant's trained sub-models (UntrainedBundleError) is refused here,
     since load_bundle would refuse the file it makes.
     """
     if not bundle.sensor_hash:
@@ -241,8 +236,8 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "meta/sensor_hash": np.array(bundle.sensor_hash),
         "meta/noise_sigma": np.array(bundle.noise_sigma),
     }
-    for name, model in _submodels(bundle).items():
-        for key, arr in get_state(model).items():
+    for name in SUBMODELS[bundle.variant]:
+        for key, arr in get_state(trained(bundle, name)).items():
             arrays[f"{name}/{key}"] = arr
     np.savez(path, **arrays)
 
@@ -251,7 +246,9 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
     """Read a bundle file trained against `case`'s sensor index map.
 
     A bundle whose sensor-map hash is missing, empty or not `case`'s is
-    refused with SensorMapMismatchError.
+    refused with SensorMapMismatchError. The bundle gets exactly the
+    sub-models its variant trains, and set_state refuses a file that lacks
+    or misshapes any of their arrays.
     """
     with np.load(Path(path)) as data:
         if int(data["meta/format_version"]) != BUNDLE_FORMAT_VERSION:
@@ -269,18 +266,17 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
             variant=variant, stats=stats,
             sensor_hash=str(data["meta/sensor_hash"]),
             noise_sigma=float(data["meta/noise_sigma"]))
+        # the weights are overwritten from the file; the seed is arbitrary
         rng = np.random.default_rng(0)
-        if any(k.startswith("encoder/") for k in data.files):
+        if variant == "AEN_RNN_DNN":
             bundle.encoder, bundle.decoder = build_autoencoder(rng)
-        if any(k.startswith("predictor/") for k in data.files):
-            width = CODE_SIZE if variant == "AEN_RNN_DNN" else N_SENSORS
-            bundle.predictor = SequencePredictor(width, PREDICTOR_HIDDEN,
-                                                 width, rng)
-        if any(k.startswith("classifier/") for k in data.files):
-            bundle.classifier = build_classifier(rng)
-        for name, model in _submodels(bundle).items():
+            bundle.predictor = build_predictor(CODE_SIZE, rng)
+        elif variant == "RNN_DNN":
+            bundle.predictor = build_predictor(N_SENSORS, rng)
+        bundle.classifier = build_classifier(rng)
+        for name in SUBMODELS[variant]:
             prefix = name + "/"
             state = {k[len(prefix):]: data[k] for k in data.files
                      if k.startswith(prefix)}
-            set_state(model, state)
+            set_state(getattr(bundle, name), state)
     return bundle

@@ -9,9 +9,9 @@ import numpy as np
 from ..grid import GridCase, sensor_map_hash
 from ..neural import TrainConfig
 from ..scenario import LABEL_INDEX
-from .models import (ModelBundle, classify, fit_autoencoder, fit_classifier,
-                     fit_predictor, predict_and_residual, state_checksum,
-                     trained)
+from .models import (SUBMODELS, ModelBundle, classify, fit_autoencoder,
+                     fit_classifier, fit_predictor, predict_and_residual,
+                     state_checksum, trained)
 from .preprocess import assert_normal_lineage, fit_preprocess, preprocess
 
 # the one table of per-stage training defaults; callers re-seed each fit
@@ -23,7 +23,7 @@ STAGE_DEFAULTS = {
 
 
 def series_features(bundle: ModelBundle, series, case: GridCase):
-    """(features (M, 78), label indices (M,), timestamps (M,)) for one series.
+    """(features (M, 78), label indices (M,)) for one series.
 
     Feature row = residual (standardized-difference space) ++ raw observation
     standardized per sensor, both at the residual frame's timestamp; labels
@@ -35,7 +35,7 @@ def series_features(bundle: ModelBundle, series, case: GridCase):
     obs = bundle.stats.standardize_raw(np.asarray(series.values)[ts])
     x = np.concatenate([residuals, obs], axis=1)
     labels = np.array([LABEL_INDEX[series.labels[t]] for t in ts])
-    return x, labels, ts
+    return x, labels
 
 
 def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
@@ -46,7 +46,7 @@ def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
     features are computed once per stage.
     """
     return [(series.metadata.get("level"),
-             *series_features(bundle, series, case)[:2])
+             *series_features(bundle, series, case))
             for series in series_list]
 
 
@@ -91,9 +91,8 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
         bundle.history["predictor"] = hist
 
     # residual generation must not touch the frozen feature models
-    frozen = {name: state_checksum(m) for name, m in (
-        ("encoder", bundle.encoder), ("decoder", bundle.decoder),
-        ("predictor", bundle.predictor)) if m is not None}
+    frozen = {name: state_checksum(getattr(bundle, name))
+              for name in SUBMODELS[variant] if name != "classifier"}
     x, y = _stacked(feature_rows(bundle, series_list, case))
     for name, digest in frozen.items():
         if state_checksum(getattr(bundle, name)) != digest:

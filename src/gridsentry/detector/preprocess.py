@@ -39,8 +39,7 @@ class PreprocessStats:
 
 
 def _frames(series) -> np.ndarray:
-    values = getattr(series, "values", series)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(series.values, dtype=float)
     if values.ndim != 2 or values.shape[1] != N_SENSORS:
         raise ValueError(f"expected (T, {N_SENSORS}) sensor frames")
     return values
@@ -49,9 +48,9 @@ def _frames(series) -> np.ndarray:
 def fit_preprocess(series_list) -> PreprocessStats:
     """Std of first differences per sensor, floored at EPSILON.
 
-    series_list is an iterable of ScenarioSeries (or raw (T, 39) arrays);
-    differences never cross series boundaries. A series with a non-finite
-    frame, such as a leading power-flow gap hour, is refused by its seed.
+    series_list is an iterable of ScenarioSeries; differences never cross
+    series boundaries. A series with a non-finite frame, such as a leading
+    power-flow gap hour, is refused by its seed.
     """
     diffs = []
     raws = []
@@ -59,7 +58,7 @@ def fit_preprocess(series_list) -> PreprocessStats:
     for series in series_list:
         values = _frames(series)
         if not np.all(np.isfinite(values)):
-            meta = getattr(series, "metadata", {})
+            meta = series.metadata
             raise ValueError(f"series of seed {meta.get('seed')} has non-finite"
                              f" frames, gap hours {meta.get('gap_hours')}")
         total += values.shape[0]

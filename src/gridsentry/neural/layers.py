@@ -43,9 +43,9 @@ class Layer:
     """Base: parameters and gradients are aligned name -> array dicts.
 
     backward(dy) adds the parameter gradients into `grads` and returns the
-    gradient w.r.t. the layer input. Dense, LSTM and the two containers
-    take input_grad=False to skip that last product and return None; a
-    container passes it on to its first layer only.
+    gradient w.r.t. the layer input. Dense, LSTM and Sequential take
+    input_grad=False to skip that last product and return None; Sequential
+    passes it on to its first layer only.
     """
 
     def __init__(self):
@@ -222,27 +222,3 @@ class LSTM(Layer):
         if not input_grad:
             return None
         return np.matmul(dzs, Wx.T).transpose(1, 0, 2)
-
-
-class SequencePredictor(Layer):
-    """LSTM followed by a dense readout applied at every time step."""
-
-    def __init__(self, in_dim: int, hidden: int, out_dim: int,
-                 rng: np.random.Generator):
-        super().__init__()
-        self.lstm = LSTM(in_dim, hidden, rng)
-        self.head = Dense(hidden, out_dim, rng)
-
-    def forward(self, x):
-        return self.head.forward(self.lstm.forward(x))
-
-    def backward(self, dy, input_grad=True):
-        return self.lstm.backward(self.head.backward(dy),
-                                  input_grad=input_grad)
-
-    def parameters(self):
-        out = []
-        for prefix, layer in (("lstm", self.lstm), ("head", self.head)):
-            for k in layer.params:
-                out.append((f"{prefix}.{k}", layer.params, layer.grads, k))
-        return out

@@ -13,9 +13,9 @@ from .optim import Adam
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
-    epochs: int = 50
-    batch_size: int = 64
+    learning_rate: float
+    epochs: int
+    batch_size: int
     seed: int = 0
 
     def __post_init__(self):

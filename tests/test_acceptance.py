@@ -23,9 +23,8 @@ from gridsentry.evaluation import (ConfusionMatrix, holdout_experiment,
                                    severity_sweep)
 from gridsentry.grid import load_case, solve_power_flow
 from gridsentry.grid.case import DEFAULT_CASE
-from gridsentry.neural import (Dense, LSTM, LeakyReLU, ReLU,
-                               SequencePredictor, Sequential, Sigmoid,
-                               TrainConfig)
+from gridsentry.neural import (Dense, LSTM, LeakyReLU, ReLU, Sequential,
+                               Sigmoid, TrainConfig)
 from gridsentry.scenario import LABELS, generate_scenario, make_condition
 from oracles import (chi_square_detect, covert_attack_run, grad_check,
                      random_system, simulate)
@@ -205,7 +204,7 @@ def test_criterion_5_gradient_fidelity():
         mask = np.zeros((2, 7))
         mask[:, 3:] = 1.0
         worst = max(worst, grad_check(
-            SequencePredictor(3, 4, 4, rng), xs,
+            Sequential([LSTM(3, 4, rng), Dense(4, 4, rng)]), xs,
             data.standard_normal((2, 7, 4)), mask=mask))
 
         clf = build_classifier(rng, hidden=(10, 8))

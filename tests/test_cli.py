@@ -273,6 +273,51 @@ def test_report_refuses_repeated_variant(workspace, tmp_path, monkeypatch):
     assert read == [] and not out.exists()
 
 
+def test_split_refuses_groups_of_one_series(workspace, tmp_path):
+    # with one series per group the test split would hold no attack or
+    # fault series: train and evaluate refuse the dataset, naming a group
+    _, _, data_dir = workspace
+    config_path = write_config(tmp_path / "run.yaml", horizon=24,
+                               window=[6, 18], normal_series=2,
+                               series_per_condition_per_level=1)
+    small = tmp_path / "data"
+    assert cli.main(["--config", str(config_path), "gen-data"]) == 0
+    pattern = r"at least 2 series .*\('attack_2', 5\): 1"
+    with pytest.raises(ConfigError, match=pattern):
+        cli.main(["--config", str(config_path), "train",
+                  "--data", str(small), "--variant", "SE_DNN"])
+    assert not (small / "models").exists()
+    out = tmp_path / "reports"
+    with pytest.raises(ConfigError, match=pattern):
+        cli.main(["--config", str(config_path), "evaluate",
+                  "--data", str(small), "--out", str(out), "--bundle",
+                  str(data_dir / "models" / "bundle_SE_DNN.npz")])
+    assert not out.exists()
+
+
+def test_stages_refuse_bundle_without_classifier(workspace, tmp_path,
+                                                 monkeypatch):
+    # a hand-edited file that lacks its variant's classifier is refused as
+    # it loads, before a stage reads the dataset
+    _, _, data_dir = workspace
+    with np.load(data_dir / "models" / "bundle_SE_DNN.npz") as data:
+        arrays = {k: data[k] for k in data.files
+                  if not k.startswith("classifier/")}
+    broken = tmp_path / "broken.npz"
+    np.savez(broken, **arrays)
+    read = []
+    monkeypatch.setattr(cli, "load_dataset", read.append)
+    config_path = str(holdout_config(tmp_path))
+    for stage, flag in (("evaluate", "--bundle"), ("holdout", "--bundle"),
+                        ("report", "--bundles")):
+        out = tmp_path / stage
+        with pytest.raises(KeyError, match="missing parameter"):
+            cli.main(["--config", config_path, stage, "--data",
+                      str(data_dir), "--out", str(out), flag, str(broken)])
+        assert not out.exists()
+    assert read == []
+
+
 def stub_holdout(rows, l, replications, seed, classifier_config=None):
     return HoldoutResult(l=l, accuracies=[0.5] * replications,
                          level_sets=[(1, 2, 3, 4)] * replications,

@@ -4,18 +4,21 @@ import pytest
 from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
                                  ModelBundle, PreprocessStats,
                                  SensorMapMismatchError, UntrainedBundleError,
-                                 assert_normal_lineage, classify,
+                                 VARIANTS, assert_normal_lineage, classify,
                                  evaluate_predictions, fit_autoencoder,
                                  fit_classifier, fit_predictor, fit_preprocess,
                                  load_bundle, predict_and_residual, preprocess,
                                  save_bundle, series_features, state_checksum,
                                  train_bundle)
-from gridsentry.detector.models import build_classifier
+from gridsentry.detector.models import SUBMODELS, build_classifier
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
-from gridsentry.neural import TrainConfig, softmax
+from gridsentry.neural import TrainConfig, get_state, softmax
 from gridsentry.scenario import LABELS, ScenarioSeries, generate_scenario
 from oracles import chi_square_detect
+
+# for fits that are refused before training, or only need to run once
+TINY = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +137,7 @@ def test_train_bundle_refuses_tainted_normal_series(case, normal_series):
     tainted = ScenarioSeries(values=tainted.values, labels=labels,
                              metadata=dict(tainted.metadata))
     assert tainted.metadata["condition"] == "normal"
-    tiny = TrainConfig(epochs=1, batch_size=4)
-    stages = dict.fromkeys(("autoencoder", "predictor", "classifier"), tiny)
+    stages = dict.fromkeys(("autoencoder", "predictor", "classifier"), TINY)
     seed = tainted.metadata["seed"]
     with pytest.raises(ValueError, match=rf"seed {seed} carries non-normal "
                                          r"labels \['attack_2'\]"):
@@ -169,7 +171,7 @@ def test_autoencoder_code_width_and_learning():
 
 def test_autoencoder_rejects_wrong_width():
     with pytest.raises(ValueError):
-        fit_autoencoder(np.zeros((10, 5)), TrainConfig())
+        fit_autoencoder(np.zeros((10, 5)), TINY)
 
 
 # ---------------------------------------------------------------- predictor
@@ -194,7 +196,7 @@ def test_predictor_window_arithmetic():
 
 def test_predictor_too_short():
     with pytest.raises(ValueError):
-        fit_predictor(np.zeros((1, LAGS, 3)), TrainConfig())
+        fit_predictor(np.zeros((1, LAGS, 3)), TINY)
 
 
 # ---------------------------------------------------------------- residuals
@@ -239,10 +241,11 @@ def test_residual_alignment_rnn(case, normal_series):
     assert ts[0] == LAGS + 1
     assert ts[-1] == series.horizon - 1
     assert residuals.shape == (len(ts), N_SENSORS)
-    x, y, feature_ts = series_features(bundle, series, case)
+    x, y = series_features(bundle, series, case)
     assert x.shape == (len(ts), CLASSIFIER_INPUT)
-    np.testing.assert_array_equal(feature_ts, ts)
     np.testing.assert_array_equal(x[:, :N_SENSORS], residuals)
+    np.testing.assert_array_equal(
+        x[:, N_SENSORS:], stats.standardize_raw(series.values[ts]))
     np.testing.assert_array_equal(y, 0)  # all-normal series
 
 
@@ -251,7 +254,7 @@ def test_residual_generation_leaves_models_frozen(case, normal_series):
     bundle = make_stub_bundle("RNN_DNN", case, stats)
     z = np.stack([preprocess(s, stats) for s in normal_series])
     bundle.predictor, _ = fit_predictor(
-        z, TrainConfig(epochs=3, batch_size=4, seed=0))
+        z, TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=0))
     before = state_checksum(bundle.predictor)
     predict_and_residual(bundle, normal_series[0], case)
     assert state_checksum(bundle.predictor) == before
@@ -285,7 +288,7 @@ def test_classifier_missing_class_listed():
     x, y = separable_toy(n_per_class=10)
     keep = y != 4
     with pytest.raises(ValueError, match="attack_8"):
-        fit_classifier(x[keep], y[keep], TrainConfig(epochs=1))
+        fit_classifier(x[keep], y[keep], TINY)
 
 
 def test_classify_trivial_and_ties():
@@ -324,49 +327,83 @@ def test_variant_shared_classifier_path(case):
 
 # ---------------------------------------------------------------- bundle io
 
-def test_bundle_roundtrip(tmp_path, case, normal_series):
+def small_bundle(variant, case, normal_series):
+    """A bundle of `variant` with every sub-model fitted for a few epochs."""
     stats = fit_preprocess(normal_series)
-    bundle = make_stub_bundle("RNN_DNN", case, stats)
+    bundle = make_stub_bundle(variant, case, stats)
     z = np.stack([preprocess(s, stats) for s in normal_series])
-    bundle.predictor, _ = fit_predictor(
-        z, TrainConfig(epochs=3, batch_size=4, seed=0))
+    cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=0)
+    if variant == "AEN_RNN_DNN":
+        bundle.encoder, bundle.decoder, _ = fit_autoencoder(
+            np.concatenate(z), cfg)
+        z = bundle.encoder.forward(z)  # the predictor works on 13-wide codes
+    if variant != "SE_DNN":
+        bundle.predictor, _ = fit_predictor(z, cfg)
     x, y = separable_toy(n_per_class=60)
     bundle.classifier, _ = fit_classifier(
-        x, y, TrainConfig(epochs=5, batch_size=64, seed=0))
+        x, y, TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64,
+                          seed=0))
+    return bundle
 
-    path = tmp_path / "bundle.npz"
-    save_bundle(bundle, path)
-    loaded = load_bundle(path, case)
-    assert loaded.variant == "RNN_DNN"
-    for name in ("std", "raw_mean", "raw_std"):
-        np.testing.assert_array_equal(getattr(loaded.stats, name),
-                                      getattr(stats, name))
+
+def test_bundle_roundtrip(tmp_path, case, normal_series):
     probe = np.random.default_rng(3).standard_normal((4, CLASSIFIER_INPUT))
-    np.testing.assert_array_equal(loaded.classifier.forward(probe),
-                                  bundle.classifier.forward(probe))
-    _, r1 = predict_and_residual(bundle, normal_series[0], case)
-    _, r2 = predict_and_residual(loaded, normal_series[0], case)
-    np.testing.assert_array_equal(r1, r2)
+    for variant in VARIANTS:
+        bundle = small_bundle(variant, case, normal_series)
+        path = tmp_path / f"bundle_{variant}.npz"
+        save_bundle(bundle, path)
+        loaded = load_bundle(path, case)
+        assert loaded.variant == variant
+        for name in ("std", "raw_mean", "raw_std"):
+            np.testing.assert_array_equal(getattr(loaded.stats, name),
+                                          getattr(bundle.stats, name))
+        # exactly the variant's sub-models, each with every saved array
+        for name in ("encoder", "decoder", "predictor", "classifier"):
+            if name not in SUBMODELS[variant]:
+                assert getattr(loaded, name) is None, (variant, name)
+                continue
+            saved = get_state(getattr(bundle, name))
+            back = get_state(getattr(loaded, name))
+            assert saved.keys() == back.keys(), (variant, name)
+            for key in saved:
+                assert np.array_equal(saved[key], back[key]), (variant, key)
+        with np.load(path) as data:
+            assert ("predictor/layer0.LSTM.Wx" in data.files) == (
+                variant != "SE_DNN")
+        np.testing.assert_array_equal(loaded.classifier.forward(probe),
+                                      bundle.classifier.forward(probe))
+        _, r1 = predict_and_residual(bundle, normal_series[0], case)
+        _, r2 = predict_and_residual(loaded, normal_series[0], case)
+        np.testing.assert_array_equal(r1, r2)
+
+
+def stub_classifier_bundle(case, **kwargs):
+    """An SE_DNN bundle with an untrained classifier: a complete bundle."""
+    return make_stub_bundle("SE_DNN", case, **kwargs,
+                            classifier=build_classifier(
+                                np.random.default_rng(0)))
+
+
+def saved_arrays(path):
+    with np.load(path) as data:
+        return {k: data[k] for k in data.files}
 
 
 def test_sensor_map_mismatch_refused(tmp_path, case):
-    stats = unit_stats()
     path = tmp_path / "bundle.npz"
     # an empty hash is refused at write time
+    bundle = stub_classifier_bundle(case)
+    bundle.sensor_hash = ""
     with pytest.raises(ValueError, match="sensor-map hash"):
-        save_bundle(ModelBundle(variant="SE_DNN", stats=stats,
-                                sensor_hash="", noise_sigma=0.01), path)
+        save_bundle(bundle, path)
     assert not path.exists()
-    save_bundle(ModelBundle(variant="SE_DNN", stats=stats,
-                            sensor_hash="not-the-real-hash",
-                            noise_sigma=0.01), path)
+    bundle.sensor_hash = "not-the-real-hash"
+    save_bundle(bundle, path)
     with pytest.raises(SensorMapMismatchError):
         load_bundle(path, case)
-    good = make_stub_bundle("SE_DNN", case, stats)
-    save_bundle(good, path)
+    save_bundle(stub_classifier_bundle(case), path)
     assert load_bundle(path, case).sensor_hash == sensor_map_hash(case)
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
+    arrays = saved_arrays(path)
     # a hand-written file with an empty hash, or with none at all, is
     # refused at load time
     for drop in (False, True):
@@ -378,6 +415,26 @@ def test_sensor_map_mismatch_refused(tmp_path, case):
         np.savez(path, **written)
         with pytest.raises(SensorMapMismatchError):
             load_bundle(path, case)
+
+
+def test_save_refuses_bundle_missing_a_submodel(tmp_path, case):
+    # load_bundle would refuse the file, so save_bundle does not write it
+    path = tmp_path / "bundle.npz"
+    bundle = make_stub_bundle(
+        "RNN_DNN", case, classifier=build_classifier(np.random.default_rng(0)))
+    with pytest.raises(UntrainedBundleError, match="RNN_DNN needs a trained "
+                                                   "predictor"):
+        save_bundle(bundle, path)
+    assert not path.exists()
+
+
+def test_load_refuses_older_format(tmp_path, case):
+    path = tmp_path / "bundle.npz"
+    save_bundle(stub_classifier_bundle(case), path)
+    np.savez(path, **{**saved_arrays(path),
+                      "meta/format_version": np.array(2)})
+    with pytest.raises(ValueError, match="unsupported bundle file version"):
+        load_bundle(path, case)
 
 
 def test_bundle_architecture_conformance():

@@ -161,6 +161,18 @@ def test_every_default_is_overridden_in_src():
 POWERFLOW = "src/gridsentry/grid/powerflow.py"
 
 
+def walk_with_function(path: Path):
+    """(node, name of the innermost enclosing function or None) for every
+    AST node of the file at `path`."""
+    stack = [(ast.parse(path.read_text()), None)]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        yield node, func
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
 def test_one_home_for_the_grid_physics():
     # the complex power V[anchor] * conj(M @ V) is spelled once, with its
     # derivatives beside it, and a branch's series admittance 1 / (r + jx)
@@ -168,11 +180,7 @@ def test_one_home_for_the_grid_physics():
     conj_sites, admittance_sites = [], []
     for path in sorted((ROOT / "src").rglob("*.py")):
         rel = str(path.relative_to(ROOT))
-        stack = [(ast.parse(path.read_text()), None)]
-        while stack:
-            node, func = stack.pop()
-            if isinstance(node, ast.FunctionDef):
-                func = node.name
+        for node, func in walk_with_function(path):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("conj", "conjugate")):
@@ -181,11 +189,25 @@ def test_one_home_for_the_grid_physics():
                     and isinstance(node.right, ast.Call)
                     and getattr(node.right.func, "id", None) == "complex"):
                 admittance_sites.append(f"{rel}:{node.lineno}")
-            stack.extend((child, func)
-                         for child in ast.iter_child_nodes(node))
     homes = {(POWERFLOW, "complex_power"), (POWERFLOW, "power_derivatives")}
     stray = sorted(f"{rel}:{line}" for rel, func, line in conj_sites
                    if (rel, func) not in homes)
     assert (stray, len(admittance_sites)) == ([], 1), (stray,
                                                        admittance_sites)
     assert {(rel, func) for rel, func, _ in conj_sites} == homes
+
+
+def test_one_home_for_each_network_architecture():
+    # the detector builds its layers in _mlp and the build_* functions
+    # only, so fitting a model and loading it from a bundle cannot spell
+    # one architecture two ways
+    sites = []
+    for path in sorted((ROOT / "src/gridsentry/detector").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        for node, func in walk_with_function(path):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in ("Dense", "LSTM")
+                    and func != "_mlp"
+                    and not (func or "").startswith("build_")):
+                sites.append(f"{rel}:{node.lineno} in {func}")
+    assert sites == []

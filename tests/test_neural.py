@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gridsentry.neural import (Adam, Dense, LSTM, LeakyReLU, ReLU,
-                               SequencePredictor, Sequential, TrainConfig,
-                               get_state, mse, set_state, softmax,
-                               softmax_cross_entropy, train)
+                               Sequential, TrainConfig, get_state, mse,
+                               set_state, softmax, softmax_cross_entropy,
+                               train)
 from gridsentry.detector.models import build_autoencoder, build_classifier
 from gridsentry.neural.layers import _sigmoid
 from gridsentry.neural.train import flatten_parameters
@@ -13,6 +13,11 @@ from oracles import grad_check
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def lstm_readout(in_dim, hidden, out_dim, r):
+    """The predictor's shape (build_predictor) at test widths."""
+    return Sequential([LSTM(in_dim, hidden, r), Dense(hidden, out_dim, r)])
 
 
 # ---------------------------------------------------------------- dense
@@ -118,7 +123,7 @@ def test_lstm_bptt_grad_matches_finite_differences():
 
 
 def test_sequence_predictor_grad_with_mask():
-    model = SequencePredictor(3, 5, 3, rng(9))
+    model = lstm_readout(3, 5, 3, rng(9))
     x = rng(10).standard_normal((2, 12, 3))
     y = rng(11).standard_normal((2, 12, 3))
     mask = np.zeros((2, 12))
@@ -273,7 +278,7 @@ def ref_train(model, x, y, config, loss="mse", mask=None):
 
 
 def test_adam_bits_match_reference():
-    model = SequencePredictor(5, 6, 5, rng(47))
+    model = lstm_readout(5, 6, 5, rng(47))
     params = {name: p[k].copy() for name, p, _, k in model.parameters()}
     flat_params, flat_grads = flatten_parameters(model)
     opt, ref_state = Adam(5e-3), {}
@@ -309,7 +314,7 @@ def _predictor_fit():
     mask = np.zeros((7, 12))
     mask[:, 4:] = 1.0
     seq = rng(63).standard_normal((7, 13, 5))
-    return (lambda: SequencePredictor(5, 6, 5, rng(64)), seq[:, :-1],
+    return (lambda: lstm_readout(5, 6, 5, rng(64)), seq[:, :-1],
             seq[:, 1:], TrainConfig(learning_rate=5e-3, epochs=3,
                                     batch_size=3, seed=65), {"mask": mask})
 
@@ -361,7 +366,7 @@ def test_backward_without_input_grad():
         (Dense(4, 3, r), r.standard_normal((6, 4))),
         (LSTM(3, 4, r), r.standard_normal((2, 5, 3))),
         (make_mlp([4, 5, 3], seed=71), r.standard_normal((6, 4))),
-        (SequencePredictor(3, 4, 2, r), r.standard_normal((2, 5, 3))),
+        (lstm_readout(3, 4, 2, r), r.standard_normal((2, 5, 3))),
     ]
     for model, x in models:
         dy = rng(72).standard_normal(model.forward(x).shape)
@@ -422,7 +427,8 @@ def test_train_zero_learning_rate():
     before = get_state(model)
     x = rng(2).standard_normal((32, 2))
     y = rng(3).standard_normal((32, 1))
-    train(model, x, y, TrainConfig(learning_rate=0.0, epochs=3, seed=0))
+    train(model, x, y, TrainConfig(learning_rate=0.0, epochs=3,
+                                   batch_size=64, seed=0))
     after = get_state(model)
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])
@@ -442,28 +448,26 @@ def test_train_linear_regression():
 def test_train_deterministic():
     x = rng(5).standard_normal((64, 3))
     y = rng(6).standard_normal((64, 2))
-    h1 = train(make_mlp([3, 8, 2], seed=7), x, y,
-               TrainConfig(epochs=5, seed=11))
-    h2 = train(make_mlp([3, 8, 2], seed=7), x, y,
-               TrainConfig(epochs=5, seed=11))
+    cfg = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64, seed=11)
+    h1 = train(make_mlp([3, 8, 2], seed=7), x, y, cfg)
+    h2 = train(make_mlp([3, 8, 2], seed=7), x, y, cfg)
     assert h1 == h2
 
 
 def test_train_rejects_empty():
     with pytest.raises(ValueError):
         train(make_mlp([2, 1]), np.zeros((0, 2)), np.zeros((0, 1)),
-              TrainConfig())
+              TrainConfig(learning_rate=1e-3, epochs=1, batch_size=64))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=2.5)
+    good = dict(learning_rate=1e-3, epochs=1, batch_size=1)
+    for key, value in (("learning_rate", -1), ("epochs", 0),
+                       ("batch_size", 0), ("epochs", 2.5)):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{**good, key: value})
+    with pytest.raises(TypeError):
+        TrainConfig(epochs=1, batch_size=1)  # every field but seed is required
 
 
 # ---------------------------------------------------------------- autoencoder shape

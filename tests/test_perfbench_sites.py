@@ -43,7 +43,8 @@ def test_optim_step_span_once_per_batch():
         "from gridsentry.neural import TrainConfig",
         "x = np.random.default_rng(0).standard_normal((20, 78))",
         "models.fit_classifier(x, np.arange(20) % 9,",
-        "                      TrainConfig(epochs=3, batch_size=8))",
+        "                      TrainConfig(learning_rate=1e-3, epochs=3,",
+        "                                  batch_size=8))",
         "print(json.dumps({'steps': tracer.spans['setup', 'neural.optim_step'][0],",
         "                  'batches': tracer.counts['neural.batches']}))",
     ])
