@@ -3,8 +3,7 @@ from .models import (CLASSIFIER_INPUT, CODE_SIZE, LAGS, ModelBundle,
                      classify, fit_autoencoder, fit_classifier, fit_predictor,
                      load_bundle, predict_and_residual, save_bundle,
                      state_checksum, trained)
-from .pipeline import (evaluate_predictions, feature_rows, series_features,
-                       train_bundle)
+from .pipeline import evaluate_predictions, feature_rows, train_bundle
 from .preprocess import (EPSILON, PreprocessStats, assert_normal_lineage,
                          fit_preprocess, preprocess)
 
@@ -13,7 +12,7 @@ __all__ = [
     "SensorMapMismatchError", "UntrainedBundleError", "VARIANTS", "classify",
     "fit_autoencoder", "fit_classifier", "fit_predictor", "load_bundle",
     "predict_and_residual", "save_bundle", "state_checksum", "trained",
-    "evaluate_predictions", "feature_rows", "series_features", "train_bundle",
+    "evaluate_predictions", "feature_rows", "train_bundle",
     "EPSILON", "PreprocessStats", "assert_normal_lineage", "fit_preprocess",
     "preprocess",
 ]

@@ -173,35 +173,56 @@ def _se_residual_row(case: GridCase, values: np.ndarray,
     return values - est.predicted_measurements
 
 
-def predict_and_residual(bundle: ModelBundle, series, case: GridCase
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(timestamps (M,), residuals (M, 39)) for one series under the
-    bundle's variant.
+def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
+                         ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (timestamps (M,), residuals (M, 39)) pair per series of
+    series_list, in order, under the bundle's variant.
 
     Residuals live in standardized-difference space for every variant and
     are emitted for original frames LAGS+1 .. T-1 (the first LAGS differenced
     frames are predictor warm-up). Model parameters are never mutated.
+
+    The learned variants run their models once per group of equal-length
+    series, stacked (S, 1, T, D): every series keeps its own batch of one,
+    so its residuals have the bits of a one-series call. A (S, T, D) batch
+    would not: its recurrent products take BLAS's matrix-matrix path, not
+    the matrix-vector one. The group's memory grows with S, so callers
+    bound the list (pipeline.RESIDUAL_GROUP).
     """
-    z = preprocess(series, bundle.stats)  # (T-1, 39); row j <-> frame j+1
-    t_z = z.shape[0]
-    if t_z <= LAGS:
-        raise ValueError(f"series too short for {LAGS} lags")
-    idx = np.arange(LAGS, t_z)  # z rows with a usable prediction
+    zs = [preprocess(series, bundle.stats) for series in series_list]
+    for z in zs:  # z row j <-> frame j+1
+        if z.shape[0] <= LAGS:
+            raise ValueError(f"series too short for {LAGS} lags")
 
     if bundle.variant == "SE_DNN":
-        values = np.asarray(series.values, dtype=float)
-        rows = []
-        for t in idx + 1:
-            raw = _se_residual_row(case, values[t], bundle.noise_sigma)
-            rows.append(raw / bundle.stats.std)
-        return idx + 1, np.array(rows)
+        out = []
+        for series, z in zip(series_list, zs):
+            ts = np.arange(LAGS, z.shape[0]) + 1
+            values = np.asarray(series.values, dtype=float)
+            rows = [_se_residual_row(case, values[t], bundle.noise_sigma)
+                    / bundle.stats.std for t in ts]
+            out.append((ts, np.array(rows)))
+        return out
 
     coded = bundle.variant == "AEN_RNN_DNN"
-    codes = trained(bundle, "encoder").forward(z) if coded else z
-    z_hat = trained(bundle, "predictor").forward(codes[None, :-1])[0]
-    if coded:
-        z_hat = trained(bundle, "decoder").forward(z_hat)
-    return idx + 1, z[idx] - z_hat[idx - 1]  # row j-1 predicts z row j
+    predictor = trained(bundle, "predictor")
+    encoder = trained(bundle, "encoder") if coded else None
+    decoder = trained(bundle, "decoder") if coded else None
+    by_length: dict[int, list[int]] = {}
+    for k, z in enumerate(zs):
+        by_length.setdefault(z.shape[0], []).append(k)
+    out = [None] * len(zs)
+    for t_z, members in by_length.items():
+        z = np.stack([zs[k] for k in members])[:, None]  # (S, 1, T-1, 39)
+        codes = encoder.forward(z) if coded else z
+        z_hat = predictor.forward(codes[..., :-1, :])
+        if coded:
+            z_hat = decoder.forward(z_hat)
+        # z_hat row j-1 predicts z row j, for the rows j >= LAGS
+        residuals = z[:, 0, LAGS:] - z_hat[:, 0, LAGS - 1:]
+        for k, r in zip(members, residuals):
+            out[k] = (np.arange(LAGS, t_z) + 1, r)
+    return out
 
 
 def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:
@@ -247,8 +268,9 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
 
     A bundle whose sensor-map hash is missing, empty or not `case`'s is
     refused with SensorMapMismatchError. The bundle gets exactly the
-    sub-models its variant trains, and set_state refuses a file that lacks
-    or misshapes any of their arrays.
+    sub-models its variant trains; a file that lacks (KeyError) or misshapes
+    (ValueError) any of their arrays is refused with an error naming the
+    sub-model and the file.
     """
     with np.load(Path(path)) as data:
         if int(data["meta/format_version"]) != BUNDLE_FORMAT_VERSION:
@@ -278,5 +300,9 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
             prefix = name + "/"
             state = {k[len(prefix):]: data[k] for k in data.files
                      if k.startswith(prefix)}
-            set_state(getattr(bundle, name), state)
+            try:
+                set_state(getattr(bundle, name), state)
+            except (KeyError, ValueError) as exc:
+                raise type(exc)(f"{name} in bundle file {path}: "
+                                f"{exc.args[0]}") from exc
     return bundle

@@ -21,33 +21,36 @@ STAGE_DEFAULTS = {
     "classifier": TrainConfig(learning_rate=2e-3, epochs=80, batch_size=256),
 }
 
-
-def series_features(bundle: ModelBundle, series, case: GridCase):
-    """(features (M, 78), label indices (M,)) for one series.
-
-    Feature row = residual (standardized-difference space) ++ raw observation
-    standardized per sensor, both at the residual frame's timestamp; labels
-    come from the series frame labels. The raw-standardized observation half
-    keeps persistent level shifts visible to the classifier, which first
-    differencing would cancel.
-    """
-    ts, residuals = predict_and_residual(bundle, series, case)
-    obs = bundle.stats.standardize_raw(np.asarray(series.values)[ts])
-    x = np.concatenate([residuals, obs], axis=1)
-    labels = np.array([LABEL_INDEX[series.labels[t]] for t in ts])
-    return x, labels
+# series per stacked residual forward in feature_rows: a larger group runs
+# faster but holds more activations at once (peak memory)
+RESIDUAL_GROUP = 4
 
 
 def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
     """(level, features, label indices) per series, in series_list order.
 
-    level is the series' severity level, None for a normal series. The
-    holdout and severity stages work on these rows, so each series'
-    features are computed once per stage.
+    level is the series' severity level, None for a normal series. Feature
+    row = residual (standardized-difference space) ++ raw observation
+    standardized per sensor, both at the residual frame's timestamp; labels
+    come from the series frame labels. The raw-standardized observation half
+    keeps persistent level shifts visible to the classifier, which first
+    differencing would cancel.
+
+    Residuals are computed RESIDUAL_GROUP series at a time, and each group's
+    rows are built before the next group starts. The holdout and severity
+    stages work on these rows, so each series' features are computed once
+    per stage.
     """
-    return [(series.metadata.get("level"),
-             *series_features(bundle, series, case))
-            for series in series_list]
+    rows = []
+    for start in range(0, len(series_list), RESIDUAL_GROUP):
+        group = series_list[start:start + RESIDUAL_GROUP]
+        for series, (ts, residuals) in zip(
+                group, predict_and_residual(bundle, group, case)):
+            obs = bundle.stats.standardize_raw(np.asarray(series.values)[ts])
+            labels = np.array([LABEL_INDEX[series.labels[t]] for t in ts])
+            rows.append((series.metadata.get("level"),
+                         np.concatenate([residuals, obs], axis=1), labels))
+    return rows
 
 
 def _stacked(rows):

@@ -2,6 +2,10 @@
 
 Single-threaded per model instance: forward caches activations that the
 matching backward consumes. All arrays are float64, batch-first.
+
+No call writes into an array its caller passed in, and every call returns
+a fresh array. Callers must not write into a returned array either: the
+matching backward may read it.
 """
 
 from __future__ import annotations
@@ -17,26 +21,34 @@ class NumericalError(FloatingPointError):
 
 def _check(name: str, arr: np.ndarray) -> np.ndarray:
     """Finite check at layer boundaries; cheap at the scales used here."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values out of {name}")
     return arr
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
 
-    min(x, -x) is -|x| but passes a NaN through with its sign bit.
+    min(x, -x) is -|x| but passes a NaN through with its sign bit. Its
+    exponential e is at most 1, so max(e, x >= 0) is the numerator: 1 where
+    x >= 0 and e below, chosen without a branch per element. `out`, when
+    given, receives the result and must not overlap x.
     """
-    e = np.exp(np.minimum(x, -x))
+    e = np.negative(x, out=out)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    np.maximum(e, x >= 0, out=e)
+    e /= d
+    return e
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row-stabilized softmax over the last axis."""
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 class Layer:
@@ -83,7 +95,9 @@ class Dense(Layer):
             raise ValueError(f"Dense expects width {self.params['W'].shape[0]}, "
                              f"got {x.shape[-1]}")
         self._x = x
-        return _check("Dense", x @ self.params["W"] + self.params["b"])
+        y = x @ self.params["W"]
+        y += self.params["b"]
+        return _check("Dense", y)
 
     def backward(self, dy, input_grad=True):
         x2 = self._x.reshape(-1, self._x.shape[-1])
@@ -103,12 +117,22 @@ class ReLU(Layer):
 
 
 class LeakyReLU(Layer):
+    """x above zero, LEAKY_SLOPE * x elsewhere: max(x, LEAKY_SLOPE * x).
+
+    The backward pass multiplies by an array of slopes, 1 above zero. Both
+    give the bits of choosing x or LEAKY_SLOPE * x per element.
+    """
+
     def forward(self, x):
         self._mask = x > 0
-        return np.where(self._mask, x, LEAKY_SLOPE * x)
+        y = LEAKY_SLOPE * x
+        return np.maximum(x, y, out=y)
 
     def backward(self, dy):
-        return np.where(self._mask, dy, LEAKY_SLOPE * dy)
+        slopes = self._mask.astype(float)
+        np.maximum(slopes, LEAKY_SLOPE, out=slopes)
+        slopes *= dy
+        return slopes
 
 
 class Sigmoid(Layer):
@@ -117,7 +141,9 @@ class Sigmoid(Layer):
         return self._y
 
     def backward(self, dy):
-        return dy * self._y * (1.0 - self._y)
+        dx = dy * self._y
+        dx *= 1.0 - self._y
+        return dx
 
 
 class Sequential(Layer):
@@ -148,10 +174,12 @@ class Sequential(Layer):
 
 
 class LSTM(Layer):
-    """Full-sequence LSTM: (B, T, D) -> hidden states (B, T, H).
+    """Full-sequence LSTM: (*lead, B, T, D) -> hidden states (*lead, B, T, H).
 
     Gate order i, f, g, o. Every forward starts from zero hidden and cell
-    states.
+    states. Leading axes stack independent batches: each (B, T, D) block
+    takes the same products, so the same bits, as on its own. backward
+    takes (B, T, H) only.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
@@ -165,43 +193,60 @@ class LSTM(Layer):
         self.zero_grad()
 
     def forward(self, x):
-        B, T, D = x.shape
+        *lead, T, D = x.shape
         if D != self.in_dim:
             raise ValueError(f"LSTM expects width {self.in_dim}, got {D}")
         H = self.hidden
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        self._x = x
-        self._cache = []
-        hs = np.empty((B, T, H))
+        h = np.zeros((*lead, H))
         Wx, Wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
-        # input products for every step at once: (T, B, 4H)
-        xw = np.matmul(x.transpose(1, 0, 2), Wx)
+        # input products for every step at once: (T, *lead, 4H); step t's
+        # row is overwritten by its gates, with tanh(g) in the g slot. The
+        # backward pass reads them there, the cell states from cs, and
+        # h_prev from the returned hidden states.
+        gates = np.matmul(np.moveaxis(x, -2, 0), Wx)
+        cs = np.empty((T, *lead, H))
+        hs = np.empty((*lead, T, H))
+        c = h
         for t in range(T):
-            z = xw[t] + h @ Wh + b
-            s = _sigmoid(z)
-            i, f, o = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
-            g = np.tanh(z[:, 2 * H:3 * H])
-            h_prev, c_prev = h, c
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            hs[:, t] = h
-            self._cache.append((s, g, c_prev, tc, h_prev))
+            z = gates[t] + h @ Wh
+            z += b
+            s = _sigmoid(z, out=gates[t])
+            np.tanh(z[..., 2 * H:3 * H], out=s[..., 2 * H:3 * H])
+            i, f, g, o = (s[..., :H], s[..., H:2 * H], s[..., 2 * H:3 * H],
+                          s[..., 3 * H:])
+            c = np.multiply(f, c, out=cs[t])
+            c += i * g
+            h = np.multiply(o, np.tanh(c), out=hs[..., t, :])
+        self._x, self._gates, self._cs, self._hs = x, gates, cs, hs
         return _check("LSTM", hs)
 
     def backward(self, dhs, input_grad=True):
         B, T, H = dhs.shape
-        x = self._x
+        x, hs, gates, cs = self._x, self._hs, self._gates, self._cs
         Wx, Wh = self.params["Wx"], self.params["Wh"]
+        # the factors that need no recurrence, for every step at once: the
+        # slopes 1 - tanh(c)^2, 1 - s of each gate and 1 - g^2 of the g slot
+        tcs = np.tanh(cs)
+        dtanh = tcs * tcs
+        np.subtract(1.0, dtanh, out=dtanh)
+        one_minus_s = 1.0 - gates
+        g_all = gates[..., 2 * H:3 * H]
+        gslope = g_all * g_all
+        np.subtract(1.0, gslope, out=gslope)
         dzs = np.zeros((T, B, 4 * H))
+        h0 = np.zeros((B, H))
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            s, g, c_prev, tc, h_prev = self._cache[t]
-            i, f, o = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
+            s, tc = gates[t], tcs[t]
+            i, f, g, o = (s[:, :H], s[:, H:2 * H], s[:, 2 * H:3 * H],
+                          s[:, 3 * H:])
+            c_prev = cs[t - 1] if t else h0
+            h_prev = hs[:, t - 1] if t else h0
             dh = dhs[:, t] + dh_next
-            dc = dh * o * (1.0 - tc * tc) + dc_next
+            dc = dh * o
+            dc *= dtanh[t]
+            dc += dc_next
             dz = dzs[t]
             # d(gate) for i, f and o, times the sigmoid slope s * (1 - s)
             # over the whole row; the g slot (zero until now) then gets
@@ -210,8 +255,9 @@ class LSTM(Layer):
             np.multiply(dc, c_prev, out=dz[:, H:2 * H])
             np.multiply(dh, tc, out=dz[:, 3 * H:])
             dz *= s
-            dz *= 1.0 - s
-            dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+            dz *= one_minus_s[t]
+            dg = np.multiply(dc, i, out=dz[:, 2 * H:3 * H])
+            dg *= gslope[t]
             self.grads["Wh"] += h_prev.T @ dz
             self.grads["b"] += dz.sum(axis=0)
             dh_next = dz @ Wh.T

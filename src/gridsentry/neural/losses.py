@@ -37,8 +37,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
     p = softmax(logits)
     n = logits.shape[0]
     rows = np.arange(n)
-    picked = np.clip(p[rows, labels], EPS, None)
-    loss = float(-np.mean(np.log(picked)))
+    picked = np.maximum(p[rows, labels], EPS)
+    loss = float(-np.log(picked).mean())
     p[rows, labels] -= 1.0
     p /= n
     return loss, p

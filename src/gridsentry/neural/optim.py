@@ -22,17 +22,29 @@ class Adam:
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Update the flat `params` in place from the aligned flat `grads`
-        (see train.flatten_parameters)."""
+        (see train.flatten_parameters).
+
+        Two scratch vectors, allocated with the moments, hold each
+        out-of-place term; the order of operations is that of
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        params -= lr * m_hat / (sqrt(v_hat) + eps).
+        """
         self.t += 1
         if self.m is None:
-            self.m = np.zeros_like(grads)
-            self.v = np.zeros_like(grads)
-        m, v = self.m, self.v
+            self.m, self.v, self._a, self._b = (np.zeros_like(grads)
+                                                for _ in range(4))
+        m, v, a, b = self.m, self.v, self._a, self._b
         m *= BETA1
-        m += (1 - BETA1) * grads
+        np.multiply(grads, 1 - BETA1, out=a)
+        m += a
         v *= BETA2
-        v += (1 - BETA2) * grads * grads
-        mhat = m / (1 - BETA1 ** self.t)
-        vhat = v / (1 - BETA2 ** self.t)
-        params -= self.lr * mhat / (np.sqrt(vhat) + EPS)
-
+        np.multiply(grads, 1 - BETA2, out=a)
+        a *= grads
+        v += a
+        np.divide(m, 1 - BETA1 ** self.t, out=a)
+        a *= self.lr
+        np.divide(v, 1 - BETA2 ** self.t, out=b)
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        params -= a

@@ -264,9 +264,11 @@ def test_criterion_7_end_to_end(world):
     score = macro_f1(world["matrices"]["AEN_RNN_DNN"])
     assert score >= 0.80                             # macro-F1 floor
     assert world["runtime"] <= 1800                  # <= 30 minutes
-    _report(7, f"macro-F1 {score:.4f} on the held-out split, "
-               f"{minimum} frames in the smallest condition, "
-               f"pipeline {world['runtime']:.0f}s")
+    _report(7, f"macro-F1 {score:.4f} on the held-out split (margin "
+               f"{score - 0.80:+.4f} over 0.80), {minimum} frames in the "
+               f"smallest condition (margin {minimum - 1500:+d} over 1,500), "
+               f"pipeline {world['runtime']:.0f}s (margin "
+               f"{1800 - world['runtime']:.0f}s under 1,800 s)")
 
 
 # ------------------------------------------------- 8: baseline gap
@@ -286,7 +288,8 @@ def test_criterion_8_baseline_gap(world):
     gap = recalls["AEN_RNN_DNN"] - max(recalls["RNN_DNN"],
                                        recalls["SE_DNN"])
     print(f"[criterion 8] bus-2 attack recall {recalls}, gap {gap:+.4f} "
-          "(requirement: >= +0.2 over both baselines)")
+          f"(requirement: >= +0.2 over both baselines; margin "
+          f"{gap - 0.2:+.4f})")
     assert gap >= 0.2
 
 
@@ -299,6 +302,7 @@ def test_criterion_9_severity_trend(world, case):
                                                     case),
                               bundle.classifier):
         f1_by_bus[row["bus"]][row["level"]] = row["f1"]
+    margins = {}
     for bus, scores in f1_by_bus.items():
         assert scores[5] >= scores[1]                # level 5 >= level 1
         values = [scores[lvl] for lvl in sorted(scores)]
@@ -307,9 +311,12 @@ def test_criterion_9_severity_trend(world, case):
         else:
             rho = spearmanr(sorted(scores), values).statistic
         assert rho >= 0                              # non-negative trend
+        margins[bus] = (round(scores[5] - scores[1], 4), round(float(rho), 4))
     _report(9, "per-bus F1 by level " + str(
         {bus: [round(scores[lvl], 3) for lvl in sorted(scores)]
-         for bus, scores in f1_by_bus.items()}))
+         for bus, scores in f1_by_bus.items()})
+        + "; margins over 0 per bus (level-5 minus level-1 F1, Spearman "
+        "rho) " + str(margins))
 
 
 # ------------------------------------------------- 10: holdout trend
@@ -323,8 +330,25 @@ def test_criterion_10_holdout_trend(world, case):
     medians = [r.median for r in results]
     assert all(a <= b for a, b in zip(medians, medians[1:]))  # non-decreasing
     assert results[3].iqr <= results[0].iqr          # IQR shrinks l=1 -> l=4
-    _report(10, f"medians {[round(m, 4) for m in medians]}, "
-                f"IQR l=1 {results[0].iqr:.4f} -> l=4 {results[3].iqr:.4f}")
+    # each gap over 0 in accuracy, and as frames of the larger l's median
+    # replication: how many of its held-out frames the gap amounts to
+    gaps = []
+    for a, b in zip(results, results[1:]):
+        frames = _median_held_out_frames(rows, b)
+        gap = b.median - a.median
+        gaps.append(f"l={a.l}->{b.l} {gap:+.4f} ({gap * frames:+.1f} of "
+                    f"{frames} frames)")
+    _report(10, f"medians {[round(m, 4) for m in medians]}, gaps "
+                f"{'; '.join(gaps)}, IQR l=1 {results[0].iqr:.4f} -> l=4 "
+                f"{results[3].iqr:.4f} (margin "
+                f"{results[0].iqr - results[3].iqr:+.4f})")
+
+
+def _median_held_out_frames(rows, result):
+    """Frames held out in the replication whose accuracy is the median."""
+    rep = result.accuracies.index(result.median)
+    return sum(len(y) for level, _, y in rows
+               if level is not None and level not in result.level_sets[rep])
 
 
 # ------------------------------------------------- 11: determinism

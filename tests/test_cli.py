@@ -311,7 +311,8 @@ def test_stages_refuse_bundle_without_classifier(workspace, tmp_path,
     for stage, flag in (("evaluate", "--bundle"), ("holdout", "--bundle"),
                         ("report", "--bundles")):
         out = tmp_path / stage
-        with pytest.raises(KeyError, match="missing parameter"):
+        with pytest.raises(KeyError, match=f"classifier in bundle file "
+                           f"{re.escape(str(broken))}: missing parameter"):
             cli.main(["--config", config_path, stage, "--data",
                       str(data_dir), "--out", str(out), flag, str(broken)])
         assert not out.exists()
@@ -408,7 +409,8 @@ def test_gen_data_refuses_directory_of_another_config(tmp_path):
 
 def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     # holdout over four l values, and report over the test split, run the
-    # residual model once per series, not once per l or once per level
+    # residual model once per series, not once per l or once per level:
+    # every series is handed to predict_and_residual exactly once per stage
     config_path = write_config(
         tmp_path / "run.yaml", horizon=36, window=[7, 31],
         levels=[1, 2, 3, 4, 5], normal_series=4, variants=["RNN_DNN"],
@@ -426,18 +428,18 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     calls = []
     residuals = pipeline.predict_and_residual
 
-    def counting(bundle, one_series, case):
-        calls.append(one_series.metadata["seed"])
-        return residuals(bundle, one_series, case)
+    def counting(bundle, series_list, case):
+        calls.extend(s.metadata["seed"] for s in series_list)
+        return residuals(bundle, series_list, case)
 
     monkeypatch.setattr(pipeline, "predict_and_residual", counting)
     assert cli.main(["--config", str(config_path), "holdout",
                      "--data", str(data_dir), "--bundle", bundle_path]) == 0
-    assert len(calls) == len(series)
+    assert sorted(calls) == sorted(s.metadata["seed"] for s in series)
     calls.clear()
     assert cli.main(["--config", str(config_path), "report",
                      "--data", str(data_dir), "--bundles", bundle_path]) == 0
-    assert len(calls) == len(test)
+    assert sorted(calls) == sorted(s.metadata["seed"] for s in test)
 
 
 def test_evaluate_refuses_wrong_sensor_map(workspace, tmp_path):

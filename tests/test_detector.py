@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
                                  ModelBundle, PreprocessStats,
                                  SensorMapMismatchError, UntrainedBundleError,
                                  VARIANTS, assert_normal_lineage, classify,
-                                 evaluate_predictions, fit_autoencoder,
-                                 fit_classifier, fit_predictor, fit_preprocess,
-                                 load_bundle, predict_and_residual, preprocess,
-                                 save_bundle, series_features, state_checksum,
-                                 train_bundle)
-from gridsentry.detector.models import SUBMODELS, build_classifier
+                                 evaluate_predictions, feature_rows,
+                                 fit_autoencoder, fit_classifier,
+                                 fit_predictor, fit_preprocess, load_bundle,
+                                 predict_and_residual, preprocess, save_bundle,
+                                 state_checksum, train_bundle)
+from gridsentry.detector.models import (SUBMODELS, build_autoencoder,
+                                       build_classifier, build_predictor)
+from gridsentry.detector.pipeline import RESIDUAL_GROUP
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
 from gridsentry.neural import TrainConfig, get_state, softmax
@@ -210,7 +214,7 @@ def make_stub_bundle(variant, case, stats=None, **kwargs):
 def test_untrained_bundle_errors(case, normal_series):
     bundle = make_stub_bundle("RNN_DNN", case)
     with pytest.raises(UntrainedBundleError):
-        predict_and_residual(bundle, normal_series[0], case)
+        predict_and_residual(bundle, normal_series[:1], case)
     with pytest.raises(UntrainedBundleError, match="classifier"):
         evaluate_predictions(bundle, normal_series[:1], case)
 
@@ -224,7 +228,7 @@ def test_se_residuals_near_zero_on_noiseless(case):
     stats = fit_preprocess([synthetic_series(
         np.random.default_rng(6).standard_normal((200, N_SENSORS)))])
     bundle = make_stub_bundle("SE_DNN", case, stats)
-    ts, residuals = predict_and_residual(bundle, series, case=case)
+    [(ts, residuals)] = predict_and_residual(bundle, [series], case=case)
     assert residuals.shape == (series.horizon - 1 - LAGS, N_SENSORS)
     np.testing.assert_array_equal(ts, np.arange(LAGS + 1, series.horizon))
     assert np.max(np.abs(residuals * stats.std)) < 1e-6
@@ -237,11 +241,11 @@ def test_residual_alignment_rnn(case, normal_series):
     cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4, seed=0)
     z = np.stack([preprocess(s, stats) for s in normal_series])
     bundle.predictor, _ = fit_predictor(z, cfg)
-    ts, residuals = predict_and_residual(bundle, series, case)
+    [(ts, residuals)] = predict_and_residual(bundle, [series], case)
     assert ts[0] == LAGS + 1
     assert ts[-1] == series.horizon - 1
     assert residuals.shape == (len(ts), N_SENSORS)
-    x, y = series_features(bundle, series, case)
+    [(_, x, y)] = feature_rows(bundle, [series], case)
     assert x.shape == (len(ts), CLASSIFIER_INPUT)
     np.testing.assert_array_equal(x[:, :N_SENSORS], residuals)
     np.testing.assert_array_equal(
@@ -256,8 +260,44 @@ def test_residual_generation_leaves_models_frozen(case, normal_series):
     bundle.predictor, _ = fit_predictor(
         z, TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=0))
     before = state_checksum(bundle.predictor)
-    predict_and_residual(bundle, normal_series[0], case)
+    predict_and_residual(bundle, normal_series, case)
     assert state_checksum(bundle.predictor) == before
+
+
+@pytest.mark.parametrize("variant", ["RNN_DNN", "AEN_RNN_DNN"])
+def test_stacked_residuals_match_one_series_form(case, normal_series,
+                                                 variant):
+    # 48- and 30-frame series interleaved, more of them than one group of
+    # feature_rows holds: every series' residuals carry the bits of the
+    # one-series form (2-D code rows, a (1, T, D) predictor batch)
+    stats = fit_preprocess(normal_series)
+    bundle = make_stub_bundle(variant, case, stats)
+    r = np.random.default_rng(7)
+    coded = variant == "AEN_RNN_DNN"
+    if coded:
+        bundle.encoder, bundle.decoder = build_autoencoder(r)
+    bundle.predictor = build_predictor(CODE_SIZE if coded else N_SENSORS, r)
+    series = []
+    for k in range(2 * RESIDUAL_GROUP + 3):
+        base, n = normal_series[k % 3], 48 if k % 4 else 30
+        series.append(ScenarioSeries(values=base.values[:n],
+                                     labels=base.labels[:n],
+                                     metadata=dict(base.metadata)))
+    stacked = predict_and_residual(bundle, series, case)
+    rows = feature_rows(bundle, series, case)
+    assert len(stacked) == len(rows) == len(series)
+    for one, (ts, residuals), (_, x, _) in zip(series, stacked, rows):
+        z = preprocess(one, stats)
+        codes = bundle.encoder.forward(z) if coded else z
+        z_hat = bundle.predictor.forward(codes[None, :-1])[0]
+        if coded:
+            z_hat = bundle.decoder.forward(z_hat)
+        idx = np.arange(LAGS, z.shape[0])
+        assert np.array_equal(ts, idx + 1)
+        assert np.array_equal(residuals, z[idx] - z_hat[idx - 1])
+        [(_, alone)] = predict_and_residual(bundle, [one], case)
+        assert np.array_equal(alone, residuals)
+        assert np.array_equal(x[:, :N_SENSORS], residuals)
 
 
 # ---------------------------------------------------------------- classifier
@@ -372,8 +412,8 @@ def test_bundle_roundtrip(tmp_path, case, normal_series):
                 variant != "SE_DNN")
         np.testing.assert_array_equal(loaded.classifier.forward(probe),
                                       bundle.classifier.forward(probe))
-        _, r1 = predict_and_residual(bundle, normal_series[0], case)
-        _, r2 = predict_and_residual(loaded, normal_series[0], case)
+        [(_, r1)] = predict_and_residual(bundle, normal_series[:1], case)
+        [(_, r2)] = predict_and_residual(loaded, normal_series[:1], case)
         np.testing.assert_array_equal(r1, r2)
 
 
@@ -434,6 +474,16 @@ def test_load_refuses_older_format(tmp_path, case):
     np.savez(path, **{**saved_arrays(path),
                       "meta/format_version": np.array(2)})
     with pytest.raises(ValueError, match="unsupported bundle file version"):
+        load_bundle(path, case)
+
+
+def test_load_names_submodel_and_file_of_a_bad_array(tmp_path, case):
+    path = tmp_path / "bundle.npz"
+    save_bundle(stub_classifier_bundle(case), path)
+    arrays = saved_arrays(path)
+    np.savez(path, **{**arrays, "classifier/layer2.Dense.W": np.zeros(3)})
+    with pytest.raises(ValueError, match=f"classifier in bundle file "
+                       f"{re.escape(str(path))}: shape mismatch"):
         load_bundle(path, case)
 
 

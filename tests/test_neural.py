@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from gridsentry.neural import (Adam, Dense, LSTM, LeakyReLU, ReLU,
-                               Sequential, TrainConfig, get_state, mse,
-                               set_state, softmax, softmax_cross_entropy,
-                               train)
+from gridsentry.neural import (Adam, Dense, LSTM, LeakyReLU, NumericalError,
+                               ReLU, Sequential, Sigmoid, TrainConfig,
+                               get_state, mse, set_state, softmax,
+                               softmax_cross_entropy, train)
 from gridsentry.detector.models import build_autoencoder, build_classifier
-from gridsentry.neural.layers import _sigmoid
+from gridsentry.neural.layers import LEAKY_SLOPE, _sigmoid
 from gridsentry.neural.train import flatten_parameters
 from oracles import grad_check
 
@@ -212,6 +212,141 @@ def test_sigmoid_bits_match_reference():
     assert _sigmoid(np.array([-800.0]))[0] == 0.0
 
 
+# Plain forms of the elementwise kernels: out-of-place, a boolean mask
+# times a float, np.where selections and np.clip.
+
+def ref_relu(x, dy):
+    mask = x > 0
+    return x * mask, dy * mask
+
+
+def ref_leaky_relu(x, dy):
+    mask = x > 0
+    return (np.where(mask, x, LEAKY_SLOPE * x),
+            np.where(mask, dy, LEAKY_SLOPE * dy))
+
+
+def special_values(seed, shape):
+    """Random values with +-0, +-800, +-inf and NaN spread through them."""
+    x = rng(seed).standard_normal(shape) * 12
+    flat = x.reshape(-1)
+    specials = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+    at = rng(seed + 1).choice(flat.size, size=3 * len(specials),
+                              replace=False)
+    flat[at] = np.tile(specials, 3)
+    return x
+
+
+def assert_same_bits(a, b):
+    # bit patterns, so that the sign of zero and every NaN count
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(40, 25), (3, 1, 7, 16), (1, 128)])
+@np.errstate(all="ignore")
+def test_activation_bits_match_reference(shape):
+    x = special_values(80, shape)
+    dy = special_values(82, shape)
+    for layer, ref in ((ReLU(), ref_relu), (LeakyReLU(), ref_leaky_relu)):
+        y_ref, dx_ref = ref(x, dy)
+        assert_same_bits(layer.forward(x), y_ref)
+        assert_same_bits(layer.backward(dy), dx_ref)
+    sig = Sigmoid()
+    y = sig.forward(x)
+    assert_same_bits(y, ref_sigmoid(x))
+    assert_same_bits(sig.backward(dy), dy * y * (1.0 - y))
+
+
+def test_dense_bits_match_reference():
+    # stacked (S, 1, T, D) inputs take the per-block products of 2-D ones
+    d = Dense(16, 9, rng(84))
+    d.params["b"] = rng(85).standard_normal(9)
+    x = rng(86).standard_normal((3, 1, 7, 16)) * 12
+    x.reshape(-1)[[0, 5, 9, 30]] = [0.0, -0.0, 800.0, -800.0]
+    W, b = d.params["W"], d.params["b"]
+    assert_same_bits(d.forward(x), x @ W + b)
+    for block in x:
+        assert_same_bits(d.forward(block[0]), block[0] @ W + b)
+    for bad in (np.nan, np.inf):
+        x[0, 0, 0, 0] = bad
+        with pytest.raises(NumericalError, match="Dense"):
+            d.forward(x)
+
+
+@np.errstate(all="ignore")
+def test_softmax_bits_match_reference():
+    logits = special_values(87, (64, 9))
+    assert_same_bits(softmax(logits), ref_softmax(logits))
+    logits = np.nan_to_num(logits, nan=0.0, posinf=700.0, neginf=-700.0)
+    labels = np.arange(64) % 9
+    loss, grad = softmax_cross_entropy(logits, labels)
+    ref_loss, ref_grad = ref_cross_entropy(logits, labels)
+    assert_same_bits(np.array(loss), np.array(ref_loss))
+    assert_same_bits(grad, ref_grad)
+    # a row whose label's probability underflows is floored at EPS
+    logits[0] = [800.0, -800.0] + [0.0] * 7
+    loss, grad = softmax_cross_entropy(logits, np.r_[1, labels[1:]])
+    ref_loss, ref_grad = ref_cross_entropy(logits, np.r_[1, labels[1:]])
+    assert_same_bits(np.array(loss), np.array(ref_loss))
+    assert_same_bits(grad, ref_grad)
+
+
+def call_everything(model, x, dy):
+    """forward, then backward with an input gradient when it has one."""
+    out = model.forward(x)
+    model.backward(dy)
+    return out
+
+
+def test_calls_leave_caller_arrays_alone():
+    # no call writes into an array its caller passed in, and no array a
+    # call returned is written by a later call
+    r = rng(88)
+    layers = [(Dense(6, 4, r), (5, 6), (5, 4)), (ReLU(), (5, 6), (5, 6)),
+              (LeakyReLU(), (5, 6), (5, 6)), (Sigmoid(), (5, 6), (5, 6)),
+              (LSTM(6, 4, r), (2, 5, 6), (2, 5, 4)),
+              (build_classifier(r), (5, 78), (5, 9)),
+              (Sequential(list(build_autoencoder(r))), (5, 39), (5, 39)),
+              (lstm_readout(6, 4, 6, r), (2, 5, 6), (2, 5, 6))]
+    for model, in_shape, out_shape in layers:
+        x = rng(89).standard_normal(in_shape)
+        dy = rng(90).standard_normal(out_shape)
+        x0, dy0 = x.copy(), dy.copy()
+        first = call_everything(model, x, dy)
+        kept = first.copy()
+        second = call_everything(model, 2.0 * x, dy)
+        assert_same_bits(x, x0)
+        assert_same_bits(dy, dy0)
+        assert_same_bits(first, kept)
+        assert not np.shares_memory(first, second), type(model).__name__
+    logits, labels = rng(91).standard_normal((5, 9)), np.arange(5)
+    kept = logits.copy()
+    p = softmax(logits)
+    _, grad = softmax_cross_entropy(logits, labels)
+    assert_same_bits(logits, kept)
+    assert not np.shares_memory(p, grad)
+    opt, flat = Adam(1e-3), rng(92).standard_normal(7)
+    grads = rng(93).standard_normal(7)
+    kept = grads.copy()
+    opt.step(flat, grads)
+    assert_same_bits(grads, kept)
+
+
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_train_leaves_its_data_alone(loss):
+    x = rng(94).standard_normal((40, 78))
+    if loss == "mse":
+        model, y = Sequential([Dense(78, 78, rng(95))]), x
+    else:
+        model, y = build_classifier(rng(95)), np.arange(40) % 9
+    x0, y0 = x.copy(), y.copy()
+    train(model, x, y, TrainConfig(learning_rate=1e-3, epochs=2,
+                                   batch_size=16, seed=0), loss=loss)
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+
 @pytest.mark.parametrize("batch", [1, 8])
 @pytest.mark.parametrize("reused", [False, True])
 @pytest.mark.parametrize("D", [13, 39])
@@ -237,8 +372,14 @@ def test_lstm_bits_match_per_step_reference(batch, reused, D):
         assert np.array_equal(cell.grads[k], grads_ref[k]), k
 
 
+def ref_softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def ref_cross_entropy(logits, labels):
-    p = softmax(logits)
+    p = ref_softmax(logits)
     n = logits.shape[0]
     picked = np.clip(p[np.arange(n), labels], 1e-12, None)
     loss = float(-np.mean(np.log(picked)))

@@ -100,3 +100,46 @@ def test_every_solve_is_a_powerflow_span():
     assert fault["spans"] == fault["meta"]["horizon"] == 30
     total = attack["spans"] + fault["spans"]
     assert out["iters"] >= total and out["unconverged"] == 0
+
+
+def test_stacked_residuals_are_traced():
+    # feature_rows over more series than one group holds still records the
+    # models.residuals span (once per group) and the LSTM forward spans the
+    # detect workload is chosen to stress
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]",
+        "import numpy as np",
+        "import gridsentry.cli",
+        "from tracer import Ledger, Tracer",
+        "tracer = Tracer(Ledger())",
+        "tracer.install()",
+        "from gridsentry.detector import ModelBundle, PreprocessStats",
+        "from gridsentry.detector.models import build_predictor",
+        "from gridsentry.detector.pipeline import (RESIDUAL_GROUP,",
+        "                                          feature_rows)",
+        "from gridsentry.grid import N_SENSORS, load_case",
+        "from gridsentry.scenario import ScenarioSeries",
+        "r = np.random.default_rng(0)",
+        "ones = np.ones(N_SENSORS)",
+        "bundle = ModelBundle(",
+        "    variant='RNN_DNN', stats=PreprocessStats(ones, 0 * ones, ones),",
+        "    sensor_hash='-', noise_sigma=0.1,",
+        "    predictor=build_predictor(N_SENSORS, r))",
+        "n = RESIDUAL_GROUP + 1",
+        "series = [ScenarioSeries(values=r.standard_normal((20, N_SENSORS)),",
+        "                         labels=['normal'] * 20,",
+        "                         metadata={'condition': 'normal'})",
+        "          for _ in range(n)]",
+        "rows = feature_rows(bundle, series, load_case())",
+        "print(json.dumps({'series': n, 'rows': len(rows),",
+        "    'residuals': tracer.spans['setup', 'models.residuals'][0],",
+        "    'lstm': tracer.spans['setup', 'neural.lstm_forward'][0]}))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.splitlines()[-1])
+    assert out["rows"] == out["series"]
+    assert out["residuals"] == 2  # a full group, then one series
+    assert out["lstm"] == 2
