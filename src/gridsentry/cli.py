@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -65,26 +65,32 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
 
     case = load_case(cfg.case_file)
     jobs = [(cfg, case, *job) for job in _series_jobs(cfg)]
-    failures = []
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_generate_one, jobs))
-    else:
-        results = [_generate_one(job) for job in jobs]
-    conditions_seen = set()
-    for filename, series in results:
-        if series.metadata.get("gap_hours"):
-            failures.append(filename)
-        series.save(out_dir / filename)
-        paths += [out_dir / filename,
-                  (out_dir / filename).with_suffix(".meta.json")]
-        conditions_seen.add(series.metadata["condition"])
-        conditions_seen.update(series.labels)
+    count, conditions_seen, failures = 0, set(), []
+    with contextlib.ExitStack() as stack:
+        generated = map(_generate_one, jobs)
+        if cfg.workers > 1:
+            # imported only here: concurrent.futures loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=cfg.workers))
+            generated = pool.map(_generate_one, jobs)
+        # each series is saved before the next is generated, so a serial
+        # run holds one series at a time
+        for filename, series in generated:
+            count += 1
+            if series.metadata.get("gap_hours"):
+                failures.append(filename)
+            series.save(out_dir / filename)
+            paths += [out_dir / filename,
+                      (out_dir / filename).with_suffix(".meta.json")]
+            conditions_seen.add(series.metadata["condition"])
+            conditions_seen.update(series.labels)
+            del series  # before the next one is generated
     manifest.record("gen-data", paths,
                     status="ok" if not failures else "partial",
-                    series=len(results), conditions=sorted(conditions_seen),
+                    series=count, conditions=sorted(conditions_seen),
                     solver_gaps=failures)
-    if len(failures) == len(results):
+    if len(failures) == count:
         raise RuntimeError("every series hit solver gaps; generation failed")
     return out_dir
 

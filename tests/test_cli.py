@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.evaluation import HoldoutResult
 from gridsentry.grid import DEFAULT_CASE
 from gridsentry.neural import TrainConfig
-from gridsentry.scenario import LABELS
+from gridsentry.scenario import LABELS, ScenarioSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -124,14 +125,30 @@ def test_partial_stage_override_keeps_stage_defaults(tmp_path):
     assert cfg.stage_config("predictor") == STAGE_DEFAULTS["predictor"]
 
 
-def test_cli_import_leaves_out_scipy():
-    # scipy is a test dependency only: importing any of it costs start-up
-    # time and loads a second OpenBLAS into every CLI process
+@pytest.fixture(scope="module")
+def cli_import_packages():
+    """Top-level names of the modules that `import gridsentry.cli` loads in
+    a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     code = ("import sys, gridsentry.cli; "
-            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+            "print(*sorted({m.split('.')[0] for m in sys.modules}))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    return set(result.stdout.split())
+
+
+def test_cli_import_leaves_out_scipy(cli_import_packages):
+    # scipy is a test dependency only: importing any of it costs start-up
+    # time and loads a second OpenBLAS into every CLI process
+    assert "scipy" not in cli_import_packages
+
+
+def test_cli_import_leaves_out_the_process_pool(cli_import_packages):
+    # only gen-data with workers > 1 starts a process pool; every other CLI
+    # process, serial gen-data included, loads neither concurrent.futures
+    # nor the multiprocessing it imports
+    assert not {"concurrent", "multiprocessing"} & cli_import_packages
 
 
 def test_config_hash_stable(tmp_path):
@@ -158,6 +175,16 @@ def workspace(tmp_path_factory):
     data_dir = base / "data"
     assert cli.main(["--config", str(config_path), "gen-data"]) == 0
     return base, config_path, data_dir
+
+
+@pytest.fixture(scope="module")
+def se_bundle(workspace):
+    """The workspace's SE_DNN bundle, trained here for every test that reads
+    it, so that each of them also passes when it runs alone."""
+    _, config_path, data_dir = workspace
+    assert cli.main(["--config", str(config_path), "train",
+                     "--data", str(data_dir), "--variant", "SE_DNN"]) == 0
+    return data_dir / "models" / "bundle_SE_DNN.npz"
 
 
 def test_gen_data_manifest_and_conditions(workspace):
@@ -193,6 +220,39 @@ def test_gen_data_workers_match_serial(tmp_path):
         del files[workers]["config.json"]  # records `workers` itself
     assert len(files[1]) == 2 * (1 + 8)  # a CSV and a .meta.json per series
     assert files[2] == files[1]
+
+
+def test_gen_data_saves_each_series_before_generating_the_next(
+        tmp_path, monkeypatch):
+    # serial gen-data holds one series at a time: it saves series k before
+    # it generates series k + 1, and series k - 1 is gone by then
+    events, series_refs = [], []
+    generate, save = cli._generate_one, ScenarioSeries.save
+
+    def generating(job):
+        events.append(("generate", job[2], _alive(series_refs)))
+        filename, series = generate(job)
+        series_refs.append(weakref.ref(series))
+        return filename, series
+
+    def saving(series, path):
+        events.append(("save", path.name, _alive(series_refs[:-1])))
+        return save(series, path)
+
+    monkeypatch.setattr(cli, "_generate_one", generating)
+    monkeypatch.setattr(ScenarioSeries, "save", saving)
+    path = write_config(tmp_path / "run.yaml", horizon=24, window=[6, 18],
+                        normal_series=2, series_per_condition_per_level=1)
+    assert cli.main(["--config", str(path), "gen-data",
+                     "--out", str(tmp_path / "data")]) == 0
+    names = [job[0] for job in cli._series_jobs(load_config(path))]
+    assert len(names) == 2 + 8
+    assert events == [(step, name, 0) for name in names
+                      for step in ("generate", "save")]
+
+
+def _alive(refs):
+    return sum(ref() is not None for ref in refs)
 
 
 def test_split_is_series_level_and_stratified(workspace):
@@ -247,22 +307,22 @@ def test_train_refuses_variant_outside_config(tmp_path, monkeypatch):
     assert read == [] and not (data_dir / "models").exists()
 
 
-def test_report_severity_csv(workspace):
+def test_report_severity_csv(workspace, se_bundle):
     base, config_path, data_dir = workspace
-    bundle_path = data_dir / "models" / "bundle_SE_DNN.npz"
     assert cli.main(["--config", str(config_path), "report",
                      "--data", str(data_dir),
-                     "--bundles", str(bundle_path)]) == 0
+                     "--bundles", str(se_bundle)]) == 0
     lines = (data_dir / "reports" / "severity.csv").read_text().splitlines()
     assert lines[0] == "variant,bus,level,f1"
     assert len(lines) == 1 + 4  # one variant, four buses, one level
 
 
-def test_report_refuses_repeated_variant(workspace, tmp_path, monkeypatch):
+def test_report_refuses_repeated_variant(workspace, se_bundle, tmp_path,
+                                         monkeypatch):
     # two bundles of one variant would silently keep only the last; the
     # stage refuses them before it reads the dataset
     base, config_path, data_dir = workspace
-    bundle_path = str(data_dir / "models" / "bundle_SE_DNN.npz")
+    bundle_path = str(se_bundle)
     read = []
     monkeypatch.setattr(cli, "load_dataset", read.append)
     out = tmp_path / "reports"
@@ -273,10 +333,9 @@ def test_report_refuses_repeated_variant(workspace, tmp_path, monkeypatch):
     assert read == [] and not out.exists()
 
 
-def test_split_refuses_groups_of_one_series(workspace, tmp_path):
+def test_split_refuses_groups_of_one_series(se_bundle, tmp_path):
     # with one series per group the test split would hold no attack or
     # fault series: train and evaluate refuse the dataset, naming a group
-    _, _, data_dir = workspace
     config_path = write_config(tmp_path / "run.yaml", horizon=24,
                                window=[6, 18], normal_series=2,
                                series_per_condition_per_level=1)
@@ -291,16 +350,16 @@ def test_split_refuses_groups_of_one_series(workspace, tmp_path):
     with pytest.raises(ConfigError, match=pattern):
         cli.main(["--config", str(config_path), "evaluate",
                   "--data", str(small), "--out", str(out), "--bundle",
-                  str(data_dir / "models" / "bundle_SE_DNN.npz")])
+                  str(se_bundle)])
     assert not out.exists()
 
 
-def test_stages_refuse_bundle_without_classifier(workspace, tmp_path,
-                                                 monkeypatch):
+def test_stages_refuse_bundle_without_classifier(workspace, se_bundle,
+                                                 tmp_path, monkeypatch):
     # a hand-edited file that lacks its variant's classifier is refused as
     # it loads, before a stage reads the dataset
     _, _, data_dir = workspace
-    with np.load(data_dir / "models" / "bundle_SE_DNN.npz") as data:
+    with np.load(se_bundle) as data:
         arrays = {k: data[k] for k in data.files
                   if not k.startswith("classifier/")}
     broken = tmp_path / "broken.npz"
@@ -331,14 +390,14 @@ def holdout_config(base):
     return write_config(base / "holdout.yaml", levels=[1, 2, 3, 4, 5])
 
 
-def test_holdout_command_plumbing(workspace, tmp_path, monkeypatch):
+def test_holdout_command_plumbing(workspace, se_bundle, tmp_path,
+                                  monkeypatch):
     base, _, data_dir = workspace
-    bundle_path = data_dir / "models" / "bundle_SE_DNN.npz"
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
     out = tmp_path / "reports"
     assert cli.main(["--config", str(holdout_config(tmp_path)), "holdout",
                      "--data", str(data_dir), "--out", str(out),
-                     "--bundle", str(bundle_path)]) == 0
+                     "--bundle", str(se_bundle)]) == 0
     lines = (out / "holdout.csv").read_text().splitlines()
     assert lines[0] == "l,replication,accuracy"
     assert len(lines) == 1 + 2  # one l value, two replications
@@ -375,11 +434,11 @@ def test_default_case_recorded_without_checkout_path(workspace):
 
 
 def test_stages_sharing_a_directory_keep_each_others_records(
-        workspace, tmp_path, monkeypatch):
+        workspace, se_bundle, tmp_path, monkeypatch):
     # evaluate and holdout both write to one directory; the manifest there
     # lists the files of both, not only those of the stage that ran last
     base, _, data_dir = workspace
-    bundle_path = str(data_dir / "models" / "bundle_SE_DNN.npz")
+    bundle_path = str(se_bundle)
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
     config_path = holdout_config(tmp_path)
     out = tmp_path / "shared"
@@ -442,10 +501,9 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     assert sorted(calls) == sorted(s.metadata["seed"] for s in test)
 
 
-def test_evaluate_refuses_wrong_sensor_map(workspace, tmp_path):
+def test_evaluate_refuses_wrong_sensor_map(workspace, se_bundle, tmp_path):
     base, config_path, data_dir = workspace
-    bundle_path = data_dir / "models" / "bundle_SE_DNN.npz"
-    with np.load(bundle_path) as data:
+    with np.load(se_bundle) as data:
         arrays = {k: data[k] for k in data.files}
     arrays["meta/sensor_hash"] = np.array("wrong")
     broken = tmp_path / "broken.npz"
