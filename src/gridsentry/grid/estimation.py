@@ -9,11 +9,17 @@ import numpy as np
 from .case import GridCase, N_SENSORS, Topology, VOLT_OFFSET
 from .powerflow import power_derivatives, sensor_function
 
-# Gauss-Newton stops at a stationary point, where the weighted gradient
-# |H^T W r| is at most GRAD_TOL |H^T W z|, when no state component moves by
-# TOL, or after MAX_ITER linearizations
+# Gauss-Newton with step halving on the weighted SSR. It stops converged at a
+# stationary point, where the weighted gradient |H^T W r| is at most
+# GRAD_TOL |H^T W z|, or when the Newton decrement g^T dx, the SSR decrease
+# the full step predicts, is below DEC_TOL; and unconverged after MAX_ITER
+# linearizations, or when MAX_HALVINGS halvings of a step find no point whose
+# SSR falls by ARMIJO t g^T dx. The SSR is in units of noise variance, so at
+# DEC_TOL each weighted residual is within about 1e-3 sigma of the minimum's.
 GRAD_TOL = 1e-8
-TOL = 1e-10
+DEC_TOL = 1e-6
+ARMIJO = 1e-4
+MAX_HALVINGS = 20
 MAX_ITER = 30
 
 
@@ -32,27 +38,38 @@ class StateEstimate:
     iterations: int                  # linearizations of h made
 
 
-def _measurement_model(topo: Topology, va: np.ndarray, vm: np.ndarray):
-    """h(x) and its Jacobian w.r.t. [va(non-slack) | vm(all)]."""
+def _evaluate(topo: Topology, z: np.ndarray, W: np.ndarray,
+              va: np.ndarray, vm: np.ndarray):
+    """The point (va, vm): its voltages V, powers S, predictions h, residual
+    r = z - h and weighted SSR."""
     V = vm * np.exp(1j * va)
     h, S = sensor_function(topo, V, vm)
+    r = z - h
+    return V, S, h, r, float(r @ (W * r))
+
+
+def _linearize(topo: Topology, V: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Jacobian of h w.r.t. [va(non-slack) | vm(all)] at V, whose measured
+    powers are S."""
     dS = np.concatenate(power_derivatives(topo.power_rows, topo.power_anchor,
                                           topo.power_diag, V, S), axis=1)
-    H = np.concatenate([dS.view(float).take(topo.se_index),
-                        topo.se_volt_rows])
-    return h, H
+    return np.concatenate([dS.view(float).take(topo.se_index),
+                           topo.se_volt_rows])
 
 
 def estimate_state(case: GridCase, values: np.ndarray,
                    weights: np.ndarray) -> StateEstimate:
-    """Gauss-Newton WLS fit of (voltage magnitudes, angles) to one frame.
+    """Step-controlled Gauss-Newton WLS fit of (voltage magnitudes, angles)
+    to one frame.
 
     values is the (39,) measurement frame and weights its per-sensor
     measurement variances. A generation sensor reads its bus's generation,
     which is the bus injection plus the bus load; scenario data puts load
     only on the load buses, so the generation rows predict the bare
-    injection and carry no load term. The returned state, predictions and
-    objective all belong to the last point reached.
+    injection and carry no load term. The fit starts from the clipped
+    voltage sensors with flat angles, takes only steps that lower the
+    weighted SSR, and returns the last point it accepted: its state,
+    predictions and objective.
     """
     z = np.asarray(values, dtype=float)
     if z.shape != (N_SENSORS,) or not np.all(np.isfinite(z)):
@@ -64,41 +81,51 @@ def estimate_state(case: GridCase, values: np.ndarray,
 
     topo = case.topology
     nonslack = topo.nonslack
+    ns = len(nonslack)
     W = 1.0 / weights
 
-    # initialize magnitudes from the direct voltage sensors, angles flat
     vm = np.clip(z[VOLT_OFFSET:], 0.5, 1.5)
     va = np.zeros(case.n_bus)
+    V, S, h, r, objective = _evaluate(topo, z, W, va, vm)
 
     converged = False
     for iterations in range(1, MAX_ITER + 1):
-        h, H = _measurement_model(topo, va, vm)
+        H = _linearize(topo, V, S)
         HtW = H.T * W
-        grad = HtW @ (z - h)
+        grad = HtW @ r
         scale = HtW @ z
         if grad @ grad <= GRAD_TOL ** 2 * (scale @ scale):  # norms, squared
             converged = True
             break
-        if iterations == MAX_ITER:
-            break  # h and the objective are this state's; take no step
         try:
             dx = np.linalg.solve(HtW @ H, grad)
         except np.linalg.LinAlgError as exc:
             raise RankDeficientError("WLS gain matrix is singular") from exc
         # a step with a non-finite component has a non-finite slope
-        if not 0.0 < grad @ dx < np.inf:
+        decrement = grad @ dx
+        if not 0.0 < decrement < np.inf:
             raise RankDeficientError(
                 "WLS step is not a finite descent direction")
-        va[nonslack] += dx[:len(nonslack)]
-        vm += dx[len(nonslack):]
-        if abs(dx).max() < TOL:
-            h, _ = sensor_function(topo, vm * np.exp(1j * va), vm)
+        if decrement < DEC_TOL:
             converged = True
             break
+        if iterations == MAX_ITER:
+            break
+        step_va = np.zeros_like(va)
+        step_va[nonslack] = dx[:ns]
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            trial_va, trial_vm = va + t * step_va, vm + t * dx[ns:]
+            trial = _evaluate(topo, z, W, trial_va, trial_vm)
+            if trial[-1] <= objective - ARMIJO * t * decrement:
+                break
+            t *= 0.5
+        else:
+            break  # no step along dx lowers the SSR enough
+        va, vm = trial_va, trial_vm
+        V, S, h, r, objective = trial
 
-    r = z - h
     return StateEstimate(
         voltage_magnitude=vm, voltage_angle=va,
-        predicted_measurements=h,
-        objective=float(np.sum(W * r * r)),
+        predicted_measurements=h, objective=objective,
         converged=converged, iterations=iterations)
