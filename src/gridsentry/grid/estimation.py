@@ -7,17 +7,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case import GridCase, N_SENSORS, Topology, VOLT_OFFSET
-from .powerflow import power_derivatives, sensor_function
+from .powerflow import power_derivatives, power_hessian, sensor_function
 
-# Gauss-Newton with step halving on the weighted SSR. It stops converged at a
-# stationary point, where the weighted gradient |H^T W r| is at most
-# GRAD_TOL |H^T W z|, or when the Newton decrement g^T dx, the SSR decrease
-# the full step predicts, is below DEC_TOL; and unconverged after MAX_ITER
-# linearizations, or when MAX_HALVINGS halvings of a step find no point whose
-# SSR falls by ARMIJO t g^T dx. The SSR is in units of noise variance, so at
-# DEC_TOL each weighted residual is within about 1e-3 sigma of the minimum's.
+# Gauss-Newton with step halving on the weighted SSR, finished by Newton,
+# since Gauss-Newton alone converges only linearly on a large-residual fit.
+# After a Gauss-Newton step whose decrement g^T G^-1 g is below NEWTON_DEC,
+# the fit solves the SSR's full Hessian instead, and takes that step if it
+# is a finite descent direction; otherwise it takes the Gauss-Newton step
+# and goes on by the same rule. It stops converged at a stationary point,
+# where the weighted gradient |H^T W r| is at most GRAD_TOL |H^T W z|, or
+# when the decrement g^T dx of its step, the SSR decrease the full step
+# predicts, is below DEC_TOL (on a Newton step only where the full Hessian
+# is positive definite, so that the point is a minimum); and unconverged
+# after MAX_ITER linearizations, or when MAX_HALVINGS halvings of a step
+# find no point whose SSR falls by ARMIJO t g^T dx. The SSR is in units of
+# noise variance, so at DEC_TOL each weighted residual is within about
+# 1e-3 sigma of the minimum's.
 GRAD_TOL = 1e-8
 DEC_TOL = 1e-6
+NEWTON_DEC = 0.1
 ARMIJO = 1e-4
 MAX_HALVINGS = 20
 MAX_ITER = 30
@@ -57,10 +65,33 @@ def _linearize(topo: Topology, V: np.ndarray, S: np.ndarray) -> np.ndarray:
                            topo.se_volt_rows])
 
 
+def _newton_step(topo: Topology, V: np.ndarray, Wr: np.ndarray,
+                 gain: np.ndarray, grad: np.ndarray):
+    """The Newton step at V, whose weighted residual is Wr, and its
+    decrement; None unless the step is a finite descent direction and, if
+    its decrement is below DEC_TOL, the Hessian is positive definite.
+
+    The SSR's Hessian, halved, is the gain H^T W H less the residual-weighted
+    curvature of h, in which only the power rows are curved."""
+    curvature = power_hessian(topo.power_rows, topo.power_anchor, V,
+                              Wr[:len(topo.power_anchor)])
+    hessian = gain - curvature.take(topo.se_hessian_index)
+    try:
+        dx = np.linalg.solve(hessian, grad)
+        decrement = grad @ dx
+        if not 0.0 < decrement < np.inf:
+            return None
+        if decrement < DEC_TOL:
+            np.linalg.cholesky(hessian)  # raises unless positive definite
+    except np.linalg.LinAlgError:
+        return None
+    return dx, decrement
+
+
 def estimate_state(case: GridCase, values: np.ndarray,
                    weights: np.ndarray) -> StateEstimate:
     """Step-controlled Gauss-Newton WLS fit of (voltage magnitudes, angles)
-    to one frame.
+    to one frame, finished by Newton steps near the minimum.
 
     values is the (39,) measurement frame and weights its per-sensor
     measurement variances. A generation sensor reads its bus's generation,
@@ -88,7 +119,8 @@ def estimate_state(case: GridCase, values: np.ndarray,
     va = np.zeros(case.n_bus)
     V, S, h, r, objective = _evaluate(topo, z, W, va, vm)
 
-    converged = False
+    step_va = np.zeros_like(va)  # the slack's angle stays 0
+    converged = newton = False
     for iterations in range(1, MAX_ITER + 1):
         H = _linearize(topo, V, S)
         HtW = H.T * W
@@ -97,21 +129,27 @@ def estimate_state(case: GridCase, values: np.ndarray,
         if grad @ grad <= GRAD_TOL ** 2 * (scale @ scale):  # norms, squared
             converged = True
             break
-        try:
-            dx = np.linalg.solve(HtW @ H, grad)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficientError("WLS gain matrix is singular") from exc
-        # a step with a non-finite component has a non-finite slope
-        decrement = grad @ dx
-        if not 0.0 < decrement < np.inf:
-            raise RankDeficientError(
-                "WLS step is not a finite descent direction")
+        gain = HtW @ H
+        step = _newton_step(topo, V, W * r, gain, grad) if newton else None
+        if step is not None:
+            dx, decrement = step
+        else:
+            try:
+                dx = np.linalg.solve(gain, grad)
+            except np.linalg.LinAlgError as exc:
+                raise RankDeficientError(
+                    "WLS gain matrix is singular") from exc
+            # a step with a non-finite component has a non-finite slope
+            decrement = grad @ dx
+            if not 0.0 < decrement < np.inf:
+                raise RankDeficientError(
+                    "WLS step is not a finite descent direction")
+            newton = decrement < NEWTON_DEC
         if decrement < DEC_TOL:
             converged = True
             break
         if iterations == MAX_ITER:
             break
-        step_va = np.zeros_like(va)
         step_va[nonslack] = dx[:ns]
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):

@@ -189,7 +189,8 @@ def test_one_home_for_the_grid_physics():
                     and isinstance(node.right, ast.Call)
                     and getattr(node.right.func, "id", None) == "complex"):
                 admittance_sites.append(f"{rel}:{node.lineno}")
-    homes = {(POWERFLOW, "complex_power"), (POWERFLOW, "power_derivatives")}
+    homes = {(POWERFLOW, "complex_power"), (POWERFLOW, "power_derivatives"),
+             (POWERFLOW, "power_hessian")}
     stray = sorted(f"{rel}:{line}" for rel, func, line in conj_sites
                    if (rel, func) not in homes)
     assert (stray, len(admittance_sites)) == ([], 1), (stray,
