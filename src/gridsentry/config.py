@@ -123,9 +123,10 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{name} must be a finite number")
     if cfg.noise_sigma < 0:
         raise ConfigError("noise_sigma must be >= 0")
-    if any(lvl not in LEVEL_FRACTIONS for lvl in cfg.levels):
+    if any(not _is_int(lvl) or lvl not in LEVEL_FRACTIONS
+           for lvl in cfg.levels):
         raise ConfigError(
-            f"levels must be drawn from {sorted(LEVEL_FRACTIONS)}")
+            f"levels must be integers drawn from {sorted(LEVEL_FRACTIONS)}")
     if any(v not in VARIANTS for v in cfg.variants):
         raise ConfigError(f"variants must be drawn from {VARIANTS}")
     # holdout trains on l levels and tests on the rest, so one must remain

@@ -14,16 +14,14 @@ from .powerflow import power_derivatives, power_hessian, sensor_function
 # After a Gauss-Newton step whose decrement g^T G^-1 g is below NEWTON_DEC,
 # the fit solves the SSR's full Hessian instead, and takes that step if it
 # is a finite descent direction; otherwise it takes the Gauss-Newton step
-# and goes on by the same rule. It stops converged at a stationary point,
-# where the weighted gradient |H^T W r| is at most GRAD_TOL |H^T W z|, or
-# when the decrement g^T dx of its step, the SSR decrease the full step
-# predicts, is below DEC_TOL (on a Newton step only where the full Hessian
-# is positive definite, so that the point is a minimum); and unconverged
-# after MAX_ITER linearizations, or when MAX_HALVINGS halvings of a step
-# find no point whose SSR falls by ARMIJO t g^T dx. The SSR is in units of
-# noise variance, so at DEC_TOL each weighted residual is within about
-# 1e-3 sigma of the minimum's.
-GRAD_TOL = 1e-8
+# and goes on by the same rule. It stops converged when the decrement
+# g^T dx of its step, the SSR decrease the full step predicts, is below
+# DEC_TOL (on a Newton step only where the full Hessian is positive
+# definite, so that the point is a minimum); and unconverged after MAX_ITER
+# linearizations, or when MAX_HALVINGS halvings of a step find no point
+# whose SSR falls by ARMIJO t g^T dx. The SSR is in units of noise variance,
+# so at DEC_TOL each weighted residual is within about 1e-3 sigma of the
+# minimum's.
 DEC_TOL = 1e-6
 NEWTON_DEC = 0.1
 ARMIJO = 1e-4
@@ -125,10 +123,6 @@ def estimate_state(case: GridCase, values: np.ndarray,
         H = _linearize(topo, V, S)
         HtW = H.T * W
         grad = HtW @ r
-        scale = HtW @ z
-        if grad @ grad <= GRAD_TOL ** 2 * (scale @ scale):  # norms, squared
-            converged = True
-            break
         gain = HtW @ H
         step = _newton_step(topo, V, W * r, gain, grad) if newton else None
         if step is not None:
@@ -139,9 +133,10 @@ def estimate_state(case: GridCase, values: np.ndarray,
             except np.linalg.LinAlgError as exc:
                 raise RankDeficientError(
                     "WLS gain matrix is singular") from exc
-            # a step with a non-finite component has a non-finite slope
+            # a step with a non-finite component has a non-finite slope; a
+            # zero gradient has a zero step, which stops the fit converged
             decrement = grad @ dx
-            if not 0.0 < decrement < np.inf:
+            if not 0.0 <= decrement < np.inf:
                 raise RankDeficientError(
                     "WLS step is not a finite descent direction")
             newton = decrement < NEWTON_DEC

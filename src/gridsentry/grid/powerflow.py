@@ -164,10 +164,9 @@ def noise_scale(noiseless: np.ndarray, noise_sigma: float) -> np.ndarray:
 
 def measure(sol: PowerFlowSolution, noise_sigma: float,
             rng: np.random.Generator) -> np.ndarray:
-    """Sensor function plus i.i.d. zero-mean Gaussian noise."""
+    """Sensor function plus i.i.d. zero-mean Gaussian noise, as a new array:
+    at noise_sigma = 0, a copy of the noiseless sensors."""
     if not sol.converged:
         raise ValueError("cannot measure a non-converged solution")
     clean = sol.sensors
-    if noise_sigma == 0:
-        return clean.copy()
     return clean + rng.standard_normal(N_SENSORS) * noise_scale(clean, noise_sigma)

@@ -115,12 +115,7 @@ def mask_measurements(true_values: np.ndarray, y_hat: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
     """Replace access-set sensors with the simulated template plus fresh noise."""
     masked = true_values.copy()
-    if not access:
-        return masked
     idx = sorted(access)
-    if noise_sigma == 0:
-        masked[idx] = y_hat[idx]
-    else:
-        scale = noise_scale(y_hat, noise_sigma)
-        masked[idx] = y_hat[idx] + rng.standard_normal(len(idx)) * scale[idx]
+    scale = noise_scale(y_hat, noise_sigma)
+    masked[idx] = y_hat[idx] + rng.standard_normal(len(idx)) * scale[idx]
     return masked

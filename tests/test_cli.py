@@ -81,6 +81,7 @@ def test_config_validation_before_compute(tmp_path):
     # malformed numbers that gen-data would take, or fail on only after it
     # has written config.json
     for key, value in (("seed", 1.5), ("horizon", 60.5),
+                       ("levels", [True]), ("levels", [3.0]),
                        ("normal_series", 1.5),
                        ("series_per_condition_per_level", 1.5),
                        ("workers", 2.5), ("num_households", [5, 1]),

@@ -52,27 +52,60 @@ def test_src_does_not_import_scipy():
     assert sites == []
 
 
-def test_no_test_only_public_names():
-    # a public function or class that no code in src/ reads is there only
-    # for its tests; such oracles live in tests/oracles.py. Package
-    # __init__ re-exports do not count as reads.
+def src_modules() -> dict[str, ast.Module]:
+    """The parsed src/ modules but package __init__ files, by path; an
+    __init__ only re-exports names, which does not count as reading them."""
     trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text())
              for path in sorted((ROOT / "src").rglob("*.py"))
              if path.name != "__init__.py"}
     assert trees
+    return trees
+
+
+def names_read(trees) -> set[str]:
+    """Every name the modules load, bare or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
+    return read
+
+
+def test_no_test_only_public_names():
+    # a public function or class that no code in src/ reads is there only
+    # for its tests; such oracles live in tests/oracles.py
+    trees = src_modules()
+    read = names_read(trees.values())
     unread = sorted(f"{path}:{node.name}" for path, tree in trees.items()
                     for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
                     and node.name not in read)
     assert unread == []
+
+
+def test_every_module_constant_is_read():
+    # an UPPER_CASE module constant that no src/ code reads, outside its
+    # own assignment, is a setting that nothing acts on: the rule that
+    # read it is gone
+    trees = src_modules()
+    read = names_read(trees.values())
+    constants = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            constants += [(path, target.id) for target in targets
+                          if isinstance(target, ast.Name)
+                          and target.id.isupper()]
+    assert len(constants) >= 40  # 45 today: the scan sees them
+    assert sorted(f"{path}:{name}" for path, name in constants
+                  if name not in read) == []
 
 
 def test_every_config_field_is_read():
