@@ -134,6 +134,14 @@ def load_config(path: str | Path) -> RunConfig:
     if any(not _is_int(l) or not 1 <= l <= max_l
            for l in cfg.holdout_l_values):
         raise ConfigError(f"holdout_l_values must be integers in 1..{max_l}")
+    # a repeated entry would generate, train or hold out the same thing
+    # twice, writing its outputs over each other
+    for name in ("levels", "variants", "holdout_l_values"):
+        values = getattr(cfg, name)
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name} must not repeat an entry")
+    if not cfg.levels:
+        raise ConfigError("levels must name at least one level")
     if not _is_int(cfg.holdout_replications) or cfg.holdout_replications < 1:
         raise ConfigError("holdout_replications must be an integer >= 1")
     if not 0 < cfg.split_fraction < 1:

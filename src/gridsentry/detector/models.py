@@ -41,7 +41,11 @@ AEN_HIDDEN = (32, 20)
 PREDICTOR_HIDDEN = 32
 CLASSIFIER_HIDDEN = (64, 32)
 
-BUNDLE_FORMAT_VERSION = 3
+# the dtype every fit trains its model in, and so the dtype of every
+# trained bundle's parameters; inference takes the parameters' dtype
+COMPUTE_DTYPE = np.float32
+
+BUNDLE_FORMAT_VERSION = 4
 
 
 class UntrainedBundleError(RuntimeError):
@@ -107,14 +111,21 @@ def build_classifier(rng: np.random.Generator, hidden=CLASSIFIER_HIDDEN):
     return _mlp((CLASSIFIER_INPUT, *hidden, N_LABELS), [ReLU, Sigmoid], rng)
 
 
+def _in_compute_dtype(model):
+    """`model`, its parameters and gradients cast to COMPUTE_DTYPE."""
+    set_state(model, {name: arr.astype(COMPUTE_DTYPE)
+                      for name, arr in get_state(model).items()})
+    return model
+
+
 def fit_autoencoder(z: np.ndarray, config: TrainConfig):
     """Train encoder+decoder on preprocessed normal frames (N, 39)."""
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=COMPUTE_DTYPE)
     if z.ndim != 2 or z.shape[1] != N_SENSORS:
         raise ValueError(f"autoencoder input must be (N, {N_SENSORS})")
     rng = np.random.default_rng(config.seed)
     enc, dec = build_autoencoder(rng)
-    model = Sequential([enc, dec])
+    model = _in_compute_dtype(Sequential([enc, dec]))
     history = train(model, z, z, config, loss="mse")
     return enc, dec, history
 
@@ -125,16 +136,17 @@ def fit_predictor(sequences: np.ndarray, config: TrainConfig):
     Targets with index < LAGS are masked out, so a T-step series contributes
     T - LAGS training targets.
     """
-    seq = np.asarray(sequences, dtype=float)
+    seq = np.asarray(sequences, dtype=COMPUTE_DTYPE)
     if seq.ndim != 3:
         raise ValueError("predictor input must be (N, T, C)")
     n, t, c = seq.shape
     if t < LAGS + 1:
         raise ValueError(f"sequences must span at least {LAGS + 1} steps")
-    model = build_predictor(c, np.random.default_rng(config.seed))
+    model = _in_compute_dtype(
+        build_predictor(c, np.random.default_rng(config.seed)))
     x = seq[:, :-1]
     y = seq[:, 1:]
-    mask = np.zeros((n, t - 1))
+    mask = np.zeros((n, t - 1), dtype=seq.dtype)
     mask[:, LAGS - 1:] = 1.0  # position j predicts original index j+1
     history = train(model, x, y, config, loss="mse", mask=mask)
     return model, history
@@ -143,7 +155,7 @@ def fit_predictor(sequences: np.ndarray, config: TrainConfig):
 def fit_classifier(features: np.ndarray, labels: np.ndarray,
                    config: TrainConfig):
     """Train the 9-label head on (N, 78) residual++observation features."""
-    features = np.asarray(features, dtype=float)
+    features = np.asarray(features, dtype=COMPUTE_DTYPE)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[1] != CLASSIFIER_INPUT:
         raise ValueError(f"classifier input must be (N, {CLASSIFIER_INPUT})")
@@ -151,7 +163,8 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray,
     missing = [LABELS[i] for i in range(N_LABELS) if i not in present]
     if missing:
         raise ValueError(f"training data missing classes: {missing}")
-    model = build_classifier(np.random.default_rng(config.seed))
+    model = _in_compute_dtype(
+        build_classifier(np.random.default_rng(config.seed)))
     history = train(model, features, labels.astype(int), config,
                     loss="cross_entropy")
     return model, history
@@ -180,7 +193,9 @@ def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
 
     Residuals live in standardized-difference space for every variant and
     are emitted for original frames LAGS+1 .. T-1 (the first LAGS differenced
-    frames are predictor warm-up). Model parameters are never mutated.
+    frames are predictor warm-up). Model parameters are never mutated. The
+    learned variants cast the standardized differences to the predictor's
+    parameter dtype and return residuals in it; SE_DNN's are float64.
 
     The learned variants run their models once per group of equal-length
     series, stacked (S, 1, T, D): every series keeps its own batch of one,
@@ -213,7 +228,8 @@ def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
         by_length.setdefault(z.shape[0], []).append(k)
     out = [None] * len(zs)
     for t_z, members in by_length.items():
-        z = np.stack([zs[k] for k in members])[:, None]  # (S, 1, T-1, 39)
+        z = np.stack([zs[k] for k in members],
+                     dtype=predictor.dtype)[:, None]  # (S, 1, T-1, 39)
         codes = encoder.forward(z) if coded else z
         z_hat = predictor.forward(codes[..., :-1, :])
         if coded:
@@ -228,11 +244,13 @@ def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
 def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:
     """Label indices for (N, 78) features: the argmax of the softmax.
 
-    Exact ties resolve to the lowest label index. The softmax stays before
-    the argmax: two near-equal logits can round to equal probabilities, and
-    the argmax of the raw logits would break that tie differently.
+    The features are cast to the classifier's parameter dtype. Exact ties
+    resolve to the lowest label index. The softmax stays before the argmax:
+    two near-equal logits can round to equal probabilities, and the argmax
+    of the raw logits would break that tie differently.
     """
-    probs = softmax(classifier.forward(np.asarray(features, dtype=float)))
+    probs = softmax(classifier.forward(
+        np.asarray(features, dtype=classifier.dtype)))
     return np.argmax(probs, axis=1)  # argmax takes the first maximum
 
 
@@ -273,8 +291,10 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
     sub-model and the file.
     """
     with np.load(Path(path)) as data:
-        if int(data["meta/format_version"]) != BUNDLE_FORMAT_VERSION:
-            raise ValueError("unsupported bundle file version")
+        version = int(data["meta/format_version"])
+        if version != BUNDLE_FORMAT_VERSION:
+            raise ValueError(f"unsupported bundle file version {version} in "
+                             f"{path}; expected {BUNDLE_FORMAT_VERSION}")
         if ("meta/sensor_hash" not in data.files
                 or str(data["meta/sensor_hash"]) != sensor_map_hash(case)):
             raise SensorMapMismatchError(

@@ -1,7 +1,10 @@
 """Minimal dense/recurrent layer library with reverse-mode gradients.
 
 Single-threaded per model instance: forward caches activations that the
-matching backward consumes. All arrays are float64, batch-first.
+matching backward consumes. Arrays are batch-first, and dtype-preserving:
+every array a call makes takes the dtype of the parameters and inputs it
+comes from, so a model whose parameters and inputs are float32 computes in
+float32 and one whose are float64 in float64.
 
 No call writes into an array its caller passed in, and every call returns
 a fresh array. Callers must not write into a returned array either: the
@@ -70,6 +73,13 @@ class Layer:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the (first) parameter: the one a caller casts the
+        layer's inputs to."""
+        _, params, _, k = self.parameters()[0]
+        return params[k].dtype
+
     def zero_grad(self) -> None:
         for _, params, grads, k in self.parameters():
             if k in grads:
@@ -87,7 +97,7 @@ class Dense(Layer):
         super().__init__()
         bound = 1.0 / np.sqrt(in_dim)
         self.params["W"] = rng.uniform(-bound, bound, size=(in_dim, out_dim))
-        self.params["b"] = np.zeros(out_dim)
+        self.params["b"] = np.zeros(out_dim, dtype=self.params["W"].dtype)
         self.zero_grad()
 
     def forward(self, x):
@@ -129,7 +139,7 @@ class LeakyReLU(Layer):
         return np.maximum(x, y, out=y)
 
     def backward(self, dy):
-        slopes = self._mask.astype(float)
+        slopes = self._mask.astype(dy.dtype)
         np.maximum(slopes, LEAKY_SLOPE, out=slopes)
         slopes *= dy
         return slopes
@@ -189,7 +199,7 @@ class LSTM(Layer):
         bound = 1.0 / np.sqrt(in_dim + hidden)
         self.params["Wx"] = rng.uniform(-bound, bound, size=(in_dim, 4 * hidden))
         self.params["Wh"] = rng.uniform(-bound, bound, size=(hidden, 4 * hidden))
-        self.params["b"] = np.zeros(4 * hidden)
+        self.params["b"] = np.zeros(4 * hidden, dtype=self.params["Wx"].dtype)
         self.zero_grad()
 
     def forward(self, x):
@@ -197,15 +207,16 @@ class LSTM(Layer):
         if D != self.in_dim:
             raise ValueError(f"LSTM expects width {self.in_dim}, got {D}")
         H = self.hidden
-        h = np.zeros((*lead, H))
         Wx, Wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
         # input products for every step at once: (T, *lead, 4H); step t's
         # row is overwritten by its gates, with tanh(g) in the g slot. The
         # backward pass reads them there, the cell states from cs, and
-        # h_prev from the returned hidden states.
+        # h_prev from the returned hidden states. Every state takes the
+        # dtype of these products.
         gates = np.matmul(np.moveaxis(x, -2, 0), Wx)
-        cs = np.empty((T, *lead, H))
-        hs = np.empty((*lead, T, H))
+        h = np.zeros((*lead, H), dtype=gates.dtype)
+        cs = np.empty((T, *lead, H), dtype=gates.dtype)
+        hs = np.empty((*lead, T, H), dtype=gates.dtype)
         c = h
         for t in range(T):
             z = gates[t] + h @ Wh
@@ -233,10 +244,10 @@ class LSTM(Layer):
         g_all = gates[..., 2 * H:3 * H]
         gslope = g_all * g_all
         np.subtract(1.0, gslope, out=gslope)
-        dzs = np.zeros((T, B, 4 * H))
-        h0 = np.zeros((B, H))
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
+        dzs = np.zeros_like(gates)  # (T, B, 4H)
+        h0 = np.zeros_like(cs[0])
+        dh_next = np.zeros_like(h0)
+        dc_next = np.zeros_like(h0)
         for t in range(T - 1, -1, -1):
             s, tc = gates[t], tcs[t]
             i, f, g, o = (s[:, :H], s[:, H:2 * H], s[:, 2 * H:3 * H],

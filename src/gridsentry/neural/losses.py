@@ -16,7 +16,7 @@ def mse(pred: np.ndarray, target: np.ndarray,
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     diff = pred - target
     if mask is not None:
-        diff = diff * mask[..., None]
+        diff *= mask[..., None]  # in place, so diff keeps its dtype
         count = int(mask.sum()) * pred.shape[-1]
     else:
         count = diff.size

@@ -54,13 +54,20 @@ def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
     x may be (N, D) frames or (N, T, D) sequences; mask, when given for
     sequences, is (N, T) and selects which time steps count toward the loss.
     loss is "mse" or "cross_entropy" (integer labels, fused with softmax).
+    x, a float y and mask must have the parameters' dtype: one array of
+    another would silently carry every step into the wider of the two.
     """
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty training data")
+    params, grads = flatten_parameters(model)
+    for name, arr in (("x", x), ("y", y), ("mask", mask)):
+        if (arr is not None and (name != "y" or arr.dtype.kind == "f")
+                and arr.dtype != params.dtype):
+            raise ValueError(f"{name} is {arr.dtype} but the model's "
+                             f"parameters are {params.dtype}")
     rng = np.random.default_rng(config.seed)
     opt = Adam(config.learning_rate)
-    params, grads = flatten_parameters(model)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)

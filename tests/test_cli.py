@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,13 @@ import yaml
 import gridsentry.cli as cli
 from gridsentry.config import (ConfigError, RunManifest, config_hash,
                                load_config, resolve_output_dir)
-from gridsentry.detector import SensorMapMismatchError, pipeline
+from gridsentry.detector import (SensorMapMismatchError, load_bundle,
+                                 pipeline, save_bundle)
+from gridsentry.detector.models import SUBMODELS
 from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.evaluation import HoldoutResult
-from gridsentry.grid import DEFAULT_CASE
-from gridsentry.neural import TrainConfig
+from gridsentry.grid import DEFAULT_CASE, load_case
+from gridsentry.neural import TrainConfig, get_state
 from gridsentry.scenario import LABELS, ScenarioSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -82,6 +85,9 @@ def test_config_validation_before_compute(tmp_path):
     # has written config.json
     for key, value in (("seed", 1.5), ("horizon", 60.5),
                        ("levels", [True]), ("levels", [3.0]),
+                       ("levels", [3, 3]), ("levels", []),
+                       ("variants", ["RNN_DNN", "RNN_DNN"]),
+                       ("holdout_l_values", [2, 1, 2]),
                        ("normal_series", 1.5),
                        ("series_per_condition_per_level", 1.5),
                        ("workers", 2.5), ("num_households", [5, 1]),
@@ -292,6 +298,33 @@ def test_train_evaluate_roundtrip(workspace):
                      "--data", str(data_dir),
                      "--bundle", str(bundle_path),
                      "--gate", "1.01"]) == 1
+
+
+def test_float32_bundle_roundtrip(workspace, tmp_path):
+    # train_bundle fits every sub-model in float32, the file keeps their
+    # arrays float32, and the loaded bundle labels every frame as the
+    # trained one does
+    _, _, data_dir = workspace
+    series = cli.load_dataset(data_dir)
+    configs = {name: replace(cfg, epochs=2)
+               for name, cfg in STAGE_DEFAULTS.items()}
+    case = load_case()
+    bundle = pipeline.train_bundle("AEN_RNN_DNN", series, case, seed=3,
+                                   stage_configs=configs, noise_sigma=0.01)
+    path = tmp_path / "bundle.npz"
+    save_bundle(bundle, path)
+    loaded = load_bundle(path, case)
+    with np.load(path) as data:
+        weights = [k for k in data.files if not k.startswith("meta/")]
+        assert len(weights) == 23  # 6 + 6 + 5 + 6 arrays
+        assert {data[k].dtype for k in weights} == {np.dtype(np.float32)}
+    for name in SUBMODELS["AEN_RNN_DNN"]:
+        for key, arr in get_state(getattr(loaded, name)).items():
+            assert arr.dtype == np.float32, (name, key)
+    preds, truth = pipeline.evaluate_predictions(bundle, series, case)
+    again, truth_again = pipeline.evaluate_predictions(loaded, series, case)
+    assert np.array_equal(preds, again) and np.array_equal(truth, truth_again)
+    assert len(preds) == sum(s.horizon - 1 - 10 for s in series)
 
 
 def test_train_refuses_variant_outside_config(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from gridsentry.detector.models import (SUBMODELS, build_autoencoder,
 from gridsentry.detector.pipeline import RESIDUAL_GROUP
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
-from gridsentry.neural import TrainConfig, get_state, softmax
+from gridsentry.neural import TrainConfig, get_state, set_state, softmax
 from gridsentry.scenario import LABELS, ScenarioSeries, generate_scenario
 from oracles import chi_square_detect
 
@@ -269,7 +269,8 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
                                                  variant):
     # 48- and 30-frame series interleaved, more of them than one group of
     # feature_rows holds: every series' residuals carry the bits of the
-    # one-series form (2-D code rows, a (1, T, D) predictor batch)
+    # one-series form (2-D code rows, a (1, T, D) predictor batch) run in
+    # the models' parameter dtype, float64 and float32
     stats = fit_preprocess(normal_series)
     bundle = make_stub_bundle(variant, case, stats)
     r = np.random.default_rng(7)
@@ -277,27 +278,34 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
     if coded:
         bundle.encoder, bundle.decoder = build_autoencoder(r)
     bundle.predictor = build_predictor(CODE_SIZE if coded else N_SENSORS, r)
+    drawn = {name: get_state(getattr(bundle, name))
+             for name in SUBMODELS[variant] if name != "classifier"}
     series = []
     for k in range(2 * RESIDUAL_GROUP + 3):
         base, n = normal_series[k % 3], 48 if k % 4 else 30
         series.append(ScenarioSeries(values=base.values[:n],
                                      labels=base.labels[:n],
                                      metadata=dict(base.metadata)))
-    stacked = predict_and_residual(bundle, series, case)
-    rows = feature_rows(bundle, series, case)
-    assert len(stacked) == len(rows) == len(series)
-    for one, (ts, residuals), (_, x, _) in zip(series, stacked, rows):
-        z = preprocess(one, stats)
-        codes = bundle.encoder.forward(z) if coded else z
-        z_hat = bundle.predictor.forward(codes[None, :-1])[0]
-        if coded:
-            z_hat = bundle.decoder.forward(z_hat)
-        idx = np.arange(LAGS, z.shape[0])
-        assert np.array_equal(ts, idx + 1)
-        assert np.array_equal(residuals, z[idx] - z_hat[idx - 1])
-        [(_, alone)] = predict_and_residual(bundle, [one], case)
-        assert np.array_equal(alone, residuals)
-        assert np.array_equal(x[:, :N_SENSORS], residuals)
+    for dtype in (np.float64, np.float32):
+        for name, state in drawn.items():
+            set_state(getattr(bundle, name),
+                      {k: v.astype(dtype) for k, v in state.items()})
+        stacked = predict_and_residual(bundle, series, case)
+        rows = feature_rows(bundle, series, case)
+        assert len(stacked) == len(rows) == len(series)
+        for one, (ts, residuals), (_, x, _) in zip(series, stacked, rows):
+            z = preprocess(one, stats).astype(dtype)
+            codes = bundle.encoder.forward(z) if coded else z
+            z_hat = bundle.predictor.forward(codes[None, :-1])[0]
+            if coded:
+                z_hat = bundle.decoder.forward(z_hat)
+            idx = np.arange(LAGS, z.shape[0])
+            assert np.array_equal(ts, idx + 1)
+            assert residuals.dtype == dtype
+            assert np.array_equal(residuals, z[idx] - z_hat[idx - 1])
+            [(_, alone)] = predict_and_residual(bundle, [one], case)
+            assert np.array_equal(alone, residuals)
+            assert np.array_equal(x[:, :N_SENSORS], residuals)
 
 
 # ---------------------------------------------------------------- classifier
@@ -469,12 +477,17 @@ def test_save_refuses_bundle_missing_a_submodel(tmp_path, case):
 
 
 def test_load_refuses_older_format(tmp_path, case):
+    # version 3 held float64 parameters; the message names the file, the
+    # version found and the one expected
     path = tmp_path / "bundle.npz"
     save_bundle(stub_classifier_bundle(case), path)
-    np.savez(path, **{**saved_arrays(path),
-                      "meta/format_version": np.array(2)})
-    with pytest.raises(ValueError, match="unsupported bundle file version"):
-        load_bundle(path, case)
+    for old in (2, 3):
+        np.savez(path, **{**saved_arrays(path),
+                          "meta/format_version": np.array(old)})
+        with pytest.raises(ValueError, match=(
+                f"^unsupported bundle file version {old} in "
+                f"{re.escape(str(path))}; expected 4$")):
+            load_bundle(path, case)
 
 
 def test_load_names_submodel_and_file_of_a_bad_array(tmp_path, case):

@@ -316,6 +316,8 @@ def test_csv_table_formats_floats_only():
 class StubClassifier:
     """Logits that pick the label index stored in feature column 0."""
 
+    dtype = np.float64  # classify casts the features to it
+
     def forward(self, x):
         return 10.0 * np.eye(9)[x[:, 0].astype(int)]
 

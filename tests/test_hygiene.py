@@ -245,3 +245,30 @@ def test_one_home_for_each_network_architecture():
                     and not (func or "").startswith("build_")):
                 sites.append(f"{rel}:{node.lineno} in {func}")
     assert sites == []
+
+
+def test_neural_library_names_no_fixed_dtype():
+    # the library is dtype-preserving: an array it makes takes the dtype
+    # of what it comes from, so np.zeros/np.empty/np.ones need a dtype (or
+    # their *_like form), and float is never spelled as a dtype; each of
+    # these once turned a float32 step back into float64
+    sites = []
+    for path in sorted((ROOT / "src/gridsentry/neural").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            keywords = {k.arg: k.value for k in node.keywords}
+            if (isinstance(func, ast.Attribute)
+                    and getattr(func.value, "id", None) == "np"
+                    and func.attr in ("zeros", "empty", "ones")
+                    and "dtype" not in keywords):
+                sites.append(f"{rel}:{node.lineno} np.{func.attr}")
+            if (isinstance(func, ast.Attribute) and func.attr == "astype"
+                    and any(getattr(a, "id", None) == "float"
+                            for a in node.args)):
+                sites.append(f"{rel}:{node.lineno} astype(float)")
+            if getattr(keywords.get("dtype"), "id", None) == "float":
+                sites.append(f"{rel}:{node.lineno} dtype=float")
+    assert sites == []

@@ -635,3 +635,133 @@ def test_set_state_shape_guard():
     state[key] = np.zeros((1, 1))
     with pytest.raises(ValueError):
         set_state(model, state)
+
+
+# ---------------------------------------------------------------- dtype
+# The library is dtype-preserving: float32 parameters and inputs give
+# float32 outputs, input and parameter gradients, losses' gradients and
+# Adam moments, and float64 ones float64.
+
+def in_dtype(model, dtype):
+    """`model` with its parameters and gradients cast to `dtype`."""
+    set_state(model, {k: v.astype(dtype) for k, v in get_state(model).items()})
+    return model
+
+
+def dtype_cases(r):
+    """(model, input shape) for each layer and the detector's containers."""
+    return [(Dense(6, 4, r), (5, 6)), (ReLU(), (5, 6)),
+            (LeakyReLU(), (5, 6)), (Sigmoid(), (5, 6)),
+            (LSTM(6, 4, r), (2, 5, 6)), (build_classifier(r), (5, 78)),
+            (Sequential(list(build_autoencoder(r))), (5, 39)),
+            (lstm_readout(6, 4, 6, r), (2, 5, 6))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layers_keep_the_dtype(dtype):
+    for model, shape in dtype_cases(rng(100)):
+        name = type(model).__name__
+        model = in_dtype(model, dtype)
+        x = rng(101).standard_normal(shape).astype(dtype)
+        y = model.forward(x)
+        dy = rng(102).standard_normal(y.shape).astype(dtype)
+        dx = model.backward(dy)
+        assert (y.dtype, dx.dtype) == (dtype, dtype), name
+        if model.parameters():
+            assert model.dtype == dtype, name
+        for pname, params, grads, k in model.parameters():
+            assert params[k].dtype == grads[k].dtype == dtype, (name, pname)
+            assert np.any(grads[k] != 0), (name, pname)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_losses_and_adam_keep_the_dtype(dtype):
+    pred = rng(103).standard_normal((2, 6, 3)).astype(dtype)
+    target = rng(104).standard_normal((2, 6, 3)).astype(dtype)
+    mask = np.zeros((2, 6), dtype=dtype)
+    mask[:, 2:] = 1.0
+    for m in (None, mask, mask.astype(np.float64)):
+        loss, grad = mse(pred, target, mask=m)
+        assert isinstance(loss, float) and grad.dtype == dtype
+    logits = rng(105).standard_normal((6, 9)).astype(dtype)
+    loss, grad = softmax_cross_entropy(logits, np.arange(6))
+    assert isinstance(loss, float) and grad.dtype == dtype
+    assert softmax(logits).dtype == dtype
+    opt = Adam(1e-3)
+    flat = rng(106).standard_normal(7).astype(dtype)
+    for step in range(3):
+        opt.step(flat, rng(107 + step).standard_normal(7).astype(dtype))
+    assert flat.dtype == opt.m.dtype == opt.v.dtype == dtype
+
+
+def test_float32_kernels_stay_finite_at_the_extremes():
+    # the sigmoid's exponential is at most 1; the softmax subtracts its row
+    # maximum and floors the picked probability at EPS = 1e-12, a normal
+    # float32; Adam's EPS = 1e-8 is one too, so a zero second moment still
+    # divides to a finite step. No overflow or invalid operation happens,
+    # so no non-finite check can fire. (Adam's second moment overflows
+    # float32 only for a gradient above about 1.8e19.)
+    with np.errstate(over="raise", invalid="raise"):
+        x = np.array([-1e30, -200.0, -90.0, 0.0, 90.0, 200.0, 3e38],
+                     dtype=np.float32)
+        s = _sigmoid(x)
+        assert s.dtype == np.float32 and np.all(np.isfinite(s))
+        assert s[0] == 0.0 and s[-1] == 1.0 and s[3] == 0.5
+        logits = np.array([[1e4, -1e4, 0.0], [0.0, 0.0, 0.0]],
+                          dtype=np.float32)
+        loss, grad = softmax_cross_entropy(logits, np.array([1, 0]))
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert loss == pytest.approx((-np.log(np.float32(1e-12))
+                                      + np.log(3)) / 2, rel=1e-6)
+        opt, flat = Adam(1e-3), np.zeros(3, dtype=np.float32)
+        opt.step(flat, np.array([0.0, 1e-30, 1e15], dtype=np.float32))
+        assert np.all(np.isfinite(flat)) and flat[0] == 0.0
+        assert flat[2] == pytest.approx(-1e-3, rel=1e-5)
+
+
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_train_in_float32_keeps_the_dtype(loss):
+    x = rng(108).standard_normal((40, 78)).astype(np.float32)
+    if loss == "mse":
+        model, y = Sequential([Dense(78, 78, rng(109))]), x
+    else:
+        model, y = build_classifier(rng(109)), np.arange(40) % 9
+    model = in_dtype(model, np.float32)
+    history = train(model, x, y, TrainConfig(learning_rate=1e-3, epochs=2,
+                                             batch_size=16, seed=0),
+                    loss=loss)
+    assert all(np.isfinite(history))
+    for name, params, grads, k in model.parameters():
+        assert params[k].dtype == grads[k].dtype == np.float32, name
+
+
+def test_train_refuses_a_dtype_other_than_the_parameters():
+    # one float64 array would carry every float32 step back into float64
+    cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
+    model = in_dtype(lstm_readout(3, 4, 3, rng(110)), np.float32)
+    seq = rng(111).standard_normal((2, 6, 3)).astype(np.float32)
+    mask = np.ones((2, 6), dtype=np.float32)
+    for name, args in (("x", (seq.astype(np.float64), seq, mask)),
+                       ("y", (seq, seq.astype(np.float64), mask)),
+                       ("mask", (seq, seq, mask.astype(np.float64)))):
+        with pytest.raises(ValueError, match=f"^{name} is float64 but the "
+                           "model's parameters are float32$"):
+            train(model, *args[:2], cfg, mask=args[2])
+    with pytest.raises(ValueError, match="^x is float32 but the model's "
+                       "parameters are float64$"):
+        train(build_classifier(rng(112)), np.zeros((4, 78), np.float32),
+              np.arange(4), cfg, loss="cross_entropy")
+    train(model, seq, seq, cfg, mask=mask)  # integer labels are not checked
+    train(build_classifier(rng(112)), np.zeros((4, 78)), np.arange(4), cfg,
+          loss="cross_entropy")
+
+
+def test_float32_training_tracks_float64():
+    # the same fit in both dtypes, from the same float64 draw: the loss
+    # histories agree to float32 rounding, far inside the loss's own fall
+    build, x, y, config, kwargs = _classifier_fit()
+    wide = train(build(), x, y, config, **kwargs)
+    narrow = train(in_dtype(build(), np.float32), x.astype(np.float32), y,
+                   config, **kwargs)
+    np.testing.assert_allclose(narrow, wide, rtol=1e-4)
+    assert wide[-1] < wide[0]
