@@ -751,7 +751,8 @@ def test_train_refuses_a_dtype_other_than_the_parameters():
                        "parameters are float64$"):
         train(build_classifier(rng(112)), np.zeros((4, 78), np.float32),
               np.arange(4), cfg, loss="cross_entropy")
-    train(model, seq, seq, cfg, mask=mask)  # integer labels are not checked
+    # matching dtypes train; integer labels are not checked
+    train(model, seq, seq, cfg, mask=mask)
     train(build_classifier(rng(112)), np.zeros((4, 78)), np.arange(4), cfg,
           loss="cross_entropy")
 
