@@ -230,10 +230,10 @@ def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
     for t_z, members in by_length.items():
         z = np.stack([zs[k] for k in members],
                      dtype=predictor.dtype)[:, None]  # (S, 1, T-1, 39)
-        codes = encoder.forward(z) if coded else z
-        z_hat = predictor.forward(codes[..., :-1, :])
+        codes = encoder.forward(z)[0] if coded else z
+        z_hat, _ = predictor.forward(codes[..., :-1, :])
         if coded:
-            z_hat = decoder.forward(z_hat)
+            z_hat, _ = decoder.forward(z_hat)
         # z_hat row j-1 predicts z row j, for the rows j >= LAGS
         residuals = z[:, 0, LAGS:] - z_hat[:, 0, LAGS - 1:]
         for k, r in zip(members, residuals):
@@ -250,7 +250,7 @@ def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:
     of the raw logits would break that tie differently.
     """
     probs = softmax(classifier.forward(
-        np.asarray(features, dtype=classifier.dtype)))
+        np.asarray(features, dtype=classifier.dtype))[0])
     return np.argmax(probs, axis=1)  # argmax takes the first maximum
 
 

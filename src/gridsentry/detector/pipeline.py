@@ -22,7 +22,7 @@ STAGE_DEFAULTS = {
 }
 
 # series per stacked residual forward in feature_rows: a larger group runs
-# faster but holds more activations at once (peak memory)
+# faster, but its activations (dropped on return) set the peak memory
 RESIDUAL_GROUP = 4
 
 
@@ -87,7 +87,7 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
         enc, dec, hist = fit_autoencoder(np.concatenate(sequences), cfg)
         bundle.encoder, bundle.decoder = enc, dec
         bundle.history["autoencoder"] = hist
-        sequences = [enc.forward(z.astype(enc.dtype)) for z in sequences]
+        sequences = [enc.forward(z.astype(enc.dtype))[0] for z in sequences]
     if variant != "SE_DNN":
         cfg = replace(stage_configs["predictor"], seed=seed + 1)
         bundle.predictor, hist = fit_predictor(np.stack(sequences), cfg)

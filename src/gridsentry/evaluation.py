@@ -273,8 +273,6 @@ def holdout_experiment(rows, l: int, replications: int, seed: int,
         classifier, _ = fit_classifier(np.concatenate(train_x),
                                        np.concatenate(train_y), cfg)
         preds = classify(classifier, np.concatenate(test_x))
-        # the next fit need not hold this one's classify-sized activations
-        del classifier
         accuracies.append(float(np.mean(preds == np.concatenate(test_y))))
 
     acc = np.array(accuracies)

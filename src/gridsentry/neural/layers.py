@@ -1,14 +1,17 @@
 """Minimal dense/recurrent layer library with reverse-mode gradients.
 
-Single-threaded per model instance: forward caches activations that the
-matching backward consumes. Arrays are batch-first, and dtype-preserving:
+Layers hold parameters and gradients only. forward(x) returns (y, cache):
+the cache is what the matching backward(cache, dy) reads, and a caller
+that only infers drops it. No layer keeps an array of a call after it
+returns, so forwards on one model may interleave, each backward taking its
+own forward's cache. Arrays are batch-first, and dtype-preserving:
 every array a call makes takes the dtype of the parameters and inputs it
 comes from, so a model whose parameters and inputs are float32 computes in
 float32 and one whose are float64 in float64.
 
-No call writes into an array its caller passed in, and every call returns
-a fresh array. Callers must not write into a returned array either: the
-matching backward may read it.
+No call writes into an array its caller passed in, or into a cache, and
+every call returns a fresh array. Callers must not write into a returned
+array either: the matching backward may read it.
 """
 
 from __future__ import annotations
@@ -57,21 +60,16 @@ def softmax(x: np.ndarray) -> np.ndarray:
 class Layer:
     """Base: parameters and gradients are aligned name -> array dicts.
 
-    backward(dy) adds the parameter gradients into `grads` and returns the
-    gradient w.r.t. the layer input. Dense, LSTM and Sequential take
-    input_grad=False to skip that last product and return None; Sequential
-    passes it on to its first layer only.
+    forward(x) returns (y, cache). backward(cache, dy) adds the parameter
+    gradients into `grads` and returns the gradient w.r.t. the layer
+    input. Dense, LSTM and Sequential take input_grad=False to skip that
+    last product and return None; Sequential passes it on to its first
+    layer only.
     """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     @property
     def dtype(self) -> np.dtype:
@@ -104,13 +102,12 @@ class Dense(Layer):
         if x.shape[-1] != self.params["W"].shape[0]:
             raise ValueError(f"Dense expects width {self.params['W'].shape[0]}, "
                              f"got {x.shape[-1]}")
-        self._x = x
         y = x @ self.params["W"]
         y += self.params["b"]
-        return _check("Dense", y)
+        return _check("Dense", y), x
 
-    def backward(self, dy, input_grad=True):
-        x2 = self._x.reshape(-1, self._x.shape[-1])
+    def backward(self, x, dy, input_grad=True):
+        x2 = x.reshape(-1, x.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         self.grads["W"] += x2.T @ dy2
         self.grads["b"] += dy2.sum(axis=0)
@@ -119,11 +116,11 @@ class Dense(Layer):
 
 class ReLU(Layer):
     def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        return x * mask, mask
 
-    def backward(self, dy):
-        return dy * self._mask
+    def backward(self, mask, dy):
+        return dy * mask
 
 
 class LeakyReLU(Layer):
@@ -134,12 +131,11 @@ class LeakyReLU(Layer):
     """
 
     def forward(self, x):
-        self._mask = x > 0
         y = LEAKY_SLOPE * x
-        return np.maximum(x, y, out=y)
+        return np.maximum(x, y, out=y), x > 0
 
-    def backward(self, dy):
-        slopes = self._mask.astype(dy.dtype)
+    def backward(self, mask, dy):
+        slopes = mask.astype(dy.dtype)
         np.maximum(slopes, LEAKY_SLOPE, out=slopes)
         slopes *= dy
         return slopes
@@ -147,12 +143,12 @@ class LeakyReLU(Layer):
 
 class Sigmoid(Layer):
     def forward(self, x):
-        self._y = _sigmoid(x)
-        return self._y
+        y = _sigmoid(x)
+        return y, y
 
-    def backward(self, dy):
-        dx = dy * self._y
-        dx *= 1.0 - self._y
+    def backward(self, y, dy):
+        dx = dy * y
+        dx *= 1.0 - y
         return dx
 
 
@@ -162,15 +158,17 @@ class Sequential(Layer):
         self.layers = layers
 
     def forward(self, x):
+        """(y, the list of the layers' caches)."""
+        caches = []
         for layer in self.layers:
-            x = layer.forward(x)
-        return x
+            x, cache = layer.forward(x)
+            caches.append(cache)
+        return x, caches
 
-    def backward(self, dy, input_grad=True):
-        first, *rest = self.layers
-        for layer in reversed(rest):
-            dy = layer.backward(dy)
-        return first.backward(dy, input_grad=input_grad)
+    def backward(self, caches, dy, input_grad=True):
+        for layer, cache in zip(self.layers[:0:-1], caches[:0:-1]):
+            dy = layer.backward(cache, dy)
+        return self.layers[0].backward(caches[0], dy, input_grad=input_grad)
 
     def parameters(self):
         """Flat (name, params-dict, grads-dict, key) view, recursing into
@@ -210,9 +208,9 @@ class LSTM(Layer):
         Wx, Wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
         # input products for every step at once: (T, *lead, 4H); step t's
         # row is overwritten by its gates, with tanh(g) in the g slot. The
-        # backward pass reads them there, the cell states from cs, and
-        # h_prev from the returned hidden states. Every state takes the
-        # dtype of these products.
+        # cache carries them, the cell states cs and the hidden states,
+        # h_prev for the backward pass. Every state takes the dtype of these
+        # products.
         gates = np.matmul(np.moveaxis(x, -2, 0), Wx)
         h = np.zeros((*lead, H), dtype=gates.dtype)
         cs = np.empty((T, *lead, H), dtype=gates.dtype)
@@ -228,12 +226,11 @@ class LSTM(Layer):
             c = np.multiply(f, c, out=cs[t])
             c += i * g
             h = np.multiply(o, np.tanh(c), out=hs[..., t, :])
-        self._x, self._gates, self._cs, self._hs = x, gates, cs, hs
-        return _check("LSTM", hs)
+        return _check("LSTM", hs), (x, gates, cs, hs)
 
-    def backward(self, dhs, input_grad=True):
+    def backward(self, cache, dhs, input_grad=True):
         B, T, H = dhs.shape
-        x, hs, gates, cs = self._x, self._hs, self._gates, self._cs
+        x, gates, cs, hs = cache
         Wx, Wh = self.params["Wx"], self.params["Wh"]
         # the factors that need no recurrence, for every step at once: the
         # slopes 1 - tanh(c)^2, 1 - s of each gate and 1 - g^2 of the g slot

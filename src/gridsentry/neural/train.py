@@ -75,25 +75,30 @@ def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
         batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            try:
-                out = model.forward(xb)
-            except NumericalError as exc:
-                raise RuntimeError(f"training diverged at epoch {epoch}: {exc}")
-            if loss == "mse":
-                mb = mask[idx] if mask is not None else None
-                value, grad = mse(out, yb, mask=mb)
-            elif loss == "cross_entropy":
-                value, grad = softmax_cross_entropy(out, yb)
-            else:
-                raise ValueError(f"unknown loss '{loss}'")
-            if not np.isfinite(value):
-                raise RuntimeError(f"NaN loss at epoch {epoch}; "
-                                   "inspect the first non-finite layer output")
+            mb = mask[idx] if mask is not None else None
             grads.fill(0.0)
-            model.backward(grad, input_grad=False)
+            total += _batch_gradients(model, x[idx], y[idx], mb, loss, epoch)
             opt.step(params, grads)
-            total += value
             batches += 1
         history.append(total / batches)
     return history
+
+
+def _batch_gradients(model, xb, yb, mb, loss, epoch) -> float:
+    """One batch's loss, its parameter gradients added into the model's
+    grads; a fit holds one batch's forward cache, for this call only."""
+    try:
+        out, cache = model.forward(xb)
+    except NumericalError as exc:
+        raise RuntimeError(f"training diverged at epoch {epoch}: {exc}")
+    if loss == "mse":
+        value, grad = mse(out, yb, mask=mb)
+    elif loss == "cross_entropy":
+        value, grad = softmax_cross_entropy(out, yb)
+    else:
+        raise ValueError(f"unknown loss '{loss}'")
+    if not np.isfinite(value):
+        raise RuntimeError(f"NaN loss at epoch {epoch}; "
+                           "inspect the first non-finite layer output")
+    model.backward(cache, grad, input_grad=False)
+    return value

@@ -125,7 +125,7 @@ def covert_attack_run(sys: LinearSystem, controls: np.ndarray,
 # ------------------------------------------------------------ gradients
 
 def _loss_value(model, x, target, loss, mask):
-    out = model.forward(x)
+    out, _ = model.forward(x)
     if loss == "mse":
         return mse(out, target, mask=mask)[0]
     if loss == "cross_entropy":
@@ -140,13 +140,13 @@ def grad_check(model, x: np.ndarray, target: np.ndarray, loss: str = "mse",
     relative error = |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     O(#params) loss evaluations; intended for small test instances.
     """
-    out = model.forward(x)
+    out, cache = model.forward(x)
     if loss == "mse":
         _, grad = mse(out, target, mask=mask)
     else:
         _, grad = softmax_cross_entropy(out, target)
     model.zero_grad()
-    model.backward(grad)
+    model.backward(cache, grad)
     analytic = {name: grads[k].copy()
                 for name, _, grads, k in model.parameters()}
 

@@ -277,10 +277,13 @@ def test_criterion_7_end_to_end(world):
     reason="does not reproduce in this realization: the partial access set "
     "leaves 32+ honest redundant sensors, so the state-estimation baseline "
     "flags the masked sensors as gross errors and saturates bus-2 attack "
-    "recall (~1.0), and the shared residual++observation classifier input "
-    "puts all three variants within ~0.01 recall of each other at every "
-    "noise level tried; README's criterion-8 paragraph gives the recalls "
-    "measured at sigma = 0.10",
+    "recall (~1.0): chi2(12) at alpha = 0.01 on converged WLS at sigma = "
+    "0.10 alarms on 1.0 of bus-2 level-5 attack frames and on 0-0.021 under "
+    "every other level-5 condition (test_grid.py's "
+    "test_chi_square_on_wls_flags_the_bus2_attack); and the shared "
+    "residual++observation classifier input puts all three variants within "
+    "~0.01 recall of each other at every noise level tried; README's "
+    "criterion-8 paragraph gives the recalls measured at sigma = 0.10",
     strict=False)
 def test_criterion_8_baseline_gap(world):
     recalls = {variant: precision_recall_f1(matrix, "attack_2")[1]

@@ -262,6 +262,51 @@ def _alive(refs):
     return sum(ref() is not None for ref in refs)
 
 
+def test_gen_data_reports_power_flow_gaps(tmp_path):
+    # the packaged case with every branch reactance tripled: power flow
+    # fails at some hours (122 gap hours over the 11 series at seed 7) and
+    # the attacker's nominal solve at others (2 template-fallback hours)
+    lines = []
+    for line in Path(DEFAULT_CASE).read_text().splitlines():
+        tok = line.split()
+        if tok and tok[0] == "branch":
+            tok[4] = repr(3 * float(tok[4]))  # from to r x b limit
+            line = " ".join(tok)
+        lines.append(line)
+    case_file = tmp_path / "weak.case"
+    case_file.write_text("\n".join(lines) + "\n")
+    path = write_config(tmp_path / "run.yaml", seed=7, horizon=120,
+                        window=[24, 104], noise_sigma=0.10, normal_series=3,
+                        series_per_condition_per_level=1,
+                        case_file=str(case_file))
+    out = tmp_path / "data"
+    assert cli.main(["--config", str(path), "gen-data",
+                     "--out", str(out)]) == 0
+    stage = RunManifest.read(out)["stages"]["gen-data"]
+    series = {p.name: ScenarioSeries.load(p) for p in out.glob("*.csv")}
+    assert stage["series"] == len(series) == 3 + 8
+    gaps = {name: s.metadata["gap_hours"] for name, s in series.items()}
+    fallbacks = sum(len(s.metadata["template_fallback_hours"])
+                    for s in series.values())
+    print(f"[gaps] {sum(map(len, gaps.values()))} gap hours in "
+          f"{len(stage['solver_gaps'])} series, {fallbacks} "
+          "template-fallback hours")
+    assert stage["status"] == "partial"
+    assert sorted(stage["solver_gaps"]) == sorted(
+        name for name, hours in gaps.items() if hours)
+    assert sum(map(len, gaps.values())) > 0 and fallbacks > 0
+    # a gap hour repeats the hour before it; in a normal series no mask
+    # touches the row afterwards
+    normal_gaps = 0
+    for name, s in series.items():
+        if s.metadata["condition"] != "normal":
+            continue
+        for t in gaps[name]:
+            assert t > 0 and np.array_equal(s.values[t], s.values[t - 1])
+            normal_gaps += 1
+    assert normal_gaps > 0
+
+
 def test_split_is_series_level_and_stratified(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)

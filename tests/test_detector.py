@@ -168,7 +168,7 @@ def test_autoencoder_code_width_and_learning():
     z = rng.standard_normal((600, 5)) @ basis  # rank-5 data, learnable
     cfg = TrainConfig(learning_rate=1e-3, epochs=30, batch_size=64, seed=0)
     enc, dec, history = fit_autoencoder(z, cfg)
-    codes = enc.forward(z)
+    codes, _ = enc.forward(z)
     assert codes.shape == (600, CODE_SIZE)
     assert history[-1] < history[0] * 0.5
 
@@ -184,7 +184,7 @@ def test_predictor_constant_sequence():
     seq = np.ones((4, 30, CODE_SIZE)) * 0.5
     cfg = TrainConfig(learning_rate=1e-2, epochs=80, batch_size=4, seed=0)
     model, history = fit_predictor(seq, cfg)
-    pred = model.forward(seq[:, :-1])
+    pred, _ = model.forward(seq[:, :-1])
     mse = np.mean((pred[:, LAGS - 1:] - seq[:, LAGS:]) ** 2)
     assert mse < 1e-3
 
@@ -295,10 +295,11 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
         assert len(stacked) == len(rows) == len(series)
         for one, (ts, residuals), (_, x, _) in zip(series, stacked, rows):
             z = preprocess(one, stats).astype(dtype)
-            codes = bundle.encoder.forward(z) if coded else z
-            z_hat = bundle.predictor.forward(codes[None, :-1])[0]
+            codes = bundle.encoder.forward(z)[0] if coded else z
+            z_hat, _ = bundle.predictor.forward(codes[None, :-1])
+            z_hat = z_hat[0]
             if coded:
-                z_hat = bundle.decoder.forward(z_hat)
+                z_hat, _ = bundle.decoder.forward(z_hat)
             idx = np.arange(LAGS, z.shape[0])
             assert np.array_equal(ts, idx + 1)
             assert residuals.dtype == dtype
@@ -326,7 +327,7 @@ def test_classifier_separable_toy():
     x, y = separable_toy()
     cfg = TrainConfig(learning_rate=2e-3, epochs=60, batch_size=64, seed=0)
     model, _ = fit_classifier(x, y, cfg)
-    probs = softmax(model.forward(x))
+    probs = softmax(model.forward(x)[0])
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     accuracy = np.mean(classify(model, x) == y)
     assert accuracy > 0.99
@@ -350,7 +351,7 @@ def test_classify_trivial_and_ties():
     final = model.layers[-1]
     final.params["b"] = np.array([10.0, 0, 0, 0, 0, 0, 0, 0, 0])
     assert [LABELS[i] for i in classify(model, x)] == ["normal"]
-    assert softmax(model.forward(x))[0, 0] > 0.999
+    assert softmax(model.forward(x)[0])[0, 0] > 0.999
 
     final.params["b"] = np.array([0.0, 5.0, 5.0, 0, 0, 0, 0, 0, 0])
     names = [LABELS[i] for i in classify(model, x)]
@@ -369,7 +370,7 @@ def test_variant_shared_classifier_path(case):
     outs = []
     for variant in ("RNN_DNN", "AEN_RNN_DNN"):
         bundle = make_stub_bundle(variant, case, stats, classifier=model)
-        outs.append(bundle.classifier.forward(x))
+        outs.append(bundle.classifier.forward(x)[0])
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
@@ -384,7 +385,7 @@ def small_bundle(variant, case, normal_series):
     if variant == "AEN_RNN_DNN":
         bundle.encoder, bundle.decoder, _ = fit_autoencoder(
             np.concatenate(z), cfg)
-        z = bundle.encoder.forward(z)  # the predictor works on 13-wide codes
+        z, _ = bundle.encoder.forward(z)  # the predictor works on 13-wide codes
     if variant != "SE_DNN":
         bundle.predictor, _ = fit_predictor(z, cfg)
     x, y = separable_toy(n_per_class=60)
@@ -418,8 +419,8 @@ def test_bundle_roundtrip(tmp_path, case, normal_series):
         with np.load(path) as data:
             assert ("predictor/layer0.LSTM.Wx" in data.files) == (
                 variant != "SE_DNN")
-        np.testing.assert_array_equal(loaded.classifier.forward(probe),
-                                      bundle.classifier.forward(probe))
+        np.testing.assert_array_equal(loaded.classifier.forward(probe)[0],
+                                      bundle.classifier.forward(probe)[0])
         [(_, r1)] = predict_and_residual(bundle, normal_series[:1], case)
         [(_, r2)] = predict_and_residual(loaded, normal_series[:1], case)
         np.testing.assert_array_equal(r1, r2)

@@ -319,7 +319,7 @@ class StubClassifier:
     dtype = np.float64  # classify casts the features to it
 
     def forward(self, x):
-        return 10.0 * np.eye(9)[x[:, 0].astype(int)]
+        return 10.0 * np.eye(9)[x[:, 0].astype(int)], None
 
 
 def test_severity_sweep_shape_and_values():

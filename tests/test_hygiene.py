@@ -272,3 +272,43 @@ def test_neural_library_names_no_fixed_dtype():
             if getattr(keywords.get("dtype"), "id", None) == "float":
                 sites.append(f"{rel}:{node.lineno} dtype=float")
     assert sites == []
+
+
+def attribute_writes(path: Path) -> list[str]:
+    """`self.<attr>` assignments outside __init__ in the file at `path`."""
+    sites = []
+    for node, func in walk_with_function(path):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif (isinstance(target, ast.Attribute) and func != "__init__"
+                  and getattr(target.value, "id", None) == "self"):
+                sites.append(f"{path.name}:{node.lineno} self.{target.attr}"
+                             f" in {func}")
+    return sites
+
+
+def test_layers_keep_no_state_between_calls(tmp_path):
+    # a layer holds parameters and gradients only: forward returns its
+    # cache and backward takes it, so no call leaves an array in the layer
+    # and forwards on one model may interleave
+    layers = ROOT / "src/gridsentry/neural/layers.py"
+    assert attribute_writes(layers) == []
+    # the scan finds the attribute cache the layers once kept
+    text = layers.read_text()
+    anchor = "        y = x @ self.params[\"W\"]\n"
+    assert text.count(anchor) == 1
+    cached = tmp_path / "layers.py"
+    cached.write_text(text.replace(anchor, "        self._x = x\n" + anchor))
+    assert attribute_writes(cached) == [
+        f"layers.py:{text[:text.index(anchor)].count(chr(10)) + 1}"
+        " self._x in forward"]

@@ -27,7 +27,7 @@ def test_dense_identity():
     d.params["W"] = np.eye(3)
     d.params["b"] = np.zeros(3)
     x = rng(1).standard_normal((5, 3))
-    np.testing.assert_array_equal(d.forward(x), x)
+    np.testing.assert_array_equal(d.forward(x)[0], x)
 
 
 def test_dense_constant():
@@ -35,7 +35,7 @@ def test_dense_constant():
     d.params["W"] = np.zeros((4, 2))
     d.params["b"] = np.array([1.5, -2.0])
     x = rng(1).standard_normal((7, 4))
-    out = d.forward(x)
+    out, _ = d.forward(x)
     np.testing.assert_allclose(out, np.broadcast_to([1.5, -2.0], (7, 2)))
 
 
@@ -57,7 +57,7 @@ def test_dense_grad_matches_finite_differences():
 
 def test_relu_values():
     r = ReLU()
-    np.testing.assert_array_equal(r.forward(np.array([-1.0, 2.0])),
+    np.testing.assert_array_equal(r.forward(np.array([-1.0, 2.0]))[0],
                                   np.array([0.0, 2.0]))
 
 
@@ -77,8 +77,8 @@ def test_softmax_overflow_stable():
 def test_leaky_relu_negative_slope():
     lr = LeakyReLU()
     x = np.array([[-2.0, 3.0]])
-    lr.forward(x)
-    grad = lr.backward(np.ones_like(x))
+    _, mask = lr.forward(x)
+    grad = lr.backward(mask, np.ones_like(x))
     np.testing.assert_allclose(grad, [[0.01, 1.0]])
 
 
@@ -88,7 +88,7 @@ def test_lstm_zero_weights():
     cell = LSTM(2, 3, rng(0))
     for k in cell.params:
         cell.params[k] = np.zeros_like(cell.params[k])
-    out = cell.forward(np.ones((1, 4, 2)))
+    out, _ = cell.forward(np.ones((1, 4, 2)))
     np.testing.assert_array_equal(out, np.zeros((1, 4, 3)))
 
 
@@ -98,7 +98,7 @@ def test_lstm_forget_gate_saturation():
     cell = LSTM(2, H, rng(1))
     cell.params["b"][H:2 * H] = 20.0
     x = rng(3).standard_normal((1, 2, 2))
-    hs = cell.forward(x)
+    hs, _ = cell.forward(x)
     Wx, Wh, b = cell.params["Wx"], cell.params["Wh"], cell.params["b"]
 
     def gates(z):
@@ -251,12 +251,13 @@ def test_activation_bits_match_reference(shape):
     dy = special_values(82, shape)
     for layer, ref in ((ReLU(), ref_relu), (LeakyReLU(), ref_leaky_relu)):
         y_ref, dx_ref = ref(x, dy)
-        assert_same_bits(layer.forward(x), y_ref)
-        assert_same_bits(layer.backward(dy), dx_ref)
+        y, cache = layer.forward(x)
+        assert_same_bits(y, y_ref)
+        assert_same_bits(layer.backward(cache, dy), dx_ref)
     sig = Sigmoid()
-    y = sig.forward(x)
+    y, cache = sig.forward(x)
     assert_same_bits(y, ref_sigmoid(x))
-    assert_same_bits(sig.backward(dy), dy * y * (1.0 - y))
+    assert_same_bits(sig.backward(cache, dy), dy * y * (1.0 - y))
 
 
 def test_dense_bits_match_reference():
@@ -266,9 +267,9 @@ def test_dense_bits_match_reference():
     x = rng(86).standard_normal((3, 1, 7, 16)) * 12
     x.reshape(-1)[[0, 5, 9, 30]] = [0.0, -0.0, 800.0, -800.0]
     W, b = d.params["W"], d.params["b"]
-    assert_same_bits(d.forward(x), x @ W + b)
+    assert_same_bits(d.forward(x)[0], x @ W + b)
     for block in x:
-        assert_same_bits(d.forward(block[0]), block[0] @ W + b)
+        assert_same_bits(d.forward(block[0])[0], block[0] @ W + b)
     for bad in (np.nan, np.inf):
         x[0, 0, 0, 0] = bad
         with pytest.raises(NumericalError, match="Dense"):
@@ -295,8 +296,8 @@ def test_softmax_bits_match_reference():
 
 def call_everything(model, x, dy):
     """forward, then backward with an input gradient when it has one."""
-    out = model.forward(x)
-    model.backward(dy)
+    out, cache = model.forward(x)
+    model.backward(cache, dy)
     return out
 
 
@@ -334,6 +335,40 @@ def test_calls_leave_caller_arrays_alone():
     assert_same_bits(grads, kept)
 
 
+def test_interleaved_calls_match_lone_calls():
+    # forward A, forward B, backward B, backward A: each call reads only
+    # its arguments, so each backward gives the bits of a lone forward and
+    # backward on its own batch (at one batch size more for B)
+    r = rng(120)
+    models = [(Dense(6, 4, r), (5, 6)), (LSTM(6, 4, r), (2, 5, 6)),
+              (build_classifier(r), (5, 78)),
+              (Sequential(list(build_autoencoder(r))), (5, 39)),
+              (lstm_readout(6, 4, 6, r), (2, 5, 6))]
+    for model, shape in models:
+        name = type(model).__name__
+        xs = [rng(121).standard_normal(shape),
+              rng(122).standard_normal((shape[0] + 1, *shape[1:]))]
+        lone = []
+        for k, x in enumerate(xs):
+            y, cache = model.forward(x)
+            dy = rng(123 + k).standard_normal(y.shape)
+            model.zero_grad()
+            lone.append((y, dy, model.backward(cache, dy), get_grads(model)))
+        caches = []
+        for x, (y_lone, *_) in zip(xs, lone):
+            y, cache = model.forward(x)
+            assert_same_bits(y, y_lone)
+            caches.append(cache)
+        for k in (1, 0):
+            _, dy, dx_lone, grads_lone = lone[k]
+            model.zero_grad()
+            assert_same_bits(model.backward(caches[k], dy), dx_lone)
+            grads = get_grads(model)
+            assert grads.keys() == grads_lone.keys(), name
+            for pname, g in grads.items():
+                assert_same_bits(g, grads_lone[pname])
+
+
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
 def test_train_leaves_its_data_alone(loss):
     x = rng(94).standard_normal((40, 78))
@@ -360,12 +395,12 @@ def test_lstm_bits_match_per_step_reference(batch, reused, D):
     dhs = rng(44).standard_normal((batch, T, H))
     if reused:
         earlier = rng(45).standard_normal((batch, T + 2, D))
-        cell.forward(earlier)
-        cell.backward(np.ones((batch, T + 2, H)))
+        _, cache = cell.forward(earlier)
+        cell.backward(cache, np.ones((batch, T + 2, H)))
     hs_ref, dx_ref, grads_ref = ref_lstm(cell.params, x, dhs)
-    hs = cell.forward(x)
+    hs, cache = cell.forward(x)
     cell.zero_grad()
-    dx = cell.backward(dhs)
+    dx = cell.backward(cache, dhs)
     assert np.array_equal(hs, hs_ref)
     assert np.array_equal(dx, dx_ref)
     for k in ("Wx", "Wh", "b"):
@@ -397,14 +432,14 @@ def ref_train(model, x, y, config, loss="mse", mask=None):
         total, batches = 0.0, 0
         for start in range(0, x.shape[0], config.batch_size):
             idx = order[start:start + config.batch_size]
-            out = model.forward(x[idx])
+            out, cache = model.forward(x[idx])
             if loss == "mse":
                 mb = mask[idx] if mask is not None else None
                 value, grad = mse(out, y[idx], mask=mb)
             else:
                 value, grad = ref_cross_entropy(out, y[idx])
             model.zero_grad()
-            model.backward(grad)
+            model.backward(cache, grad)
             step += 1
             entries = model.parameters()
             params = {name: p[k] for name, p, _, k in entries}
@@ -510,13 +545,14 @@ def test_backward_without_input_grad():
         (lstm_readout(3, 4, 2, r), r.standard_normal((2, 5, 3))),
     ]
     for model, x in models:
-        dy = rng(72).standard_normal(model.forward(x).shape)
+        y, cache = model.forward(x)
+        dy = rng(72).standard_normal(y.shape)
         model.zero_grad()
-        dx = model.backward(dy)
+        dx = model.backward(cache, dy)
         assert dx.shape == x.shape
         full = get_grads(model)
         model.zero_grad()
-        assert model.backward(dy, input_grad=False) is None
+        assert model.backward(cache, dy, input_grad=False) is None
         for name, g in get_grads(model).items():
             assert np.array_equal(g, full[name]), name
 
@@ -663,9 +699,9 @@ def test_layers_keep_the_dtype(dtype):
         name = type(model).__name__
         model = in_dtype(model, dtype)
         x = rng(101).standard_normal(shape).astype(dtype)
-        y = model.forward(x)
+        y, cache = model.forward(x)
         dy = rng(102).standard_normal(y.shape).astype(dtype)
-        dx = model.backward(dy)
+        dx = model.backward(cache, dy)
         assert (y.dtype, dx.dtype) == (dtype, dtype), name
         if model.parameters():
             assert model.dtype == dtype, name
