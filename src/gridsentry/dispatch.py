@@ -114,10 +114,11 @@ def plan_generation(loads: LoadProfile) -> GenerationPlan:
     """
     T = loads.horizon
     specs = DEFAULT_GENERATORS
+    n = len(specs)
     order = np.argsort([s.marginal_cost for s in specs])
     caps = np.array([s.max_output for s in specs])
     mins = np.array([s.min_output for s in specs])
-    ramps = np.array([s.ramp_limit for s in specs])
+    ramps = [s.ramp_limit for s in specs]
     target = loads.demand.sum(axis=1) * (1.0 + LOSS_FACTOR)
 
     infeasible = np.flatnonzero(target > caps.sum())
@@ -125,33 +126,37 @@ def plan_generation(loads: LoadProfile) -> GenerationPlan:
         raise InfeasibleDispatchError(
             f"demand exceeds total generation capacity at hour {infeasible[0]}")
 
-    commitment = np.zeros((T, len(specs)), dtype=bool)
-    for t in range(T):
-        if target[t] <= 0:
-            continue
-        acc = 0.0
-        for g in order:
-            commitment[t, g] = True
-            acc += caps[g]
-            if acc >= target[t]:
-                break
+    # a unit is committed unless the cheaper units already cover the target
+    # (so a NaN target commits every unit); a target <= 0 commits none
+    covered = np.zeros((T, n), dtype=bool)
+    covered[:, 1:] = np.cumsum(caps[order])[:-1] >= target[:, None]
+    commitment = np.empty((T, n), dtype=bool)
+    commitment[:, order] = ~covered & ~(target <= 0)[:, None]
     # minimum-up simplification: extend commitment over each day
-    for d0 in range(0, T, 24):
-        day = slice(d0, min(d0 + 24, T))
-        commitment[day] = commitment[day].any(axis=0)
+    day = np.arange(T) // 24
+    commitment = np.logical_or.reduceat(commitment, np.arange(0, T, 24),
+                                        axis=0)[day]
 
-    setpoint = np.zeros((T, len(specs)))
-    for t in range(T):
-        on = commitment[t]
-        if not on.any():
-            continue
-        share = target[t] * caps * on / caps[on].sum()
-        p = np.clip(share, np.where(on, mins, 0.0), np.where(on, caps, 0.0))
-        if t > 0:
-            both = on & commitment[t - 1]
-            prev = setpoint[t - 1]
-            p[both] = np.clip(p[both], prev[both] - ramps[both],
-                              prev[both] + ramps[both])
-        setpoint[t] = np.where(on, p, 0.0)
+    on = commitment
+    total = np.where(on.any(axis=1), (caps * on).sum(axis=1), 1.0)
+    share = target[:, None] * caps * on / total[:, None]
+    p = np.clip(share, np.where(on, mins, 0.0), np.where(on, caps, 0.0))
+    # the ramp clip of a unit committed in consecutive hours depends on the
+    # hour before, so it runs in hour order, with np.clip's rule on floats:
+    # a NaN value stays, a NaN bound wins
+    rows = np.where(on, p, 0.0).tolist()
+    both = (on[1:] & on[:-1]).tolist()
+    for t in range(1, T):
+        prev, row = rows[t - 1], rows[t]
+        for g, flag in enumerate(both[t - 1]):
+            if not flag:
+                continue
+            v, lo, hi = row[g], prev[g] - ramps[g], prev[g] + ramps[g]
+            if v == v and not v > lo:
+                v = lo
+            if v == v and not v < hi:
+                v = hi
+            row[g] = v
+    setpoint = np.array(rows).reshape(T, n)
 
     return GenerationPlan(horizon=T, commitment=commitment, setpoint=setpoint)

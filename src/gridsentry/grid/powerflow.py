@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case import GEN_OFFSET, GridCase, N_SENSORS, Topology, VOLT_OFFSET
+from .case import GEN_OFFSET, GridCase, Topology, VOLT_OFFSET
 
 
 class SingularJacobianError(RuntimeError):
@@ -159,14 +159,18 @@ NOISE_FLOOR = 0.01  # signal magnitude below which sensor noise stops shrinking
 
 def noise_scale(noiseless: np.ndarray, noise_sigma: float) -> np.ndarray:
     """Per-sensor noise std: proportional with a floor on the signal magnitude."""
-    return noise_sigma * np.maximum(np.abs(noiseless), NOISE_FLOOR)
+    scale = np.abs(noiseless)
+    np.maximum(scale, NOISE_FLOOR, out=scale)
+    scale *= noise_sigma
+    return scale
 
 
-def measure(sol: PowerFlowSolution, noise_sigma: float,
-            rng: np.random.Generator) -> np.ndarray:
-    """Sensor function plus i.i.d. zero-mean Gaussian noise, as a new array:
-    at noise_sigma = 0, a copy of the noiseless sensors."""
-    if not sol.converged:
-        raise ValueError("cannot measure a non-converged solution")
-    clean = sol.sensors
-    return clean + rng.standard_normal(N_SENSORS) * noise_scale(clean, noise_sigma)
+def measure(sensors: np.ndarray, noise_sigma: float,
+            noise: np.ndarray) -> np.ndarray:
+    """Noisy frames: the noiseless sensors (..., 39) of converged solves
+    plus standard-normal draws `noise` of the same shape, each scaled by
+    noise_scale; a new array, equal to the sensors at noise_sigma = 0."""
+    noisy = noise_scale(sensors, noise_sigma)
+    noisy *= noise
+    noisy += sensors
+    return noisy

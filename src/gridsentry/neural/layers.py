@@ -49,9 +49,19 @@ def _sigmoid(x, out=None):
     return e
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True) as np.maximum folded over the columns:
+    several times faster on the classifier's 9-wide rows. NaN propagates as
+    in x.max; where +0.0 and -0.0 tie for the max, the sign may differ."""
+    m = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        m = np.maximum(m, x[..., j])
+    return m[..., None]
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row-stabilized softmax over the last axis."""
-    e = x - x.max(axis=-1, keepdims=True)
+    e = x - _row_max(x)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

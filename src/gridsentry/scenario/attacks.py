@@ -85,17 +85,17 @@ def make_condition(case: GridCase, kind: str, target: int, level: int,
 
 
 def reduce_target(u: np.ndarray, committed: np.ndarray,
-                  condition: Condition) -> tuple[np.ndarray, bool]:
-    """Control vector of an hour inside the condition's window after the
-    additive signal a = -fraction * u on the target entry, and whether it
-    applied. Attacks and faults share this control path; only attacks mask
-    sensors downstream."""
+                  condition: Condition) -> tuple[np.ndarray, np.ndarray]:
+    """Control vectors (..., 4) of hours inside the condition's window after
+    the additive signal a = -fraction * u on the target entry, and where it
+    applied: the hours whose target unit is committed. Attacks and faults
+    share this control path; only attacks mask sensors downstream."""
     g = GENERATOR_BUSES.index(condition.target_generator)
-    if not committed[g]:
-        return u.copy(), False  # no-op; caller logs the hour
+    applied = committed[..., g].copy()
     out = u.copy()
-    out[g] = out[g] + (-condition.fraction * out[g])
-    return out, True
+    cut = out[..., g] + (-condition.fraction * out[..., g])
+    out[..., g] = np.where(applied, cut, out[..., g])
+    return out, applied
 
 
 def simulate_nominal(case: GridCase, loads_p: np.ndarray,
@@ -110,12 +110,14 @@ def simulate_nominal(case: GridCase, loads_p: np.ndarray,
     return sol if sol.converged else None
 
 
-def mask_measurements(true_values: np.ndarray, y_hat: np.ndarray,
+def mask_measurements(values: np.ndarray, y_hat: np.ndarray,
                       access: frozenset[int], noise_sigma: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Replace access-set sensors with the simulated template plus fresh noise."""
-    masked = true_values.copy()
+                      noise: np.ndarray) -> np.ndarray:
+    """Frames (..., 39) with the access-set sensors replaced by the
+    templates y_hat (..., 39) plus noise_scale-scaled standard-normal draws
+    `noise` (..., len(access)), in sorted sensor order; a new array."""
+    masked = values.copy()
     idx = sorted(access)
-    scale = noise_scale(y_hat, noise_sigma)
-    masked[idx] = y_hat[idx] + rng.standard_normal(len(idx)) * scale[idx]
+    scale = noise_scale(y_hat[..., idx], noise_sigma)
+    masked[..., idx] = y_hat[..., idx] + noise * scale
     return masked

@@ -38,12 +38,28 @@ class ScenarioSeries:
 
     @classmethod
     def from_csv(cls, text: str, metadata: dict | None = None) -> "ScenarioSeries":
+        """Parse to_csv's text. Row t must hold hour t and a label from
+        LABELS, and a metadata horizon must match the row count; the
+        ValueError names the row."""
+        metadata = metadata or {}
         rows = text.strip().splitlines()[1:]
+        for t, row in enumerate(rows):
+            if not row.startswith(f"{t},"):
+                raise ValueError(f"row {t}: hour {row.split(',', 1)[0]!r}, "
+                                 f"expected {t}")
+        labels = [row.rsplit(",", 1)[1] for row in rows]
+        if not set(labels) <= set(LABELS):
+            t = next(t for t, label in enumerate(labels) if label not in LABELS)
+            raise ValueError(f"row {t}: label {labels[t]!r} is not in LABELS")
+        horizon = metadata.get("horizon", len(rows))
+        if horizon != len(rows):
+            raise ValueError(f"row {min(horizon, len(rows))}: the file holds "
+                             f"{len(rows)} rows, its metadata a horizon of "
+                             f"{horizon}")
         # numpy's parser rounds correctly, so values equal float(str)
         values = np.loadtxt(rows, delimiter=",",
                             usecols=range(1, 1 + N_SENSORS), ndmin=2)
-        labels = [row.rsplit(",", 1)[1] for row in rows]
-        return cls(values=values, labels=labels, metadata=metadata or {})
+        return cls(values=values, labels=labels, metadata=metadata)
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -68,17 +84,24 @@ class ScenarioSeries:
                 or meta["level"] not in list(LEVEL_FRACTIONS)):
             raise ValueError(f"{sidecar} records a {condition} series without "
                              "target, window and a level from LEVEL_FRACTIONS")
-        return cls.from_csv(path.read_text(), metadata=meta)
+        try:
+            return cls.from_csv(path.read_text(), metadata=meta)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
                       condition: Condition | None,
                       noise_sigma: float, seed: int) -> ScenarioSeries:
-    """Hour loop: apply condition to the control, solve, measure, mask.
+    """Apply the condition to the plan's controls, solve each hour, then
+    measure, fill gap hours and mask the whole series.
 
-    Measurement and masking noise use per-hour generator streams derived
-    from the seed, so an attack and a fault with the same seed differ only
-    on the attack's access-set sensors.
+    The hour loop holds only the warm-started solves and the draws of the
+    per-hour generators default_rng([seed, 0, t]) (measurement noise) and
+    default_rng([seed, 1, t]) (mask noise), so an attack and a fault with
+    the same seed differ only on the attack's access-set sensors. A gap
+    hour, whose solve did not converge, repeats the last measured row
+    before any mask (NaN before the first converged hour).
     """
     if plan.horizon != loads.horizon:
         raise ValueError("plan and loads disagree on horizon")
@@ -91,67 +114,72 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
     load_p.setflags(write=False)
     load_q.setflags(write=False)
 
-    values = np.empty((T, N_SENSORS))
-    labels: list[str] = []
-    noop_hours: list[int] = []
-    gap_hours: list[int] = []
+    # the controls of every hour: the plan's setpoints, cut where the
+    # condition applies; a window hour whose target is uncommitted is a no-op
+    u = plan.setpoint.astype(float)
+    u_phys = u.copy()
+    in_window = np.zeros(T, dtype=bool)
+    applied = np.zeros(T, dtype=bool)
+    access = frozenset()
+    if condition is not None:
+        window = slice(condition.start_hour, condition.end_hour)
+        in_window[window] = True
+        u_phys[window], applied[window] = reduce_target(
+            u[window], plan.commitment[window], condition)
+        access = condition.sensor_access
+    attacked = applied & (condition is not None and condition.kind == "attack")
+
+    converged = np.zeros(T, dtype=bool)
+    clean = np.zeros((T, N_SENSORS))  # noiseless sensors of converged hours
+    noise = np.zeros((T, N_SENSORS))
+    masked = np.zeros(T, dtype=bool)
+    templates = np.empty((T, N_SENSORS))
+    mask_noise = np.empty((T, len(access)))
     template_fallback_hours: list[int] = []
-    warm = None
-    attacker_warm = None
-    last_template = None
-    last_values = None
-
-    for t in range(T):
+    warm = attacker_warm = None
+    for t, setp in enumerate(u_phys.tolist()):
         lp, lq = load_p[t], load_q[t]
-        u = plan.setpoint[t].astype(float)
-
-        in_window = (condition is not None
-                     and condition.start_hour <= t < condition.end_hour)
-        applied = False
-        u_phys = u
-        if in_window:
-            u_phys, applied = reduce_target(u, plan.commitment[t],
-                                             condition)
-            if not applied:
-                noop_hours.append(t)
-
-        setp = {b: u_phys[i] for i, b in enumerate(GENERATOR_BUSES)}
-        sol = solve_power_flow(case, lp, lq, setp, warm_start=warm)
-        rng_meas = np.random.default_rng([seed, 0, t])
+        sol = solve_power_flow(case, lp, lq, dict(zip(GENERATOR_BUSES, setp)),
+                               warm_start=warm)
         if sol.converged:
             warm = sol
-            row = last_values = measure(sol, noise_sigma, rng_meas)
-        else:
-            gap_hours.append(t)
-            row = last_values if last_values is not None else np.full(N_SENSORS, np.nan)
-
-        if applied and condition.kind == "attack":
-            nominal = simulate_nominal(case, lp, lq, u,
+            converged[t] = True
+            clean[t] = sol.sensors
+            noise[t] = np.random.default_rng(
+                [seed, 0, t]).standard_normal(N_SENSORS)
+        if attacked[t]:
+            nominal = simulate_nominal(case, lp, lq, u[t],
                                        warm_start=attacker_warm)
             if nominal is None:
                 template_fallback_hours.append(t)
-                y_hat = last_template
             else:
                 attacker_warm = nominal
-                y_hat = last_template = nominal.sensors
-            if y_hat is not None:
-                rng_mask = np.random.default_rng([seed, 1, t])
-                row = mask_measurements(row, y_hat, condition.sensor_access,
-                                        noise_sigma, rng_mask)
+            if attacker_warm is not None:  # this hour's template or the last
+                masked[t] = True
+                templates[t] = attacker_warm.sensors
+                mask_noise[t] = np.random.default_rng(
+                    [seed, 1, t]).standard_normal(len(access))
 
-        values[t] = row
-        labels.append(label if in_window else "normal")
+    # a gap hour repeats the last converged hour's sensors and draws, so
+    # its row is that hour's measurement; before the first one it is NaN
+    last = np.maximum.accumulate(np.where(converged, np.arange(T), 0))
+    values = measure(clean[last], noise_sigma, noise[last])
+    values[~np.logical_or.accumulate(converged)] = np.nan
+    values[masked] = mask_measurements(values[masked], templates[masked],
+                                       access, noise_sigma,
+                                       mask_noise[masked])
 
     meta = {
         "condition": label,
         "seed": seed,
         "noise_sigma": noise_sigma,
         "horizon": T,
-        "noop_hours": noop_hours,
-        "gap_hours": gap_hours,
+        "noop_hours": np.flatnonzero(in_window & ~applied).tolist(),
+        "gap_hours": np.flatnonzero(~converged).tolist(),
         "template_fallback_hours": template_fallback_hours,
     }
     if condition is not None:
         meta.update(target=condition.target_generator, level=condition.level,
                     window=[condition.start_hour, condition.end_hour])
+    labels = [label if hour else "normal" for hour in in_window.tolist()]
     return ScenarioSeries(values=values, labels=labels, metadata=meta)

@@ -8,14 +8,18 @@ The pipeline runs none of these; they check it from outside:
   checks (criteria 2 and 4, tests/test_scenario.py).
 - `grad_check`: the central-difference gradient oracle for every
   differentiable model (criterion 5, tests/test_neural.py).
+- `write_weakened_case`: a case file on which some solves fail, for the
+  gap-hour and template-fallback paths of `gen-data`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from gridsentry.grid.case import DEFAULT_CASE
 from gridsentry.neural import mse, softmax_cross_entropy
 
 # ------------------------------------------------------------ chi square
@@ -166,3 +170,20 @@ def grad_check(model, x: np.ndarray, target: np.ndarray, loss: str = "mse",
         denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), 1e-8)
         worst = max(worst, float(np.max(np.abs(ana - num) / denom)))
     return worst
+
+
+# ------------------------------------------------------------ weakened grid
+
+def write_weakened_case(path: Path) -> Path:
+    """Write the packaged case with every branch reactance tripled to
+    `path`: power flow fails at some hours of a series on it, and the
+    attacker's nominal solve at others."""
+    lines = []
+    for line in Path(DEFAULT_CASE).read_text().splitlines():
+        tok = line.split()
+        if tok and tok[0] == "branch":
+            tok[4] = repr(3 * float(tok[4]))  # from to r x b limit
+            line = " ".join(tok)
+        lines.append(line)
+    path.write_text("\n".join(lines) + "\n")
+    return path

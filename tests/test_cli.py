@@ -22,6 +22,7 @@ from gridsentry.evaluation import HoldoutResult
 from gridsentry.grid import DEFAULT_CASE, load_case
 from gridsentry.neural import TrainConfig, get_state
 from gridsentry.scenario import LABELS, ScenarioSeries
+from oracles import write_weakened_case
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -266,15 +267,7 @@ def test_gen_data_reports_power_flow_gaps(tmp_path):
     # the packaged case with every branch reactance tripled: power flow
     # fails at some hours (122 gap hours over the 11 series at seed 7) and
     # the attacker's nominal solve at others (2 template-fallback hours)
-    lines = []
-    for line in Path(DEFAULT_CASE).read_text().splitlines():
-        tok = line.split()
-        if tok and tok[0] == "branch":
-            tok[4] = repr(3 * float(tok[4]))  # from to r x b limit
-            line = " ".join(tok)
-        lines.append(line)
-    case_file = tmp_path / "weak.case"
-    case_file.write_text("\n".join(lines) + "\n")
+    case_file = write_weakened_case(tmp_path / "weak.case")
     path = write_config(tmp_path / "run.yaml", seed=7, horizon=120,
                         window=[24, 104], noise_sigma=0.10, normal_series=3,
                         series_per_condition_per_level=1,

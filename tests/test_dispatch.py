@@ -131,6 +131,97 @@ def test_plan_invariants_on_synthetic_loads():
         assert np.all(flags[:-1] >= flags[1:])
 
 
+def ref_plan_generation(loads):
+    """plan_generation's reference form: one hour at a time."""
+    T = loads.horizon
+    specs = DEFAULT_GENERATORS
+    order = np.argsort([s.marginal_cost for s in specs])
+    caps = np.array([s.max_output for s in specs])
+    mins = np.array([s.min_output for s in specs])
+    ramps = np.array([s.ramp_limit for s in specs])
+    target = loads.demand.sum(axis=1) * (1.0 + LOSS_FACTOR)
+    infeasible = np.flatnonzero(target > caps.sum())
+    if infeasible.size:
+        raise InfeasibleDispatchError(
+            f"demand exceeds total generation capacity at hour {infeasible[0]}")
+    commitment = np.zeros((T, len(specs)), dtype=bool)
+    for t in range(T):
+        if target[t] <= 0:
+            continue
+        acc = 0.0
+        for g in order:
+            commitment[t, g] = True
+            acc += caps[g]
+            if acc >= target[t]:
+                break
+    for d0 in range(0, T, 24):
+        day = slice(d0, min(d0 + 24, T))
+        commitment[day] = commitment[day].any(axis=0)
+    setpoint = np.zeros((T, len(specs)))
+    for t in range(T):
+        on = commitment[t]
+        if not on.any():
+            continue
+        share = target[t] * caps * on / caps[on].sum()
+        p = np.clip(share, np.where(on, mins, 0.0), np.where(on, caps, 0.0))
+        if t > 0:
+            both = on & commitment[t - 1]
+            prev = setpoint[t - 1]
+            p[both] = np.clip(p[both], prev[both] - ramps[both],
+                              prev[both] + ramps[both])
+        setpoint[t] = np.where(on, p, 0.0)
+    return commitment, setpoint
+
+
+def plan_or_error(plan, loads):
+    try:
+        result = plan(loads)
+    except InfeasibleDispatchError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.commitment, result.setpoint
+
+
+def test_plan_matches_reference_form():
+    r = rng(21)
+    cap = sum(s.max_output for s in DEFAULT_GENERATORS) / (1 + LOSS_FACTOR)
+    profiles = []
+    for _ in range(240):
+        # horizons off the 24-hour grid, totals from zero to the fleet's
+        # capacity, and hours of zero demand
+        T = int(r.integers(1, 170))
+        demand = r.uniform(0.0, 1.0, (T, 9)) * r.uniform(0.0, cap / 9)
+        demand[r.random(T) < 0.1] = 0.0
+        profiles.append(LoadProfile(T, demand))
+    for seed in range(20):
+        low, high = sorted(r.integers(10, 130, size=2))
+        profiles.append(synthesize_loads((int(low), int(high)),
+                                         int(r.integers(24, 170)), rng(seed)))
+    # a hand-built day: demand only in the evening, with a ramp to climb
+    demand = np.zeros((30, 9))
+    demand[17:22] = np.array([0.5, 1.5, 2.5, 2.0, 0.4])[:, None] / 9
+    profiles.append(LoadProfile(30, demand))
+    infeasible = flat_profile(cap * 1.01, horizon=40)
+    infeasible.demand[:7] = 0.0
+    profiles.append(infeasible)
+
+    kinds = {"plans": 0, "errors": 0}
+    for loads in profiles:
+        got = plan_or_error(plan_generation, loads)
+        ref = plan_or_error(ref_plan_generation, loads)
+        if isinstance(ref, str):
+            kinds["errors"] += 1
+            assert got == ref
+            continue
+        kinds["plans"] += 1
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1].view(np.uint64), ref[1].view(np.uint64))
+    assert plan_or_error(plan_generation, infeasible) == (
+        "demand exceeds total generation capacity at hour 7")
+    assert kinds["plans"] >= 200 and kinds["errors"] >= 1
+
+
 def test_all_generators_committed_at_default_scale():
     # attack scenarios need every generator online; the default calibration
     # keeps daily peaks high enough to commit the full fleet

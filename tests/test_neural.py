@@ -6,7 +6,7 @@ from gridsentry.neural import (Adam, Dense, LSTM, LeakyReLU, NumericalError,
                                get_state, mse, set_state, softmax,
                                softmax_cross_entropy, train)
 from gridsentry.detector.models import build_autoencoder, build_classifier
-from gridsentry.neural.layers import LEAKY_SLOPE, _sigmoid
+from gridsentry.neural.layers import LEAKY_SLOPE, _row_max, _sigmoid
 from gridsentry.neural.train import flatten_parameters
 from oracles import grad_check
 
@@ -292,6 +292,26 @@ def test_softmax_bits_match_reference():
     ref_loss, ref_grad = ref_cross_entropy(logits, np.r_[1, labels[1:]])
     assert_same_bits(np.array(loss), np.array(ref_loss))
     assert_same_bits(grad, ref_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(9,), (300, 9), (4, 5, 9), (50, 2)])
+@np.errstate(all="ignore")
+def test_row_max_matches_max(dtype, shape):
+    # rows drawn from NaN, +-inf, +-0.0 and ordinary values, so that rows
+    # hold several specials and zeros of both signs tie for the max
+    picks = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0])
+    x = rng(91).choice(picks, size=shape).astype(dtype)
+    got, ref = _row_max(x), x.max(axis=-1, keepdims=True)
+    assert got.shape == ref.shape and got.dtype == ref.dtype == dtype
+    # the same bits, but for the sign of a zero max: adding +0.0 makes
+    # every zero +0.0 and keeps every other value's bits
+    uint = np.uint32 if dtype == np.float32 else np.uint64
+    assert np.array_equal((got + dtype(0)).view(uint),
+                          (ref + dtype(0)).view(uint))
+    # which zero is the max does not reach the softmax: x - (+-0) differs
+    # only in the sign of a zero, and exp maps both zeros to 1
+    assert np.array_equal(softmax(x).view(uint), ref_softmax(x).view(uint))
 
 
 def call_everything(model, x, dy):

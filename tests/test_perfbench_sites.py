@@ -10,6 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
+from oracles import write_weakened_case
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -143,3 +147,40 @@ def test_stacked_residuals_are_traced():
     assert out["rows"] == out["series"]
     assert out["residuals"] == 2  # a full group, then one series
     assert out["lstm"] == 2
+
+
+def test_ledger_counts_gen_data_series(tmp_path):
+    # the benchmark's series, gap and template-fallback counts come from
+    # the Ledger's wrapper around generate_scenario: one call per series
+    # written, with the metadata its sidecar holds
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(dict(
+        seed=7, output_dir=str(tmp_path / "data"), horizon=120,
+        window=[24, 104], noise_sigma=0.10, levels=[5], normal_series=3,
+        series_per_condition_per_level=1,
+        case_file=str(write_weakened_case(tmp_path / "weak.case")))))
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]",
+        "import gridsentry.cli",
+        "from tracer import Ledger",
+        "ledger = Ledger()",
+        "ledger.install()",
+        f"gridsentry.cli.main(['--config', {str(config)!r}, 'gen-data',",
+        f"                     '--out', {str(tmp_path / 'data')!r}])",
+        "print(json.dumps(dict(ledger.counts)))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout.splitlines()[-1])
+    sidecars = [json.loads(p.read_text())
+                for p in (tmp_path / "data").glob("*.meta.json")]
+    assert counts["series"] == len(sidecars) == 3 + 8
+    gaps = sum(len(m["gap_hours"]) for m in sidecars)
+    fallbacks = sum(len(m["template_fallback_hours"]) for m in sidecars)
+    assert gaps > 0 and fallbacks > 0
+    assert counts["gap_hours"] == gaps
+    assert counts["template_fallback_hours"] == fallbacks
+    assert counts["series_failed"] == sum(
+        bool(m["gap_hours"] or m["template_fallback_hours"]) for m in sidecars)

@@ -3,16 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from gridsentry.dispatch import plan_generation, synthesize_loads
+from gridsentry.dispatch import LoadProfile, plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, GridCase, N_SENSORS, load_case,
                              sensor_map, solve_power_flow)
-from gridsentry.scenario import (Condition, LABELS, ScenarioSeries,
-                                 THREE_CLASSES, access_set,
+from gridsentry.grid.powerflow import NOISE_FLOOR
+from gridsentry.scenario import (Condition, GENERATOR_BUSES, LABELS,
+                                 ScenarioSeries, THREE_CLASSES, access_set,
                                  generate_scenario, make_condition,
                                  mask_measurements, reduce_target,
                                  simulate_nominal)
+from gridsentry.scenario import generate
+from gridsentry.scenario.generate import REACTIVE_RATIO
 from oracles import (LinearSystem, covert_attack_run, linear_mask_bias,
-                     random_system, simulate)
+                     random_system, simulate, write_weakened_case)
 
 
 @pytest.fixture(scope="module")
@@ -150,8 +153,7 @@ def test_nominal_template_model_mismatch(case, world):
 def test_mask_empty_access(case, world):
     lp, lq, u = fixed_inputs(case, world)
     y = simulate_nominal(case, lp, lq, u).sensors
-    rng = np.random.default_rng(0)
-    out = mask_measurements(y, y * 0.5, frozenset(), 0.01, rng)
+    out = mask_measurements(y, y * 0.5, frozenset(), 0.01, np.empty(0))
     np.testing.assert_array_equal(out, y)
 
 
@@ -163,7 +165,7 @@ def test_mask_full_access_full_knowledge_covert(case, world):
     y_att = simulate_nominal(case, lp, lq, u_att).sensors
     y_nom = simulate_nominal(case, lp, lq, u).sensors
     masked = mask_measurements(y_att, y_nom, frozenset(range(39)), 0.0,
-                               np.random.default_rng(0))
+                               np.random.default_rng(0).standard_normal(39))
     np.testing.assert_array_equal(masked, y_nom)
 
 
@@ -175,7 +177,8 @@ def test_mask_partial_access_leaks(case, world):
     y_att = simulate_nominal(case, lp, lq, u_att).sensors
     y_nom = simulate_nominal(case, lp, lq, u).sensors
     masked = mask_measurements(y_att, y_nom, spec.sensor_access, 0.0,
-                               np.random.default_rng(0))
+                               np.random.default_rng(0).standard_normal(
+                                   len(spec.sensor_access)))
     non_access = sorted(set(range(39)) - spec.sensor_access)
     np.testing.assert_array_equal(masked[non_access], y_att[non_access])
     # the slack generation sensor reveals the shortfall
@@ -296,6 +299,141 @@ def test_labels_and_metadata(case, world):
     assert s.metadata["noop_hours"] == []
 
 
+def ref_generate_scenario(case, plan, loads, condition, noise_sigma, seed):
+    """generate_scenario's reference form: one hour at a time, with the
+    hour's cut, measurement, gap repeat and mask written out."""
+    T = plan.horizon
+    label = "normal" if condition is None else condition.label
+    load_p = np.zeros((T, case.n_bus))
+    load_p[:, [b - 1 for b in case.load_buses]] = loads.demand
+    load_q = load_p * REACTIVE_RATIO
+
+    def scale(clean):
+        return noise_sigma * np.maximum(np.abs(clean), NOISE_FLOOR)
+
+    values = np.empty((T, N_SENSORS))
+    labels, noop_hours, gap_hours, fallback_hours = [], [], [], []
+    warm = attacker_warm = last_template = last_values = None
+    for t in range(T):
+        u = plan.setpoint[t].astype(float)
+        in_window = (condition is not None
+                     and condition.start_hour <= t < condition.end_hour)
+        applied = False
+        u_phys = u
+        if in_window:
+            g = GENERATOR_BUSES.index(condition.target_generator)
+            u_phys = u.copy()
+            applied = bool(plan.commitment[t, g])
+            if applied:
+                u_phys[g] = u_phys[g] + (-condition.fraction * u_phys[g])
+            else:
+                noop_hours.append(t)
+        sol = solve_power_flow(case, load_p[t], load_q[t],
+                               dict(zip(GENERATOR_BUSES, u_phys)),
+                               warm_start=warm)
+        if sol.converged:
+            warm = sol
+            z = np.random.default_rng([seed, 0, t]).standard_normal(N_SENSORS)
+            row = last_values = sol.sensors + z * scale(sol.sensors)
+        else:
+            gap_hours.append(t)
+            row = (last_values if last_values is not None
+                   else np.full(N_SENSORS, np.nan))
+        if applied and condition.kind == "attack":
+            nominal = solve_power_flow(case, load_p[t], load_q[t],
+                                       dict(zip(GENERATOR_BUSES, u)),
+                                       warm_start=attacker_warm)
+            if nominal.converged:
+                attacker_warm = nominal
+                last_template = nominal.sensors
+            else:
+                fallback_hours.append(t)
+            if last_template is not None:
+                idx = sorted(condition.sensor_access)
+                z = np.random.default_rng([seed, 1, t]).standard_normal(
+                    len(idx))
+                row = row.copy()
+                row[idx] = (last_template[idx]
+                            + z * scale(last_template)[idx])
+        values[t] = row
+        labels.append(label if in_window else "normal")
+    meta = {"condition": label, "seed": seed, "noise_sigma": noise_sigma,
+            "horizon": T, "noop_hours": noop_hours, "gap_hours": gap_hours,
+            "template_fallback_hours": fallback_hours}
+    if condition is not None:
+        meta.update(target=condition.target_generator, level=condition.level,
+                    window=[condition.start_hour, condition.end_hour])
+    return ScenarioSeries(values=values, labels=labels, metadata=meta)
+
+
+def test_generate_scenario_matches_reference_form(tmp_path, case, world):
+    loads, plan = world
+    # a day at lower demand leaves the bus-6 unit uncommitted on days 1
+    # and 2 of these loads, so an attack on it is a no-op there
+    low = synthesize_loads((55, 75), 120, np.random.default_rng(3))
+    # the weakened case fails the solves of hours 2, 3 and 26 of this
+    # profile from hour 16 of its loads, and the attacker's of hours 2-23:
+    # gap hours 2 and 3 are masked with hour 1's template, and gap hour 26
+    # repeats hour 25's measurement without hour 25's mask. From hour 18
+    # on, hours 0 and 1 fail both solves, before any converged one
+    weak_loads = synthesize_loads((90, 110), 48, np.random.default_rng(18))
+    weak = load_case(write_weakened_case(tmp_path / "weak.case"))
+    runs = [("normal", case, loads, None),
+            ("fault", case, loads, make_condition(case, "fault", 3, 4, 10, 30)),
+            ("no-op attack", case, low,
+             make_condition(case, "attack", 6, 3, 12, 84)),
+            *((f"weakened from hour {start}", weak,
+               LoadProfile(48 - start, weak_loads.demand[start:]),
+               make_condition(weak, "attack", 2, 5, 0, end))
+              for start, end in ((16, 26), (18, 20)))]
+    seen = set()
+    for name, grid, profile, condition in runs:
+        plan = plan_generation(profile)
+        got = generate_scenario(grid, plan, profile, condition, 0.10, seed=5)
+        ref = ref_generate_scenario(grid, plan, profile, condition, 0.10, 5)
+        assert np.array_equal(got.values.view(np.uint64),
+                              ref.values.view(np.uint64)), name
+        assert got.labels == ref.labels, name
+        assert got.metadata == ref.metadata, name
+        meta = got.metadata
+        seen.update(key for key in ("noop_hours", "gap_hours",
+                                    "template_fallback_hours") if meta[key])
+        if np.isnan(got.values).all(axis=1).any():
+            seen.add("NaN rows")
+    # every path of the generator ran in at least one series
+    assert seen == {"noop_hours", "gap_hours", "template_fallback_hours",
+                    "NaN rows"}
+
+
+def test_unconverged_solves_are_never_measured(case, world, monkeypatch):
+    # a solve that says it did not converge leaves a gap hour: the series
+    # repeats the last measured row, or holds NaN before the first one,
+    # and never measures that solve's sensors
+    loads, plan = world
+    solve = generate.solve_power_flow
+    hours = iter(range(loads.horizon))
+
+    def flagged(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.converged = sol.converged and next(hours) not in (0, 5, 6)
+        return sol
+
+    monkeypatch.setattr(generate, "solve_power_flow", flagged)
+    s = generate_scenario(case, plan, loads, None, 0.10, seed=9)
+    monkeypatch.undo()
+    full = generate_scenario(case, plan, loads, None, 0.10, seed=9)
+    assert s.metadata["gap_hours"] == [0, 5, 6]
+    assert np.isnan(s.values[0]).all()
+    for t in (5, 6):
+        assert np.array_equal(s.values[t].view(np.uint64),
+                              s.values[4].view(np.uint64))
+    # the other hours are measured as usual, from other warm starts: the
+    # solves agree to 1.4e-8, within ten times their 1e-8 mismatch tolerance
+    rest = [t for t in range(loads.horizon) if t not in (0, 5, 6)]
+    np.testing.assert_allclose(s.values[rest], full.values[rest],
+                               rtol=0, atol=1e-7)
+
+
 def test_series_csv_roundtrip(tmp_path, case, world):
     loads, plan = world
     spec = make_condition(case, "attack", 3, 2, 10, 20)
@@ -318,6 +456,18 @@ def test_series_csv_roundtrip(tmp_path, case, world):
                       for level in (None, 0, 6, "2"))):
         p.with_suffix(".meta.json").write_text(sidecar)
         with pytest.raises(ValueError, match="series.meta.json"):
+            ScenarioSeries.load(p)
+    # a label outside LABELS, a row count short of the sidecar's horizon
+    # and rows out of hour order are refused with the file and the row
+    p.with_suffix(".meta.json").write_text(json.dumps(s.metadata))
+    text = s.to_csv()
+    lines = text.splitlines(keepends=True)
+    swapped = lines[:4] + [lines[5], lines[4]] + lines[6:]
+    for csv, row in ((text.replace(",attack_3\n", ",atack_3\n"), 10),
+                     ("".join(lines[:-5]), 43),
+                     ("".join(swapped), 3)):
+        p.write_text(csv)
+        with pytest.raises(ValueError, match=rf"series\.csv: row {row}:"):
             ScenarioSeries.load(p)
     p.with_suffix(".meta.json").unlink()
     with pytest.raises(FileNotFoundError, match="series.meta.json"):
