@@ -65,15 +65,21 @@ DEFAULT_GENERATORS = (
 
 @dataclass
 class LoadProfile:
-    horizon: int
     demand: np.ndarray  # (T, 9) active pu, column order = load buses 4,5,7,9..14
+
+    @property
+    def horizon(self) -> int:
+        return self.demand.shape[0]
 
 
 @dataclass
 class GenerationPlan:
-    horizon: int
-    commitment: np.ndarray  # (T, 4) bool, column order = generator buses 2,3,6,8
+    commitment: np.ndarray  # (T, 4) bool, column order = grid.case.GENERATOR_BUSES
     setpoint: np.ndarray    # (T, 4) active pu
+
+    @property
+    def horizon(self) -> int:
+        return self.setpoint.shape[0]
 
 
 def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
@@ -100,7 +106,7 @@ def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
         jitter = rng.lognormal(-0.5 * JITTER_SIGMA**2, JITTER_SIGMA,
                                size=horizon)
         demand[:, i] = scales.sum() * shape * jitter
-    return LoadProfile(horizon=horizon, demand=demand)
+    return LoadProfile(demand)
 
 
 def plan_generation(loads: LoadProfile) -> GenerationPlan:
@@ -159,4 +165,4 @@ def plan_generation(loads: LoadProfile) -> GenerationPlan:
             row[g] = v
     setpoint = np.array(rows).reshape(T, n)
 
-    return GenerationPlan(horizon=T, commitment=commitment, setpoint=setpoint)
+    return GenerationPlan(commitment, setpoint)

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_CASE = Path(__file__).resolve().parent.parent / "data" / "ieee14.case"
+# the PV buses, in the order of every setpoint and commitment column
+GENERATOR_BUSES = (2, 3, 6, 8)
 
 
 class CaseError(ValueError):
@@ -61,9 +63,6 @@ class GridCase:
     @property
     def load_buses(self) -> list[int]:
         return [b.id for b in self.buses if b.kind == "load"]
-
-    def bus(self, bus_id: int) -> Bus:
-        return self.buses[bus_id - 1]
 
     def branches_at(self, bus_id: int) -> list[int]:
         """Indices of branches incident to a bus."""
@@ -126,8 +125,8 @@ def validate_case(case: GridCase) -> None:
     slacks = [b.id for b in case.buses if b.kind == "slack"]
     if slacks != [1]:
         raise CaseError(f"expected exactly one slack bus (id 1), got {slacks}")
-    if case.generator_buses != [2, 3, 6, 8]:
-        raise CaseError(f"generator buses must be [2, 3, 6, 8], got {case.generator_buses}")
+    if tuple(case.generator_buses) != GENERATOR_BUSES:
+        raise CaseError(f"generator buses must be {list(GENERATOR_BUSES)}, got {case.generator_buses}")
     for b in case.buses:
         if b.kind in ("slack", "generator"):
             if b.voltage_setpoint is None or b.voltage_setpoint <= 0:

@@ -9,10 +9,6 @@ import numpy as np
 from .case import GEN_OFFSET, GridCase, Topology, VOLT_OFFSET
 
 
-class SingularJacobianError(RuntimeError):
-    """The power-flow Jacobian became singular."""
-
-
 @dataclass
 class PowerFlowSolution:
     voltage_magnitude: np.ndarray  # (14,)
@@ -93,31 +89,31 @@ def _jacobian(topo: Topology, V: np.ndarray, S: np.ndarray) -> np.ndarray:
 def solve_power_flow(case: GridCase,
                      loads_p: np.ndarray,
                      loads_q: np.ndarray,
-                     gen_setpoints: dict[int, float],
+                     setpoints: np.ndarray,
                      warm_start: PowerFlowSolution | None = None,
                      tol: float = 1e-8,
                      max_iter: int = 20) -> PowerFlowSolution:
     """Solve the AC power flow for one steady-state snapshot.
 
-    loads_p/loads_q are full 14-bus demand vectors in pu; gen_setpoints maps
-    generator bus id -> active setpoint. The slack bus absorbs the system
-    imbalance plus losses. Non-convergence is returned as a flagged solution,
-    not raised.
+    loads_p/loads_q are full 14-bus demand vectors in pu; setpoints holds
+    the active outputs of case.generator_buses. The slack bus absorbs the
+    system imbalance plus losses. A failed solve (out of steps, or a
+    singular Jacobian) is returned flagged at its last iterate, not raised.
     """
     n = case.n_bus
     loads_p = np.asarray(loads_p, dtype=float)
     loads_q = np.asarray(loads_q, dtype=float)
     if loads_p.shape != (n,) or loads_q.shape != (n,):
         raise ValueError(f"load vectors must have shape ({n},)")
-
     topo = case.topology
+    if np.shape(setpoints) != topo.pv.shape:
+        raise ValueError(f"setpoints must have shape {topo.pv.shape}")
     pq, pvpq, mis_index = topo.pq, topo.pvpq, topo.mis_index
 
     # scheduled injections (generation minus load) at the mismatch rows,
     # in the order of S.view(float).take(mis_index)
     p_sched = -loads_p
-    for bus_id, p in gen_setpoints.items():
-        p_sched[bus_id - 1] += p
+    p_sched[topo.pv] += setpoints
     sched = np.concatenate([p_sched[pvpq], -loads_q[pq]])
 
     vm = np.ones(n)
@@ -138,9 +134,8 @@ def solve_power_flow(case: GridCase,
             break
         try:
             dx = np.linalg.solve(_jacobian(topo, V, S), mis)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"singular Jacobian at iteration {iterations + 1}") from exc
+        except np.linalg.LinAlgError:  # singular: flagged as unconverged
+            break
         va[pvpq] += dx[:len(pvpq)]
         vm[pq] += dx[len(pvpq):]
     converged = max_mismatch < tol

@@ -8,12 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..grid import GridCase, sensor_map
+from ..grid.case import GENERATOR_BUSES
 from ..grid.powerflow import PowerFlowSolution, noise_scale, solve_power_flow
 
 # severity level -> fraction of planned generation removed
 LEVEL_FRACTIONS = {1: 0.2, 2: 0.4, 3: 0.6, 4: 0.8, 5: 1.0}
-
-GENERATOR_BUSES = (2, 3, 6, 8)
 
 
 def access_set(case: GridCase, target_bus: int) -> frozenset[int]:
@@ -105,8 +104,7 @@ def simulate_nominal(case: GridCase, loads_p: np.ndarray,
     """Attacker's disguise template: the solution under the original
     control, computed on the attacker's grid model `case`, whose `sensors`
     are the template. None on non-convergence."""
-    setp = {b: u[i] for i, b in enumerate(GENERATOR_BUSES)}
-    sol = solve_power_flow(case, loads_p, loads_q, setp, warm_start=warm_start)
+    sol = solve_power_flow(case, loads_p, loads_q, u, warm_start=warm_start)
     return sol if sol.converged else None
 
 

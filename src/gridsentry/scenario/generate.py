@@ -12,8 +12,8 @@ import numpy as np
 from ..dispatch import GenerationPlan, LoadProfile
 from ..grid import GridCase, N_SENSORS
 from ..grid.powerflow import measure, solve_power_flow
-from .attacks import (Condition, GENERATOR_BUSES, LABELS, LEVEL_FRACTIONS,
-                      mask_measurements, reduce_target, simulate_nominal)
+from .attacks import (Condition, LABELS, LEVEL_FRACTIONS, mask_measurements,
+                      reduce_target, simulate_nominal)
 
 REACTIVE_RATIO = float(np.tan(np.arccos(0.95)))  # constant 0.95 power factor
 
@@ -137,10 +137,9 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
     mask_noise = np.empty((T, len(access)))
     template_fallback_hours: list[int] = []
     warm = attacker_warm = None
-    for t, setp in enumerate(u_phys.tolist()):
+    for t in range(T):
         lp, lq = load_p[t], load_q[t]
-        sol = solve_power_flow(case, lp, lq, dict(zip(GENERATOR_BUSES, setp)),
-                               warm_start=warm)
+        sol = solve_power_flow(case, lp, lq, u_phys[t], warm_start=warm)
         if sol.converged:
             warm = sol
             converged[t] = True

@@ -77,7 +77,7 @@ def world(tmp_path_factory, case):
 BASE_CASE_VM_REF = np.array([
     1.060000, 1.045000, 1.010000, 1.026093, 1.032598, 1.070000, 1.044812,
     1.090000, 1.027631, 1.027543, 1.044943, 1.053017, 1.046234, 1.017433])
-BASE_SETPOINTS = {2: 0.4, 3: 0.0, 6: 0.0, 8: 0.0}
+BASE_SETPOINTS = np.array([0.4, 0.0, 0.0, 0.0])  # GENERATOR_BUSES order
 
 
 def test_criterion_1_power_flow(case):

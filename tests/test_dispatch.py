@@ -63,8 +63,7 @@ def test_loads_bad_args():
 # ---------------------------------------------------------------- planning
 
 def flat_profile(total, horizon=24):
-    demand = np.full((horizon, 9), total / 9.0)
-    return LoadProfile(horizon=horizon, demand=demand)
+    return LoadProfile(np.full((horizon, 9), total / 9.0))
 
 
 def test_merit_order_single_unit():
@@ -91,7 +90,7 @@ def test_ramp_clipping():
     # the 2.0 -> 2.5 pu demand step asks some unit for more than its ramp
     demand = np.full((48, 9), 2.0 / 9.0)
     demand[24:] += 0.5 / 9.0
-    plan = plan_generation(LoadProfile(48, demand))
+    plan = plan_generation(LoadProfile(demand))
     steps = np.abs(np.diff(plan.setpoint, axis=0))
     both = plan.commitment[1:] & plan.commitment[:-1]
     assert np.all(steps[both] <= ramp + 1e-12)
@@ -193,7 +192,7 @@ def test_plan_matches_reference_form():
         T = int(r.integers(1, 170))
         demand = r.uniform(0.0, 1.0, (T, 9)) * r.uniform(0.0, cap / 9)
         demand[r.random(T) < 0.1] = 0.0
-        profiles.append(LoadProfile(T, demand))
+        profiles.append(LoadProfile(demand))
     for seed in range(20):
         low, high = sorted(r.integers(10, 130, size=2))
         profiles.append(synthesize_loads((int(low), int(high)),
@@ -201,7 +200,7 @@ def test_plan_matches_reference_form():
     # a hand-built day: demand only in the evening, with a ramp to climb
     demand = np.zeros((30, 9))
     demand[17:22] = np.array([0.5, 1.5, 2.5, 2.0, 0.4])[:, None] / 9
-    profiles.append(LoadProfile(30, demand))
+    profiles.append(LoadProfile(demand))
     infeasible = flat_profile(cap * 1.01, horizon=40)
     infeasible.demand[:7] = 0.0
     profiles.append(infeasible)
@@ -255,10 +254,8 @@ def test_flow_check_runs():
     for t in range(plan.horizon):
         lp = np.zeros(case.n_bus)
         lp[load_idx] = loads.demand[t]
-        setp = {s.bus: plan.setpoint[t, i]
-                for i, s in enumerate(DEFAULT_GENERATORS)}
-        warm = solve_power_flow(case, lp, lp * REACTIVE_RATIO, setp,
-                                warm_start=warm)
+        warm = solve_power_flow(case, lp, lp * REACTIVE_RATIO,
+                                plan.setpoint[t], warm_start=warm)
         assert warm.converged, f"hour {t} did not converge"
         flows.append(np.abs(warm.sensors[:GEN_OFFSET]))  # line flows
     flows = np.array(flows)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect, fsolve
 
-from gridsentry.dispatch import plan_generation, synthesize_loads
+from gridsentry.dispatch import (DEFAULT_GENERATORS, plan_generation,
+                                 synthesize_loads)
 from gridsentry.grid import (Branch, Bus, CaseError, GridCase, N_SENSORS,
                              estimate_state, estimation, load_case, measure,
                              noise_scale, sensor_map, solve_power_flow)
@@ -27,7 +28,7 @@ BASE_CASE_VM_REF = np.array([
     1.090000, 1.027631, 1.027543, 1.044943, 1.053017, 1.046234, 1.017433,
 ])
 
-BASE_SETPOINTS = {2: 0.4, 3: 0.0, 6: 0.0, 8: 0.0}
+BASE_SETPOINTS = np.array([0.4, 0.0, 0.0, 0.0])  # GENERATOR_BUSES order
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,13 @@ def test_load_case_shape(case):
     assert case.load_buses == [4, 5, 7, 9, 10, 11, 12, 13, 14]
 
 
+def test_generator_orders_agree(case):
+    # a setpoint vector is a plan row: its entries follow the plan's columns
+    # (the fleet's order), GENERATOR_BUSES and the case's PV buses alike
+    assert (tuple(s.bus for s in DEFAULT_GENERATORS) == GENERATOR_BUSES
+            == tuple(case.generator_buses))
+
+
 def open_case_text():
     from gridsentry.grid import DEFAULT_CASE
     return DEFAULT_CASE.read_text()
@@ -77,6 +85,17 @@ def test_load_case_duplicate_bus(tmp_path):
     p = tmp_path / "dup.case"
     p.write_text(dup)
     with pytest.raises(CaseError):
+        load_case(p)
+
+
+def test_load_case_generator_buses(tmp_path):
+    # every setpoint vector follows GENERATOR_BUSES, so a case with other
+    # PV buses is refused
+    p = tmp_path / "gen7.case"
+    p.write_text(open_case_text().replace(
+        "bus 7  load      -     0.000", "bus 7  generator 1.000 0.000"))
+    with pytest.raises(CaseError, match=r"must be \[2, 3, 6, 8\], "
+                                        r"got \[2, 3, 6, 7, 8\]"):
         load_case(p)
 
 
@@ -149,8 +168,8 @@ def test_topology_matches_case(case):
     # the power flow's fixed-voltage buses are the slack and the generators,
     # pinned to their setpoints
     assert (topo.fixed + 1).tolist() == [case.slack_bus] + case.generator_buses
-    assert topo.fixed_vm.tolist() == [case.bus(b).voltage_setpoint
-                                      for b in topo.fixed + 1]
+    assert topo.fixed_vm.tolist() == [case.buses[i].voltage_setpoint
+                                      for i in topo.fixed]
     assert topo.slack + 1 == case.slack_bus
     n = case.n_bus
     assert topo.jac_index.shape == (2 * n - 2 - len(case.generator_buses),) * 2
@@ -171,7 +190,7 @@ def test_zero_injection_fixed_point(case):
                                  0.0, b.flow_limit) for b in case.branches),
                     case.base_power)
     z = np.zeros(14)
-    sol = solve_power_flow(flat, z, z, {g: 0.0 for g in flat.generator_buses})
+    sol = solve_power_flow(flat, z, z, np.zeros(4))
     assert sol.converged
     # line flows and generations
     np.testing.assert_allclose(sol.sensors[:VOLT_OFFSET], 0.0, atol=1e-9)
@@ -197,8 +216,7 @@ def test_base_case_against_live_oracle(case):
     pv = [b - 1 for b in case.generator_buses]
     pq = [b - 1 for b in case.load_buses]
     psched = -p.copy()
-    for b, val in BASE_SETPOINTS.items():
-        psched[b - 1] += val
+    psched[pv] += BASE_SETPOINTS
     vset = {b.id - 1: b.voltage_setpoint for b in case.buses if b.voltage_setpoint}
 
     def resid(x):
@@ -232,7 +250,8 @@ def test_two_bus_against_bisection_oracle():
     x_line = 0.3
     p_load = 0.5
     c = toy_case([Branch(1, 2, 0.0, x_line, 0.0, 2.0)])
-    sol = solve_power_flow(c, np.array([0.0, p_load]), np.zeros(2), {}, tol=1e-12)
+    sol = solve_power_flow(c, np.array([0.0, p_load]), np.zeros(2), np.zeros(0),
+                           tol=1e-12)
     assert sol.converged
 
     f = lambda th: 0.5 * np.sin(2 * th) + p_load * x_line
@@ -249,8 +268,7 @@ def test_power_balance_invariant(case):
     V = sol.voltage_magnitude * np.exp(1j * sol.voltage_angle)
     inj = (V * np.conj(Y @ V)).real
     gen = np.zeros(14)
-    for b, val in BASE_SETPOINTS.items():
-        gen[b - 1] = val
+    gen[[b - 1 for b in GENERATOR_BUSES]] = BASE_SETPOINTS
     gen[0] = sol.sensors[GEN_OFFSET] - p[0]
     np.testing.assert_allclose(inj[1:], (gen - p)[1:], atol=1e-6)
 
@@ -277,17 +295,33 @@ def test_warm_start_same_fixed_point(case):
     assert warm.iterations <= cold2.iterations
 
 
+def test_solver_refuses_misshapen_inputs(case):
+    p, q = base_loads(case)
+    with pytest.raises(ValueError, match=r"setpoints must have shape \(4,\)"):
+        solve_power_flow(case, p, q, BASE_SETPOINTS[:3])
+    with pytest.raises(ValueError, match=r"load vectors must have shape"):
+        solve_power_flow(case, p[:13], q, BASE_SETPOINTS)
+
+
 def test_nonconvergence_is_flagged(case):
     # absurd load forces divergence or iteration exhaustion, never a crash
     p = np.full(14, 5.0)
     q = np.full(14, 2.0)
-    try:
-        sol = solve_power_flow(case, p, q, BASE_SETPOINTS, max_iter=5)
-        assert not sol.converged
-    except Exception as exc:
-        # a singular Jacobian is the one allowed explicit error
-        from gridsentry.grid import SingularJacobianError
-        assert isinstance(exc, SingularJacobianError)
+    sol = solve_power_flow(case, p, q, BASE_SETPOINTS, max_iter=5)
+    assert not sol.converged
+
+
+def test_singular_jacobian_is_flagged():
+    # bus 3 lies on no branch, so its Jacobian rows are zero from the first
+    # Newton step: the solve ends unconverged at its starting iterate
+    c = toy_case([Branch(1, 2, 0.01, 0.1, 0.0, 2.0)], n=3)
+    p = np.array([0.0, 0.5, 0.2])
+    sol = solve_power_flow(c, p, 0.5 * p, np.zeros(0))
+    assert not sol.converged and sol.iterations == 0
+    assert sol.max_mismatch == 0.5
+    np.testing.assert_array_equal(sol.voltage_magnitude, 1.0)
+    np.testing.assert_array_equal(sol.voltage_angle, 0.0)
+    assert np.isfinite(sol.sensors).all()
 
 
 # ---------------------------------------------------------------- reference forms
@@ -303,13 +337,13 @@ def ref_jacobian(topo, V):
     return np.vstack([dS[topo.pvpq].real, dS[topo.pq].imag])
 
 
-def ref_solve(case, loads_p, loads_q, gen_setpoints, warm_start=None,
+def ref_solve(case, loads_p, loads_q, setpoints, warm_start=None,
               tol=1e-8, max_iter=20):
     n = case.n_bus
     topo = case.topology
     Y, pq, pvpq = topo.Y, topo.pq, topo.pvpq
     p_sched = -loads_p.copy()
-    for bus_id, p in gen_setpoints.items():
+    for bus_id, p in zip(case.generator_buses, setpoints):
         p_sched[bus_id - 1] += p
     q_sched = -loads_q.copy()
     vm = np.ones(n)
@@ -359,9 +393,7 @@ def load_chain(case):
     for t in range(loads.horizon):
         lp = np.zeros(case.n_bus)
         lp[[b - 1 for b in case.load_buses]] = loads.demand[t]
-        setp = {b: float(plan.setpoint[t, i])
-                for i, b in enumerate(GENERATOR_BUSES)}
-        out.append((lp, lp * REACTIVE_RATIO, setp))
+        out.append((lp, lp * REACTIVE_RATIO, plan.setpoint[t]))
     return out
 
 
@@ -398,8 +430,7 @@ def test_attacker_nominal_solve_matches_reference_form(case, load_chain):
     for model in (case, perturbed):
         warm = warm_ref = None
         for lp, lq, setp in load_chain[:6]:
-            u = np.array([setp[b] for b in GENERATOR_BUSES])
-            sol = simulate_nominal(model, lp, lq, u, warm_start=warm)
+            sol = simulate_nominal(model, lp, lq, setp, warm_start=warm)
             ref = ref_solve(model, lp, lq, setp, warm_start=warm_ref)
             assert_same_solution(sol, ref)
             warm, warm_ref = sol, ref

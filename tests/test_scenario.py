@@ -132,8 +132,7 @@ def fixed_inputs(case, world, t=20):
 def test_nominal_template_matches_plant(case, world):
     lp, lq, u = fixed_inputs(case, world)
     y_hat = simulate_nominal(case, lp, lq, u).sensors
-    setp = {b: u[i] for i, b in enumerate([2, 3, 6, 8])}
-    sol = solve_power_flow(case, lp, lq, setp)
+    sol = solve_power_flow(case, lp, lq, u)
     np.testing.assert_array_equal(y_hat, sol.sensors)
 
 
@@ -328,8 +327,7 @@ def ref_generate_scenario(case, plan, loads, condition, noise_sigma, seed):
                 u_phys[g] = u_phys[g] + (-condition.fraction * u_phys[g])
             else:
                 noop_hours.append(t)
-        sol = solve_power_flow(case, load_p[t], load_q[t],
-                               dict(zip(GENERATOR_BUSES, u_phys)),
+        sol = solve_power_flow(case, load_p[t], load_q[t], u_phys,
                                warm_start=warm)
         if sol.converged:
             warm = sol
@@ -340,8 +338,7 @@ def ref_generate_scenario(case, plan, loads, condition, noise_sigma, seed):
             row = (last_values if last_values is not None
                    else np.full(N_SENSORS, np.nan))
         if applied and condition.kind == "attack":
-            nominal = solve_power_flow(case, load_p[t], load_q[t],
-                                       dict(zip(GENERATOR_BUSES, u)),
+            nominal = solve_power_flow(case, load_p[t], load_q[t], u,
                                        warm_start=attacker_warm)
             if nominal.converged:
                 attacker_warm = nominal
@@ -383,7 +380,7 @@ def test_generate_scenario_matches_reference_form(tmp_path, case, world):
             ("no-op attack", case, low,
              make_condition(case, "attack", 6, 3, 12, 84)),
             *((f"weakened from hour {start}", weak,
-               LoadProfile(48 - start, weak_loads.demand[start:]),
+               LoadProfile(weak_loads.demand[start:]),
                make_condition(weak, "attack", 2, 5, 0, end))
               for start, end in ((16, 26), (18, 20)))]
     seen = set()
@@ -403,6 +400,16 @@ def test_generate_scenario_matches_reference_form(tmp_path, case, world):
     # every path of the generator ran in at least one series
     assert seen == {"noop_hours", "gap_hours", "template_fallback_hours",
                     "NaN rows"}
+
+
+def test_generate_scenario_refuses_mismatched_horizons(case, world):
+    # the horizon is each array's length, so a plan of 48 hours and loads
+    # of 47 are refused before any solve
+    loads, plan = world
+    short = LoadProfile(loads.demand[:-1])
+    assert (short.horizon, plan.horizon) == (47, 48)
+    with pytest.raises(ValueError, match="disagree on horizon"):
+        generate_scenario(case, plan, short, None, 0.01, seed=0)
 
 
 def test_unconverged_solves_are_never_measured(case, world, monkeypatch):
