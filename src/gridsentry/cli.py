@@ -13,8 +13,7 @@ import numpy as np
 from .config import (ConfigError, RunConfig, RunManifest, config_hash,
                      load_config, resolve_output_dir)
 from .detector import load_bundle, save_bundle, train_bundle, trained
-from .detector.pipeline import (STAGE_DEFAULTS, evaluate_predictions,
-                                feature_rows)
+from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import plan_generation, synthesize_loads
 from .evaluation import (ConfusionMatrix, aggregate_report, csv_table,
                          format_report, holdout_experiment, macro_f1,
@@ -142,8 +141,7 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
     series_list = load_dataset(data_dir)
     train_set, _ = split_series(series_list, cfg.split_fraction, cfg.seed)
     bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
-                          stage_configs={stage: cfg.stage_config(stage)
-                                         for stage in STAGE_DEFAULTS},
+                          stage_configs=cfg.train_stages,
                           noise_sigma=cfg.noise_sigma)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle_path = out_dir / f"bundle_{variant}.npz"
@@ -200,7 +198,7 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     rows = feature_rows(bundle, load_dataset(data_dir), case)
     results = [holdout_experiment(
         rows, l, cfg.holdout_replications, cfg.seed,
-        classifier_config=cfg.stage_config("classifier"))
+        classifier_config=cfg.train_stages["classifier"])
         for l in cfg.holdout_l_values]
 
     out_dir.mkdir(parents=True, exist_ok=True)

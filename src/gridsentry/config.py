@@ -15,7 +15,6 @@ import yaml
 from . import __version__
 from .detector.models import VARIANTS
 from .detector.pipeline import STAGE_DEFAULTS
-from .neural import TrainConfig
 from .scenario.attacks import LEVEL_FRACTIONS
 
 OUTPUT_ROOT_ENV = "GRIDSENTRY_OUTPUT_ROOT"
@@ -40,18 +39,13 @@ class RunConfig:
     normal_series: int = 15
     series_per_condition_per_level: int = 4
     variants: tuple[str, ...] = VARIANTS
-    # stage -> TrainConfig keys that override that stage's STAGE_DEFAULTS row
-    train_stages: dict = field(default_factory=lambda: {
-        stage: {k: v for k, v in asdict(cfg).items() if k != "seed"}
-        for stage, cfg in STAGE_DEFAULTS.items()})
+    # stage -> the TrainConfig that stage trains with; a config file gives
+    # per-stage overrides of the STAGE_DEFAULTS rows
+    train_stages: dict = field(default_factory=STAGE_DEFAULTS.copy)
     split_fraction: float = 0.8
     holdout_replications: int = 5
     holdout_l_values: tuple[int, ...] = (1, 2, 3, 4)
     workers: int = 1
-
-    def stage_config(self, stage: str) -> TrainConfig:
-        return replace(STAGE_DEFAULTS[stage],
-                       **self.train_stages.get(stage, {}))
 
     def canonical(self) -> dict:
         return json.loads(json.dumps(asdict(self), sort_keys=True))
@@ -88,6 +82,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("output_dir is required")
 
     raw.setdefault("case_file", None)
+    overrides = raw.pop("train_stages", {})
     cfg = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
                        for key, value in raw.items()})
     for name in ("seed", "horizon", "normal_series",
@@ -150,18 +145,16 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("series counts must be positive")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if not isinstance(cfg.train_stages, dict):
+    if not isinstance(overrides, dict):
         raise ConfigError("train_stages must map stage names to settings")
-    for stage in cfg.train_stages:
+    for stage in overrides:
         if stage not in STAGE_DEFAULTS:
             raise ConfigError(f"unknown training stage {stage!r}")
+    for stage, row in STAGE_DEFAULTS.items():
         try:
-            cfg.stage_config(stage)
+            cfg.train_stages[stage] = replace(row, **overrides.get(stage, {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"train_stages.{stage}: {exc}") from None
-        if "seed" in cfg.train_stages[stage]:
-            raise ConfigError(f"train_stages.{stage}: seed is derived from "
-                              "the run seed and cannot be set")
     return cfg
 
 

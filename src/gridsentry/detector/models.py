@@ -118,20 +118,21 @@ def _in_compute_dtype(model):
     return model
 
 
-def fit_autoencoder(z: np.ndarray, config: TrainConfig):
-    """Train encoder+decoder on preprocessed normal frames (N, 39)."""
+def fit_autoencoder(z: np.ndarray, config: TrainConfig, seed: int):
+    """Train encoder+decoder on preprocessed normal frames (N, 39); seed
+    draws the initial weights and the mini-batch order."""
     z = np.asarray(z, dtype=COMPUTE_DTYPE)
     if z.ndim != 2 or z.shape[1] != N_SENSORS:
         raise ValueError(f"autoencoder input must be (N, {N_SENSORS})")
-    rng = np.random.default_rng(config.seed)
-    enc, dec = build_autoencoder(rng)
+    enc, dec = build_autoencoder(np.random.default_rng(seed))
     model = _in_compute_dtype(Sequential([enc, dec]))
-    history = train(model, z, z, config, loss="mse")
+    history = train(model, z, z, config, seed, loss="mse")
     return enc, dec, history
 
 
-def fit_predictor(sequences: np.ndarray, config: TrainConfig):
-    """Train a stateful one-step-ahead predictor on (N, T, C) sequences.
+def fit_predictor(sequences: np.ndarray, config: TrainConfig, seed: int):
+    """Train a stateful one-step-ahead predictor on (N, T, C) sequences;
+    seed draws the initial weights and the mini-batch order.
 
     Targets with index < LAGS are masked out, so a T-step series contributes
     T - LAGS training targets.
@@ -143,18 +144,19 @@ def fit_predictor(sequences: np.ndarray, config: TrainConfig):
     if t < LAGS + 1:
         raise ValueError(f"sequences must span at least {LAGS + 1} steps")
     model = _in_compute_dtype(
-        build_predictor(c, np.random.default_rng(config.seed)))
+        build_predictor(c, np.random.default_rng(seed)))
     x = seq[:, :-1]
     y = seq[:, 1:]
     mask = np.zeros((n, t - 1), dtype=seq.dtype)
     mask[:, LAGS - 1:] = 1.0  # position j predicts original index j+1
-    history = train(model, x, y, config, loss="mse", mask=mask)
+    history = train(model, x, y, config, seed, loss="mse", mask=mask)
     return model, history
 
 
 def fit_classifier(features: np.ndarray, labels: np.ndarray,
-                   config: TrainConfig):
-    """Train the 9-label head on (N, 78) residual++observation features."""
+                   config: TrainConfig, seed: int):
+    """Train the 9-label head on (N, 78) residual++observation features;
+    seed draws the initial weights and the mini-batch order."""
     features = np.asarray(features, dtype=COMPUTE_DTYPE)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[1] != CLASSIFIER_INPUT:
@@ -164,8 +166,8 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray,
     if missing:
         raise ValueError(f"training data missing classes: {missing}")
     model = _in_compute_dtype(
-        build_classifier(np.random.default_rng(config.seed)))
-    history = train(model, features, labels.astype(int), config,
+        build_classifier(np.random.default_rng(seed)))
+    history = train(model, features, labels.astype(int), config, seed,
                     loss="cross_entropy")
     return model, history
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..grid import GridCase, sensor_map_hash
@@ -14,7 +12,7 @@ from .models import (SUBMODELS, ModelBundle, classify, fit_autoencoder,
                      state_checksum, trained)
 from .preprocess import assert_normal_lineage, fit_preprocess, preprocess
 
-# the one table of per-stage training defaults; callers re-seed each fit
+# the one table of per-stage training defaults
 STAGE_DEFAULTS = {
     "autoencoder": TrainConfig(learning_rate=1e-3, epochs=60, batch_size=256),
     "predictor": TrainConfig(learning_rate=5e-3, epochs=120, batch_size=8),
@@ -83,14 +81,14 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
     sequences = [preprocess(s, stats) for s in normals]
 
     if variant == "AEN_RNN_DNN":
-        cfg = replace(stage_configs["autoencoder"], seed=seed)
-        enc, dec, hist = fit_autoencoder(np.concatenate(sequences), cfg)
+        enc, dec, hist = fit_autoencoder(
+            np.concatenate(sequences), stage_configs["autoencoder"], seed)
         bundle.encoder, bundle.decoder = enc, dec
         bundle.history["autoencoder"] = hist
         sequences = [enc.forward(z.astype(enc.dtype))[0] for z in sequences]
     if variant != "SE_DNN":
-        cfg = replace(stage_configs["predictor"], seed=seed + 1)
-        bundle.predictor, hist = fit_predictor(np.stack(sequences), cfg)
+        bundle.predictor, hist = fit_predictor(
+            np.stack(sequences), stage_configs["predictor"], seed + 1)
         bundle.history["predictor"] = hist
 
     # residual generation must not touch the frozen feature models
@@ -102,8 +100,8 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
             raise RuntimeError(f"{name} parameters changed during "
                                "residual generation")
 
-    cfg = replace(stage_configs["classifier"], seed=seed + 2)
-    bundle.classifier, hist = fit_classifier(x, y, cfg)
+    bundle.classifier, hist = fit_classifier(
+        x, y, stage_configs["classifier"], seed + 2)
     bundle.history["classifier"] = hist
     return bundle
 

@@ -39,9 +39,15 @@ class PreprocessStats:
 
 
 def _frames(series) -> np.ndarray:
+    """The series' (T, 39) sensor frames. A series with a non-finite frame,
+    such as a leading power-flow gap hour, is refused by its seed."""
     values = np.asarray(series.values, dtype=float)
     if values.ndim != 2 or values.shape[1] != N_SENSORS:
         raise ValueError(f"expected (T, {N_SENSORS}) sensor frames")
+    if not np.all(np.isfinite(values)):
+        meta = series.metadata
+        raise ValueError(f"series of seed {meta.get('seed')} has non-finite"
+                         f" frames, gap hours {meta.get('gap_hours')}")
     return values
 
 
@@ -49,18 +55,13 @@ def fit_preprocess(series_list) -> PreprocessStats:
     """Std of first differences per sensor, floored at EPSILON.
 
     series_list is an iterable of ScenarioSeries; differences never cross
-    series boundaries. A series with a non-finite frame, such as a leading
-    power-flow gap hour, is refused by its seed.
+    series boundaries.
     """
     diffs = []
     raws = []
     total = 0
     for series in series_list:
         values = _frames(series)
-        if not np.all(np.isfinite(values)):
-            meta = series.metadata
-            raise ValueError(f"series of seed {meta.get('seed')} has non-finite"
-                             f" frames, gap hours {meta.get('gap_hours')}")
         total += values.shape[0]
         raws.append(values)
         if values.shape[0] >= 2:

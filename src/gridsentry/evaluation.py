@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -239,8 +239,8 @@ def holdout_experiment(rows, l: int, replications: int, seed: int,
     normal series. Per replication: draw l of the severity levels without
     replacement, train the classifier on the normal rows plus the rows at
     those levels, then score accuracy on the rows at the held-out levels.
-    classifier_config is re-seeded seed + 1000*l + rep for each
-    replication.
+    Replication rep fits the classifier under classifier_config with seed
+    seed + 1000*l + rep.
     """
     if not 1 <= l < len(LEVEL_FRACTIONS):
         raise ValueError(f"l must be in 1..{len(LEVEL_FRACTIONS) - 1}")
@@ -269,9 +269,9 @@ def holdout_experiment(rows, l: int, replications: int, seed: int,
             else:
                 test_x.append(x)
                 test_y.append(y)
-        cfg = replace(classifier_config, seed=seed + 1000 * l + rep)
-        classifier, _ = fit_classifier(np.concatenate(train_x),
-                                       np.concatenate(train_y), cfg)
+        classifier, _ = fit_classifier(
+            np.concatenate(train_x), np.concatenate(train_y),
+            classifier_config, seed + 1000 * l + rep)
         preds = classify(classifier, np.concatenate(test_x))
         accuracies.append(float(np.mean(preds == np.concatenate(test_y))))
 

@@ -16,11 +16,11 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     batch_size: int
-    seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.learning_rate, bool) or self.learning_rate < 0:
-            raise ValueError("learning_rate must be a number >= 0")
+        if (isinstance(self.learning_rate, bool)
+                or not 0 <= self.learning_rate < np.inf):
+            raise ValueError("learning_rate must be a finite number >= 0")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if (not isinstance(value, (int, np.integer))
@@ -48,11 +48,13 @@ def flatten_parameters(model) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
-          loss: str = "mse", mask: np.ndarray | None = None) -> list[float]:
+          seed: int, loss: str = "mse",
+          mask: np.ndarray | None = None) -> list[float]:
     """Train in place; returns the per-epoch mean loss history.
 
-    x may be (N, D) frames or (N, T, D) sequences; mask, when given for
-    sequences, is (N, T) and selects which time steps count toward the loss.
+    seed draws every epoch's mini-batch order. x may be (N, D) frames or
+    (N, T, D) sequences; mask, when given for sequences, is (N, T) and
+    selects which time steps count toward the loss.
     loss is "mse" or "cross_entropy" (integer labels, fused with softmax).
     x, a float y and mask must have the parameters' dtype: one array of
     another would silently carry every step into the wider of the two.
@@ -66,7 +68,7 @@ def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
                 and arr.dtype != params.dtype):
             raise ValueError(f"{name} is {arr.dtype} but the model's "
                              f"parameters are {params.dtype}")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     opt = Adam(config.learning_rate)
     history: list[float] = []
     for epoch in range(config.epochs):

@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +116,10 @@ def test_config_validation_before_compute(tmp_path):
              "classifier.*learning_rate"),
             ({"autoencoder": {"learning_rate": -1}},
              "autoencoder.*learning_rate"),
+            ({"classifier": {"learning_rate": float("nan")}},
+             "classifier.*learning_rate"),
+            ({"predictor": {"learning_rate": float("inf")}},
+             "predictor.*learning_rate"),
             ({"classifier": {"seed": 5}}, "classifier.*seed"),
             ({"classifier": 5}, "classifier"),
             ([], "train_stages")):
@@ -128,9 +132,38 @@ def test_partial_stage_override_keeps_stage_defaults(tmp_path):
     path = write_config(tmp_path / "c.yaml",
                         train_stages={"classifier": {"epochs": 5}})
     cfg = load_config(path)
-    assert cfg.stage_config("classifier") == TrainConfig(
-        learning_rate=2e-3, epochs=5, batch_size=256)
-    assert cfg.stage_config("predictor") == STAGE_DEFAULTS["predictor"]
+    assert cfg.train_stages == {
+        **STAGE_DEFAULTS,
+        "classifier": TrainConfig(learning_rate=2e-3, epochs=5,
+                                  batch_size=256)}
+
+
+def test_config_records_every_stage_row(tmp_path):
+    # config.json records the row each stage trains with, so a config that
+    # overrides one stage still records the rows of the other two
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"seed": 1, "output_dir": "x"}))
+    rows = {stage: {"learning_rate": row.learning_rate, "epochs": row.epochs,
+                    "batch_size": row.batch_size}
+            for stage, row in STAGE_DEFAULTS.items()}
+    assert load_config(path).canonical()["train_stages"] == rows
+    path.write_text(yaml.safe_dump({
+        "seed": 1, "output_dir": "x",
+        "train_stages": {"classifier": {"epochs": 5}}}))
+    rows["classifier"]["epochs"] = 5
+    assert load_config(path).canonical()["train_stages"] == rows
+
+
+def test_every_train_config_field_is_a_config_key(tmp_path):
+    # a TrainConfig field that only code could set, as a seed would be,
+    # has no override that load_config accepts
+    for stage, row in STAGE_DEFAULTS.items():
+        for name in (f.name for f in fields(TrainConfig)):
+            value = getattr(row, name) * 2
+            path = write_config(tmp_path / "c.yaml",
+                                train_stages={stage: {name: value}})
+            assert (load_config(path).train_stages[stage]
+                    == replace(row, **{name: value})), (stage, name)
 
 
 @pytest.fixture(scope="module")

@@ -101,9 +101,10 @@ def test_fit_preprocess_insufficient_data():
         fit_preprocess([synthetic_series(np.ones((40, N_SENSORS)))])
 
 
-def test_fit_preprocess_refuses_non_finite_frames():
+def test_fit_preprocess_refuses_non_finite_frames(case, normal_series):
     # a power-flow gap hour with nothing before it to repeat is an all-NaN
-    # row (generate.py); the refusal names that cause, not the NaN stats
+    # row (generate.py); fitting and every variant's features refuse it by
+    # that cause, not by the NaN stats or model outputs it would make
     rng = np.random.default_rng(4)
     values = rng.standard_normal((200, N_SENSORS))
     values[0] = np.nan
@@ -111,8 +112,13 @@ def test_fit_preprocess_refuses_non_finite_frames():
                            metadata={"condition": "normal", "seed": 41,
                                      "gap_hours": [0]})
     clean = synthetic_series(rng.standard_normal((200, N_SENSORS)))
-    with pytest.raises(ValueError, match=r"seed 41 .*gap hours \[0\]"):
+    named = r"seed 41 .*gap hours \[0\]"
+    with pytest.raises(ValueError, match=named):
         fit_preprocess([clean, gappy])
+    for variant in VARIANTS:
+        bundle = small_bundle(variant, case, normal_series)
+        with pytest.raises(ValueError, match=named):
+            feature_rows(bundle, [normal_series[0], gappy], case)
 
 
 def test_fit_preprocess_deterministic():
@@ -166,8 +172,8 @@ def test_autoencoder_code_width_and_learning():
     rng = np.random.default_rng(4)
     basis = rng.standard_normal((5, N_SENSORS))
     z = rng.standard_normal((600, 5)) @ basis  # rank-5 data, learnable
-    cfg = TrainConfig(learning_rate=1e-3, epochs=30, batch_size=64, seed=0)
-    enc, dec, history = fit_autoencoder(z, cfg)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=30, batch_size=64)
+    enc, dec, history = fit_autoencoder(z, cfg, seed=0)
     codes, _ = enc.forward(z)
     assert codes.shape == (600, CODE_SIZE)
     assert history[-1] < history[0] * 0.5
@@ -175,15 +181,15 @@ def test_autoencoder_code_width_and_learning():
 
 def test_autoencoder_rejects_wrong_width():
     with pytest.raises(ValueError):
-        fit_autoencoder(np.zeros((10, 5)), TINY)
+        fit_autoencoder(np.zeros((10, 5)), TINY, seed=0)
 
 
 # ---------------------------------------------------------------- predictor
 
 def test_predictor_constant_sequence():
     seq = np.ones((4, 30, CODE_SIZE)) * 0.5
-    cfg = TrainConfig(learning_rate=1e-2, epochs=80, batch_size=4, seed=0)
-    model, history = fit_predictor(seq, cfg)
+    cfg = TrainConfig(learning_rate=1e-2, epochs=80, batch_size=4)
+    model, history = fit_predictor(seq, cfg, seed=0)
     pred, _ = model.forward(seq[:, :-1])
     mse = np.mean((pred[:, LAGS - 1:] - seq[:, LAGS:]) ** 2)
     assert mse < 1e-3
@@ -200,7 +206,7 @@ def test_predictor_window_arithmetic():
 
 def test_predictor_too_short():
     with pytest.raises(ValueError):
-        fit_predictor(np.zeros((1, LAGS, 3)), TINY)
+        fit_predictor(np.zeros((1, LAGS, 3)), TINY, seed=0)
 
 
 # ---------------------------------------------------------------- residuals
@@ -238,9 +244,9 @@ def test_residual_alignment_rnn(case, normal_series):
     series = normal_series[0]
     stats = fit_preprocess(normal_series)
     bundle = make_stub_bundle("RNN_DNN", case, stats)
-    cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4, seed=0)
+    cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4)
     z = np.stack([preprocess(s, stats) for s in normal_series])
-    bundle.predictor, _ = fit_predictor(z, cfg)
+    bundle.predictor, _ = fit_predictor(z, cfg, seed=0)
     [(ts, residuals)] = predict_and_residual(bundle, [series], case)
     assert ts[0] == LAGS + 1
     assert ts[-1] == series.horizon - 1
@@ -258,7 +264,7 @@ def test_residual_generation_leaves_models_frozen(case, normal_series):
     bundle = make_stub_bundle("RNN_DNN", case, stats)
     z = np.stack([preprocess(s, stats) for s in normal_series])
     bundle.predictor, _ = fit_predictor(
-        z, TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=0))
+        z, TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4), seed=0)
     before = state_checksum(bundle.predictor)
     predict_and_residual(bundle, normal_series, case)
     assert state_checksum(bundle.predictor) == before
@@ -325,8 +331,8 @@ def separable_toy(n_per_class=80, seed=0):
 
 def test_classifier_separable_toy():
     x, y = separable_toy()
-    cfg = TrainConfig(learning_rate=2e-3, epochs=60, batch_size=64, seed=0)
-    model, _ = fit_classifier(x, y, cfg)
+    cfg = TrainConfig(learning_rate=2e-3, epochs=60, batch_size=64)
+    model, _ = fit_classifier(x, y, cfg, seed=0)
     probs = softmax(model.forward(x)[0])
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     accuracy = np.mean(classify(model, x) == y)
@@ -337,7 +343,7 @@ def test_classifier_missing_class_listed():
     x, y = separable_toy(n_per_class=10)
     keep = y != 4
     with pytest.raises(ValueError, match="attack_8"):
-        fit_classifier(x[keep], y[keep], TINY)
+        fit_classifier(x[keep], y[keep], TINY, seed=0)
 
 
 def test_classify_trivial_and_ties():
@@ -381,17 +387,17 @@ def small_bundle(variant, case, normal_series):
     stats = fit_preprocess(normal_series)
     bundle = make_stub_bundle(variant, case, stats)
     z = np.stack([preprocess(s, stats) for s in normal_series])
-    cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=0)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4)
     if variant == "AEN_RNN_DNN":
         bundle.encoder, bundle.decoder, _ = fit_autoencoder(
-            np.concatenate(z), cfg)
+            np.concatenate(z), cfg, seed=0)
         z, _ = bundle.encoder.forward(z)  # the predictor works on 13-wide codes
     if variant != "SE_DNN":
-        bundle.predictor, _ = fit_predictor(z, cfg)
+        bundle.predictor, _ = fit_predictor(z, cfg, seed=0)
     x, y = separable_toy(n_per_class=60)
     bundle.classifier, _ = fit_classifier(
-        x, y, TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64,
-                          seed=0))
+        x, y, TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64),
+        seed=0)
     return bundle
 
 

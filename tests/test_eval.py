@@ -372,7 +372,7 @@ def make_holdout_world(seed=0):
 
 def test_holdout_mechanics():
     rows = make_holdout_world()
-    cfg = TrainConfig(learning_rate=5e-3, epochs=15, batch_size=32, seed=0)
+    cfg = TrainConfig(learning_rate=5e-3, epochs=15, batch_size=32)
     result = holdout_experiment(rows, l=4, replications=3, seed=42,
                                 classifier_config=cfg)
     assert isinstance(result, HoldoutResult)

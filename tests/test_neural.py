@@ -398,7 +398,7 @@ def test_train_leaves_its_data_alone(loss):
         model, y = build_classifier(rng(95)), np.arange(40) % 9
     x0, y0 = x.copy(), y.copy()
     train(model, x, y, TrainConfig(learning_rate=1e-3, epochs=2,
-                                   batch_size=16, seed=0), loss=loss)
+                                   batch_size=16), seed=0, loss=loss)
     assert np.array_equal(x, x0) and np.array_equal(y, y0)
 
 
@@ -443,9 +443,9 @@ def ref_cross_entropy(logits, labels):
     return loss, grad / n
 
 
-def ref_train(model, x, y, config, loss="mse", mask=None):
+def ref_train(model, x, y, config, seed, loss="mse", mask=None):
     """train() over per-parameter arrays: full backward, per-name Adam."""
-    order_rng = np.random.default_rng(config.seed)
+    order_rng = np.random.default_rng(seed)
     state, history, step = {}, [], 0
     for _ in range(config.epochs):
         order = order_rng.permutation(x.shape[0])
@@ -502,8 +502,8 @@ def test_adam_bits_match_reference():
 def _classifier_fit():
     x = rng(60).standard_normal((300, 78))
     return (lambda: build_classifier(rng(61)), x, np.arange(300) % 9,
-            TrainConfig(learning_rate=2e-3, epochs=4, batch_size=128,
-                        seed=62), {"loss": "cross_entropy"})
+            TrainConfig(learning_rate=2e-3, epochs=4, batch_size=128),
+            {"seed": 62, "loss": "cross_entropy"})
 
 
 def _predictor_fit():
@@ -512,14 +512,14 @@ def _predictor_fit():
     seq = rng(63).standard_normal((7, 13, 5))
     return (lambda: lstm_readout(5, 6, 5, rng(64)), seq[:, :-1],
             seq[:, 1:], TrainConfig(learning_rate=5e-3, epochs=3,
-                                    batch_size=3, seed=65), {"mask": mask})
+                                    batch_size=3), {"seed": 65, "mask": mask})
 
 
 def _autoencoder_fit():
     x = rng(66).standard_normal((50, 39))
     return (lambda: Sequential(list(build_autoencoder(rng(67)))), x, x,
-            TrainConfig(learning_rate=1e-3, epochs=3, batch_size=16,
-                        seed=68), {})
+            TrainConfig(learning_rate=1e-3, epochs=3, batch_size=16),
+            {"seed": 68})
 
 
 @pytest.mark.parametrize("fit", [_classifier_fit, _predictor_fit,
@@ -625,7 +625,7 @@ def test_train_zero_learning_rate():
     x = rng(2).standard_normal((32, 2))
     y = rng(3).standard_normal((32, 1))
     train(model, x, y, TrainConfig(learning_rate=0.0, epochs=3,
-                                   batch_size=64, seed=0))
+                                   batch_size=64), seed=0)
     after = get_state(model)
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])
@@ -637,7 +637,7 @@ def test_train_linear_regression():
     y = 2.0 * x + 1.0
     model = Sequential([Dense(1, 1, rng(4))])
     train(model, x, y, TrainConfig(learning_rate=0.05, epochs=400,
-                                   batch_size=25, seed=0))
+                                   batch_size=25), seed=0)
     assert model.layers[0].params["W"][0, 0] == pytest.approx(2.0, abs=1e-2)
     assert model.layers[0].params["b"][0] == pytest.approx(1.0, abs=1e-2)
 
@@ -645,26 +645,30 @@ def test_train_linear_regression():
 def test_train_deterministic():
     x = rng(5).standard_normal((64, 3))
     y = rng(6).standard_normal((64, 2))
-    cfg = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64, seed=11)
-    h1 = train(make_mlp([3, 8, 2], seed=7), x, y, cfg)
-    h2 = train(make_mlp([3, 8, 2], seed=7), x, y, cfg)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64)
+    h1 = train(make_mlp([3, 8, 2], seed=7), x, y, cfg, seed=11)
+    h2 = train(make_mlp([3, 8, 2], seed=7), x, y, cfg, seed=11)
     assert h1 == h2
 
 
 def test_train_rejects_empty():
     with pytest.raises(ValueError):
         train(make_mlp([2, 1]), np.zeros((0, 2)), np.zeros((0, 1)),
-              TrainConfig(learning_rate=1e-3, epochs=1, batch_size=64))
+              TrainConfig(learning_rate=1e-3, epochs=1, batch_size=64),
+              seed=0)
 
 
 def test_config_validation():
     good = dict(learning_rate=1e-3, epochs=1, batch_size=1)
-    for key, value in (("learning_rate", -1), ("epochs", 0),
+    for key, value in (("learning_rate", -1), ("learning_rate", np.nan),
+                       ("learning_rate", np.inf), ("epochs", 0),
                        ("batch_size", 0), ("epochs", 2.5)):
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{**good, key: value})
     with pytest.raises(TypeError):
-        TrainConfig(epochs=1, batch_size=1)  # every field but seed is required
+        TrainConfig(epochs=1, batch_size=1)  # every field is required
+    with pytest.raises(TypeError, match="seed"):
+        TrainConfig(**good, seed=0)  # each fit takes its seed as an argument
 
 
 # ---------------------------------------------------------------- autoencoder shape
@@ -784,8 +788,8 @@ def test_train_in_float32_keeps_the_dtype(loss):
         model, y = build_classifier(rng(109)), np.arange(40) % 9
     model = in_dtype(model, np.float32)
     history = train(model, x, y, TrainConfig(learning_rate=1e-3, epochs=2,
-                                             batch_size=16, seed=0),
-                    loss=loss)
+                                             batch_size=16),
+                    seed=0, loss=loss)
     assert all(np.isfinite(history))
     for name, params, grads, k in model.parameters():
         assert params[k].dtype == grads[k].dtype == np.float32, name
@@ -802,15 +806,15 @@ def test_train_refuses_a_dtype_other_than_the_parameters():
                        ("mask", (seq, seq, mask.astype(np.float64)))):
         with pytest.raises(ValueError, match=f"^{name} is float64 but the "
                            "model's parameters are float32$"):
-            train(model, *args[:2], cfg, mask=args[2])
+            train(model, *args[:2], cfg, seed=0, mask=args[2])
     with pytest.raises(ValueError, match="^x is float32 but the model's "
                        "parameters are float64$"):
         train(build_classifier(rng(112)), np.zeros((4, 78), np.float32),
-              np.arange(4), cfg, loss="cross_entropy")
+              np.arange(4), cfg, seed=0, loss="cross_entropy")
     # matching dtypes train; integer labels are not checked
-    train(model, seq, seq, cfg, mask=mask)
+    train(model, seq, seq, cfg, seed=0, mask=mask)
     train(build_classifier(rng(112)), np.zeros((4, 78)), np.arange(4), cfg,
-          loss="cross_entropy")
+          seed=0, loss="cross_entropy")
 
 
 def test_float32_training_tracks_float64():

@@ -48,7 +48,7 @@ def test_optim_step_span_once_per_batch():
         "x = np.random.default_rng(0).standard_normal((20, 78))",
         "models.fit_classifier(x, np.arange(20) % 9,",
         "                      TrainConfig(learning_rate=1e-3, epochs=3,",
-        "                                  batch_size=8))",
+        "                                  batch_size=8), seed=0)",
         "print(json.dumps({'steps': tracer.spans['setup', 'neural.optim_step'][0],",
         "                  'batches': tracer.counts['neural.batches']}))",
     ])
