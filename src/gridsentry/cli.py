@@ -14,7 +14,7 @@ from .config import (ConfigError, RunConfig, RunManifest, config_hash,
                      load_config, resolve_output_dir)
 from .detector import load_bundle, save_bundle, train_bundle, trained
 from .detector.pipeline import evaluate_predictions, feature_rows
-from .dispatch import plan_generation, synthesize_loads
+from .dispatch import HOUSEHOLDS_PER_BUS, plan_generation, synthesize_loads
 from .evaluation import (ConfusionMatrix, aggregate_report, csv_table,
                          format_report, holdout_experiment, macro_f1,
                          report_rows, severity_sweep)
@@ -45,11 +45,11 @@ def _series_jobs(cfg: RunConfig):
 def _generate_one(args):
     cfg, case, filename, kind, target, level, seed = args
     rng = np.random.default_rng(seed)
-    loads = synthesize_loads(cfg.num_households, cfg.horizon, rng)
-    plan = plan_generation(loads)
+    demand = synthesize_loads(HOUSEHOLDS_PER_BUS, cfg.horizon, rng)
+    plan = plan_generation(demand)
     condition = (None if kind == "normal" else
                  make_condition(case, kind, target, level, *cfg.window))
-    series = generate_scenario(case, plan, loads, condition,
+    series = generate_scenario(case, plan, demand, condition,
                                noise_sigma=cfg.noise_sigma, seed=seed)
     return filename, series
 
@@ -103,6 +103,9 @@ def load_dataset(data_dir: Path) -> list[ScenarioSeries]:
     return [ScenarioSeries.load(p) for p in paths]
 
 
+SPLIT_FRACTION = 0.8  # share of each (condition, level) group trained on
+
+
 def split_series(series_list, fraction: float, seed: int):
     """Deterministic series-level split, stratified by (condition, level).
 
@@ -139,7 +142,7 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     series_list = load_dataset(data_dir)
-    train_set, _ = split_series(series_list, cfg.split_fraction, cfg.seed)
+    train_set, _ = split_series(series_list, SPLIT_FRACTION, cfg.seed)
     bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
                           stage_configs=cfg.train_stages,
                           noise_sigma=cfg.noise_sigma)
@@ -159,7 +162,7 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
     series_list = load_dataset(data_dir)
-    _, test_set = split_series(series_list, cfg.split_fraction, cfg.seed)
+    _, test_set = split_series(series_list, SPLIT_FRACTION, cfg.seed)
     preds, truth = evaluate_predictions(bundle, test_set, case)
     matrix = ConfusionMatrix.from_pairs(preds, truth)
     report = aggregate_report(matrix)
@@ -230,7 +233,7 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
                              "pass one bundle per variant")
         bundles[bundle.variant] = bundle
     series_list = load_dataset(data_dir)
-    _, test_set = split_series(series_list, cfg.split_fraction, cfg.seed)
+    _, test_set = split_series(series_list, SPLIT_FRACTION, cfg.seed)
     rows = [{"variant": variant, **row}
             for variant, bundle in bundles.items()
             for row in severity_sweep(feature_rows(bundle, test_set, case),

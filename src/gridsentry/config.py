@@ -33,7 +33,6 @@ class RunConfig:
     seed: int
     horizon: int = 120
     noise_sigma: float = 0.01
-    num_households: tuple[int, int] = (90, 110)
     levels: tuple[int, ...] = (1, 2, 3, 4, 5)
     window: tuple[int, int] = (24, 104)
     normal_series: int = 15
@@ -42,7 +41,6 @@ class RunConfig:
     # stage -> the TrainConfig that stage trains with; a config file gives
     # per-stage overrides of the STAGE_DEFAULTS rows
     train_stages: dict = field(default_factory=STAGE_DEFAULTS.copy)
-    split_fraction: float = 0.8
     holdout_replications: int = 5
     holdout_l_values: tuple[int, ...] = (1, 2, 3, 4)
     workers: int = 1
@@ -61,6 +59,15 @@ def resolve_output_dir(path: str) -> Path:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_as_string(value) -> str:
+    """The hint for a number that YAML gave as a string: PyYAML reads an
+    exponent float only with a dot, so 1e-3 is a string and 1.0e-3 a float."""
+    if not isinstance(value, str):
+        return ""
+    return (f"; {value!r} was read as a string: write exponent floats with "
+            "a dot, as in 1.0e-3")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -89,11 +96,9 @@ def load_config(path: str | Path) -> RunConfig:
                  "series_per_condition_per_level", "workers"):
         if not _is_int(getattr(cfg, name)):
             raise ConfigError(f"{name} must be an integer")
-    for name in ("num_households", "window"):
-        value = getattr(cfg, name)
-        if (not isinstance(value, tuple) or len(value) != 2
-                or not all(map(_is_int, value))):
-            raise ConfigError(f"{name} must be a pair of integers")
+    if (not isinstance(cfg.window, tuple) or len(cfg.window) != 2
+            or not all(map(_is_int, cfg.window))):
+        raise ConfigError("window must be a pair of integers")
     for name in ("levels", "variants", "holdout_l_values"):
         if not isinstance(getattr(cfg, name), tuple):
             raise ConfigError(f"{name} must be a list")
@@ -108,14 +113,11 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("horizon must cover at least one day")
     if not 0 <= cfg.window[0] < cfg.window[1] <= cfg.horizon:
         raise ConfigError("window must fit inside the horizon")
-    if not 1 <= cfg.num_households[0] <= cfg.num_households[1]:
-        raise ConfigError("num_households must be [low, high] with "
-                          "1 <= low <= high")
-    for name in ("noise_sigma", "split_fraction"):
-        value = getattr(cfg, name)
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value)):
-            raise ConfigError(f"{name} must be a finite number")
+    value = cfg.noise_sigma
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ConfigError(
+            f"noise_sigma must be a finite number{_read_as_string(value)}")
     if cfg.noise_sigma < 0:
         raise ConfigError("noise_sigma must be >= 0")
     if any(not _is_int(lvl) or lvl not in LEVEL_FRACTIONS
@@ -139,22 +141,26 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("levels must name at least one level")
     if not _is_int(cfg.holdout_replications) or cfg.holdout_replications < 1:
         raise ConfigError("holdout_replications must be an integer >= 1")
-    if not 0 < cfg.split_fraction < 1:
-        raise ConfigError("split_fraction must be in (0, 1)")
     if cfg.normal_series < 1 or cfg.series_per_condition_per_level < 1:
         raise ConfigError("series counts must be positive")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     if not isinstance(overrides, dict):
         raise ConfigError("train_stages must map stage names to settings")
-    for stage in overrides:
+    for stage, settings in overrides.items():
         if stage not in STAGE_DEFAULTS:
             raise ConfigError(f"unknown training stage {stage!r}")
+        if not isinstance(settings, dict):
+            raise ConfigError(f"train_stages.{stage} must map setting names "
+                              "to values")
     for stage, row in STAGE_DEFAULTS.items():
+        settings = overrides.get(stage, {})
         try:
-            cfg.train_stages[stage] = replace(row, **overrides.get(stage, {}))
+            cfg.train_stages[stage] = replace(row, **settings)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"train_stages.{stage}: {exc}") from None
+            # TrainConfig checks learning_rate first
+            hint = _read_as_string(settings.get("learning_rate"))
+            raise ConfigError(f"train_stages.{stage}: {exc}{hint}") from None
     return cfg
 
 

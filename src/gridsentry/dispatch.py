@@ -16,7 +16,7 @@ N_LOAD_BUSES = 9
 
 # 24-point diurnal base shape (mean ~1, evening peak). Synthetic stand-in for
 # aggregated residential consumption; deliberately flat enough that daily
-# peaks stay within the default generator fleet.
+# peaks stay within the generator fleet.
 DIURNAL_SHAPE = np.array([
     0.80, 0.76, 0.74, 0.73, 0.74, 0.78,
     0.84, 0.92, 0.99, 1.03, 1.06, 1.08,
@@ -27,6 +27,7 @@ DIURNAL_SHAPE = np.array([
 # mean household demand in pu, calibrated so ~100 households/bus over 9 buses
 # give a system mean load of ~2.15 pu on the 14-bus case
 HOUSEHOLD_MEAN_PU = 2.15 / (9 * 100 * DIURNAL_SHAPE.mean())
+HOUSEHOLDS_PER_BUS = (90, 110)  # closed range each bus's count is drawn from
 SCALE_SIGMA = 0.3  # log-std of the per-household demand scale
 JITTER_SIGMA = 0.05  # log-std of the per-(bus, hour) demand jitter
 LOSS_FACTOR = 0.03  # network losses the committed capacity must also cover
@@ -36,40 +37,11 @@ class InfeasibleDispatchError(RuntimeError):
     """Demand exceeds total committed-capacity at some hour."""
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    bus: int
-    min_output: float
-    max_output: float
-    ramp_limit: float       # pu per hour
-    marginal_cost: float    # currency per pu-hour
-
-    def __post_init__(self):
-        if not (0 <= self.min_output <= self.max_output):
-            raise ValueError(f"generator at bus {self.bus}: bad output range")
-        if self.ramp_limit <= 0:
-            raise ValueError(f"generator at bus {self.bus}: ramp limit must be > 0")
-
-
-DEFAULT_GENERATORS = (
-    GeneratorSpec(bus=2, min_output=0.10, max_output=1.00, ramp_limit=0.15,
-                  marginal_cost=8.0),
-    GeneratorSpec(bus=3, min_output=0.10, max_output=0.85, ramp_limit=0.15,
-                  marginal_cost=12.0),
-    GeneratorSpec(bus=6, min_output=0.08, max_output=0.75, ramp_limit=0.15,
-                  marginal_cost=18.0),
-    GeneratorSpec(bus=8, min_output=0.08, max_output=0.70, ramp_limit=0.15,
-                  marginal_cost=24.0),
-)
-
-
-@dataclass
-class LoadProfile:
-    demand: np.ndarray  # (T, 9) active pu, column order = load buses 4,5,7,9..14
-
-    @property
-    def horizon(self) -> int:
-        return self.demand.shape[0]
+# the generator fleet, one entry per unit in grid.case.GENERATOR_BUSES order
+MIN_OUTPUT = np.array([0.10, 0.10, 0.08, 0.08])      # pu
+MAX_OUTPUT = np.array([1.00, 0.85, 0.75, 0.70])      # pu
+RAMP_LIMIT = np.array([0.15, 0.15, 0.15, 0.15])      # pu per hour
+MARGINAL_COST = np.array([8.0, 12.0, 18.0, 24.0])    # currency per pu-hour
 
 
 @dataclass
@@ -82,15 +54,16 @@ class GenerationPlan:
         return self.setpoint.shape[0]
 
 
-def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
-                     rng: np.random.Generator) -> LoadProfile:
-    """Aggregate per-bus household curves into an hourly demand matrix.
+def synthesize_loads(households: tuple[int, int], horizon: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Aggregate per-bus household curves into the (T, 9) hourly demand
+    matrix: active pu, columns in load-bus order (4, 5, 7, 9..14).
 
     Household count per bus is drawn once from the closed integer range;
     each household contributes shape(hour) * lognormal scale, and each
     (bus, hour) gets one multiplicative lognormal jitter.
     """
-    lo, hi = num_households_range
+    lo, hi = households
     if lo > hi or lo < 1:
         raise ValueError("household range must be a non-empty positive interval")
     if horizon < 24:
@@ -106,26 +79,24 @@ def synthesize_loads(num_households_range: tuple[int, int], horizon: int,
         jitter = rng.lognormal(-0.5 * JITTER_SIGMA**2, JITTER_SIGMA,
                                size=horizon)
         demand[:, i] = scales.sum() * shape * jitter
-    return LoadProfile(demand)
+    return demand
 
 
-def plan_generation(loads: LoadProfile) -> GenerationPlan:
+def plan_generation(demand: np.ndarray) -> GenerationPlan:
     """Greedy merit-order commitment plus proportional dispatch.
 
-    Units of DEFAULT_GENERATORS are committed cheapest-first until capacity
+    Units of the fleet are committed cheapest-first until capacity
     covers demand * (1 + LOSS_FACTOR); any unit needed at some hour of a day
     stays committed for that whole day (minimum-up simplification). Dispatch
     is proportional to capacity among committed units, clipped to output and
     ramp limits; the slack bus absorbs the (small) residual imbalance.
     """
-    T = loads.horizon
-    specs = DEFAULT_GENERATORS
-    n = len(specs)
-    order = np.argsort([s.marginal_cost for s in specs])
-    caps = np.array([s.max_output for s in specs])
-    mins = np.array([s.min_output for s in specs])
-    ramps = [s.ramp_limit for s in specs]
-    target = loads.demand.sum(axis=1) * (1.0 + LOSS_FACTOR)
+    T = demand.shape[0]
+    n = len(MAX_OUTPUT)
+    order = np.argsort(MARGINAL_COST)
+    caps, mins = MAX_OUTPUT, MIN_OUTPUT
+    ramps = RAMP_LIMIT.tolist()
+    target = demand.sum(axis=1) * (1.0 + LOSS_FACTOR)
 
     infeasible = np.flatnonzero(target > caps.sum())
     if infeasible.size:

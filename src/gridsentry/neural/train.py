@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,9 @@ class TrainConfig:
     batch_size: int
 
     def __post_init__(self):
-        if (isinstance(self.learning_rate, bool)
-                or not 0 <= self.learning_rate < np.inf):
+        rate = self.learning_rate
+        if (isinstance(rate, bool) or not isinstance(rate, numbers.Real)
+                or not 0 <= rate < np.inf):
             raise ValueError("learning_rate must be a finite number >= 0")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)

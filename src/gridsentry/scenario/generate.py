@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dispatch import GenerationPlan, LoadProfile
+from ..dispatch import GenerationPlan
 from ..grid import GridCase, N_SENSORS
 from ..grid.powerflow import measure, solve_power_flow
 from .attacks import (Condition, LABELS, LEVEL_FRACTIONS, mask_measurements,
@@ -90,7 +90,7 @@ class ScenarioSeries:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
+def generate_scenario(case: GridCase, plan: GenerationPlan, demand: np.ndarray,
                       condition: Condition | None,
                       noise_sigma: float, seed: int) -> ScenarioSeries:
     """Apply the condition to the plan's controls, solve each hour, then
@@ -103,13 +103,13 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, loads: LoadProfile,
     hour, whose solve did not converge, repeats the last measured row
     before any mask (NaN before the first converged hour).
     """
-    if plan.horizon != loads.horizon:
-        raise ValueError("plan and loads disagree on horizon")
+    if plan.horizon != demand.shape[0]:
+        raise ValueError("plan and demand disagree on horizon")
     T = plan.horizon
     label = "normal" if condition is None else condition.label
     # 14-bus demand of every hour; the solves get read-only row views
     load_p = np.zeros((T, case.n_bus))
-    load_p[:, [b - 1 for b in case.load_buses]] = loads.demand
+    load_p[:, [b - 1 for b in case.load_buses]] = demand
     load_q = load_p * REACTIVE_RATIO
     load_p.setflags(write=False)
     load_q.setflags(write=False)

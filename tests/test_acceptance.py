@@ -53,7 +53,7 @@ def world(tmp_path_factory, case):
     t0 = time.time()
     data_dir = cli.cmd_gen_data(cfg, out / "data")
     series = cli.load_dataset(data_dir)
-    train, test = cli.split_series(series, cfg.split_fraction, cfg.seed)
+    train, test = cli.split_series(series, cli.SPLIT_FRACTION, cfg.seed)
     bundles, matrices = {}, {}
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
         bundle = pipeline.train_bundle(

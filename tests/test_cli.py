@@ -91,13 +91,10 @@ def test_config_validation_before_compute(tmp_path):
                        ("holdout_l_values", [2, 1, 2]),
                        ("normal_series", 1.5),
                        ("series_per_condition_per_level", 1.5),
-                       ("workers", 2.5), ("num_households", [5, 1]),
-                       ("num_households", [0, 3]),
-                       ("num_households", [1.5, 3]), ("window", [2.5, 20]),
+                       ("workers", 2.5), ("window", [2.5, 20]),
                        ("noise_sigma", "abc"), ("noise_sigma", -0.1),
                        ("noise_sigma", float("nan")),
                        ("noise_sigma", float("inf")),
-                       ("split_fraction", "abc"), ("split_fraction", True),
                        ("case_file", 5), ("output_dir", 5)):
         path = write_config(tmp_path / "c.yaml", **{key: value})
         with pytest.raises(ConfigError, match=key):
@@ -126,6 +123,46 @@ def test_config_validation_before_compute(tmp_path):
         path = write_config(tmp_path / "c.yaml", train_stages=stages)
         with pytest.raises(ConfigError, match=pattern):
             load_config(path)
+
+
+def test_fixed_simulation_inputs_are_not_config_keys(tmp_path):
+    # the households per bus and the split fraction are constants of the
+    # code (dispatch.HOUSEHOLDS_PER_BUS, cli.SPLIT_FRACTION), not settings
+    for key, value in (("num_households", [90, 110]),
+                       ("split_fraction", 0.8)):
+        path = write_config(tmp_path / "c.yaml", **{key: value})
+        with pytest.raises(ConfigError,
+                           match=rf"unknown config keys: \['{key}'\]"):
+            load_config(path)
+
+
+def test_exponent_without_dot_is_refused_as_a_string(tmp_path):
+    # PyYAML reads 1e-3 (no dot) as a string; the refusal says so and
+    # names the form that reads as a number
+    path = tmp_path / "c.yaml"
+    for text, key in (
+            ("noise_sigma: 1e-2", "noise_sigma"),
+            ("train_stages: {classifier: {learning_rate: 1e-3}}",
+             "train_stages.classifier.*learning_rate")):
+        path.write_text(f"seed: 1\noutput_dir: x\n{text}\n")
+        with pytest.raises(ConfigError, match=key) as info:
+            load_config(path)
+        assert "read as a string" in str(info.value)
+        assert "1.0e-3" in str(info.value)
+        path.write_text(f"seed: 1\noutput_dir: x\n"
+                        f"{text.replace('e-', '.0e-')}\n")
+        load_config(path)
+
+
+def test_readme_example_config_loads(tmp_path):
+    # the documented run.yaml uses only keys load_config accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Minimal example (`run.yaml`):", 1)[1]
+    example = example.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.yaml"
+    path.write_text(example)
+    cfg = load_config(path)
+    assert cfg.train_stages["classifier"].epochs == 40
 
 
 def test_partial_stage_override_keeps_stage_defaults(tmp_path):
@@ -337,7 +374,7 @@ def test_split_is_series_level_and_stratified(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
     series = cli.load_dataset(data_dir)
-    train, test = cli.split_series(series, cfg.split_fraction, cfg.seed)
+    train, test = cli.split_series(series, cli.SPLIT_FRACTION, cfg.seed)
     assert len(train) + len(test) == len(series)
     # every non-singleton condition group keeps at least one test series
     test_conditions = {s.metadata["condition"] for s in test}

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from gridsentry.dispatch import (DEFAULT_GENERATORS, DIURNAL_SHAPE,
-                                 HOUSEHOLD_MEAN_PU, JITTER_SIGMA,
-                                 LOSS_FACTOR, SCALE_SIGMA,
-                                 InfeasibleDispatchError, LoadProfile,
-                                 plan_generation, synthesize_loads)
+from gridsentry.dispatch import (DIURNAL_SHAPE, HOUSEHOLD_MEAN_PU,
+                                 HOUSEHOLDS_PER_BUS, JITTER_SIGMA,
+                                 LOSS_FACTOR, MARGINAL_COST, MAX_OUTPUT,
+                                 MIN_OUTPUT, RAMP_LIMIT, SCALE_SIGMA,
+                                 InfeasibleDispatchError, plan_generation,
+                                 synthesize_loads)
+from gridsentry.grid.case import GENERATOR_BUSES
 
 
 def rng(seed=0):
@@ -17,9 +19,9 @@ def rng(seed=0):
 def test_loads_deterministic_and_positive():
     a = synthesize_loads((60, 140), 48, rng(5))
     b = synthesize_loads((60, 140), 48, rng(5))
-    assert a.demand.shape == (48, 9)
-    assert np.all(a.demand > 0)
-    np.testing.assert_array_equal(a.demand, b.demand)
+    assert a.shape == (48, 9)
+    assert np.all(a > 0)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_loads_single_household_shape():
@@ -35,9 +37,9 @@ def test_loads_single_household_shape():
         jitter[:, i] = r.lognormal(-0.5 * JITTER_SIGMA**2, JITTER_SIGMA,
                                    size=24)
         expected[:, i] = scale.sum() * DIURNAL_SHAPE * jitter[:, i]
-    np.testing.assert_array_equal(p.demand, expected)
+    np.testing.assert_array_equal(p, expected)
     # jitter aside, every bus is the identical diurnal base shape up to scale
-    ratio = p.demand / (DIURNAL_SHAPE[:, None] * jitter)
+    ratio = p / (DIURNAL_SHAPE[:, None] * jitter)
     np.testing.assert_allclose(ratio, np.broadcast_to(ratio[0], ratio.shape),
                                rtol=1e-12)
 
@@ -50,7 +52,7 @@ def acf(x, lag):
 def test_loads_daily_periodicity():
     p = synthesize_loads((60, 140), 720, rng(2))
     for i in range(9):
-        assert acf(p.demand[:, i], 24) > acf(p.demand[:, i], 12)
+        assert acf(p[:, i], 24) > acf(p[:, i], 12)
 
 
 def test_loads_bad_args():
@@ -62,16 +64,23 @@ def test_loads_bad_args():
 
 # ---------------------------------------------------------------- planning
 
+def test_fleet_data():
+    # one entry per unit of GENERATOR_BUSES in every fleet array
+    for values in (MIN_OUTPUT, MAX_OUTPUT, RAMP_LIMIT, MARGINAL_COST):
+        assert values.shape == (len(GENERATOR_BUSES),)
+    assert np.all((0 <= MIN_OUTPUT) & (MIN_OUTPUT <= MAX_OUTPUT))
+    assert np.all(RAMP_LIMIT > 0)
+
+
 def flat_profile(total, horizon=24):
-    return LoadProfile(np.full((horizon, 9), total / 9.0))
+    return np.full((horizon, 9), total / 9.0)
 
 
 def test_merit_order_single_unit():
-    cheapest = min(DEFAULT_GENERATORS, key=lambda s: s.marginal_cost)
+    idx = int(np.argmin(MARGINAL_COST))
     # demand plus losses just below the cheapest unit's capacity
-    demand = 0.99 * cheapest.max_output / (1 + LOSS_FACTOR)
+    demand = 0.99 * MAX_OUTPUT[idx] / (1 + LOSS_FACTOR)
     plan = plan_generation(flat_profile(demand))
-    idx = DEFAULT_GENERATORS.index(cheapest)
     assert np.all(plan.commitment[:, idx])
     assert not plan.commitment[:, [i for i in range(4) if i != idx]].any()
     np.testing.assert_allclose(plan.setpoint[:, idx],
@@ -86,11 +95,11 @@ def test_zero_demand():
 
 def test_ramp_clipping():
     ramp = 0.15
-    assert all(s.ramp_limit == ramp for s in DEFAULT_GENERATORS)
+    assert np.all(RAMP_LIMIT == ramp)
     # the 2.0 -> 2.5 pu demand step asks some unit for more than its ramp
     demand = np.full((48, 9), 2.0 / 9.0)
     demand[24:] += 0.5 / 9.0
-    plan = plan_generation(LoadProfile(demand))
+    plan = plan_generation(demand)
     steps = np.abs(np.diff(plan.setpoint, axis=0))
     both = plan.commitment[1:] & plan.commitment[:-1]
     assert np.all(steps[both] <= ramp + 1e-12)
@@ -99,7 +108,7 @@ def test_ramp_clipping():
 
 
 def test_infeasible_demand():
-    cap = sum(s.max_output for s in DEFAULT_GENERATORS)
+    cap = MAX_OUTPUT.sum()
     with pytest.raises(InfeasibleDispatchError, match="hour 0"):
         plan_generation(flat_profile(cap * 2))
 
@@ -107,9 +116,7 @@ def test_infeasible_demand():
 def test_plan_invariants_on_synthetic_loads():
     loads = synthesize_loads((90, 110), 168, rng(11))
     plan = plan_generation(loads)
-    caps = np.array([s.max_output for s in DEFAULT_GENERATORS])
-    mins = np.array([s.min_output for s in DEFAULT_GENERATORS])
-    ramps = np.array([s.ramp_limit for s in DEFAULT_GENERATORS])
+    caps, mins, ramps = MAX_OUTPUT, MIN_OUTPUT, RAMP_LIMIT
     on = plan.commitment
     # setpoint > 0 only where committed; bounds hold where committed
     assert np.all(plan.setpoint[~on] == 0.0)
@@ -121,29 +128,26 @@ def test_plan_invariants_on_synthetic_loads():
     assert np.all(steps[both] <= np.broadcast_to(ramps, steps.shape)[both] + 1e-12)
     # energy adequacy
     committed_cap = (on * caps).sum(axis=1)
-    target = loads.demand.sum(axis=1) * (1 + LOSS_FACTOR)
+    target = loads.sum(axis=1) * (1 + LOSS_FACTOR)
     assert np.all(committed_cap >= target - 1e-9)
     # merit-order monotonicity: committed sets are prefixes of the cost order
-    order = np.argsort([s.marginal_cost for s in DEFAULT_GENERATORS])
+    order = np.argsort(MARGINAL_COST)
     for t in range(plan.horizon):
         flags = on[t][order]
         assert np.all(flags[:-1] >= flags[1:])
 
 
-def ref_plan_generation(loads):
+def ref_plan_generation(demand):
     """plan_generation's reference form: one hour at a time."""
-    T = loads.horizon
-    specs = DEFAULT_GENERATORS
-    order = np.argsort([s.marginal_cost for s in specs])
-    caps = np.array([s.max_output for s in specs])
-    mins = np.array([s.min_output for s in specs])
-    ramps = np.array([s.ramp_limit for s in specs])
-    target = loads.demand.sum(axis=1) * (1.0 + LOSS_FACTOR)
+    T = demand.shape[0]
+    order = np.argsort(MARGINAL_COST)
+    caps, mins, ramps = MAX_OUTPUT, MIN_OUTPUT, RAMP_LIMIT
+    target = demand.sum(axis=1) * (1.0 + LOSS_FACTOR)
     infeasible = np.flatnonzero(target > caps.sum())
     if infeasible.size:
         raise InfeasibleDispatchError(
             f"demand exceeds total generation capacity at hour {infeasible[0]}")
-    commitment = np.zeros((T, len(specs)), dtype=bool)
+    commitment = np.zeros((T, len(caps)), dtype=bool)
     for t in range(T):
         if target[t] <= 0:
             continue
@@ -156,7 +160,7 @@ def ref_plan_generation(loads):
     for d0 in range(0, T, 24):
         day = slice(d0, min(d0 + 24, T))
         commitment[day] = commitment[day].any(axis=0)
-    setpoint = np.zeros((T, len(specs)))
+    setpoint = np.zeros((T, len(caps)))
     for t in range(T):
         on = commitment[t]
         if not on.any():
@@ -184,7 +188,7 @@ def plan_or_error(plan, loads):
 
 def test_plan_matches_reference_form():
     r = rng(21)
-    cap = sum(s.max_output for s in DEFAULT_GENERATORS) / (1 + LOSS_FACTOR)
+    cap = MAX_OUTPUT.sum() / (1 + LOSS_FACTOR)
     profiles = []
     for _ in range(240):
         # horizons off the 24-hour grid, totals from zero to the fleet's
@@ -192,7 +196,7 @@ def test_plan_matches_reference_form():
         T = int(r.integers(1, 170))
         demand = r.uniform(0.0, 1.0, (T, 9)) * r.uniform(0.0, cap / 9)
         demand[r.random(T) < 0.1] = 0.0
-        profiles.append(LoadProfile(demand))
+        profiles.append(demand)
     for seed in range(20):
         low, high = sorted(r.integers(10, 130, size=2))
         profiles.append(synthesize_loads((int(low), int(high)),
@@ -200,9 +204,9 @@ def test_plan_matches_reference_form():
     # a hand-built day: demand only in the evening, with a ramp to climb
     demand = np.zeros((30, 9))
     demand[17:22] = np.array([0.5, 1.5, 2.5, 2.0, 0.4])[:, None] / 9
-    profiles.append(LoadProfile(demand))
+    profiles.append(demand)
     infeasible = flat_profile(cap * 1.01, horizon=40)
-    infeasible.demand[:7] = 0.0
+    infeasible[:7] = 0.0
     profiles.append(infeasible)
 
     kinds = {"plans": 0, "errors": 0}
@@ -225,8 +229,8 @@ def test_all_generators_committed_at_default_scale():
     # attack scenarios need every generator online; the default calibration
     # keeps daily peaks high enough to commit the full fleet
     for seed in range(5):
-        loads = synthesize_loads((90, 110), 96, rng(seed))
-        plan = plan_generation(loads)
+        plan = plan_generation(
+            synthesize_loads(HOUSEHOLDS_PER_BUS, 96, rng(seed)))
         assert plan.commitment.all(), f"seed {seed} left a unit uncommitted"
 
 
@@ -253,7 +257,7 @@ def test_flow_check_runs():
     flows = []
     for t in range(plan.horizon):
         lp = np.zeros(case.n_bus)
-        lp[load_idx] = loads.demand[t]
+        lp[load_idx] = loads[t]
         warm = solve_power_flow(case, lp, lp * REACTIVE_RATIO,
                                 plan.setpoint[t], warm_start=warm)
         assert warm.converged, f"hour {t} did not converge"

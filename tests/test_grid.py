@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect, fsolve
 
-from gridsentry.dispatch import (DEFAULT_GENERATORS, plan_generation,
-                                 synthesize_loads)
+from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, Bus, CaseError, GridCase, N_SENSORS,
                              estimate_state, estimation, load_case, measure,
                              noise_scale, sensor_map, solve_power_flow)
@@ -59,9 +58,8 @@ def test_load_case_shape(case):
 
 def test_generator_orders_agree(case):
     # a setpoint vector is a plan row: its entries follow the plan's columns
-    # (the fleet's order), GENERATOR_BUSES and the case's PV buses alike
-    assert (tuple(s.bus for s in DEFAULT_GENERATORS) == GENERATOR_BUSES
-            == tuple(case.generator_buses))
+    # (GENERATOR_BUSES, the fleet arrays' order) and the case's PV buses alike
+    assert GENERATOR_BUSES == tuple(case.generator_buses)
 
 
 def open_case_text():
@@ -390,9 +388,9 @@ def load_chain(case):
     loads = synthesize_loads((90, 110), 24, np.random.default_rng(8))
     plan = plan_generation(loads)
     out = []
-    for t in range(loads.horizon):
+    for t in range(plan.horizon):
         lp = np.zeros(case.n_bus)
-        lp[[b - 1 for b in case.load_buses]] = loads.demand[t]
+        lp[[b - 1 for b in case.load_buses]] = loads[t]
         out.append((lp, lp * REACTIVE_RATIO, plan.setpoint[t]))
     return out
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gridsentry.dispatch import LoadProfile, plan_generation, synthesize_loads
+from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, GridCase, N_SENSORS, load_case,
                              sensor_map, solve_power_flow)
 from gridsentry.grid.powerflow import NOISE_FLOOR
@@ -124,7 +124,7 @@ def test_access_set_topology(case):
 def fixed_inputs(case, world, t=20):
     loads, plan = world
     lp = np.zeros(14)
-    lp[[b - 1 for b in case.load_buses]] = loads.demand[t]
+    lp[[b - 1 for b in case.load_buses]] = loads[t]
     lq = lp * np.tan(np.arccos(0.95))
     return lp, lq, plan.setpoint[t]
 
@@ -304,7 +304,7 @@ def ref_generate_scenario(case, plan, loads, condition, noise_sigma, seed):
     T = plan.horizon
     label = "normal" if condition is None else condition.label
     load_p = np.zeros((T, case.n_bus))
-    load_p[:, [b - 1 for b in case.load_buses]] = loads.demand
+    load_p[:, [b - 1 for b in case.load_buses]] = loads
     load_q = load_p * REACTIVE_RATIO
 
     def scale(clean):
@@ -380,7 +380,7 @@ def test_generate_scenario_matches_reference_form(tmp_path, case, world):
             ("no-op attack", case, low,
              make_condition(case, "attack", 6, 3, 12, 84)),
             *((f"weakened from hour {start}", weak,
-               LoadProfile(weak_loads.demand[start:]),
+               weak_loads[start:],
                make_condition(weak, "attack", 2, 5, 0, end))
               for start, end in ((16, 26), (18, 20)))]
     seen = set()
@@ -406,8 +406,8 @@ def test_generate_scenario_refuses_mismatched_horizons(case, world):
     # the horizon is each array's length, so a plan of 48 hours and loads
     # of 47 are refused before any solve
     loads, plan = world
-    short = LoadProfile(loads.demand[:-1])
-    assert (short.horizon, plan.horizon) == (47, 48)
+    short = loads[:-1]
+    assert (len(short), plan.horizon) == (47, 48)
     with pytest.raises(ValueError, match="disagree on horizon"):
         generate_scenario(case, plan, short, None, 0.01, seed=0)
 
@@ -418,7 +418,7 @@ def test_unconverged_solves_are_never_measured(case, world, monkeypatch):
     # and never measures that solve's sensors
     loads, plan = world
     solve = generate.solve_power_flow
-    hours = iter(range(loads.horizon))
+    hours = iter(range(plan.horizon))
 
     def flagged(*args, **kwargs):
         sol = solve(*args, **kwargs)
@@ -436,7 +436,7 @@ def test_unconverged_solves_are_never_measured(case, world, monkeypatch):
                               s.values[4].view(np.uint64))
     # the other hours are measured as usual, from other warm starts: the
     # solves agree to 1.4e-8, within ten times their 1e-8 mismatch tolerance
-    rest = [t for t in range(loads.horizon) if t not in (0, 5, 6)]
+    rest = [t for t in range(plan.horizon) if t not in (0, 5, 6)]
     np.testing.assert_allclose(s.values[rest], full.values[rest],
                                rtol=0, atol=1e-7)
 
