@@ -15,7 +15,7 @@ from .config import (ConfigError, RunConfig, RunManifest, config_hash,
 from .detector import load_bundle, save_bundle, train_bundle, trained
 from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import HOUSEHOLDS_PER_BUS, plan_generation, synthesize_loads
-from .evaluation import (ConfusionMatrix, aggregate_report, csv_table,
+from .evaluation import (accuracy, confusion_counts, csv_table,
                          format_report, holdout_experiment, macro_f1,
                          report_rows, severity_sweep)
 from .grid import load_case
@@ -164,23 +164,23 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     series_list = load_dataset(data_dir)
     _, test_set = split_series(series_list, SPLIT_FRACTION, cfg.seed)
     preds, truth = evaluate_predictions(bundle, test_set, case)
-    matrix = ConfusionMatrix.from_pairs(preds, truth)
-    report = aggregate_report(matrix)
+    counts = confusion_counts(preds, truth)
+    rows = report_rows(counts)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     variant = bundle.variant
-    text = format_report(report)
+    text = format_report(counts, rows)
     text_path = out_dir / f"report_{variant}.txt"
     text_path.write_text(text)
     rows_path = out_dir / f"report_{variant}.csv"
     rows_path.write_text(csv_table(("section", "name", "precision",
-                                    "recall", "f1"), report_rows(report)))
+                                    "recall", "f1"), rows))
     conf_path = out_dir / f"confusion_{variant}.csv"
-    np.savetxt(conf_path, matrix.counts, fmt="%d", delimiter=",")
-    score = macro_f1(matrix)
+    np.savetxt(conf_path, counts, fmt="%d", delimiter=",")
+    score = macro_f1(counts)
     manifest.record(f"evaluate-{variant}", [text_path, rows_path, conf_path],
-                    frames=matrix.total, macro_f1=score,
-                    accuracy=matrix.accuracy())
+                    frames=int(counts.sum()), macro_f1=score,
+                    accuracy=accuracy(counts))
     print(text)
     print(f"macro-F1: {score:.4f}")
     if gate is not None and score < gate:

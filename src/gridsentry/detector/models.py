@@ -10,6 +10,7 @@ All variants feed the same 78-dim (residual ++ observation) classifier.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -283,17 +284,29 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     np.savez(path, **arrays)
 
 
+@contextlib.contextmanager
+def _naming(part: str, path):
+    """Re-raise a KeyError or ValueError naming `part` and bundle `path`."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise type(exc)(f"{part} in bundle file {path}: "
+                        f"{exc.args[0]}") from exc
+
+
 def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
     """Read a bundle file trained against `case`'s sensor index map.
 
     A bundle whose sensor-map hash is missing, empty or not `case`'s is
     refused with SensorMapMismatchError. The bundle gets exactly the
-    sub-models its variant trains; a file that lacks (KeyError) or misshapes
-    (ValueError) any of their arrays is refused with an error naming the
-    sub-model and the file.
+    sub-models its variant trains. A file that lacks (KeyError) or
+    misshapes (ValueError) any of their arrays or of its meta arrays, or
+    names an unknown variant (ValueError), is refused with an error naming
+    the sub-model, or "meta", and the file.
     """
     with np.load(Path(path)) as data:
-        version = int(data["meta/format_version"])
+        with _naming("meta", path):
+            version = int(data["meta/format_version"])
         if version != BUNDLE_FORMAT_VERSION:
             raise ValueError(f"unsupported bundle file version {version} in "
                              f"{path}; expected {BUNDLE_FORMAT_VERSION}")
@@ -302,14 +315,15 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
             raise SensorMapMismatchError(
                 "bundle trained on a different sensor index map; "
                 "refusing to run")
-        variant = str(data["meta/variant"])
-        stats = PreprocessStats(std=data["meta/std"],
-                                raw_mean=data["meta/raw_mean"],
-                                raw_std=data["meta/raw_std"])
-        bundle = ModelBundle(
-            variant=variant, stats=stats,
-            sensor_hash=str(data["meta/sensor_hash"]),
-            noise_sigma=float(data["meta/noise_sigma"]))
+        with _naming("meta", path):
+            bundle = ModelBundle(
+                variant=str(data["meta/variant"]),
+                stats=PreprocessStats(std=data["meta/std"],
+                                      raw_mean=data["meta/raw_mean"],
+                                      raw_std=data["meta/raw_std"]),
+                sensor_hash=str(data["meta/sensor_hash"]),
+                noise_sigma=float(data["meta/noise_sigma"]))
+        variant = bundle.variant
         # the weights are overwritten from the file; the seed is arbitrary
         rng = np.random.default_rng(0)
         if variant == "AEN_RNN_DNN":
@@ -322,9 +336,6 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
             prefix = name + "/"
             state = {k[len(prefix):]: data[k] for k in data.files
                      if k.startswith(prefix)}
-            try:
+            with _naming(name, path):
                 set_state(getattr(bundle, name), state)
-            except (KeyError, ValueError) as exc:
-                raise type(exc)(f"{name} in bundle file {path}: "
-                                f"{exc.args[0]}") from exc
     return bundle

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -16,6 +17,14 @@ CLASS_GROUPS = [[LABEL_INDEX["normal"]],
                 *([LABEL_INDEX[condition_name(kind, bus)]
                    for bus in GENERATOR_BUSES] for kind in KINDS)]
 
+# the text report's heading above each section's rows
+SECTION_TITLES = {
+    "label": "nine-label classification\n"
+             f"  {'label':<12s} {'precision':>9s} {'recall':>9s} {'f1':>9s}\n",
+    "class": "detection (3-class)\n",
+    "localization": "localization (within true class)\n",
+}
+
 
 def _label_index(label) -> int:
     if isinstance(label, (int, np.integer)):
@@ -27,35 +36,25 @@ def _label_index(label) -> int:
     return LABEL_INDEX[label]
 
 
-@dataclass
-class ConfusionMatrix:
-    """9x9 integer counts; rows are truth, columns are prediction."""
+def confusion_counts(predictions, truths) -> np.ndarray:
+    """(9, 9) integer counts of (truth, prediction) pairs of label indices;
+    rows are truth, columns are prediction."""
+    index = (np.asarray(truths), np.asarray(predictions))
+    if index[0].shape != index[1].shape:
+        raise ValueError("predictions and truths differ in length")
+    counts = np.zeros((N_LABELS, N_LABELS), dtype=int)
+    if index[0].size:
+        if any(a.dtype.kind not in "iu" or a.min() < 0
+               or a.max() >= N_LABELS for a in index):
+            raise ValueError(
+                f"label indices must be integers in 0..{N_LABELS - 1}")
+        np.add.at(counts, index, 1)
+    return counts
 
-    counts: np.ndarray = field(
-        default_factory=lambda: np.zeros((N_LABELS, N_LABELS), dtype=int))
 
-    @classmethod
-    def from_pairs(cls, predictions, truths) -> "ConfusionMatrix":
-        """Count (truth, prediction) pairs of label indices."""
-        index = (np.asarray(truths), np.asarray(predictions))
-        if index[0].shape != index[1].shape:
-            raise ValueError("predictions and truths differ in length")
-        matrix = cls()
-        if index[0].size:
-            if any(a.dtype.kind not in "iu" or a.min() < 0
-                   or a.max() >= N_LABELS for a in index):
-                raise ValueError(
-                    f"label indices must be integers in 0..{N_LABELS - 1}")
-            np.add.at(matrix.counts, index, 1)
-        return matrix
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def accuracy(self) -> float:
-        total = self.total
-        return float(np.trace(self.counts)) / total if total else 0.0
+def accuracy(counts: np.ndarray) -> float:
+    total = int(counts.sum())
+    return float(np.trace(counts)) / total if total else 0.0
 
 
 def _prf(tp: int, fp: int, fn: int):
@@ -82,24 +81,9 @@ def _one_vs_rest(counts: np.ndarray, index: int, rows=slice(None)):
     return _prf(tp, fp, fn)
 
 
-def precision_recall_f1(matrix: ConfusionMatrix, label):
+def precision_recall_f1(counts: np.ndarray, label):
     """One-vs-rest (precision, recall, F1) for one of the nine labels."""
-    return _one_vs_rest(matrix.counts, _label_index(label))[:3]
-
-
-def macro_f1(matrix: ConfusionMatrix) -> float:
-    return float(np.mean([precision_recall_f1(matrix, i)[2]
-                          for i in range(N_LABELS)]))
-
-
-@dataclass
-class ClassificationReport:
-    per_label: dict          # label name -> (precision, recall, f1)
-    three_class: dict        # normal/attack/fault -> (precision, recall, f1)
-    localization: dict       # (class, bus) -> (precision, recall, f1)
-    accuracy: float
-    total: int
-    zero_by_convention: dict  # entry key -> metrics that are 0 by convention
+    return _one_vs_rest(counts, _label_index(label))[:3]
 
 
 def _collapse_three_class(counts: np.ndarray) -> np.ndarray:
@@ -111,74 +95,52 @@ def _collapse_three_class(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def aggregate_report(matrix: ConfusionMatrix) -> ClassificationReport:
-    """Per-label, collapsed 3-class, and within-class localization metrics.
+def report_rows(counts: np.ndarray) -> list[dict]:
+    """The 9 label, 3 class and 8 localization rows of a confusion matrix.
 
-    Localization metrics for a bus are computed on the sub-matrix restricted
-    to frames whose true class matches.
+    Each row holds section, name, precision, recall, f1 and
+    zero_by_convention, the metrics that are 0 only because their
+    denominator is. A localization entry counts its false positives over
+    frames of its true class only: misdetections (predictions outside the
+    class) count as localization misses, predictions into the class from
+    outside do not.
     """
-    counts = matrix.counts
     collapsed = _collapse_three_class(counts)
-    # section -> [(table key, convention key, _one_vs_rest result)]; within
-    # a true class, misdetections (predictions outside the class) count as
-    # localization misses, predictions into the class from outside do not
-    sections = {
-        "per_label": [(name, name, _one_vs_rest(counts, i))
-                      for i, name in enumerate(LABELS)],
-        "three_class": [(name, name, _one_vs_rest(collapsed, i))
-                        for i, name in enumerate(THREE_CLASSES)],
-        "localization": [
-            ((cls, bus), f"{cls}@{bus}",
-             _one_vs_rest(counts, LABEL_INDEX[condition_name(cls, bus)],
-                          rows))
-            for cls, rows in zip(KINDS, CLASS_GROUPS[1:])
-            for bus in GENERATOR_BUSES],
-    }
-    return ClassificationReport(
-        **{section: {key: metrics[:3] for key, _, metrics in entries}
-           for section, entries in sections.items()},
-        accuracy=matrix.accuracy(), total=matrix.total,
-        zero_by_convention={name: metrics[3]
-                            for entries in sections.values()
-                            for _, name, metrics in entries if metrics[3]})
+    entries = [
+        *(("label", name, _one_vs_rest(counts, i))
+          for i, name in enumerate(LABELS)),
+        *(("class", name, _one_vs_rest(collapsed, i))
+          for i, name in enumerate(THREE_CLASSES)),
+        *(("localization", f"{cls}@{bus}",
+           _one_vs_rest(counts, LABEL_INDEX[condition_name(cls, bus)], rows))
+          for cls, rows in zip(KINDS, CLASS_GROUPS[1:])
+          for bus in GENERATOR_BUSES)]
+    return [{"section": section, "name": name, "precision": p, "recall": r,
+             "f1": f, "zero_by_convention": convention}
+            for section, name, (p, r, f, convention) in entries]
 
 
-def format_report(report: ClassificationReport) -> str:
-    """Aligned plain-text rendering of the per-label and aggregated tables."""
+def macro_f1(counts: np.ndarray) -> float:
+    """Mean F1 of the nine labels' report rows."""
+    return float(np.mean([row["f1"] for row in report_rows(counts)
+                          if row["section"] == "label"]))
+
+
+def format_report(counts: np.ndarray, rows) -> str:
+    """Aligned plain-text rendering of `counts`' report_rows."""
     buf = io.StringIO()
-
-    def row(name, metrics):
-        p, r, f = metrics
-        buf.write(f"  {name:<12s} {p:9.4f} {r:9.4f} {f:9.4f}\n")
-
-    buf.write(f"frames evaluated: {report.total}  "
-              f"accuracy: {report.accuracy:.4f}\n")
-    buf.write("nine-label classification\n")
-    buf.write(f"  {'label':<12s} {'precision':>9s} {'recall':>9s} {'f1':>9s}\n")
-    for name in LABELS:
-        row(name, report.per_label[name])
-    buf.write("detection (3-class)\n")
-    for name in THREE_CLASSES:
-        row(name, report.three_class[name])
-    buf.write("localization (within true class)\n")
-    for (cls, bus), metrics in report.localization.items():
-        row(f"{cls}@{bus}", metrics)
-    if report.zero_by_convention:
-        keys = ", ".join(sorted(report.zero_by_convention))
-        buf.write(f"zero-by-convention entries: {keys}\n")
+    buf.write(f"frames evaluated: {int(counts.sum())}  "
+              f"accuracy: {accuracy(counts):.4f}\n")
+    for section, members in groupby(rows, key=lambda row: row["section"]):
+        buf.write(SECTION_TITLES[section])
+        for row in members:
+            buf.write(f"  {row['name']:<12s} {row['precision']:9.4f} "
+                      f"{row['recall']:9.4f} {row['f1']:9.4f}\n")
+    # "normal" names a label row and a class row; it is listed once
+    names = sorted({row["name"] for row in rows if row["zero_by_convention"]})
+    if names:
+        buf.write(f"zero-by-convention entries: {', '.join(names)}\n")
     return buf.getvalue()
-
-
-def report_rows(report: ClassificationReport) -> list[dict]:
-    """Machine-readable flat rows (section, name, precision, recall, f1)."""
-    localization = {f"{cls}@{bus}": metrics
-                    for (cls, bus), metrics in report.localization.items()}
-    sections = (("label", report.per_label), ("class", report.three_class),
-                ("localization", localization))
-    return [{"section": section, "name": name,
-             "precision": p, "recall": r, "f1": f}
-            for section, table in sections
-            for name, (p, r, f) in table.items()]
 
 
 def csv_table(columns, rows) -> str:
@@ -210,10 +172,9 @@ def severity_sweep(rows, classifier) -> list[dict]:
     for level in levels:
         kept = [(x, y) for lvl, x, y in rows if lvl == level] + normals
         preds = classify(classifier, np.concatenate([x for x, _ in kept]))
-        matrix = ConfusionMatrix.from_pairs(
-            preds, np.concatenate([y for _, y in kept]))
+        counts = confusion_counts(preds, np.concatenate([y for _, y in kept]))
         for bus in GENERATOR_BUSES:
-            _, _, f1 = precision_recall_f1(matrix,
+            _, _, f1 = precision_recall_f1(counts,
                                             condition_name("attack", bus))
             out.append({"bus": bus, "level": level, "f1": f1})
     return out

@@ -24,10 +24,6 @@ class ScenarioSeries:
     labels: list[str]           # per-frame, from LABELS
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0]
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("hour," + ",".join(f"s{i:02d}" for i in range(N_SENSORS))

@@ -18,7 +18,7 @@ from gridsentry.config import RunConfig, RunManifest
 from gridsentry.detector import pipeline
 from gridsentry.detector.models import build_autoencoder, build_classifier
 from gridsentry.dispatch import plan_generation, synthesize_loads
-from gridsentry.evaluation import (ConfusionMatrix, holdout_experiment,
+from gridsentry.evaluation import (confusion_counts, holdout_experiment,
                                    macro_f1, precision_recall_f1,
                                    severity_sweep)
 from gridsentry.grid import load_case, solve_power_flow
@@ -62,7 +62,7 @@ def world(tmp_path_factory, case):
             noise_sigma=cfg.noise_sigma)
         preds, truth = pipeline.evaluate_predictions(bundle, test, case=case)
         bundles[variant] = bundle
-        matrices[variant] = ConfusionMatrix.from_pairs(preds, truth)
+        matrices[variant] = confusion_counts(preds, truth)
     return {
         "config": cfg, "series": series, "train": train, "test": test,
         "bundles": bundles, "matrices": matrices,
@@ -226,16 +226,15 @@ def test_criterion_5_gradient_fidelity():
 # ------------------------------------------------- 6: metric exactness
 
 def test_criterion_6_metric_exactness():
-    matrix = ConfusionMatrix()
-    matrix.counts[1, 1] = 2                          # TP=2
-    matrix.counts[0, 1] = 1                          # FP=1
-    matrix.counts[1, 0] = 1                          # FN=1
+    matrix = np.zeros((9, 9), dtype=int)
+    matrix[1, 1] = 2                                 # TP=2
+    matrix[0, 1] = 1                                 # FP=1
+    matrix[1, 0] = 1                                 # FN=1
     assert precision_recall_f1(matrix, "attack_2") == (2 / 3, 2 / 3, 2 / 3)
 
     rng = np.random.default_rng(5)
     for _ in range(50):
         counts = rng.integers(0, 10, size=(9, 9))
-        m = ConfusionMatrix(counts=counts)
         pairs = [(t, p) for t in range(9) for p in range(9)
                  for _ in range(counts[t, p])]
         for label in range(9):
@@ -246,7 +245,8 @@ def test_criterion_6_metric_exactness():
             recall = tp / (tp + fn) if tp + fn else 0.0
             f1 = (2 * precision * recall / (precision + recall)
                   if precision + recall else 0.0)
-            assert precision_recall_f1(m, label) == (precision, recall, f1)
+            assert precision_recall_f1(counts, label) == \
+                (precision, recall, f1)
     _report(6, "formula case and 50 random matrices match the brute-force "
                "tally oracle exactly")
 

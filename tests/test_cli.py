@@ -398,7 +398,7 @@ def test_train_evaluate_roundtrip(workspace):
     assert (report_dir / "report_SE_DNN.txt").exists()
     counts = np.loadtxt(report_dir / "confusion_SE_DNN.csv", delimiter=",")
     _, test = cli.split_series(cli.load_dataset(data_dir), 0.8, 77)
-    expected_frames = sum(s.horizon - 1 - 10 for s in test)
+    expected_frames = sum(len(s.values) - 1 - 10 for s in test)
     assert counts.sum() == expected_frames
 
     # an impossible gate flips the exit code
@@ -432,7 +432,7 @@ def test_float32_bundle_roundtrip(workspace, tmp_path):
     preds, truth = pipeline.evaluate_predictions(bundle, series, case)
     again, truth_again = pipeline.evaluate_predictions(loaded, series, case)
     assert np.array_equal(preds, again) and np.array_equal(truth, truth_again)
-    assert len(preds) == sum(s.horizon - 1 - 10 for s in series)
+    assert len(preds) == sum(len(s.values) - 1 - 10 for s in series)
 
 
 def test_train_refuses_variant_outside_config(tmp_path, monkeypatch):

@@ -235,8 +235,9 @@ def test_se_residuals_near_zero_on_noiseless(case):
         np.random.default_rng(6).standard_normal((200, N_SENSORS)))])
     bundle = make_stub_bundle("SE_DNN", case, stats)
     [(ts, residuals)] = predict_and_residual(bundle, [series], case=case)
-    assert residuals.shape == (series.horizon - 1 - LAGS, N_SENSORS)
-    np.testing.assert_array_equal(ts, np.arange(LAGS + 1, series.horizon))
+    assert residuals.shape == (len(series.values) - 1 - LAGS, N_SENSORS)
+    np.testing.assert_array_equal(ts,
+                                  np.arange(LAGS + 1, len(series.values)))
     assert np.max(np.abs(residuals * stats.std)) < 1e-6
 
 
@@ -249,7 +250,7 @@ def test_residual_alignment_rnn(case, normal_series):
     bundle.predictor, _ = fit_predictor(z, cfg, seed=0)
     [(ts, residuals)] = predict_and_residual(bundle, [series], case)
     assert ts[0] == LAGS + 1
-    assert ts[-1] == series.horizon - 1
+    assert ts[-1] == len(series.values) - 1
     assert residuals.shape == (len(ts), N_SENSORS)
     [(_, x, y)] = feature_rows(bundle, [series], case)
     assert x.shape == (len(ts), CLASSIFIER_INPUT)
@@ -504,6 +505,15 @@ def test_load_names_submodel_and_file_of_a_bad_array(tmp_path, case):
     np.savez(path, **{**arrays, "classifier/layer2.Dense.W": np.zeros(3)})
     with pytest.raises(ValueError, match=f"classifier in bundle file "
                        f"{re.escape(str(path))}: shape mismatch"):
+        load_bundle(path, case)
+    # a missing meta array or an unknown variant names the file too
+    named = f"meta in bundle file {re.escape(str(path))}: "
+    for key in ("meta/format_version", "meta/variant", "meta/std"):
+        np.savez(path, **{k: v for k, v in arrays.items() if k != key})
+        with pytest.raises(KeyError, match=named + key):
+            load_bundle(path, case)
+    np.savez(path, **{**arrays, "meta/variant": np.array("XX")})
+    with pytest.raises(ValueError, match=named + "unknown variant 'XX'$"):
         load_bundle(path, case)
 
 

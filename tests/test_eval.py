@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import gridsentry.evaluation as ev
-from gridsentry.evaluation import (ConfusionMatrix, HoldoutResult,
-                                   aggregate_report, csv_table, format_report,
+from gridsentry.evaluation import (HoldoutResult, accuracy,
+                                   confusion_counts, csv_table, format_report,
                                    holdout_experiment, macro_f1,
                                    precision_recall_f1, report_rows,
                                    severity_sweep)
@@ -32,129 +32,131 @@ def tally_oracle(pairs, positive):
     return precision, recall, f1
 
 
+def report_tables(counts):
+    """report_rows keyed by (section, name), as (precision, recall, f1)."""
+    return {(row["section"], row["name"]):
+            (row["precision"], row["recall"], row["f1"])
+            for row in report_rows(counts)}
+
+
 # ---------------------------------------------------------------- confusion
 
 def test_confusion_perfect_diagonal():
-    matrix = ConfusionMatrix.from_pairs(range(9), range(9))
-    np.testing.assert_array_equal(matrix.counts, np.eye(9, dtype=int))
-    assert matrix.accuracy() == 1.0
+    counts = confusion_counts(range(9), range(9))
+    np.testing.assert_array_equal(counts, np.eye(9, dtype=int))
+    assert accuracy(counts) == 1.0
 
 
 def test_confusion_empty():
-    matrix = ConfusionMatrix.from_pairs([], [])
-    assert matrix.total == 0
-    assert matrix.accuracy() == 0.0
+    counts = confusion_counts([], [])
+    assert counts.sum() == 0
+    assert accuracy(counts) == 0.0
 
 
 def test_confusion_three_frame_example():
     truths = [LABEL_INDEX[n] for n in ("normal", "attack_2", "attack_2")]
     preds = [LABEL_INDEX[n] for n in ("normal", "fault_2", "attack_2")]
-    matrix = ConfusionMatrix.from_pairs(preds, truths)
-    assert matrix.counts[0, 0] == 1
-    assert matrix.counts[1, 5] == 1
-    assert matrix.counts[1, 1] == 1
-    assert matrix.total == 3
+    counts = confusion_counts(preds, truths)
+    assert counts[0, 0] == 1
+    assert counts[1, 5] == 1
+    assert counts[1, 1] == 1
+    assert counts.sum() == 3
 
 
 def test_confusion_rejects_bad_input():
     with pytest.raises(ValueError):
-        ConfusionMatrix.from_pairs(["bogus"], ["normal"])
+        confusion_counts(["bogus"], ["normal"])
     with pytest.raises(ValueError):
-        ConfusionMatrix.from_pairs([0, 1], [0])
+        confusion_counts([0, 1], [0])
     for bad in (9, -1):
         with pytest.raises(ValueError):
-            ConfusionMatrix.from_pairs([bad], [0])
+            confusion_counts([bad], [0])
         with pytest.raises(ValueError):
-            ConfusionMatrix.from_pairs([0], [bad])
+            confusion_counts([0], [bad])
 
 
 # ---------------------------------------------------------------- metrics
 
 def test_prf_formula_case():
     # TP=2, FP=1, FN=1 for attack_2
-    matrix = ConfusionMatrix()
-    matrix.counts[1, 1] = 2
-    matrix.counts[0, 1] = 1
-    matrix.counts[1, 0] = 1
-    p, r, f = precision_recall_f1(matrix, "attack_2")
+    counts = np.zeros((9, 9), dtype=int)
+    counts[1, 1] = 2
+    counts[0, 1] = 1
+    counts[1, 0] = 1
+    p, r, f = precision_recall_f1(counts, "attack_2")
     assert (p, r, f) == (2 / 3, 2 / 3, 2 / 3)
 
 
 def test_prf_all_correct():
-    matrix = ConfusionMatrix.from_pairs([3] * 5, [3] * 5)
-    assert precision_recall_f1(matrix, 3) == (1.0, 1.0, 1.0)
+    counts = confusion_counts([3] * 5, [3] * 5)
+    assert precision_recall_f1(counts, 3) == (1.0, 1.0, 1.0)
 
 
 def test_prf_absent_label_convention():
-    matrix = ConfusionMatrix.from_pairs([0] * 4, [0] * 4)
-    assert precision_recall_f1(matrix, "fault_8") == (0.0, 0.0, 0.0)
+    counts = confusion_counts([0] * 4, [0] * 4)
+    assert precision_recall_f1(counts, "fault_8") == (0.0, 0.0, 0.0)
 
 
 def test_prf_matches_tally_oracle_exactly():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        matrix = ConfusionMatrix(counts=rng.integers(0, 7, size=(9, 9)))
-        pairs = pairs_from_matrix(matrix.counts)
+        counts = rng.integers(0, 7, size=(9, 9))
+        pairs = pairs_from_matrix(counts)
         for label in range(9):
-            assert precision_recall_f1(matrix, label) == \
+            assert precision_recall_f1(counts, label) == \
                 tally_oracle(pairs, label)
 
 
 def test_metric_integer_identities():
     rng = np.random.default_rng(1)
-    matrix = ConfusionMatrix(counts=rng.integers(0, 20, size=(9, 9)))
+    counts = rng.integers(0, 20, size=(9, 9))
     for i in range(9):
-        tp = matrix.counts[i, i]
-        fp = matrix.counts[:, i].sum() - tp
-        fn = matrix.counts[i, :].sum() - tp
-        p, r, _ = precision_recall_f1(matrix, i)
+        tp = counts[i, i]
+        fp = counts[:, i].sum() - tp
+        fn = counts[i, :].sum() - tp
+        p, r, _ = precision_recall_f1(counts, i)
         assert round(p * (tp + fp)) == tp
         assert round(r * (tp + fn)) == tp
 
 
 def test_macro_f1_uniform():
-    matrix = ConfusionMatrix.from_pairs(range(9), range(9))
-    assert macro_f1(matrix) == 1.0
+    counts = confusion_counts(range(9), range(9))
+    assert macro_f1(counts) == 1.0
 
 
 # ---------------------------------------------------------------- aggregate
 
 def test_aggregate_perfect():
-    matrix = ConfusionMatrix.from_pairs(list(range(9)) * 3,
-                                        list(range(9)) * 3)
-    report = aggregate_report(matrix)
-    for metrics in report.per_label.values():
-        assert metrics == (1.0, 1.0, 1.0)
-    for metrics in report.three_class.values():
-        assert metrics == (1.0, 1.0, 1.0)
-    for metrics in report.localization.values():
-        assert metrics == (1.0, 1.0, 1.0)
-    assert not report.zero_by_convention
+    rows = report_rows(confusion_counts(list(range(9)) * 3,
+                                        list(range(9)) * 3))
+    for row in rows:
+        assert (row["precision"], row["recall"], row["f1"]) == \
+            (1.0, 1.0, 1.0)
+    assert not any(row["zero_by_convention"] for row in rows)
 
 
 def test_aggregate_always_attack2():
     # truth is any attack; prediction is always attack_2
     truths = [1, 2, 3, 4] * 5
     preds = [1] * 20
-    report = aggregate_report(ConfusionMatrix.from_pairs(preds, truths))
-    assert report.three_class["attack"][1] == 1.0  # 3-class recall
-    assert report.localization[("attack", 2)][1] == 1.0
+    tables = report_tables(confusion_counts(preds, truths))
+    assert tables["class", "attack"][1] == 1.0  # 3-class recall
+    assert tables["localization", "attack@2"][1] == 1.0
     for bus in (3, 6, 8):
-        assert report.localization[("attack", bus)][1] == 0.0
+        assert tables["localization", f"attack@{bus}"][1] == 0.0
 
 
 def test_aggregate_matches_hand_tally():
     rng = np.random.default_rng(2)
     counts = rng.integers(0, 9, size=(9, 9))
-    matrix = ConfusionMatrix(counts=counts)
-    report = aggregate_report(matrix)
+    tables = report_tables(counts)
     pairs = pairs_from_matrix(counts)
 
     # 3-class block: collapse pairs, then brute-force tally
     cls = lambda i: 0 if i == 0 else (1 if i <= 4 else 2)
     collapsed = [(cls(t), cls(p)) for t, p in pairs]
     for i, name in enumerate(("normal", "attack", "fault")):
-        assert report.three_class[name] == tally_oracle(collapsed, i)
+        assert tables["class", name] == tally_oracle(collapsed, i)
 
     # localization conditioned on true class: keep frames of that class
     for cls_name, members in (("attack", [1, 2, 3, 4]),
@@ -169,7 +171,7 @@ def test_aggregate_matches_hand_tally():
             recall = tp / (tp + fn) if tp + fn else 0.0
             f1 = (2 * precision * recall / (precision + recall)
                   if precision + recall else 0.0)
-            assert report.localization[(cls_name, bus)] == \
+            assert tables["localization", f"{cls_name}@{bus}"] == \
                 (precision, recall, f1)
 
 
@@ -183,12 +185,11 @@ def test_aggregate_conservation():
 
 
 def test_report_rendering():
-    matrix = ConfusionMatrix.from_pairs(range(9), range(9))
-    report = aggregate_report(matrix)
-    text = format_report(report)
+    counts = confusion_counts(range(9), range(9))
+    rows = report_rows(counts)
+    text = format_report(counts, rows)
     assert "nine-label classification" in text
     assert "attack@2" in text
-    rows = report_rows(report)
     assert len(rows) == 9 + 3 + 8
     lines = csv_table(("section", "name", "precision", "recall", "f1"),
                       rows).splitlines()
@@ -232,49 +233,76 @@ def ref_one_vs_rest(counts, index):
     return ref_prf(tp, fp, fn)
 
 
-def ref_aggregate_report(matrix):
-    """aggregate_report with one hand-written loop per section."""
-    counts = matrix.counts
-    convention = {}
-
-    per_label = {}
+def ref_report(counts):
+    """The text and CSV reports of `counts` written out section by section,
+    and the (section, metric) pairs that are 0 by convention."""
+    group = lambda i: 0 if i == 0 else (1 if i <= 4 else 2)
+    collapsed = np.zeros((3, 3), dtype=int)
+    for t in range(9):
+        for p in range(9):
+            collapsed[group(t), group(p)] += counts[t, p]
+    entries = []  # (section, name, ref_prf result)
     for i, name in enumerate(ev.LABELS):
-        p, r, f, conv = ref_one_vs_rest(counts, i)
-        per_label[name] = (p, r, f)
-        if conv:
-            convention[name] = conv
-
-    collapsed = ev._collapse_three_class(counts)
-    three_class = {}
-    for i, name in enumerate(ev.THREE_CLASSES):
-        p, r, f, conv = ref_one_vs_rest(collapsed, i)
-        three_class[name] = (p, r, f)
-        if conv:
-            convention[name] = conv
-
-    localization = {}
-    for cls, rows in zip(ev.THREE_CLASSES[1:], ev.CLASS_GROUPS[1:]):
-        for bus in ev.GENERATOR_BUSES:
-            li = LABEL_INDEX[f"{cls}_{bus}"]
+        entries.append(("label", name, ref_one_vs_rest(counts, i)))
+    for i, name in enumerate(("normal", "attack", "fault")):
+        entries.append(("class", name, ref_one_vs_rest(collapsed, i)))
+    for cls, members in (("attack", [1, 2, 3, 4]), ("fault", [5, 6, 7, 8])):
+        for li, bus in zip(members, (2, 3, 6, 8)):
             tp = int(counts[li, li])
-            fp = int(counts[rows, li].sum()) - tp
+            fp = int(counts[members, li].sum()) - tp
             fn = int(counts[li, :].sum()) - tp
-            p, r, f, conv = ref_prf(tp, fp, fn)
-            localization[(cls, bus)] = (p, r, f)
-            if conv:
-                convention[f"{cls}@{bus}"] = conv
+            entries.append(("localization", f"{cls}@{bus}",
+                            ref_prf(tp, fp, fn)))
 
-    return ev.ClassificationReport(
-        per_label=per_label, three_class=three_class,
-        localization=localization, accuracy=matrix.accuracy(),
-        total=matrix.total, zero_by_convention=convention)
+    def table(section):
+        return "".join(f"  {name:<12s} {p:9.4f} {r:9.4f} {f:9.4f}\n"
+                       for s, name, (p, r, f, _) in entries if s == section)
+
+    total = int(counts.sum())
+    acc = float(np.trace(counts)) / total if total else 0.0
+    text = (f"frames evaluated: {total}  accuracy: {acc:.4f}\n"
+            "nine-label classification\n"
+            "  label        precision    recall        f1\n"
+            + table("label")
+            + "detection (3-class)\n" + table("class")
+            + "localization (within true class)\n" + table("localization"))
+    names = sorted({name for _, name, metrics in entries if metrics[3]})
+    if names:
+        text += "zero-by-convention entries: " + ", ".join(names) + "\n"
+    csv = "section,name,precision,recall,f1\n" + "".join(
+        f"{s},{name},{p:.6f},{r:.6f},{f:.6f}\n"
+        for s, name, (p, r, f, _) in entries)
+    fired = {(s, metric) for s, _, metrics in entries for metric in metrics[3]}
+    return text, csv, fired
+
+
+def check_report(counts):
+    """Compare every report output of `counts` with ref_report's bytes;
+    returns ref_report's fired pairs."""
+    rows = report_rows(counts)
+    text, csv, fired = ref_report(counts)
+    assert format_report(counts, rows).encode() == text.encode()
+    assert csv_table(("section", "name", "precision", "recall", "f1"),
+                     rows).encode() == csv.encode()
+    assert macro_f1(counts) == float(np.mean(
+        [ref_one_vs_rest(counts, i)[2] for i in range(9)]))
+    return fired
 
 
 def test_report_matches_reference_form():
+    # all zero: every entry is 0 by convention, and "normal", the name of
+    # a label row and of a class row, is listed once
+    zeros = np.zeros((9, 9), dtype=int)
+    check_report(zeros)
+    assert format_report(zeros, report_rows(zeros)).splitlines()[-1] == (
+        "zero-by-convention entries: attack, attack@2, attack@3, attack@6, "
+        "attack@8, attack_2, attack_3, attack_6, attack_8, fault, fault@2, "
+        "fault@3, fault@6, fault@8, fault_2, fault_3, fault_6, fault_8, "
+        "normal")
+
     # sparse matrices with whole rows and columns zeroed, so every
     # zero-by-convention branch fires in every section
     rng = np.random.default_rng(11)
-    columns = ("section", "name", "precision", "recall", "f1")
     fired = set()
     for _ in range(1500):
         density = rng.uniform(0.02, 0.6)
@@ -282,21 +310,7 @@ def test_report_matches_reference_form():
             rng.random((9, 9)) < density)
         counts[rng.random(9) < 0.2, :] = 0
         counts[:, rng.random(9) < 0.2] = 0
-        matrix = ConfusionMatrix(counts=counts)
-        report = aggregate_report(matrix)
-        ref = ref_aggregate_report(matrix)
-        assert report == ref
-        assert format_report(report) == format_report(ref)
-        assert (csv_table(columns, report_rows(report)).encode()
-                == csv_table(columns, report_rows(ref)).encode())
-        assert list(report.zero_by_convention.items()) == \
-            list(ref.zero_by_convention.items())
-        assert macro_f1(matrix) == float(np.mean(
-            [ref_one_vs_rest(counts, i)[2] for i in range(9)]))
-        fired.update(("localization" if "@" in key else
-                      "label" if key in ev.LABELS else "class", metric)
-                     for key, conv in ref.zero_by_convention.items()
-                     for metric in conv)
+        fired |= check_report(counts)
     assert fired == {(section, metric)
                      for section in ("label", "class", "localization")
                      for metric in ("precision", "recall", "f1")}

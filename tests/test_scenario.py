@@ -508,7 +508,7 @@ def ref_to_csv(series):
     """The writer's reference form: repr of each value boxed as a float."""
     lines = ["hour," + ",".join(f"s{i:02d}" for i in range(N_SENSORS))
              + ",label"]
-    for t in range(series.horizon):
+    for t in range(len(series.values)):
         row = ",".join(repr(float(v)) for v in series.values[t])
         lines.append(f"{t},{row},{series.labels[t]}")
     return "\n".join(lines) + "\n"
