@@ -234,8 +234,8 @@ def ref_one_vs_rest(counts, index):
 
 
 def ref_report(counts):
-    """The text and CSV reports of `counts` written out section by section,
-    and the (section, metric) pairs that are 0 by convention."""
+    """The entries, text and CSV reports of `counts` written out section by
+    section; entries are (section, name, (p, r, f1, by_convention))."""
     group = lambda i: 0 if i == 0 else (1 if i <= 4 else 2)
     collapsed = np.zeros((3, 3), dtype=int)
     for t in range(9):
@@ -272,21 +272,25 @@ def ref_report(counts):
     csv = "section,name,precision,recall,f1\n" + "".join(
         f"{s},{name},{p:.6f},{r:.6f},{f:.6f}\n"
         for s, name, (p, r, f, _) in entries)
-    fired = {(s, metric) for s, _, metrics in entries for metric in metrics[3]}
-    return text, csv, fired
+    return entries, text, csv
 
 
 def check_report(counts):
-    """Compare every report output of `counts` with ref_report's bytes;
-    returns ref_report's fired pairs."""
+    """Compare report_rows of `counts` exactly, and every report output as
+    bytes, with ref_report; returns the (section, metric) pairs of the rows
+    that are 0 by convention."""
     rows = report_rows(counts)
-    text, csv, fired = ref_report(counts)
+    entries, text, csv = ref_report(counts)
+    assert [(r["section"], r["name"], r["precision"], r["recall"], r["f1"],
+             r["zero_by_convention"]) for r in rows] == \
+        [(s, name, *metrics) for s, name, metrics in entries]
     assert format_report(counts, rows).encode() == text.encode()
     assert csv_table(("section", "name", "precision", "recall", "f1"),
                      rows).encode() == csv.encode()
     assert macro_f1(counts) == float(np.mean(
         [ref_one_vs_rest(counts, i)[2] for i in range(9)]))
-    return fired
+    return {(r["section"], metric) for r in rows
+            for metric in r["zero_by_convention"]}
 
 
 def test_report_matches_reference_form():
