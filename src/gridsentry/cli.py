@@ -106,8 +106,9 @@ def load_dataset(data_dir: Path) -> list[ScenarioSeries]:
 SPLIT_FRACTION = 0.8  # share of each (condition, level) group trained on
 
 
-def split_series(series_list, fraction: float, seed: int):
-    """Deterministic series-level split, stratified by (condition, level).
+def split_series(series_list, seed: int):
+    """Deterministic series-level split, stratified by (condition, level):
+    SPLIT_FRACTION of each group is trained on.
 
     Each group keeps at least one series on either side, so a group of
     fewer than 2 series is refused with ConfigError.
@@ -127,7 +128,7 @@ def split_series(series_list, fraction: float, seed: int):
         members = groups[key]
         order = np.random.default_rng([seed, 7, group_id])
         idx = order.permutation(len(members))
-        n_train = min(max(int(round(fraction * len(members))), 1),
+        n_train = min(max(int(round(SPLIT_FRACTION * len(members))), 1),
                       len(members) - 1)
         for j, k in enumerate(idx):
             (train if j < n_train else test).append(members[k])
@@ -142,7 +143,7 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     series_list = load_dataset(data_dir)
-    train_set, _ = split_series(series_list, SPLIT_FRACTION, cfg.seed)
+    train_set, _ = split_series(series_list, cfg.seed)
     bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
                           stage_configs=cfg.train_stages,
                           noise_sigma=cfg.noise_sigma)
@@ -162,7 +163,7 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
     series_list = load_dataset(data_dir)
-    _, test_set = split_series(series_list, SPLIT_FRACTION, cfg.seed)
+    _, test_set = split_series(series_list, cfg.seed)
     preds, truth = evaluate_predictions(bundle, test_set, case)
     counts = confusion_counts(preds, truth)
     rows = report_rows(counts)
@@ -198,9 +199,9 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
-    rows = feature_rows(bundle, load_dataset(data_dir), case)
+    frames = feature_rows(bundle, load_dataset(data_dir), case)
     results = [holdout_experiment(
-        rows, l, cfg.holdout_replications, cfg.seed,
+        frames, l, cfg.holdout_replications, cfg.seed,
         classifier_config=cfg.train_stages["classifier"])
         for l in cfg.holdout_l_values]
 
@@ -233,7 +234,7 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
                              "pass one bundle per variant")
         bundles[bundle.variant] = bundle
     series_list = load_dataset(data_dir)
-    _, test_set = split_series(series_list, SPLIT_FRACTION, cfg.seed)
+    _, test_set = split_series(series_list, cfg.seed)
     rows = [{"variant": variant, **row}
             for variant, bundle in bundles.items()
             for row in severity_sweep(feature_rows(bundle, test_set, case),

@@ -137,8 +137,11 @@ def load_config(path: str | Path) -> RunConfig:
         values = getattr(cfg, name)
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} must not repeat an entry")
-    if not cfg.levels:
-        raise ConfigError("levels must name at least one level")
+    # with no level nothing is generated; with no l, holdout writes an
+    # empty table after computing every series' features
+    for name in ("levels", "holdout_l_values"):
+        if not getattr(cfg, name):
+            raise ConfigError(f"{name} must name at least one entry")
     if not _is_int(cfg.holdout_replications) or cfg.holdout_replications < 1:
         raise ConfigError("holdout_replications must be an integer >= 1")
     if cfg.normal_series < 1 or cfg.series_per_condition_per_level < 1:

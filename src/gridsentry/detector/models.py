@@ -190,13 +190,13 @@ def _se_residual_row(case: GridCase, values: np.ndarray,
 
 
 def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
-                         ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One (timestamps (M,), residuals (M, 39)) pair per series of
-    series_list, in order, under the bundle's variant.
+                         ) -> list[np.ndarray]:
+    """One (T-1-LAGS, 39) residual array per series of series_list, in
+    order, under the bundle's variant.
 
-    Residuals live in standardized-difference space for every variant and
-    are emitted for original frames LAGS+1 .. T-1 (the first LAGS differenced
-    frames are predictor warm-up). Model parameters are never mutated. The
+    Residuals live in standardized-difference space for every variant, one
+    row per original frame LAGS+1 .. T-1 (the first LAGS differenced frames
+    are predictor warm-up). Model parameters are never mutated. The
     learned variants cast the standardized differences to the predictor's
     parameter dtype and return residuals in it; SE_DNN's are float64.
 
@@ -213,14 +213,10 @@ def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
             raise ValueError(f"series too short for {LAGS} lags")
 
     if bundle.variant == "SE_DNN":
-        out = []
-        for series, z in zip(series_list, zs):
-            ts = np.arange(LAGS, z.shape[0]) + 1
-            values = np.asarray(series.values, dtype=float)
-            rows = [_se_residual_row(case, values[t], bundle.noise_sigma)
-                    / bundle.stats.std for t in ts]
-            out.append((ts, np.array(rows)))
-        return out
+        return [np.array([_se_residual_row(case, row, bundle.noise_sigma)
+                          / bundle.stats.std for row in
+                          np.asarray(series.values, dtype=float)[LAGS + 1:]])
+                for series in series_list]
 
     coded = bundle.variant == "AEN_RNN_DNN"
     predictor = trained(bundle, "predictor")
@@ -230,7 +226,7 @@ def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
     for k, z in enumerate(zs):
         by_length.setdefault(z.shape[0], []).append(k)
     out = [None] * len(zs)
-    for t_z, members in by_length.items():
+    for members in by_length.values():
         z = np.stack([zs[k] for k in members],
                      dtype=predictor.dtype)[:, None]  # (S, 1, T-1, 39)
         codes = encoder.forward(z)[0] if coded else z
@@ -240,7 +236,7 @@ def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
         # z_hat row j-1 predicts z row j, for the rows j >= LAGS
         residuals = z[:, 0, LAGS:] - z_hat[:, 0, LAGS - 1:]
         for k, r in zip(members, residuals):
-            out[k] = (np.arange(LAGS, t_z) + 1, r)
+            out[k] = r
     return out
 
 

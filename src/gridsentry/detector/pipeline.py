@@ -7,9 +7,9 @@ import numpy as np
 from ..grid import GridCase, sensor_map_hash
 from ..neural import TrainConfig
 from ..scenario import LABEL_INDEX
-from .models import (SUBMODELS, ModelBundle, classify, fit_autoencoder,
-                     fit_classifier, fit_predictor, predict_and_residual,
-                     state_checksum, trained)
+from .models import (LAGS, SUBMODELS, ModelBundle, classify,
+                     fit_autoencoder, fit_classifier, fit_predictor,
+                     predict_and_residual, state_checksum, trained)
 from .preprocess import assert_normal_lineage, fit_preprocess, preprocess
 
 # the one table of per-stage training defaults
@@ -25,36 +25,35 @@ RESIDUAL_GROUP = 4
 
 
 def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
-    """(level, features, label indices) per series, in series_list order.
+    """The frame table of series_list: (levels, features, label indices),
+    one entry per residual frame, frames LAGS+1 .. T-1 of each series in
+    series_list order.
 
-    level is the series' severity level, None for a normal series. Feature
-    row = residual (standardized-difference space) ++ raw observation
-    standardized per sensor, both at the residual frame's timestamp; labels
-    come from the series frame labels. The raw-standardized observation half
+    A frame's level is its series' severity level, 0 for a normal series.
+    Feature row = residual (standardized-difference space) ++ raw
+    observation standardized per sensor, both at the frame; labels come
+    from the series frame labels. The raw-standardized observation half
     keeps persistent level shifts visible to the classifier, which first
     differencing would cancel.
 
     Residuals are computed RESIDUAL_GROUP series at a time, and each group's
     rows are built before the next group starts. The holdout and severity
-    stages work on these rows, so each series' features are computed once
-    per stage.
+    stages pick frames from this table, so each series' features are
+    computed once per stage.
     """
-    rows = []
+    levels, features, labels = [], [], []
     for start in range(0, len(series_list), RESIDUAL_GROUP):
         group = series_list[start:start + RESIDUAL_GROUP]
-        for series, (ts, residuals) in zip(
+        for series, residuals in zip(
                 group, predict_and_residual(bundle, group, case)):
-            obs = bundle.stats.standardize_raw(np.asarray(series.values)[ts])
-            labels = np.array([LABEL_INDEX[series.labels[t]] for t in ts])
-            rows.append((series.metadata.get("level"),
-                         np.concatenate([residuals, obs], axis=1), labels))
-    return rows
-
-
-def _stacked(rows):
-    """(features, label indices) of feature_rows, concatenated in order."""
-    return (np.concatenate([x for _, x, _ in rows]),
-            np.concatenate([y for _, _, y in rows]))
+            obs = bundle.stats.standardize_raw(
+                np.asarray(series.values)[LAGS + 1:])
+            levels.append(np.full(len(obs), series.metadata.get("level", 0)))
+            features.append(np.concatenate([residuals, obs], axis=1))
+            labels.append([LABEL_INDEX[label]
+                           for label in series.labels[LAGS + 1:]])
+    return (np.concatenate(levels), np.concatenate(features),
+            np.concatenate(labels))
 
 
 def train_bundle(variant: str, series_list, case: GridCase, seed: int,
@@ -94,7 +93,7 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
     # residual generation must not touch the frozen feature models
     frozen = {name: state_checksum(getattr(bundle, name))
               for name in SUBMODELS[variant] if name != "classifier"}
-    x, y = _stacked(feature_rows(bundle, series_list, case))
+    _, x, y = feature_rows(bundle, series_list, case)
     for name, digest in frozen.items():
         if state_checksum(getattr(bundle, name)) != digest:
             raise RuntimeError(f"{name} parameters changed during "
@@ -109,5 +108,5 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
 def evaluate_predictions(bundle: ModelBundle, series_list, case: GridCase):
     """(predicted label indices, true label indices) over a dataset."""
     classifier = trained(bundle, "classifier")
-    x, truth = _stacked(feature_rows(bundle, series_list, case))
+    _, x, truth = feature_rows(bundle, series_list, case)
     return classify(classifier, x), truth

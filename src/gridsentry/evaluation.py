@@ -26,16 +26,6 @@ SECTION_TITLES = {
 }
 
 
-def _label_index(label) -> int:
-    if isinstance(label, (int, np.integer)):
-        if not 0 <= label < N_LABELS:
-            raise ValueError(f"label index {label} out of range")
-        return int(label)
-    if label not in LABEL_INDEX:
-        raise ValueError(f"unknown label {label!r}")
-    return LABEL_INDEX[label]
-
-
 def confusion_counts(predictions, truths) -> np.ndarray:
     """(9, 9) integer counts of (truth, prediction) pairs of label indices;
     rows are truth, columns are prediction."""
@@ -81,9 +71,9 @@ def _one_vs_rest(counts: np.ndarray, index: int, rows=slice(None)):
     return _prf(tp, fp, fn)
 
 
-def precision_recall_f1(counts: np.ndarray, label):
-    """One-vs-rest (precision, recall, F1) for one of the nine labels."""
-    return _one_vs_rest(counts, _label_index(label))[:3]
+def precision_recall_f1(counts: np.ndarray, label: str):
+    """One-vs-rest (precision, recall, F1) of the label named `label`."""
+    return _one_vs_rest(counts, LABEL_INDEX[label])[:3]
 
 
 def _collapse_three_class(counts: np.ndarray) -> np.ndarray:
@@ -156,23 +146,24 @@ def csv_table(columns, rows) -> str:
 
 # ---------------------------------------------------------------- severity
 
-def severity_sweep(rows, classifier) -> list[dict]:
+def severity_sweep(frames, classifier) -> list[dict]:
     """Per (target bus, level): F1 of the true attack label.
 
-    rows are (level, features, label indices) per series, level None for a
-    normal series. Each level's frame set is that level's rows followed by
-    the normal rows, classified by `classifier`. Emits plot-ready rows: bus,
+    frames is feature_rows' (levels, features, label indices) table. Each
+    level's frame set is that level's frames followed by the normal (level
+    0) frames, classified by `classifier`. Emits plot-ready rows: bus,
     level, f1.
     """
-    levels = sorted({level for level, _, _ in rows if level is not None})
-    if not levels:
-        raise ValueError("no severity-level rows supplied")
-    normals = [(x, y) for level, x, y in rows if level is None]
+    levels, features, labels = frames
+    present = np.unique(levels[levels != 0]).tolist()
+    if not present:
+        raise ValueError("no severity-level frames supplied")
     out = []
-    for level in levels:
-        kept = [(x, y) for lvl, x, y in rows if lvl == level] + normals
-        preds = classify(classifier, np.concatenate([x for x, _ in kept]))
-        counts = confusion_counts(preds, np.concatenate([y for _, y in kept]))
+    for level in present:
+        kept = np.concatenate([np.flatnonzero(levels == level),
+                               np.flatnonzero(levels == 0)])
+        counts = confusion_counts(classify(classifier, features[kept]),
+                                  labels[kept])
         for bus in GENERATOR_BUSES:
             _, _, f1 = precision_recall_f1(counts,
                                             condition_name("attack", bus))
@@ -191,21 +182,22 @@ class HoldoutResult:
     iqr: float
 
 
-def holdout_experiment(rows, l: int, replications: int, seed: int,
+def holdout_experiment(frames, l: int, replications: int, seed: int,
                        classifier_config) -> HoldoutResult:
     """Retrain the classifier on l randomly drawn attack levels, test on the
     rest; the features, and so the upstream feature models, stay fixed.
 
-    rows are (level, features, label indices) per series, level None for a
-    normal series. Per replication: draw l of the severity levels without
-    replacement, train the classifier on the normal rows plus the rows at
-    those levels, then score accuracy on the rows at the held-out levels.
-    Replication rep fits the classifier under classifier_config with seed
-    seed + 1000*l + rep.
+    frames is feature_rows' (levels, features, label indices) table. Per
+    replication: draw l of the severity levels without replacement, train
+    the classifier on the normal (level 0) frames plus the frames at those
+    levels, then score accuracy on the other frames, those at the held-out
+    levels. Replication rep fits the classifier under classifier_config
+    with seed seed + 1000*l + rep.
     """
     if not 1 <= l < len(LEVEL_FRACTIONS):
         raise ValueError(f"l must be in 1..{len(LEVEL_FRACTIONS) - 1}")
-    all_levels = sorted({level for level, _, _ in rows if level is not None})
+    levels, features, labels = frames
+    all_levels = np.unique(levels[levels != 0]).tolist()
     if all_levels != sorted(LEVEL_FRACTIONS):
         raise ValueError(f"expected severity levels {sorted(LEVEL_FRACTIONS)}"
                          f", found {all_levels}")
@@ -216,25 +208,13 @@ def holdout_experiment(rows, l: int, replications: int, seed: int,
         rng = np.random.default_rng([seed, l, rep])
         train_levels = tuple(sorted(
             rng.choice(all_levels, size=l, replace=False).tolist()))
-        test_levels = tuple(lvl for lvl in all_levels
-                            if lvl not in train_levels)
-        assert set(train_levels).isdisjoint(test_levels)
-        assert set(train_levels) | set(test_levels) == set(all_levels)
         level_sets.append(train_levels)
-
-        train_x, train_y, test_x, test_y = [], [], [], []
-        for level, x, y in rows:
-            if level is None or level in train_levels:
-                train_x.append(x)
-                train_y.append(y)
-            else:
-                test_x.append(x)
-                test_y.append(y)
+        train = np.isin(levels, (0, *train_levels))
         classifier, _ = fit_classifier(
-            np.concatenate(train_x), np.concatenate(train_y),
-            classifier_config, seed + 1000 * l + rep)
-        preds = classify(classifier, np.concatenate(test_x))
-        accuracies.append(float(np.mean(preds == np.concatenate(test_y))))
+            features[train], labels[train], classifier_config,
+            seed + 1000 * l + rep)
+        preds = classify(classifier, features[~train])
+        accuracies.append(float(np.mean(preds == labels[~train])))
 
     acc = np.array(accuracies)
     q1, q3 = np.percentile(acc, [25, 75])

@@ -53,7 +53,7 @@ def world(tmp_path_factory, case):
     t0 = time.time()
     data_dir = cli.cmd_gen_data(cfg, out / "data")
     series = cli.load_dataset(data_dir)
-    train, test = cli.split_series(series, cli.SPLIT_FRACTION, cfg.seed)
+    train, test = cli.split_series(series, cfg.seed)
     bundles, matrices = {}, {}
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
         bundle = pipeline.train_bundle(
@@ -245,7 +245,7 @@ def test_criterion_6_metric_exactness():
             recall = tp / (tp + fn) if tp + fn else 0.0
             f1 = (2 * precision * recall / (precision + recall)
                   if precision + recall else 0.0)
-            assert precision_recall_f1(counts, label) == \
+            assert precision_recall_f1(counts, LABELS[label]) == \
                 (precision, recall, f1)
     _report(6, "formula case and 50 random matrices match the brute-force "
                "tally oracle exactly")
@@ -327,8 +327,8 @@ def test_criterion_9_severity_trend(world, case):
 def test_criterion_10_holdout_trend(world, case):
     bundle = world["bundles"]["AEN_RNN_DNN"]
     cfg = TrainConfig(learning_rate=2e-3, epochs=60, batch_size=256)
-    rows = pipeline.feature_rows(bundle, world["series"], case)
-    results = [holdout_experiment(rows, l, 5, 99, classifier_config=cfg)
+    table = pipeline.feature_rows(bundle, world["series"], case)
+    results = [holdout_experiment(table, l, 5, 99, classifier_config=cfg)
                for l in (1, 2, 3, 4)]
     medians = [r.median for r in results]
     assert all(a <= b for a, b in zip(medians, medians[1:]))  # non-decreasing
@@ -337,7 +337,7 @@ def test_criterion_10_holdout_trend(world, case):
     # replication: how many of its held-out frames the gap amounts to
     gaps = []
     for a, b in zip(results, results[1:]):
-        frames = _median_held_out_frames(rows, b)
+        frames = _median_held_out_frames(table, b)
         gap = b.median - a.median
         gaps.append(f"l={a.l}->{b.l} {gap:+.4f} ({gap * frames:+.1f} of "
                     f"{frames} frames)")
@@ -347,11 +347,11 @@ def test_criterion_10_holdout_trend(world, case):
                 f"{results[0].iqr - results[3].iqr:+.4f})")
 
 
-def _median_held_out_frames(rows, result):
+def _median_held_out_frames(table, result):
     """Frames held out in the replication whose accuracy is the median."""
     rep = result.accuracies.index(result.median)
-    return sum(len(y) for level, _, y in rows
-               if level is not None and level not in result.level_sets[rep])
+    levels = table[0]
+    return int(np.sum(~np.isin(levels, (0, *result.level_sets[rep]))))
 
 
 # ------------------------------------------------- 11: determinism

@@ -89,6 +89,7 @@ def test_config_validation_before_compute(tmp_path):
                        ("levels", [3, 3]), ("levels", []),
                        ("variants", ["RNN_DNN", "RNN_DNN"]),
                        ("holdout_l_values", [2, 1, 2]),
+                       ("holdout_l_values", []),
                        ("normal_series", 1.5),
                        ("series_per_condition_per_level", 1.5),
                        ("workers", 2.5), ("window", [2.5, 20]),
@@ -374,7 +375,7 @@ def test_split_is_series_level_and_stratified(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
     series = cli.load_dataset(data_dir)
-    train, test = cli.split_series(series, cli.SPLIT_FRACTION, cfg.seed)
+    train, test = cli.split_series(series, cfg.seed)
     assert len(train) + len(test) == len(series)
     # every non-singleton condition group keeps at least one test series
     test_conditions = {s.metadata["condition"] for s in test}
@@ -397,7 +398,7 @@ def test_train_evaluate_roundtrip(workspace):
     report_dir = data_dir / "reports"
     assert (report_dir / "report_SE_DNN.txt").exists()
     counts = np.loadtxt(report_dir / "confusion_SE_DNN.csv", delimiter=",")
-    _, test = cli.split_series(cli.load_dataset(data_dir), 0.8, 77)
+    _, test = cli.split_series(cli.load_dataset(data_dir), 77)
     expected_frames = sum(len(s.values) - 1 - 10 for s in test)
     assert counts.sum() == expected_frames
 
@@ -520,7 +521,7 @@ def test_stages_refuse_bundle_without_classifier(workspace, se_bundle,
     assert read == []
 
 
-def stub_holdout(rows, l, replications, seed, classifier_config=None):
+def stub_holdout(frames, l, replications, seed, classifier_config=None):
     return HoldoutResult(l=l, accuracies=[0.5] * replications,
                          level_sets=[(1, 2, 3, 4)] * replications,
                          median=0.5, iqr=0.0)
@@ -624,7 +625,7 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
                      "--data", str(data_dir), "--variant", "RNN_DNN"]) == 0
     bundle_path = str(data_dir / "models" / "bundle_RNN_DNN.npz")
     series = cli.load_dataset(data_dir)
-    _, test = cli.split_series(series, 0.8, 77)
+    _, test = cli.split_series(series, 77)
 
     calls = []
     residuals = pipeline.predict_and_residual

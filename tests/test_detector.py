@@ -234,10 +234,9 @@ def test_se_residuals_near_zero_on_noiseless(case):
     stats = fit_preprocess([synthetic_series(
         np.random.default_rng(6).standard_normal((200, N_SENSORS)))])
     bundle = make_stub_bundle("SE_DNN", case, stats)
-    [(ts, residuals)] = predict_and_residual(bundle, [series], case=case)
+    [residuals] = predict_and_residual(bundle, [series], case=case)
+    # one row per frame LAGS+1 .. T-1
     assert residuals.shape == (len(series.values) - 1 - LAGS, N_SENSORS)
-    np.testing.assert_array_equal(ts,
-                                  np.arange(LAGS + 1, len(series.values)))
     assert np.max(np.abs(residuals * stats.std)) < 1e-6
 
 
@@ -248,16 +247,16 @@ def test_residual_alignment_rnn(case, normal_series):
     cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4)
     z = np.stack([preprocess(s, stats) for s in normal_series])
     bundle.predictor, _ = fit_predictor(z, cfg, seed=0)
-    [(ts, residuals)] = predict_and_residual(bundle, [series], case)
-    assert ts[0] == LAGS + 1
-    assert ts[-1] == len(series.values) - 1
+    [residuals] = predict_and_residual(bundle, [series], case)
+    ts = np.arange(LAGS + 1, len(series.values))  # the residual frames
     assert residuals.shape == (len(ts), N_SENSORS)
-    [(_, x, y)] = feature_rows(bundle, [series], case)
+    levels, x, y = feature_rows(bundle, [series], case)
     assert x.shape == (len(ts), CLASSIFIER_INPUT)
     np.testing.assert_array_equal(x[:, :N_SENSORS], residuals)
     np.testing.assert_array_equal(
         x[:, N_SENSORS:], stats.standardize_raw(series.values[ts]))
     np.testing.assert_array_equal(y, 0)  # all-normal series
+    np.testing.assert_array_equal(levels, np.zeros(len(ts)))
 
 
 def test_residual_generation_leaves_models_frozen(case, normal_series):
@@ -298,9 +297,13 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
             set_state(getattr(bundle, name),
                       {k: v.astype(dtype) for k, v in state.items()})
         stacked = predict_and_residual(bundle, series, case)
-        rows = feature_rows(bundle, series, case)
-        assert len(stacked) == len(rows) == len(series)
-        for one, (ts, residuals), (_, x, _) in zip(series, stacked, rows):
+        _, table, _ = feature_rows(bundle, series, case)
+        assert len(stacked) == len(series)
+        # the table's frames are each series' residual frames, in order
+        ends = np.cumsum([len(one.values) - 1 - LAGS for one in series])
+        assert len(table) == ends[-1]
+        for one, residuals, x in zip(series, stacked,
+                                     np.split(table, ends[:-1])):
             z = preprocess(one, stats).astype(dtype)
             codes = bundle.encoder.forward(z)[0] if coded else z
             z_hat, _ = bundle.predictor.forward(codes[None, :-1])
@@ -308,10 +311,10 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
             if coded:
                 z_hat, _ = bundle.decoder.forward(z_hat)
             idx = np.arange(LAGS, z.shape[0])
-            assert np.array_equal(ts, idx + 1)
+            assert residuals.shape == (len(idx), N_SENSORS)
             assert residuals.dtype == dtype
             assert np.array_equal(residuals, z[idx] - z_hat[idx - 1])
-            [(_, alone)] = predict_and_residual(bundle, [one], case)
+            [alone] = predict_and_residual(bundle, [one], case)
             assert np.array_equal(alone, residuals)
             assert np.array_equal(x[:, :N_SENSORS], residuals)
 
@@ -428,8 +431,8 @@ def test_bundle_roundtrip(tmp_path, case, normal_series):
                 variant != "SE_DNN")
         np.testing.assert_array_equal(loaded.classifier.forward(probe)[0],
                                       bundle.classifier.forward(probe)[0])
-        [(_, r1)] = predict_and_residual(bundle, normal_series[:1], case)
-        [(_, r2)] = predict_and_residual(loaded, normal_series[:1], case)
+        [r1] = predict_and_residual(bundle, normal_series[:1], case)
+        [r2] = predict_and_residual(loaded, normal_series[:1], case)
         np.testing.assert_array_equal(r1, r2)
 
 

@@ -8,7 +8,7 @@ from gridsentry.evaluation import (HoldoutResult, accuracy,
                                    precision_recall_f1, report_rows,
                                    severity_sweep)
 from gridsentry.neural import TrainConfig
-from gridsentry.scenario import LABEL_INDEX
+from gridsentry.scenario import LABELS, LABEL_INDEX
 
 
 def pairs_from_matrix(counts):
@@ -89,7 +89,7 @@ def test_prf_formula_case():
 
 def test_prf_all_correct():
     counts = confusion_counts([3] * 5, [3] * 5)
-    assert precision_recall_f1(counts, 3) == (1.0, 1.0, 1.0)
+    assert precision_recall_f1(counts, LABELS[3]) == (1.0, 1.0, 1.0)
 
 
 def test_prf_absent_label_convention():
@@ -103,7 +103,7 @@ def test_prf_matches_tally_oracle_exactly():
         counts = rng.integers(0, 7, size=(9, 9))
         pairs = pairs_from_matrix(counts)
         for label in range(9):
-            assert precision_recall_f1(counts, label) == \
+            assert precision_recall_f1(counts, LABELS[label]) == \
                 tally_oracle(pairs, label)
 
 
@@ -114,7 +114,7 @@ def test_metric_integer_identities():
         tp = counts[i, i]
         fp = counts[:, i].sum() - tp
         fn = counts[i, :].sum() - tp
-        p, r, _ = precision_recall_f1(counts, i)
+        p, r, _ = precision_recall_f1(counts, LABELS[i])
         assert round(p * (tp + fp)) == tp
         assert round(r * (tp + fn)) == tp
 
@@ -342,13 +342,13 @@ class StubClassifier:
 
 def test_severity_sweep_shape_and_values():
     # predictions equal truth except at level 1, where they are all normal
-    truth = np.arange(9)
-    level_rows = [(lvl, (np.zeros(9) if lvl == 1 else truth)[:, None], truth)
-                  for lvl in range(1, 6)]
+    truth = np.tile(np.arange(9), 5)
+    levels = np.repeat(np.arange(1, 6), 9)
+    features = np.where(levels == 1, 0, truth)[:, None]
     rows = []
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
-        rows += [{"variant": variant, **row}
-                 for row in severity_sweep(level_rows, StubClassifier())]
+        rows += [{"variant": variant, **row} for row in severity_sweep(
+            (levels, features, truth), StubClassifier())]
     assert len(rows) == 3 * 4 * 5
     for row in rows:
         assert row["f1"] == (0.0 if row["level"] == 1 else 1.0)
@@ -358,9 +358,11 @@ def test_severity_sweep_shape_and_values():
 
 
 def test_severity_sweep_missing_level():
+    empty = (np.zeros(0, dtype=int), np.zeros((0, 1)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
-        severity_sweep([], StubClassifier())
-    normal_only = [(None, np.zeros((9, 1)), np.zeros(9, dtype=int))]
+        severity_sweep(empty, StubClassifier())
+    normal_only = (np.zeros(9, dtype=int), np.zeros((9, 1)),
+                   np.zeros(9, dtype=int))
     with pytest.raises(ValueError):
         severity_sweep(normal_only, StubClassifier())
 
@@ -368,48 +370,84 @@ def test_severity_sweep_missing_level():
 # ---------------------------------------------------------------- holdout
 
 def make_holdout_world(seed=0):
-    """(level, features, labels) rows: one normal series, then one series of
-    the eight attack/fault labels at each of the five levels."""
+    """(levels, features, labels) frame table: one normal series, then one
+    series of the eight attack/fault labels at each of the five levels."""
     rng = np.random.default_rng(seed)
-    rows = []
+    levels, feats, labels = [], [], []
 
     def block(label_set, level, n=12):
-        feats, labels = [], []
         for lbl in label_set:
             center = np.zeros(78)
             center[lbl] = 5.0
+            levels.append(np.full(n, level))
             feats.append(center + 0.2 * rng.standard_normal((n, 78)))
             labels.append(np.full(n, lbl))
-        rows.append((level, np.concatenate(feats), np.concatenate(labels)))
 
-    block([0], None)  # normal-only series
+    block([0], 0)  # normal-only series
     for level in range(1, 6):
         block(list(range(1, 9)), level)
-    return rows
+    return tuple(map(np.concatenate, (levels, feats, labels)))
 
 
 def test_holdout_mechanics():
-    rows = make_holdout_world()
+    frames = make_holdout_world()
     cfg = TrainConfig(learning_rate=5e-3, epochs=15, batch_size=32)
-    result = holdout_experiment(rows, l=4, replications=3, seed=42,
+    result = holdout_experiment(frames, l=4, replications=3, seed=42,
                                 classifier_config=cfg)
     assert isinstance(result, HoldoutResult)
     assert len(result.accuracies) == 3
     for train_levels in result.level_sets:
         assert len(train_levels) == 4  # exactly one held-out level
 
-    again = holdout_experiment(rows, l=4, replications=3, seed=42,
+    again = holdout_experiment(frames, l=4, replications=3, seed=42,
                                classifier_config=cfg)
     assert again.level_sets == result.level_sets
     assert again.accuracies == result.accuracies
 
 
 def test_holdout_validation():
-    rows = make_holdout_world()
+    frames = make_holdout_world()
     cfg = TrainConfig(learning_rate=5e-3, epochs=15, batch_size=32)
     with pytest.raises(ValueError):
-        holdout_experiment(rows, l=0, replications=1, seed=0,
+        holdout_experiment(frames, l=0, replications=1, seed=0,
                            classifier_config=cfg)
+    # the normal frames and level 1's only: levels are missing
+    kept = frames[0] <= 1
     with pytest.raises(ValueError):
-        holdout_experiment(rows[:2], l=2, replications=1, seed=0,
-                           classifier_config=cfg)
+        holdout_experiment(tuple(a[kept] for a in frames), l=2,
+                           replications=1, seed=0, classifier_config=cfg)
+
+
+def test_holdout_trains_on_drawn_levels_and_scores_the_rest(monkeypatch):
+    # every replication fits on exactly the normal frames plus the frames
+    # at its drawn levels, in table order, and scores every other frame
+    levels, features, labels = make_holdout_world()
+    features[:, 0] = np.arange(len(levels))  # column 0 names the frame
+    frames = (levels, features, labels)
+    fitted = []
+
+    def stub_fit(x, y, config, seed):
+        fitted.append(x[:, 0].astype(int))
+        np.testing.assert_array_equal(y, labels[fitted[-1]])
+        return None, []  # classify is stubbed too
+
+    scored = []
+
+    def stub_classify(classifier, x):
+        scored.append(x[:, 0].astype(int))
+        return labels[scored[-1]]
+
+    monkeypatch.setattr(ev, "fit_classifier", stub_fit)
+    monkeypatch.setattr(ev, "classify", stub_classify)
+    cfg = TrainConfig(learning_rate=5e-3, epochs=1, batch_size=32)
+    result = holdout_experiment(frames, l=2, replications=4, seed=3,
+                                classifier_config=cfg)
+    assert len(fitted) == len(scored) == len(result.level_sets) == 4
+    for train_levels, train, test in zip(result.level_sets, fitted, scored):
+        assert len(train_levels) == 2
+        expected = [i for i, lvl in enumerate(levels)
+                    if lvl == 0 or lvl in train_levels]
+        np.testing.assert_array_equal(train, expected)
+        np.testing.assert_array_equal(
+            test, sorted(set(range(len(levels))) - set(expected)))
+    assert result.accuracies == [1.0] * 4

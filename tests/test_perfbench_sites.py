@@ -12,6 +12,7 @@ from pathlib import Path
 
 import yaml
 
+from gridsentry.detector import LAGS
 from oracles import write_weakened_case
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,8 +136,8 @@ def test_stacked_residuals_are_traced():
         "                         labels=['normal'] * 20,",
         "                         metadata={'condition': 'normal'})",
         "          for _ in range(n)]",
-        "rows = feature_rows(bundle, series, load_case())",
-        "print(json.dumps({'series': n, 'rows': len(rows),",
+        "levels, _, _ = feature_rows(bundle, series, load_case())",
+        "print(json.dumps({'series': n, 'frames': len(levels),",
         "    'residuals': tracer.spans['setup', 'models.residuals'][0],",
         "    'lstm': tracer.spans['setup', 'neural.lstm_forward'][0]}))",
     ])
@@ -144,7 +145,7 @@ def test_stacked_residuals_are_traced():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout.splitlines()[-1])
-    assert out["rows"] == out["series"]
+    assert out["frames"] == out["series"] * (20 - 1 - LAGS)
     assert out["residuals"] == 2  # a full group, then one series
     assert out["lstm"] == 2
 
