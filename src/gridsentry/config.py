@@ -126,6 +126,10 @@ def load_config(path: str | Path) -> RunConfig:
             f"levels must be integers drawn from {sorted(LEVEL_FRACTIONS)}")
     if any(v not in VARIANTS for v in cfg.variants):
         raise ConfigError(f"variants must be drawn from {VARIANTS}")
+    if cfg.noise_sigma == 0 and "SE_DNN" in cfg.variants:
+        raise ConfigError("noise_sigma must be > 0 when variants lists "
+                          "SE_DNN: its WLS fit weighs each sensor by its "
+                          "noise variance")
     # holdout trains on l levels and tests on the rest, so one must remain
     max_l = len(LEVEL_FRACTIONS) - 1
     if any(not _is_int(l) or not 1 <= l <= max_l

@@ -113,7 +113,7 @@ def build_classifier(rng: np.random.Generator, hidden=CLASSIFIER_HIDDEN):
 
 
 def _in_compute_dtype(model):
-    """`model`, its parameters and gradients cast to COMPUTE_DTYPE."""
+    """`model` with its parameters cast to COMPUTE_DTYPE, and no gradients."""
     set_state(model, {name: arr.astype(COMPUTE_DTYPE)
                       for name, arr in get_state(model).items()})
     return model

@@ -103,8 +103,8 @@ def plan_generation(demand: np.ndarray) -> GenerationPlan:
         raise InfeasibleDispatchError(
             f"demand exceeds total generation capacity at hour {infeasible[0]}")
 
-    # a unit is committed unless the cheaper units already cover the target
-    # (so a NaN target commits every unit); a target <= 0 commits none
+    # a unit is committed unless the cheaper units already cover the target;
+    # a target <= 0 commits none
     covered = np.zeros((T, n), dtype=bool)
     covered[:, 1:] = np.cumsum(caps[order])[:-1] >= target[:, None]
     commitment = np.empty((T, n), dtype=bool)
@@ -119,8 +119,7 @@ def plan_generation(demand: np.ndarray) -> GenerationPlan:
     share = target[:, None] * caps * on / total[:, None]
     p = np.clip(share, np.where(on, mins, 0.0), np.where(on, caps, 0.0))
     # the ramp clip of a unit committed in consecutive hours depends on the
-    # hour before, so it runs in hour order, with np.clip's rule on floats:
-    # a NaN value stays, a NaN bound wins
+    # hour before, so it runs in hour order, on Python floats
     rows = np.where(on, p, 0.0).tolist()
     both = (on[1:] & on[:-1]).tolist()
     for t in range(1, T):
@@ -129,11 +128,7 @@ def plan_generation(demand: np.ndarray) -> GenerationPlan:
             if not flag:
                 continue
             v, lo, hi = row[g], prev[g] - ramps[g], prev[g] + ramps[g]
-            if v == v and not v > lo:
-                v = lo
-            if v == v and not v < hi:
-                v = hi
-            row[g] = v
+            row[g] = lo if v < lo else hi if v > hi else v
     setpoint = np.array(rows).reshape(T, n)
 
     return GenerationPlan(commitment, setpoint)

@@ -93,6 +93,9 @@ def load_case(path: str | Path | None = None) -> GridCase:
             if tok[0] == "base_mva":
                 base_mva = float(tok[1])
             elif tok[0] == "bus":
+                if tok[2] not in ("slack", "generator", "load"):
+                    raise CaseError(f"{path}:{lineno}: unknown bus kind "
+                                    f"'{tok[2]}'")
                 vset = None if tok[3] == "-" else float(tok[3])
                 buses.append(Bus(int(tok[1]), tok[2], vset,
                                  float(tok[4]), float(tok[5])))

@@ -71,7 +71,8 @@ class Layer:
     """Base: parameters and gradients are aligned name -> array dicts.
 
     forward(x) returns (y, cache). backward(cache, dy) adds the parameter
-    gradients into `grads` and returns the gradient w.r.t. the layer
+    gradients into `grads`, empty until a fit binds it
+    (train.flatten_parameters), and returns the gradient w.r.t. the layer
     input. Dense, LSTM and Sequential take input_grad=False to skip that
     last product and return None; Sequential passes it on to its first
     layer only.
@@ -88,13 +89,6 @@ class Layer:
         _, params, _, k = self.parameters()[0]
         return params[k].dtype
 
-    def zero_grad(self) -> None:
-        for _, params, grads, k in self.parameters():
-            if k in grads:
-                grads[k].fill(0.0)
-            else:
-                grads[k] = np.zeros_like(params[k])
-
     def parameters(self):
         """(name, params-dict, grads-dict, key) entries, one per parameter."""
         return [(k, self.params, self.grads, k) for k in self.params]
@@ -106,7 +100,6 @@ class Dense(Layer):
         bound = 1.0 / np.sqrt(in_dim)
         self.params["W"] = rng.uniform(-bound, bound, size=(in_dim, out_dim))
         self.params["b"] = np.zeros(out_dim, dtype=self.params["W"].dtype)
-        self.zero_grad()
 
     def forward(self, x):
         if x.shape[-1] != self.params["W"].shape[0]:
@@ -208,7 +201,6 @@ class LSTM(Layer):
         self.params["Wx"] = rng.uniform(-bound, bound, size=(in_dim, 4 * hidden))
         self.params["Wh"] = rng.uniform(-bound, bound, size=(hidden, 4 * hidden))
         self.params["b"] = np.zeros(4 * hidden, dtype=self.params["Wx"].dtype)
-        self.zero_grad()
 
     def forward(self, x):
         *lead, T, D = x.shape

@@ -10,29 +10,27 @@ EPS = 1e-8     # added to the root of the second moment before dividing
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction."""
+    """Adaptive moment estimation with bias correction; __init__ makes the
+    moments and two scratch vectors, zeroed, like the flat `params`."""
 
-    def __init__(self, learning_rate: float):
+    def __init__(self, learning_rate: float, params: np.ndarray):
         if learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
         self.lr = learning_rate
         self.t = 0
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
+        self.m, self.v, self._a, self._b = (np.zeros_like(params)
+                                            for _ in range(4))
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Update the flat `params` in place from the aligned flat `grads`
         (see train.flatten_parameters).
 
-        Two scratch vectors, allocated with the moments, hold each
-        out-of-place term; the order of operations is that of
+        The two scratch vectors hold each out-of-place term; the order of
+        operations is that of
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         params -= lr * m_hat / (sqrt(v_hat) + eps).
         """
         self.t += 1
-        if self.m is None:
-            self.m, self.v, self._a, self._b = (np.zeros_like(grads)
-                                                for _ in range(4))
         m, v, a, b = self.m, self.v, self._a, self._b
         m *= BETA1
         np.multiply(grads, 1 - BETA1, out=a)

@@ -11,12 +11,11 @@ def get_state(model) -> dict[str, np.ndarray]:
 
 def set_state(model, state: dict[str, np.ndarray]) -> None:
     """Copy `state` into the model's parameters, which take the dtype of
-    the state's arrays; each gradient restarts at zero in that dtype."""
-    for name, params, grads, k in model.parameters():
+    the state's arrays. No gradient is made: a fit binds its own."""
+    for name, params, _, k in model.parameters():
         if name not in state:
             raise KeyError(f"missing parameter '{name}' in saved state")
         if state[name].shape != params[k].shape:
             raise ValueError(f"shape mismatch for '{name}'")
         params[k] = state[name].copy()
-        grads[k] = np.zeros_like(params[k])
 

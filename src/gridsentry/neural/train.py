@@ -31,7 +31,9 @@ class TrainConfig:
 
 
 def flatten_parameters(model) -> tuple[np.ndarray, np.ndarray]:
-    """Move a model's parameters and gradients into two flat vectors.
+    """Move a model's parameters into one flat vector and bind its
+    gradients to a second, zeroed and of their dtype: the only code that
+    makes gradient arrays.
 
     Every params[k] and grads[k] entry is rebound to a C-contiguous reshaped
     view of its vector, in parameters() order, so that an optimizer step or
@@ -39,7 +41,7 @@ def flatten_parameters(model) -> tuple[np.ndarray, np.ndarray]:
     """
     entries = model.parameters()
     params = np.concatenate([p[k].ravel() for _, p, _, k in entries])
-    grads = np.concatenate([g[k].ravel() for _, _, g, k in entries])
+    grads = np.zeros_like(params)
     start = 0
     for _, p, g, k in entries:
         shape, stop = p[k].shape, start + p[k].size
@@ -71,7 +73,7 @@ def train(model, x: np.ndarray, y: np.ndarray, config: TrainConfig,
             raise ValueError(f"{name} is {arr.dtype} but the model's "
                              f"parameters are {params.dtype}")
     rng = np.random.default_rng(seed)
-    opt = Adam(config.learning_rate)
+    opt = Adam(config.learning_rate, params)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)

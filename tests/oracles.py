@@ -21,6 +21,7 @@ import numpy as np
 
 from gridsentry.grid.case import DEFAULT_CASE
 from gridsentry.neural import mse, softmax_cross_entropy
+from gridsentry.neural.train import flatten_parameters
 
 # ------------------------------------------------------------ chi square
 
@@ -149,7 +150,7 @@ def grad_check(model, x: np.ndarray, target: np.ndarray, loss: str = "mse",
         _, grad = mse(out, target, mask=mask)
     else:
         _, grad = softmax_cross_entropy(out, target)
-    model.zero_grad()
+    flatten_parameters(model)
     model.backward(cache, grad)
     analytic = {name: grads[k].copy()
                 for name, _, grads, k in model.parameters()}

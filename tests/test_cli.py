@@ -96,10 +96,19 @@ def test_config_validation_before_compute(tmp_path):
                        ("noise_sigma", "abc"), ("noise_sigma", -0.1),
                        ("noise_sigma", float("nan")),
                        ("noise_sigma", float("inf")),
+                       ("noise_sigma", 0.0),
                        ("case_file", 5), ("output_dir", 5)):
         path = write_config(tmp_path / "c.yaml", **{key: value})
         with pytest.raises(ConfigError, match=key):
             load_config(path)
+    # noiseless data is refused only for SE_DNN, whose WLS fit weighs each
+    # sensor by its noise variance
+    path = write_config(tmp_path / "c.yaml", noise_sigma=0.0)
+    with pytest.raises(ConfigError, match="SE_DNN.*noise variance"):
+        load_config(path)
+    path = write_config(tmp_path / "c.yaml", noise_sigma=0.0,
+                        variants=["RNN_DNN"])
+    assert load_config(path).noise_sigma == 0.0
     # every bad train_stages entry is a ConfigError naming stage and key
     for stages, pattern in (
             ({"critic": {"epochs": 5}}, "critic"),

@@ -97,6 +97,20 @@ def test_load_case_generator_buses(tmp_path):
         load_case(p)
 
 
+def test_load_case_unknown_bus_kind(tmp_path):
+    # a misspelt kind would load as neither load nor generator, and gen-data
+    # would fail on the load columns it then lacks
+    p = tmp_path / "lod.case"
+    text = open_case_text()
+    old = "bus 4  load "
+    assert text.count(old) == 1
+    p.write_text(text.replace(old, "bus 4  lod  "))
+    lineno = text[:text.index(old)].count("\n") + 1
+    with pytest.raises(CaseError, match=rf"lod\.case:{lineno}: unknown bus "
+                                        r"kind 'lod'"):
+        load_case(p)
+
+
 def test_load_case_missing_file(tmp_path):
     with pytest.raises(CaseError):
         load_case(tmp_path / "nope.case")

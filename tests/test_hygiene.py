@@ -297,6 +297,14 @@ def attribute_writes(path: Path) -> list[str]:
     return sites
 
 
+def test_adam_allocates_in_init():
+    # Adam makes its moments and scratch vectors in __init__, from the flat
+    # parameter vector; a step only counts itself
+    optim = ROOT / "src/gridsentry/neural/optim.py"
+    writes = attribute_writes(optim)
+    assert [site.split(" ", 1)[1] for site in writes] == ["self.t in step"]
+
+
 def test_layers_keep_no_state_between_calls(tmp_path):
     # a layer holds parameters and gradients only: forward returns its
     # cache and backward takes it, so no call leaves an array in the layer

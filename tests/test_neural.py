@@ -335,6 +335,8 @@ def test_calls_leave_caller_arrays_alone():
         x = rng(89).standard_normal(in_shape)
         dy = rng(90).standard_normal(out_shape)
         x0, dy0 = x.copy(), dy.copy()
+        if model.parameters():
+            flatten_parameters(model)
         first = call_everything(model, x, dy)
         kept = first.copy()
         second = call_everything(model, 2.0 * x, dy)
@@ -348,7 +350,8 @@ def test_calls_leave_caller_arrays_alone():
     _, grad = softmax_cross_entropy(logits, labels)
     assert_same_bits(logits, kept)
     assert not np.shares_memory(p, grad)
-    opt, flat = Adam(1e-3), rng(92).standard_normal(7)
+    flat = rng(92).standard_normal(7)
+    opt = Adam(1e-3, flat)
     grads = rng(93).standard_normal(7)
     kept = grads.copy()
     opt.step(flat, grads)
@@ -372,7 +375,7 @@ def test_interleaved_calls_match_lone_calls():
         for k, x in enumerate(xs):
             y, cache = model.forward(x)
             dy = rng(123 + k).standard_normal(y.shape)
-            model.zero_grad()
+            flatten_parameters(model)
             lone.append((y, dy, model.backward(cache, dy), get_grads(model)))
         caches = []
         for x, (y_lone, *_) in zip(xs, lone):
@@ -381,7 +384,7 @@ def test_interleaved_calls_match_lone_calls():
             caches.append(cache)
         for k in (1, 0):
             _, dy, dx_lone, grads_lone = lone[k]
-            model.zero_grad()
+            flatten_parameters(model)
             assert_same_bits(model.backward(caches[k], dy), dx_lone)
             grads = get_grads(model)
             assert grads.keys() == grads_lone.keys(), name
@@ -416,10 +419,11 @@ def test_lstm_bits_match_per_step_reference(batch, reused, D):
     if reused:
         earlier = rng(45).standard_normal((batch, T + 2, D))
         _, cache = cell.forward(earlier)
+        flatten_parameters(cell)
         cell.backward(cache, np.ones((batch, T + 2, H)))
     hs_ref, dx_ref, grads_ref = ref_lstm(cell.params, x, dhs)
     hs, cache = cell.forward(x)
-    cell.zero_grad()
+    flatten_parameters(cell)
     dx = cell.backward(cache, dhs)
     assert np.array_equal(hs, hs_ref)
     assert np.array_equal(dx, dx_ref)
@@ -458,10 +462,11 @@ def ref_train(model, x, y, config, seed, loss="mse", mask=None):
                 value, grad = mse(out, y[idx], mask=mb)
             else:
                 value, grad = ref_cross_entropy(out, y[idx])
-            model.zero_grad()
+            entries = model.parameters()
+            for _, p, g, k in entries:
+                g[k] = np.zeros_like(p[k])
             model.backward(cache, grad)
             step += 1
-            entries = model.parameters()
             params = {name: p[k] for name, p, _, k in entries}
             grads = {name: g[k] for name, _, g, k in entries}
             ref_adam_step(state, params, grads, step, config.learning_rate)
@@ -477,7 +482,7 @@ def test_adam_bits_match_reference():
     model = lstm_readout(5, 6, 5, rng(47))
     params = {name: p[k].copy() for name, p, _, k in model.parameters()}
     flat_params, flat_grads = flatten_parameters(model)
-    opt, ref_state = Adam(5e-3), {}
+    opt, ref_state = Adam(5e-3, flat_params), {}
     for step in range(1, 6):
         r = rng(48 + step)
         grads = {}
@@ -554,6 +559,34 @@ def get_grads(model):
     return {name: g[k].copy() for name, _, g, k in model.parameters()}
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_only_a_fit_binds_gradients(dtype):
+    # a build or a set_state makes no gradient array: a fit binds them
+    r = rng(130)
+    for model in (Dense(4, 3, r), LSTM(3, 4, r), lstm_readout(3, 4, 3, r),
+                  build_classifier(r)):
+        name = type(model).__name__
+        assert all(k not in g for _, _, g, k in model.parameters()), name
+        set_state(model, {k: v.astype(dtype)
+                          for k, v in get_state(model).items()})
+        assert all(k not in g for _, _, g, k in model.parameters()), name
+    # after a fit, flatten_parameters binds a zeroed gradient vector in the
+    # parameters' dtype and keeps the trained parameters
+    x = rng(131).standard_normal((20, 3)).astype(dtype)
+    model = Sequential([Dense(3, 5, rng(132)), Sigmoid(), Dense(5, 3, r)])
+    set_state(model, {k: v.astype(dtype) for k, v in get_state(model).items()})
+    train(model, x, x, TrainConfig(learning_rate=1e-2, epochs=2,
+                                   batch_size=8), seed=0)
+    trained = get_state(model)
+    params, grads = flatten_parameters(model)
+    assert params.dtype == grads.dtype == dtype
+    assert grads.shape == params.shape and not np.any(grads)
+    for name, p, g, k in model.parameters():
+        assert g[k].base is grads and p[k].base is params, name
+        assert g[k].shape == p[k].shape, name
+        assert np.array_equal(p[k], trained[name]), name
+
+
 def test_backward_without_input_grad():
     # input_grad=False returns None and leaves the parameter gradients as
     # they are with it
@@ -567,11 +600,11 @@ def test_backward_without_input_grad():
     for model, x in models:
         y, cache = model.forward(x)
         dy = rng(72).standard_normal(y.shape)
-        model.zero_grad()
+        flatten_parameters(model)
         dx = model.backward(cache, dy)
         assert dx.shape == x.shape
         full = get_grads(model)
-        model.zero_grad()
+        flatten_parameters(model)
         assert model.backward(cache, dy, input_grad=False) is None
         for name, g in get_grads(model).items():
             assert np.array_equal(g, full[name]), name
@@ -703,8 +736,11 @@ def test_set_state_shape_guard():
 # Adam moments, and float64 ones float64.
 
 def in_dtype(model, dtype):
-    """`model` with its parameters and gradients cast to `dtype`."""
+    """`model` with its parameters cast to `dtype` and, when it has
+    parameters, gradients bound in that dtype."""
     set_state(model, {k: v.astype(dtype) for k, v in get_state(model).items()})
+    if model.parameters():
+        flatten_parameters(model)
     return model
 
 
@@ -747,8 +783,8 @@ def test_losses_and_adam_keep_the_dtype(dtype):
     loss, grad = softmax_cross_entropy(logits, np.arange(6))
     assert isinstance(loss, float) and grad.dtype == dtype
     assert softmax(logits).dtype == dtype
-    opt = Adam(1e-3)
     flat = rng(106).standard_normal(7).astype(dtype)
+    opt = Adam(1e-3, flat)
     for step in range(3):
         opt.step(flat, rng(107 + step).standard_normal(7).astype(dtype))
     assert flat.dtype == opt.m.dtype == opt.v.dtype == dtype
@@ -773,7 +809,8 @@ def test_float32_kernels_stay_finite_at_the_extremes():
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
         assert loss == pytest.approx((-np.log(np.float32(1e-12))
                                       + np.log(3)) / 2, rel=1e-6)
-        opt, flat = Adam(1e-3), np.zeros(3, dtype=np.float32)
+        flat = np.zeros(3, dtype=np.float32)
+        opt = Adam(1e-3, flat)
         opt.step(flat, np.array([0.0, 1e-30, 1e15], dtype=np.float32))
         assert np.all(np.isfinite(flat)) and flat[0] == 0.0
         assert flat[2] == pytest.approx(-1e-3, rel=1e-5)
