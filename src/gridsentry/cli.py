@@ -115,8 +115,7 @@ def split_series(series_list, seed: int):
     """
     groups: dict = {}
     for series in series_list:
-        key = (series.metadata["condition"],
-               series.metadata.get("level", 0))
+        key = (series.metadata["condition"], series.level)
         groups.setdefault(key, []).append(series)
     small = {key: len(members) for key, members in sorted(groups.items())
              if len(members) < 2}
@@ -299,14 +298,14 @@ def main(argv=None) -> int:
         cmd_train(cfg, data_dir, args.variant, out)
         return 0
     if args.command == "evaluate":
-        return cmd_evaluate(cfg, data_dir, Path(args.bundle), out,
-                            gate=args.gate)
+        return cmd_evaluate(cfg, data_dir, resolve_output_dir(args.bundle),
+                            out, gate=args.gate)
     if args.command == "holdout":
-        cmd_holdout(cfg, data_dir, Path(args.bundle), out)
+        cmd_holdout(cfg, data_dir, resolve_output_dir(args.bundle), out)
         return 0
     if args.command == "report":
-        cmd_report(cfg, data_dir, [Path(p) for p in args.bundles.split(",")],
-                   out)
+        cmd_report(cfg, data_dir, [resolve_output_dir(p)
+                                   for p in args.bundles.split(",")], out)
         return 0
     raise AssertionError(args.command)
 

@@ -4,8 +4,7 @@ from .models import (CLASSIFIER_INPUT, CODE_SIZE, LAGS, ModelBundle,
                      load_bundle, predict_and_residual, save_bundle,
                      state_checksum, trained)
 from .pipeline import evaluate_predictions, feature_rows, train_bundle
-from .preprocess import (EPSILON, PreprocessStats, assert_normal_lineage,
-                         fit_preprocess, preprocess)
+from .preprocess import EPSILON, PreprocessStats, fit_preprocess, preprocess
 
 __all__ = [
     "CLASSIFIER_INPUT", "CODE_SIZE", "LAGS", "ModelBundle",
@@ -13,6 +12,5 @@ __all__ = [
     "fit_autoencoder", "fit_classifier", "fit_predictor", "load_bundle",
     "predict_and_residual", "save_bundle", "state_checksum", "trained",
     "evaluate_predictions", "feature_rows", "train_bundle",
-    "EPSILON", "PreprocessStats", "assert_normal_lineage", "fit_preprocess",
-    "preprocess",
+    "EPSILON", "PreprocessStats", "fit_preprocess", "preprocess",
 ]

@@ -10,7 +10,7 @@ from ..scenario import LABEL_INDEX
 from .models import (LAGS, SUBMODELS, ModelBundle, classify,
                      fit_autoencoder, fit_classifier, fit_predictor,
                      predict_and_residual, state_checksum, trained)
-from .preprocess import assert_normal_lineage, fit_preprocess, preprocess
+from .preprocess import fit_preprocess, preprocess
 
 # the one table of per-stage training defaults
 STAGE_DEFAULTS = {
@@ -48,7 +48,7 @@ def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
                 group, predict_and_residual(bundle, group, case)):
             obs = bundle.stats.standardize_raw(
                 np.asarray(series.values)[LAGS + 1:])
-            levels.append(np.full(len(obs), series.metadata.get("level", 0)))
+            levels.append(np.full(len(obs), series.level))
             features.append(np.concatenate([residuals, obs], axis=1))
             labels.append([LABEL_INDEX[label]
                            for label in series.labels[LAGS + 1:]])
@@ -63,15 +63,13 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
     Stage order: preprocess stats -> autoencoder (AEN variant) -> predictor
     (AEN/RNN variants) -> residual features with frozen upstream models ->
     classifier. Stats, autoencoder, and predictor see the normal-condition
-    series only, and a normal-condition series with any non-normal frame
-    label is refused. stage_configs maps every stage name to its
-    TrainConfig; fits are seeded seed, seed+1, seed+2 in stage order.
+    series only. stage_configs maps every stage name to its TrainConfig;
+    fits are seeded seed, seed+1, seed+2 in stage order.
     """
     normals = [s for s in series_list
                if s.metadata["condition"] == "normal"]
     if not normals:
         raise ValueError("training set contains no normal series")
-    assert_normal_lineage(normals)
 
     stats = fit_preprocess(normals)
     bundle = ModelBundle(variant=variant, stats=stats,

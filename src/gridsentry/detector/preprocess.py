@@ -85,15 +85,3 @@ def preprocess(series, stats: PreprocessStats) -> np.ndarray:
         raise ValueError("need at least 2 frames to difference")
     return np.diff(values, axis=0) / stats.std
 
-
-def assert_normal_lineage(series_list) -> None:
-    """Data hygiene check: reconstruction/prediction training sees only
-    frames labeled normal. A series is named by the seed its metadata
-    records."""
-    for series in series_list:
-        bad = {lbl for lbl in series.labels if lbl != "normal"}
-        if bad:
-            raise ValueError(
-                f"series of seed {series.metadata.get('seed')} carries "
-                f"non-normal labels {sorted(bad)}; "
-                "autoencoder/predictor training must only see normal data")

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,50 +20,34 @@ REACTIVE_RATIO = float(np.tan(np.arccos(0.95)))  # constant 0.95 power factor
 @dataclass
 class ScenarioSeries:
     values: np.ndarray          # (T, 39)
-    labels: list[str]           # per-frame, from LABELS
-    metadata: dict = field(default_factory=dict)
+    metadata: dict              # the sidecar
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("hour," + ",".join(f"s{i:02d}" for i in range(N_SENSORS))
-                  + ",label\n")
-        for t, row in enumerate(self.values.tolist()):
-            buf.write(f"{t},{','.join(map(repr, row))},{self.labels[t]}\n")
-        return buf.getvalue()
+    @property
+    def labels(self) -> list[str]:
+        """The sidecar's condition inside its window, normal elsewhere."""
+        start, end = self.metadata.get("window", (0, 0))
+        return [self.metadata["condition"] if start <= t < end else "normal"
+                for t in range(len(self.values))]
 
-    @classmethod
-    def from_csv(cls, text: str, metadata: dict | None = None) -> "ScenarioSeries":
-        """Parse to_csv's text. Row t must hold hour t and a label from
-        LABELS, and a metadata horizon must match the row count; the
-        ValueError names the row."""
-        metadata = metadata or {}
-        rows = text.strip().splitlines()[1:]
-        for t, row in enumerate(rows):
-            if not row.startswith(f"{t},"):
-                raise ValueError(f"row {t}: hour {row.split(',', 1)[0]!r}, "
-                                 f"expected {t}")
-        labels = [row.rsplit(",", 1)[1] for row in rows]
-        if not set(labels) <= set(LABELS):
-            t = next(t for t, label in enumerate(labels) if label not in LABELS)
-            raise ValueError(f"row {t}: label {labels[t]!r} is not in LABELS")
-        horizon = metadata.get("horizon", len(rows))
-        if horizon != len(rows):
-            raise ValueError(f"row {min(horizon, len(rows))}: the file holds "
-                             f"{len(rows)} rows, its metadata a horizon of "
-                             f"{horizon}")
-        # numpy's parser rounds correctly, so values equal float(str)
-        values = np.loadtxt(rows, delimiter=",",
-                            usecols=range(1, 1 + N_SENSORS), ndmin=2)
-        return cls(values=values, labels=labels, metadata=metadata)
+    @property
+    def level(self) -> int:
+        """The sidecar's severity level, 0 for a normal series."""
+        return self.metadata.get("level", 0)
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        path.write_text(self.to_csv())
+        lines = ["hour," + ",".join(f"s{i:02d}" for i in range(N_SENSORS))
+                 + ",label"]
+        lines += [f"{t},{','.join(map(repr, row))},{label}" for t, (row, label)
+                  in enumerate(zip(self.values.tolist(), self.labels))]
+        path.write_text("\n".join(lines) + "\n")
         path.with_suffix(".meta.json").write_text(
             json.dumps(self.metadata, indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSeries":
+        """Read save's file, checked against its sidecar: row t holds hour t
+        and the label of frame t; a ValueError names the file and the row."""
         # a missing sidecar or condition raises: without its condition
         # the series would pass for a normal one, and an attack or fault
         # without its severity would join every level's training rows
@@ -77,13 +60,33 @@ class ScenarioSeries:
                              f"got {condition!r}")
         if condition != "normal" and (
                 {"level", "target", "window"} - set(meta)
-                or meta["level"] not in list(LEVEL_FRACTIONS)):
+                or type(meta["level"]) is not int
+                or meta["level"] not in LEVEL_FRACTIONS
+                or not isinstance(meta["window"], list)
+                or list(map(type, meta["window"])) != [int, int]):
             raise ValueError(f"{sidecar} records a {condition} series without "
-                             "target, window and a level from LEVEL_FRACTIONS")
+                             "target, two int window hours and an int level")
+        rows = path.read_text().strip().splitlines()[1:]
+        labels = cls(np.empty((len(rows), 0)), meta).labels  # one per row
         try:
-            return cls.from_csv(path.read_text(), metadata=meta)
+            for t, (row, label) in enumerate(zip(rows, labels)):
+                if not row.startswith(f"{t},"):
+                    raise ValueError(f"row {t}: hour {row.split(',', 1)[0]!r},"
+                                     f" expected {t}")
+                if not row.endswith(f",{label}"):
+                    raise ValueError(f"row {t}: label {row.rsplit(',')[-1]!r}"
+                                     f", the sidecar gives {label!r}")
+            horizon = meta.get("horizon", len(rows))
+            if horizon != len(rows):
+                raise ValueError(f"row {min(horizon, len(rows))}: the file "
+                                 f"holds {len(rows)} rows, its metadata a "
+                                 f"horizon of {horizon}")
+            # numpy's parser rounds correctly, so values equal float(str)
+            values = np.loadtxt(rows, delimiter=",",
+                                usecols=range(1, 1 + N_SENSORS), ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        return cls(values=values, metadata=meta)
 
 
 def generate_scenario(case: GridCase, plan: GenerationPlan, demand: np.ndarray,
@@ -176,5 +179,4 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, demand: np.ndarray,
     if condition is not None:
         meta.update(target=condition.target_generator, level=condition.level,
                     window=[condition.start_hour, condition.end_hour])
-    labels = [label if hour else "normal" for hour in in_window.tolist()]
-    return ScenarioSeries(values=values, labels=labels, metadata=meta)
+    return ScenarioSeries(values=values, metadata=meta)

@@ -16,7 +16,8 @@ from scipy.stats import spearmanr
 import gridsentry.cli as cli
 from gridsentry.config import RunConfig, RunManifest
 from gridsentry.detector import pipeline
-from gridsentry.detector.models import build_autoencoder, build_classifier
+from gridsentry.detector.models import (LAGS, build_autoencoder,
+                                       build_classifier)
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.evaluation import (confusion_counts, holdout_experiment,
                                    macro_f1, precision_recall_f1,
@@ -256,7 +257,7 @@ def test_criterion_6_metric_exactness():
 def test_criterion_7_end_to_end(world):
     frames_per_condition = {}
     for series in world["series"]:
-        for lbl in series.labels[11:]:               # classifiable frames
+        for lbl in series.labels[LAGS + 1:]:         # classifiable frames
             frames_per_condition[lbl] = frames_per_condition.get(lbl, 0) + 1
     minimum = min(frames_per_condition[lbl] for lbl in LABELS)
     assert minimum >= 1500                           # >= 1,500 frames/condition

@@ -254,6 +254,27 @@ def test_output_root_env(tmp_path, monkeypatch):
     assert resolve_output_dir("/abs/p") == Path("/abs/p")
 
 
+def test_output_root_env_resolves_bundle_paths(tmp_path, monkeypatch):
+    # train writes its bundle under the root, so evaluate, holdout and
+    # report read a relative --bundle or --bundles entry from there too
+    root = tmp_path / "root"
+    monkeypatch.setenv("GRIDSENTRY_OUTPUT_ROOT", str(root))
+    config = str(write_config(tmp_path / "run.yaml"))
+    seen = {}
+    for command in ("evaluate", "holdout", "report"):
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda cfg, data, bundle, out, gate=None,
+                            command=command: seen.update({command: bundle}))
+    bundle = "runs/demo/data/models/bundle_SE_DNN.npz"
+    for command, flag in (("evaluate", "--bundle"), ("holdout", "--bundle"),
+                          ("report", "--bundles")):
+        cli.main(["--config", config, command, "--data", "runs/demo/data",
+                  flag, f"{bundle},/abs/b.npz" if flag == "--bundles"
+                  else bundle])
+    assert seen == {"evaluate": root / bundle, "holdout": root / bundle,
+                    "report": [root / bundle, Path("/abs/b.npz")]}
+
+
 # ---------------------------------------------------------------- pipeline
 
 @pytest.fixture(scope="module")

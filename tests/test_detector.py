@@ -6,12 +6,11 @@ import pytest
 from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
                                  ModelBundle, PreprocessStats,
                                  SensorMapMismatchError, UntrainedBundleError,
-                                 VARIANTS, assert_normal_lineage, classify,
-                                 evaluate_predictions, feature_rows,
-                                 fit_autoencoder, fit_classifier,
+                                 VARIANTS, classify, evaluate_predictions,
+                                 feature_rows, fit_autoencoder, fit_classifier,
                                  fit_predictor, fit_preprocess, load_bundle,
                                  predict_and_residual, preprocess, save_bundle,
-                                 state_checksum, train_bundle)
+                                 state_checksum)
 from gridsentry.detector.models import (SUBMODELS, build_autoencoder,
                                        build_classifier, build_predictor)
 from gridsentry.detector.pipeline import RESIDUAL_GROUP
@@ -42,11 +41,9 @@ def normal_series(case):
     return out
 
 
-def synthetic_series(values, label="normal"):
-    values = np.asarray(values, dtype=float)
-    return ScenarioSeries(values=values,
-                          labels=[label] * values.shape[0],
-                          metadata={"condition": label})
+def synthetic_series(values):
+    return ScenarioSeries(values=np.asarray(values, dtype=float),
+                          metadata={"condition": "normal"})
 
 
 def unit_stats():
@@ -108,7 +105,7 @@ def test_fit_preprocess_refuses_non_finite_frames(case, normal_series):
     rng = np.random.default_rng(4)
     values = rng.standard_normal((200, N_SENSORS))
     values[0] = np.nan
-    gappy = ScenarioSeries(values=values, labels=["normal"] * 200,
+    gappy = ScenarioSeries(values=values,
                            metadata={"condition": "normal", "seed": 41,
                                      "gap_hours": [0]})
     clean = synthetic_series(rng.standard_normal((200, N_SENSORS)))
@@ -127,32 +124,6 @@ def test_fit_preprocess_deterministic():
     s1 = fit_preprocess(data)
     s2 = fit_preprocess(data)
     np.testing.assert_array_equal(s1.std, s2.std)
-
-
-def test_lineage_assertion():
-    good = synthetic_series(np.ones((5, N_SENSORS)))
-    assert_normal_lineage([good])
-    bad = synthetic_series(np.ones((5, N_SENSORS)))
-    bad.labels[2] = "attack_2"
-    with pytest.raises(ValueError, match="attack_2"):
-        assert_normal_lineage([bad])
-
-
-def test_train_bundle_refuses_tainted_normal_series(case, normal_series):
-    # a normal-condition series with an attack label fails the training
-    # run before any fit, instead of dropping out of the training data
-    tainted = normal_series[0]
-    labels = list(tainted.labels)
-    labels[10] = "attack_2"
-    tainted = ScenarioSeries(values=tainted.values, labels=labels,
-                             metadata=dict(tainted.metadata))
-    assert tainted.metadata["condition"] == "normal"
-    stages = dict.fromkeys(("autoencoder", "predictor", "classifier"), TINY)
-    seed = tainted.metadata["seed"]
-    with pytest.raises(ValueError, match=rf"seed {seed} carries non-normal "
-                                         r"labels \['attack_2'\]"):
-        train_bundle("RNN_DNN", [*normal_series, tainted], case, seed=0,
-                     stage_configs=stages, noise_sigma=0.01)
 
 
 def test_preprocess_stats_refuse_non_finite():
@@ -290,7 +261,6 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
     for k in range(2 * RESIDUAL_GROUP + 3):
         base, n = normal_series[k % 3], 48 if k % 4 else 30
         series.append(ScenarioSeries(values=base.values[:n],
-                                     labels=base.labels[:n],
                                      metadata=dict(base.metadata)))
     for dtype in (np.float64, np.float32):
         for name, state in drawn.items():

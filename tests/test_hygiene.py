@@ -247,6 +247,35 @@ def test_one_home_for_each_network_architecture():
     assert sites == []
 
 
+def is_metadata(node) -> bool:
+    """A series' sidecar dict: `<x>.metadata`, or a name `metadata`/`meta`."""
+    return (getattr(node, "attr", None) == "metadata"
+            or getattr(node, "id", None) in ("metadata", "meta"))
+
+
+def test_one_home_for_series_annotations():
+    # a frame's label and a series' level derive from its sidecar's level
+    # and window in ScenarioSeries alone, so a normal series' level 0 and
+    # the window's bounds are each spelled once
+    sites = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        if rel == "src/gridsentry/scenario/generate.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and is_metadata(node.value):
+                key = node.slice
+            elif (isinstance(node, ast.Call) and node.args
+                  and getattr(node.func, "attr", None) == "get"
+                  and is_metadata(node.func.value)):
+                key = node.args[0]
+            else:
+                continue
+            if getattr(key, "value", None) in ("level", "window"):
+                sites.append(f"{rel}:{node.lineno}")
+    assert sites == []
+
+
 def test_neural_library_names_no_fixed_dtype():
     # the library is dtype-preserving: an array it makes takes the dtype
     # of what it comes from, so np.zeros/np.empty/np.ones need a dtype (or

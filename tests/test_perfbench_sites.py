@@ -133,7 +133,6 @@ def test_stacked_residuals_are_traced():
         "    predictor=build_predictor(N_SENSORS, r))",
         "n = RESIDUAL_GROUP + 1",
         "series = [ScenarioSeries(values=r.standard_normal((20, N_SENSORS)),",
-        "                         labels=['normal'] * 20,",
         "                         metadata={'condition': 'normal'})",
         "          for _ in range(n)]",
         "levels, _, _ = feature_rows(bundle, series, load_case())",

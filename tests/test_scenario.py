@@ -311,7 +311,7 @@ def ref_generate_scenario(case, plan, loads, condition, noise_sigma, seed):
         return noise_sigma * np.maximum(np.abs(clean), NOISE_FLOOR)
 
     values = np.empty((T, N_SENSORS))
-    labels, noop_hours, gap_hours, fallback_hours = [], [], [], []
+    noop_hours, gap_hours, fallback_hours = [], [], []
     warm = attacker_warm = last_template = last_values = None
     for t in range(T):
         u = plan.setpoint[t].astype(float)
@@ -353,14 +353,13 @@ def ref_generate_scenario(case, plan, loads, condition, noise_sigma, seed):
                 row[idx] = (last_template[idx]
                             + z * scale(last_template)[idx])
         values[t] = row
-        labels.append(label if in_window else "normal")
     meta = {"condition": label, "seed": seed, "noise_sigma": noise_sigma,
             "horizon": T, "noop_hours": noop_hours, "gap_hours": gap_hours,
             "template_fallback_hours": fallback_hours}
     if condition is not None:
         meta.update(target=condition.target_generator, level=condition.level,
                     window=[condition.start_hour, condition.end_hour])
-    return ScenarioSeries(values=values, labels=labels, metadata=meta)
+    return ScenarioSeries(values=values, metadata=meta)
 
 
 def test_generate_scenario_matches_reference_form(tmp_path, case, world):
@@ -460,14 +459,16 @@ def test_series_csv_roundtrip(tmp_path, case, world):
                                   if k != key})
                       for key in ("level", "target", "window")),
                     *(json.dumps({**s.metadata, "level": level})
-                      for level in (None, 0, 6, "2"))):
+                      for level in (None, 0, 6, "2", 3.0, True)),
+                    *(json.dumps({**s.metadata, "window": window})
+                      for window in (None, 10, [10], [10, 20.0], "ab"))):
         p.with_suffix(".meta.json").write_text(sidecar)
         with pytest.raises(ValueError, match="series.meta.json"):
             ScenarioSeries.load(p)
-    # a label outside LABELS, a row count short of the sidecar's horizon
-    # and rows out of hour order are refused with the file and the row
+    # a label other than the sidecar's, a row count short of the sidecar's
+    # horizon and rows out of hour order are refused with the file and row
     p.with_suffix(".meta.json").write_text(json.dumps(s.metadata))
-    text = s.to_csv()
+    text = p.read_text()
     lines = text.splitlines(keepends=True)
     swapped = lines[:4] + [lines[5], lines[4]] + lines[6:]
     for csv, row in ((text.replace(",attack_3\n", ",atack_3\n"), 10),
@@ -491,30 +492,57 @@ def test_series_csv_roundtrip(tmp_path, case, world):
     values[0] = np.nan
     values[1, :6] = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300,
                      0.1 + 0.2, 1 / 3]
-    labels = ["normal", "normal", "fault_6", "fault_6", "normal"]
-    for series in (ScenarioSeries(values, labels),
-                   ScenarioSeries(values[2:3], labels[2:3])):
-        text = series.to_csv()
-        back = ScenarioSeries.from_csv(text)
+    fault = {"condition": "fault_6", "target": 6, "level": 1}
+    for series, labels in (
+            (ScenarioSeries(values, {**fault, "window": [2, 4]}),
+             ["normal", "normal", "fault_6", "fault_6", "normal"]),
+            (ScenarioSeries(values[2:3], {**fault, "window": [0, 1]}),
+             ["fault_6"])):
+        series.save(p)
+        text = p.read_text()
+        back = ScenarioSeries.load(p)
         assert back.values.shape == series.values.shape
-        assert back.labels == series.labels
+        assert back.labels == series.labels == labels
         assert np.array_equal(back.values.view(np.uint64),
                               float_parse(text).view(np.uint64))
         assert np.array_equal(back.values.view(np.uint64),
                               series.values.view(np.uint64))
 
 
-def ref_to_csv(series):
+def test_load_refuses_labels_that_disagree_with_the_sidecar(tmp_path, case,
+                                                            world):
+    # a frame's label is the sidecar's condition inside its window and
+    # normal elsewhere; a file whose label column says otherwise, as a
+    # normal series with an attack frame would, is refused at load
+    loads, plan = world
+    normal = generate_scenario(case, plan, loads, None, 0.01, seed=5)
+    attack = generate_scenario(case, plan, loads,
+                               make_condition(case, "attack", 3, 2, 10, 20),
+                               0.01, seed=5)
+    for series, moved, row in ((normal, {10: "attack_2"}, 10),
+                               (attack, {19: "normal", 20: "attack_3"}, 19)):
+        p = tmp_path / "series.csv"
+        series.save(p)
+        lines = p.read_text().splitlines(keepends=True)
+        for t, label in moved.items():
+            lines[t + 1] = lines[t + 1].rsplit(",", 1)[0] + f",{label}\n"
+        p.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"series\.csv: row {row}: "
+                                             rf"label '{moved[row]}'"):
+            ScenarioSeries.load(p)
+
+
+def ref_to_csv(values, labels):
     """The writer's reference form: repr of each value boxed as a float."""
     lines = ["hour," + ",".join(f"s{i:02d}" for i in range(N_SENSORS))
              + ",label"]
-    for t in range(len(series.values)):
-        row = ",".join(repr(float(v)) for v in series.values[t])
-        lines.append(f"{t},{row},{series.labels[t]}")
+    for t in range(len(values)):
+        row = ",".join(repr(float(v)) for v in values[t])
+        lines.append(f"{t},{row},{labels[t]}")
     return "\n".join(lines) + "\n"
 
 
-def test_series_csv_bytes_match_reference_form(case, world):
+def test_series_csv_bytes_match_reference_form(tmp_path, case, world):
     loads, plan = world
     spec = make_condition(case, "attack", 6, 3, 10, 30)
     generated = generate_scenario(case, plan, loads, spec, 0.10, seed=12)
@@ -524,7 +552,13 @@ def test_series_csv_bytes_match_reference_form(case, world):
     values[1, :7] = [-0.0, 0.0, 5e-324, 1.797e308, 1.7976931348623157e308,
                      0.1 + 0.2, -1e-300]
     values[2, :3] = [np.inf, -np.inf, 1 / 3]
-    labels = ["normal", "normal", "attack_2", "attack_2", "normal", "normal"]
-    for series in (generated, ScenarioSeries(values, labels),
-                   ScenarioSeries(values[1:2], labels[1:2])):
-        assert series.to_csv() == ref_to_csv(series)
+    attack = {"condition": "attack_2", "target": 2, "level": 1,
+              "window": [2, 4]}
+    p = tmp_path / "series.csv"
+    for series, labels in (
+            (generated, ["normal"] * 10 + ["attack_6"] * 20 + ["normal"] * 18),
+            (ScenarioSeries(values, attack),
+             ["normal", "normal", "attack_2", "attack_2", "normal", "normal"]),
+            (ScenarioSeries(values[1:2], attack), ["normal"])):
+        series.save(p)
+        assert p.read_text() == ref_to_csv(series.values, labels)
