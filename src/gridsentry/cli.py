@@ -12,13 +12,14 @@ import numpy as np
 
 from .config import (ConfigError, RunConfig, RunManifest, config_hash,
                      load_config, resolve_output_dir)
-from .detector import load_bundle, save_bundle, train_bundle, trained
+from .detector import (SensorMapMismatchError, UntrainedBundleError,
+                       load_bundle, save_bundle, train_bundle, trained)
 from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import HOUSEHOLDS_PER_BUS, plan_generation, synthesize_loads
 from .evaluation import (accuracy, confusion_counts, csv_table,
                          format_report, holdout_experiment, macro_f1,
                          report_rows, severity_sweep)
-from .grid import load_case
+from .grid import CaseError, load_case
 from .scenario import (GENERATOR_BUSES, KINDS, LEVEL_FRACTIONS,
                        ScenarioSeries, condition_name, generate_scenario,
                        make_condition)
@@ -100,7 +101,13 @@ def load_dataset(data_dir: Path) -> list[ScenarioSeries]:
                                              "confusion")))
     if not paths:
         raise FileNotFoundError(f"no series CSVs in {data_dir}")
-    return [ScenarioSeries.load(p) for p in paths]
+    series_list = [ScenarioSeries.load(p) for p in paths]
+    hours = [len(series.labels) for series in series_list]
+    for path, n in zip(paths, hours):
+        if n != hours[0]:
+            raise ValueError(f"{paths[0]} holds {hours[0]} hours but {path} "
+                             f"holds {n}; a dataset holds one horizon")
+    return series_list
 
 
 SPLIT_FRACTION = 0.8  # share of each (condition, level) group trained on
@@ -285,7 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand. A refusal of the run's input prints one
+    `gridsentry: error: <message>` line to stderr and exits 2, as
+    argparse's usage errors do; any other error keeps its traceback."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ConfigError, CaseError, FileNotFoundError,
+            SensorMapMismatchError, UntrainedBundleError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+
+
+def _run(args) -> int:
     cfg = load_config(args.config)
 
     if args.command == "gen-data":

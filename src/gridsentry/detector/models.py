@@ -22,7 +22,7 @@ from ..grid import (GridCase, N_SENSORS, estimate_state, noise_scale,
 from ..neural import (Dense, LSTM, LeakyReLU, ReLU, Sequential, Sigmoid,
                       TrainConfig, get_state, set_state, softmax, train)
 from ..scenario import LABELS
-from .preprocess import PreprocessStats, preprocess
+from .preprocess import PreprocessStats, preprocess, sensor_frames
 
 # the sub-models each variant trains, by ModelBundle attribute
 SUBMODELS = {
@@ -182,17 +182,10 @@ def trained(bundle: ModelBundle, attr: str):
     return value
 
 
-def _se_residual_row(case: GridCase, values: np.ndarray,
-                     noise_sigma: float) -> np.ndarray:
-    weights = noise_scale(values, noise_sigma) ** 2
-    est = estimate_state(case, values, weights)
-    return values - est.predicted_measurements
-
-
 def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
-                         ) -> list[np.ndarray]:
-    """One (T-1-LAGS, 39) residual array per series of series_list, in
-    order, under the bundle's variant.
+                         ) -> np.ndarray:
+    """The (S, T-1-LAGS, 39) residuals of the S equal-length series of
+    series_list, in order, under the bundle's variant.
 
     Residuals live in standardized-difference space for every variant, one
     row per original frame LAGS+1 .. T-1 (the first LAGS differenced frames
@@ -200,44 +193,35 @@ def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
     learned variants cast the standardized differences to the predictor's
     parameter dtype and return residuals in it; SE_DNN's are float64.
 
-    The learned variants run their models once per group of equal-length
-    series, stacked (S, 1, T, D): every series keeps its own batch of one,
-    so its residuals have the bits of a one-series call. A (S, T, D) batch
-    would not: its recurrent products take BLAS's matrix-matrix path, not
-    the matrix-vector one. The group's memory grows with S, so callers
-    bound the list (pipeline.RESIDUAL_GROUP).
+    The learned variants run their models once on the stack, as
+    (S, 1, T, D): every series keeps its own batch of one, so its residuals
+    have the bits of a one-series call. A (S, T, D) batch would not: its
+    recurrent products take BLAS's matrix-matrix path, not the
+    matrix-vector one. The memory grows with S, so callers bound the list
+    (pipeline.RESIDUAL_GROUP).
     """
-    zs = [preprocess(series, bundle.stats) for series in series_list]
-    for z in zs:  # z row j <-> frame j+1
-        if z.shape[0] <= LAGS:
-            raise ValueError(f"series too short for {LAGS} lags")
+    z = preprocess(series_list, bundle.stats)  # z row j <-> frame j+1
+    if z.shape[1] <= LAGS:
+        raise ValueError(f"series too short for {LAGS} lags")
 
     if bundle.variant == "SE_DNN":
-        return [np.array([_se_residual_row(case, row, bundle.noise_sigma)
-                          / bundle.stats.std for row in
-                          np.asarray(series.values, dtype=float)[LAGS + 1:]])
-                for series in series_list]
+        sigma = bundle.noise_sigma
+        frames = sensor_frames(series_list)[:, LAGS + 1:]
+        # one WLS fit per frame, each sensor weighted by its noise variance
+        fitted = [estimate_state(case, y, noise_scale(y, sigma) ** 2)
+                  .predicted_measurements
+                  for y in frames.reshape(-1, N_SENSORS)]
+        return (frames - np.reshape(fitted, frames.shape)) / bundle.stats.std
 
     coded = bundle.variant == "AEN_RNN_DNN"
     predictor = trained(bundle, "predictor")
-    encoder = trained(bundle, "encoder") if coded else None
-    decoder = trained(bundle, "decoder") if coded else None
-    by_length: dict[int, list[int]] = {}
-    for k, z in enumerate(zs):
-        by_length.setdefault(z.shape[0], []).append(k)
-    out = [None] * len(zs)
-    for members in by_length.values():
-        z = np.stack([zs[k] for k in members],
-                     dtype=predictor.dtype)[:, None]  # (S, 1, T-1, 39)
-        codes = encoder.forward(z)[0] if coded else z
-        z_hat, _ = predictor.forward(codes[..., :-1, :])
-        if coded:
-            z_hat, _ = decoder.forward(z_hat)
-        # z_hat row j-1 predicts z row j, for the rows j >= LAGS
-        residuals = z[:, 0, LAGS:] - z_hat[:, 0, LAGS - 1:]
-        for k, r in zip(members, residuals):
-            out[k] = r
-    return out
+    z = z.astype(predictor.dtype)[:, None]  # (S, 1, T-1, 39)
+    codes = trained(bundle, "encoder").forward(z)[0] if coded else z
+    z_hat, _ = predictor.forward(codes[..., :-1, :])
+    if coded:
+        z_hat, _ = trained(bundle, "decoder").forward(z_hat)
+    # z_hat row j-1 predicts z row j, for the rows j >= LAGS
+    return z[:, 0, LAGS:] - z_hat[:, 0, LAGS - 1:]
 
 
 def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:

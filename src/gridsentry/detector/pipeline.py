@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..grid import GridCase, sensor_map_hash
+from ..grid import GridCase, N_SENSORS, sensor_map_hash
 from ..neural import TrainConfig
 from ..scenario import LABEL_INDEX
-from .models import (LAGS, SUBMODELS, ModelBundle, classify,
-                     fit_autoencoder, fit_classifier, fit_predictor,
+from .models import (CLASSIFIER_INPUT, LAGS, SUBMODELS, ModelBundle,
+                     classify, fit_autoencoder, fit_classifier, fit_predictor,
                      predict_and_residual, state_checksum, trained)
-from .preprocess import fit_preprocess, preprocess
+from .preprocess import fit_preprocess, preprocess, sensor_frames
 
 # the one table of per-stage training defaults
 STAGE_DEFAULTS = {
@@ -37,21 +37,21 @@ def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
     differencing would cancel.
 
     Residuals are computed RESIDUAL_GROUP series at a time, and each group's
-    rows are built before the next group starts. The holdout and severity
-    stages pick frames from this table, so each series' features are
-    computed once per stage.
+    rows are built from its stack before the next group starts. The holdout
+    and severity stages pick frames from this table, so each series'
+    features are computed once per stage.
     """
     levels, features, labels = [], [], []
     for start in range(0, len(series_list), RESIDUAL_GROUP):
         group = series_list[start:start + RESIDUAL_GROUP]
-        for series, residuals in zip(
-                group, predict_and_residual(bundle, group, case)):
-            obs = bundle.stats.standardize_raw(
-                np.asarray(series.values)[LAGS + 1:])
-            levels.append(np.full(len(obs), series.level))
-            features.append(np.concatenate([residuals, obs], axis=1))
-            labels.append([LABEL_INDEX[label]
-                           for label in series.labels[LAGS + 1:]])
+        residuals = predict_and_residual(bundle, group, case)
+        obs = bundle.stats.standardize_raw(
+            sensor_frames(group)[:, LAGS + 1:])
+        levels.append(np.repeat([s.level for s in group], obs.shape[1]))
+        features.append(np.concatenate([residuals, obs], axis=2)
+                        .reshape(-1, CLASSIFIER_INPUT))
+        labels.append(np.vectorize(LABEL_INDEX.__getitem__)(
+            [s.labels[LAGS + 1:] for s in group]).ravel())
     return (np.concatenate(levels), np.concatenate(features),
             np.concatenate(labels))
 
@@ -75,17 +75,17 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
     bundle = ModelBundle(variant=variant, stats=stats,
                          sensor_hash=sensor_map_hash(case),
                          noise_sigma=noise_sigma)
-    sequences = [preprocess(s, stats) for s in normals]
+    z = preprocess(normals, stats)  # (S, T-1, 39)
 
     if variant == "AEN_RNN_DNN":
         enc, dec, hist = fit_autoencoder(
-            np.concatenate(sequences), stage_configs["autoencoder"], seed)
+            z.reshape(-1, N_SENSORS), stage_configs["autoencoder"], seed)
         bundle.encoder, bundle.decoder = enc, dec
         bundle.history["autoencoder"] = hist
-        sequences = [enc.forward(z.astype(enc.dtype))[0] for z in sequences]
+        z = enc.forward(z.astype(enc.dtype))[0]
     if variant != "SE_DNN":
         bundle.predictor, hist = fit_predictor(
-            np.stack(sequences), stage_configs["predictor"], seed + 1)
+            z, stage_configs["predictor"], seed + 1)
         bundle.history["predictor"] = hist
 
     # residual generation must not touch the frozen feature models

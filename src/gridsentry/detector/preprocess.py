@@ -38,50 +38,44 @@ class PreprocessStats:
         return (values - self.raw_mean) / self.raw_std
 
 
-def _frames(series) -> np.ndarray:
-    """The series' (T, 39) sensor frames. A series with a non-finite frame,
-    such as a leading power-flow gap hour, is refused by its seed."""
-    values = np.asarray(series.values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != N_SENSORS:
+def sensor_frames(series_list) -> np.ndarray:
+    """The (S, T, 39) stack of the series' sensor frames. A series with a
+    non-finite frame, such as a leading power-flow gap hour, is refused by
+    its seed, and series of unequal lengths by their lengths."""
+    for series in series_list:
+        if not np.all(np.isfinite(series.values)):
+            meta = series.metadata
+            raise ValueError(f"series of seed {meta.get('seed')} has non-"
+                             "finite frames, gap hours "
+                             f"{meta.get('gap_hours')}")
+    lengths = sorted({len(series.values) for series in series_list})
+    if len(lengths) > 1:
+        raise ValueError(f"series of unequal lengths {lengths}")
+    frames = np.array([series.values for series in series_list], dtype=float)
+    if frames.shape[2:] != (N_SENSORS,):
         raise ValueError(f"expected (T, {N_SENSORS}) sensor frames")
-    if not np.all(np.isfinite(values)):
-        meta = series.metadata
-        raise ValueError(f"series of seed {meta.get('seed')} has non-finite"
-                         f" frames, gap hours {meta.get('gap_hours')}")
-    return values
+    return frames
 
 
 def fit_preprocess(series_list) -> PreprocessStats:
-    """Std of first differences per sensor, floored at EPSILON.
-
-    series_list is an iterable of ScenarioSeries; differences never cross
-    series boundaries.
-    """
-    diffs = []
-    raws = []
-    total = 0
-    for series in series_list:
-        values = _frames(series)
-        total += values.shape[0]
-        raws.append(values)
-        if values.shape[0] >= 2:
-            diffs.append(np.diff(values, axis=0))
-    if total < 100:
-        raise ValueError(f"need at least 100 training frames, got {total}")
-    stacked = np.concatenate(diffs, axis=0)
-    std = np.maximum(stacked.std(axis=0, ddof=1), EPSILON)
-    raw = np.concatenate(raws, axis=0)
+    """Std of first differences per sensor, floored at EPSILON, and the raw
+    frames' per-sensor mean and std; differences never cross series."""
+    frames = sensor_frames(series_list)
+    raw = frames.reshape(-1, N_SENSORS)
+    if len(raw) < 100:
+        raise ValueError(f"need at least 100 training frames, got {len(raw)}")
+    diffs = np.diff(frames, axis=1).reshape(-1, N_SENSORS)
+    std = np.maximum(diffs.std(axis=0, ddof=1), EPSILON)
     raw_std = np.maximum(raw.std(axis=0, ddof=1), EPSILON)
     return PreprocessStats(std=std, raw_mean=raw.mean(axis=0), raw_std=raw_std)
 
 
-def preprocess(series, stats: PreprocessStats) -> np.ndarray:
+def preprocess(series_list, stats: PreprocessStats) -> np.ndarray:
     """Standardized first differences: z_t = (y_t - y_{t-1}) / std.
 
-    Returns (T-1, 39); row j corresponds to original frame j+1.
+    Returns (S, T-1, 39); row j of a series corresponds to its frame j+1.
     """
-    values = _frames(series)
-    if values.shape[0] < 2:
+    frames = sensor_frames(series_list)
+    if frames.shape[1] < 2:
         raise ValueError("need at least 2 frames to difference")
-    return np.diff(values, axis=0) / stats.std
-
+    return np.diff(frames, axis=1) / stats.std

@@ -14,12 +14,11 @@ import yaml
 import gridsentry.cli as cli
 from gridsentry.config import (ConfigError, RunManifest, config_hash,
                                load_config, resolve_output_dir)
-from gridsentry.detector import (SensorMapMismatchError, load_bundle,
-                                 pipeline, save_bundle)
+from gridsentry.detector import load_bundle, pipeline, save_bundle
 from gridsentry.detector.models import SUBMODELS
 from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.evaluation import HoldoutResult
-from gridsentry.grid import DEFAULT_CASE, load_case
+from gridsentry.grid import DEFAULT_CASE, N_SENSORS, load_case
 from gridsentry.neural import TrainConfig, get_state
 from gridsentry.scenario import LABELS, ScenarioSeries
 from oracles import write_weakened_case
@@ -48,6 +47,17 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+def refused(capsys, argv) -> str:
+    """The message of a cli.main run refused as argparse refuses a usage
+    error: one `gridsentry: error:` line on stderr, then exit code 2."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 2, err
+    assert err.startswith("gridsentry: error: ") and err.count("\n") == 1, err
+    return err
 
 
 # ---------------------------------------------------------------- config
@@ -401,6 +411,21 @@ def test_gen_data_reports_power_flow_gaps(tmp_path):
     assert normal_gaps > 0
 
 
+def test_load_dataset_refuses_mixed_horizons(tmp_path):
+    # the detector stacks a dataset's series, so a directory that mixes
+    # 48-h and 60-h series is refused as it loads, naming both files
+    rng = np.random.default_rng(0)
+    for name, hours in (("normal_s00.csv", 48), ("normal_s01.csv", 60)):
+        ScenarioSeries(values=rng.standard_normal((hours, N_SENSORS)),
+                       metadata={"condition": "normal", "horizon": hours}
+                       ).save(tmp_path / name)
+    first, second = (re.escape(str(tmp_path / f"normal_s0{k}.csv"))
+                     for k in (0, 1))
+    with pytest.raises(ValueError,
+                       match=f"{first} holds 48 hours but {second} holds 60"):
+        cli.load_dataset(tmp_path)
+
+
 def test_split_is_series_level_and_stratified(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
@@ -466,7 +491,8 @@ def test_float32_bundle_roundtrip(workspace, tmp_path):
     assert len(preds) == sum(len(s.values) - 1 - 10 for s in series)
 
 
-def test_train_refuses_variant_outside_config(tmp_path, monkeypatch):
+def test_train_refuses_variant_outside_config(tmp_path, monkeypatch,
+                                              capsys):
     # write_config's variants list only SE_DNN; training another variant
     # stops before the case or the dataset is read and before models/ exists
     config_path = write_config(tmp_path / "run.yaml")
@@ -474,9 +500,9 @@ def test_train_refuses_variant_outside_config(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "load_case", read.append)
     monkeypatch.setattr(cli, "load_dataset", read.append)
     data_dir = tmp_path / "data"
-    with pytest.raises(ConfigError, match="RNN_DNN"):
-        cli.main(["--config", str(config_path), "train",
-                  "--data", str(data_dir), "--variant", "RNN_DNN"])
+    assert "RNN_DNN" in refused(capsys, [
+        "--config", str(config_path), "train",
+        "--data", str(data_dir), "--variant", "RNN_DNN"])
     assert read == [] and not (data_dir / "models").exists()
 
 
@@ -506,7 +532,7 @@ def test_report_refuses_repeated_variant(workspace, se_bundle, tmp_path,
     assert read == [] and not out.exists()
 
 
-def test_split_refuses_groups_of_one_series(se_bundle, tmp_path):
+def test_split_refuses_groups_of_one_series(se_bundle, tmp_path, capsys):
     # with one series per group the test split would hold no attack or
     # fault series: train and evaluate refuse the dataset, naming a group
     config_path = write_config(tmp_path / "run.yaml", horizon=24,
@@ -515,15 +541,15 @@ def test_split_refuses_groups_of_one_series(se_bundle, tmp_path):
     small = tmp_path / "data"
     assert cli.main(["--config", str(config_path), "gen-data"]) == 0
     pattern = r"at least 2 series .*\('attack_2', 5\): 1"
-    with pytest.raises(ConfigError, match=pattern):
-        cli.main(["--config", str(config_path), "train",
-                  "--data", str(small), "--variant", "SE_DNN"])
+    assert re.search(pattern, refused(capsys, [
+        "--config", str(config_path), "train",
+        "--data", str(small), "--variant", "SE_DNN"]))
     assert not (small / "models").exists()
     out = tmp_path / "reports"
-    with pytest.raises(ConfigError, match=pattern):
-        cli.main(["--config", str(config_path), "evaluate",
-                  "--data", str(small), "--out", str(out), "--bundle",
-                  str(se_bundle)])
+    assert re.search(pattern, refused(capsys, [
+        "--config", str(config_path), "evaluate",
+        "--data", str(small), "--out", str(out), "--bundle",
+        str(se_bundle)]))
     assert not out.exists()
 
 
@@ -578,7 +604,21 @@ def test_holdout_command_plumbing(workspace, se_bundle, tmp_path,
     assert summary[0]["l"] == 4
 
 
-def test_holdout_refuses_partial_levels_before_loading(tmp_path, monkeypatch):
+def test_missing_config_exits_2_with_one_line(tmp_path):
+    # the console entry point: a refusal is one stderr line naming the
+    # cause and exit status 2, with no traceback
+    missing = tmp_path / "missing.yaml"
+    result = subprocess.run(
+        [sys.executable, "-m", "gridsentry.cli", "--config", str(missing),
+         "gen-data"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 2
+    assert result.stderr == (f"gridsentry: error: config file not found: "
+                             f"{missing}\n")
+
+
+def test_holdout_refuses_partial_levels_before_loading(tmp_path, monkeypatch,
+                                                       capsys):
     # holdout needs every level; with levels [5] it stops before it reads
     # the bundle or the dataset and before it makes its directory
     config_path = write_config(tmp_path / "run.yaml")
@@ -587,10 +627,10 @@ def test_holdout_refuses_partial_levels_before_loading(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "load_bundle", lambda *a: read.append(a))
     monkeypatch.setattr(cli, "load_dataset", read.append)
     out = tmp_path / "reports"
-    with pytest.raises(ConfigError, match="levels"):
-        cli.main(["--config", str(config_path), "holdout",
-                  "--data", str(tmp_path / "data"), "--out", str(out),
-                  "--bundle", str(tmp_path / "bundle_SE_DNN.npz")])
+    assert "levels" in refused(capsys, [
+        "--config", str(config_path), "holdout",
+        "--data", str(tmp_path / "data"), "--out", str(out),
+        "--bundle", str(tmp_path / "bundle_SE_DNN.npz")])
     assert read == [] and not out.exists()
 
 
@@ -625,7 +665,7 @@ def test_stages_sharing_a_directory_keep_each_others_records(
     assert set(manifest["stages"]) == {"evaluate-SE_DNN", "holdout"}
 
 
-def test_gen_data_refuses_directory_of_another_config(tmp_path):
+def test_gen_data_refuses_directory_of_another_config(tmp_path, capsys):
     out = tmp_path / "data"
     small = dict(horizon=24, window=[6, 18], normal_series=1,
                  series_per_condition_per_level=1)
@@ -634,8 +674,8 @@ def test_gen_data_refuses_directory_of_another_config(tmp_path):
                      "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     other = write_config(tmp_path / "l4.yaml", levels=[4], **small)
-    with pytest.raises(ConfigError, match=re.escape(str(out))):
-        cli.main(["--config", str(other), "gen-data", "--out", str(out)])
+    assert str(out) in refused(capsys, ["--config", str(other), "gen-data",
+                                        "--out", str(out)])
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -674,13 +714,14 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     assert sorted(calls) == sorted(s.metadata["seed"] for s in test)
 
 
-def test_evaluate_refuses_wrong_sensor_map(workspace, se_bundle, tmp_path):
+def test_evaluate_refuses_wrong_sensor_map(workspace, se_bundle, tmp_path,
+                                           capsys):
     base, config_path, data_dir = workspace
     with np.load(se_bundle) as data:
         arrays = {k: data[k] for k in data.files}
     arrays["meta/sensor_hash"] = np.array("wrong")
     broken = tmp_path / "broken.npz"
     np.savez(broken, **arrays)
-    with pytest.raises(SensorMapMismatchError, match="sensor"):
-        cli.main(["--config", str(config_path), "evaluate",
-                  "--data", str(data_dir), "--bundle", str(broken)])
+    assert "sensor" in refused(capsys, [
+        "--config", str(config_path), "evaluate",
+        "--data", str(data_dir), "--bundle", str(broken)])

@@ -57,14 +57,14 @@ def unit_stats():
 def test_preprocess_constant_series():
     series = synthetic_series(np.ones((50, N_SENSORS)))
     stats = unit_stats()
-    np.testing.assert_array_equal(preprocess(series, stats), 0.0)
+    np.testing.assert_array_equal(preprocess([series], stats)[0], 0.0)
 
 
 def test_preprocess_single_frame_errors():
     series = synthetic_series(np.ones((1, N_SENSORS)))
     stats = unit_stats()
     with pytest.raises(ValueError):
-        preprocess(series, stats)
+        preprocess([series], stats)
 
 
 def test_fit_preprocess_self_standardizes():
@@ -72,7 +72,7 @@ def test_fit_preprocess_self_standardizes():
     data = [synthetic_series(np.cumsum(
         rng.standard_normal((2000, N_SENSORS)), axis=0))]
     stats = fit_preprocess(data)
-    z = preprocess(data[0], stats)
+    z = preprocess(data, stats)[0]
     np.testing.assert_allclose(z.std(axis=0, ddof=1), 1.0, rtol=0.05)
 
 
@@ -124,6 +124,42 @@ def test_fit_preprocess_deterministic():
     s1 = fit_preprocess(data)
     s2 = fit_preprocess(data)
     np.testing.assert_array_equal(s1.std, s2.std)
+
+
+def ref_fit_preprocess(series_list):
+    """(std, raw_mean, raw_std) in the per-series form: each series'
+    differences and frames concatenated, then the std and mean."""
+    diffs = np.concatenate([np.diff(s.values, axis=0) for s in series_list])
+    raw = np.concatenate([s.values for s in series_list])
+    return (np.maximum(diffs.std(axis=0, ddof=1), EPSILON), raw.mean(axis=0),
+            np.maximum(raw.std(axis=0, ddof=1), EPSILON))
+
+
+def ref_preprocess(series, stats):
+    """One series' standardized differences, on its own."""
+    return np.diff(series.values, axis=0) / stats.std
+
+
+def test_stacked_preprocess_matches_per_series_form(normal_series):
+    # the stack's reshapes and its diff along time keep the bits of the
+    # per-series forms; series of unequal lengths are refused by length
+    rng = np.random.default_rng(8)
+    drawn = [synthetic_series(np.cumsum(rng.standard_normal((60, N_SENSORS)),
+                                        axis=0)) for _ in range(5)]
+    for series in (normal_series, drawn):
+        stats = fit_preprocess(series)
+        for got, want in zip((stats.std, stats.raw_mean, stats.raw_std),
+                             ref_fit_preprocess(series)):
+            assert np.array_equal(got, want)
+        z = preprocess(series, stats)
+        assert z.shape == (len(series), len(series[0].values) - 1, N_SENSORS)
+        for one, rows in zip(series, z):
+            assert np.array_equal(rows, ref_preprocess(one, stats))
+    mixed = [normal_series[0], drawn[0]]
+    with pytest.raises(ValueError, match=r"unequal lengths \[48, 60\]"):
+        fit_preprocess(mixed)
+    with pytest.raises(ValueError, match=r"unequal lengths \[48, 60\]"):
+        preprocess(mixed, stats)
 
 
 def test_preprocess_stats_refuse_non_finite():
@@ -216,7 +252,7 @@ def test_residual_alignment_rnn(case, normal_series):
     stats = fit_preprocess(normal_series)
     bundle = make_stub_bundle("RNN_DNN", case, stats)
     cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4)
-    z = np.stack([preprocess(s, stats) for s in normal_series])
+    z = preprocess(normal_series, stats)
     bundle.predictor, _ = fit_predictor(z, cfg, seed=0)
     [residuals] = predict_and_residual(bundle, [series], case)
     ts = np.arange(LAGS + 1, len(series.values))  # the residual frames
@@ -233,7 +269,7 @@ def test_residual_alignment_rnn(case, normal_series):
 def test_residual_generation_leaves_models_frozen(case, normal_series):
     stats = fit_preprocess(normal_series)
     bundle = make_stub_bundle("RNN_DNN", case, stats)
-    z = np.stack([preprocess(s, stats) for s in normal_series])
+    z = preprocess(normal_series, stats)
     bundle.predictor, _ = fit_predictor(
         z, TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4), seed=0)
     before = state_checksum(bundle.predictor)
@@ -244,10 +280,10 @@ def test_residual_generation_leaves_models_frozen(case, normal_series):
 @pytest.mark.parametrize("variant", ["RNN_DNN", "AEN_RNN_DNN"])
 def test_stacked_residuals_match_one_series_form(case, normal_series,
                                                  variant):
-    # 48- and 30-frame series interleaved, more of them than one group of
-    # feature_rows holds: every series' residuals carry the bits of the
-    # one-series form (2-D code rows, a (1, T, D) predictor batch) run in
-    # the models' parameter dtype, float64 and float32
+    # equal-length series, more of them than two groups of feature_rows
+    # hold: every series' residuals carry the bits of the one-series form
+    # (2-D code rows, a (1, T, D) predictor batch) run in the models'
+    # parameter dtype, float64 and float32; a mixed-length list is refused
     stats = fit_preprocess(normal_series)
     bundle = make_stub_bundle(variant, case, stats)
     r = np.random.default_rng(7)
@@ -257,10 +293,11 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
     bundle.predictor = build_predictor(CODE_SIZE if coded else N_SENSORS, r)
     drawn = {name: get_state(getattr(bundle, name))
              for name in SUBMODELS[variant] if name != "classifier"}
+    t = 40
     series = []
     for k in range(2 * RESIDUAL_GROUP + 3):
-        base, n = normal_series[k % 3], 48 if k % 4 else 30
-        series.append(ScenarioSeries(values=base.values[:n],
+        base, start = normal_series[k % 3], k % 4
+        series.append(ScenarioSeries(values=base.values[start:start + t],
                                      metadata=dict(base.metadata)))
     for dtype in (np.float64, np.float32):
         for name, state in drawn.items():
@@ -268,13 +305,12 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
                       {k: v.astype(dtype) for k, v in state.items()})
         stacked = predict_and_residual(bundle, series, case)
         _, table, _ = feature_rows(bundle, series, case)
-        assert len(stacked) == len(series)
+        assert stacked.shape == (len(series), t - 1 - LAGS, N_SENSORS)
         # the table's frames are each series' residual frames, in order
-        ends = np.cumsum([len(one.values) - 1 - LAGS for one in series])
-        assert len(table) == ends[-1]
+        assert len(table) == len(series) * (t - 1 - LAGS)
         for one, residuals, x in zip(series, stacked,
-                                     np.split(table, ends[:-1])):
-            z = preprocess(one, stats).astype(dtype)
+                                     np.split(table, len(series))):
+            z = preprocess([one], stats)[0].astype(dtype)
             codes = bundle.encoder.forward(z)[0] if coded else z
             z_hat, _ = bundle.predictor.forward(codes[None, :-1])
             z_hat = z_hat[0]
@@ -287,6 +323,11 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
             [alone] = predict_and_residual(bundle, [one], case)
             assert np.array_equal(alone, residuals)
             assert np.array_equal(x[:, :N_SENSORS], residuals)
+    short = ScenarioSeries(values=series[0].values[:30],
+                           metadata=dict(series[0].metadata))
+    for call in (predict_and_residual, feature_rows):
+        with pytest.raises(ValueError, match=r"unequal lengths \[30, 40\]"):
+            call(bundle, [series[1], short], case)
 
 
 # ---------------------------------------------------------------- classifier
@@ -360,7 +401,7 @@ def small_bundle(variant, case, normal_series):
     """A bundle of `variant` with every sub-model fitted for a few epochs."""
     stats = fit_preprocess(normal_series)
     bundle = make_stub_bundle(variant, case, stats)
-    z = np.stack([preprocess(s, stats) for s in normal_series])
+    z = preprocess(normal_series, stats)
     cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4)
     if variant == "AEN_RNN_DNN":
         bundle.encoder, bundle.decoder, _ = fit_autoencoder(

@@ -276,6 +276,31 @@ def test_one_home_for_series_annotations():
     assert sites == []
 
 
+FRAME_READERS = {"src/gridsentry/scenario/generate.py",
+                 "src/gridsentry/detector/preprocess.py"}
+
+
+def values_reads(tree: ast.Module) -> list[int]:
+    """Lines that read a `.values` attribute other than as a method call,
+    so `vars(x).values()` does not count."""
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "values"
+            and isinstance(node.ctx, ast.Load) and id(node) not in called]
+
+
+def test_one_reader_of_sensor_frames():
+    # a series' sensor frames are read where they are made and in the
+    # detector's frame reader, which checks them and stacks a dataset's
+    # series of one horizon; every other stage works on that stack
+    sites = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if str(path.relative_to(ROOT)) not in FRAME_READERS
+             for line in values_reads(ast.parse(path.read_text()))]
+    assert sites == []
+
+
 def test_neural_library_names_no_fixed_dtype():
     # the library is dtype-preserving: an array it makes takes the dtype
     # of what it comes from, so np.zeros/np.empty/np.ones need a dtype (or
