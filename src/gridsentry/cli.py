@@ -21,8 +21,8 @@ from .evaluation import (accuracy, confusion_counts, csv_table,
                          report_rows, severity_sweep)
 from .grid import CaseError, load_case
 from .scenario import (GENERATOR_BUSES, KINDS, LEVEL_FRACTIONS,
-                       ScenarioSeries, condition_name, generate_scenario,
-                       make_condition)
+                       ScenarioSeries, SeriesFileError, condition_name,
+                       generate_scenario, make_condition)
 
 
 def _series_jobs(cfg: RunConfig):
@@ -105,8 +105,9 @@ def load_dataset(data_dir: Path) -> list[ScenarioSeries]:
     hours = [len(series.labels) for series in series_list]
     for path, n in zip(paths, hours):
         if n != hours[0]:
-            raise ValueError(f"{paths[0]} holds {hours[0]} hours but {path} "
-                             f"holds {n}; a dataset holds one horizon")
+            raise SeriesFileError(f"{paths[0]} holds {hours[0]} hours but "
+                                  f"{path} holds {n}; a dataset holds one "
+                                  "horizon")
     return series_list
 
 
@@ -299,7 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, CaseError, FileNotFoundError,
+    except (ConfigError, CaseError, FileNotFoundError, SeriesFileError,
             SensorMapMismatchError, UntrainedBundleError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

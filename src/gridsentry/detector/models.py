@@ -22,7 +22,7 @@ from ..grid import (GridCase, N_SENSORS, estimate_state, noise_scale,
 from ..neural import (Dense, LSTM, LeakyReLU, ReLU, Sequential, Sigmoid,
                       TrainConfig, get_state, set_state, softmax, train)
 from ..scenario import LABELS
-from .preprocess import PreprocessStats, preprocess, sensor_frames
+from .preprocess import PreprocessStats, preprocess
 
 # the sub-models each variant trains, by ModelBundle attribute
 SUBMODELS = {
@@ -182,10 +182,10 @@ def trained(bundle: ModelBundle, attr: str):
     return value
 
 
-def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
-                         ) -> np.ndarray:
-    """The (S, T-1-LAGS, 39) residuals of the S equal-length series of
-    series_list, in order, under the bundle's variant.
+def predict_and_residual(bundle: ModelBundle, frames: np.ndarray,
+                         case: GridCase) -> np.ndarray:
+    """The (S, T-1-LAGS, 39) residuals of the (S, T, 39) frame stack, in
+    series order, under the bundle's variant.
 
     Residuals live in standardized-difference space for every variant, one
     row per original frame LAGS+1 .. T-1 (the first LAGS differenced frames
@@ -196,23 +196,21 @@ def predict_and_residual(bundle: ModelBundle, series_list, case: GridCase
     The learned variants run their models once on the stack, as
     (S, 1, T, D): every series keeps its own batch of one, so its residuals
     have the bits of a one-series call. A (S, T, D) batch would not: its
-    recurrent products take BLAS's matrix-matrix path, not the
-    matrix-vector one. The memory grows with S, so callers bound the list
-    (pipeline.RESIDUAL_GROUP).
+    recurrent products take BLAS's matrix-matrix path, not the matrix-vector
+    one. Memory grows with S, so callers pass pipeline.RESIDUAL_GROUP slices.
     """
-    z = preprocess(series_list, bundle.stats)  # z row j <-> frame j+1
-    if z.shape[1] <= LAGS:
+    if frames.shape[1] <= LAGS + 1:
         raise ValueError(f"series too short for {LAGS} lags")
 
     if bundle.variant == "SE_DNN":
-        sigma = bundle.noise_sigma
-        frames = sensor_frames(series_list)[:, LAGS + 1:]
+        frames, sigma = frames[:, LAGS + 1:], bundle.noise_sigma
         # one WLS fit per frame, each sensor weighted by its noise variance
         fitted = [estimate_state(case, y, noise_scale(y, sigma) ** 2)
                   .predicted_measurements
                   for y in frames.reshape(-1, N_SENSORS)]
         return (frames - np.reshape(fitted, frames.shape)) / bundle.stats.std
 
+    z = preprocess(frames, bundle.stats)  # z row j <-> frame j+1
     coded = bundle.variant == "AEN_RNN_DNN"
     predictor = trained(bundle, "predictor")
     z = z.astype(predictor.dtype)[:, None]  # (S, 1, T-1, 39)

@@ -36,24 +36,21 @@ def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
     keeps persistent level shifts visible to the classifier, which first
     differencing would cancel.
 
-    Residuals are computed RESIDUAL_GROUP series at a time, and each group's
-    rows are built from its stack before the next group starts. The holdout
-    and severity stages pick frames from this table, so each series'
-    features are computed once per stage.
+    The series are stacked once, and the table filled in place from slices
+    of RESIDUAL_GROUP series. Holdout and severity pick frames from it, so
+    each series' features are computed once per stage.
     """
-    levels, features, labels = [], [], []
-    for start in range(0, len(series_list), RESIDUAL_GROUP):
-        group = series_list[start:start + RESIDUAL_GROUP]
-        residuals = predict_and_residual(bundle, group, case)
-        obs = bundle.stats.standardize_raw(
-            sensor_frames(group)[:, LAGS + 1:])
-        levels.append(np.repeat([s.level for s in group], obs.shape[1]))
-        features.append(np.concatenate([residuals, obs], axis=2)
-                        .reshape(-1, CLASSIFIER_INPUT))
-        labels.append(np.vectorize(LABEL_INDEX.__getitem__)(
-            [s.labels[LAGS + 1:] for s in group]).ravel())
-    return (np.concatenate(levels), np.concatenate(features),
-            np.concatenate(labels))
+    frames = sensor_frames(series_list)
+    features = np.empty(frames[:, LAGS + 1:].shape[:2] + (CLASSIFIER_INPUT,))
+    for k in range(0, len(frames), RESIDUAL_GROUP):
+        group = frames[k:k + RESIDUAL_GROUP]
+        features[k:k + RESIDUAL_GROUP] = np.concatenate(
+            [predict_and_residual(bundle, group, case),
+             bundle.stats.standardize_raw(group[:, LAGS + 1:])], axis=2)
+    levels = np.repeat([s.level for s in series_list], features.shape[1])
+    labels = np.vectorize(LABEL_INDEX.__getitem__)(
+        [s.labels[LAGS + 1:] for s in series_list])
+    return levels, features.reshape(-1, CLASSIFIER_INPUT), labels.ravel()
 
 
 def train_bundle(variant: str, series_list, case: GridCase, seed: int,
@@ -66,24 +63,22 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
     series only. stage_configs maps every stage name to its TrainConfig;
     fits are seeded seed, seed+1, seed+2 in stage order.
     """
-    normals = [s for s in series_list
-               if s.metadata["condition"] == "normal"]
+    normals = [s for s in series_list if s.metadata["condition"] == "normal"]
     if not normals:
         raise ValueError("training set contains no normal series")
 
-    stats = fit_preprocess(normals)
-    bundle = ModelBundle(variant=variant, stats=stats,
+    frames = sensor_frames(normals)
+    bundle = ModelBundle(variant=variant, stats=fit_preprocess(frames),
                          sensor_hash=sensor_map_hash(case),
                          noise_sigma=noise_sigma)
-    z = preprocess(normals, stats)  # (S, T-1, 39)
-
-    if variant == "AEN_RNN_DNN":
-        enc, dec, hist = fit_autoencoder(
-            z.reshape(-1, N_SENSORS), stage_configs["autoencoder"], seed)
-        bundle.encoder, bundle.decoder = enc, dec
-        bundle.history["autoencoder"] = hist
-        z = enc.forward(z.astype(enc.dtype))[0]
     if variant != "SE_DNN":
+        z = preprocess(frames, bundle.stats)  # (S, T-1, 39)
+        if variant == "AEN_RNN_DNN":
+            enc, dec, hist = fit_autoencoder(
+                z.reshape(-1, N_SENSORS), stage_configs["autoencoder"], seed)
+            bundle.encoder, bundle.decoder = enc, dec
+            bundle.history["autoencoder"] = hist
+            z = enc.forward(z.astype(enc.dtype))[0]
         bundle.predictor, hist = fit_predictor(
             z, stage_configs["predictor"], seed + 1)
         bundle.history["predictor"] = hist

@@ -57,10 +57,9 @@ def sensor_frames(series_list) -> np.ndarray:
     return frames
 
 
-def fit_preprocess(series_list) -> PreprocessStats:
+def fit_preprocess(frames: np.ndarray) -> PreprocessStats:
     """Std of first differences per sensor, floored at EPSILON, and the raw
     frames' per-sensor mean and std; differences never cross series."""
-    frames = sensor_frames(series_list)
     raw = frames.reshape(-1, N_SENSORS)
     if len(raw) < 100:
         raise ValueError(f"need at least 100 training frames, got {len(raw)}")
@@ -70,12 +69,11 @@ def fit_preprocess(series_list) -> PreprocessStats:
     return PreprocessStats(std=std, raw_mean=raw.mean(axis=0), raw_std=raw_std)
 
 
-def preprocess(series_list, stats: PreprocessStats) -> np.ndarray:
+def preprocess(frames: np.ndarray, stats: PreprocessStats) -> np.ndarray:
     """Standardized first differences: z_t = (y_t - y_{t-1}) / std.
 
     Returns (S, T-1, 39); row j of a series corresponds to its frame j+1.
     """
-    frames = sensor_frames(series_list)
     if frames.shape[1] < 2:
         raise ValueError("need at least 2 frames to difference")
     return np.diff(frames, axis=1) / stats.std

@@ -2,12 +2,12 @@ from .attacks import (Condition, GENERATOR_BUSES, KINDS, LABELS, LABEL_INDEX,
                       LEVEL_FRACTIONS, THREE_CLASSES, access_set,
                       condition_name, make_condition, mask_measurements,
                       reduce_target, simulate_nominal)
-from .generate import ScenarioSeries, generate_scenario
+from .generate import ScenarioSeries, SeriesFileError, generate_scenario
 
 __all__ = [
     "Condition", "GENERATOR_BUSES", "KINDS", "LABELS", "LABEL_INDEX",
     "LEVEL_FRACTIONS", "THREE_CLASSES", "access_set", "condition_name",
     "make_condition", "mask_measurements", "reduce_target",
     "simulate_nominal",
-    "ScenarioSeries", "generate_scenario",
+    "ScenarioSeries", "SeriesFileError", "generate_scenario",
 ]

@@ -17,6 +17,10 @@ from .attacks import (Condition, LABELS, LEVEL_FRACTIONS, mask_measurements,
 REACTIVE_RATIO = float(np.tan(np.arccos(0.95)))  # constant 0.95 power factor
 
 
+class SeriesFileError(ValueError):
+    """A series file, or a dataset of them, refused as it loads."""
+
+
 @dataclass
 class ScenarioSeries:
     values: np.ndarray          # (T, 39)
@@ -47,25 +51,29 @@ class ScenarioSeries:
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSeries":
         """Read save's file, checked against its sidecar: row t holds hour t
-        and the label of frame t; a ValueError names the file and the row."""
+        and the label of frame t; SeriesFileError names the file and row."""
         # a missing sidecar or condition raises: without its condition
         # the series would pass for a normal one, and an attack or fault
         # without its severity would join every level's training rows
         path = Path(path)
         sidecar = path.with_suffix(".meta.json")
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_text())
+        except ValueError as exc:
+            raise SeriesFileError(f"{sidecar}: {exc}") from None
         condition = meta.get("condition") if isinstance(meta, dict) else None
         if condition not in LABELS:
-            raise ValueError(f"{sidecar} records no condition from LABELS, "
-                             f"got {condition!r}")
+            raise SeriesFileError(f"{sidecar} records no condition from "
+                                  f"LABELS, got {condition!r}")
         if condition != "normal" and (
                 {"level", "target", "window"} - set(meta)
                 or type(meta["level"]) is not int
                 or meta["level"] not in LEVEL_FRACTIONS
                 or not isinstance(meta["window"], list)
                 or list(map(type, meta["window"])) != [int, int]):
-            raise ValueError(f"{sidecar} records a {condition} series without "
-                             "target, two int window hours and an int level")
+            raise SeriesFileError(f"{sidecar} records a {condition} series "
+                                  "without target, two int window hours and "
+                                  "an int level")
         rows = path.read_text().strip().splitlines()[1:]
         labels = cls(np.empty((len(rows), 0)), meta).labels  # one per row
         try:
@@ -85,7 +93,7 @@ class ScenarioSeries:
             values = np.loadtxt(rows, delimiter=",",
                                 usecols=range(1, 1 + N_SENSORS), ndmin=2)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise SeriesFileError(f"{path}: {exc}") from None
         return cls(values=values, metadata=meta)
 
 

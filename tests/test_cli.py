@@ -14,9 +14,11 @@ import yaml
 import gridsentry.cli as cli
 from gridsentry.config import (ConfigError, RunManifest, config_hash,
                                load_config, resolve_output_dir)
-from gridsentry.detector import load_bundle, pipeline, save_bundle
+from gridsentry.detector import (LAGS, load_bundle, models, pipeline,
+                                 save_bundle)
 from gridsentry.detector.models import SUBMODELS
 from gridsentry.detector.pipeline import STAGE_DEFAULTS
+from gridsentry.detector.preprocess import sensor_frames
 from gridsentry.evaluation import HoldoutResult
 from gridsentry.grid import DEFAULT_CASE, N_SENSORS, load_case
 from gridsentry.neural import TrainConfig, get_state
@@ -426,6 +428,33 @@ def test_load_dataset_refuses_mixed_horizons(tmp_path):
         cli.load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("dataset", ["mixed", "relabelled"])
+def test_train_refuses_unreadable_dataset(tmp_path, capsys, dataset):
+    # a dataset of two horizons, and a series whose label row disagrees
+    # with its sidecar, are refused in one line naming the file, as every
+    # other refusal of the run's input is
+    config_path = write_config(tmp_path / "run.yaml")
+    data_dir = tmp_path / dataset
+    data_dir.mkdir()
+    rng = np.random.default_rng(0)
+    hours = {"mixed": (36, 60), "relabelled": (60,)}[dataset]
+    for k, n in enumerate(hours):
+        ScenarioSeries(values=rng.standard_normal((n, N_SENSORS)),
+                       metadata={"condition": "normal", "horizon": n}
+                       ).save(data_dir / f"normal_s{k:02d}.csv")
+    if dataset == "relabelled":
+        path = data_dir / "normal_s00.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[11] = lines[11].rsplit(",", 1)[0] + ",attack_2\n"
+        path.write_text("".join(lines))
+    message = {"mixed": "normal_s00.csv holds 36 hours but .* holds 60",
+               "relabelled": "normal_s00.csv: row 10: label 'attack_2'"}
+    err = refused(capsys, ["--config", str(config_path), "train",
+                           "--data", str(data_dir), "--variant", "SE_DNN"])
+    assert re.search(re.escape(str(data_dir)) + "/" + message[dataset],
+                     err), err
+
+
 def test_split_is_series_level_and_stratified(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
@@ -489,6 +518,26 @@ def test_float32_bundle_roundtrip(workspace, tmp_path):
     again, truth_again = pipeline.evaluate_predictions(loaded, series, case)
     assert np.array_equal(preds, again) and np.array_equal(truth, truth_again)
     assert len(preds) == sum(len(s.values) - 1 - 10 for s in series)
+
+
+def test_se_dnn_computes_no_differences(workspace, monkeypatch):
+    # SE_DNN's residuals come from WLS fits of the frames themselves, so
+    # neither its training nor its features standardize a difference
+    _, _, data_dir = workspace
+    train, test = cli.split_series(cli.load_dataset(data_dir), 77)
+
+    def refuse(*args):
+        raise AssertionError("SE_DNN computed standardized differences")
+
+    monkeypatch.setattr(pipeline, "preprocess", refuse)
+    monkeypatch.setattr(models, "preprocess", refuse)
+    configs = {**STAGE_DEFAULTS,
+               "classifier": replace(STAGE_DEFAULTS["classifier"], epochs=1)}
+    case = load_case()
+    bundle = pipeline.train_bundle("SE_DNN", train, case, seed=3,
+                                   stage_configs=configs, noise_sigma=0.01)
+    levels, _, _ = pipeline.feature_rows(bundle, test, case)
+    assert len(levels) == len(test) * (60 - 1 - LAGS)
 
 
 def test_train_refuses_variant_outside_config(tmp_path, monkeypatch,
@@ -682,7 +731,8 @@ def test_gen_data_refuses_directory_of_another_config(tmp_path, capsys):
 def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     # holdout over four l values, and report over the test split, run the
     # residual model once per series, not once per l or once per level:
-    # every series is handed to predict_and_residual exactly once per stage
+    # the stacks handed to predict_and_residual are, end to end, the stage's
+    # series' frames, each series exactly once
     config_path = write_config(
         tmp_path / "run.yaml", horizon=36, window=[7, 31],
         levels=[1, 2, 3, 4, 5], normal_series=4, variants=["RNN_DNN"],
@@ -700,18 +750,18 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     calls = []
     residuals = pipeline.predict_and_residual
 
-    def counting(bundle, series_list, case):
-        calls.extend(s.metadata["seed"] for s in series_list)
-        return residuals(bundle, series_list, case)
+    def counting(bundle, frames, case):
+        calls.append(frames)
+        return residuals(bundle, frames, case)
 
     monkeypatch.setattr(pipeline, "predict_and_residual", counting)
     assert cli.main(["--config", str(config_path), "holdout",
                      "--data", str(data_dir), "--bundle", bundle_path]) == 0
-    assert sorted(calls) == sorted(s.metadata["seed"] for s in series)
+    assert np.array_equal(np.concatenate(calls), sensor_frames(series))
     calls.clear()
     assert cli.main(["--config", str(config_path), "report",
                      "--data", str(data_dir), "--bundles", bundle_path]) == 0
-    assert sorted(calls) == sorted(s.metadata["seed"] for s in test)
+    assert np.array_equal(np.concatenate(calls), sensor_frames(test))
 
 
 def test_evaluate_refuses_wrong_sensor_map(workspace, se_bundle, tmp_path,

@@ -13,7 +13,8 @@ from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
                                  state_checksum)
 from gridsentry.detector.models import (SUBMODELS, build_autoencoder,
                                        build_classifier, build_predictor)
-from gridsentry.detector.pipeline import RESIDUAL_GROUP
+from gridsentry.detector.pipeline import RESIDUAL_GROUP, train_bundle
+from gridsentry.detector.preprocess import sensor_frames
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
 from gridsentry.neural import TrainConfig, get_state, set_state, softmax
@@ -41,6 +42,11 @@ def normal_series(case):
     return out
 
 
+@pytest.fixture(scope="module")
+def normal_frames(normal_series):
+    return sensor_frames(normal_series)
+
+
 def synthetic_series(values):
     return ScenarioSeries(values=np.asarray(values, dtype=float),
                           metadata={"condition": "normal"})
@@ -55,22 +61,18 @@ def unit_stats():
 # ---------------------------------------------------------------- preprocess
 
 def test_preprocess_constant_series():
-    series = synthetic_series(np.ones((50, N_SENSORS)))
-    stats = unit_stats()
-    np.testing.assert_array_equal(preprocess([series], stats)[0], 0.0)
+    frames = np.ones((1, 50, N_SENSORS))
+    np.testing.assert_array_equal(preprocess(frames, unit_stats())[0], 0.0)
 
 
 def test_preprocess_single_frame_errors():
-    series = synthetic_series(np.ones((1, N_SENSORS)))
-    stats = unit_stats()
     with pytest.raises(ValueError):
-        preprocess([series], stats)
+        preprocess(np.ones((1, 1, N_SENSORS)), unit_stats())
 
 
 def test_fit_preprocess_self_standardizes():
     rng = np.random.default_rng(0)
-    data = [synthetic_series(np.cumsum(
-        rng.standard_normal((2000, N_SENSORS)), axis=0))]
+    data = np.cumsum(rng.standard_normal((1, 2000, N_SENSORS)), axis=1)
     stats = fit_preprocess(data)
     z = preprocess(data, stats)[0]
     np.testing.assert_allclose(z.std(axis=0, ddof=1), 1.0, rtol=0.05)
@@ -80,7 +82,7 @@ def test_fit_preprocess_iid_difference_identity():
     # var of the first difference of i.i.d. noise is 2 sigma^2
     sigma = 0.3
     rng = np.random.default_rng(1)
-    data = [synthetic_series(sigma * rng.standard_normal((20000, N_SENSORS)))]
+    data = sigma * rng.standard_normal((1, 20000, N_SENSORS))
     stats = fit_preprocess(data)
     np.testing.assert_allclose(stats.std, sigma * np.sqrt(2), rtol=0.05)
 
@@ -89,19 +91,21 @@ def test_fit_preprocess_constant_sensor_floor():
     rng = np.random.default_rng(2)
     values = rng.standard_normal((500, N_SENSORS))
     values[:, 7] = 3.25
-    stats = fit_preprocess([synthetic_series(values)])
+    stats = fit_preprocess(values[None])
     assert stats.std[7] == EPSILON
 
 
 def test_fit_preprocess_insufficient_data():
     with pytest.raises(ValueError):
-        fit_preprocess([synthetic_series(np.ones((40, N_SENSORS)))])
+        fit_preprocess(np.ones((1, 40, N_SENSORS)))
 
 
-def test_fit_preprocess_refuses_non_finite_frames(case, normal_series):
+def test_fit_preprocess_refuses_non_finite_frames(case, normal_series,
+                                                  normal_frames):
     # a power-flow gap hour with nothing before it to repeat is an all-NaN
-    # row (generate.py); fitting and every variant's features refuse it by
-    # that cause, not by the NaN stats or model outputs it would make
+    # row (generate.py); the frame reader refuses it by that cause, not by
+    # the NaN stats or model outputs it would make, so training (before its
+    # first fit) and every variant's features refuse it
     rng = np.random.default_rng(4)
     values = rng.standard_normal((200, N_SENSORS))
     values[0] = np.nan
@@ -111,55 +115,56 @@ def test_fit_preprocess_refuses_non_finite_frames(case, normal_series):
     clean = synthetic_series(rng.standard_normal((200, N_SENSORS)))
     named = r"seed 41 .*gap hours \[0\]"
     with pytest.raises(ValueError, match=named):
-        fit_preprocess([clean, gappy])
+        sensor_frames([clean, gappy])
     for variant in VARIANTS:
-        bundle = small_bundle(variant, case, normal_series)
+        with pytest.raises(ValueError, match=named):
+            train_bundle(variant, [clean, gappy], case, seed=0,
+                         stage_configs={}, noise_sigma=0.01)
+        bundle = small_bundle(variant, case, normal_frames)
         with pytest.raises(ValueError, match=named):
             feature_rows(bundle, [normal_series[0], gappy], case)
 
 
 def test_fit_preprocess_deterministic():
     rng = np.random.default_rng(3)
-    data = [synthetic_series(rng.standard_normal((300, N_SENSORS)))]
+    data = rng.standard_normal((1, 300, N_SENSORS))
     s1 = fit_preprocess(data)
     s2 = fit_preprocess(data)
     np.testing.assert_array_equal(s1.std, s2.std)
 
 
-def ref_fit_preprocess(series_list):
+def ref_fit_preprocess(frames):
     """(std, raw_mean, raw_std) in the per-series form: each series'
     differences and frames concatenated, then the std and mean."""
-    diffs = np.concatenate([np.diff(s.values, axis=0) for s in series_list])
-    raw = np.concatenate([s.values for s in series_list])
+    diffs = np.concatenate([np.diff(one, axis=0) for one in frames])
+    raw = np.concatenate(list(frames))
     return (np.maximum(diffs.std(axis=0, ddof=1), EPSILON), raw.mean(axis=0),
             np.maximum(raw.std(axis=0, ddof=1), EPSILON))
 
 
-def ref_preprocess(series, stats):
+def ref_preprocess(values, stats):
     """One series' standardized differences, on its own."""
-    return np.diff(series.values, axis=0) / stats.std
+    return np.diff(values, axis=0) / stats.std
 
 
-def test_stacked_preprocess_matches_per_series_form(normal_series):
+def test_stacked_preprocess_matches_per_series_form(normal_frames):
     # the stack's reshapes and its diff along time keep the bits of the
-    # per-series forms; series of unequal lengths are refused by length
+    # per-series forms; the frame reader refuses series of unequal lengths
     rng = np.random.default_rng(8)
-    drawn = [synthetic_series(np.cumsum(rng.standard_normal((60, N_SENSORS)),
-                                        axis=0)) for _ in range(5)]
-    for series in (normal_series, drawn):
-        stats = fit_preprocess(series)
+    drawn = np.array([np.cumsum(rng.standard_normal((60, N_SENSORS)), axis=0)
+                      for _ in range(5)])
+    for frames in (normal_frames, drawn):
+        stats = fit_preprocess(frames)
         for got, want in zip((stats.std, stats.raw_mean, stats.raw_std),
-                             ref_fit_preprocess(series)):
+                             ref_fit_preprocess(frames)):
             assert np.array_equal(got, want)
-        z = preprocess(series, stats)
-        assert z.shape == (len(series), len(series[0].values) - 1, N_SENSORS)
-        for one, rows in zip(series, z):
+        z = preprocess(frames, stats)
+        assert z.shape == (len(frames), frames.shape[1] - 1, N_SENSORS)
+        for one, rows in zip(frames, z):
             assert np.array_equal(rows, ref_preprocess(one, stats))
-    mixed = [normal_series[0], drawn[0]]
+    mixed = [synthetic_series(normal_frames[0]), synthetic_series(drawn[0])]
     with pytest.raises(ValueError, match=r"unequal lengths \[48, 60\]"):
-        fit_preprocess(mixed)
-    with pytest.raises(ValueError, match=r"unequal lengths \[48, 60\]"):
-        preprocess(mixed, stats)
+        sensor_frames(mixed)
 
 
 def test_preprocess_stats_refuse_non_finite():
@@ -224,10 +229,10 @@ def make_stub_bundle(variant, case, stats=None, **kwargs):
                        **kwargs)
 
 
-def test_untrained_bundle_errors(case, normal_series):
+def test_untrained_bundle_errors(case, normal_series, normal_frames):
     bundle = make_stub_bundle("RNN_DNN", case)
     with pytest.raises(UntrainedBundleError):
-        predict_and_residual(bundle, normal_series[:1], case)
+        predict_and_residual(bundle, normal_frames[:1], case)
     with pytest.raises(UntrainedBundleError, match="classifier"):
         evaluate_predictions(bundle, normal_series[:1], case)
 
@@ -238,23 +243,24 @@ def test_se_residuals_near_zero_on_noiseless(case):
     plan = plan_generation(loads)
     series = generate_scenario(case, plan, loads, None,
                                noise_sigma=0.0, seed=0)
-    stats = fit_preprocess([synthetic_series(
-        np.random.default_rng(6).standard_normal((200, N_SENSORS)))])
+    stats = fit_preprocess(
+        np.random.default_rng(6).standard_normal((1, 200, N_SENSORS)))
     bundle = make_stub_bundle("SE_DNN", case, stats)
-    [residuals] = predict_and_residual(bundle, [series], case=case)
+    [residuals] = predict_and_residual(bundle, sensor_frames([series]),
+                                       case=case)
     # one row per frame LAGS+1 .. T-1
     assert residuals.shape == (len(series.values) - 1 - LAGS, N_SENSORS)
     assert np.max(np.abs(residuals * stats.std)) < 1e-6
 
 
-def test_residual_alignment_rnn(case, normal_series):
+def test_residual_alignment_rnn(case, normal_series, normal_frames):
     series = normal_series[0]
-    stats = fit_preprocess(normal_series)
+    stats = fit_preprocess(normal_frames)
     bundle = make_stub_bundle("RNN_DNN", case, stats)
     cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4)
-    z = preprocess(normal_series, stats)
+    z = preprocess(normal_frames, stats)
     bundle.predictor, _ = fit_predictor(z, cfg, seed=0)
-    [residuals] = predict_and_residual(bundle, [series], case)
+    [residuals] = predict_and_residual(bundle, normal_frames[:1], case)
     ts = np.arange(LAGS + 1, len(series.values))  # the residual frames
     assert residuals.shape == (len(ts), N_SENSORS)
     levels, x, y = feature_rows(bundle, [series], case)
@@ -266,25 +272,26 @@ def test_residual_alignment_rnn(case, normal_series):
     np.testing.assert_array_equal(levels, np.zeros(len(ts)))
 
 
-def test_residual_generation_leaves_models_frozen(case, normal_series):
-    stats = fit_preprocess(normal_series)
+def test_residual_generation_leaves_models_frozen(case, normal_frames):
+    stats = fit_preprocess(normal_frames)
     bundle = make_stub_bundle("RNN_DNN", case, stats)
-    z = preprocess(normal_series, stats)
+    z = preprocess(normal_frames, stats)
     bundle.predictor, _ = fit_predictor(
         z, TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4), seed=0)
     before = state_checksum(bundle.predictor)
-    predict_and_residual(bundle, normal_series, case)
+    predict_and_residual(bundle, normal_frames, case)
     assert state_checksum(bundle.predictor) == before
 
 
 @pytest.mark.parametrize("variant", ["RNN_DNN", "AEN_RNN_DNN"])
 def test_stacked_residuals_match_one_series_form(case, normal_series,
-                                                 variant):
+                                                 normal_frames, variant):
     # equal-length series, more of them than two groups of feature_rows
     # hold: every series' residuals carry the bits of the one-series form
     # (2-D code rows, a (1, T, D) predictor batch) run in the models'
-    # parameter dtype, float64 and float32; a mixed-length list is refused
-    stats = fit_preprocess(normal_series)
+    # parameter dtype, float64 and float32; feature_rows refuses a
+    # mixed-length list
+    stats = fit_preprocess(normal_frames)
     bundle = make_stub_bundle(variant, case, stats)
     r = np.random.default_rng(7)
     coded = variant == "AEN_RNN_DNN"
@@ -303,14 +310,15 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
         for name, state in drawn.items():
             set_state(getattr(bundle, name),
                       {k: v.astype(dtype) for k, v in state.items()})
-        stacked = predict_and_residual(bundle, series, case)
+        stacked = predict_and_residual(bundle, sensor_frames(series), case)
         _, table, _ = feature_rows(bundle, series, case)
         assert stacked.shape == (len(series), t - 1 - LAGS, N_SENSORS)
         # the table's frames are each series' residual frames, in order
         assert len(table) == len(series) * (t - 1 - LAGS)
         for one, residuals, x in zip(series, stacked,
                                      np.split(table, len(series))):
-            z = preprocess([one], stats)[0].astype(dtype)
+            frames = sensor_frames([one])
+            z = preprocess(frames, stats)[0].astype(dtype)
             codes = bundle.encoder.forward(z)[0] if coded else z
             z_hat, _ = bundle.predictor.forward(codes[None, :-1])
             z_hat = z_hat[0]
@@ -320,14 +328,13 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
             assert residuals.shape == (len(idx), N_SENSORS)
             assert residuals.dtype == dtype
             assert np.array_equal(residuals, z[idx] - z_hat[idx - 1])
-            [alone] = predict_and_residual(bundle, [one], case)
+            [alone] = predict_and_residual(bundle, frames, case)
             assert np.array_equal(alone, residuals)
             assert np.array_equal(x[:, :N_SENSORS], residuals)
     short = ScenarioSeries(values=series[0].values[:30],
                            metadata=dict(series[0].metadata))
-    for call in (predict_and_residual, feature_rows):
-        with pytest.raises(ValueError, match=r"unequal lengths \[30, 40\]"):
-            call(bundle, [series[1], short], case)
+    with pytest.raises(ValueError, match=r"unequal lengths \[30, 40\]"):
+        feature_rows(bundle, [series[1], short], case)
 
 
 # ---------------------------------------------------------------- classifier
@@ -397,11 +404,11 @@ def test_variant_shared_classifier_path(case):
 
 # ---------------------------------------------------------------- bundle io
 
-def small_bundle(variant, case, normal_series):
+def small_bundle(variant, case, frames):
     """A bundle of `variant` with every sub-model fitted for a few epochs."""
-    stats = fit_preprocess(normal_series)
+    stats = fit_preprocess(frames)
     bundle = make_stub_bundle(variant, case, stats)
-    z = preprocess(normal_series, stats)
+    z = preprocess(frames, stats)
     cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4)
     if variant == "AEN_RNN_DNN":
         bundle.encoder, bundle.decoder, _ = fit_autoencoder(
@@ -416,10 +423,10 @@ def small_bundle(variant, case, normal_series):
     return bundle
 
 
-def test_bundle_roundtrip(tmp_path, case, normal_series):
+def test_bundle_roundtrip(tmp_path, case, normal_frames):
     probe = np.random.default_rng(3).standard_normal((4, CLASSIFIER_INPUT))
     for variant in VARIANTS:
-        bundle = small_bundle(variant, case, normal_series)
+        bundle = small_bundle(variant, case, normal_frames)
         path = tmp_path / f"bundle_{variant}.npz"
         save_bundle(bundle, path)
         loaded = load_bundle(path, case)
@@ -442,8 +449,8 @@ def test_bundle_roundtrip(tmp_path, case, normal_series):
                 variant != "SE_DNN")
         np.testing.assert_array_equal(loaded.classifier.forward(probe)[0],
                                       bundle.classifier.forward(probe)[0])
-        [r1] = predict_and_residual(bundle, normal_series[:1], case)
-        [r2] = predict_and_residual(loaded, normal_series[:1], case)
+        [r1] = predict_and_residual(bundle, normal_frames[:1], case)
+        [r2] = predict_and_residual(loaded, normal_frames[:1], case)
         np.testing.assert_array_equal(r1, r2)
 
 

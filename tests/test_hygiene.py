@@ -301,6 +301,22 @@ def test_one_reader_of_sensor_frames():
     assert sites == []
 
 
+def test_one_stacker_of_sensor_frames():
+    # detector/pipeline.py is where series become frames: it stacks a
+    # dataset once per stage, and every function below it takes the stack
+    sites = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        if rel == "src/gridsentry/detector/pipeline.py":
+            continue
+        sites += [f"{rel}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call) and "sensor_frames" in (
+                      getattr(node.func, "id", None),
+                      getattr(node.func, "attr", None))]
+    assert sites == []
+
+
 def test_neural_library_names_no_fixed_dtype():
     # the library is dtype-preserving: an array it makes takes the dtype
     # of what it comes from, so np.zeros/np.empty/np.ones need a dtype (or

@@ -13,7 +13,7 @@ from gridsentry.scenario import (Condition, GENERATOR_BUSES, LABELS,
                                  mask_measurements, reduce_target,
                                  simulate_nominal)
 from gridsentry.scenario import generate
-from gridsentry.scenario.generate import REACTIVE_RATIO
+from gridsentry.scenario.generate import REACTIVE_RATIO, SeriesFileError
 from oracles import (LinearSystem, covert_attack_run, linear_mask_bias,
                      random_system, simulate, write_weakened_case)
 
@@ -452,8 +452,10 @@ def test_series_csv_roundtrip(tmp_path, case, world):
     assert back.metadata == s.metadata
     # without its sidecar, or a known condition in it, the series would
     # pass for a normal one in the split and in training; an attack or
-    # fault without its severity would join every level's training rows
-    for sidecar in ("{}", "[]", '{"condition": "attack_5"}',
+    # fault without its severity would join every level's training rows.
+    # Each refusal is a SeriesFileError naming the file, so the CLI
+    # refuses the dataset in one line
+    for sidecar in ("{", "{}", "[]", '{"condition": "attack_5"}',
                     '{"condition": "attack_2"}',
                     *(json.dumps({k: v for k, v in s.metadata.items()
                                   if k != key})
@@ -463,7 +465,7 @@ def test_series_csv_roundtrip(tmp_path, case, world):
                     *(json.dumps({**s.metadata, "window": window})
                       for window in (None, 10, [10], [10, 20.0], "ab"))):
         p.with_suffix(".meta.json").write_text(sidecar)
-        with pytest.raises(ValueError, match="series.meta.json"):
+        with pytest.raises(SeriesFileError, match="series.meta.json"):
             ScenarioSeries.load(p)
     # a label other than the sidecar's, a row count short of the sidecar's
     # horizon and rows out of hour order are refused with the file and row
@@ -475,7 +477,8 @@ def test_series_csv_roundtrip(tmp_path, case, world):
                      ("".join(lines[:-5]), 43),
                      ("".join(swapped), 3)):
         p.write_text(csv)
-        with pytest.raises(ValueError, match=rf"series\.csv: row {row}:"):
+        with pytest.raises(SeriesFileError,
+                           match=rf"series\.csv: row {row}:"):
             ScenarioSeries.load(p)
     p.with_suffix(".meta.json").unlink()
     with pytest.raises(FileNotFoundError, match="series.meta.json"):
