@@ -10,16 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import InputError
 from .config import (ConfigError, RunConfig, RunManifest, config_hash,
                      load_config, resolve_output_dir)
-from .detector import (SensorMapMismatchError, UntrainedBundleError,
-                       load_bundle, save_bundle, train_bundle, trained)
+from .detector import load_bundle, save_bundle, train_bundle, trained
 from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import HOUSEHOLDS_PER_BUS, plan_generation, synthesize_loads
 from .evaluation import (accuracy, confusion_counts, csv_table,
                          format_report, holdout_experiment, macro_f1,
                          report_rows, severity_sweep)
-from .grid import CaseError, load_case
+from .grid import load_case
 from .scenario import (GENERATOR_BUSES, KINDS, LEVEL_FRACTIONS,
                        ScenarioSeries, SeriesFileError, condition_name,
                        generate_scenario, make_condition)
@@ -84,7 +84,6 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
             paths += [out_dir / filename,
                       (out_dir / filename).with_suffix(".meta.json")]
             conditions_seen.add(series.metadata["condition"])
-            conditions_seen.update(series.labels)
             del series  # before the next one is generated
     manifest.record("gen-data", paths,
                     status="ok" if not failures else "partial",
@@ -237,8 +236,8 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
     for path in bundle_paths:
         bundle = load_bundle(path, case)
         if bundle.variant in bundles:
-            raise ValueError(f"report got two {bundle.variant} bundles; "
-                             "pass one bundle per variant")
+            raise ConfigError(f"report got two {bundle.variant} bundles; "
+                              "pass one bundle per variant")
         bundles[bundle.variant] = bundle
     series_list = load_dataset(data_dir)
     _, test_set = split_series(series_list, cfg.seed)
@@ -293,15 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. A refusal of the run's input prints one
+    """Run one subcommand. An InputError or a missing file prints one
     `gridsentry: error: <message>` line to stderr and exits 2, as
     argparse's usage errors do; any other error keeps its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, CaseError, FileNotFoundError, SeriesFileError,
-            SensorMapMismatchError, UntrainedBundleError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

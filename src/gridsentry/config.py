@@ -12,15 +12,15 @@ from pathlib import Path
 
 import yaml
 
-from . import __version__
-from .detector.models import VARIANTS
+from . import InputError, __version__
+from .detector.models import LAGS, VARIANTS
 from .detector.pipeline import STAGE_DEFAULTS
 from .scenario.attacks import LEVEL_FRACTIONS
 
 OUTPUT_ROOT_ENV = "GRIDSENTRY_OUTPUT_ROOT"
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Invalid or unresolvable run configuration."""
 
 
@@ -75,7 +75,15 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    raw = yaml.safe_load(path.read_text()) or {}
+    try:
+        raw = yaml.safe_load(path.read_text()) or {}
+    except yaml.YAMLError as exc:
+        # the parser's own text runs over several lines
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(
+            f"{path}: malformed YAML{where}: {problem}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
 
@@ -113,6 +121,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("horizon must cover at least one day")
     if not 0 <= cfg.window[0] < cfg.window[1] <= cfg.horizon:
         raise ConfigError("window must fit inside the horizon")
+    if cfg.window[1] <= LAGS + 1:
+        raise ConfigError(f"window must end after hour LAGS + 1 = {LAGS + 1}, "
+                          "the first frame the classifier sees; no attack or "
+                          "fault frame would reach it")
     value = cfg.noise_sigma
     if (not isinstance(value, (int, float)) or isinstance(value, bool)
             or not math.isfinite(value)):

@@ -1,5 +1,5 @@
-from .models import (CLASSIFIER_INPUT, CODE_SIZE, LAGS, ModelBundle,
-                     SensorMapMismatchError, UntrainedBundleError, VARIANTS,
+from .models import (BundleFileError, CLASSIFIER_INPUT, CODE_SIZE, LAGS,
+                     ModelBundle, UntrainedBundleError, VARIANTS,
                      classify, fit_autoencoder, fit_classifier, fit_predictor,
                      load_bundle, predict_and_residual, save_bundle,
                      state_checksum, trained)
@@ -7,8 +7,8 @@ from .pipeline import evaluate_predictions, feature_rows, train_bundle
 from .preprocess import EPSILON, PreprocessStats, fit_preprocess, preprocess
 
 __all__ = [
-    "CLASSIFIER_INPUT", "CODE_SIZE", "LAGS", "ModelBundle",
-    "SensorMapMismatchError", "UntrainedBundleError", "VARIANTS", "classify",
+    "BundleFileError", "CLASSIFIER_INPUT", "CODE_SIZE", "LAGS", "ModelBundle",
+    "UntrainedBundleError", "VARIANTS", "classify",
     "fit_autoencoder", "fit_classifier", "fit_predictor", "load_bundle",
     "predict_and_residual", "save_bundle", "state_checksum", "trained",
     "evaluate_predictions", "feature_rows", "train_bundle",

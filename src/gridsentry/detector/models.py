@@ -10,13 +10,13 @@ All variants feed the same 78-dim (residual ++ observation) classifier.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .. import InputError
 from ..grid import (GridCase, N_SENSORS, estimate_state, noise_scale,
                     sensor_map_hash)
 from ..neural import (Dense, LSTM, LeakyReLU, ReLU, Sequential, Sigmoid,
@@ -53,8 +53,8 @@ class UntrainedBundleError(RuntimeError):
     """A pipeline stage required by the variant has not been trained."""
 
 
-class SensorMapMismatchError(RuntimeError):
-    """Bundle was trained against a different sensor index map."""
+class BundleFileError(InputError):
+    """A bundle file refused as it loads."""
 
 
 @dataclass
@@ -165,7 +165,7 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray,
     present = set(np.unique(labels).tolist())
     missing = [LABELS[i] for i in range(N_LABELS) if i not in present]
     if missing:
-        raise ValueError(f"training data missing classes: {missing}")
+        raise InputError(f"training data missing classes: {missing}")
     model = _in_compute_dtype(
         build_classifier(np.random.default_rng(seed)))
     history = train(model, features, labels.astype(int), config, seed,
@@ -262,38 +262,26 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     np.savez(path, **arrays)
 
 
-@contextlib.contextmanager
-def _naming(part: str, path):
-    """Re-raise a KeyError or ValueError naming `part` and bundle `path`."""
-    try:
-        yield
-    except (KeyError, ValueError) as exc:
-        raise type(exc)(f"{part} in bundle file {path}: "
-                        f"{exc.args[0]}") from exc
-
-
 def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
-    """Read a bundle file trained against `case`'s sensor index map.
+    """Read a bundle file trained against `case`'s sensor index map, with
+    exactly the sub-models its variant trains.
 
-    A bundle whose sensor-map hash is missing, empty or not `case`'s is
-    refused with SensorMapMismatchError. The bundle gets exactly the
-    sub-models its variant trains. A file that lacks (KeyError) or
-    misshapes (ValueError) any of their arrays or of its meta arrays, or
-    names an unknown variant (ValueError), is refused with an error naming
-    the sub-model, or "meta", and the file.
+    A BundleFileError naming the file refuses another format version, a
+    sensor-map hash that is missing, empty or not `case`'s, a file that is
+    no .npz archive, an unknown variant, and a missing (KeyError) or
+    misshapen (ValueError) array, naming its sub-model or "meta".
     """
-    with np.load(Path(path)) as data:
-        with _naming("meta", path):
+    part = "meta"
+    try:
+        with np.load(Path(path)) as data:
             version = int(data["meta/format_version"])
-        if version != BUNDLE_FORMAT_VERSION:
-            raise ValueError(f"unsupported bundle file version {version} in "
-                             f"{path}; expected {BUNDLE_FORMAT_VERSION}")
-        if ("meta/sensor_hash" not in data.files
-                or str(data["meta/sensor_hash"]) != sensor_map_hash(case)):
-            raise SensorMapMismatchError(
-                "bundle trained on a different sensor index map; "
-                "refusing to run")
-        with _naming("meta", path):
+            if version != BUNDLE_FORMAT_VERSION:
+                raise BundleFileError(
+                    f"unsupported bundle file version {version} in {path}; "
+                    f"expected {BUNDLE_FORMAT_VERSION}")
+            if str(data.get("meta/sensor_hash", "")) != sensor_map_hash(case):
+                raise BundleFileError(f"bundle file {path} was trained on "
+                                      "a different sensor index map")
             bundle = ModelBundle(
                 variant=str(data["meta/variant"]),
                 stats=PreprocessStats(std=data["meta/std"],
@@ -301,19 +289,22 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
                                       raw_std=data["meta/raw_std"]),
                 sensor_hash=str(data["meta/sensor_hash"]),
                 noise_sigma=float(data["meta/noise_sigma"]))
-        variant = bundle.variant
-        # the weights are overwritten from the file; the seed is arbitrary
-        rng = np.random.default_rng(0)
-        if variant == "AEN_RNN_DNN":
-            bundle.encoder, bundle.decoder = build_autoencoder(rng)
-            bundle.predictor = build_predictor(CODE_SIZE, rng)
-        elif variant == "RNN_DNN":
-            bundle.predictor = build_predictor(N_SENSORS, rng)
-        bundle.classifier = build_classifier(rng)
-        for name in SUBMODELS[variant]:
-            prefix = name + "/"
-            state = {k[len(prefix):]: data[k] for k in data.files
-                     if k.startswith(prefix)}
-            with _naming(name, path):
-                set_state(getattr(bundle, name), state)
+            variant = bundle.variant
+            # the weights are overwritten from the file; the seed is arbitrary
+            rng = np.random.default_rng(0)
+            if variant == "AEN_RNN_DNN":
+                bundle.encoder, bundle.decoder = build_autoencoder(rng)
+                bundle.predictor = build_predictor(CODE_SIZE, rng)
+            elif variant == "RNN_DNN":
+                bundle.predictor = build_predictor(N_SENSORS, rng)
+            bundle.classifier = build_classifier(rng)
+            for part in SUBMODELS[variant]:
+                prefix = part + "/"
+                set_state(getattr(bundle, part),
+                          {k[len(prefix):]: data[k] for k in data.files
+                           if k.startswith(prefix)})
+    except BundleFileError:
+        raise
+    except (KeyError, ValueError) as exc:
+        raise BundleFileError(f"{part} in bundle file {path}: {exc.args[0]}")
     return bundle

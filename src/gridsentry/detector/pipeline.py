@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import InputError
 from ..grid import GridCase, N_SENSORS, sensor_map_hash
 from ..neural import TrainConfig
 from ..scenario import LABEL_INDEX
@@ -65,7 +66,7 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
     """
     normals = [s for s in series_list if s.metadata["condition"] == "normal"]
     if not normals:
-        raise ValueError("training set contains no normal series")
+        raise InputError("training set contains no normal series")
 
     frames = sensor_frames(normals)
     bundle = ModelBundle(variant=variant, stats=fit_preprocess(frames),

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import InputError
 from ..grid import N_SENSORS
+from ..scenario import SeriesFileError
 
 EPSILON = 1e-6
 
@@ -45,9 +47,9 @@ def sensor_frames(series_list) -> np.ndarray:
     for series in series_list:
         if not np.all(np.isfinite(series.values)):
             meta = series.metadata
-            raise ValueError(f"series of seed {meta.get('seed')} has non-"
-                             "finite frames, gap hours "
-                             f"{meta.get('gap_hours')}")
+            raise SeriesFileError(f"series of seed {meta.get('seed')} has "
+                                  "non-finite frames, gap hours "
+                                  f"{meta.get('gap_hours')}")
     lengths = sorted({len(series.values) for series in series_list})
     if len(lengths) > 1:
         raise ValueError(f"series of unequal lengths {lengths}")
@@ -62,7 +64,7 @@ def fit_preprocess(frames: np.ndarray) -> PreprocessStats:
     frames' per-sensor mean and std; differences never cross series."""
     raw = frames.reshape(-1, N_SENSORS)
     if len(raw) < 100:
-        raise ValueError(f"need at least 100 training frames, got {len(raw)}")
+        raise InputError(f"need at least 100 training frames, got {len(raw)}")
     diffs = np.diff(frames, axis=1).reshape(-1, N_SENSORS)
     std = np.maximum(diffs.std(axis=0, ddof=1), EPSILON)
     raw_std = np.maximum(raw.std(axis=0, ddof=1), EPSILON)

@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import InputError
+
 DEFAULT_CASE = Path(__file__).resolve().parent.parent / "data" / "ieee14.case"
 # the PV buses, in the order of every setpoint and commitment column
 GENERATOR_BUSES = (2, 3, 6, 8)
 
 
-class CaseError(ValueError):
+class CaseError(InputError):
     """Malformed or invalid case file."""
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import InputError
 from ..dispatch import GenerationPlan
 from ..grid import GridCase, N_SENSORS
 from ..grid.powerflow import measure, solve_power_flow
@@ -17,7 +18,7 @@ from .attacks import (Condition, LABELS, LEVEL_FRACTIONS, mask_measurements,
 REACTIVE_RATIO = float(np.tan(np.arccos(0.95)))  # constant 0.95 power factor
 
 
-class SeriesFileError(ValueError):
+class SeriesFileError(InputError):
     """A series file, or a dataset of them, refused as it loads."""
 
 

@@ -566,7 +566,7 @@ def test_report_severity_csv(workspace, se_bundle):
 
 
 def test_report_refuses_repeated_variant(workspace, se_bundle, tmp_path,
-                                         monkeypatch):
+                                         monkeypatch, capsys):
     # two bundles of one variant would silently keep only the last; the
     # stage refuses them before it reads the dataset
     base, config_path, data_dir = workspace
@@ -574,10 +574,10 @@ def test_report_refuses_repeated_variant(workspace, se_bundle, tmp_path,
     read = []
     monkeypatch.setattr(cli, "load_dataset", read.append)
     out = tmp_path / "reports"
-    with pytest.raises(ValueError, match="two SE_DNN bundles"):
-        cli.main(["--config", str(config_path), "report",
-                  "--data", str(data_dir), "--out", str(out),
-                  "--bundles", f"{bundle_path},{bundle_path}"])
+    assert "two SE_DNN bundles" in refused(capsys, [
+        "--config", str(config_path), "report",
+        "--data", str(data_dir), "--out", str(out),
+        "--bundles", f"{bundle_path},{bundle_path}"])
     assert read == [] and not out.exists()
 
 
@@ -603,7 +603,8 @@ def test_split_refuses_groups_of_one_series(se_bundle, tmp_path, capsys):
 
 
 def test_stages_refuse_bundle_without_classifier(workspace, se_bundle,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
     # a hand-edited file that lacks its variant's classifier is refused as
     # it loads, before a stage reads the dataset
     _, _, data_dir = workspace
@@ -618,12 +619,128 @@ def test_stages_refuse_bundle_without_classifier(workspace, se_bundle,
     for stage, flag in (("evaluate", "--bundle"), ("holdout", "--bundle"),
                         ("report", "--bundles")):
         out = tmp_path / stage
-        with pytest.raises(KeyError, match=f"classifier in bundle file "
-                           f"{re.escape(str(broken))}: missing parameter"):
-            cli.main(["--config", config_path, stage, "--data",
-                      str(data_dir), "--out", str(out), flag, str(broken)])
+        assert re.search(f"classifier in bundle file "
+                         f"{re.escape(str(broken))}: missing parameter",
+                         refused(capsys, ["--config", config_path, stage,
+                                          "--data", str(data_dir), "--out",
+                                          str(out), flag, str(broken)]))
         assert not out.exists()
     assert read == []
+
+
+def bundle_copy(se_bundle, path, **changes):
+    """A copy of the SE_DNN bundle at `path`, with each array named in
+    `changes` replaced by its value, or dropped where the value is None."""
+    with np.load(se_bundle) as data:
+        arrays = {k: data[k] for k in data.files}
+    for key, value in changes.items():
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+    np.savez(path, **arrays)
+
+
+def refused_input(case, workspace, se_bundle, tmp_path):
+    """The argv of one refused input and the pattern its message matches:
+    the bundle file, the config file or the cause."""
+    _, config_path, data_dir = workspace
+    config, bundle = str(config_path), tmp_path / "bundle.npz"
+
+    def evaluate(**changes):
+        bundle_copy(se_bundle, bundle, **changes)
+        return ["--config", config, "evaluate", "--data", str(data_dir),
+                "--out", str(tmp_path / "reports"), "--bundle", str(bundle)]
+
+    named = re.escape(str(bundle))
+    if case == "misshapen array":
+        return (evaluate(**{"classifier/layer2.Dense.W": np.zeros(3)}),
+                f"classifier in bundle file {named}: shape mismatch")
+    if case == "missing array":
+        return (evaluate(**{"classifier/layer0.Dense.W": None}),
+                f"classifier in bundle file {named}: missing parameter "
+                "'layer0.Dense.W'")
+    if case == "format version 3":
+        return (evaluate(**{"meta/format_version": np.array(3)}),
+                f"unsupported bundle file version 3 in {named}; expected 4$")
+    if case == "unknown variant":
+        return (evaluate(**{"meta/variant": np.array("XX")}),
+                f"meta in bundle file {named}: unknown variant 'XX'$")
+    if case == "other sensor map":
+        return (evaluate(**{"meta/sensor_hash": np.array("wrong")}),
+                f"bundle file {named} was trained on a different sensor "
+                "index map")
+    if case == "csv as bundle":
+        csv = data_dir / "normal_s00.csv"
+        return (["--config", config, "evaluate", "--data", str(data_dir),
+                 "--bundle", str(csv)],
+                f"meta in bundle file {re.escape(str(csv))}: .*pickled")
+    bad_yaml = tmp_path / "bad.yaml"
+    if case == "malformed yaml":
+        bad_yaml.write_text("seed: 1\noutput_dir: [a, b\nhorizon: 24\n")
+        return (["--config", str(bad_yaml), "gen-data"],
+                f"{re.escape(str(bad_yaml))}: malformed YAML at line 3: "
+                "expected ',' or ']'")
+    if case == "control character in yaml":
+        # YAML's reader refuses it before the parser runs, at no line
+        bad_yaml.write_text("seed: 1\noutput_dir: \x07\n")
+        return (["--config", str(bad_yaml), "gen-data"],
+                f"{re.escape(str(bad_yaml))}: malformed YAML: unacceptable "
+                "character #x0007")
+
+    def train_on_bad_normals(drop):
+        """Train on a copy of the dataset without its normal series when
+        `drop`, else with a nan frame in each."""
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        for path in data_dir.glob("*.csv"):
+            series = ScenarioSeries.load(path)
+            if series.metadata["condition"] == "normal":
+                if drop:
+                    continue
+                series.values[5, 3] = np.nan
+            series.save(edited / path.name)
+        return ["--config", config, "train", "--data", str(edited),
+                "--variant", "SE_DNN"]
+
+    if case == "nan in series":
+        return (train_on_bad_normals(drop=False),
+                r"series of seed \d+ has non-finite frames")
+    if case == "no normal series":
+        return (train_on_bad_normals(drop=True),
+                "training set contains no normal series$")
+    if case == "repeated variant":
+        return (["--config", config, "report", "--data", str(data_dir),
+                 "--out", str(tmp_path / "reports"),
+                 "--bundles", f"{se_bundle},{se_bundle}"],
+                "report got two SE_DNN bundles")
+    if case == "24 normal training frames":
+        small = write_config(tmp_path / "small.yaml", horizon=24,
+                             window=[6, 18], normal_series=2)
+        assert cli.main(["--config", str(small), "gen-data"]) == 0
+        return (["--config", str(small), "train", "--data",
+                 str(tmp_path / "data"), "--variant", "SE_DNN"],
+                "need at least 100 training frames, got 24$")
+    assert case == "window [0, 10]"
+    early = write_config(tmp_path / "early.yaml", horizon=24,
+                         window=[0, 10])
+    return (["--config", str(early), "train", "--data",
+             str(tmp_path / "data"), "--variant", "SE_DNN"],
+            r"window must end after hour LAGS \+ 1 = 11")
+
+
+@pytest.mark.parametrize("case", [
+    "misshapen array", "missing array", "format version 3",
+    "unknown variant", "other sensor map", "csv as bundle", "malformed yaml",
+    "control character in yaml", "nan in series", "no normal series",
+    "repeated variant", "24 normal training frames", "window [0, 10]"])
+def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,
+                                           tmp_path, capsys):
+    # every check of a run's input raises an InputError, which cli.main
+    # prints on one line naming the file or the cause, with exit 2
+    argv, pattern = refused_input(case, workspace, se_bundle, tmp_path)
+    err = refused(capsys, argv)
+    assert re.search(pattern, err), err
 
 
 def stub_holdout(frames, l, replications, seed, classifier_config=None):

@@ -3,11 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
-                                 ModelBundle, PreprocessStats,
-                                 SensorMapMismatchError, UntrainedBundleError,
-                                 VARIANTS, classify, evaluate_predictions,
-                                 feature_rows, fit_autoencoder, fit_classifier,
+from gridsentry.detector import (BundleFileError, CLASSIFIER_INPUT, CODE_SIZE,
+                                 EPSILON, LAGS, ModelBundle, PreprocessStats,
+                                 UntrainedBundleError, VARIANTS, classify,
+                                 evaluate_predictions, feature_rows,
+                                 fit_autoencoder, fit_classifier,
                                  fit_predictor, fit_preprocess, load_bundle,
                                  predict_and_residual, preprocess, save_bundle,
                                  state_checksum)
@@ -476,7 +476,9 @@ def test_sensor_map_mismatch_refused(tmp_path, case):
     assert not path.exists()
     bundle.sensor_hash = "not-the-real-hash"
     save_bundle(bundle, path)
-    with pytest.raises(SensorMapMismatchError):
+    mismatch = (f"^bundle file {re.escape(str(path))} was trained on a "
+                "different sensor index map")
+    with pytest.raises(BundleFileError, match=mismatch):
         load_bundle(path, case)
     save_bundle(stub_classifier_bundle(case), path)
     assert load_bundle(path, case).sensor_hash == sensor_map_hash(case)
@@ -490,7 +492,7 @@ def test_sensor_map_mismatch_refused(tmp_path, case):
         else:
             written["meta/sensor_hash"] = np.array("")
         np.savez(path, **written)
-        with pytest.raises(SensorMapMismatchError):
+        with pytest.raises(BundleFileError, match=mismatch):
             load_bundle(path, case)
 
 
@@ -513,7 +515,7 @@ def test_load_refuses_older_format(tmp_path, case):
     for old in (2, 3):
         np.savez(path, **{**saved_arrays(path),
                           "meta/format_version": np.array(old)})
-        with pytest.raises(ValueError, match=(
+        with pytest.raises(BundleFileError, match=(
                 f"^unsupported bundle file version {old} in "
                 f"{re.escape(str(path))}; expected 4$")):
             load_bundle(path, case)
@@ -524,17 +526,18 @@ def test_load_names_submodel_and_file_of_a_bad_array(tmp_path, case):
     save_bundle(stub_classifier_bundle(case), path)
     arrays = saved_arrays(path)
     np.savez(path, **{**arrays, "classifier/layer2.Dense.W": np.zeros(3)})
-    with pytest.raises(ValueError, match=f"classifier in bundle file "
+    with pytest.raises(BundleFileError, match=f"classifier in bundle file "
                        f"{re.escape(str(path))}: shape mismatch"):
         load_bundle(path, case)
     # a missing meta array or an unknown variant names the file too
     named = f"meta in bundle file {re.escape(str(path))}: "
     for key in ("meta/format_version", "meta/variant", "meta/std"):
         np.savez(path, **{k: v for k, v in arrays.items() if k != key})
-        with pytest.raises(KeyError, match=named + key):
+        with pytest.raises(BundleFileError, match=named + key):
             load_bundle(path, case)
     np.savez(path, **{**arrays, "meta/variant": np.array("XX")})
-    with pytest.raises(ValueError, match=named + "unknown variant 'XX'$"):
+    with pytest.raises(BundleFileError,
+                       match=named + "unknown variant 'XX'$"):
         load_bundle(path, case)
 
 

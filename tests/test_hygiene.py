@@ -390,3 +390,34 @@ def test_layers_keep_no_state_between_calls(tmp_path):
     assert attribute_writes(cached) == [
         f"layers.py:{text[:text.index(anchor)].count(chr(10)) + 1}"
         " self._x in forward"]
+
+
+# errors that are the program's own faults, not refusals of a run's input:
+# they keep their traceback
+INTERNAL_FAULTS = {"UntrainedBundleError", "RankDeficientError",
+                   "NumericalError", "InfeasibleDispatchError"}
+
+
+def test_every_error_is_a_refusal_or_a_named_fault():
+    # every check of a run's input raises an InputError, defined once, and
+    # cli.main catches that one base (and a missing file); any other error
+    # class is a named internal fault
+    bases = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Error"):
+                assert node.name not in bases, f"{node.name} defined twice"
+                bases[node.name] = [getattr(base, "id", None)
+                                    for base in node.bases]
+
+    def refusal(name):
+        return name == "InputError" or any(map(refusal, bases.get(name, [])))
+
+    assert bases["InputError"] == ["ValueError"]
+    assert {name for name in bases if not refusal(name)} == INTERNAL_FAULTS
+    cli = ast.parse((ROOT / "src/gridsentry/cli.py").read_text())
+    main = next(node for node in cli.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert [ast.unparse(node.type) for node in ast.walk(main)
+            if isinstance(node, ast.ExceptHandler)] == [
+                "(InputError, FileNotFoundError)"]
