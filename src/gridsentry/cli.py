@@ -94,20 +94,30 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     return out_dir
 
 
-def load_dataset(data_dir: Path) -> list[ScenarioSeries]:
+def load_dataset(data_dir: Path, part: str,
+                 seed: int) -> list[ScenarioSeries]:
+    """The series of the dataset in data_dir that a stage uses: "all" of
+    them in file order, or the "train" or "test" part of split_series.
+
+    Every sidecar is read and checked, and a dataset of more than one
+    horizon refused, before any CSV is parsed; then only the part's CSVs
+    are, so a defect in another file's body is not seen.
+    """
     paths = sorted(p for p in Path(data_dir).glob("*.csv")
                    if not p.name.startswith(("report", "severity", "holdout",
                                              "confusion")))
     if not paths:
         raise FileNotFoundError(f"no series CSVs in {data_dir}")
-    series_list = [ScenarioSeries.load(p) for p in paths]
-    hours = [len(series.labels) for series in series_list]
+    sidecars = [ScenarioSeries.load_sidecar(p) for p in paths]
+    hours = [sidecar.metadata["horizon"] for sidecar in sidecars]
     for path, n in zip(paths, hours):
         if n != hours[0]:
             raise SeriesFileError(f"{paths[0]} holds {hours[0]} hours but "
                                   f"{path} holds {n}; a dataset holds one "
                                   "horizon")
-    return series_list
+    picked = (range(len(paths)) if part == "all" else
+              split_series(sidecars, seed)[("train", "test").index(part)])
+    return [ScenarioSeries.load(paths[k]) for k in picked]
 
 
 SPLIT_FRACTION = 0.8  # share of each (condition, level) group trained on
@@ -115,15 +125,18 @@ SPLIT_FRACTION = 0.8  # share of each (condition, level) group trained on
 
 def split_series(series_list, seed: int):
     """Deterministic series-level split, stratified by (condition, level):
+    the positions in series_list of the train and of the test series.
     SPLIT_FRACTION of each group is trained on.
 
-    Each group keeps at least one series on either side, so a group of
-    fewer than 2 series is refused with ConfigError.
+    Only each series' condition and level are read, so a list of sidecars
+    (ScenarioSeries.load_sidecar) splits as the series themselves do. Each
+    group keeps at least one series on either side, so a group of fewer
+    than 2 series is refused with ConfigError.
     """
     groups: dict = {}
-    for series in series_list:
+    for k, series in enumerate(series_list):
         key = (series.metadata["condition"], series.level)
-        groups.setdefault(key, []).append(series)
+        groups.setdefault(key, []).append(k)
     small = {key: len(members) for key, members in sorted(groups.items())
              if len(members) < 2}
     if small:
@@ -148,8 +161,7 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
                           f"variants {list(cfg.variants)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
-    series_list = load_dataset(data_dir)
-    train_set, _ = split_series(series_list, cfg.seed)
+    train_set = load_dataset(data_dir, "train", cfg.seed)
     bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
                           stage_configs=cfg.train_stages,
                           noise_sigma=cfg.noise_sigma)
@@ -168,8 +180,7 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
-    series_list = load_dataset(data_dir)
-    _, test_set = split_series(series_list, cfg.seed)
+    test_set = load_dataset(data_dir, "test", cfg.seed)
     preds, truth = evaluate_predictions(bundle, test_set, case)
     counts = confusion_counts(preds, truth)
     rows = report_rows(counts)
@@ -205,7 +216,8 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
-    frames = feature_rows(bundle, load_dataset(data_dir), case)
+    frames = feature_rows(bundle, load_dataset(data_dir, "all", cfg.seed),
+                          case)
     results = [holdout_experiment(
         frames, l, cfg.holdout_replications, cfg.seed,
         classifier_config=cfg.train_stages["classifier"])
@@ -239,8 +251,7 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
             raise ConfigError(f"report got two {bundle.variant} bundles; "
                               "pass one bundle per variant")
         bundles[bundle.variant] = bundle
-    series_list = load_dataset(data_dir)
-    _, test_set = split_series(series_list, cfg.seed)
+    test_set = load_dataset(data_dir, "test", cfg.seed)
     rows = [{"variant": variant, **row}
             for variant, bundle in bundles.items()
             for row in severity_sweep(feature_rows(bundle, test_set, case),

@@ -77,6 +77,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(path.read_text()) or {}
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from None
     except yaml.YAMLError as exc:
         # the parser's own text runs over several lines
         mark = getattr(exc, "problem_mark", None)

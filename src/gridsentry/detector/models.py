@@ -197,7 +197,8 @@ def predict_and_residual(bundle: ModelBundle, frames: np.ndarray,
     (S, 1, T, D): every series keeps its own batch of one, so its residuals
     have the bits of a one-series call. A (S, T, D) batch would not: its
     recurrent products take BLAS's matrix-matrix path, not the matrix-vector
-    one. Memory grows with S, so callers pass pipeline.RESIDUAL_GROUP slices.
+    one. Memory grows with S x T, so feature_rows passes slices of at most
+    pipeline.RESIDUAL_FRAMES frames (or one series).
     """
     if frames.shape[1] <= LAGS + 1:
         raise ValueError(f"series too short for {LAGS} lags")
@@ -268,12 +269,16 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
 
     A BundleFileError naming the file refuses another format version, a
     sensor-map hash that is missing, empty or not `case`'s, a file that is
-    no .npz archive, an unknown variant, and a missing (KeyError) or
-    misshapen (ValueError) array, naming its sub-model or "meta".
+    no .npz archive (an empty file, an .npy array), an unknown variant, and
+    a missing (KeyError) or misshapen (ValueError) array, naming its
+    sub-model or "meta".
     """
     part = "meta"
     try:
-        with np.load(Path(path)) as data:
+        data = np.load(Path(path))
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("an .npy array, not an .npz archive")
+        with data:
             version = int(data["meta/format_version"])
             if version != BUNDLE_FORMAT_VERSION:
                 raise BundleFileError(
@@ -305,6 +310,6 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
                            if k.startswith(prefix)})
     except BundleFileError:
         raise
-    except (KeyError, ValueError) as exc:
+    except (EOFError, KeyError, ValueError) as exc:
         raise BundleFileError(f"{part} in bundle file {path}: {exc.args[0]}")
     return bundle

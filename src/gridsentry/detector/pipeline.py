@@ -20,9 +20,10 @@ STAGE_DEFAULTS = {
     "classifier": TrainConfig(learning_rate=2e-3, epochs=80, batch_size=256),
 }
 
-# series per stacked residual forward in feature_rows: a larger group runs
-# faster, but its activations (dropped on return) set the peak memory
-RESIDUAL_GROUP = 4
+# frames per stacked residual forward in feature_rows: a larger stack runs
+# faster, but its activations (dropped on return) grow with series x hours
+# and set the peak memory; 480 holds four 120-h series or thirteen of 36 h
+RESIDUAL_FRAMES = 480
 
 
 def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
@@ -38,14 +39,16 @@ def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
     differencing would cancel.
 
     The series are stacked once, and the table filled in place from slices
-    of RESIDUAL_GROUP series. Holdout and severity pick frames from it, so
-    each series' features are computed once per stage.
+    of as many whole series as RESIDUAL_FRAMES frames hold (at least one).
+    Holdout and severity pick frames from it, so each series' features are
+    computed once per stage.
     """
     frames = sensor_frames(series_list)
     features = np.empty(frames[:, LAGS + 1:].shape[:2] + (CLASSIFIER_INPUT,))
-    for k in range(0, len(frames), RESIDUAL_GROUP):
-        group = frames[k:k + RESIDUAL_GROUP]
-        features[k:k + RESIDUAL_GROUP] = np.concatenate(
+    size = max(1, RESIDUAL_FRAMES // frames.shape[1])
+    for k in range(0, len(frames), size):
+        group = frames[k:k + size]
+        features[k:k + size] = np.concatenate(
             [predict_and_residual(bundle, group, case),
              bundle.stats.standardize_raw(group[:, LAGS + 1:])], axis=2)
     levels = np.repeat([s.level for s in series_list], features.shape[1])

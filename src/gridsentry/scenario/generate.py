@@ -50,14 +50,15 @@ class ScenarioSeries:
             json.dumps(self.metadata, indent=2, sort_keys=True))
 
     @classmethod
-    def load(cls, path: str | Path) -> "ScenarioSeries":
-        """Read save's file, checked against its sidecar: row t holds hour t
-        and the label of frame t; SeriesFileError names the file and row."""
+    def load_sidecar(cls, path: str | Path) -> "ScenarioSeries":
+        """The series of save's file at path as its sidecar alone, read and
+        checked: its values hold no sensor column, one row for each hour of
+        the sidecar's horizon, so its labels and level are the file's.
+        SeriesFileError names the sidecar."""
         # a missing sidecar or condition raises: without its condition
         # the series would pass for a normal one, and an attack or fault
         # without its severity would join every level's training rows
-        path = Path(path)
-        sidecar = path.with_suffix(".meta.json")
+        sidecar = Path(path).with_suffix(".meta.json")
         try:
             meta = json.loads(sidecar.read_text())
         except ValueError as exc:
@@ -66,6 +67,10 @@ class ScenarioSeries:
         if condition not in LABELS:
             raise SeriesFileError(f"{sidecar} records no condition from "
                                   f"LABELS, got {condition!r}")
+        horizon = meta.get("horizon")
+        if type(horizon) is not int or horizon < 0:
+            raise SeriesFileError(f"{sidecar} records no int horizon, got "
+                                  f"{horizon!r}")
         if condition != "normal" and (
                 {"level", "target", "window"} - set(meta)
                 or type(meta["level"]) is not int
@@ -75,9 +80,18 @@ class ScenarioSeries:
             raise SeriesFileError(f"{sidecar} records a {condition} series "
                                   "without target, two int window hours and "
                                   "an int level")
-        rows = path.read_text().strip().splitlines()[1:]
-        labels = cls(np.empty((len(rows), 0)), meta).labels  # one per row
+        return cls(values=np.empty((horizon, 0)), metadata=meta)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "ScenarioSeries":
+        """Read save's file, checked against its sidecar (load_sidecar): row
+        t holds hour t and the label of frame t, one row for each hour of
+        the horizon; SeriesFileError names the file and row."""
+        path = Path(path)
+        sidecar = cls.load_sidecar(path)
+        labels = sidecar.labels
         try:
+            rows = path.read_text().strip().splitlines()[1:]
             for t, (row, label) in enumerate(zip(rows, labels)):
                 if not row.startswith(f"{t},"):
                     raise ValueError(f"row {t}: hour {row.split(',', 1)[0]!r},"
@@ -85,17 +99,16 @@ class ScenarioSeries:
                 if not row.endswith(f",{label}"):
                     raise ValueError(f"row {t}: label {row.rsplit(',')[-1]!r}"
                                      f", the sidecar gives {label!r}")
-            horizon = meta.get("horizon", len(rows))
-            if horizon != len(rows):
-                raise ValueError(f"row {min(horizon, len(rows))}: the file "
-                                 f"holds {len(rows)} rows, its metadata a "
-                                 f"horizon of {horizon}")
+            if len(labels) != len(rows):
+                raise ValueError(f"row {min(len(labels), len(rows))}: the "
+                                 f"file holds {len(rows)} rows, its metadata "
+                                 f"a horizon of {len(labels)}")
             # numpy's parser rounds correctly, so values equal float(str)
             values = np.loadtxt(rows, delimiter=",",
                                 usecols=range(1, 1 + N_SENSORS), ndmin=2)
-        except ValueError as exc:
+        except ValueError as exc:  # a UnicodeDecodeError too
             raise SeriesFileError(f"{path}: {exc}") from None
-        return cls(values=values, metadata=meta)
+        return cls(values=values, metadata=sidecar.metadata)
 
 
 def generate_scenario(case: GridCase, plan: GenerationPlan, demand: np.ndarray,

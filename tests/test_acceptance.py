@@ -53,8 +53,9 @@ def world(tmp_path_factory, case):
                     seed=SEED, noise_sigma=NOISE_SIGMA)
     t0 = time.time()
     data_dir = cli.cmd_gen_data(cfg, out / "data")
-    series = cli.load_dataset(data_dir)
-    train, test = cli.split_series(series, cfg.seed)
+    series = cli.load_dataset(data_dir, "all", cfg.seed)
+    train, test = ([series[k] for k in part]
+                   for part in cli.split_series(series, cfg.seed))
     bundles, matrices = {}, {}
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
         bundle = pipeline.train_bundle(

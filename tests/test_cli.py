@@ -415,7 +415,7 @@ def test_gen_data_reports_power_flow_gaps(tmp_path):
 
 def test_load_dataset_refuses_mixed_horizons(tmp_path):
     # the detector stacks a dataset's series, so a directory that mixes
-    # 48-h and 60-h series is refused as it loads, naming both files
+    # 48-h and 60-h series is refused from its sidecars, naming both files
     rng = np.random.default_rng(0)
     for name, hours in (("normal_s00.csv", 48), ("normal_s01.csv", 60)):
         ScenarioSeries(values=rng.standard_normal((hours, N_SENSORS)),
@@ -425,30 +425,31 @@ def test_load_dataset_refuses_mixed_horizons(tmp_path):
                      for k in (0, 1))
     with pytest.raises(ValueError,
                        match=f"{first} holds 48 hours but {second} holds 60"):
-        cli.load_dataset(tmp_path)
+        cli.load_dataset(tmp_path, "all", 0)
 
 
 @pytest.mark.parametrize("dataset", ["mixed", "relabelled"])
 def test_train_refuses_unreadable_dataset(tmp_path, capsys, dataset):
     # a dataset of two horizons, and a series whose label row disagrees
     # with its sidecar, are refused in one line naming the file, as every
-    # other refusal of the run's input is
+    # other refusal of the run's input is; train parses only its split's
+    # files, so each of the two relabelled series is refused when parsed
     config_path = write_config(tmp_path / "run.yaml")
     data_dir = tmp_path / dataset
     data_dir.mkdir()
     rng = np.random.default_rng(0)
-    hours = {"mixed": (36, 60), "relabelled": (60,)}[dataset]
+    hours = {"mixed": (36, 60), "relabelled": (60, 60)}[dataset]
     for k, n in enumerate(hours):
         ScenarioSeries(values=rng.standard_normal((n, N_SENSORS)),
                        metadata={"condition": "normal", "horizon": n}
                        ).save(data_dir / f"normal_s{k:02d}.csv")
     if dataset == "relabelled":
-        path = data_dir / "normal_s00.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        lines[11] = lines[11].rsplit(",", 1)[0] + ",attack_2\n"
-        path.write_text("".join(lines))
+        for path in data_dir.glob("*.csv"):
+            lines = path.read_text().splitlines(keepends=True)
+            lines[11] = lines[11].rsplit(",", 1)[0] + ",attack_2\n"
+            path.write_text("".join(lines))
     message = {"mixed": "normal_s00.csv holds 36 hours but .* holds 60",
-               "relabelled": "normal_s00.csv: row 10: label 'attack_2'"}
+               "relabelled": r"normal_s0[01]\.csv: row 10: label 'attack_2'"}
     err = refused(capsys, ["--config", str(config_path), "train",
                            "--data", str(data_dir), "--variant", "SE_DNN"])
     assert re.search(re.escape(str(data_dir)) + "/" + message[dataset],
@@ -458,13 +459,63 @@ def test_train_refuses_unreadable_dataset(tmp_path, capsys, dataset):
 def test_split_is_series_level_and_stratified(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
-    series = cli.load_dataset(data_dir)
+    series = cli.load_dataset(data_dir, "all", cfg.seed)
     train, test = cli.split_series(series, cfg.seed)
-    assert len(train) + len(test) == len(series)
+    assert sorted(train + test) == list(range(len(series)))
     # every non-singleton condition group keeps at least one test series
-    test_conditions = {s.metadata["condition"] for s in test}
+    test_conditions = {series[k].metadata["condition"] for k in test}
     assert "normal" in test_conditions
     assert any(c.startswith("attack") for c in test_conditions)
+
+
+def test_split_first_parts_are_the_split_of_the_loaded_series(workspace):
+    # the stages split on sidecars alone and parse only their part: each
+    # part holds the series, in the order, that loading every series and
+    # splitting them gives (a sidecar's seed is one series' own)
+    _, _, data_dir = workspace
+    series = cli.load_dataset(data_dir, "all", 77)
+    for part, picked in zip(("train", "test"),
+                            cli.split_series(series, 77)):
+        loaded = cli.load_dataset(data_dir, part, 77)
+        assert [s.metadata for s in loaded] == [series[k].metadata
+                                                for k in picked]
+        assert all(np.array_equal(s.values, series[k].values)
+                   for s, k in zip(loaded, picked))
+
+
+def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
+                                                   tmp_path, monkeypatch):
+    # every stage reads every sidecar, but train parses the train split's
+    # CSVs, evaluate and report the test split's, and holdout all of them
+    _, config_path, data_dir = workspace
+    names = sorted(p.name for p in data_dir.glob("*.csv"))
+    train, test = cli.split_series(
+        [ScenarioSeries.load_sidecar(data_dir / name) for name in names], 77)
+    parsed = []
+    load = ScenarioSeries.load.__func__
+
+    def counting(cls, path):
+        parsed.append(Path(path).name)
+        return load(cls, path)
+
+    monkeypatch.setattr(ScenarioSeries, "load", classmethod(counting))
+    monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
+    config, bundle = str(config_path), str(se_bundle)
+    stages = {
+        "train": ([config, "train", "--variant", "SE_DNN"],
+                  [names[k] for k in train]),
+        "evaluate": ([config, "evaluate", "--bundle", bundle],
+                     [names[k] for k in test]),
+        "report": ([config, "report", "--bundles", bundle],
+                   [names[k] for k in test]),
+        "holdout": ([str(holdout_config(tmp_path)), "holdout",
+                     "--bundle", bundle], names)}
+    for stage, (argv, expected) in stages.items():
+        parsed.clear()
+        assert cli.main(["--config", *argv, "--data", str(data_dir),
+                         "--out", str(tmp_path / stage)]) == 0
+        assert parsed == expected, stage
+    assert 0 < len(train) < len(names) and 0 < len(test) < len(names)
 
 
 def test_train_evaluate_roundtrip(workspace):
@@ -482,7 +533,7 @@ def test_train_evaluate_roundtrip(workspace):
     report_dir = data_dir / "reports"
     assert (report_dir / "report_SE_DNN.txt").exists()
     counts = np.loadtxt(report_dir / "confusion_SE_DNN.csv", delimiter=",")
-    _, test = cli.split_series(cli.load_dataset(data_dir), 77)
+    test = cli.load_dataset(data_dir, "test", 77)
     expected_frames = sum(len(s.values) - 1 - 10 for s in test)
     assert counts.sum() == expected_frames
 
@@ -498,7 +549,7 @@ def test_float32_bundle_roundtrip(workspace, tmp_path):
     # arrays float32, and the loaded bundle labels every frame as the
     # trained one does
     _, _, data_dir = workspace
-    series = cli.load_dataset(data_dir)
+    series = cli.load_dataset(data_dir, "all", 77)
     configs = {name: replace(cfg, epochs=2)
                for name, cfg in STAGE_DEFAULTS.items()}
     case = load_case()
@@ -524,7 +575,8 @@ def test_se_dnn_computes_no_differences(workspace, monkeypatch):
     # SE_DNN's residuals come from WLS fits of the frames themselves, so
     # neither its training nor its features standardize a difference
     _, _, data_dir = workspace
-    train, test = cli.split_series(cli.load_dataset(data_dir), 77)
+    train, test = (cli.load_dataset(data_dir, part, 77)
+                   for part in ("train", "test"))
 
     def refuse(*args):
         raise AssertionError("SE_DNN computed standardized differences")
@@ -547,7 +599,7 @@ def test_train_refuses_variant_outside_config(tmp_path, monkeypatch,
     config_path = write_config(tmp_path / "run.yaml")
     read = []
     monkeypatch.setattr(cli, "load_case", read.append)
-    monkeypatch.setattr(cli, "load_dataset", read.append)
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: read.append(a))
     data_dir = tmp_path / "data"
     assert "RNN_DNN" in refused(capsys, [
         "--config", str(config_path), "train",
@@ -572,7 +624,7 @@ def test_report_refuses_repeated_variant(workspace, se_bundle, tmp_path,
     base, config_path, data_dir = workspace
     bundle_path = str(se_bundle)
     read = []
-    monkeypatch.setattr(cli, "load_dataset", read.append)
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: read.append(a))
     out = tmp_path / "reports"
     assert "two SE_DNN bundles" in refused(capsys, [
         "--config", str(config_path), "report",
@@ -614,7 +666,7 @@ def test_stages_refuse_bundle_without_classifier(workspace, se_bundle,
     broken = tmp_path / "broken.npz"
     np.savez(broken, **arrays)
     read = []
-    monkeypatch.setattr(cli, "load_dataset", read.append)
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: read.append(a))
     config_path = str(holdout_config(tmp_path))
     for stage, flag in (("evaluate", "--bundle"), ("holdout", "--bundle"),
                         ("report", "--bundles")):
@@ -670,6 +722,16 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return (evaluate(**{"meta/sensor_hash": np.array("wrong")}),
                 f"bundle file {named} was trained on a different sensor "
                 "index map")
+    if case == "empty bundle":
+        argv = evaluate()
+        bundle.write_bytes(b"")
+        return argv, f"meta in bundle file {named}: No data left in file$"
+    if case == "npy as bundle":
+        npy = tmp_path / "arr.npy"
+        np.save(npy, np.zeros(3))
+        return (["--config", config, "evaluate", "--data", str(data_dir),
+                 "--bundle", str(npy)],
+                f"meta in bundle file {re.escape(str(npy))}: an .npy array")
     if case == "csv as bundle":
         csv = data_dir / "normal_s00.csv"
         return (["--config", config, "evaluate", "--data", str(data_dir),
@@ -687,6 +749,11 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return (["--config", str(bad_yaml), "gen-data"],
                 f"{re.escape(str(bad_yaml))}: malformed YAML: unacceptable "
                 "character #x0007")
+    if case == "latin-1 config":
+        bad_yaml.write_bytes(b"seed: 1\noutput_dir: caf\xe9\n")
+        return (["--config", str(bad_yaml), "gen-data"],
+                f"{re.escape(str(bad_yaml))}: not UTF-8 text: invalid "
+                "continuation byte at byte 23$")
 
     def train_on_bad_normals(drop):
         """Train on a copy of the dataset without its normal series when
@@ -703,6 +770,19 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return ["--config", config, "train", "--data", str(edited),
                 "--variant", "SE_DNN"]
 
+    if case == "latin-1 series":
+        # every CSV ends in a Latin-1 byte, so train refuses the first one
+        # of its split that it parses
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        for path in data_dir.glob("*.csv"):
+            (edited / path.name).write_bytes(path.read_bytes() + b"\xe9")
+            sidecar = path.with_suffix(".meta.json")
+            (edited / sidecar.name).write_bytes(sidecar.read_bytes())
+        return (["--config", config, "train", "--data", str(edited),
+                 "--variant", "SE_DNN"],
+                f"{re.escape(str(edited))}/[^/]+\\.csv: 'utf-8' codec "
+                "can't decode byte 0xe9")
     if case == "nan in series":
         return (train_on_bad_normals(drop=False),
                 r"series of seed \d+ has non-finite frames")
@@ -731,8 +811,9 @@ def refused_input(case, workspace, se_bundle, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "misshapen array", "missing array", "format version 3",
-    "unknown variant", "other sensor map", "csv as bundle", "malformed yaml",
-    "control character in yaml", "nan in series", "no normal series",
+    "unknown variant", "other sensor map", "empty bundle", "npy as bundle",
+    "csv as bundle", "malformed yaml", "control character in yaml",
+    "latin-1 config", "latin-1 series", "nan in series", "no normal series",
     "repeated variant", "24 normal training frames", "window [0, 10]"])
 def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,
                                            tmp_path, capsys):
@@ -791,7 +872,7 @@ def test_holdout_refuses_partial_levels_before_loading(tmp_path, monkeypatch,
     assert load_config(config_path).levels == (5,)
     read = []
     monkeypatch.setattr(cli, "load_bundle", lambda *a: read.append(a))
-    monkeypatch.setattr(cli, "load_dataset", read.append)
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: read.append(a))
     out = tmp_path / "reports"
     assert "levels" in refused(capsys, [
         "--config", str(config_path), "holdout",
@@ -861,8 +942,8 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     assert cli.main(["--config", str(config_path), "train",
                      "--data", str(data_dir), "--variant", "RNN_DNN"]) == 0
     bundle_path = str(data_dir / "models" / "bundle_RNN_DNN.npz")
-    series = cli.load_dataset(data_dir)
-    _, test = cli.split_series(series, 77)
+    series = cli.load_dataset(data_dir, "all", 77)
+    test = cli.load_dataset(data_dir, "test", 77)
 
     calls = []
     residuals = pipeline.predict_and_residual

@@ -13,7 +13,7 @@ from gridsentry.detector import (BundleFileError, CLASSIFIER_INPUT, CODE_SIZE,
                                  state_checksum)
 from gridsentry.detector.models import (SUBMODELS, build_autoencoder,
                                        build_classifier, build_predictor)
-from gridsentry.detector.pipeline import RESIDUAL_GROUP, train_bundle
+from gridsentry.detector.pipeline import RESIDUAL_FRAMES, train_bundle
 from gridsentry.detector.preprocess import sensor_frames
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
@@ -302,7 +302,7 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
              for name in SUBMODELS[variant] if name != "classifier"}
     t = 40
     series = []
-    for k in range(2 * RESIDUAL_GROUP + 3):
+    for k in range(2 * (RESIDUAL_FRAMES // t) + 3):
         base, start = normal_series[k % 3], k % 4
         series.append(ScenarioSeries(values=base.values[start:start + t],
                                      metadata=dict(base.metadata)))

@@ -317,6 +317,20 @@ def test_one_stacker_of_sensor_frames():
     assert sites == []
 
 
+def test_one_reader_of_series_files():
+    # a series file is parsed by ScenarioSeries.load, and load is called
+    # only by the dataset reader, which parses the series a stage uses
+    # after every sidecar is read and checked
+    sites = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        sites |= {(rel, func) for node, func in walk_with_function(path)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "load"
+                  and getattr(node.func.value, "id", None) == "ScenarioSeries"}
+    assert sites == {("src/gridsentry/cli.py", "load_dataset")}
+
+
 def test_neural_library_names_no_fixed_dtype():
     # the library is dtype-preserving: an array it makes takes the dtype
     # of what it comes from, so np.zeros/np.empty/np.ones need a dtype (or

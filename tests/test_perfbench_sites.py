@@ -121,7 +121,7 @@ def test_stacked_residuals_are_traced():
         "tracer.install()",
         "from gridsentry.detector import ModelBundle, PreprocessStats",
         "from gridsentry.detector.models import build_predictor",
-        "from gridsentry.detector.pipeline import (RESIDUAL_GROUP,",
+        "from gridsentry.detector.pipeline import (RESIDUAL_FRAMES,",
         "                                          feature_rows)",
         "from gridsentry.grid import N_SENSORS, load_case",
         "from gridsentry.scenario import ScenarioSeries",
@@ -131,7 +131,7 @@ def test_stacked_residuals_are_traced():
         "    variant='RNN_DNN', stats=PreprocessStats(ones, 0 * ones, ones),",
         "    sensor_hash='-', noise_sigma=0.1,",
         "    predictor=build_predictor(N_SENSORS, r))",
-        "n = RESIDUAL_GROUP + 1",
+        "n = RESIDUAL_FRAMES // 20 + 1",
         "series = [ScenarioSeries(values=r.standard_normal((20, N_SENSORS)),",
         "                         metadata={'condition': 'normal'})",
         "          for _ in range(n)]",

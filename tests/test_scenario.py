@@ -452,18 +452,21 @@ def test_series_csv_roundtrip(tmp_path, case, world):
     assert back.metadata == s.metadata
     # without its sidecar, or a known condition in it, the series would
     # pass for a normal one in the split and in training; an attack or
-    # fault without its severity would join every level's training rows.
+    # fault without its severity would join every level's training rows,
+    # and a dataset's horizon is read from its sidecars before any CSV.
     # Each refusal is a SeriesFileError naming the file, so the CLI
     # refuses the dataset in one line
     for sidecar in ("{", "{}", "[]", '{"condition": "attack_5"}',
                     '{"condition": "attack_2"}',
                     *(json.dumps({k: v for k, v in s.metadata.items()
                                   if k != key})
-                      for key in ("level", "target", "window")),
+                      for key in ("level", "target", "window", "horizon")),
                     *(json.dumps({**s.metadata, "level": level})
                       for level in (None, 0, 6, "2", 3.0, True)),
                     *(json.dumps({**s.metadata, "window": window})
-                      for window in (None, 10, [10], [10, 20.0], "ab"))):
+                      for window in (None, 10, [10], [10, 20.0], "ab")),
+                    *(json.dumps({**s.metadata, "horizon": horizon})
+                      for horizon in (None, "48", 48.0, -1, True))):
         p.with_suffix(".meta.json").write_text(sidecar)
         with pytest.raises(SeriesFileError, match="series.meta.json"):
             ScenarioSeries.load(p)
@@ -497,9 +500,11 @@ def test_series_csv_roundtrip(tmp_path, case, world):
                      0.1 + 0.2, 1 / 3]
     fault = {"condition": "fault_6", "target": 6, "level": 1}
     for series, labels in (
-            (ScenarioSeries(values, {**fault, "window": [2, 4]}),
+            (ScenarioSeries(values, {**fault, "window": [2, 4],
+                                     "horizon": 5}),
              ["normal", "normal", "fault_6", "fault_6", "normal"]),
-            (ScenarioSeries(values[2:3], {**fault, "window": [0, 1]}),
+            (ScenarioSeries(values[2:3], {**fault, "window": [0, 1],
+                                          "horizon": 1}),
              ["fault_6"])):
         series.save(p)
         text = p.read_text()
