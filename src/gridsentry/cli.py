@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -94,30 +95,30 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     return out_dir
 
 
-def load_dataset(data_dir: Path, part: str,
-                 seed: int) -> list[ScenarioSeries]:
-    """The series of the dataset in data_dir that a stage uses: "all" of
-    them in file order, or the "train" or "test" part of split_series.
+def load_dataset(cfg: RunConfig, data_dir: Path,
+                 part: str) -> list[ScenarioSeries]:
+    """The series that cfg's gen-data writes in data_dir (_series_jobs)
+    and a stage uses: "all" of them in file-name order, or the "train" or
+    "test" part of split_series.
 
-    Every sidecar is read and checked, and a dataset of more than one
-    horizon refused, before any CSV is parsed; then only the part's CSVs
-    are, so a defect in another file's body is not seen.
+    Every sidecar is read once, before any CSV is parsed, and refused
+    unless it records its job's seed and cfg's horizon and noise sigma, so
+    a dataset of another config is not split as cfg's; then only the
+    part's CSVs are parsed, so a defect in another file's body is not seen.
     """
-    paths = sorted(p for p in Path(data_dir).glob("*.csv")
-                   if not p.name.startswith(("report", "severity", "holdout",
-                                             "confusion")))
-    if not paths:
-        raise FileNotFoundError(f"no series CSVs in {data_dir}")
+    jobs = sorted(_series_jobs(cfg))
+    paths = [Path(data_dir) / job[0] for job in jobs]
     sidecars = [ScenarioSeries.load_sidecar(p) for p in paths]
-    hours = [sidecar.metadata["horizon"] for sidecar in sidecars]
-    for path, n in zip(paths, hours):
-        if n != hours[0]:
-            raise SeriesFileError(f"{paths[0]} holds {hours[0]} hours but "
-                                  f"{path} holds {n}; a dataset holds one "
-                                  "horizon")
+    for path, (*_, seed), sidecar in zip(paths, jobs, sidecars):
+        written = {"seed": seed, "horizon": cfg.horizon,
+                   "noise_sigma": cfg.noise_sigma}
+        recorded = {key: sidecar.metadata.get(key) for key in written}
+        if recorded != written:
+            raise SeriesFileError(f"{path.with_suffix('.meta.json')} records "
+                                  f"{recorded}; the config writes {written}")
     picked = (range(len(paths)) if part == "all" else
-              split_series(sidecars, seed)[("train", "test").index(part)])
-    return [ScenarioSeries.load(paths[k]) for k in picked]
+              split_series(sidecars, cfg.seed)[("train", "test").index(part)])
+    return [ScenarioSeries.load(paths[k], sidecars[k]) for k in picked]
 
 
 SPLIT_FRACTION = 0.8  # share of each (condition, level) group trained on
@@ -161,7 +162,7 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
                           f"variants {list(cfg.variants)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
-    train_set = load_dataset(data_dir, "train", cfg.seed)
+    train_set = load_dataset(cfg, data_dir, "train")
     bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
                           stage_configs=cfg.train_stages,
                           noise_sigma=cfg.noise_sigma)
@@ -180,7 +181,7 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
-    test_set = load_dataset(data_dir, "test", cfg.seed)
+    test_set = load_dataset(cfg, data_dir, "test")
     preds, truth = evaluate_predictions(bundle, test_set, case)
     counts = confusion_counts(preds, truth)
     rows = report_rows(counts)
@@ -216,8 +217,7 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
-    frames = feature_rows(bundle, load_dataset(data_dir, "all", cfg.seed),
-                          case)
+    frames = feature_rows(bundle, load_dataset(cfg, data_dir, "all"), case)
     results = [holdout_experiment(
         frames, l, cfg.holdout_replications, cfg.seed,
         classifier_config=cfg.train_stages["classifier"])
@@ -251,7 +251,7 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
             raise ConfigError(f"report got two {bundle.variant} bundles; "
                               "pass one bundle per variant")
         bundles[bundle.variant] = bundle
-    test_set = load_dataset(data_dir, "test", cfg.seed)
+    test_set = load_dataset(cfg, data_dir, "test")
     rows = [{"variant": variant, **row}
             for variant, bundle in bundles.items()
             for row in severity_sweep(feature_rows(bundle, test_set, case),
@@ -264,6 +264,15 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
     manifest.record("report", [csv_path], variants=sorted(bundles))
     print(table)
     return csv_path
+
+
+def finite_float(text: str) -> float:
+    """A number argument that may not be nan or infinite: no score falls
+    below a nan gate, and every score falls below an infinite one."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--bundle", required=True)
     ev.add_argument("--out", help="report directory (default <data>/reports)")
-    ev.add_argument("--gate", type=float,
+    ev.add_argument("--gate", type=finite_float,
                     help="exit nonzero if macro-F1 falls below this")
 
     ho = sub.add_parser("holdout", help="level-holdout generalization sweep")
@@ -333,8 +342,12 @@ def _run(args) -> int:
         cmd_holdout(cfg, data_dir, resolve_output_dir(args.bundle), out)
         return 0
     if args.command == "report":
-        cmd_report(cfg, data_dir, [resolve_output_dir(p)
-                                   for p in args.bundles.split(",")], out)
+        bundles = args.bundles.split(",")
+        if "" in bundles:
+            raise ConfigError(f"--bundles {args.bundles!r} holds an empty "
+                              "entry; pass comma-separated bundle files")
+        cmd_report(cfg, data_dir, [resolve_output_dir(p) for p in bundles],
+                   out)
         return 0
     raise AssertionError(args.command)
 

@@ -204,13 +204,18 @@ class RunManifest:
     path, and of the stages that wrote them.
 
     Opening a directory loads its `manifest.json`, so each stage adds to the
-    files and stages already recorded there; a manifest from another config
-    is refused before the stage writes anything.
+    files and stages already recorded there; a manifest from another config,
+    and a directory path that names a file, are refused before the stage
+    computes or writes anything.
     """
 
     def __init__(self, directory: Path, cfg_hash: str):
         self.directory = Path(directory)
         self.path = self.directory / "manifest.json"
+        for path in (self.directory, *self.directory.parents):
+            if path.exists() and not path.is_dir():
+                raise ConfigError(f"output directory {self.directory}: "
+                                  f"{path} is a file")
         if self.path.exists():
             self.data = self.read(self.directory)
             if self.data["config_hash"] != cfg_hash:

@@ -269,10 +269,12 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
 
     A BundleFileError naming the file refuses another format version, a
     sensor-map hash that is missing, empty or not `case`'s, a file that is
-    no .npz archive (an empty file, an .npy array), an unknown variant, and
-    a missing (KeyError) or misshapen (ValueError) array, naming its
-    sub-model or "meta".
+    no .npz archive (a directory, an empty file, an .npy array), an unknown
+    variant, and a missing (KeyError) or misshapen (ValueError) array,
+    naming its sub-model or "meta".
     """
+    if Path(path).is_dir():
+        raise BundleFileError(f"bundle file {path} is a directory")
     part = "meta"
     try:
         data = np.load(Path(path))

@@ -83,12 +83,12 @@ class ScenarioSeries:
         return cls(values=np.empty((horizon, 0)), metadata=meta)
 
     @classmethod
-    def load(cls, path: str | Path) -> "ScenarioSeries":
-        """Read save's file, checked against its sidecar (load_sidecar): row
-        t holds hour t and the label of frame t, one row for each hour of
-        the horizon; SeriesFileError names the file and row."""
+    def load(cls, path: str | Path,
+             sidecar: "ScenarioSeries") -> "ScenarioSeries":
+        """Read save's file, checked against its sidecar, as load_sidecar
+        read it: row t holds hour t and the label of frame t, one row for
+        each hour of the horizon; SeriesFileError names the file and row."""
         path = Path(path)
-        sidecar = cls.load_sidecar(path)
         labels = sidecar.labels
         try:
             rows = path.read_text().strip().splitlines()[1:]

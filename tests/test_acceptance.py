@@ -53,7 +53,7 @@ def world(tmp_path_factory, case):
                     seed=SEED, noise_sigma=NOISE_SIGMA)
     t0 = time.time()
     data_dir = cli.cmd_gen_data(cfg, out / "data")
-    series = cli.load_dataset(data_dir, "all", cfg.seed)
+    series = cli.load_dataset(cfg, data_dir, "all")
     train, test = ([series[k] for k in part]
                    for part in cli.split_series(series, cfg.seed))
     bundles, matrices = {}, {}

@@ -20,7 +20,7 @@ from gridsentry.detector.models import SUBMODELS
 from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.detector.preprocess import sensor_frames
 from gridsentry.evaluation import HoldoutResult
-from gridsentry.grid import DEFAULT_CASE, N_SENSORS, load_case
+from gridsentry.grid import DEFAULT_CASE, load_case
 from gridsentry.neural import TrainConfig, get_state
 from gridsentry.scenario import LABELS, ScenarioSeries
 from oracles import write_weakened_case
@@ -60,6 +60,24 @@ def refused(capsys, argv) -> str:
     assert info.value.code == 2, err
     assert err.startswith("gridsentry: error: ") and err.count("\n") == 1, err
     return err
+
+
+def read_series(path):
+    """The series file at path, parsed against its sidecar as a stage reads
+    them: load_sidecar first, then load."""
+    return ScenarioSeries.load(path, ScenarioSeries.load_sidecar(path))
+
+
+def dataset_copy(data_dir, dest, edit=None):
+    """A copy at dest of the series files of data_dir, each series passed
+    through edit(name, series) before it is saved where edit is given."""
+    dest.mkdir()
+    for path in sorted(data_dir.glob("*.csv")):
+        series = read_series(path)
+        if edit is not None:
+            edit(path.name, series)
+        series.save(dest / path.name)
+    return dest
 
 
 # ---------------------------------------------------------------- config
@@ -389,7 +407,7 @@ def test_gen_data_reports_power_flow_gaps(tmp_path):
     assert cli.main(["--config", str(path), "gen-data",
                      "--out", str(out)]) == 0
     stage = RunManifest.read(out)["stages"]["gen-data"]
-    series = {p.name: ScenarioSeries.load(p) for p in out.glob("*.csv")}
+    series = {p.name: read_series(p) for p in out.glob("*.csv")}
     assert stage["series"] == len(series) == 3 + 8
     gaps = {name: s.metadata["gap_hours"] for name, s in series.items()}
     fallbacks = sum(len(s.metadata["template_fallback_hours"])
@@ -413,53 +431,59 @@ def test_gen_data_reports_power_flow_gaps(tmp_path):
     assert normal_gaps > 0
 
 
-def test_load_dataset_refuses_mixed_horizons(tmp_path):
-    # the detector stacks a dataset's series, so a directory that mixes
-    # 48-h and 60-h series is refused from its sidecars, naming both files
-    rng = np.random.default_rng(0)
-    for name, hours in (("normal_s00.csv", 48), ("normal_s01.csv", 60)):
-        ScenarioSeries(values=rng.standard_normal((hours, N_SENSORS)),
-                       metadata={"condition": "normal", "horizon": hours}
-                       ).save(tmp_path / name)
-    first, second = (re.escape(str(tmp_path / f"normal_s0{k}.csv"))
-                     for k in (0, 1))
-    with pytest.raises(ValueError,
-                       match=f"{first} holds 48 hours but {second} holds 60"):
-        cli.load_dataset(tmp_path, "all", 0)
+def truncate_first_normal(hours):
+    """An edit for dataset_copy: normal_s00 keeps its first `hours` hours,
+    and its sidecar records that horizon."""
+    def edit(name, series):
+        if name == "normal_s00.csv":
+            series.values = series.values[:hours]
+            series.metadata["horizon"] = hours
+    return edit
+
+
+def test_load_dataset_refuses_mixed_horizons(workspace, tmp_path):
+    # the detector stacks a dataset's series, so a copy of the 60-h dataset
+    # with one 48-h series is refused from that series' sidecar, which does
+    # not record the config's horizon
+    _, config_path, data_dir = workspace
+    mixed = dataset_copy(data_dir, tmp_path / "mixed",
+                         truncate_first_normal(48))
+    sidecar = re.escape(str(mixed / "normal_s00.meta.json"))
+    with pytest.raises(ValueError, match=f"{sidecar} records {{'seed': "
+                                         r"\d+, 'horizon': 48, .*; the "
+                                         r"config writes .*'horizon': 60,"):
+        cli.load_dataset(load_config(config_path), mixed, "all")
 
 
 @pytest.mark.parametrize("dataset", ["mixed", "relabelled"])
-def test_train_refuses_unreadable_dataset(tmp_path, capsys, dataset):
-    # a dataset of two horizons, and a series whose label row disagrees
-    # with its sidecar, are refused in one line naming the file, as every
-    # other refusal of the run's input is; train parses only its split's
-    # files, so each of the two relabelled series is refused when parsed
-    config_path = write_config(tmp_path / "run.yaml")
-    data_dir = tmp_path / dataset
-    data_dir.mkdir()
-    rng = np.random.default_rng(0)
-    hours = {"mixed": (36, 60), "relabelled": (60, 60)}[dataset]
-    for k, n in enumerate(hours):
-        ScenarioSeries(values=rng.standard_normal((n, N_SENSORS)),
-                       metadata={"condition": "normal", "horizon": n}
-                       ).save(data_dir / f"normal_s{k:02d}.csv")
+def test_train_refuses_unreadable_dataset(workspace, tmp_path, capsys,
+                                          dataset):
+    # a copy of the dataset with one series of another horizon, and one
+    # whose normal series label a frame that their sidecars do not, are
+    # refused in one line naming the file, as every other refusal of the
+    # run's input is; train parses only its split's files, so each of the
+    # relabelled series is refused when parsed
+    _, config_path, data_dir = workspace
+    edited = dataset_copy(data_dir, tmp_path / dataset,
+                          truncate_first_normal(36)
+                          if dataset == "mixed" else None)
     if dataset == "relabelled":
-        for path in data_dir.glob("*.csv"):
+        for path in edited.glob("normal_*.csv"):
             lines = path.read_text().splitlines(keepends=True)
             lines[11] = lines[11].rsplit(",", 1)[0] + ",attack_2\n"
             path.write_text("".join(lines))
-    message = {"mixed": "normal_s00.csv holds 36 hours but .* holds 60",
-               "relabelled": r"normal_s0[01]\.csv: row 10: label 'attack_2'"}
+    message = {"mixed": r"normal_s00\.meta\.json records .*'horizon': 36",
+               "relabelled": r"normal_s0[0-2]\.csv: row 10: label 'attack_2'"}
     err = refused(capsys, ["--config", str(config_path), "train",
-                           "--data", str(data_dir), "--variant", "SE_DNN"])
-    assert re.search(re.escape(str(data_dir)) + "/" + message[dataset],
+                           "--data", str(edited), "--variant", "SE_DNN"])
+    assert re.search(re.escape(str(edited)) + "/" + message[dataset],
                      err), err
 
 
 def test_split_is_series_level_and_stratified(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
-    series = cli.load_dataset(data_dir, "all", cfg.seed)
+    series = cli.load_dataset(cfg, data_dir, "all")
     train, test = cli.split_series(series, cfg.seed)
     assert sorted(train + test) == list(range(len(series)))
     # every non-singleton condition group keeps at least one test series
@@ -472,33 +496,49 @@ def test_split_first_parts_are_the_split_of_the_loaded_series(workspace):
     # the stages split on sidecars alone and parse only their part: each
     # part holds the series, in the order, that loading every series and
     # splitting them gives (a sidecar's seed is one series' own)
-    _, _, data_dir = workspace
-    series = cli.load_dataset(data_dir, "all", 77)
+    _, config_path, data_dir = workspace
+    cfg = load_config(config_path)
+    series = cli.load_dataset(cfg, data_dir, "all")
     for part, picked in zip(("train", "test"),
-                            cli.split_series(series, 77)):
-        loaded = cli.load_dataset(data_dir, part, 77)
+                            cli.split_series(series, cfg.seed)):
+        loaded = cli.load_dataset(cfg, data_dir, part)
         assert [s.metadata for s in loaded] == [series[k].metadata
                                                 for k in picked]
         assert all(np.array_equal(s.values, series[k].values)
                    for s, k in zip(loaded, picked))
 
 
+def series_names(config_path):
+    """The file names of the series that config_path's gen-data writes, in
+    the file-name order that every stage reads them in."""
+    return sorted(job[0] for job in cli._series_jobs(load_config(config_path)))
+
+
 def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
+                                                   holdout_workspace,
                                                    tmp_path, monkeypatch):
-    # every stage reads every sidecar, but train parses the train split's
-    # CSVs, evaluate and report the test split's, and holdout all of them
+    # every stage reads each sidecar of its dataset once, but train parses
+    # the train split's CSVs, evaluate and report the test split's, and
+    # holdout all of them
     _, config_path, data_dir = workspace
-    names = sorted(p.name for p in data_dir.glob("*.csv"))
+    holdout_path, holdout_dir = holdout_workspace
+    names = series_names(config_path)
     train, test = cli.split_series(
         [ScenarioSeries.load_sidecar(data_dir / name) for name in names], 77)
-    parsed = []
+    sidecars, parsed = [], []
     load = ScenarioSeries.load.__func__
+    load_sidecar = ScenarioSeries.load_sidecar.__func__
 
-    def counting(cls, path):
+    def reading(cls, path):
+        sidecars.append(Path(path).name)
+        return load_sidecar(cls, path)
+
+    def parsing(cls, path, sidecar):
         parsed.append(Path(path).name)
-        return load(cls, path)
+        return load(cls, path, sidecar)
 
-    monkeypatch.setattr(ScenarioSeries, "load", classmethod(counting))
+    monkeypatch.setattr(ScenarioSeries, "load_sidecar", classmethod(reading))
+    monkeypatch.setattr(ScenarioSeries, "load", classmethod(parsing))
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
     config, bundle = str(config_path), str(se_bundle)
     stages = {
@@ -508,17 +548,65 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
                      [names[k] for k in test]),
         "report": ([config, "report", "--bundles", bundle],
                    [names[k] for k in test]),
-        "holdout": ([str(holdout_config(tmp_path)), "holdout",
-                     "--bundle", bundle], names)}
+        "holdout": ([str(holdout_path), "holdout", "--bundle", bundle],
+                    None)}
     for stage, (argv, expected) in stages.items():
+        sidecars.clear()
         parsed.clear()
-        assert cli.main(["--config", *argv, "--data", str(data_dir),
+        data = holdout_dir if stage == "holdout" else data_dir
+        assert cli.main(["--config", *argv, "--data", str(data),
                          "--out", str(tmp_path / stage)]) == 0
-        assert parsed == expected, stage
+        every = series_names(argv[0])
+        assert sidecars == every, stage
+        assert parsed == (every if expected is None else expected), stage
     assert 0 < len(train) < len(names) and 0 < len(test) < len(names)
 
 
-def test_train_evaluate_roundtrip(workspace):
+def test_stages_refuse_a_dataset_of_another_seed(workspace, se_bundle,
+                                                 tmp_path, capsys):
+    # a config that differs from the dataset's only in its seed would split
+    # the dataset anew and score series the bundle was trained on as test
+    # series; each sidecar records its job's seed, so train and evaluate
+    # refuse the dataset, naming the first file and both seeds, before
+    # they write anything
+    _, config_path, data_dir = workspace
+    other = write_config(tmp_path / "seed78.yaml", seed=78)
+    name, *_, seed = min(cli._series_jobs(load_config(config_path)))
+    *_, other_seed = min(cli._series_jobs(load_config(other)))
+    assert seed != other_seed
+    sidecar = re.escape(str(data_dir / name.replace(".csv", ".meta.json")))
+    for stage, flags in (("train", ["--variant", "SE_DNN"]),
+                         ("evaluate", ["--bundle", str(se_bundle)])):
+        out = tmp_path / stage
+        err = refused(capsys, ["--config", str(other), stage, "--data",
+                               str(data_dir), "--out", str(out), *flags])
+        assert re.search(f"{sidecar} records {{'seed': {seed}, .*; the "
+                         f"config writes {{'seed': {other_seed}, ", err), err
+        assert not out.exists()
+
+
+def test_holdout_refuses_a_dataset_without_every_level(
+        workspace, se_bundle, tmp_path, monkeypatch, capsys):
+    # holdout needs every level; the workspace config with every level
+    # names series files that its level-5 dataset lacks, so holdout
+    # refuses the dataset, naming the first of them, before it computes
+    # any feature or writes anything
+    _, _, data_dir = workspace
+    config_path = write_config(tmp_path / "levels.yaml",
+                               levels=[1, 2, 3, 4, 5])
+    residuals = []
+    monkeypatch.setattr(pipeline, "predict_and_residual",
+                        lambda *a: residuals.append(a))
+    out = tmp_path / "reports"
+    err = refused(capsys, ["--config", str(config_path), "holdout",
+                           "--data", str(data_dir), "--out", str(out),
+                           "--bundle", str(se_bundle)])
+    missing = data_dir / "attack_2_l1_s00.meta.json"
+    assert not missing.exists() and str(missing) in err, err
+    assert residuals == [] and not out.exists()
+
+
+def test_train_evaluate_roundtrip(workspace, capsys):
     base, config_path, data_dir = workspace
     assert cli.main(["--config", str(config_path), "train",
                      "--data", str(data_dir), "--variant", "SE_DNN"]) == 0
@@ -533,7 +621,7 @@ def test_train_evaluate_roundtrip(workspace):
     report_dir = data_dir / "reports"
     assert (report_dir / "report_SE_DNN.txt").exists()
     counts = np.loadtxt(report_dir / "confusion_SE_DNN.csv", delimiter=",")
-    test = cli.load_dataset(data_dir, "test", 77)
+    test = cli.load_dataset(load_config(config_path), data_dir, "test")
     expected_frames = sum(len(s.values) - 1 - 10 for s in test)
     assert counts.sum() == expected_frames
 
@@ -542,14 +630,24 @@ def test_train_evaluate_roundtrip(workspace):
                      "--data", str(data_dir),
                      "--bundle", str(bundle_path),
                      "--gate", "1.01"]) == 1
+    # no score falls below a nan gate and every score below an infinite
+    # one, so argparse refuses both before the stage runs
+    for gate in ("nan", "inf"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--config", str(config_path), "evaluate",
+                      "--data", str(data_dir), "--bundle", str(bundle_path),
+                      "--gate", gate])
+        assert info.value.code == 2
+        assert (f"argument --gate: not a finite number: '{gate}'"
+                in capsys.readouterr().err)
 
 
 def test_float32_bundle_roundtrip(workspace, tmp_path):
     # train_bundle fits every sub-model in float32, the file keeps their
     # arrays float32, and the loaded bundle labels every frame as the
     # trained one does
-    _, _, data_dir = workspace
-    series = cli.load_dataset(data_dir, "all", 77)
+    _, config_path, data_dir = workspace
+    series = cli.load_dataset(load_config(config_path), data_dir, "all")
     configs = {name: replace(cfg, epochs=2)
                for name, cfg in STAGE_DEFAULTS.items()}
     case = load_case()
@@ -574,8 +672,8 @@ def test_float32_bundle_roundtrip(workspace, tmp_path):
 def test_se_dnn_computes_no_differences(workspace, monkeypatch):
     # SE_DNN's residuals come from WLS fits of the frames themselves, so
     # neither its training nor its features standardize a difference
-    _, _, data_dir = workspace
-    train, test = (cli.load_dataset(data_dir, part, 77)
+    _, config_path, data_dir = workspace
+    train, test = (cli.load_dataset(load_config(config_path), data_dir, part)
                    for part in ("train", "test"))
 
     def refuse(*args):
@@ -605,6 +703,21 @@ def test_train_refuses_variant_outside_config(tmp_path, monkeypatch,
         "--config", str(config_path), "train",
         "--data", str(data_dir), "--variant", "RNN_DNN"])
     assert read == [] and not (data_dir / "models").exists()
+
+
+def test_train_refuses_out_naming_a_file_before_fitting(workspace, tmp_path,
+                                                       monkeypatch, capsys):
+    # an --out that names a file is refused as the stage opens the
+    # directory's manifest, before the dataset is read or a fit runs
+    _, config_path, data_dir = workspace
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    fits = []
+    monkeypatch.setattr(cli, "train_bundle", lambda *a, **k: fits.append(a))
+    assert f"{afile} is a file" in refused(capsys, [
+        "--config", str(config_path), "train", "--data", str(data_dir),
+        "--variant", "SE_DNN", "--out", str(afile)])
+    assert fits == [] and afile.read_text() == "kept"
 
 
 def test_report_severity_csv(workspace, se_bundle):
@@ -654,12 +767,12 @@ def test_split_refuses_groups_of_one_series(se_bundle, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_stages_refuse_bundle_without_classifier(workspace, se_bundle,
+def test_stages_refuse_bundle_without_classifier(holdout_workspace, se_bundle,
                                                  tmp_path, monkeypatch,
                                                  capsys):
     # a hand-edited file that lacks its variant's classifier is refused as
     # it loads, before a stage reads the dataset
-    _, _, data_dir = workspace
+    config_path, data_dir = holdout_workspace
     with np.load(se_bundle) as data:
         arrays = {k: data[k] for k in data.files
                   if not k.startswith("classifier/")}
@@ -667,13 +780,13 @@ def test_stages_refuse_bundle_without_classifier(workspace, se_bundle,
     np.savez(broken, **arrays)
     read = []
     monkeypatch.setattr(cli, "load_dataset", lambda *a: read.append(a))
-    config_path = str(holdout_config(tmp_path))
     for stage, flag in (("evaluate", "--bundle"), ("holdout", "--bundle"),
                         ("report", "--bundles")):
         out = tmp_path / stage
         assert re.search(f"classifier in bundle file "
                          f"{re.escape(str(broken))}: missing parameter",
-                         refused(capsys, ["--config", config_path, stage,
+                         refused(capsys, ["--config", str(config_path),
+                                          stage,
                                           "--data", str(data_dir), "--out",
                                           str(out), flag, str(broken)]))
         assert not out.exists()
@@ -732,6 +845,25 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return (["--config", config, "evaluate", "--data", str(data_dir),
                  "--bundle", str(npy)],
                 f"meta in bundle file {re.escape(str(npy))}: an .npy array")
+    if case == "directory as bundle":
+        return (["--config", config, "evaluate", "--data", str(data_dir),
+                 "--bundle", str(data_dir)],
+                f"bundle file {re.escape(str(data_dir))} is a directory$")
+    if case == "empty bundles entry":
+        return (["--config", config, "report", "--data", str(data_dir),
+                 "--bundles", f"{se_bundle},"],
+                "--bundles '.*,' holds an empty entry")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if case == "gen-data out is a file":
+        return (["--config", config, "gen-data", "--out", str(afile)],
+                f"output directory {re.escape(str(afile))}: "
+                f"{re.escape(str(afile))} is a file$")
+    if case == "evaluate out under a file":
+        return (["--config", config, "evaluate", "--data", str(data_dir),
+                 "--bundle", str(se_bundle), "--out", str(afile / "sub")],
+                f"output directory {re.escape(str(afile / 'sub'))}: "
+                f"{re.escape(str(afile))} is a file$")
     if case == "csv as bundle":
         csv = data_dir / "normal_s00.csv"
         return (["--config", config, "evaluate", "--data", str(data_dir),
@@ -755,18 +887,18 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 f"{re.escape(str(bad_yaml))}: not UTF-8 text: invalid "
                 "continuation byte at byte 23$")
 
-    def train_on_bad_normals(drop):
-        """Train on a copy of the dataset without its normal series when
-        `drop`, else with a nan frame in each."""
-        edited = tmp_path / "edited"
-        edited.mkdir()
-        for path in data_dir.glob("*.csv"):
-            series = ScenarioSeries.load(path)
-            if series.metadata["condition"] == "normal":
-                if drop:
-                    continue
+    def train_on_bad_normals(relabel):
+        """Train on a copy of the dataset whose normal series are relabelled
+        level-5 fault_6 series when `relabel`, else hold a nan frame."""
+        def edit(name, series):
+            if series.metadata["condition"] != "normal":
+                return
+            if relabel:
+                series.metadata.update(condition="fault_6", target=6,
+                                       level=5, window=[24, 50])
+            else:
                 series.values[5, 3] = np.nan
-            series.save(edited / path.name)
+        edited = dataset_copy(data_dir, tmp_path / "edited", edit)
         return ["--config", config, "train", "--data", str(edited),
                 "--variant", "SE_DNN"]
 
@@ -784,10 +916,10 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 f"{re.escape(str(edited))}/[^/]+\\.csv: 'utf-8' codec "
                 "can't decode byte 0xe9")
     if case == "nan in series":
-        return (train_on_bad_normals(drop=False),
+        return (train_on_bad_normals(relabel=False),
                 r"series of seed \d+ has non-finite frames")
     if case == "no normal series":
-        return (train_on_bad_normals(drop=True),
+        return (train_on_bad_normals(relabel=True),
                 "training set contains no normal series$")
     if case == "repeated variant":
         return (["--config", config, "report", "--data", str(data_dir),
@@ -812,7 +944,8 @@ def refused_input(case, workspace, se_bundle, tmp_path):
 @pytest.mark.parametrize("case", [
     "misshapen array", "missing array", "format version 3",
     "unknown variant", "other sensor map", "empty bundle", "npy as bundle",
-    "csv as bundle", "malformed yaml", "control character in yaml",
+    "directory as bundle", "empty bundles entry", "gen-data out is a file",
+    "evaluate out under a file", "csv as bundle", "malformed yaml", "control character in yaml",
     "latin-1 config", "latin-1 series", "nan in series", "no normal series",
     "repeated variant", "24 normal training frames", "window [0, 10]"])
 def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,
@@ -830,18 +963,24 @@ def stub_holdout(frames, l, replications, seed, classifier_config=None):
                          median=0.5, iqr=0.0)
 
 
-def holdout_config(base):
-    """The workspace config with every level, which `holdout` requires; the
-    stub ignores that the workspace dataset holds only level 5."""
-    return write_config(base / "holdout.yaml", levels=[1, 2, 3, 4, 5])
+@pytest.fixture(scope="module")
+def holdout_workspace(tmp_path_factory):
+    """A config with every level, which `holdout` requires, and the dataset
+    it generates: 82 series of 24 h, which the workspace's bundle scores."""
+    base = tmp_path_factory.mktemp("holdout")
+    config_path = write_config(base / "holdout.yaml", horizon=24,
+                               window=[6, 18], levels=[1, 2, 3, 4, 5],
+                               normal_series=2)
+    assert cli.main(["--config", str(config_path), "gen-data"]) == 0
+    return config_path, base / "data"
 
 
-def test_holdout_command_plumbing(workspace, se_bundle, tmp_path,
+def test_holdout_command_plumbing(holdout_workspace, se_bundle, tmp_path,
                                   monkeypatch):
-    base, _, data_dir = workspace
+    config_path, data_dir = holdout_workspace
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
     out = tmp_path / "reports"
-    assert cli.main(["--config", str(holdout_config(tmp_path)), "holdout",
+    assert cli.main(["--config", str(config_path), "holdout",
                      "--data", str(data_dir), "--out", str(out),
                      "--bundle", str(se_bundle)]) == 0
     lines = (out / "holdout.csv").read_text().splitlines()
@@ -894,13 +1033,12 @@ def test_default_case_recorded_without_checkout_path(workspace):
 
 
 def test_stages_sharing_a_directory_keep_each_others_records(
-        workspace, se_bundle, tmp_path, monkeypatch):
+        holdout_workspace, se_bundle, tmp_path, monkeypatch):
     # evaluate and holdout both write to one directory; the manifest there
     # lists the files of both, not only those of the stage that ran last
-    base, _, data_dir = workspace
+    config_path, data_dir = holdout_workspace
     bundle_path = str(se_bundle)
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
-    config_path = holdout_config(tmp_path)
     out = tmp_path / "shared"
     for stage in ("evaluate", "holdout"):
         assert cli.main(["--config", str(config_path), stage,
@@ -942,8 +1080,9 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     assert cli.main(["--config", str(config_path), "train",
                      "--data", str(data_dir), "--variant", "RNN_DNN"]) == 0
     bundle_path = str(data_dir / "models" / "bundle_RNN_DNN.npz")
-    series = cli.load_dataset(data_dir, "all", 77)
-    test = cli.load_dataset(data_dir, "test", 77)
+    cfg = load_config(config_path)
+    series = cli.load_dataset(cfg, data_dir, "all")
+    test = cli.load_dataset(cfg, data_dir, "test")
 
     calls = []
     residuals = pipeline.predict_and_residual

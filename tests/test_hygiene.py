@@ -331,6 +331,26 @@ def test_one_reader_of_series_files():
     assert sites == {("src/gridsentry/cli.py", "load_dataset")}
 
 
+def test_one_list_of_a_datasets_files():
+    # a dataset is the files its config's gen-data writes: the job list is
+    # spelled once, read by gen-data and by the dataset reader, and no
+    # module lists a directory to find the files a stage reads
+    jobs, listings = set(), []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        for node, func in walk_with_function(path):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "_series_jobs":
+                jobs.add((rel, func))
+            elif name in ("glob", "rglob", "iterdir"):
+                listings.append(f"{rel}:{node.lineno}")
+    assert jobs == {("src/gridsentry/cli.py", "cmd_gen_data"),
+                    ("src/gridsentry/cli.py", "load_dataset")}
+    assert listings == []
+
+
 def test_neural_library_names_no_fixed_dtype():
     # the library is dtype-preserving: an array it makes takes the dtype
     # of what it comes from, so np.zeros/np.empty/np.ones need a dtype (or

@@ -440,13 +440,19 @@ def test_unconverged_solves_are_never_measured(case, world, monkeypatch):
                                rtol=0, atol=1e-7)
 
 
+def read_series(path):
+    """The series file at path, parsed against its sidecar as a stage reads
+    them: load_sidecar first, then load."""
+    return ScenarioSeries.load(path, ScenarioSeries.load_sidecar(path))
+
+
 def test_series_csv_roundtrip(tmp_path, case, world):
     loads, plan = world
     spec = make_condition(case, "attack", 3, 2, 10, 20)
     s = generate_scenario(case, plan, loads, spec, 0.01, seed=5)
     p = tmp_path / "series.csv"
     s.save(p)
-    back = ScenarioSeries.load(p)
+    back = read_series(p)
     np.testing.assert_array_equal(back.values, s.values)
     assert back.labels == s.labels
     assert back.metadata == s.metadata
@@ -469,7 +475,7 @@ def test_series_csv_roundtrip(tmp_path, case, world):
                       for horizon in (None, "48", 48.0, -1, True))):
         p.with_suffix(".meta.json").write_text(sidecar)
         with pytest.raises(SeriesFileError, match="series.meta.json"):
-            ScenarioSeries.load(p)
+            read_series(p)
     # a label other than the sidecar's, a row count short of the sidecar's
     # horizon and rows out of hour order are refused with the file and row
     p.with_suffix(".meta.json").write_text(json.dumps(s.metadata))
@@ -482,10 +488,10 @@ def test_series_csv_roundtrip(tmp_path, case, world):
         p.write_text(csv)
         with pytest.raises(SeriesFileError,
                            match=rf"series\.csv: row {row}:"):
-            ScenarioSeries.load(p)
+            read_series(p)
     p.with_suffix(".meta.json").unlink()
     with pytest.raises(FileNotFoundError, match="series.meta.json"):
-        ScenarioSeries.load(p)
+        read_series(p)
 
     def float_parse(text):
         # the reader's reference form: float() on each value field
@@ -508,7 +514,7 @@ def test_series_csv_roundtrip(tmp_path, case, world):
              ["fault_6"])):
         series.save(p)
         text = p.read_text()
-        back = ScenarioSeries.load(p)
+        back = read_series(p)
         assert back.values.shape == series.values.shape
         assert back.labels == series.labels == labels
         assert np.array_equal(back.values.view(np.uint64),
@@ -537,7 +543,7 @@ def test_load_refuses_labels_that_disagree_with_the_sidecar(tmp_path, case,
         p.write_text("".join(lines))
         with pytest.raises(ValueError, match=rf"series\.csv: row {row}: "
                                              rf"label '{moved[row]}'"):
-            ScenarioSeries.load(p)
+            read_series(p)
 
 
 def ref_to_csv(values, labels):
