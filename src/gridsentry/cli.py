@@ -26,6 +26,11 @@ from .scenario import (GENERATOR_BUSES, KINDS, LEVEL_FRACTIONS,
                        generate_scenario, make_condition)
 
 
+# the RunConfig fields that gen-data's files depend on
+GENERATION_KEYS = ("case_file", "seed", "horizon", "noise_sigma", "levels",
+                   "window", "normal_series", "series_per_condition_per_level")
+
+
 def _series_jobs(cfg: RunConfig):
     """Deterministic list of (filename, kind, target, level, seed) jobs."""
     jobs = []
@@ -101,21 +106,27 @@ def load_dataset(cfg: RunConfig, data_dir: Path,
     and a stage uses: "all" of them in file-name order, or the "train" or
     "test" part of split_series.
 
-    Every sidecar is read once, before any CSV is parsed, and refused
-    unless it records its job's seed and cfg's horizon and noise sigma, so
-    a dataset of another config is not split as cfg's; then only the
-    part's CSVs are parsed, so a defect in another file's body is not seen.
+    data_dir's config.json must record cfg's GENERATION_KEYS, so a dataset
+    of another config is not split as cfg's, and each sidecar, read once,
+    cfg's horizon, as the detector stacks a dataset's series; then only
+    the part's CSVs are parsed, so a defect in another file's body is not
+    seen.
     """
-    jobs = sorted(_series_jobs(cfg))
-    paths = [Path(data_dir) / job[0] for job in jobs]
+    config_path = Path(data_dir) / "config.json"
+    written, given = json.loads(config_path.read_text()), cfg.canonical()
+    differ = [key for key in GENERATION_KEYS if written.get(key) != given[key]]
+    if differ:
+        raise SeriesFileError(
+            f"{config_path} records a dataset of "
+            f"{ {key: written.get(key) for key in differ} }; the config "
+            f"gives { {key: given[key] for key in differ} }")
+    paths = [Path(data_dir) / job[0] for job in sorted(_series_jobs(cfg))]
     sidecars = [ScenarioSeries.load_sidecar(p) for p in paths]
-    for path, (*_, seed), sidecar in zip(paths, jobs, sidecars):
-        written = {"seed": seed, "horizon": cfg.horizon,
-                   "noise_sigma": cfg.noise_sigma}
-        recorded = {key: sidecar.metadata.get(key) for key in written}
-        if recorded != written:
+    for path, sidecar in zip(paths, sidecars):
+        if sidecar.metadata["horizon"] != cfg.horizon:
             raise SeriesFileError(f"{path.with_suffix('.meta.json')} records "
-                                  f"{recorded}; the config writes {written}")
+                                  f"a horizon of {sidecar.metadata['horizon']}"
+                                  f"; the dataset's is {cfg.horizon}")
     picked = (range(len(paths)) if part == "all" else
               split_series(sidecars, cfg.seed)[("train", "test").index(part)])
     return [ScenarioSeries.load(paths[k], sidecars[k]) for k in picked]
@@ -342,12 +353,8 @@ def _run(args) -> int:
         cmd_holdout(cfg, data_dir, resolve_output_dir(args.bundle), out)
         return 0
     if args.command == "report":
-        bundles = args.bundles.split(",")
-        if "" in bundles:
-            raise ConfigError(f"--bundles {args.bundles!r} holds an empty "
-                              "entry; pass comma-separated bundle files")
-        cmd_report(cfg, data_dir, [resolve_output_dir(p) for p in bundles],
-                   out)
+        cmd_report(cfg, data_dir, [resolve_output_dir(p)
+                                   for p in args.bundles.split(",")], out)
         return 0
     raise AssertionError(args.command)
 

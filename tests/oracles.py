@@ -10,6 +10,8 @@ The pipeline runs none of these; they check it from outside:
   differentiable model (criterion 5, tests/test_neural.py).
 - `write_weakened_case`: a case file on which some solves fail, for the
   gap-hour and template-fallback paths of `gen-data`.
+- `read_series`: a series file read as the stages read it
+  (tests/test_cli.py, tests/test_scenario.py).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from gridsentry.grid.case import DEFAULT_CASE
 from gridsentry.neural import mse, softmax_cross_entropy
 from gridsentry.neural.train import flatten_parameters
+from gridsentry.scenario import ScenarioSeries
 
 # ------------------------------------------------------------ chi square
 
@@ -188,3 +191,11 @@ def write_weakened_case(path: Path) -> Path:
         lines.append(line)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# ------------------------------------------------------------ series files
+
+def read_series(path):
+    """The series file at path, parsed against its sidecar as a stage reads
+    them: load_sidecar first, then load."""
+    return ScenarioSeries.load(path, ScenarioSeries.load_sidecar(path))

@@ -23,7 +23,7 @@ from gridsentry.evaluation import HoldoutResult
 from gridsentry.grid import DEFAULT_CASE, load_case
 from gridsentry.neural import TrainConfig, get_state
 from gridsentry.scenario import LABELS, ScenarioSeries
-from oracles import write_weakened_case
+from oracles import read_series, write_weakened_case
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -62,16 +62,12 @@ def refused(capsys, argv) -> str:
     return err
 
 
-def read_series(path):
-    """The series file at path, parsed against its sidecar as a stage reads
-    them: load_sidecar first, then load."""
-    return ScenarioSeries.load(path, ScenarioSeries.load_sidecar(path))
-
-
 def dataset_copy(data_dir, dest, edit=None):
-    """A copy at dest of the series files of data_dir, each series passed
-    through edit(name, series) before it is saved where edit is given."""
+    """A copy at dest of data_dir's config.json and series files, each
+    series passed through edit(name, series) before it is saved where edit
+    is given."""
     dest.mkdir()
+    (dest / "config.json").write_bytes((data_dir / "config.json").read_bytes())
     for path in sorted(data_dir.glob("*.csv")):
         series = read_series(path)
         if edit is not None:
@@ -449,9 +445,8 @@ def test_load_dataset_refuses_mixed_horizons(workspace, tmp_path):
     mixed = dataset_copy(data_dir, tmp_path / "mixed",
                          truncate_first_normal(48))
     sidecar = re.escape(str(mixed / "normal_s00.meta.json"))
-    with pytest.raises(ValueError, match=f"{sidecar} records {{'seed': "
-                                         r"\d+, 'horizon': 48, .*; the "
-                                         r"config writes .*'horizon': 60,"):
+    with pytest.raises(ValueError, match=f"{sidecar} records a horizon of "
+                                         "48; the dataset's is 60$"):
         cli.load_dataset(load_config(config_path), mixed, "all")
 
 
@@ -472,7 +467,7 @@ def test_train_refuses_unreadable_dataset(workspace, tmp_path, capsys,
             lines = path.read_text().splitlines(keepends=True)
             lines[11] = lines[11].rsplit(",", 1)[0] + ",attack_2\n"
             path.write_text("".join(lines))
-    message = {"mixed": r"normal_s00\.meta\.json records .*'horizon': 36",
+    message = {"mixed": r"normal_s00\.meta\.json records a horizon of 36;",
                "relabelled": r"normal_s0[0-2]\.csv: row 10: label 'attack_2'"}
     err = refused(capsys, ["--config", str(config_path), "train",
                            "--data", str(edited), "--variant", "SE_DNN"])
@@ -562,35 +557,42 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
     assert 0 < len(train) < len(names) and 0 < len(test) < len(names)
 
 
-def test_stages_refuse_a_dataset_of_another_seed(workspace, se_bundle,
-                                                 tmp_path, capsys):
-    # a config that differs from the dataset's only in its seed would split
-    # the dataset anew and score series the bundle was trained on as test
-    # series; each sidecar records its job's seed, so train and evaluate
-    # refuse the dataset, naming the first file and both seeds, before
-    # they write anything
+@pytest.mark.parametrize("override", [
+    {"seed": 78}, {"normal_series": 2}, {"window": [20, 50]},
+    {"noise_sigma": 0.02}])
+def test_stages_refuse_a_dataset_of_another_config(workspace, se_bundle,
+                                                   tmp_path, capsys,
+                                                   override):
+    # a config whose generation settings differ from the dataset's would
+    # split the dataset anew, or a part of it, and score series the bundle
+    # was trained on as test series; with another window it would score
+    # frames labelled by the dataset's window. train and evaluate refuse
+    # the dataset, naming its config.json and both values, before they
+    # write anything
     _, config_path, data_dir = workspace
-    other = write_config(tmp_path / "seed78.yaml", seed=78)
-    name, *_, seed = min(cli._series_jobs(load_config(config_path)))
-    *_, other_seed = min(cli._series_jobs(load_config(other)))
-    assert seed != other_seed
-    sidecar = re.escape(str(data_dir / name.replace(".csv", ".meta.json")))
+    other = write_config(tmp_path / "other.yaml", **override)
+    (key, value), = override.items()
+    recorded = load_config(config_path).canonical()[key]
+    written = re.escape(str(data_dir / "config.json"))
     for stage, flags in (("train", ["--variant", "SE_DNN"]),
                          ("evaluate", ["--bundle", str(se_bundle)])):
         out = tmp_path / stage
         err = refused(capsys, ["--config", str(other), stage, "--data",
                                str(data_dir), "--out", str(out), *flags])
-        assert re.search(f"{sidecar} records {{'seed': {seed}, .*; the "
-                         f"config writes {{'seed': {other_seed}, ", err), err
+        assert re.search(re.escape(f"records a dataset of {{'{key}': "
+                                   f"{recorded}}}; the config gives "
+                                   f"{{'{key}': {value}}}") + "$",
+                         err.rstrip()), err
+        assert re.match(f"gridsentry: error: {written} ", err), err
         assert not out.exists()
 
 
 def test_holdout_refuses_a_dataset_without_every_level(
         workspace, se_bundle, tmp_path, monkeypatch, capsys):
-    # holdout needs every level; the workspace config with every level
-    # names series files that its level-5 dataset lacks, so holdout
-    # refuses the dataset, naming the first of them, before it computes
-    # any feature or writes anything
+    # holdout needs every level; the workspace config with every level is
+    # not the config of its level-5 dataset, so holdout refuses the
+    # dataset, naming its config.json and both level lists, before it
+    # computes any feature or writes anything
     _, _, data_dir = workspace
     config_path = write_config(tmp_path / "levels.yaml",
                                levels=[1, 2, 3, 4, 5])
@@ -601,8 +603,8 @@ def test_holdout_refuses_a_dataset_without_every_level(
     err = refused(capsys, ["--config", str(config_path), "holdout",
                            "--data", str(data_dir), "--out", str(out),
                            "--bundle", str(se_bundle)])
-    missing = data_dir / "attack_2_l1_s00.meta.json"
-    assert not missing.exists() and str(missing) in err, err
+    assert (f"{data_dir / 'config.json'} records a dataset of {{'levels': "
+            "[5]}; the config gives {'levels': [1, 2, 3, 4, 5]}") in err, err
     assert residuals == [] and not out.exists()
 
 
@@ -850,9 +852,11 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                  "--bundle", str(data_dir)],
                 f"bundle file {re.escape(str(data_dir))} is a directory$")
     if case == "empty bundles entry":
+        # the empty entry names the current directory
         return (["--config", config, "report", "--data", str(data_dir),
                  "--bundles", f"{se_bundle},"],
-                "--bundles '.*,' holds an empty entry")
+                f"bundle file {re.escape(str(resolve_output_dir('')))} is a "
+                "directory$")
     afile = tmp_path / "afile"
     afile.write_text("")
     if case == "gen-data out is a file":
@@ -905,16 +909,21 @@ def refused_input(case, workspace, se_bundle, tmp_path):
     if case == "latin-1 series":
         # every CSV ends in a Latin-1 byte, so train refuses the first one
         # of its split that it parses
-        edited = tmp_path / "edited"
-        edited.mkdir()
-        for path in data_dir.glob("*.csv"):
-            (edited / path.name).write_bytes(path.read_bytes() + b"\xe9")
-            sidecar = path.with_suffix(".meta.json")
-            (edited / sidecar.name).write_bytes(sidecar.read_bytes())
+        edited = dataset_copy(data_dir, tmp_path / "edited")
+        for path in edited.glob("*.csv"):
+            path.write_bytes(path.read_bytes() + b"\xe9")
         return (["--config", config, "train", "--data", str(edited),
                  "--variant", "SE_DNN"],
                 f"{re.escape(str(edited))}/[^/]+\\.csv: 'utf-8' codec "
                 "can't decode byte 0xe9")
+    if case == "dataset without config.json":
+        # the dataset's config.json is what a stage checks its config on
+        edited = dataset_copy(data_dir, tmp_path / "edited")
+        (edited / "config.json").unlink()
+        return (["--config", config, "train", "--data", str(edited),
+                 "--variant", "SE_DNN"],
+                f"No such file or directory: "
+                f"'{re.escape(str(edited / 'config.json'))}'$")
     if case == "nan in series":
         return (train_on_bad_normals(relabel=False),
                 r"series of seed \d+ has non-finite frames")
@@ -945,9 +954,11 @@ def refused_input(case, workspace, se_bundle, tmp_path):
     "misshapen array", "missing array", "format version 3",
     "unknown variant", "other sensor map", "empty bundle", "npy as bundle",
     "directory as bundle", "empty bundles entry", "gen-data out is a file",
-    "evaluate out under a file", "csv as bundle", "malformed yaml", "control character in yaml",
-    "latin-1 config", "latin-1 series", "nan in series", "no normal series",
-    "repeated variant", "24 normal training frames", "window [0, 10]"])
+    "evaluate out under a file", "csv as bundle", "malformed yaml",
+    "control character in yaml", "latin-1 config",
+    "dataset without config.json", "latin-1 series", "nan in series",
+    "no normal series", "repeated variant", "24 normal training frames",
+    "window [0, 10]"])
 def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,
                                            tmp_path, capsys):
     # every check of a run's input raises an InputError, which cli.main

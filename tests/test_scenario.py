@@ -15,7 +15,8 @@ from gridsentry.scenario import (Condition, GENERATOR_BUSES, LABELS,
 from gridsentry.scenario import generate
 from gridsentry.scenario.generate import REACTIVE_RATIO, SeriesFileError
 from oracles import (LinearSystem, covert_attack_run, linear_mask_bias,
-                     random_system, simulate, write_weakened_case)
+                     random_system, read_series, simulate,
+                     write_weakened_case)
 
 
 @pytest.fixture(scope="module")
@@ -438,12 +439,6 @@ def test_unconverged_solves_are_never_measured(case, world, monkeypatch):
     rest = [t for t in range(plan.horizon) if t not in (0, 5, 6)]
     np.testing.assert_allclose(s.values[rest], full.values[rest],
                                rtol=0, atol=1e-7)
-
-
-def read_series(path):
-    """The series file at path, parsed against its sidecar as a stage reads
-    them: load_sidecar first, then load."""
-    return ScenarioSeries.load(path, ScenarioSeries.load_sidecar(path))
 
 
 def test_series_csv_roundtrip(tmp_path, case, world):
