@@ -35,7 +35,7 @@ def _series_jobs(cfg: RunConfig):
     """Deterministic list of (filename, kind, target, level, seed) jobs."""
     jobs = []
     for idx in range(cfg.normal_series):
-        jobs.append((f"normal_s{idx:02d}.csv", "normal", 0, 0,
+        jobs.append((f"normal_s{idx:02d}.npy", "normal", 0, 0,
                      cfg.seed * 1000003 + idx))
     for kind_code, kind in enumerate(KINDS, start=1):
         for target in GENERATOR_BUSES:
@@ -44,7 +44,7 @@ def _series_jobs(cfg: RunConfig):
                     seed = (cfg.seed * 1000003 + kind_code * 100000
                             + target * 10000 + level * 100 + idx)
                     name = condition_name(kind, target)
-                    jobs.append((f"{name}_l{level}_s{idx:02d}.csv",
+                    jobs.append((f"{name}_l{level}_s{idx:02d}.npy",
                                  kind, target, level, seed))
     return jobs
 

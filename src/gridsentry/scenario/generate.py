@@ -41,11 +41,9 @@ class ScenarioSeries:
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        lines = ["hour," + ",".join(f"s{i:02d}" for i in range(N_SENSORS))
-                 + ",label"]
-        lines += [f"{t},{','.join(map(repr, row))},{label}" for t, (row, label)
-                  in enumerate(zip(self.values.tolist(), self.labels))]
-        path.write_text("\n".join(lines) + "\n")
+        # through a handle, as np.save appends .npy to a name without it
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, self.values, allow_pickle=False)
         path.with_suffix(".meta.json").write_text(
             json.dumps(self.metadata, indent=2, sort_keys=True))
 
@@ -85,28 +83,19 @@ class ScenarioSeries:
     @classmethod
     def load(cls, path: str | Path,
              sidecar: "ScenarioSeries") -> "ScenarioSeries":
-        """Read save's file, checked against its sidecar, as load_sidecar
-        read it: row t holds hour t and the label of frame t, one row for
-        each hour of the horizon; SeriesFileError names the file and row."""
-        path = Path(path)
-        labels = sidecar.labels
+        """Read save's file, the values of the series whose sidecar
+        load_sidecar read: a float64 array of one row of N_SENSORS values
+        for each hour of the sidecar's horizon. SeriesFileError names the
+        file."""
+        shape = (sidecar.metadata["horizon"], N_SENSORS)
         try:
-            rows = path.read_text().strip().splitlines()[1:]
-            for t, (row, label) in enumerate(zip(rows, labels)):
-                if not row.startswith(f"{t},"):
-                    raise ValueError(f"row {t}: hour {row.split(',', 1)[0]!r},"
-                                     f" expected {t}")
-                if not row.endswith(f",{label}"):
-                    raise ValueError(f"row {t}: label {row.rsplit(',')[-1]!r}"
-                                     f", the sidecar gives {label!r}")
-            if len(labels) != len(rows):
-                raise ValueError(f"row {min(len(labels), len(rows))}: the "
-                                 f"file holds {len(rows)} rows, its metadata "
-                                 f"a horizon of {len(labels)}")
-            # numpy's parser rounds correctly, so values equal float(str)
-            values = np.loadtxt(rows, delimiter=",",
-                                usecols=range(1, 1 + N_SENSORS), ndmin=2)
-        except ValueError as exc:  # a UnicodeDecodeError too
+            with open(path, "rb") as fh:
+                values = np.lib.format.read_array(fh, allow_pickle=False)
+            if values.dtype != np.float64 or values.shape != shape:
+                raise ValueError(f"a {values.dtype} array of shape "
+                                 f"{values.shape}; the sidecar gives float64 "
+                                 f"of shape {shape}")
+        except ValueError as exc:
             raise SeriesFileError(f"{path}: {exc}") from None
         return cls(values=values, metadata=sidecar.metadata)
 

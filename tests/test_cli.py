@@ -68,7 +68,7 @@ def dataset_copy(data_dir, dest, edit=None):
     is given."""
     dest.mkdir()
     (dest / "config.json").write_bytes((data_dir / "config.json").read_bytes())
-    for path in sorted(data_dir.glob("*.csv")):
+    for path in sorted(data_dir.glob("*.npy")):
         series = read_series(path)
         if edit is not None:
             edit(path.name, series)
@@ -353,7 +353,7 @@ def test_gen_data_workers_match_serial(tmp_path):
                          "--out", str(out)]) == 0
         files[workers] = RunManifest.read(out)["files"]
         del files[workers]["config.json"]  # records `workers` itself
-    assert len(files[1]) == 2 * (1 + 8)  # a CSV and a .meta.json per series
+    assert len(files[1]) == 2 * (1 + 8)  # an .npy and a .meta.json per series
     assert files[2] == files[1]
 
 
@@ -403,7 +403,7 @@ def test_gen_data_reports_power_flow_gaps(tmp_path):
     assert cli.main(["--config", str(path), "gen-data",
                      "--out", str(out)]) == 0
     stage = RunManifest.read(out)["stages"]["gen-data"]
-    series = {p.name: read_series(p) for p in out.glob("*.csv")}
+    series = {p.name: read_series(p) for p in out.glob("*.npy")}
     assert stage["series"] == len(series) == 3 + 8
     gaps = {name: s.metadata["gap_hours"] for name, s in series.items()}
     fallbacks = sum(len(s.metadata["template_fallback_hours"])
@@ -431,7 +431,7 @@ def truncate_first_normal(hours):
     """An edit for dataset_copy: normal_s00 keeps its first `hours` hours,
     and its sidecar records that horizon."""
     def edit(name, series):
-        if name == "normal_s00.csv":
+        if name == "normal_s00.npy":
             series.values = series.values[:hours]
             series.metadata["horizon"] = hours
     return edit
@@ -450,29 +450,76 @@ def test_load_dataset_refuses_mixed_horizons(workspace, tmp_path):
         cli.load_dataset(load_config(config_path), mixed, "all")
 
 
-@pytest.mark.parametrize("dataset", ["mixed", "relabelled"])
+@pytest.mark.parametrize("dataset", ["mixed", "float32 series"])
 def test_train_refuses_unreadable_dataset(workspace, tmp_path, capsys,
                                           dataset):
     # a copy of the dataset with one series of another horizon, and one
-    # whose normal series label a frame that their sidecars do not, are
-    # refused in one line naming the file, as every other refusal of the
-    # run's input is; train parses only its split's files, so each of the
-    # relabelled series is refused when parsed
+    # whose normal series hold float32 values, are refused in one line
+    # naming the file, as every other refusal of the run's input is; train
+    # parses only its split's files, so a float32 series is refused when
+    # parsed
     _, config_path, data_dir = workspace
+
+    def edit(name, series):
+        if name.startswith("normal_"):
+            series.values = series.values.astype(np.float32)
+
     edited = dataset_copy(data_dir, tmp_path / dataset,
                           truncate_first_normal(36)
-                          if dataset == "mixed" else None)
-    if dataset == "relabelled":
-        for path in edited.glob("normal_*.csv"):
-            lines = path.read_text().splitlines(keepends=True)
-            lines[11] = lines[11].rsplit(",", 1)[0] + ",attack_2\n"
-            path.write_text("".join(lines))
+                          if dataset == "mixed" else edit)
     message = {"mixed": r"normal_s00\.meta\.json records a horizon of 36;",
-               "relabelled": r"normal_s0[0-2]\.csv: row 10: label 'attack_2'"}
+               "float32 series": r"normal_s0[0-2]\.npy: a float32 array of "
+                                 r"shape \(60, 39\); the sidecar gives "
+                                 r"float64"}
     err = refused(capsys, ["--config", str(config_path), "train",
                            "--data", str(edited), "--variant", "SE_DNN"])
     assert re.search(re.escape(str(edited)) + "/" + message[dataset],
                      err), err
+
+
+def csv_dataset(data_dir, dest):
+    """A copy at dest of data_dir in the series format that .npy files
+    replaced: each series a CSV of hour, sensor and label columns beside
+    its sidecar, under the name of its .npy file with the suffix .csv."""
+    dest.mkdir()
+    (dest / "config.json").write_bytes((data_dir / "config.json").read_bytes())
+    for path in sorted(data_dir.glob("*.npy")):
+        series = read_series(path)
+        rows = ["hour," + ",".join(f"s{i:02d}" for i in range(39)) + ",label"]
+        rows += [f"{t},{','.join(map(repr, row))},{label}" for t, (row, label)
+                 in enumerate(zip(series.values.tolist(), series.labels))]
+        path = dest / path.name
+        path.with_suffix(".csv").write_text("\n".join(rows) + "\n")
+        path.with_suffix(".meta.json").write_bytes(
+            (data_dir / path.name).with_suffix(".meta.json").read_bytes())
+    return dest
+
+
+def test_stages_refuse_a_csv_dataset(workspace, se_bundle, tmp_path,
+                                     monkeypatch, capsys):
+    # a dataset written before series files were .npy arrays holds no
+    # .npy file: each stage refuses it in one line naming the first file of
+    # its part, before it computes a feature or writes anything
+    _, config_path, data_dir = workspace
+    old = csv_dataset(data_dir, tmp_path / "old")
+    residuals = []
+    monkeypatch.setattr(pipeline, "predict_and_residual",
+                        lambda *a: residuals.append(a))
+    names = series_names(config_path)
+    train, test = cli.split_series(
+        [ScenarioSeries.load_sidecar(old / name) for name in names], 77)
+    for stage, flags, first in (
+            ("train", ["--variant", "SE_DNN"], names[train[0]]),
+            ("evaluate", ["--bundle", str(se_bundle)], names[test[0]]),
+            ("report", ["--bundles", str(se_bundle)], names[test[0]])):
+        out = tmp_path / stage
+        err = refused(capsys, ["--config", str(config_path), stage,
+                               "--data", str(old), "--out", str(out),
+                               *flags])
+        assert err.endswith(f"No such file or directory: "
+                            f"'{old / first}'\n"), err
+        assert not out.exists()
+    assert residuals == []
 
 
 def test_split_is_series_level_and_stratified(workspace):
@@ -513,8 +560,8 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
                                                    holdout_workspace,
                                                    tmp_path, monkeypatch):
     # every stage reads each sidecar of its dataset once, but train parses
-    # the train split's CSVs, evaluate and report the test split's, and
-    # holdout all of them
+    # the train split's series files, evaluate and report the test split's,
+    # and holdout all of them
     _, config_path, data_dir = workspace
     holdout_path, holdout_dir = holdout_workspace
     names = series_names(config_path)
@@ -869,10 +916,12 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 f"output directory {re.escape(str(afile / 'sub'))}: "
                 f"{re.escape(str(afile))} is a file$")
     if case == "csv as bundle":
-        csv = data_dir / "normal_s00.csv"
+        # a series file is an .npy array too
+        npy = data_dir / "normal_s00.npy"
         return (["--config", config, "evaluate", "--data", str(data_dir),
-                 "--bundle", str(csv)],
-                f"meta in bundle file {re.escape(str(csv))}: .*pickled")
+                 "--bundle", str(npy)],
+                f"meta in bundle file {re.escape(str(npy))}: an .npy array, "
+                "not an .npz archive$")
     bad_yaml = tmp_path / "bad.yaml"
     if case == "malformed yaml":
         bad_yaml.write_text("seed: 1\noutput_dir: [a, b\nhorizon: 24\n")
@@ -906,16 +955,16 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return ["--config", config, "train", "--data", str(edited),
                 "--variant", "SE_DNN"]
 
-    if case == "latin-1 series":
-        # every CSV ends in a Latin-1 byte, so train refuses the first one
-        # of its split that it parses
+    if case == "truncated series":
+        # every series file lacks its last value, so train refuses the
+        # first one of its split that it parses
         edited = dataset_copy(data_dir, tmp_path / "edited")
-        for path in edited.glob("*.csv"):
-            path.write_bytes(path.read_bytes() + b"\xe9")
+        for path in edited.glob("*.npy"):
+            path.write_bytes(path.read_bytes()[:-8])
         return (["--config", config, "train", "--data", str(edited),
                  "--variant", "SE_DNN"],
-                f"{re.escape(str(edited))}/[^/]+\\.csv: 'utf-8' codec "
-                "can't decode byte 0xe9")
+                f"{re.escape(str(edited))}/[^/]+\\.npy: Failed to read all "
+                "data for array")
     if case == "dataset without config.json":
         # the dataset's config.json is what a stage checks its config on
         edited = dataset_copy(data_dir, tmp_path / "edited")
@@ -956,7 +1005,7 @@ def refused_input(case, workspace, se_bundle, tmp_path):
     "directory as bundle", "empty bundles entry", "gen-data out is a file",
     "evaluate out under a file", "csv as bundle", "malformed yaml",
     "control character in yaml", "latin-1 config",
-    "dataset without config.json", "latin-1 series", "nan in series",
+    "dataset without config.json", "truncated series", "nan in series",
     "no normal series", "repeated variant", "24 normal training frames",
     "window [0, 10]"])
 def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,

@@ -317,18 +317,40 @@ def test_one_stacker_of_sensor_frames():
     assert sites == []
 
 
+def numpy_root(node) -> bool:
+    """Whether an attribute chain starts at the name np (np.load,
+    np.lib.format.read_array)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return getattr(node, "id", None) == "np"
+
+
 def test_one_reader_of_series_files():
     # a series file is parsed by ScenarioSeries.load, and load is called
     # only by the dataset reader, which parses the series a stage uses
-    # after every sidecar is read and checked
-    sites = set()
+    # after every sidecar is read and checked. The values are an .npy
+    # array that only load reads and only save writes; no module parses
+    # text arrays, and np.load reads only bundles, in load_bundle
+    sites, array_io = set(), set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         rel = str(path.relative_to(ROOT))
-        sites |= {(rel, func) for node, func in walk_with_function(path)
-                  if isinstance(node, ast.Call)
-                  and getattr(node.func, "attr", None) == "load"
-                  and getattr(node.func.value, "id", None) == "ScenarioSeries"}
+        for node, func in walk_with_function(path):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", None)
+            if (name == "load"
+                    and getattr(node.func.value, "id", None)
+                    == "ScenarioSeries"):
+                sites.add((rel, func))
+            if name in ("read_array", "write_array", "open_memmap", "load",
+                        "save", "loadtxt", "genfromtxt", "fromfile",
+                        "tofile") and numpy_root(node.func):
+                array_io.add((rel, func, name))
     assert sites == {("src/gridsentry/cli.py", "load_dataset")}
+    assert array_io == {
+        ("src/gridsentry/scenario/generate.py", "load", "read_array"),
+        ("src/gridsentry/scenario/generate.py", "save", "write_array"),
+        ("src/gridsentry/detector/models.py", "load_bundle", "load")}
 
 
 def test_one_list_of_a_datasets_files():

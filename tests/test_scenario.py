@@ -441,20 +441,23 @@ def test_unconverged_solves_are_never_measured(case, world, monkeypatch):
                                rtol=0, atol=1e-7)
 
 
-def test_series_csv_roundtrip(tmp_path, case, world):
+def test_series_npy_roundtrip(tmp_path, case, world):
     loads, plan = world
     spec = make_condition(case, "attack", 3, 2, 10, 20)
     s = generate_scenario(case, plan, loads, spec, 0.01, seed=5)
-    p = tmp_path / "series.csv"
+    p = tmp_path / "series.npy"
     s.save(p)
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "series.meta.json", "series.npy"]
     back = read_series(p)
-    np.testing.assert_array_equal(back.values, s.values)
+    assert np.array_equal(back.values.view(np.uint64),
+                          s.values.view(np.uint64))
     assert back.labels == s.labels
     assert back.metadata == s.metadata
     # without its sidecar, or a known condition in it, the series would
     # pass for a normal one in the split and in training; an attack or
     # fault without its severity would join every level's training rows,
-    # and a dataset's horizon is read from its sidecars before any CSV.
+    # and a dataset's horizon is read from its sidecars before any values.
     # Each refusal is a SeriesFileError naming the file, so the CLI
     # refuses the dataset in one line
     for sidecar in ("{", "{}", "[]", '{"condition": "attack_5"}',
@@ -471,103 +474,74 @@ def test_series_csv_roundtrip(tmp_path, case, world):
         p.with_suffix(".meta.json").write_text(sidecar)
         with pytest.raises(SeriesFileError, match="series.meta.json"):
             read_series(p)
-    # a label other than the sidecar's, a row count short of the sidecar's
-    # horizon and rows out of hour order are refused with the file and row
-    p.with_suffix(".meta.json").write_text(json.dumps(s.metadata))
-    text = p.read_text()
-    lines = text.splitlines(keepends=True)
-    swapped = lines[:4] + [lines[5], lines[4]] + lines[6:]
-    for csv, row in ((text.replace(",attack_3\n", ",atack_3\n"), 10),
-                     ("".join(lines[:-5]), 43),
-                     ("".join(swapped), 3)):
-        p.write_text(csv)
-        with pytest.raises(SeriesFileError,
-                           match=rf"series\.csv: row {row}:"):
-            read_series(p)
     p.with_suffix(".meta.json").unlink()
     with pytest.raises(FileNotFoundError, match="series.meta.json"):
         read_series(p)
 
-    def float_parse(text):
-        # the reader's reference form: float() on each value field
-        return np.array([[float(v) for v in line.split(",")[1:1 + N_SENSORS]]
-                         for line in text.strip().splitlines()[1:]])
-
     # a leading power-flow gap hour is an all-NaN row (generate.py), and
-    # extreme or signed-zero values must come back bit for bit
+    # extreme, infinite or signed-zero values come back bit for bit
     values = np.random.default_rng(6).standard_normal((5, N_SENSORS)) * 50
     values[0] = np.nan
-    values[1, :6] = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300,
-                     0.1 + 0.2, 1 / 3]
+    values[1, :8] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1e-300,
+                     0.1 + 0.2, np.inf, -np.inf]
     fault = {"condition": "fault_6", "target": 6, "level": 1}
     for series, labels in (
             (ScenarioSeries(values, {**fault, "window": [2, 4],
                                      "horizon": 5}),
              ["normal", "normal", "fault_6", "fault_6", "normal"]),
-            (ScenarioSeries(values[2:3], {**fault, "window": [0, 1],
+            (ScenarioSeries(values[1:2], {**fault, "window": [0, 1],
                                           "horizon": 1}),
              ["fault_6"])):
         series.save(p)
-        text = p.read_text()
         back = read_series(p)
+        assert back.values.dtype == np.float64
         assert back.values.shape == series.values.shape
         assert back.labels == series.labels == labels
-        assert np.array_equal(back.values.view(np.uint64),
-                              float_parse(text).view(np.uint64))
         assert np.array_equal(back.values.view(np.uint64),
                               series.values.view(np.uint64))
 
 
-def test_load_refuses_labels_that_disagree_with_the_sidecar(tmp_path, case,
-                                                            world):
-    # a frame's label is the sidecar's condition inside its window and
-    # normal elsewhere; a file whose label column says otherwise, as a
-    # normal series with an attack frame would, is refused at load
-    loads, plan = world
-    normal = generate_scenario(case, plan, loads, None, 0.01, seed=5)
-    attack = generate_scenario(case, plan, loads,
-                               make_condition(case, "attack", 3, 2, 10, 20),
-                               0.01, seed=5)
-    for series, moved, row in ((normal, {10: "attack_2"}, 10),
-                               (attack, {19: "normal", 20: "attack_3"}, 19)):
-        p = tmp_path / "series.csv"
-        series.save(p)
-        lines = p.read_text().splitlines(keepends=True)
-        for t, label in moved.items():
-            lines[t + 1] = lines[t + 1].rsplit(",", 1)[0] + f",{label}\n"
-        p.write_text("".join(lines))
-        with pytest.raises(ValueError, match=rf"series\.csv: row {row}: "
-                                             rf"label '{moved[row]}'"):
+def test_load_refuses_a_file_that_is_not_the_sidecars_array(tmp_path):
+    # the values file must hold one float64 array with a row of sensors for
+    # each hour of the sidecar's horizon; anything else is refused as a
+    # SeriesFileError naming the file, before any frame is read from it
+    values = np.random.default_rng(7).standard_normal((6, N_SENSORS))
+    meta = {"condition": "normal", "horizon": 6}
+    p = tmp_path / "series.npy"
+    ScenarioSeries(values, meta).save(p)
+    good = p.read_bytes()
+    archive = tmp_path / "archive.npz"
+    np.savez(archive, values=values)
+
+    def pickled(path):
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, np.array([values], dtype=object),
+                                      allow_pickle=True)
+
+    files = {
+        "empty": lambda path: path.write_bytes(b""),
+        "csv text": lambda path: path.write_text(
+            "hour,s00,label\n0,1.0,normal\n"),
+        "truncated": lambda path: path.write_bytes(good[:-8]),
+        "npz archive": lambda path: path.write_bytes(archive.read_bytes()),
+        "pickled objects": pickled,
+        "float32": lambda path: ScenarioSeries(
+            values.astype(np.float32), meta).save(path),
+        "5 rows": lambda path: ScenarioSeries(values[:5], meta).save(path),
+        "7 rows": lambda path: ScenarioSeries(
+            np.vstack([values, values[:1]]), meta).save(path),
+        "38 sensors": lambda path: ScenarioSeries(
+            values[:, :-1], meta).save(path),
+    }
+    causes = {"empty": "EOF", "csv text": "magic string",
+              "truncated": "not fully written", "npz archive": "magic string",
+              "pickled objects": "Object arrays",
+              "float32": r"a float32 array of shape \(6, 39\)",
+              "5 rows": r"shape \(5, 39\); the sidecar gives float64 of "
+                        r"shape \(6, 39\)",
+              "7 rows": r"shape \(7, 39\)", "38 sensors": r"shape \(6, 38\)"}
+    for name, write in files.items():
+        write(p)
+        with pytest.raises(SeriesFileError,
+                           match=rf"series\.npy: .*{causes[name]}"):
             read_series(p)
-
-
-def ref_to_csv(values, labels):
-    """The writer's reference form: repr of each value boxed as a float."""
-    lines = ["hour," + ",".join(f"s{i:02d}" for i in range(N_SENSORS))
-             + ",label"]
-    for t in range(len(values)):
-        row = ",".join(repr(float(v)) for v in values[t])
-        lines.append(f"{t},{row},{labels[t]}")
-    return "\n".join(lines) + "\n"
-
-
-def test_series_csv_bytes_match_reference_form(tmp_path, case, world):
-    loads, plan = world
-    spec = make_condition(case, "attack", 6, 3, 10, 30)
-    generated = generate_scenario(case, plan, loads, spec, 0.10, seed=12)
-    values = np.random.default_rng(13).standard_normal((6, N_SENSORS)) * 50
-    values[0] = np.nan  # a gap hour before any converged one
-    values[3] = np.nan
-    values[1, :7] = [-0.0, 0.0, 5e-324, 1.797e308, 1.7976931348623157e308,
-                     0.1 + 0.2, -1e-300]
-    values[2, :3] = [np.inf, -np.inf, 1 / 3]
-    attack = {"condition": "attack_2", "target": 2, "level": 1,
-              "window": [2, 4]}
-    p = tmp_path / "series.csv"
-    for series, labels in (
-            (generated, ["normal"] * 10 + ["attack_6"] * 20 + ["normal"] * 18),
-            (ScenarioSeries(values, attack),
-             ["normal", "normal", "attack_2", "attack_2", "normal", "normal"]),
-            (ScenarioSeries(values[1:2], attack), ["normal"])):
-        series.save(p)
-        assert p.read_text() == ref_to_csv(series.values, labels)
