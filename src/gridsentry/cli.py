@@ -13,7 +13,7 @@ import numpy as np
 
 from . import InputError
 from .config import (ConfigError, RunConfig, RunManifest, config_hash,
-                     load_config, resolve_output_dir)
+                     load_config, read_json_object, resolve_output_dir)
 from .detector import load_bundle, save_bundle, train_bundle, trained
 from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import HOUSEHOLDS_PER_BUS, plan_generation, synthesize_loads
@@ -100,26 +100,32 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     return out_dir
 
 
-def load_dataset(cfg: RunConfig, data_dir: Path,
-                 part: str) -> list[ScenarioSeries]:
+def load_dataset(cfg: RunConfig, data_dir: Path, part: str,
+                 bundles=()) -> list[ScenarioSeries]:
     """The series that cfg's gen-data writes in data_dir (_series_jobs)
     and a stage uses: "all" of them in file-name order, or the "train" or
     "test" part of split_series.
 
     data_dir's config.json must record cfg's GENERATION_KEYS, so a dataset
-    of another config is not split as cfg's, and each sidecar, read once,
-    cfg's horizon, as the detector stacks a dataset's series; then only
-    the part's CSVs are parsed, so a defect in another file's body is not
-    seen.
+    of another config is not split as cfg's, and so must the dataset
+    record of each (path, ModelBundle) pair in bundles, the bundles the
+    stage scores on the part, so no bundle scores a series it may have
+    been trained on. Each sidecar, read once, must record cfg's horizon,
+    as the detector stacks a dataset's series; then only the part's
+    series files are parsed, so a defect in another file is not seen.
     """
     config_path = Path(data_dir) / "config.json"
-    written, given = json.loads(config_path.read_text()), cfg.canonical()
-    differ = [key for key in GENERATION_KEYS if written.get(key) != given[key]]
-    if differ:
-        raise SeriesFileError(
-            f"{config_path} records a dataset of "
-            f"{ {key: written.get(key) for key in differ} }; the config "
-            f"gives { {key: given[key] for key in differ} }")
+    given = cfg.canonical()
+    for source, written in [(config_path, read_json_object(config_path)),
+                            *((f"bundle file {path}", bundle.dataset)
+                              for path, bundle in bundles)]:
+        differ = [key for key in GENERATION_KEYS
+                  if written.get(key) != given[key]]
+        if differ:
+            raise SeriesFileError(
+                f"{source} records a dataset of "
+                f"{ {key: written.get(key) for key in differ} }; the config "
+                f"gives { {key: given[key] for key in differ} }")
     paths = [Path(data_dir) / job[0] for job in sorted(_series_jobs(cfg))]
     sidecars = [ScenarioSeries.load_sidecar(p) for p in paths]
     for path, sidecar in zip(paths, sidecars):
@@ -174,9 +180,10 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     train_set = load_dataset(cfg, data_dir, "train")
+    given = cfg.canonical()
     bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
                           stage_configs=cfg.train_stages,
-                          noise_sigma=cfg.noise_sigma)
+                          dataset={key: given[key] for key in GENERATION_KEYS})
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle_path = out_dir / f"bundle_{variant}.npz"
     save_bundle(bundle, bundle_path)
@@ -188,11 +195,11 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
 
 
 def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
-                 out_dir: Path, gate: float | None = None) -> int:
+                 out_dir: Path) -> float:
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
-    test_set = load_dataset(cfg, data_dir, "test")
+    test_set = load_dataset(cfg, data_dir, "test", [(bundle_path, bundle)])
     preds, truth = evaluate_predictions(bundle, test_set, case)
     counts = confusion_counts(preds, truth)
     rows = report_rows(counts)
@@ -213,9 +220,7 @@ def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
                     accuracy=accuracy(counts))
     print(text)
     print(f"macro-F1: {score:.4f}")
-    if gate is not None and score < gate:
-        return 1
-    return 0
+    return score
 
 
 def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
@@ -228,7 +233,8 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     manifest = RunManifest(out_dir, config_hash(cfg))
     case = load_case(cfg.case_file)
     bundle = load_bundle(bundle_path, case)
-    frames = feature_rows(bundle, load_dataset(cfg, data_dir, "all"), case)
+    frames = feature_rows(bundle, load_dataset(
+        cfg, data_dir, "all", [(bundle_path, bundle)]), case)
     results = [holdout_experiment(
         frames, l, cfg.holdout_replications, cfg.seed,
         classifier_config=cfg.train_stages["classifier"])
@@ -262,7 +268,8 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
             raise ConfigError(f"report got two {bundle.variant} bundles; "
                               "pass one bundle per variant")
         bundles[bundle.variant] = bundle
-    test_set = load_dataset(cfg, data_dir, "test")
+    test_set = load_dataset(cfg, data_dir, "test",
+                            zip(bundle_paths, bundles.values()))
     rows = [{"variant": variant, **row}
             for variant, bundle in bundles.items()
             for row in severity_sweep(feature_rows(bundle, test_set, case),
@@ -347,8 +354,9 @@ def _run(args) -> int:
         cmd_train(cfg, data_dir, args.variant, out)
         return 0
     if args.command == "evaluate":
-        return cmd_evaluate(cfg, data_dir, resolve_output_dir(args.bundle),
-                            out, gate=args.gate)
+        score = cmd_evaluate(cfg, data_dir, resolve_output_dir(args.bundle),
+                             out)
+        return int(args.gate is not None and score < args.gate)
     if args.command == "holdout":
         cmd_holdout(cfg, data_dir, resolve_output_dir(args.bundle), out)
         return 0

@@ -191,6 +191,18 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def read_json_object(path: Path) -> dict:
+    """The JSON object in the file at path; ConfigError names the file when
+    it holds none (a missing file raises FileNotFoundError)."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise ConfigError(f"{path}: not a JSON object: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    return data
+
+
 def file_sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -218,7 +230,7 @@ class RunManifest:
                                   f"{path} is a file")
         if self.path.exists():
             self.data = self.read(self.directory)
-            if self.data["config_hash"] != cfg_hash:
+            if self.data.get("config_hash") != cfg_hash:
                 raise ConfigError(f"{self.directory} holds the outputs of "
                                   "another config; use a fresh directory")
         else:
@@ -230,15 +242,16 @@ class RunManifest:
                 "files": {},
             }
 
-    def record(self, stage: str, paths, status: str = "ok", **extra) -> None:
-        """Hash `paths`, set `stages[stage]` and write the manifest."""
+    def record(self, stage: str, paths, **extra) -> None:
+        """Hash `paths`, set `stages[stage]` to extra, with a status of "ok"
+        unless extra gives one, and write the manifest."""
         for path in paths:
             rel = str(Path(path).relative_to(self.directory))
             self.data["files"][rel] = file_sha256(Path(path))
-        self.data["stages"][stage] = {"status": status, **extra}
+        self.data["stages"][stage] = {"status": "ok", **extra}
         self.path.write_text(
             json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
     @staticmethod
     def read(directory: Path) -> dict:
-        return json.loads((Path(directory) / "manifest.json").read_text())
+        return read_json_object(Path(directory) / "manifest.json")

@@ -11,6 +11,7 @@ All variants feed the same 78-dim (residual ++ observation) classifier.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,7 +47,7 @@ CLASSIFIER_HIDDEN = (64, 32)
 # trained bundle's parameters; inference takes the parameters' dtype
 COMPUTE_DTYPE = np.float32
 
-BUNDLE_FORMAT_VERSION = 4
+BUNDLE_FORMAT_VERSION = 5
 
 
 class UntrainedBundleError(RuntimeError):
@@ -62,7 +63,8 @@ class ModelBundle:
     variant: str
     stats: PreprocessStats
     sensor_hash: str
-    noise_sigma: float
+    # the generation settings of the dataset trained on (cli.GENERATION_KEYS)
+    dataset: dict
     classifier: Sequential | None = None
     encoder: Sequential | None = None
     decoder: Sequential | None = None
@@ -204,7 +206,7 @@ def predict_and_residual(bundle: ModelBundle, frames: np.ndarray,
         raise ValueError(f"series too short for {LAGS} lags")
 
     if bundle.variant == "SE_DNN":
-        frames, sigma = frames[:, LAGS + 1:], bundle.noise_sigma
+        frames, sigma = frames[:, LAGS + 1:], bundle.dataset["noise_sigma"]
         # one WLS fit per frame, each sensor weighted by its noise variance
         fitted = [estimate_state(case, y, noise_scale(y, sigma) ** 2)
                   .predicted_measurements
@@ -255,7 +257,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "meta/raw_mean": bundle.stats.raw_mean,
         "meta/raw_std": bundle.stats.raw_std,
         "meta/sensor_hash": np.array(bundle.sensor_hash),
-        "meta/noise_sigma": np.array(bundle.noise_sigma),
+        "meta/dataset": np.array(json.dumps(bundle.dataset, sort_keys=True)),
     }
     for name in SUBMODELS[bundle.variant]:
         for key, arr in get_state(trained(bundle, name)).items():
@@ -270,8 +272,9 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
     A BundleFileError naming the file refuses another format version, a
     sensor-map hash that is missing, empty or not `case`'s, a file that is
     no .npz archive (a directory, an empty file, an .npy array), an unknown
-    variant, and a missing (KeyError) or misshapen (ValueError) array,
-    naming its sub-model or "meta".
+    variant, a dataset record that is not a JSON object, and a missing
+    (KeyError) or misshapen (ValueError) array, naming its sub-model or
+    "meta".
     """
     if Path(path).is_dir():
         raise BundleFileError(f"bundle file {path} is a directory")
@@ -295,7 +298,9 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
                                       raw_mean=data["meta/raw_mean"],
                                       raw_std=data["meta/raw_std"]),
                 sensor_hash=str(data["meta/sensor_hash"]),
-                noise_sigma=float(data["meta/noise_sigma"]))
+                dataset=json.loads(str(data["meta/dataset"])))
+            if not isinstance(bundle.dataset, dict):
+                raise ValueError("meta/dataset is not a JSON object")
             variant = bundle.variant
             # the weights are overwritten from the file; the seed is arbitrary
             rng = np.random.default_rng(0)

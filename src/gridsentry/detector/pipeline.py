@@ -58,14 +58,16 @@ def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
 
 
 def train_bundle(variant: str, series_list, case: GridCase, seed: int,
-                 stage_configs: dict, noise_sigma: float) -> ModelBundle:
+                 stage_configs: dict, dataset: dict) -> ModelBundle:
     """Train one detector variant on a list of ScenarioSeries.
 
     Stage order: preprocess stats -> autoencoder (AEN variant) -> predictor
     (AEN/RNN variants) -> residual features with frozen upstream models ->
     classifier. Stats, autoencoder, and predictor see the normal-condition
     series only. stage_configs maps every stage name to its TrainConfig;
-    fits are seeded seed, seed+1, seed+2 in stage order.
+    fits are seeded seed, seed+1, seed+2 in stage order. dataset is the
+    generation settings of the series, which the bundle keeps; SE_DNN's
+    residuals read its noise_sigma.
     """
     normals = [s for s in series_list if s.metadata["condition"] == "normal"]
     if not normals:
@@ -73,8 +75,7 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
 
     frames = sensor_frames(normals)
     bundle = ModelBundle(variant=variant, stats=fit_preprocess(frames),
-                         sensor_hash=sensor_map_hash(case),
-                         noise_sigma=noise_sigma)
+                         sensor_hash=sensor_map_hash(case), dataset=dataset)
     if variant != "SE_DNN":
         z = preprocess(frames, bundle.stats)  # (S, T-1, 39)
         if variant == "AEN_RNN_DNN":

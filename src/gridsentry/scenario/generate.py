@@ -91,6 +91,8 @@ class ScenarioSeries:
         try:
             with open(path, "rb") as fh:
                 values = np.lib.format.read_array(fh, allow_pickle=False)
+                if fh.read(1):  # read_array stops at the header's size
+                    raise ValueError("bytes after the array")
             if values.dtype != np.float64 or values.shape != shape:
                 raise ValueError(f"a {values.dtype} array of shape "
                                  f"{values.shape}; the sidecar gives float64 "

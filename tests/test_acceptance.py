@@ -57,11 +57,11 @@ def world(tmp_path_factory, case):
     train, test = ([series[k] for k in part]
                    for part in cli.split_series(series, cfg.seed))
     bundles, matrices = {}, {}
+    dataset = {key: cfg.canonical()[key] for key in cli.GENERATION_KEYS}
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
         bundle = pipeline.train_bundle(
             variant, train, case, seed=cfg.seed,
-            stage_configs=pipeline.STAGE_DEFAULTS,
-            noise_sigma=cfg.noise_sigma)
+            stage_configs=pipeline.STAGE_DEFAULTS, dataset=dataset)
         preds, truth = pipeline.evaluate_predictions(bundle, test, case=case)
         bundles[variant] = bundle
         matrices[variant] = confusion_counts(preds, truth)

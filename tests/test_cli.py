@@ -558,6 +558,7 @@ def series_names(config_path):
 
 def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
                                                    holdout_workspace,
+                                                   holdout_bundle,
                                                    tmp_path, monkeypatch):
     # every stage reads each sidecar of its dataset once, but train parses
     # the train split's series files, evaluate and report the test split's,
@@ -590,8 +591,8 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
                      [names[k] for k in test]),
         "report": ([config, "report", "--bundles", bundle],
                    [names[k] for k in test]),
-        "holdout": ([str(holdout_path), "holdout", "--bundle", bundle],
-                    None)}
+        "holdout": ([str(holdout_path), "holdout", "--bundle",
+                     str(holdout_bundle)], None)}
     for stage, (argv, expected) in stages.items():
         sidecars.clear()
         parsed.clear()
@@ -655,6 +656,99 @@ def test_holdout_refuses_a_dataset_without_every_level(
     assert residuals == [] and not out.exists()
 
 
+def test_stages_refuse_a_bundle_trained_on_another_dataset(
+        holdout_workspace, se_bundle, tmp_path, monkeypatch, capsys):
+    # two datasets of one seed that differ only in series counts hold the
+    # same file under the same name, and split it apart: attack_3_l5_s00 is
+    # in A's train split and in B's test split. So a bundle trained on A
+    # and scored on B would score its own training series. evaluate and
+    # report refuse it, naming the bundle and the settings its dataset
+    # record differs in, before any series is parsed or anything written
+    shared = dict(horizon=36, window=[7, 31], noise_sigma=0.10,
+                  variants=["RNN_DNN"],
+                  train_stages={"predictor": {"epochs": 2},
+                                "classifier": {"epochs": 2}})
+    configs = {"A": write_config(tmp_path / "a.yaml", normal_series=5,
+                                 series_per_condition_per_level=2, **shared),
+               "B": write_config(tmp_path / "b.yaml", normal_series=10,
+                                 series_per_condition_per_level=3, **shared)}
+    data = {name: tmp_path / name for name in configs}
+    for name, config in configs.items():
+        assert cli.main(["--config", str(config), "gen-data",
+                         "--out", str(data[name])]) == 0
+    shared_file = Path("attack_3_l5_s00.npy")
+    for path in (shared_file, shared_file.with_suffix(".meta.json")):
+        assert (data["A"] / path).read_bytes() == (
+            data["B"] / path).read_bytes()
+    for name, part in (("A", 0), ("B", 1)):
+        names = series_names(configs[name])
+        split = cli.split_series([ScenarioSeries.load_sidecar(data[name] / n)
+                                  for n in names], 77)
+        assert shared_file.name in [names[k] for k in split[part]], name
+    assert cli.main(["--config", str(configs["A"]), "train",
+                     "--data", str(data["A"]), "--variant", "RNN_DNN"]) == 0
+    bundle = data["A"] / "models" / "bundle_RNN_DNN.npz"
+
+    parsed = []
+    load = ScenarioSeries.load.__func__
+
+    def parsing(cls, path, sidecar):
+        parsed.append(path)
+        return load(cls, path, sidecar)
+
+    monkeypatch.setattr(ScenarioSeries, "load", classmethod(parsing))
+    for stage, flag in (("evaluate", "--bundle"), ("report", "--bundles")):
+        out = tmp_path / stage
+        err = refused(capsys, ["--config", str(configs["B"]), stage,
+                               "--data", str(data["B"]), "--out", str(out),
+                               flag, str(bundle)])
+        assert err == (
+            f"gridsentry: error: bundle file {bundle} records a dataset of "
+            "{'normal_series': 5, 'series_per_condition_per_level': 2}; the "
+            "config gives {'normal_series': 10, "
+            "'series_per_condition_per_level': 3}\n"), err
+        assert parsed == [] and not out.exists()
+    # holdout refuses the workspace's bundle on the holdout dataset too
+    config_path, holdout_dir = holdout_workspace
+    out = tmp_path / "holdout"
+    err = refused(capsys, ["--config", str(config_path), "holdout",
+                           "--data", str(holdout_dir), "--out", str(out),
+                           "--bundle", str(se_bundle)])
+    assert err.startswith(f"gridsentry: error: bundle file {se_bundle} "
+                          "records a dataset of {'horizon': 60,"), err
+    assert parsed == [] and not out.exists()
+    # on the dataset it was trained on, the bundle is scored
+    assert cli.main(["--config", str(configs["A"]), "evaluate",
+                     "--data", str(data["A"]), "--bundle", str(bundle),
+                     "--out", str(tmp_path / "own")]) == 0
+    assert parsed
+
+
+@pytest.mark.parametrize("name", ["config.json", "manifest.json"])
+def test_stages_refuse_a_json_file_that_holds_no_object(workspace, tmp_path,
+                                                        capsys, name):
+    # a dataset's config.json and an output directory's manifest.json are
+    # each one JSON object; anything else is refused in one line naming
+    # the file, before anything is written
+    _, config_path, data_dir = workspace
+    edited = dataset_copy(data_dir, tmp_path / "edited")
+    out = tmp_path / "models"
+    out.mkdir()
+    path = (edited if name == "config.json" else out) / name
+    for text, cause in ((b"", ": Expecting value"),
+                        (b"{", ": Expecting property name"),
+                        (b"[]", "$"), (b"null", "$"),
+                        (b'{"a": 1}\xe9', ": 'utf-8' codec can't decode")):
+        path.write_bytes(text)
+        err = refused(capsys, ["--config", str(config_path), "train",
+                               "--data", str(edited), "--variant", "SE_DNN",
+                               "--out", str(out)])
+        assert re.match(f"gridsentry: error: {re.escape(str(path))}: not a "
+                        f"JSON object{cause}", err.rstrip()), err
+        assert [p.name for p in out.iterdir()] == (
+            ["manifest.json"] if name == "manifest.json" else [])
+
+
 def test_train_evaluate_roundtrip(workspace, capsys):
     base, config_path, data_dir = workspace
     assert cli.main(["--config", str(config_path), "train",
@@ -701,7 +795,8 @@ def test_float32_bundle_roundtrip(workspace, tmp_path):
                for name, cfg in STAGE_DEFAULTS.items()}
     case = load_case()
     bundle = pipeline.train_bundle("AEN_RNN_DNN", series, case, seed=3,
-                                   stage_configs=configs, noise_sigma=0.01)
+                                   stage_configs=configs,
+                                   dataset={"noise_sigma": 0.01})
     path = tmp_path / "bundle.npz"
     save_bundle(bundle, path)
     loaded = load_bundle(path, case)
@@ -734,7 +829,8 @@ def test_se_dnn_computes_no_differences(workspace, monkeypatch):
                "classifier": replace(STAGE_DEFAULTS["classifier"], epochs=1)}
     case = load_case()
     bundle = pipeline.train_bundle("SE_DNN", train, case, seed=3,
-                                   stage_configs=configs, noise_sigma=0.01)
+                                   stage_configs=configs,
+                                   dataset={"noise_sigma": 0.01})
     levels, _, _ = pipeline.feature_rows(bundle, test, case)
     assert len(levels) == len(test) * (60 - 1 - LAGS)
 
@@ -797,10 +893,16 @@ def test_report_refuses_repeated_variant(workspace, se_bundle, tmp_path,
 
 def test_split_refuses_groups_of_one_series(se_bundle, tmp_path, capsys):
     # with one series per group the test split would hold no attack or
-    # fault series: train and evaluate refuse the dataset, naming a group
+    # fault series: train and evaluate refuse the dataset, naming a group.
+    # No bundle can be trained on it, so evaluate gets a copy of the
+    # workspace's bundle that records the small dataset
     config_path = write_config(tmp_path / "run.yaml", horizon=24,
                                window=[6, 18], normal_series=2,
                                series_per_condition_per_level=1)
+    given = load_config(config_path).canonical()
+    bundle = tmp_path / "bundle.npz"
+    bundle_copy(se_bundle, bundle, **{"meta/dataset": np.array(json.dumps(
+        {key: given[key] for key in cli.GENERATION_KEYS}))})
     small = tmp_path / "data"
     assert cli.main(["--config", str(config_path), "gen-data"]) == 0
     pattern = r"at least 2 series .*\('attack_2', 5\): 1"
@@ -811,8 +913,7 @@ def test_split_refuses_groups_of_one_series(se_bundle, tmp_path, capsys):
     out = tmp_path / "reports"
     assert re.search(pattern, refused(capsys, [
         "--config", str(config_path), "evaluate",
-        "--data", str(small), "--out", str(out), "--bundle",
-        str(se_bundle)]))
+        "--data", str(small), "--out", str(out), "--bundle", str(bundle)]))
     assert not out.exists()
 
 
@@ -876,7 +977,7 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 "'layer0.Dense.W'")
     if case == "format version 3":
         return (evaluate(**{"meta/format_version": np.array(3)}),
-                f"unsupported bundle file version 3 in {named}; expected 4$")
+                f"unsupported bundle file version 3 in {named}; expected 5$")
     if case == "unknown variant":
         return (evaluate(**{"meta/variant": np.array("XX")}),
                 f"meta in bundle file {named}: unknown variant 'XX'$")
@@ -1026,23 +1127,33 @@ def stub_holdout(frames, l, replications, seed, classifier_config=None):
 @pytest.fixture(scope="module")
 def holdout_workspace(tmp_path_factory):
     """A config with every level, which `holdout` requires, and the dataset
-    it generates: 82 series of 24 h, which the workspace's bundle scores."""
+    it generates: 86 series of 24 h, 5 of them normal training series."""
     base = tmp_path_factory.mktemp("holdout")
     config_path = write_config(base / "holdout.yaml", horizon=24,
                                window=[6, 18], levels=[1, 2, 3, 4, 5],
-                               normal_series=2)
+                               normal_series=6)
     assert cli.main(["--config", str(config_path), "gen-data"]) == 0
     return config_path, base / "data"
 
 
-def test_holdout_command_plumbing(holdout_workspace, se_bundle, tmp_path,
+@pytest.fixture(scope="module")
+def holdout_bundle(holdout_workspace):
+    """The SE_DNN bundle trained on the holdout workspace's dataset, the
+    one dataset a stage scores it on."""
+    config_path, data_dir = holdout_workspace
+    assert cli.main(["--config", str(config_path), "train",
+                     "--data", str(data_dir), "--variant", "SE_DNN"]) == 0
+    return data_dir / "models" / "bundle_SE_DNN.npz"
+
+
+def test_holdout_command_plumbing(holdout_workspace, holdout_bundle, tmp_path,
                                   monkeypatch):
     config_path, data_dir = holdout_workspace
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
     out = tmp_path / "reports"
     assert cli.main(["--config", str(config_path), "holdout",
                      "--data", str(data_dir), "--out", str(out),
-                     "--bundle", str(se_bundle)]) == 0
+                     "--bundle", str(holdout_bundle)]) == 0
     lines = (out / "holdout.csv").read_text().splitlines()
     assert lines[0] == "l,replication,accuracy"
     assert len(lines) == 1 + 2  # one l value, two replications
@@ -1093,11 +1204,11 @@ def test_default_case_recorded_without_checkout_path(workspace):
 
 
 def test_stages_sharing_a_directory_keep_each_others_records(
-        holdout_workspace, se_bundle, tmp_path, monkeypatch):
+        holdout_workspace, holdout_bundle, tmp_path, monkeypatch):
     # evaluate and holdout both write to one directory; the manifest there
     # lists the files of both, not only those of the stage that ran last
     config_path, data_dir = holdout_workspace
-    bundle_path = str(se_bundle)
+    bundle_path = str(holdout_bundle)
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
     out = tmp_path / "shared"
     for stage in ("evaluate", "holdout"):

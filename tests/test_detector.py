@@ -119,7 +119,7 @@ def test_fit_preprocess_refuses_non_finite_frames(case, normal_series,
     for variant in VARIANTS:
         with pytest.raises(ValueError, match=named):
             train_bundle(variant, [clean, gappy], case, seed=0,
-                         stage_configs={}, noise_sigma=0.01)
+                         stage_configs={}, dataset={"noise_sigma": 0.01})
         bundle = small_bundle(variant, case, normal_frames)
         with pytest.raises(ValueError, match=named):
             feature_rows(bundle, [normal_series[0], gappy], case)
@@ -225,7 +225,8 @@ def test_predictor_too_short():
 
 def make_stub_bundle(variant, case, stats=None, **kwargs):
     return ModelBundle(variant=variant, stats=stats or unit_stats(),
-                       sensor_hash=sensor_map_hash(case), noise_sigma=0.01,
+                       sensor_hash=sensor_map_hash(case),
+                       dataset={"noise_sigma": 0.01},
                        **kwargs)
 
 
@@ -431,6 +432,7 @@ def test_bundle_roundtrip(tmp_path, case, normal_frames):
         save_bundle(bundle, path)
         loaded = load_bundle(path, case)
         assert loaded.variant == variant
+        assert loaded.dataset == bundle.dataset == {"noise_sigma": 0.01}
         for name in ("std", "raw_mean", "raw_std"):
             np.testing.assert_array_equal(getattr(loaded.stats, name),
                                           getattr(bundle.stats, name))
@@ -508,16 +510,17 @@ def test_save_refuses_bundle_missing_a_submodel(tmp_path, case):
 
 
 def test_load_refuses_older_format(tmp_path, case):
-    # version 3 held float64 parameters; the message names the file, the
-    # version found and the one expected
+    # version 3 held float64 parameters, and version 4 the noise level
+    # alone, not the record of the dataset trained on; the message names
+    # the file, the version found and the one expected
     path = tmp_path / "bundle.npz"
     save_bundle(stub_classifier_bundle(case), path)
-    for old in (2, 3):
+    for old in (2, 3, 4):
         np.savez(path, **{**saved_arrays(path),
                           "meta/format_version": np.array(old)})
         with pytest.raises(BundleFileError, match=(
                 f"^unsupported bundle file version {old} in "
-                f"{re.escape(str(path))}; expected 4$")):
+                f"{re.escape(str(path))}; expected 5$")):
             load_bundle(path, case)
 
 
@@ -531,9 +534,16 @@ def test_load_names_submodel_and_file_of_a_bad_array(tmp_path, case):
         load_bundle(path, case)
     # a missing meta array or an unknown variant names the file too
     named = f"meta in bundle file {re.escape(str(path))}: "
-    for key in ("meta/format_version", "meta/variant", "meta/std"):
+    for key in ("meta/format_version", "meta/variant", "meta/std",
+                "meta/dataset"):
         np.savez(path, **{k: v for k, v in arrays.items() if k != key})
         with pytest.raises(BundleFileError, match=named + key):
+            load_bundle(path, case)
+    # the dataset record is one JSON object
+    for record, cause in (("{", "Expecting property name"),
+                          ("[0.01]", "meta/dataset is not a JSON object$")):
+        np.savez(path, **{**arrays, "meta/dataset": np.array(record)})
+        with pytest.raises(BundleFileError, match=named + cause):
             load_bundle(path, case)
     np.savez(path, **{**arrays, "meta/variant": np.array("XX")})
     with pytest.raises(BundleFileError,
@@ -544,7 +554,7 @@ def test_load_names_submodel_and_file_of_a_bad_array(tmp_path, case):
 def test_bundle_architecture_conformance():
     with pytest.raises(ValueError):
         ModelBundle(variant="nope", stats=unit_stats(), sensor_hash="",
-                    noise_sigma=0.01)
+                    dataset={"noise_sigma": 0.01})
 
 
 # ---------------------------------------------------------------- chi square

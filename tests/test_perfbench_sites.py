@@ -129,7 +129,7 @@ def test_stacked_residuals_are_traced():
         "ones = np.ones(N_SENSORS)",
         "bundle = ModelBundle(",
         "    variant='RNN_DNN', stats=PreprocessStats(ones, 0 * ones, ones),",
-        "    sensor_hash='-', noise_sigma=0.1,",
+        "    sensor_hash='-', dataset={'noise_sigma': 0.1},",
         "    predictor=build_predictor(N_SENSORS, r))",
         "n = RESIDUAL_FRAMES // 20 + 1",
         "series = [ScenarioSeries(values=r.standard_normal((20, N_SENSORS)),",

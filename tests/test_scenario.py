@@ -523,6 +523,7 @@ def test_load_refuses_a_file_that_is_not_the_sidecars_array(tmp_path):
         "csv text": lambda path: path.write_text(
             "hour,s00,label\n0,1.0,normal\n"),
         "truncated": lambda path: path.write_bytes(good[:-8]),
+        "trailing byte": lambda path: path.write_bytes(good + b"\xe9"),
         "npz archive": lambda path: path.write_bytes(archive.read_bytes()),
         "pickled objects": pickled,
         "float32": lambda path: ScenarioSeries(
@@ -534,7 +535,8 @@ def test_load_refuses_a_file_that_is_not_the_sidecars_array(tmp_path):
             values[:, :-1], meta).save(path),
     }
     causes = {"empty": "EOF", "csv text": "magic string",
-              "truncated": "not fully written", "npz archive": "magic string",
+              "truncated": "not fully written",
+              "trailing byte": "bytes after the array$", "npz archive": "magic string",
               "pickled objects": "Object arrays",
               "float32": r"a float32 array of shape \(6, 39\)",
               "5 rows": r"shape \(5, 39\); the sidecar gives float64 of "
