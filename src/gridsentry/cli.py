@@ -14,7 +14,7 @@ import numpy as np
 from . import InputError
 from .config import (ConfigError, RunConfig, RunManifest, config_hash,
                      load_config, read_json_object, resolve_output_dir)
-from .detector import load_bundle, save_bundle, train_bundle, trained
+from .detector import load_bundle, save_bundle, train_bundle
 from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import HOUSEHOLDS_PER_BUS, plan_generation, synthesize_loads
 from .evaluation import (accuracy, confusion_counts, csv_table,
@@ -273,7 +273,7 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
     rows = [{"variant": variant, **row}
             for variant, bundle in bundles.items()
             for row in severity_sweep(feature_rows(bundle, test_set, case),
-                                      trained(bundle, "classifier"))]
+                                      bundle.classifier)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "severity.csv"

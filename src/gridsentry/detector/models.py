@@ -50,10 +50,6 @@ COMPUTE_DTYPE = np.float32
 BUNDLE_FORMAT_VERSION = 5
 
 
-class UntrainedBundleError(RuntimeError):
-    """A pipeline stage required by the variant has not been trained."""
-
-
 class BundleFileError(InputError):
     """A bundle file refused as it loads."""
 
@@ -144,8 +140,6 @@ def fit_predictor(sequences: np.ndarray, config: TrainConfig, seed: int):
     if seq.ndim != 3:
         raise ValueError("predictor input must be (N, T, C)")
     n, t, c = seq.shape
-    if t < LAGS + 1:
-        raise ValueError(f"sequences must span at least {LAGS + 1} steps")
     model = _in_compute_dtype(
         build_predictor(c, np.random.default_rng(seed)))
     x = seq[:, :-1]
@@ -175,15 +169,6 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray,
     return model, history
 
 
-def trained(bundle: ModelBundle, attr: str):
-    """The bundle's `attr` model; UntrainedBundleError when it is missing."""
-    value = getattr(bundle, attr)
-    if value is None:
-        raise UntrainedBundleError(
-            f"variant {bundle.variant} needs a trained {attr}")
-    return value
-
-
 def predict_and_residual(bundle: ModelBundle, frames: np.ndarray,
                          case: GridCase) -> np.ndarray:
     """The (S, T-1-LAGS, 39) residuals of the (S, T, 39) frame stack, in
@@ -202,9 +187,6 @@ def predict_and_residual(bundle: ModelBundle, frames: np.ndarray,
     one. Memory grows with S x T, so feature_rows passes slices of at most
     pipeline.RESIDUAL_FRAMES frames (or one series).
     """
-    if frames.shape[1] <= LAGS + 1:
-        raise ValueError(f"series too short for {LAGS} lags")
-
     if bundle.variant == "SE_DNN":
         frames, sigma = frames[:, LAGS + 1:], bundle.dataset["noise_sigma"]
         # one WLS fit per frame, each sensor weighted by its noise variance
@@ -215,12 +197,11 @@ def predict_and_residual(bundle: ModelBundle, frames: np.ndarray,
 
     z = preprocess(frames, bundle.stats)  # z row j <-> frame j+1
     coded = bundle.variant == "AEN_RNN_DNN"
-    predictor = trained(bundle, "predictor")
-    z = z.astype(predictor.dtype)[:, None]  # (S, 1, T-1, 39)
-    codes = trained(bundle, "encoder").forward(z)[0] if coded else z
-    z_hat, _ = predictor.forward(codes[..., :-1, :])
+    z = z.astype(bundle.predictor.dtype)[:, None]  # (S, 1, T-1, 39)
+    codes = bundle.encoder.forward(z)[0] if coded else z
+    z_hat, _ = bundle.predictor.forward(codes[..., :-1, :])
     if coded:
-        z_hat, _ = trained(bundle, "decoder").forward(z_hat)
+        z_hat, _ = bundle.decoder.forward(z_hat)
     # z_hat row j-1 predicts z row j, for the rows j >= LAGS
     return z[:, 0, LAGS:] - z_hat[:, 0, LAGS - 1:]
 
@@ -243,9 +224,8 @@ def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     """Write `bundle` to an .npz file; load_bundle reads it back.
 
-    A bundle without a sensor-map hash (ValueError) or without one of its
-    variant's trained sub-models (UntrainedBundleError) is refused here,
-    since load_bundle would refuse the file it makes.
+    A bundle without a sensor-map hash (ValueError) is refused here, since
+    load_bundle would refuse the file it makes.
     """
     if not bundle.sensor_hash:
         raise ValueError("bundle has no sensor-map hash; load_bundle "
@@ -260,7 +240,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "meta/dataset": np.array(json.dumps(bundle.dataset, sort_keys=True)),
     }
     for name in SUBMODELS[bundle.variant]:
-        for key, arr in get_state(trained(bundle, name)).items():
+        for key, arr in get_state(getattr(bundle, name)).items():
             arrays[f"{name}/{key}"] = arr
     np.savez(path, **arrays)
 
@@ -269,12 +249,12 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
     """Read a bundle file trained against `case`'s sensor index map, with
     exactly the sub-models its variant trains.
 
-    A BundleFileError naming the file refuses another format version, a
-    sensor-map hash that is missing, empty or not `case`'s, a file that is
-    no .npz archive (a directory, an empty file, an .npy array), an unknown
-    variant, a dataset record that is not a JSON object, and a missing
-    (KeyError) or misshapen (ValueError) array, naming its sub-model or
-    "meta".
+    A BundleFileError naming the file refuses a format version that is not
+    the integer BUNDLE_FORMAT_VERSION, a sensor-map hash that is missing,
+    empty or not `case`'s, a file that is no .npz archive (a directory, an
+    empty file, an .npy array), an unknown variant, a dataset record that
+    is not a JSON object, and a missing (KeyError) or misshapen
+    (ValueError) array, naming its sub-model or "meta".
     """
     if Path(path).is_dir():
         raise BundleFileError(f"bundle file {path} is a directory")
@@ -284,11 +264,13 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError("an .npy array, not an .npz archive")
         with data:
-            version = int(data["meta/format_version"])
-            if version != BUNDLE_FORMAT_VERSION:
+            version = data["meta/format_version"]
+            # an integer scalar only: int() would read 5.5 as 5
+            if (version.dtype.kind not in "iu"
+                    or version.tolist() != BUNDLE_FORMAT_VERSION):
                 raise BundleFileError(
-                    f"unsupported bundle file version {version} in {path}; "
-                    f"expected {BUNDLE_FORMAT_VERSION}")
+                    f"unsupported bundle file version {version.tolist()} in "
+                    f"{path}; expected {BUNDLE_FORMAT_VERSION}")
             if str(data.get("meta/sensor_hash", "")) != sensor_map_hash(case):
                 raise BundleFileError(f"bundle file {path} was trained on "
                                       "a different sensor index map")

@@ -10,7 +10,7 @@ from ..neural import TrainConfig
 from ..scenario import LABEL_INDEX
 from .models import (CLASSIFIER_INPUT, LAGS, SUBMODELS, ModelBundle,
                      classify, fit_autoencoder, fit_classifier, fit_predictor,
-                     predict_and_residual, state_checksum, trained)
+                     predict_and_residual, state_checksum)
 from .preprocess import fit_preprocess, preprocess, sensor_frames
 
 # the one table of per-stage training defaults
@@ -105,6 +105,5 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
 
 def evaluate_predictions(bundle: ModelBundle, series_list, case: GridCase):
     """(predicted label indices, true label indices) over a dataset."""
-    classifier = trained(bundle, "classifier")
     _, x, truth = feature_rows(bundle, series_list, case)
-    return classify(classifier, x), truth
+    return classify(bundle.classifier, x), truth

@@ -41,22 +41,17 @@ class PreprocessStats:
 
 
 def sensor_frames(series_list) -> np.ndarray:
-    """The (S, T, 39) stack of the series' sensor frames. A series with a
+    """The (S, T, 39) stack of the series' sensor frames, which
+    cli.load_dataset reads at the dataset's horizon T. A series with a
     non-finite frame, such as a leading power-flow gap hour, is refused by
-    its seed, and series of unequal lengths by their lengths."""
+    its seed."""
     for series in series_list:
         if not np.all(np.isfinite(series.values)):
             meta = series.metadata
             raise SeriesFileError(f"series of seed {meta.get('seed')} has "
                                   "non-finite frames, gap hours "
                                   f"{meta.get('gap_hours')}")
-    lengths = sorted({len(series.values) for series in series_list})
-    if len(lengths) > 1:
-        raise ValueError(f"series of unequal lengths {lengths}")
-    frames = np.array([series.values for series in series_list], dtype=float)
-    if frames.shape[2:] != (N_SENSORS,):
-        raise ValueError(f"expected (T, {N_SENSORS}) sensor frames")
-    return frames
+    return np.array([series.values for series in series_list], dtype=float)
 
 
 def fit_preprocess(frames: np.ndarray) -> PreprocessStats:
@@ -76,6 +71,4 @@ def preprocess(frames: np.ndarray, stats: PreprocessStats) -> np.ndarray:
 
     Returns (S, T-1, 39); row j of a series corresponds to its frame j+1.
     """
-    if frames.shape[1] < 2:
-        raise ValueError("need at least 2 frames to difference")
     return np.diff(frames, axis=1) / stats.std

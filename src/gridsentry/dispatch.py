@@ -64,10 +64,6 @@ def synthesize_loads(households: tuple[int, int], horizon: int,
     (bus, hour) gets one multiplicative lognormal jitter.
     """
     lo, hi = households
-    if lo > hi or lo < 1:
-        raise ValueError("household range must be a non-empty positive interval")
-    if horizon < 24:
-        raise ValueError("horizon must cover at least one day")
     counts = rng.integers(lo, hi + 1, size=N_LOAD_BUSES)
     shape = DIURNAL_SHAPE[np.arange(horizon) % 24]
     demand = np.empty((horizon, N_LOAD_BUSES))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -79,13 +80,21 @@ class GridCase:
 
 def load_case(path: str | Path | None = None) -> GridCase:
     """Parse a plain-text case file (see data/ieee14.case for the schema);
-    None is the packaged IEEE 14-bus case, DEFAULT_CASE."""
+    None is the packaged IEEE 14-bus case, DEFAULT_CASE. A number that is
+    not finite (nan, inf) is refused, naming its line."""
     path = Path(DEFAULT_CASE if path is None else path)
     if not path.exists():
         raise CaseError(f"case file not found: {path}")
     base_mva = None
     buses: list[Bus] = []
     branches: list[Branch] = []
+
+    def number(text):  # a finite float; a refusal names the line parsed
+        value = float(text)
+        if not math.isfinite(value):
+            raise CaseError(f"{path}:{lineno}: not a finite number '{text}'")
+        return value
+
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,17 +102,17 @@ def load_case(path: str | Path | None = None) -> GridCase:
         tok = line.split()
         try:
             if tok[0] == "base_mva":
-                base_mva = float(tok[1])
+                base_mva = number(tok[1])
             elif tok[0] == "bus":
                 if tok[2] not in ("slack", "generator", "load"):
                     raise CaseError(f"{path}:{lineno}: unknown bus kind "
                                     f"'{tok[2]}'")
-                vset = None if tok[3] == "-" else float(tok[3])
+                vset = None if tok[3] == "-" else number(tok[3])
                 buses.append(Bus(int(tok[1]), tok[2], vset,
-                                 float(tok[4]), float(tok[5])))
+                                 number(tok[4]), number(tok[5])))
             elif tok[0] == "branch":
-                branches.append(Branch(int(tok[1]), int(tok[2]), float(tok[3]),
-                                       float(tok[4]), float(tok[5]), float(tok[6])))
+                branches.append(Branch(int(tok[1]), int(tok[2]), number(tok[3]),
+                                       number(tok[4]), number(tok[5]), number(tok[6])))
             else:
                 raise CaseError(f"{path}:{lineno}: unknown record '{tok[0]}'")
         except (IndexError, ValueError) as exc:

@@ -14,8 +14,6 @@ class Adam:
     moments and two scratch vectors, zeroed, like the flat `params`."""
 
     def __init__(self, learning_rate: float, params: np.ndarray):
-        if learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
         self.lr = learning_rate
         self.t = 0
         self.m, self.v, self._a, self._b = (np.zeros_like(params)

@@ -161,6 +161,31 @@ def test_config_validation_before_compute(tmp_path):
             load_config(path)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"horizon": 23}, r"^horizon must cover at least one day$"),
+    ({"variants": ["SE_DNN", "CNN"]}, r"^variants must be drawn from "),
+    ({"normal_series": 0}, r"^series counts must be positive$"),
+    ({"series_per_condition_per_level": 0},
+     r"^series counts must be positive$"),
+    ({"workers": 0}, r"^workers must be >= 1$"),
+], ids=["horizon", "variant", "normal_series",
+        "series_per_condition_per_level", "workers"])
+def test_config_refusals(tmp_path, overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_config(tmp_path / "c.yaml", **overrides))
+
+
+def test_config_file_refusals(tmp_path):
+    missing = tmp_path / "missing.yaml"
+    with pytest.raises(ConfigError, match=rf"^config file not found: "
+                                          rf"{re.escape(str(missing))}$"):
+        load_config(missing)
+    listed = tmp_path / "list.yaml"
+    listed.write_text("- seed\n- output_dir\n")
+    with pytest.raises(ConfigError, match=r"^config must be a mapping$"):
+        load_config(listed)
+
+
 def test_fixed_simulation_inputs_are_not_config_keys(tmp_path):
     # the households per bus and the split fraction are constants of the
     # code (dispatch.HOUSEHOLDS_PER_BUS, cli.SPLIT_FRACTION), not settings
@@ -1040,6 +1065,19 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return (["--config", str(bad_yaml), "gen-data"],
                 f"{re.escape(str(bad_yaml))}: not UTF-8 text: invalid "
                 "continuation byte at byte 23$")
+    if case == "nan in case file":
+        # gen-data took it, made every hour a solver gap and ended in a
+        # traceback
+        text, old = DEFAULT_CASE.read_text(), "branch 7  8  0.0     0.17615"
+        nan_case = tmp_path / "nan.case"
+        nan_case.write_text(text.replace(old, "branch 7  8  0.0     nan"))
+        lineno = text[:text.index(old)].count("\n") + 1
+        nan_config = write_config(tmp_path / "nan.yaml",
+                                  case_file=str(nan_case))
+        return (["--config", str(nan_config), "gen-data", "--out",
+                 str(tmp_path / "nan_data")],
+                f"{re.escape(str(nan_case))}:{lineno}: not a finite number "
+                "'nan'$")
 
     def train_on_bad_normals(relabel):
         """Train on a copy of the dataset whose normal series are relabelled
@@ -1105,7 +1143,7 @@ def refused_input(case, workspace, se_bundle, tmp_path):
     "unknown variant", "other sensor map", "empty bundle", "npy as bundle",
     "directory as bundle", "empty bundles entry", "gen-data out is a file",
     "evaluate out under a file", "csv as bundle", "malformed yaml",
-    "control character in yaml", "latin-1 config",
+    "control character in yaml", "latin-1 config", "nan in case file",
     "dataset without config.json", "truncated series", "nan in series",
     "no normal series", "repeated variant", "24 normal training frames",
     "window [0, 10]"])

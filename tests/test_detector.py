@@ -5,8 +5,8 @@ import pytest
 
 from gridsentry.detector import (BundleFileError, CLASSIFIER_INPUT, CODE_SIZE,
                                  EPSILON, LAGS, ModelBundle, PreprocessStats,
-                                 UntrainedBundleError, VARIANTS, classify,
-                                 evaluate_predictions, feature_rows,
+                                 VARIANTS, classify,
+                                 feature_rows,
                                  fit_autoencoder, fit_classifier,
                                  fit_predictor, fit_preprocess, load_bundle,
                                  predict_and_residual, preprocess, save_bundle,
@@ -63,11 +63,6 @@ def unit_stats():
 def test_preprocess_constant_series():
     frames = np.ones((1, 50, N_SENSORS))
     np.testing.assert_array_equal(preprocess(frames, unit_stats())[0], 0.0)
-
-
-def test_preprocess_single_frame_errors():
-    with pytest.raises(ValueError):
-        preprocess(np.ones((1, 1, N_SENSORS)), unit_stats())
 
 
 def test_fit_preprocess_self_standardizes():
@@ -149,7 +144,7 @@ def ref_preprocess(values, stats):
 
 def test_stacked_preprocess_matches_per_series_form(normal_frames):
     # the stack's reshapes and its diff along time keep the bits of the
-    # per-series forms; the frame reader refuses series of unequal lengths
+    # per-series forms
     rng = np.random.default_rng(8)
     drawn = np.array([np.cumsum(rng.standard_normal((60, N_SENSORS)), axis=0)
                       for _ in range(5)])
@@ -162,9 +157,6 @@ def test_stacked_preprocess_matches_per_series_form(normal_frames):
         assert z.shape == (len(frames), frames.shape[1] - 1, N_SENSORS)
         for one, rows in zip(frames, z):
             assert np.array_equal(rows, ref_preprocess(one, stats))
-    mixed = [synthetic_series(normal_frames[0]), synthetic_series(drawn[0])]
-    with pytest.raises(ValueError, match=r"unequal lengths \[48, 60\]"):
-        sensor_frames(mixed)
 
 
 def test_preprocess_stats_refuse_non_finite():
@@ -216,11 +208,6 @@ def test_predictor_window_arithmetic():
     assert mask[0].sum() == t - LAGS
 
 
-def test_predictor_too_short():
-    with pytest.raises(ValueError):
-        fit_predictor(np.zeros((1, LAGS, 3)), TINY, seed=0)
-
-
 # ---------------------------------------------------------------- residuals
 
 def make_stub_bundle(variant, case, stats=None, **kwargs):
@@ -228,14 +215,6 @@ def make_stub_bundle(variant, case, stats=None, **kwargs):
                        sensor_hash=sensor_map_hash(case),
                        dataset={"noise_sigma": 0.01},
                        **kwargs)
-
-
-def test_untrained_bundle_errors(case, normal_series, normal_frames):
-    bundle = make_stub_bundle("RNN_DNN", case)
-    with pytest.raises(UntrainedBundleError):
-        predict_and_residual(bundle, normal_frames[:1], case)
-    with pytest.raises(UntrainedBundleError, match="classifier"):
-        evaluate_predictions(bundle, normal_series[:1], case)
 
 
 def test_se_residuals_near_zero_on_noiseless(case):
@@ -332,10 +311,6 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
             [alone] = predict_and_residual(bundle, frames, case)
             assert np.array_equal(alone, residuals)
             assert np.array_equal(x[:, :N_SENSORS], residuals)
-    short = ScenarioSeries(values=series[0].values[:30],
-                           metadata=dict(series[0].metadata))
-    with pytest.raises(ValueError, match=r"unequal lengths \[30, 40\]"):
-        feature_rows(bundle, [series[1], short], case)
 
 
 # ---------------------------------------------------------------- classifier
@@ -498,28 +473,19 @@ def test_sensor_map_mismatch_refused(tmp_path, case):
             load_bundle(path, case)
 
 
-def test_save_refuses_bundle_missing_a_submodel(tmp_path, case):
-    # load_bundle would refuse the file, so save_bundle does not write it
-    path = tmp_path / "bundle.npz"
-    bundle = make_stub_bundle(
-        "RNN_DNN", case, classifier=build_classifier(np.random.default_rng(0)))
-    with pytest.raises(UntrainedBundleError, match="RNN_DNN needs a trained "
-                                                   "predictor"):
-        save_bundle(bundle, path)
-    assert not path.exists()
-
-
 def test_load_refuses_older_format(tmp_path, case):
     # version 3 held float64 parameters, and version 4 the noise level
     # alone, not the record of the dataset trained on; the message names
-    # the file, the version found and the one expected
+    # the file, the version found and the one expected; a version that is
+    # not an integer scalar is refused too (int() raised a TypeError on a
+    # list or a string, and read 5.5 as 5)
     path = tmp_path / "bundle.npz"
     save_bundle(stub_classifier_bundle(case), path)
-    for old in (2, 3, 4):
+    for old in (2, 3, 4, 5.5, [5, 5], ["5"]):
         np.savez(path, **{**saved_arrays(path),
                           "meta/format_version": np.array(old)})
         with pytest.raises(BundleFileError, match=(
-                f"^unsupported bundle file version {old} in "
+                f"^unsupported bundle file version {re.escape(str(old))} in "
                 f"{re.escape(str(path))}; expected 5$")):
             load_bundle(path, case)
 

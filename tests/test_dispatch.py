@@ -55,13 +55,6 @@ def test_loads_daily_periodicity():
         assert acf(p[:, i], 24) > acf(p[:, i], 12)
 
 
-def test_loads_bad_args():
-    with pytest.raises(ValueError):
-        synthesize_loads((5, 4), 48, rng(0))
-    with pytest.raises(ValueError):
-        synthesize_loads((1, 2), 12, rng(0))
-
-
 # ---------------------------------------------------------------- planning
 
 def test_fleet_data():

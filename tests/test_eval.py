@@ -357,16 +357,6 @@ def test_severity_sweep_shape_and_values():
     assert len(csv.splitlines()) == 61
 
 
-def test_severity_sweep_missing_level():
-    empty = (np.zeros(0, dtype=int), np.zeros((0, 1)), np.zeros(0, dtype=int))
-    with pytest.raises(ValueError):
-        severity_sweep(empty, StubClassifier())
-    normal_only = (np.zeros(9, dtype=int), np.zeros((9, 1)),
-                   np.zeros(9, dtype=int))
-    with pytest.raises(ValueError):
-        severity_sweep(normal_only, StubClassifier())
-
-
 # ---------------------------------------------------------------- holdout
 
 def make_holdout_world(seed=0):
@@ -403,19 +393,6 @@ def test_holdout_mechanics():
                                classifier_config=cfg)
     assert again.level_sets == result.level_sets
     assert again.accuracies == result.accuracies
-
-
-def test_holdout_validation():
-    frames = make_holdout_world()
-    cfg = TrainConfig(learning_rate=5e-3, epochs=15, batch_size=32)
-    with pytest.raises(ValueError):
-        holdout_experiment(frames, l=0, replications=1, seed=0,
-                           classifier_config=cfg)
-    # the normal frames and level 1's only: levels are missing
-    kept = frames[0] <= 1
-    with pytest.raises(ValueError):
-        holdout_experiment(tuple(a[kept] for a in frames), l=2,
-                           replications=1, seed=0, classifier_config=cfg)
 
 
 def test_holdout_trains_on_drawn_levels_and_scores_the_rest(monkeypatch):

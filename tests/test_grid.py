@@ -116,6 +116,62 @@ def test_load_case_missing_file(tmp_path):
         load_case(tmp_path / "nope.case")
 
 
+# name -> (text of the packaged case, its replacement, the refusal); a
+# message with {at} names the file and the edited line
+CASE_REFUSALS = {
+    "unknown record": ("bus 14 load      -     0.149  0.050",
+                       "shunt 14 0.149", r"{at}: unknown record 'shunt'"),
+    "short line": ("branch 13 14 0.17093 0.34802 0.0    3.0",
+                   "branch 13 14 0.17093",
+                   r"{at}: cannot parse 'branch 13 14 0.17093'"),
+    "not a number": ("bus 4  load      -     0.478",
+                     "bus 4  load      x     0.478",
+                     r"{at}: cannot parse 'bus 4  load      x"),
+    "no base_mva": ("base_mva 100.0", "", r"missing base_mva record"),
+    "bus ids": ("bus 14 load", "bus 15 load",
+                r"bus ids must be consecutive starting at 1"),
+    "19 branches": ("branch 13 14 0.17093 0.34802 0.0    3.0", "",
+                    r"expected 20 branches, got 19"),
+    "no slack": ("bus 1  slack", "bus 1  load ",
+                 r"expected exactly one slack bus \(id 1\), got \[\]"),
+    "no setpoint": ("bus 2  generator 1.045", "bus 2  generator -    ",
+                    r"bus 2: missing or non-positive voltage setpoint"),
+    "zero reactance": ("branch 7  8  0.0     0.17615",
+                       "branch 7  8  0.0     0.0",
+                       r"branch 7-8: zero reactance"),
+    "self loop": ("branch 12 13", "branch 12 12", r"branch 12-12: self loop"),
+    "unknown bus": ("branch 13 14", "branch 13 15",
+                    r"branch references unknown bus 15"),
+    # bus 8 hangs off bus 7 through a single branch
+    "disconnected": ("branch 7  8 ", "branch 7  9 ",
+                     r"network graph is disconnected"),
+    # a non-finite number is refused where it is read, not as solver gaps
+    # in every series
+    "nan reactance": ("branch 7  8  0.0     0.17615",
+                      "branch 7  8  0.0     nan",
+                      r"{at}: not a finite number 'nan'"),
+    "inf load": ("bus 9  load      -     0.295", "bus 9  load      -     inf",
+                 r"{at}: not a finite number 'inf'"),
+    "-inf setpoint": ("bus 3  generator 1.010", "bus 3  generator -inf ",
+                      r"{at}: not a finite number '-inf'"),
+    "nan base_mva": ("base_mva 100.0", "base_mva NaN",
+                     r"{at}: not a finite number 'NaN'"),
+}
+
+
+@pytest.mark.parametrize("name", CASE_REFUSALS)
+def test_load_case_refusals(tmp_path, name):
+    old, new, message = CASE_REFUSALS[name]
+    text = open_case_text()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.case"
+    path.write_text(text.replace(old, new))
+    lineno = text[:text.index(old)].count("\n") + 1
+    with pytest.raises(CaseError, match=message.format(
+            at=rf"edited\.case:{lineno}")):
+        load_case(path)
+
+
 # ---------------------------------------------------------------- admittance
 
 def toy_case(branches, n=2):

@@ -450,8 +450,8 @@ def test_layers_keep_no_state_between_calls(tmp_path):
 
 # errors that are the program's own faults, not refusals of a run's input:
 # they keep their traceback
-INTERNAL_FAULTS = {"UntrainedBundleError", "RankDeficientError",
-                   "NumericalError", "InfeasibleDispatchError"}
+INTERNAL_FAULTS = {"RankDeficientError", "NumericalError",
+                   "InfeasibleDispatchError"}
 
 
 def test_every_error_is_a_refusal_or_a_named_fault():

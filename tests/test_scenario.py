@@ -7,8 +7,8 @@ from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, GridCase, N_SENSORS, load_case,
                              sensor_map, solve_power_flow)
 from gridsentry.grid.powerflow import NOISE_FLOOR
-from gridsentry.scenario import (Condition, GENERATOR_BUSES, LABELS,
-                                 ScenarioSeries, THREE_CLASSES, access_set,
+from gridsentry.scenario import (GENERATOR_BUSES, LABELS, ScenarioSeries,
+                                 THREE_CLASSES, access_set,
                                  generate_scenario, make_condition,
                                  mask_measurements, reduce_target,
                                  simulate_nominal)
@@ -83,17 +83,6 @@ def test_fault_matches_attack_control_path(case):
     f, _ = reduce_target(u, ALL_ON,
                          make_condition(case, "fault", 6, 2, 0, 10))
     np.testing.assert_array_equal(a, f)
-
-
-def test_spec_validation(case):
-    with pytest.raises(ValueError):
-        make_condition(case, "attack", 4, 1, 0, 10)   # not a generator
-    with pytest.raises(ValueError):
-        Condition("attack", 2, 6, 0, 10, frozenset())  # bad level
-    with pytest.raises(ValueError):
-        make_condition(case, "fault", 2, 1, 10, 10)   # empty window
-    with pytest.raises(ValueError, match="kind"):
-        make_condition(case, "outage", 2, 1, 0, 10)   # unknown kind
 
 
 def test_labels_derive_from_conditions(case):
