@@ -63,13 +63,14 @@ def _generate_one(args):
 
 def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     manifest = RunManifest(out_dir, config_hash(cfg))
+    # a refused case leaves no directory or config.json behind
+    case = load_case(cfg.case_file)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / "config.json"
     config_path.write_text(
         json.dumps(cfg.canonical(), indent=2, sort_keys=True) + "\n")
     paths = [config_path]
 
-    case = load_case(cfg.case_file)
     jobs = [(cfg, case, *job) for job in _series_jobs(cfg)]
     count, conditions_seen, failures = 0, set(), []
     with contextlib.ExitStack() as stack:

@@ -158,7 +158,7 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[1] != CLASSIFIER_INPUT:
         raise ValueError(f"classifier input must be (N, {CLASSIFIER_INPUT})")
-    present = set(np.unique(labels).tolist())
+    present = set(labels.tolist())
     missing = [LABELS[i] for i in range(N_LABELS) if i not in present]
     if missing:
         raise InputError(f"training data missing classes: {missing}")

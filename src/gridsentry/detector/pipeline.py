@@ -8,9 +8,9 @@ from .. import InputError
 from ..grid import GridCase, N_SENSORS, sensor_map_hash
 from ..neural import TrainConfig
 from ..scenario import LABEL_INDEX
-from .models import (CLASSIFIER_INPUT, LAGS, SUBMODELS, ModelBundle,
-                     classify, fit_autoencoder, fit_classifier, fit_predictor,
-                     predict_and_residual, state_checksum)
+from .models import (CLASSIFIER_INPUT, COMPUTE_DTYPE, LAGS, SUBMODELS,
+                     ModelBundle, classify, fit_autoencoder, fit_classifier,
+                     fit_predictor, predict_and_residual, state_checksum)
 from .preprocess import fit_preprocess, preprocess, sensor_frames
 
 # the one table of per-stage training defaults
@@ -40,17 +40,21 @@ def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
 
     The series are stacked once, and the table filled in place from slices
     of as many whole series as RESIDUAL_FRAMES frames hold (at least one).
-    Holdout and severity pick frames from it, so each series' features are
-    computed once per stage.
+    The table is held in COMPUTE_DTYPE, the dtype the classifier trains and
+    scores in, so each half is rounded once, as it is written. Holdout and
+    severity pick frames from it, so each series' features are computed
+    once per stage.
     """
     frames = sensor_frames(series_list)
-    features = np.empty(frames[:, LAGS + 1:].shape[:2] + (CLASSIFIER_INPUT,))
+    features = np.empty(frames[:, LAGS + 1:].shape[:2] + (CLASSIFIER_INPUT,),
+                        dtype=COMPUTE_DTYPE)
     size = max(1, RESIDUAL_FRAMES // frames.shape[1])
     for k in range(0, len(frames), size):
         group = frames[k:k + size]
-        features[k:k + size] = np.concatenate(
-            [predict_and_residual(bundle, group, case),
-             bundle.stats.standardize_raw(group[:, LAGS + 1:])], axis=2)
+        features[k:k + size, :, :N_SENSORS] = predict_and_residual(
+            bundle, group, case)
+        features[k:k + size, :, N_SENSORS:] = bundle.stats.standardize_raw(
+            group[:, LAGS + 1:])
     levels = np.repeat([s.level for s in series_list], features.shape[1])
     labels = np.vectorize(LABEL_INDEX.__getitem__)(
         [s.labels[LAGS + 1:] for s in series_list])

@@ -8,7 +8,6 @@ import numpy as np
 
 from .. import InputError
 from ..grid import N_SENSORS
-from ..scenario import SeriesFileError
 
 EPSILON = 1e-6
 
@@ -42,15 +41,7 @@ class PreprocessStats:
 
 def sensor_frames(series_list) -> np.ndarray:
     """The (S, T, 39) stack of the series' sensor frames, which
-    cli.load_dataset reads at the dataset's horizon T. A series with a
-    non-finite frame, such as a leading power-flow gap hour, is refused by
-    its seed."""
-    for series in series_list:
-        if not np.all(np.isfinite(series.values)):
-            meta = series.metadata
-            raise SeriesFileError(f"series of seed {meta.get('seed')} has "
-                                  "non-finite frames, gap hours "
-                                  f"{meta.get('gap_hours')}")
+    cli.load_dataset reads, finite, at the dataset's horizon T."""
     return np.array([series.values for series in series_list], dtype=float)
 
 

@@ -156,7 +156,7 @@ def severity_sweep(frames, classifier) -> list[dict]:
     """
     levels, features, labels = frames
     out = []
-    for level in np.unique(levels[levels != 0]).tolist():
+    for level in sorted(set(levels[levels != 0].tolist())):
         kept = np.concatenate([np.flatnonzero(levels == level),
                                np.flatnonzero(levels == 0)])
         counts = confusion_counts(classify(classifier, features[kept]),
@@ -193,7 +193,7 @@ def holdout_experiment(frames, l: int, replications: int, seed: int,
     LEVEL_FRACTIONS and l is below their count (cmd_holdout, load_config).
     """
     levels, features, labels = frames
-    all_levels = np.unique(levels[levels != 0]).tolist()
+    all_levels = sorted(set(levels[levels != 0].tolist()))
 
     accuracies = []
     level_sets = []
@@ -210,6 +210,8 @@ def holdout_experiment(frames, l: int, replications: int, seed: int,
         accuracies.append(float(np.mean(preds == labels[~train])))
 
     acc = np.array(accuracies)
+    # np.percentile and np.median load numpy.ma, which no other stage
+    # does; a hand-written quantile could move holdout.json's bits
     q1, q3 = np.percentile(acc, [25, 75])
     return HoldoutResult(l=l, accuracies=accuracies, level_sets=level_sets,
                          median=float(np.median(acc)), iqr=float(q3 - q1))

@@ -84,9 +84,10 @@ class ScenarioSeries:
     def load(cls, path: str | Path,
              sidecar: "ScenarioSeries") -> "ScenarioSeries":
         """Read save's file, the values of the series whose sidecar
-        load_sidecar read: a float64 array of one row of N_SENSORS values
-        for each hour of the sidecar's horizon. SeriesFileError names the
-        file."""
+        load_sidecar read: a float64 array of one row of N_SENSORS finite
+        values for each hour of the sidecar's horizon. A non-finite frame,
+        such as a leading power-flow gap hour, is refused by its hour, with
+        the sidecar's gap hours. SeriesFileError names the file."""
         shape = (sidecar.metadata["horizon"], N_SENSORS)
         try:
             with open(path, "rb") as fh:
@@ -97,6 +98,12 @@ class ScenarioSeries:
                 raise ValueError(f"a {values.dtype} array of shape "
                                  f"{values.shape}; the sidecar gives float64 "
                                  f"of shape {shape}")
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
+                raise ValueError(
+                    "non-finite frames at hours "
+                    f"{np.flatnonzero(~finite).tolist()}; the sidecar "
+                    f"records gap hours {sidecar.metadata.get('gap_hours')}")
         except ValueError as exc:
             raise SeriesFileError(f"{path}: {exc}") from None
         return cls(values=values, metadata=sidecar.metadata)

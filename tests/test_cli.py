@@ -51,6 +51,15 @@ def write_config(path, **overrides):
     return path
 
 
+def write_nan_case(tmp_path):
+    """A copy at tmp_path of the packaged case with the reactance of branch
+    7-8 written as nan, and the line number of that record."""
+    text, old = DEFAULT_CASE.read_text(), "branch 7  8  0.0     0.17615"
+    nan_case = tmp_path / "nan.case"
+    nan_case.write_text(text.replace(old, "branch 7  8  0.0     nan"))
+    return nan_case, text[:text.index(old)].count("\n") + 1
+
+
 def refused(capsys, argv) -> str:
     """The message of a cli.main run refused as argparse refuses a usage
     error: one `gridsentry: error:` line on stderr, then exit code 2."""
@@ -288,6 +297,35 @@ def test_cli_import_leaves_out_the_process_pool(cli_import_packages):
     # process, serial gen-data included, loads neither concurrent.futures
     # nor the multiprocessing it imports
     assert not {"concurrent", "multiprocessing"} & cli_import_packages
+
+
+def test_detector_stages_leave_out_numpy_ma(tmp_path):
+    # train, evaluate and report build their class and level sets without
+    # np.unique, which loads numpy.ma (about 1.2 MB resident); only
+    # holdout's np.percentile still loads it
+    config = write_config(
+        tmp_path / "run.yaml", noise_sigma=0.10, variants=["RNN_DNN"],
+        train_stages={"predictor": {"epochs": 1},
+                      "classifier": {"epochs": 1, "batch_size": 128}})
+    data = tmp_path / "data"
+    bundle = data / "models" / "bundle_RNN_DNN.npz"
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(SRC)!r})",
+        "import gridsentry.cli as cli",
+        f"config, data, bundle = {str(config)!r}, {str(data)!r}, "
+        f"{str(bundle)!r}",
+        "for argv in (['gen-data'],",
+        "             ['train', '--data', data, '--variant', 'RNN_DNN'],",
+        "             ['evaluate', '--data', data, '--bundle', bundle],",
+        "             ['report', '--data', data, '--bundles', bundle]):",
+        "    assert cli.main(['--config', config, *argv]) == 0, argv",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_config_hash_stable(tmp_path):
@@ -856,8 +894,10 @@ def test_se_dnn_computes_no_differences(workspace, monkeypatch):
     bundle = pipeline.train_bundle("SE_DNN", train, case, seed=3,
                                    stage_configs=configs,
                                    dataset={"noise_sigma": 0.01})
-    levels, _, _ = pipeline.feature_rows(bundle, test, case)
+    levels, table, _ = pipeline.feature_rows(bundle, test, case)
     assert len(levels) == len(test) * (60 - 1 - LAGS)
+    # its float64 WLS residuals are held in the classifier's dtype
+    assert table.dtype == models.COMPUTE_DTYPE
 
 
 def test_train_refuses_variant_outside_config(tmp_path, monkeypatch,
@@ -1068,10 +1108,7 @@ def refused_input(case, workspace, se_bundle, tmp_path):
     if case == "nan in case file":
         # gen-data took it, made every hour a solver gap and ended in a
         # traceback
-        text, old = DEFAULT_CASE.read_text(), "branch 7  8  0.0     0.17615"
-        nan_case = tmp_path / "nan.case"
-        nan_case.write_text(text.replace(old, "branch 7  8  0.0     nan"))
-        lineno = text[:text.index(old)].count("\n") + 1
+        nan_case, lineno = write_nan_case(tmp_path)
         nan_config = write_config(tmp_path / "nan.yaml",
                                   case_file=str(nan_case))
         return (["--config", str(nan_config), "gen-data", "--out",
@@ -1114,7 +1151,9 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 f"'{re.escape(str(edited / 'config.json'))}'$")
     if case == "nan in series":
         return (train_on_bad_normals(relabel=False),
-                r"series of seed \d+ has non-finite frames")
+                f"{re.escape(str(tmp_path / 'edited'))}/normal_s\\d+\\.npy: "
+                r"non-finite frames at hours \[5\]; the sidecar records "
+                r"gap hours \[\]$")
     if case == "no normal series":
         return (train_on_bad_normals(relabel=True),
                 "training set contains no normal series$")
@@ -1271,6 +1310,22 @@ def test_gen_data_refuses_directory_of_another_config(tmp_path, capsys):
     assert str(out) in refused(capsys, ["--config", str(other), "gen-data",
                                         "--out", str(out)])
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_gen_data_refuses_its_case_before_writing(tmp_path, capsys):
+    # a config.json left by a refused case would pass a later train's
+    # dataset check, which would then stop at a missing sidecar; an --out
+    # that did not exist is not created
+    nan_case, _ = write_nan_case(tmp_path)
+    config = str(write_config(tmp_path / "nan.yaml",
+                              case_file=str(nan_case)))
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    existing.mkdir()
+    for out in (fresh, existing):
+        assert "not a finite number 'nan'" in refused(
+            capsys, ["--config", config, "gen-data", "--out", str(out)])
+    assert not fresh.exists()
+    assert list(existing.iterdir()) == []
 
 
 def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):

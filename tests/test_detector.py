@@ -11,9 +11,10 @@ from gridsentry.detector import (BundleFileError, CLASSIFIER_INPUT, CODE_SIZE,
                                  fit_predictor, fit_preprocess, load_bundle,
                                  predict_and_residual, preprocess, save_bundle,
                                  state_checksum)
-from gridsentry.detector.models import (SUBMODELS, build_autoencoder,
-                                       build_classifier, build_predictor)
-from gridsentry.detector.pipeline import RESIDUAL_FRAMES, train_bundle
+from gridsentry.detector.models import (COMPUTE_DTYPE, SUBMODELS,
+                                       build_autoencoder, build_classifier,
+                                       build_predictor)
+from gridsentry.detector.pipeline import RESIDUAL_FRAMES
 from gridsentry.detector.preprocess import sensor_frames
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
@@ -45,11 +46,6 @@ def normal_series(case):
 @pytest.fixture(scope="module")
 def normal_frames(normal_series):
     return sensor_frames(normal_series)
-
-
-def synthetic_series(values):
-    return ScenarioSeries(values=np.asarray(values, dtype=float),
-                          metadata={"condition": "normal"})
 
 
 def unit_stats():
@@ -93,31 +89,6 @@ def test_fit_preprocess_constant_sensor_floor():
 def test_fit_preprocess_insufficient_data():
     with pytest.raises(ValueError):
         fit_preprocess(np.ones((1, 40, N_SENSORS)))
-
-
-def test_fit_preprocess_refuses_non_finite_frames(case, normal_series,
-                                                  normal_frames):
-    # a power-flow gap hour with nothing before it to repeat is an all-NaN
-    # row (generate.py); the frame reader refuses it by that cause, not by
-    # the NaN stats or model outputs it would make, so training (before its
-    # first fit) and every variant's features refuse it
-    rng = np.random.default_rng(4)
-    values = rng.standard_normal((200, N_SENSORS))
-    values[0] = np.nan
-    gappy = ScenarioSeries(values=values,
-                           metadata={"condition": "normal", "seed": 41,
-                                     "gap_hours": [0]})
-    clean = synthetic_series(rng.standard_normal((200, N_SENSORS)))
-    named = r"seed 41 .*gap hours \[0\]"
-    with pytest.raises(ValueError, match=named):
-        sensor_frames([clean, gappy])
-    for variant in VARIANTS:
-        with pytest.raises(ValueError, match=named):
-            train_bundle(variant, [clean, gappy], case, seed=0,
-                         stage_configs={}, dataset={"noise_sigma": 0.01})
-        bundle = small_bundle(variant, case, normal_frames)
-        with pytest.raises(ValueError, match=named):
-            feature_rows(bundle, [normal_series[0], gappy], case)
 
 
 def test_fit_preprocess_deterministic():
@@ -245,9 +216,11 @@ def test_residual_alignment_rnn(case, normal_series, normal_frames):
     assert residuals.shape == (len(ts), N_SENSORS)
     levels, x, y = feature_rows(bundle, [series], case)
     assert x.shape == (len(ts), CLASSIFIER_INPUT)
-    np.testing.assert_array_equal(x[:, :N_SENSORS], residuals)
+    np.testing.assert_array_equal(x[:, :N_SENSORS],
+                                  residuals.astype(x.dtype))
     np.testing.assert_array_equal(
-        x[:, N_SENSORS:], stats.standardize_raw(series.values[ts]))
+        x[:, N_SENSORS:],
+        stats.standardize_raw(series.values[ts]).astype(x.dtype))
     np.testing.assert_array_equal(y, 0)  # all-normal series
     np.testing.assert_array_equal(levels, np.zeros(len(ts)))
 
@@ -292,6 +265,8 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
                       {k: v.astype(dtype) for k, v in state.items()})
         stacked = predict_and_residual(bundle, sensor_frames(series), case)
         _, table, _ = feature_rows(bundle, series, case)
+        # the table is held in the classifier's dtype, whatever the models'
+        assert table.dtype == COMPUTE_DTYPE
         assert stacked.shape == (len(series), t - 1 - LAGS, N_SENSORS)
         # the table's frames are each series' residual frames, in order
         assert len(table) == len(series) * (t - 1 - LAGS)
@@ -310,7 +285,7 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
             assert np.array_equal(residuals, z[idx] - z_hat[idx - 1])
             [alone] = predict_and_residual(bundle, frames, case)
             assert np.array_equal(alone, residuals)
-            assert np.array_equal(x[:, :N_SENSORS], residuals)
+            assert np.array_equal(x[:, :N_SENSORS], residuals.astype(x.dtype))
 
 
 # ---------------------------------------------------------------- classifier
