@@ -20,8 +20,8 @@ from .dispatch import HOUSEHOLDS_PER_BUS, plan_generation, synthesize_loads
 from .evaluation import (accuracy, confusion_counts, csv_table,
                          format_report, holdout_experiment, macro_f1,
                          report_rows, severity_sweep)
-from .grid import load_case
-from .scenario import (GENERATOR_BUSES, KINDS, LEVEL_FRACTIONS,
+from .grid import N_SENSORS, load_case
+from .scenario import (GENERATOR_BUSES, KINDS, LABEL_INDEX, LEVEL_FRACTIONS,
                        ScenarioSeries, SeriesFileError, condition_name,
                        generate_scenario, make_condition)
 
@@ -101,19 +101,19 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     return out_dir
 
 
-def load_dataset(cfg: RunConfig, data_dir: Path, part: str,
-                 bundles=()) -> list[ScenarioSeries]:
-    """The series that cfg's gen-data writes in data_dir (_series_jobs)
-    and a stage uses: "all" of them in file-name order, or the "train" or
-    "test" part of split_series.
+def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
+    """(frames, labels, levels) of the series of cfg's gen-data in data_dir
+    (_series_jobs) that a stage uses, "all" in file-name order or the
+    "train" or "test" part of split_series: their float64 (S, T, 39)
+    values, the LABEL_INDEX of each frame's label and each series' level.
 
     data_dir's config.json must record cfg's GENERATION_KEYS, so a dataset
     of another config is not split as cfg's, and so must the dataset
     record of each (path, ModelBundle) pair in bundles, the bundles the
     stage scores on the part, so no bundle scores a series it may have
     been trained on. Each sidecar, read once, must record cfg's horizon,
-    as the detector stacks a dataset's series; then only the part's
-    series files are parsed, so a defect in another file is not seen.
+    as the series are stacked; then only the part's series files are
+    parsed, so a defect in another file is not seen.
     """
     config_path = Path(data_dir) / "config.json"
     given = cfg.canonical()
@@ -136,7 +136,14 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str,
                                   f"; the dataset's is {cfg.horizon}")
     picked = (range(len(paths)) if part == "all" else
               split_series(sidecars, cfg.seed)[("train", "test").index(part)])
-    return [ScenarioSeries.load(paths[k], sidecars[k]) for k in picked]
+    frames = np.empty((len(picked), cfg.horizon, N_SENSORS))
+    labels = np.empty((len(picked), cfg.horizon), dtype=int)
+    levels = np.empty(len(picked), dtype=int)
+    for row, k in enumerate(picked):
+        frames[row] = ScenarioSeries.load(paths[k], sidecars[k]).values
+        labels[row] = [LABEL_INDEX[label] for label in sidecars[k].labels]
+        levels[row] = sidecars[k].level
+    return frames, labels, levels
 
 
 SPLIT_FRACTION = 0.8  # share of each (condition, level) group trained on
@@ -191,7 +198,7 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
     history_path = out_dir / f"history_{variant}.json"
     history_path.write_text(json.dumps(bundle.history, indent=2) + "\n")
     manifest.record(f"train-{variant}", [bundle_path, history_path],
-                    training_series=len(train_set))
+                    training_series=len(train_set[0]))
     return bundle_path
 
 

@@ -209,14 +209,17 @@ def predict_and_residual(bundle: ModelBundle, frames: np.ndarray,
 def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:
     """Label indices for (N, 78) features: the argmax of the softmax.
 
-    The features are cast to the classifier's parameter dtype. Exact ties
-    resolve to the lowest label index. The softmax stays before the argmax:
-    two near-equal logits can round to equal probabilities, and the argmax
-    of the raw logits would break that tie differently.
+    The features are cast to the classifier's parameter dtype, and its
+    layers run one at a time, each cache dropped as soon as it is made.
+    Exact ties resolve to the lowest label index. The softmax stays before
+    the argmax: two near-equal logits can round to equal probabilities, and
+    the argmax of the raw logits would break that tie differently.
     """
-    probs = softmax(classifier.forward(
-        np.asarray(features, dtype=classifier.dtype))[0])
-    return np.argmax(probs, axis=1)  # argmax takes the first maximum
+    x = np.asarray(features, dtype=classifier.dtype)
+    for layer in classifier.layers:
+        # no name keeps the cache, which would live through the next layer
+        x = layer.forward(x)[0]
+    return np.argmax(softmax(x), axis=1)  # argmax takes the first maximum
 
 
 # ------------------------------------------------------------------ storage

@@ -7,11 +7,10 @@ import numpy as np
 from .. import InputError
 from ..grid import GridCase, N_SENSORS, sensor_map_hash
 from ..neural import TrainConfig
-from ..scenario import LABEL_INDEX
 from .models import (CLASSIFIER_INPUT, COMPUTE_DTYPE, LAGS, SUBMODELS,
                      ModelBundle, classify, fit_autoencoder, fit_classifier,
                      fit_predictor, predict_and_residual, state_checksum)
-from .preprocess import fit_preprocess, preprocess, sensor_frames
+from .preprocess import fit_preprocess, preprocess
 
 # the one table of per-stage training defaults
 STAGE_DEFAULTS = {
@@ -26,26 +25,25 @@ STAGE_DEFAULTS = {
 RESIDUAL_FRAMES = 480
 
 
-def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
-    """The frame table of series_list: (levels, features, label indices),
-    one entry per residual frame, frames LAGS+1 .. T-1 of each series in
-    series_list order.
+def feature_rows(bundle: ModelBundle, series, case: GridCase):
+    """The frame table of series, load_dataset's (frames, labels, levels):
+    (levels, features, label indices), one entry per residual frame, frames
+    LAGS+1 .. T-1 of each series in order.
 
     A frame's level is its series' severity level, 0 for a normal series.
     Feature row = residual (standardized-difference space) ++ raw
-    observation standardized per sensor, both at the frame; labels come
-    from the series frame labels. The raw-standardized observation half
-    keeps persistent level shifts visible to the classifier, which first
-    differencing would cancel.
+    observation standardized per sensor, both at the frame; labels are the
+    frames' own. The raw-standardized observation half keeps persistent
+    level shifts visible to the classifier, which first differencing would
+    cancel.
 
-    The series are stacked once, and the table filled in place from slices
-    of as many whole series as RESIDUAL_FRAMES frames hold (at least one).
     The table is held in COMPUTE_DTYPE, the dtype the classifier trains and
-    scores in, so each half is rounded once, as it is written. Holdout and
-    severity pick frames from it, so each series' features are computed
-    once per stage.
+    scores in, and filled in place from slices of as many whole series as
+    RESIDUAL_FRAMES frames hold (at least one), so each half is rounded
+    once, as it is written. Holdout and severity pick frames from it, so
+    each series' features are computed once per stage.
     """
-    frames = sensor_frames(series_list)
+    frames, labels, levels = series
     features = np.empty(frames[:, LAGS + 1:].shape[:2] + (CLASSIFIER_INPUT,),
                         dtype=COMPUTE_DTYPE)
     size = max(1, RESIDUAL_FRAMES // frames.shape[1])
@@ -55,33 +53,32 @@ def feature_rows(bundle: ModelBundle, series_list, case: GridCase):
             bundle, group, case)
         features[k:k + size, :, N_SENSORS:] = bundle.stats.standardize_raw(
             group[:, LAGS + 1:])
-    levels = np.repeat([s.level for s in series_list], features.shape[1])
-    labels = np.vectorize(LABEL_INDEX.__getitem__)(
-        [s.labels[LAGS + 1:] for s in series_list])
-    return levels, features.reshape(-1, CLASSIFIER_INPUT), labels.ravel()
+    return (np.repeat(levels, features.shape[1]),
+            features.reshape(-1, CLASSIFIER_INPUT),
+            labels[:, LAGS + 1:].ravel())
 
 
-def train_bundle(variant: str, series_list, case: GridCase, seed: int,
+def train_bundle(variant: str, series, case: GridCase, seed: int,
                  stage_configs: dict, dataset: dict) -> ModelBundle:
-    """Train one detector variant on a list of ScenarioSeries.
+    """Train one detector variant on load_dataset's (frames, labels, levels).
 
     Stage order: preprocess stats -> autoencoder (AEN variant) -> predictor
     (AEN/RNN variants) -> residual features with frozen upstream models ->
-    classifier. Stats, autoencoder, and predictor see the normal-condition
+    classifier. Stats, autoencoder, and predictor see the normal (level 0)
     series only. stage_configs maps every stage name to its TrainConfig;
     fits are seeded seed, seed+1, seed+2 in stage order. dataset is the
     generation settings of the series, which the bundle keeps; SE_DNN's
     residuals read its noise_sigma.
     """
-    normals = [s for s in series_list if s.metadata["condition"] == "normal"]
-    if not normals:
+    frames, _, levels = series
+    normals = frames[levels == 0]
+    if not len(normals):
         raise InputError("training set contains no normal series")
 
-    frames = sensor_frames(normals)
-    bundle = ModelBundle(variant=variant, stats=fit_preprocess(frames),
+    bundle = ModelBundle(variant=variant, stats=fit_preprocess(normals),
                          sensor_hash=sensor_map_hash(case), dataset=dataset)
     if variant != "SE_DNN":
-        z = preprocess(frames, bundle.stats)  # (S, T-1, 39)
+        z = preprocess(normals, bundle.stats)  # (S, T-1, 39)
         if variant == "AEN_RNN_DNN":
             enc, dec, hist = fit_autoencoder(
                 z.reshape(-1, N_SENSORS), stage_configs["autoencoder"], seed)
@@ -95,7 +92,7 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
     # residual generation must not touch the frozen feature models
     frozen = {name: state_checksum(getattr(bundle, name))
               for name in SUBMODELS[variant] if name != "classifier"}
-    _, x, y = feature_rows(bundle, series_list, case)
+    _, x, y = feature_rows(bundle, series, case)
     for name, digest in frozen.items():
         if state_checksum(getattr(bundle, name)) != digest:
             raise RuntimeError(f"{name} parameters changed during "
@@ -107,7 +104,7 @@ def train_bundle(variant: str, series_list, case: GridCase, seed: int,
     return bundle
 
 
-def evaluate_predictions(bundle: ModelBundle, series_list, case: GridCase):
+def evaluate_predictions(bundle: ModelBundle, series, case: GridCase):
     """(predicted label indices, true label indices) over a dataset."""
-    _, x, truth = feature_rows(bundle, series_list, case)
+    _, x, truth = feature_rows(bundle, series, case)
     return classify(bundle.classifier, x), truth

@@ -39,12 +39,6 @@ class PreprocessStats:
         return (values - self.raw_mean) / self.raw_std
 
 
-def sensor_frames(series_list) -> np.ndarray:
-    """The (S, T, 39) stack of the series' sensor frames, which
-    cli.load_dataset reads, finite, at the dataset's horizon T."""
-    return np.array([series.values for series in series_list], dtype=float)
-
-
 def fit_preprocess(frames: np.ndarray) -> PreprocessStats:
     """Std of first differences per sensor, floored at EPSILON, and the raw
     frames' per-sensor mean and std; differences never cross series."""

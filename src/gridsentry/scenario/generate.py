@@ -78,6 +78,12 @@ class ScenarioSeries:
             raise SeriesFileError(f"{sidecar} records a {condition} series "
                                   "without target, two int window hours and "
                                   "an int level")
+        # a normal series is level 0, the level train fits its normal models on
+        recorded = sorted({"level", "target", "window"} & set(meta))
+        if condition == "normal" and recorded:
+            raise SeriesFileError(f"{sidecar} records a normal series with "
+                                  f"{recorded}, which only an attack or "
+                                  "fault series has")
         return cls(values=np.empty((horizon, 0)), metadata=meta)
 
     @classmethod

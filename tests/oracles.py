@@ -12,6 +12,9 @@ The pipeline runs none of these; they check it from outside:
   gap-hour and template-fallback paths of `gen-data`.
 - `read_series`: a series file read as the stages read it
   (tests/test_cli.py, tests/test_scenario.py).
+- `series_stack`: in-memory series as the `(frames, labels, levels)`
+  stack that `cli.load_dataset` reads from files (tests/test_cli.py,
+  tests/test_detector.py).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from gridsentry.grid.case import DEFAULT_CASE
 from gridsentry.neural import mse, softmax_cross_entropy
 from gridsentry.neural.train import flatten_parameters
-from gridsentry.scenario import ScenarioSeries
+from gridsentry.scenario import LABEL_INDEX, ScenarioSeries
 
 # ------------------------------------------------------------ chi square
 
@@ -199,3 +202,13 @@ def read_series(path):
     """The series file at path, parsed against its sidecar as a stage reads
     them: load_sidecar first, then load."""
     return ScenarioSeries.load(path, ScenarioSeries.load_sidecar(path))
+
+
+def series_stack(series_list):
+    """The (frames, labels, levels) stack of series_list, as
+    cli.load_dataset returns a dataset's part: each series' values, the
+    LABEL_INDEX of its frame labels and its level."""
+    return (np.array([s.values for s in series_list]),
+            np.array([[LABEL_INDEX[label] for label in s.labels]
+                      for s in series_list]),
+            np.array([s.level for s in series_list]))

@@ -53,9 +53,8 @@ def world(tmp_path_factory, case):
                     seed=SEED, noise_sigma=NOISE_SIGMA)
     t0 = time.time()
     data_dir = cli.cmd_gen_data(cfg, out / "data")
-    series = cli.load_dataset(cfg, data_dir, "all")
-    train, test = ([series[k] for k in part]
-                   for part in cli.split_series(series, cfg.seed))
+    series, train, test = (cli.load_dataset(cfg, data_dir, part)
+                           for part in ("all", "train", "test"))
     bundles, matrices = {}, {}
     dataset = {key: cfg.canonical()[key] for key in cli.GENERATION_KEYS}
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
@@ -256,11 +255,10 @@ def test_criterion_6_metric_exactness():
 # ------------------------------------------------- 7: end-to-end macro F1
 
 def test_criterion_7_end_to_end(world):
-    frames_per_condition = {}
-    for series in world["series"]:
-        for lbl in series.labels[LAGS + 1:]:         # classifiable frames
-            frames_per_condition[lbl] = frames_per_condition.get(lbl, 0) + 1
-    minimum = min(frames_per_condition[lbl] for lbl in LABELS)
+    _, labels, _ = world["series"]
+    frames_per_condition = np.bincount(               # classifiable frames
+        labels[:, LAGS + 1:].ravel(), minlength=len(LABELS))
+    minimum = int(frames_per_condition.min())
     assert minimum >= 1500                           # >= 1,500 frames/condition
 
     score = macro_f1(world["matrices"]["AEN_RNN_DNN"])

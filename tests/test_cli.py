@@ -18,12 +18,12 @@ from gridsentry.detector import (LAGS, load_bundle, models, pipeline,
                                  save_bundle)
 from gridsentry.detector.models import SUBMODELS
 from gridsentry.detector.pipeline import STAGE_DEFAULTS
-from gridsentry.detector.preprocess import sensor_frames
 from gridsentry.evaluation import HoldoutResult
 from gridsentry.grid import DEFAULT_CASE, load_case
 from gridsentry.neural import TrainConfig, get_state
-from gridsentry.scenario import LABELS, ScenarioSeries
-from oracles import read_series, write_weakened_case
+from gridsentry.scenario import (LABEL_INDEX, LABELS, ScenarioSeries,
+                                 SeriesFileError)
+from oracles import read_series, series_stack, write_weakened_case
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -588,7 +588,8 @@ def test_stages_refuse_a_csv_dataset(workspace, se_bundle, tmp_path,
 def test_split_is_series_level_and_stratified(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
-    series = cli.load_dataset(cfg, data_dir, "all")
+    series = [ScenarioSeries.load_sidecar(data_dir / name)
+              for name in series_names(config_path)]
     train, test = cli.split_series(series, cfg.seed)
     assert sorted(train + test) == list(range(len(series)))
     # every non-singleton condition group keeps at least one test series
@@ -604,13 +605,58 @@ def test_split_first_parts_are_the_split_of_the_loaded_series(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
     series = cli.load_dataset(cfg, data_dir, "all")
+    sidecars = [ScenarioSeries.load_sidecar(data_dir / name)
+                for name in series_names(config_path)]
     for part, picked in zip(("train", "test"),
-                            cli.split_series(series, cfg.seed)):
+                            cli.split_series(sidecars, cfg.seed)):
         loaded = cli.load_dataset(cfg, data_dir, part)
-        assert [s.metadata for s in loaded] == [series[k].metadata
-                                                for k in picked]
-        assert all(np.array_equal(s.values, series[k].values)
-                   for s, k in zip(loaded, picked))
+        assert all(np.array_equal(got, whole[picked])
+                   for got, whole in zip(loaded, series))
+
+
+def test_load_dataset_stacks_each_series_file(workspace):
+    # a part is one (frames, labels, levels) stack: row k holds its k-th
+    # series' file values, the LABEL_INDEX of its sidecar's frame labels
+    # and its sidecar's level, in split order; train and test partition all
+    _, config_path, data_dir = workspace
+    cfg = load_config(config_path)
+    names = series_names(config_path)
+    train, test = cli.split_series(
+        [ScenarioSeries.load_sidecar(data_dir / name) for name in names],
+        cfg.seed)
+    assert sorted(train + test) == list(range(len(names)))
+    for part, picked in (("all", range(len(names))), ("train", train),
+                         ("test", test)):
+        loaded = cli.load_dataset(cfg, data_dir, part)
+        files = series_stack([read_series(data_dir / names[k])
+                              for k in picked])
+        assert [a.dtype.kind for a in loaded] == ["f", "i", "i"]
+        assert loaded[0].dtype == np.float64
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(loaded, files))
+        assert set(loaded[1].ravel().tolist()) > {LABEL_INDEX["normal"]}
+        assert set(loaded[2].tolist()) == {0, 5}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("level", 3), ("target", 2), ("window", [24, 50])])
+def test_load_dataset_refuses_annotated_normal_sidecar(workspace, tmp_path,
+                                                       key, value):
+    # a normal series is level 0, the level train fits its normal-condition
+    # models on: a normal sidecar that records a level (or a target or
+    # window) is refused naming the sidecar, not scored at that level
+    _, config_path, data_dir = workspace
+
+    def annotate(name, series):
+        if name == "normal_s00.npy":
+            series.metadata[key] = value
+
+    copy = dataset_copy(data_dir, tmp_path / "annotated", annotate)
+    sidecar = re.escape(str(copy / "normal_s00.meta.json"))
+    with pytest.raises(SeriesFileError,
+                       match=f"^{sidecar} records a normal series with "
+                             f"\\['{key}'\\]"):
+        cli.load_dataset(load_config(config_path), copy, "all")
 
 
 def series_names(config_path):
@@ -827,8 +873,9 @@ def test_train_evaluate_roundtrip(workspace, capsys):
     report_dir = data_dir / "reports"
     assert (report_dir / "report_SE_DNN.txt").exists()
     counts = np.loadtxt(report_dir / "confusion_SE_DNN.csv", delimiter=",")
-    test = cli.load_dataset(load_config(config_path), data_dir, "test")
-    expected_frames = sum(len(s.values) - 1 - 10 for s in test)
+    frames, _, _ = cli.load_dataset(load_config(config_path), data_dir,
+                                    "test")
+    expected_frames = len(frames) * (frames.shape[1] - 1 - 10)
     assert counts.sum() == expected_frames
 
     # an impossible gate flips the exit code
@@ -873,7 +920,7 @@ def test_float32_bundle_roundtrip(workspace, tmp_path):
     preds, truth = pipeline.evaluate_predictions(bundle, series, case)
     again, truth_again = pipeline.evaluate_predictions(loaded, series, case)
     assert np.array_equal(preds, again) and np.array_equal(truth, truth_again)
-    assert len(preds) == sum(len(s.values) - 1 - 10 for s in series)
+    assert len(preds) == len(series[0]) * (series[0].shape[1] - 1 - 10)
 
 
 def test_se_dnn_computes_no_differences(workspace, monkeypatch):
@@ -895,7 +942,7 @@ def test_se_dnn_computes_no_differences(workspace, monkeypatch):
                                    stage_configs=configs,
                                    dataset={"noise_sigma": 0.01})
     levels, table, _ = pipeline.feature_rows(bundle, test, case)
-    assert len(levels) == len(test) * (60 - 1 - LAGS)
+    assert len(levels) == len(test[0]) * (60 - 1 - LAGS)
     # its float64 WLS residuals are held in the classifier's dtype
     assert table.dtype == models.COMPUTE_DTYPE
 
@@ -1345,8 +1392,8 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
                      "--data", str(data_dir), "--variant", "RNN_DNN"]) == 0
     bundle_path = str(data_dir / "models" / "bundle_RNN_DNN.npz")
     cfg = load_config(config_path)
-    series = cli.load_dataset(cfg, data_dir, "all")
-    test = cli.load_dataset(cfg, data_dir, "test")
+    frames, _, _ = cli.load_dataset(cfg, data_dir, "all")
+    test, _, _ = cli.load_dataset(cfg, data_dir, "test")
 
     calls = []
     residuals = pipeline.predict_and_residual
@@ -1358,11 +1405,11 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "predict_and_residual", counting)
     assert cli.main(["--config", str(config_path), "holdout",
                      "--data", str(data_dir), "--bundle", bundle_path]) == 0
-    assert np.array_equal(np.concatenate(calls), sensor_frames(series))
+    assert np.array_equal(np.concatenate(calls), frames)
     calls.clear()
     assert cli.main(["--config", str(config_path), "report",
                      "--data", str(data_dir), "--bundles", bundle_path]) == 0
-    assert np.array_equal(np.concatenate(calls), sensor_frames(test))
+    assert np.array_equal(np.concatenate(calls), test)
 
 
 def test_evaluate_refuses_wrong_sensor_map(workspace, se_bundle, tmp_path,

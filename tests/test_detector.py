@@ -15,12 +15,11 @@ from gridsentry.detector.models import (COMPUTE_DTYPE, SUBMODELS,
                                        build_autoencoder, build_classifier,
                                        build_predictor)
 from gridsentry.detector.pipeline import RESIDUAL_FRAMES
-from gridsentry.detector.preprocess import sensor_frames
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
 from gridsentry.neural import TrainConfig, get_state, set_state, softmax
 from gridsentry.scenario import LABELS, ScenarioSeries, generate_scenario
-from oracles import chi_square_detect
+from oracles import chi_square_detect, series_stack
 
 # for fits that are refused before training, or only need to run once
 TINY = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
@@ -45,7 +44,7 @@ def normal_series(case):
 
 @pytest.fixture(scope="module")
 def normal_frames(normal_series):
-    return sensor_frames(normal_series)
+    return series_stack(normal_series)[0]
 
 
 def unit_stats():
@@ -197,7 +196,7 @@ def test_se_residuals_near_zero_on_noiseless(case):
     stats = fit_preprocess(
         np.random.default_rng(6).standard_normal((1, 200, N_SENSORS)))
     bundle = make_stub_bundle("SE_DNN", case, stats)
-    [residuals] = predict_and_residual(bundle, sensor_frames([series]),
+    [residuals] = predict_and_residual(bundle, series.values[None],
                                        case=case)
     # one row per frame LAGS+1 .. T-1
     assert residuals.shape == (len(series.values) - 1 - LAGS, N_SENSORS)
@@ -214,7 +213,7 @@ def test_residual_alignment_rnn(case, normal_series, normal_frames):
     [residuals] = predict_and_residual(bundle, normal_frames[:1], case)
     ts = np.arange(LAGS + 1, len(series.values))  # the residual frames
     assert residuals.shape == (len(ts), N_SENSORS)
-    levels, x, y = feature_rows(bundle, [series], case)
+    levels, x, y = feature_rows(bundle, series_stack([series]), case)
     assert x.shape == (len(ts), CLASSIFIER_INPUT)
     np.testing.assert_array_equal(x[:, :N_SENSORS],
                                   residuals.astype(x.dtype))
@@ -242,8 +241,7 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
     # equal-length series, more of them than two groups of feature_rows
     # hold: every series' residuals carry the bits of the one-series form
     # (2-D code rows, a (1, T, D) predictor batch) run in the models'
-    # parameter dtype, float64 and float32; feature_rows refuses a
-    # mixed-length list
+    # parameter dtype, float64 and float32
     stats = fit_preprocess(normal_frames)
     bundle = make_stub_bundle(variant, case, stats)
     r = np.random.default_rng(7)
@@ -263,8 +261,9 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
         for name, state in drawn.items():
             set_state(getattr(bundle, name),
                       {k: v.astype(dtype) for k, v in state.items()})
-        stacked = predict_and_residual(bundle, sensor_frames(series), case)
-        _, table, _ = feature_rows(bundle, series, case)
+        stack = series_stack(series)
+        stacked = predict_and_residual(bundle, stack[0], case)
+        _, table, _ = feature_rows(bundle, stack, case)
         # the table is held in the classifier's dtype, whatever the models'
         assert table.dtype == COMPUTE_DTYPE
         assert stacked.shape == (len(series), t - 1 - LAGS, N_SENSORS)
@@ -272,7 +271,7 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
         assert len(table) == len(series) * (t - 1 - LAGS)
         for one, residuals, x in zip(series, stacked,
                                      np.split(table, len(series))):
-            frames = sensor_frames([one])
+            frames = one.values[None]
             z = preprocess(frames, stats)[0].astype(dtype)
             codes = bundle.encoder.forward(z)[0] if coded else z
             z_hat, _ = bundle.predictor.forward(codes[None, :-1])
@@ -338,6 +337,22 @@ def test_classify_trivial_and_ties():
 
     again = [LABELS[i] for i in classify(model, x)]
     assert again == names
+
+
+def test_classify_is_the_argmax_of_the_forward_softmax():
+    # classify runs the layers one at a time and drops each cache, which
+    # moves no bit: on float64 and float32 classifiers it labels every
+    # frame as the argmax of the softmax of the full forward does
+    x, y = separable_toy(n_per_class=20)
+    model, _ = fit_classifier(
+        x, y, TrainConfig(learning_rate=2e-3, epochs=40, batch_size=32), 0)
+    drawn = get_state(model)
+    for dtype in (np.float64, np.float32):
+        set_state(model, {k: v.astype(dtype) for k, v in drawn.items()})
+        expected = np.argmax(softmax(model.forward(x.astype(dtype))[0]),
+                             axis=1)
+        assert len(set(expected.tolist())) > 1
+        assert np.array_equal(classify(model, x), expected)
 
 
 def test_variant_shared_classifier_path(case):

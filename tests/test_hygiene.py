@@ -277,44 +277,38 @@ def test_one_home_for_series_annotations():
 
 
 FRAME_READERS = {"src/gridsentry/scenario/generate.py",
-                 "src/gridsentry/detector/preprocess.py"}
+                 "src/gridsentry/cli.py"}
 
 
-def values_reads(tree: ast.Module) -> list[int]:
-    """Lines that read a `.values` attribute other than as a method call,
-    so `vars(x).values()` does not count."""
-    called = {id(node.func) for node in ast.walk(tree)
-              if isinstance(node, ast.Call)}
-    return [node.lineno for node in ast.walk(tree)
+def values_reads(path: Path) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of each read of a `.values` attribute
+    other than as a method call, so `vars(x).values()` does not count."""
+    nodes = list(walk_with_function(path))
+    called = {id(node.func) for node, _ in nodes if isinstance(node, ast.Call)}
+    return [(node.lineno, func) for node, func in nodes
             if isinstance(node, ast.Attribute) and node.attr == "values"
             and isinstance(node.ctx, ast.Load) and id(node) not in called]
 
 
 def test_one_reader_of_sensor_frames():
     # a series' sensor frames are read where they are made and in the
-    # detector's frame reader, which checks them and stacks a dataset's
-    # series of one horizon; every other stage works on that stack
-    sites = [f"{path.relative_to(ROOT)}:{line}"
+    # dataset reader, which stacks the part a stage uses; every stage
+    # works on that stack
+    sites = [f"{path.relative_to(ROOT)}:{line} in {func}"
              for path in sorted((ROOT / "src").rglob("*.py"))
              if str(path.relative_to(ROOT)) not in FRAME_READERS
-             for line in values_reads(ast.parse(path.read_text()))]
+             for line, func in values_reads(path)]
     assert sites == []
 
 
 def test_one_stacker_of_sensor_frames():
-    # detector/pipeline.py is where series become frames: it stacks a
-    # dataset once per stage, and every function below it takes the stack
-    sites = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        rel = str(path.relative_to(ROOT))
-        if rel == "src/gridsentry/detector/pipeline.py":
-            continue
-        sites += [f"{rel}:{node.lineno}"
-                  for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.Call) and "sensor_frames" in (
-                      getattr(node.func, "id", None),
-                      getattr(node.func, "attr", None))]
-    assert sites == []
+    # cli.load_dataset is where series become frames: it fills the
+    # (frames, labels, levels) stack of the part a stage uses once, and
+    # every function below it takes the stack
+    reads = values_reads(ROOT / "src/gridsentry/cli.py")
+    assert any(func == "load_dataset" for _, func in reads)
+    assert [f"src/gridsentry/cli.py:{line} in {func}"
+            for line, func in reads if func != "load_dataset"] == []
 
 
 def numpy_root(node) -> bool:

@@ -124,7 +124,6 @@ def test_stacked_residuals_are_traced():
         "from gridsentry.detector.pipeline import (RESIDUAL_FRAMES,",
         "                                          feature_rows)",
         "from gridsentry.grid import N_SENSORS, load_case",
-        "from gridsentry.scenario import ScenarioSeries",
         "r = np.random.default_rng(0)",
         "ones = np.ones(N_SENSORS)",
         "bundle = ModelBundle(",
@@ -132,9 +131,8 @@ def test_stacked_residuals_are_traced():
         "    sensor_hash='-', dataset={'noise_sigma': 0.1},",
         "    predictor=build_predictor(N_SENSORS, r))",
         "n = RESIDUAL_FRAMES // 20 + 1",
-        "series = [ScenarioSeries(values=r.standard_normal((20, N_SENSORS)),",
-        "                         metadata={'condition': 'normal'})",
-        "          for _ in range(n)]",
+        "series = (r.standard_normal((n, 20, N_SENSORS)),",
+        "          np.zeros((n, 20), dtype=int), np.zeros(n, dtype=int))",
         "levels, _, _ = feature_rows(bundle, series, load_case())",
         "print(json.dumps({'series': n, 'frames': len(levels),",
         "    'residuals': tracer.spans['setup', 'models.residuals'][0],",
