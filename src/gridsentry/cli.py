@@ -29,6 +29,8 @@ from .scenario import (GENERATOR_BUSES, KINDS, LABEL_INDEX, LEVEL_FRACTIONS,
 # the RunConfig fields that gen-data's files depend on
 GENERATION_KEYS = ("case_file", "seed", "horizon", "noise_sigma", "levels",
                    "window", "normal_series", "series_per_condition_per_level")
+# the sidecar keys that a series' frame labels and level derive from
+ANNOTATIONS = ("condition", "horizon", "target", "level", "window")
 
 
 def _series_jobs(cfg: RunConfig):
@@ -107,40 +109,52 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
     "train" or "test" part of split_series: their float64 (S, T, 39)
     values, the LABEL_INDEX of each frame's label and each series' level.
 
-    data_dir's config.json must record cfg's GENERATION_KEYS, so a dataset
-    of another config is not split as cfg's, and so must the dataset
-    record of each (path, ModelBundle) pair in bundles, the bundles the
-    stage scores on the part, so no bundle scores a series it may have
-    been trained on. Each sidecar, read once, must record cfg's horizon,
-    as the series are stacked; then only the part's series files are
+    Each record it takes in, in turn, must hold on its keys the record cfg
+    implies, compared as JSON text (3.0 is not 3, an absent key not a null
+    one): data_dir's config.json and the dataset record of each (path,
+    ModelBundle) pair in bundles, the bundles the stage scores on the part,
+    on GENERATION_KEYS; then each sidecar, read once, on ANNOTATIONS, as
+    its _series_jobs entry implies. Only then are the part's series files
     parsed, so a defect in another file is not seen.
     """
-    config_path = Path(data_dir) / "config.json"
+    data_dir = Path(data_dir)
     given = cfg.canonical()
-    for source, written in [(config_path, read_json_object(config_path)),
-                            *((f"bundle file {path}", bundle.dataset)
-                              for path, bundle in bundles)]:
-        differ = [key for key in GENERATION_KEYS
-                  if written.get(key) != given[key]]
+    jobs = sorted(_series_jobs(cfg))
+    sidecars = []
+
+    def records():
+        """(source, record, implied record, keys) of each, read in turn."""
+        path = data_dir / "config.json"
+        yield path, read_json_object(path), given, GENERATION_KEYS
+        for path, bundle in bundles:
+            yield f"bundle file {path}", bundle.dataset, given, GENERATION_KEYS
+        for filename, kind, target, level, _ in jobs:
+            sidecars.append(ScenarioSeries.load_sidecar(data_dir / filename))
+            implied = {"condition": "normal", "horizon": cfg.horizon}
+            if kind != "normal":
+                implied.update(condition=condition_name(kind, target),
+                               target=target, level=level,
+                               window=given["window"])
+            yield ((data_dir / filename).with_suffix(".meta.json"),
+                   sidecars[-1].metadata, implied, ANNOTATIONS)
+
+    for source, written, implied, keys in records():
+        differ = [key for key in keys
+                  if (key in written, json.dumps(written.get(key)))
+                  != (key in implied, json.dumps(implied.get(key)))]
         if differ:
-            raise SeriesFileError(
-                f"{source} records a dataset of "
-                f"{ {key: written.get(key) for key in differ} }; the config "
-                f"gives { {key: given[key] for key in differ} }")
-    paths = [Path(data_dir) / job[0] for job in sorted(_series_jobs(cfg))]
-    sidecars = [ScenarioSeries.load_sidecar(p) for p in paths]
-    for path, sidecar in zip(paths, sidecars):
-        if sidecar.metadata["horizon"] != cfg.horizon:
-            raise SeriesFileError(f"{path.with_suffix('.meta.json')} records "
-                                  f"a horizon of {sidecar.metadata['horizon']}"
-                                  f"; the dataset's is {cfg.horizon}")
-    picked = (range(len(paths)) if part == "all" else
+            recorded = {key: written[key] for key in differ if key in written}
+            wanted = {key: implied[key] for key in differ if key in implied}
+            raise SeriesFileError(f"{source} records {recorded}; the config "
+                                  f"gives {wanted}")
+    picked = (range(len(jobs)) if part == "all" else
               split_series(sidecars, cfg.seed)[("train", "test").index(part)])
     frames = np.empty((len(picked), cfg.horizon, N_SENSORS))
     labels = np.empty((len(picked), cfg.horizon), dtype=int)
     levels = np.empty(len(picked), dtype=int)
     for row, k in enumerate(picked):
-        frames[row] = ScenarioSeries.load(paths[k], sidecars[k]).values
+        frames[row] = ScenarioSeries.load(data_dir / jobs[k][0],
+                                          sidecars[k]).values
         labels[row] = [LABEL_INDEX[label] for label in sidecars[k].labels]
         levels[row] = sidecars[k].level
     return frames, labels, levels

@@ -12,8 +12,8 @@ from .. import InputError
 from ..dispatch import GenerationPlan
 from ..grid import GridCase, N_SENSORS
 from ..grid.powerflow import measure, solve_power_flow
-from .attacks import (Condition, LABELS, LEVEL_FRACTIONS, mask_measurements,
-                      reduce_target, simulate_nominal)
+from .attacks import (Condition, mask_measurements, reduce_target,
+                      simulate_nominal)
 
 REACTIVE_RATIO = float(np.tan(np.arccos(0.95)))  # constant 0.95 power factor
 
@@ -24,15 +24,16 @@ class SeriesFileError(InputError):
 
 @dataclass
 class ScenarioSeries:
-    values: np.ndarray          # (T, 39)
+    values: np.ndarray | None   # (T, 39); None for a sidecar alone
     metadata: dict              # the sidecar
 
     @property
     def labels(self) -> list[str]:
-        """The sidecar's condition inside its window, normal elsewhere."""
+        """The sidecar's condition inside its window, normal elsewhere, for
+        each hour of its horizon."""
         start, end = self.metadata.get("window", (0, 0))
         return [self.metadata["condition"] if start <= t < end else "normal"
-                for t in range(len(self.values))]
+                for t in range(self.metadata["horizon"])]
 
     @property
     def level(self) -> int:
@@ -49,42 +50,18 @@ class ScenarioSeries:
 
     @classmethod
     def load_sidecar(cls, path: str | Path) -> "ScenarioSeries":
-        """The series of save's file at path as its sidecar alone, read and
-        checked: its values hold no sensor column, one row for each hour of
-        the sidecar's horizon, so its labels and level are the file's.
-        SeriesFileError names the sidecar."""
-        # a missing sidecar or condition raises: without its condition
-        # the series would pass for a normal one, and an attack or fault
-        # without its severity would join every level's training rows
+        """The series of save's file at path as its sidecar alone, without
+        values: the JSON object of its .meta.json, which the dataset reader
+        compares with the series' job. SeriesFileError names a sidecar that
+        holds no JSON object."""
         sidecar = Path(path).with_suffix(".meta.json")
         try:
             meta = json.loads(sidecar.read_text())
         except ValueError as exc:
             raise SeriesFileError(f"{sidecar}: {exc}") from None
-        condition = meta.get("condition") if isinstance(meta, dict) else None
-        if condition not in LABELS:
-            raise SeriesFileError(f"{sidecar} records no condition from "
-                                  f"LABELS, got {condition!r}")
-        horizon = meta.get("horizon")
-        if type(horizon) is not int or horizon < 0:
-            raise SeriesFileError(f"{sidecar} records no int horizon, got "
-                                  f"{horizon!r}")
-        if condition != "normal" and (
-                {"level", "target", "window"} - set(meta)
-                or type(meta["level"]) is not int
-                or meta["level"] not in LEVEL_FRACTIONS
-                or not isinstance(meta["window"], list)
-                or list(map(type, meta["window"])) != [int, int]):
-            raise SeriesFileError(f"{sidecar} records a {condition} series "
-                                  "without target, two int window hours and "
-                                  "an int level")
-        # a normal series is level 0, the level train fits its normal models on
-        recorded = sorted({"level", "target", "window"} & set(meta))
-        if condition == "normal" and recorded:
-            raise SeriesFileError(f"{sidecar} records a normal series with "
-                                  f"{recorded}, which only an attack or "
-                                  "fault series has")
-        return cls(values=np.empty((horizon, 0)), metadata=meta)
+        if not isinstance(meta, dict):
+            raise SeriesFileError(f"{sidecar}: not a JSON object")
+        return cls(values=None, metadata=meta)
 
     @classmethod
     def load(cls, path: str | Path,

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import gridsentry.cli as cli
+from gridsentry import InputError
 from gridsentry.config import (ConfigError, RunManifest, config_hash,
                                load_config, resolve_output_dir)
 from gridsentry.detector import (LAGS, load_bundle, models, pipeline,
@@ -508,8 +509,9 @@ def test_load_dataset_refuses_mixed_horizons(workspace, tmp_path):
     mixed = dataset_copy(data_dir, tmp_path / "mixed",
                          truncate_first_normal(48))
     sidecar = re.escape(str(mixed / "normal_s00.meta.json"))
-    with pytest.raises(ValueError, match=f"{sidecar} records a horizon of "
-                                         "48; the dataset's is 60$"):
+    with pytest.raises(ValueError, match=f"{sidecar} records "
+                                         r"\{'horizon': 48\}; the config "
+                                         r"gives \{'horizon': 60\}$"):
         cli.load_dataset(load_config(config_path), mixed, "all")
 
 
@@ -530,7 +532,7 @@ def test_train_refuses_unreadable_dataset(workspace, tmp_path, capsys,
     edited = dataset_copy(data_dir, tmp_path / dataset,
                           truncate_first_normal(36)
                           if dataset == "mixed" else edit)
-    message = {"mixed": r"normal_s00\.meta\.json records a horizon of 36;",
+    message = {"mixed": r"normal_s00\.meta\.json records \{'horizon': 36\};",
                "float32 series": r"normal_s0[0-2]\.npy: a float32 array of "
                                  r"shape \(60, 39\); the sidecar gives "
                                  r"float64"}
@@ -644,7 +646,8 @@ def test_load_dataset_refuses_annotated_normal_sidecar(workspace, tmp_path,
                                                        key, value):
     # a normal series is level 0, the level train fits its normal-condition
     # models on: a normal sidecar that records a level (or a target or
-    # window) is refused naming the sidecar, not scored at that level
+    # window) is refused naming the sidecar and the key, which its job does
+    # not give, not scored at that level
     _, config_path, data_dir = workspace
 
     def annotate(name, series):
@@ -654,9 +657,77 @@ def test_load_dataset_refuses_annotated_normal_sidecar(workspace, tmp_path,
     copy = dataset_copy(data_dir, tmp_path / "annotated", annotate)
     sidecar = re.escape(str(copy / "normal_s00.meta.json"))
     with pytest.raises(SeriesFileError,
-                       match=f"^{sidecar} records a normal series with "
-                             f"\\['{key}'\\]"):
+                       match=f"^{sidecar} " + re.escape(
+                           f"records {{'{key}': {value}}}; the config gives "
+                           "{}") + "$"):
         cli.load_dataset(load_config(config_path), copy, "all")
+
+
+ABSENT = object()  # a key that the record does not hold
+
+
+@pytest.mark.parametrize("name, key, value, implied", [
+    # a frame label, a level or a window that disagrees with the file's
+    # job would label frames or group the split by chance
+    ("config.json", "seed", 77.0, 77),
+    ("attack_2_l1_s01.meta.json", "window", [0, 24], [6, 18]),
+    ("fault_3_l1_s00.meta.json", "condition", "fault_6", "fault_3"),
+    ("attack_2_l1_s01.meta.json", "level", 3, 1),
+    # a float, a bool, a null or an absent key is not the job's value
+    ("attack_2_l3_s00.meta.json", "level", 3.0, 3),
+    ("attack_2_l1_s01.meta.json", "level", True, 1),
+    ("normal_s00.meta.json", "level", None, ABSENT),
+    ("normal_s00.meta.json", "horizon", ABSENT, 24),
+    ("normal_s00.meta.json", "horizon", 24.0, 24),
+    ("config.json", "horizon", 24.0, 24),
+    # a sidecar without its job's condition, target, level, window or
+    # horizon
+    ("attack_2_l1_s01.meta.json", "condition", "attack_5", "attack_2"),
+    ("attack_2_l1_s01.meta.json", "condition", ABSENT, "attack_2"),
+    ("fault_6_l2_s00.meta.json", "target", ABSENT, 6),
+    ("fault_6_l2_s00.meta.json", "level", ABSENT, 2),
+    ("fault_6_l2_s00.meta.json", "level", "2", 2),
+    ("fault_6_l2_s00.meta.json", "level", 0, 2),
+    ("fault_6_l2_s00.meta.json", "level", 6, 2),
+    ("fault_6_l2_s00.meta.json", "window", ABSENT, [6, 18]),
+    ("fault_6_l2_s00.meta.json", "window", [6, 18.0], [6, 18]),
+    ("fault_6_l2_s00.meta.json", "window", [6], [6, 18]),
+    ("fault_6_l2_s00.meta.json", "window", None, [6, 18]),
+    ("fault_6_l2_s00.meta.json", "window", 6, [6, 18]),
+    ("fault_6_l2_s00.meta.json", "window", "ab", [6, 18]),
+    ("normal_s00.meta.json", "horizon", "24", 24),
+    ("normal_s00.meta.json", "horizon", None, 24),
+    ("normal_s00.meta.json", "horizon", -1, 24),
+    ("normal_s00.meta.json", "horizon", True, 24)])
+def test_stages_refuse_a_record_that_is_not_its_jobs(
+        holdout_workspace, tmp_path, capsys, name, key, value, implied):
+    # every record a stage takes in is compared, as JSON text, with the
+    # record its config implies: config.json with the config on
+    # GENERATION_KEYS, each sidecar with its _series_jobs entry on
+    # ANNOTATIONS, as a sidecar's condition, window and level label its
+    # frames and group it in the split. A stage refuses one edited key of
+    # a copy of the dataset in one line naming the file and both values,
+    # before it writes anything
+    config_path, data_dir = holdout_workspace
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for path in data_dir.iterdir():
+        if path.is_file():
+            (copy / path.name).write_bytes(path.read_bytes())
+    record = json.loads((copy / name).read_text())
+    record.pop(key, None)
+    if value is not ABSENT:
+        record[key] = value
+    (copy / name).write_text(json.dumps(record))
+    recorded = {} if value is ABSENT else {key: value}
+    given = {} if implied is ABSENT else {key: implied}
+    out = tmp_path / "models"
+    err = refused(capsys, ["--config", str(config_path), "train", "--data",
+                           str(copy), "--variant", "SE_DNN", "--out",
+                           str(out)])
+    assert err == (f"gridsentry: error: {copy / name} records {recorded}; "
+                   f"the config gives {given}\n"), err
+    assert not out.exists()
 
 
 def series_names(config_path):
@@ -736,7 +807,7 @@ def test_stages_refuse_a_dataset_of_another_config(workspace, se_bundle,
         out = tmp_path / stage
         err = refused(capsys, ["--config", str(other), stage, "--data",
                                str(data_dir), "--out", str(out), *flags])
-        assert re.search(re.escape(f"records a dataset of {{'{key}': "
+        assert re.search(re.escape(f"records {{'{key}': "
                                    f"{recorded}}}; the config gives "
                                    f"{{'{key}': {value}}}") + "$",
                          err.rstrip()), err
@@ -760,7 +831,7 @@ def test_holdout_refuses_a_dataset_without_every_level(
     err = refused(capsys, ["--config", str(config_path), "holdout",
                            "--data", str(data_dir), "--out", str(out),
                            "--bundle", str(se_bundle)])
-    assert (f"{data_dir / 'config.json'} records a dataset of {{'levels': "
+    assert (f"{data_dir / 'config.json'} records {{'levels': "
             "[5]}; the config gives {'levels': [1, 2, 3, 4, 5]}") in err, err
     assert residuals == [] and not out.exists()
 
@@ -812,7 +883,7 @@ def test_stages_refuse_a_bundle_trained_on_another_dataset(
                                "--data", str(data["B"]), "--out", str(out),
                                flag, str(bundle)])
         assert err == (
-            f"gridsentry: error: bundle file {bundle} records a dataset of "
+            f"gridsentry: error: bundle file {bundle} records "
             "{'normal_series': 5, 'series_per_condition_per_level': 2}; the "
             "config gives {'normal_series': 10, "
             "'series_per_condition_per_level': 3}\n"), err
@@ -824,7 +895,7 @@ def test_stages_refuse_a_bundle_trained_on_another_dataset(
                            "--data", str(holdout_dir), "--out", str(out),
                            "--bundle", str(se_bundle)])
     assert err.startswith(f"gridsentry: error: bundle file {se_bundle} "
-                          "records a dataset of {'horizon': 60,"), err
+                          "records {'horizon': 60,"), err
     assert parsed == [] and not out.exists()
     # on the dataset it was trained on, the bundle is scored
     assert cli.main(["--config", str(configs["A"]), "evaluate",
@@ -945,6 +1016,22 @@ def test_se_dnn_computes_no_differences(workspace, monkeypatch):
     assert len(levels) == len(test[0]) * (60 - 1 - LAGS)
     # its float64 WLS residuals are held in the classifier's dtype
     assert table.dtype == models.COMPUTE_DTYPE
+
+
+def test_train_bundle_refuses_a_stack_without_normals(workspace):
+    # train_bundle fits its normal-condition models on the level-0 series,
+    # so a stack that holds none is refused before any fit
+    _, config_path, data_dir = workspace
+    frames, labels, levels = cli.load_dataset(load_config(config_path),
+                                              data_dir, "all")
+    faults = levels > 0
+    assert 0 < faults.sum() < len(levels)
+    with pytest.raises(InputError,
+                       match="^training set contains no normal series$"):
+        pipeline.train_bundle("SE_DNN", (frames[faults], labels[faults],
+                                         levels[faults]), load_case(),
+                              seed=3, stage_configs=STAGE_DEFAULTS,
+                              dataset={"noise_sigma": 0.01})
 
 
 def test_train_refuses_variant_outside_config(tmp_path, monkeypatch,
@@ -1202,8 +1289,14 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 r"non-finite frames at hours \[5\]; the sidecar records "
                 r"gap hours \[\]$")
     if case == "no normal series":
+        # each relabelled sidecar records what its normal job does not
+        # give; train_bundle's own refusal of a stack without level-0
+        # series is test_train_bundle_refuses_a_stack_without_normals
+        sidecar = tmp_path / "edited" / "normal_s00.meta.json"
         return (train_on_bad_normals(relabel=True),
-                "training set contains no normal series$")
+                re.escape(f"{sidecar} records {{'condition': 'fault_6', "
+                          "'target': 6, 'level': 5, 'window': [24, 50]}; "
+                          "the config gives {'condition': 'normal'}") + "$")
     if case == "repeated variant":
         return (["--config", config, "report", "--data", str(data_dir),
                  "--out", str(tmp_path / "reports"),

@@ -471,3 +471,32 @@ def test_every_error_is_a_refusal_or_a_named_fault():
     assert [ast.unparse(node.type) for node in ast.walk(main)
             if isinstance(node, ast.ExceptHandler)] == [
                 "(InputError, FileNotFoundError)"]
+
+
+SETTABLE_VALUES = 336  # restated, with the reason, by a change that moves it
+
+
+def settable_values(tree: ast.Module) -> int:
+    """The values a caller can set in tree: each parameter of each def and
+    lambda but self and cls, *args and **kwargs included, and each
+    annotated field of a @dataclass."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            count += sum(p.arg not in ("self", "cls") for p in params)
+        elif isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    return count
+
+
+def test_settable_values():
+    # the settable values over src/ are a measure of the package's surface:
+    # a change that moves the count restates the pin, and says why
+    assert sum(settable_values(ast.parse(path.read_text()))
+               for path in (ROOT / "src").rglob("*.py")) == SETTABLE_VALUES
