@@ -139,10 +139,14 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
                    sidecars[-1].metadata, implied, ANNOTATIONS)
 
     for source, written, implied, keys in records():
-        differ = [key for key in keys
-                  if (key in written, json.dumps(written.get(key)))
-                  != (key in implied, json.dumps(implied.get(key)))]
-        if differ:
+        # each side's present keys as one JSON object, in keys order
+        written_text, implied_text = (
+            json.dumps({key: record[key] for key in keys if key in record})
+            for record in (written, implied))
+        if written_text != implied_text:
+            differ = [key for key in keys
+                      if (key in written, json.dumps(written.get(key)))
+                      != (key in implied, json.dumps(implied.get(key)))]
             recorded = {key: written[key] for key in differ if key in written}
             wanted = {key: implied[key] for key in differ if key in implied}
             raise SeriesFileError(f"{source} records {recorded}; the config "

@@ -209,9 +209,30 @@ def holdout_experiment(frames, l: int, replications: int, seed: int,
         preds = classify(classifier, features[~train])
         accuracies.append(float(np.mean(preds == labels[~train])))
 
-    acc = np.array(accuracies)
-    # np.percentile and np.median load numpy.ma, which no other stage
-    # does; a hand-written quantile could move holdout.json's bits
-    q1, q3 = np.percentile(acc, [25, 75])
+    median, q1, q3 = _median_and_quartiles(accuracies)
     return HoldoutResult(l=l, accuracies=accuracies, level_sets=level_sets,
-                         median=float(np.median(acc)), iqr=float(q3 - q1))
+                         median=median, iqr=q3 - q1)
+
+
+def _median_and_quartiles(values) -> tuple[float, float, float]:
+    """np.median(values) and np.percentile(values, [25, 75]), bit for bit,
+    by numpy's own formulas on the sorted values; those two functions load
+    numpy.ma, which no stage loads. The median is the middle value or the
+    mean of the two middle ones. A quartile q is numpy's default (linear)
+    one: it interpolates between the values at the floor of the virtual
+    index (n - 1)*q and at the next index, clipped to n - 1, in the two
+    branches of numpy's _lerp."""
+    ordered = sorted(values)
+    n = len(ordered)
+    half = n // 2
+    median = (ordered[half] if n % 2
+              else (ordered[half - 1] + ordered[half]) / 2)
+    quartiles = []
+    for q in (0.25, 0.75):
+        index = (n - 1) * q
+        below = int(index)
+        a, b = ordered[below], ordered[min(below + 1, n - 1)]
+        t = index - below
+        quartiles.append(a + (b - a) * t if t < 0.5
+                         else b - (b - a) * (1 - t))
+    return median, *quartiles

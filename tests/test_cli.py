@@ -301,11 +301,14 @@ def test_cli_import_leaves_out_the_process_pool(cli_import_packages):
 
 
 def test_detector_stages_leave_out_numpy_ma(tmp_path):
-    # train, evaluate and report build their class and level sets without
-    # np.unique, which loads numpy.ma (about 1.2 MB resident); only
-    # holdout's np.percentile still loads it
+    # no stage loads numpy.ma (about 1.2 MB resident): train, evaluate and
+    # report build their class and level sets without np.unique, and
+    # holdout computes its median and quartiles without np.median and
+    # np.percentile, which load it too. holdout needs every level
     config = write_config(
-        tmp_path / "run.yaml", noise_sigma=0.10, variants=["RNN_DNN"],
+        tmp_path / "run.yaml", horizon=24, window=[6, 18],
+        levels=[1, 2, 3, 4, 5], normal_series=6, noise_sigma=0.10,
+        variants=["RNN_DNN"],
         train_stages={"predictor": {"epochs": 1},
                       "classifier": {"epochs": 1, "batch_size": 128}})
     data = tmp_path / "data"
@@ -319,6 +322,7 @@ def test_detector_stages_leave_out_numpy_ma(tmp_path):
         "for argv in (['gen-data'],",
         "             ['train', '--data', data, '--variant', 'RNN_DNN'],",
         "             ['evaluate', '--data', data, '--bundle', bundle],",
+        "             ['holdout', '--data', data, '--bundle', bundle],",
         "             ['report', '--data', data, '--bundles', bundle]):",
         "    assert cli.main(['--config', config, *argv]) == 0, argv",
         "print('numpy.ma' in sys.modules)",

@@ -399,6 +399,44 @@ def test_holdout_mechanics():
     assert again.accuracies == result.accuracies
 
 
+def assert_numpy_median_and_quartiles(values):
+    """_median_and_quartiles(values) holds the bits of np.median(values)
+    and np.percentile(values, [25, 75])."""
+    want = (np.median(values), *np.percentile(values, [25, 75]))
+    assert ([x.hex() for x in ev._median_and_quartiles(values)]
+            == [float(x).hex() for x in want]), values
+
+
+def test_median_and_quartiles_match_numpy_bit_for_bit():
+    # holdout computes them by numpy's formulas, as np.median and
+    # np.percentile load numpy.ma; holdout.json must keep its bits. An
+    # accuracy is a fraction k/m of frames; on 1/96 and 3/96 the last bit
+    # tells (a + b)/2 from a + (b - a)/2, and a + (b - a)*0.5 from
+    # b - (b - a)*0.5, the two branches of numpy's interpolation
+    for values in ([0.7], [0.25, 0.75], [0.1, 0.1], [1 / 96, 3 / 96],
+                   [1 / 96, 3 / 96, 3 / 96]):
+        assert_numpy_median_and_quartiles(values)
+    rng = np.random.default_rng(11)
+    for _ in range(5000):
+        m = rng.integers(1, 100)
+        pool = rng.integers(0, m + 1, size=rng.integers(1, 5)) / m  # ties
+        assert_numpy_median_and_quartiles(
+            rng.choice(pool, size=rng.integers(1, 9)).tolist())
+
+
+def test_holdout_median_and_iqr_match_numpy():
+    # two epochs leave the four replications' accuracies apart
+    cfg = TrainConfig(learning_rate=5e-3, epochs=2, batch_size=32)
+    result = holdout_experiment(make_holdout_world(), l=1, replications=4,
+                                seed=42, classifier_config=cfg)
+    acc = result.accuracies
+    assert len(set(acc)) == 4
+    assert_numpy_median_and_quartiles(acc)
+    q1, q3 = np.percentile(acc, [25, 75])
+    assert (result.median.hex(), result.iqr.hex()) == (
+        float(np.median(acc)).hex(), float(q3 - q1).hex())
+
+
 def test_holdout_trains_on_drawn_levels_and_scores_the_rest(monkeypatch):
     # every replication fits on exactly the normal frames plus the frames
     # at its drawn levels, in table order, and scores every other frame
