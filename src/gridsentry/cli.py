@@ -16,7 +16,7 @@ from .config import (ConfigError, RunConfig, RunManifest, config_hash,
                      load_config, read_json_object, resolve_output_dir)
 from .detector import load_bundle, save_bundle, train_bundle
 from .detector.pipeline import evaluate_predictions, feature_rows
-from .dispatch import HOUSEHOLDS_PER_BUS, plan_generation, synthesize_loads
+from .dispatch import plan_generation, synthesize_loads
 from .evaluation import (accuracy, confusion_counts, csv_table,
                          format_report, holdout_experiment, macro_f1,
                          report_rows, severity_sweep)
@@ -54,7 +54,7 @@ def _series_jobs(cfg: RunConfig):
 def _generate_one(args):
     cfg, case, filename, kind, target, level, seed = args
     rng = np.random.default_rng(seed)
-    demand = synthesize_loads(HOUSEHOLDS_PER_BUS, cfg.horizon, rng)
+    demand = synthesize_loads(cfg.horizon, rng)
     plan = plan_generation(demand)
     condition = (None if kind == "normal" else
                  make_condition(case, kind, target, level, *cfg.window))

@@ -90,12 +90,11 @@ def _mlp(widths, activations, rng):
     return Sequential(layers)
 
 
-def build_autoencoder(rng: np.random.Generator,
-                      hidden=AEN_HIDDEN, code_size=CODE_SIZE):
-    enc = _mlp((N_SENSORS, *hidden, code_size),
-               [LeakyReLU] * len(hidden), rng)
-    dec = _mlp((code_size, *reversed(hidden), N_SENSORS),
-               [LeakyReLU] * len(hidden), rng)
+def build_autoencoder(rng: np.random.Generator):
+    enc = _mlp((N_SENSORS, *AEN_HIDDEN, CODE_SIZE),
+               [LeakyReLU] * len(AEN_HIDDEN), rng)
+    dec = _mlp((CODE_SIZE, *reversed(AEN_HIDDEN), N_SENSORS),
+               [LeakyReLU] * len(AEN_HIDDEN), rng)
     return enc, dec
 
 
@@ -105,9 +104,10 @@ def build_predictor(width: int, rng: np.random.Generator):
                        Dense(PREDICTOR_HIDDEN, width, rng)])
 
 
-def build_classifier(rng: np.random.Generator, hidden=CLASSIFIER_HIDDEN):
+def build_classifier(rng: np.random.Generator):
     # ReLU then Sigmoid hidden layers, softmax applied in the fused loss
-    return _mlp((CLASSIFIER_INPUT, *hidden, N_LABELS), [ReLU, Sigmoid], rng)
+    return _mlp((CLASSIFIER_INPUT, *CLASSIFIER_HIDDEN, N_LABELS),
+                [ReLU, Sigmoid], rng)
 
 
 def _in_compute_dtype(model):

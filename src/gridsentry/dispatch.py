@@ -54,16 +54,15 @@ class GenerationPlan:
         return self.setpoint.shape[0]
 
 
-def synthesize_loads(households: tuple[int, int], horizon: int,
-                     rng: np.random.Generator) -> np.ndarray:
+def synthesize_loads(horizon: int, rng: np.random.Generator) -> np.ndarray:
     """Aggregate per-bus household curves into the (T, 9) hourly demand
     matrix: active pu, columns in load-bus order (4, 5, 7, 9..14).
 
-    Household count per bus is drawn once from the closed integer range;
-    each household contributes shape(hour) * lognormal scale, and each
-    (bus, hour) gets one multiplicative lognormal jitter.
+    Household count per bus is drawn once from the closed integer range
+    HOUSEHOLDS_PER_BUS; each household contributes shape(hour) * lognormal
+    scale, and each (bus, hour) gets one multiplicative lognormal jitter.
     """
-    lo, hi = households
+    lo, hi = HOUSEHOLDS_PER_BUS
     counts = rng.integers(lo, hi + 1, size=N_LOAD_BUSES)
     shape = DIURNAL_SHAPE[np.arange(horizon) % 24]
     demand = np.empty((horizon, N_LOAD_BUSES))

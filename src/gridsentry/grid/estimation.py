@@ -57,8 +57,8 @@ def _evaluate(topo: Topology, z: np.ndarray, W: np.ndarray,
 def _linearize(topo: Topology, V: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Jacobian of h w.r.t. [va(non-slack) | vm(all)] at V, whose measured
     powers are S."""
-    dS = np.concatenate(power_derivatives(topo.power_rows, topo.power_anchor,
-                                          topo.power_diag, V, S), axis=1)
+    dS = power_derivatives(topo.power_rows, topo.power_anchor,
+                           topo.power_diag, V, S)
     return np.concatenate([dS.view(float).take(topo.se_index),
                            topo.se_volt_rows])
 

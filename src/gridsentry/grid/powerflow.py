@@ -8,6 +8,11 @@ import numpy as np
 
 from .case import GEN_OFFSET, GridCase, Topology, VOLT_OFFSET
 
+# Newton-Raphson stops converged once the largest mismatch is below TOL pu,
+# and unconverged after MAX_ITER steps
+TOL = 1e-8
+MAX_ITER = 20
+
 
 @dataclass
 class PowerFlowSolution:
@@ -26,18 +31,18 @@ def complex_power(M: np.ndarray, anchor: np.ndarray, V: np.ndarray):
 
 
 def power_derivatives(M: np.ndarray, anchor: np.ndarray, diag: np.ndarray,
-                      V: np.ndarray, S: np.ndarray):
-    """dS/dVa and dS/dVm of the caller's S = complex_power(M, anchor, V), by
-    every bus angle and magnitude (MATPOWER's dSbus_dV and dSbr_dV); diag
-    holds the flat positions k * n + anchor[k] (Topology's bus_diag and
-    power_diag)."""
+                      V: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The block [dS/dVa | dS/dVm] of the caller's S = complex_power(M,
+    anchor, V), by every bus angle and then every bus magnitude (MATPOWER's
+    dSbus_dV and dSbr_dV); diag holds the flat positions k * n + anchor[k]
+    (Topology's bus_diag and power_diag)."""
     Va = V[anchor]
     A = Va[:, None] * np.conj(M * V)  # V[anchor_k] * conj(M_kj V_j)
     dS_dVa = -1j * A
     dS_dVa.ravel()[diag] += 1j * S
     dS_dVm = A / np.abs(V)
     dS_dVm.ravel()[diag] += S / np.abs(Va)
-    return dS_dVa, dS_dVm
+    return np.concatenate([dS_dVa, dS_dVm], axis=1)
 
 
 def power_hessian(M: np.ndarray, anchor: np.ndarray, V: np.ndarray,
@@ -81,8 +86,7 @@ def sensor_function(topo: Topology, V: np.ndarray, vm: np.ndarray):
 
 def _jacobian(topo: Topology, V: np.ndarray, S: np.ndarray) -> np.ndarray:
     """d[P(pvpq), Q(pq)] / d[Va(pvpq), Vm(pq)] at bus injections S."""
-    dS = np.concatenate(power_derivatives(topo.Y, topo.buses, topo.bus_diag,
-                                          V, S), axis=1)
+    dS = power_derivatives(topo.Y, topo.buses, topo.bus_diag, V, S)
     return dS.view(float).take(topo.jac_index)
 
 
@@ -90,9 +94,8 @@ def solve_power_flow(case: GridCase,
                      loads_p: np.ndarray,
                      loads_q: np.ndarray,
                      setpoints: np.ndarray,
-                     warm_start: PowerFlowSolution | None = None,
-                     tol: float = 1e-8,
-                     max_iter: int = 20) -> PowerFlowSolution:
+                     warm_start: PowerFlowSolution | None = None
+                     ) -> PowerFlowSolution:
     """Solve the AC power flow for one steady-state snapshot.
 
     loads_p/loads_q are full 14-bus demand vectors in pu; setpoints holds
@@ -116,21 +119,22 @@ def solve_power_flow(case: GridCase,
     p_sched[topo.pv] += setpoints
     sched = np.concatenate([p_sched[pvpq], -loads_q[pq]])
 
-    vm = np.ones(n)
-    va = np.zeros(n)
     if warm_start is not None and warm_start.converged:
         vm = warm_start.voltage_magnitude.copy()
         va = warm_start.voltage_angle.copy()
+    else:
+        vm = np.ones(n)
+        va = np.zeros(n)
     vm[topo.fixed] = topo.fixed_vm
     va[topo.slack] = 0.0
 
     # the mismatch is checked before each Newton step and after the last one
-    for iterations in range(max_iter + 1):
+    for iterations in range(MAX_ITER + 1):
         V = vm * np.exp(1j * va)
         S = complex_power(topo.Y, topo.buses, V)
         mis = sched - S.view(float).take(mis_index)
         max_mismatch = float(np.abs(mis).max())
-        if max_mismatch < tol or iterations == max_iter:
+        if max_mismatch < TOL or iterations == MAX_ITER:
             break
         try:
             dx = np.linalg.solve(_jacobian(topo, V, S), mis)
@@ -138,7 +142,7 @@ def solve_power_flow(case: GridCase,
             break
         va[pvpq] += dx[:len(pvpq)]
         vm[pq] += dx[len(pvpq):]
-    converged = max_mismatch < tol
+    converged = max_mismatch < TOL
 
     # a generation sensor reads the injection plus its bus's load
     sensors, _ = sensor_function(topo, V, vm)

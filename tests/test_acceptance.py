@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 
 import gridsentry.cli as cli
 from gridsentry.config import RunConfig, RunManifest
-from gridsentry.detector import pipeline
+from gridsentry.detector import models, pipeline
 from gridsentry.detector.models import (LAGS, build_autoencoder,
                                        build_classifier)
 from gridsentry.dispatch import plan_generation, synthesize_loads
@@ -124,7 +124,7 @@ def test_criterion_2_linear_covertness():
 
 def test_criterion_3_local_covertness(case):
     rng = np.random.default_rng(42)
-    loads = synthesize_loads((90, 110), 30, rng)
+    loads = synthesize_loads(30, rng)
     plan = plan_generation(loads)
     baseline = generate_scenario(case, plan, loads, None,
                                  noise_sigma=0.0, seed=7)
@@ -184,9 +184,12 @@ AEN_GRAD_SEEDS = (33, 95, 120, 176, 215, 297, 337, 365, 454, 457, 469, 483,
                   489, 524, 587, 588, 592, 603, 614, 639)
 
 
-def test_criterion_5_gradient_fidelity():
+def test_criterion_5_gradient_fidelity(monkeypatch):
     # central differences, step 1e-5, max relative error < 1e-4,
-    # 20 seeded instances per layer/model family
+    # 20 seeded instances per layer/model family, on small networks
+    monkeypatch.setattr(models, "CLASSIFIER_HIDDEN", (10, 8))
+    monkeypatch.setattr(models, "AEN_HIDDEN", (8, 6))
+    monkeypatch.setattr(models, "CODE_SIZE", 4)
     worst = 0.0
     for k in range(20):
         rng = np.random.default_rng(30_000 + k)
@@ -208,7 +211,7 @@ def test_criterion_5_gradient_fidelity():
             Sequential([LSTM(3, 4, rng), Dense(4, 4, rng)]), xs,
             data.standard_normal((2, 7, 4)), mask=mask))
 
-        clf = build_classifier(rng, hidden=(10, 8))
+        clf = build_classifier(rng)
         xc = data.standard_normal((4, 78))
         labels = data.integers(0, 9, size=4)
         worst = max(worst, grad_check(clf, xc, labels, loss="cross_entropy"))
@@ -216,9 +219,13 @@ def test_criterion_5_gradient_fidelity():
     for s in AEN_GRAD_SEEDS:
         rng = np.random.default_rng(50_000 + s)
         data = np.random.default_rng(60_000 + s)
-        enc, dec = build_autoencoder(rng, hidden=(8, 6), code_size=4)
+        enc, dec = build_autoencoder(rng)
         xa = data.standard_normal((3, 39))
         worst = max(worst, grad_check(Sequential([enc, dec]), xa, xa.copy()))
+    widths = [layer.params["W"].shape for model in (clf, enc, dec)
+              for layer in model.layers if "W" in layer.params]
+    assert widths == [(78, 10), (10, 8), (8, 9), (39, 8), (8, 6), (6, 4),
+                      (4, 6), (6, 8), (8, 39)]
     assert worst < 1e-4
     _report(5, f"max relative gradient error {worst:.2e} over 20 seeded "
                "instances of every layer and composed model")

@@ -35,7 +35,7 @@ def normal_series(case):
     rng = np.random.default_rng(200)
     out = []
     for k in range(3):
-        loads = synthesize_loads((90, 110), 48, rng)
+        loads = synthesize_loads(48, rng)
         plan = plan_generation(loads)
         out.append(generate_scenario(case, plan, loads, None,
                                      noise_sigma=0.01, seed=300 + k))
@@ -189,7 +189,7 @@ def make_stub_bundle(variant, case, stats=None, **kwargs):
 
 def test_se_residuals_near_zero_on_noiseless(case):
     rng = np.random.default_rng(5)
-    loads = synthesize_loads((90, 110), 24, rng)
+    loads = synthesize_loads(24, rng)
     plan = plan_generation(loads)
     series = generate_scenario(case, plan, loads, None,
                                noise_sigma=0.0, seed=0)

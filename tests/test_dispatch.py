@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from gridsentry import dispatch
 from gridsentry.dispatch import (DIURNAL_SHAPE, HOUSEHOLD_MEAN_PU,
-                                 HOUSEHOLDS_PER_BUS, JITTER_SIGMA,
-                                 LOSS_FACTOR, MARGINAL_COST, MAX_OUTPUT,
-                                 MIN_OUTPUT, RAMP_LIMIT, SCALE_SIGMA,
-                                 InfeasibleDispatchError, plan_generation,
-                                 synthesize_loads)
+                                 JITTER_SIGMA, LOSS_FACTOR, MARGINAL_COST,
+                                 MAX_OUTPUT, MIN_OUTPUT, RAMP_LIMIT,
+                                 SCALE_SIGMA, InfeasibleDispatchError,
+                                 plan_generation, synthesize_loads)
 from gridsentry.grid.case import GENERATOR_BUSES
 
 
@@ -16,16 +16,18 @@ def rng(seed=0):
 
 # ---------------------------------------------------------------- load synthesis
 
-def test_loads_deterministic_and_positive():
-    a = synthesize_loads((60, 140), 48, rng(5))
-    b = synthesize_loads((60, 140), 48, rng(5))
+def test_loads_deterministic_and_positive(monkeypatch):
+    monkeypatch.setattr(dispatch, "HOUSEHOLDS_PER_BUS", (60, 140))
+    a = synthesize_loads(48, rng(5))
+    b = synthesize_loads(48, rng(5))
     assert a.shape == (48, 9)
     assert np.all(a > 0)
     np.testing.assert_array_equal(a, b)
 
 
-def test_loads_single_household_shape():
-    p = synthesize_loads((1, 1), 24, rng(1))
+def test_loads_single_household_shape(monkeypatch):
+    monkeypatch.setattr(dispatch, "HOUSEHOLDS_PER_BUS", (1, 1))
+    p = synthesize_loads(24, rng(1))
     # replay the stream: the household counts, then per bus one household
     # scale and one jitter per hour
     r = rng(1)
@@ -49,8 +51,9 @@ def acf(x, lag):
     return float(np.dot(x[:-lag], x[lag:]) / np.dot(x, x))
 
 
-def test_loads_daily_periodicity():
-    p = synthesize_loads((60, 140), 720, rng(2))
+def test_loads_daily_periodicity(monkeypatch):
+    monkeypatch.setattr(dispatch, "HOUSEHOLDS_PER_BUS", (60, 140))
+    p = synthesize_loads(720, rng(2))
     for i in range(9):
         assert acf(p[:, i], 24) > acf(p[:, i], 12)
 
@@ -107,7 +110,7 @@ def test_infeasible_demand():
 
 
 def test_plan_invariants_on_synthetic_loads():
-    loads = synthesize_loads((90, 110), 168, rng(11))
+    loads = synthesize_loads(168, rng(11))
     plan = plan_generation(loads)
     caps, mins, ramps = MAX_OUTPUT, MIN_OUTPUT, RAMP_LIMIT
     on = plan.commitment
@@ -179,7 +182,7 @@ def plan_or_error(plan, loads):
     return result.commitment, result.setpoint
 
 
-def test_plan_matches_reference_form():
+def test_plan_matches_reference_form(monkeypatch):
     r = rng(21)
     cap = MAX_OUTPUT.sum() / (1 + LOSS_FACTOR)
     profiles = []
@@ -192,8 +195,9 @@ def test_plan_matches_reference_form():
         profiles.append(demand)
     for seed in range(20):
         low, high = sorted(r.integers(10, 130, size=2))
-        profiles.append(synthesize_loads((int(low), int(high)),
-                                         int(r.integers(24, 170)), rng(seed)))
+        monkeypatch.setattr(dispatch, "HOUSEHOLDS_PER_BUS",
+                            (int(low), int(high)))
+        profiles.append(synthesize_loads(int(r.integers(24, 170)), rng(seed)))
     # a hand-built day: demand only in the evening, with a ramp to climb
     demand = np.zeros((30, 9))
     demand[17:22] = np.array([0.5, 1.5, 2.5, 2.0, 0.4])[:, None] / 9
@@ -223,12 +227,12 @@ def test_all_generators_committed_at_default_scale():
     # keeps daily peaks high enough to commit the full fleet
     for seed in range(5):
         plan = plan_generation(
-            synthesize_loads(HOUSEHOLDS_PER_BUS, 96, rng(seed)))
+            synthesize_loads(96, rng(seed)))
         assert plan.commitment.all(), f"seed {seed} left a unit uncommitted"
 
 
 def test_plan_deterministic():
-    loads = synthesize_loads((90, 110), 48, rng(9))
+    loads = synthesize_loads(48, rng(9))
     a = plan_generation(loads)
     b = plan_generation(loads)
     np.testing.assert_array_equal(a.setpoint, b.setpoint)
@@ -244,7 +248,7 @@ def test_flow_check_runs():
     case = load_case()
     limits = np.array([br.flow_limit for br in case.branches])
     load_idx = [b - 1 for b in case.load_buses]
-    loads = synthesize_loads((90, 110), 96, rng(4))
+    loads = synthesize_loads(96, rng(4))
     plan = plan_generation(loads)
     warm = None
     flows = []

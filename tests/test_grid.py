@@ -8,7 +8,8 @@ from scipy.optimize import bisect, fsolve
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, Bus, CaseError, GridCase, N_SENSORS,
                              estimate_state, estimation, load_case, measure,
-                             noise_scale, sensor_map, solve_power_flow)
+                             noise_scale, powerflow, sensor_map,
+                             solve_power_flow)
 from gridsentry.grid.case import GEN_OFFSET, VOLT_OFFSET
 from gridsentry.grid.estimation import RankDeficientError
 from gridsentry.grid.powerflow import (PowerFlowSolution, _jacobian,
@@ -41,9 +42,9 @@ def base_loads(case):
     return p, q
 
 
-def solve_base(case, **kw):
+def solve_base(case):
     p, q = base_loads(case)
-    return solve_power_flow(case, p, q, BASE_SETPOINTS, **kw)
+    return solve_power_flow(case, p, q, BASE_SETPOINTS)
 
 
 # ---------------------------------------------------------------- case loading
@@ -309,7 +310,7 @@ def test_base_case_against_live_oracle(case):
     np.testing.assert_allclose(sol.voltage_magnitude, vm_ref, atol=1e-4)
 
 
-def test_two_bus_against_bisection_oracle():
+def test_two_bus_against_bisection_oracle(monkeypatch):
     """Slack + one load bus over a lossless line, zero reactive load.
 
     Eliminating v2 via the reactive balance (v2 = v1*cos(theta2)) gives the
@@ -318,8 +319,8 @@ def test_two_bus_against_bisection_oracle():
     x_line = 0.3
     p_load = 0.5
     c = toy_case([Branch(1, 2, 0.0, x_line, 0.0, 2.0)])
-    sol = solve_power_flow(c, np.array([0.0, p_load]), np.zeros(2), np.zeros(0),
-                           tol=1e-12)
+    monkeypatch.setattr(powerflow, "TOL", 1e-12)
+    sol = solve_power_flow(c, np.array([0.0, p_load]), np.zeros(2), np.zeros(0))
     assert sol.converged
 
     f = lambda th: 0.5 * np.sin(2 * th) + p_load * x_line
@@ -371,11 +372,12 @@ def test_solver_refuses_misshapen_inputs(case):
         solve_power_flow(case, p[:13], q, BASE_SETPOINTS)
 
 
-def test_nonconvergence_is_flagged(case):
+def test_nonconvergence_is_flagged(case, monkeypatch):
     # absurd load forces divergence or iteration exhaustion, never a crash
     p = np.full(14, 5.0)
     q = np.full(14, 2.0)
-    sol = solve_power_flow(case, p, q, BASE_SETPOINTS, max_iter=5)
+    monkeypatch.setattr(powerflow, "MAX_ITER", 5)
+    sol = solve_power_flow(case, p, q, BASE_SETPOINTS)
     assert not sol.converged
 
 
@@ -399,8 +401,8 @@ def test_singular_jacobian_is_flagged():
 
 def ref_jacobian(topo, V):
     S = V * np.conj(topo.Y @ V)
-    dS_dVa, dS_dVm = power_derivatives(topo.Y, topo.buses, topo.bus_diag,
-                                       V, S)
+    dS = power_derivatives(topo.Y, topo.buses, topo.bus_diag, V, S)
+    dS_dVa, dS_dVm = dS[:, :len(V)], dS[:, len(V):]
     dS = np.hstack([dS_dVa[:, topo.pvpq], dS_dVm[:, topo.pq]])
     return np.vstack([dS[topo.pvpq].real, dS[topo.pq].imag])
 
@@ -455,7 +457,7 @@ def assert_same_solution(sol, ref):
 def load_chain(case):
     """(lp, lq, setpoints) of 24 dispatched hours, as the hour loop builds
     them."""
-    loads = synthesize_loads((90, 110), 24, np.random.default_rng(8))
+    loads = synthesize_loads(24, np.random.default_rng(8))
     plan = plan_generation(loads)
     out = []
     for t in range(plan.horizon):
@@ -515,13 +517,13 @@ def test_scenario_hour_sensors_are_the_estimators_model(case, load_chain):
         assert np.array_equal(h, sol.sensors)
 
 
-def test_exhausted_solve_matches_reference_form(case):
+def test_exhausted_solve_matches_reference_form(case, monkeypatch):
     # too few Newton steps for a heavy load: flagged, and the same flag,
     # mismatch and state as the reference
     p, q = base_loads(case)
     for max_iter in (0, 1, 2):
-        sol = solve_power_flow(case, 2 * p, 2 * q, BASE_SETPOINTS,
-                               max_iter=max_iter)
+        monkeypatch.setattr(powerflow, "MAX_ITER", max_iter)
+        sol = solve_power_flow(case, 2 * p, 2 * q, BASE_SETPOINTS)
         ref = ref_solve(case, 2 * p, 2 * q, BASE_SETPOINTS, max_iter=max_iter)
         assert not sol.converged and sol.iterations == max_iter
         assert_same_solution(sol, ref)
@@ -731,7 +733,7 @@ def sigma10_series_estimates(case, condition, hours):
     """(frame, weights, estimate) per hour of a series at sigma = 0.10 under
     `condition` (None: normal) over every hour, on the loads of seed 5, with
     weights taken from the noisy values as the SE_DNN variant does."""
-    loads = synthesize_loads((90, 110), hours, np.random.default_rng(5))
+    loads = synthesize_loads(hours, np.random.default_rng(5))
     series = generate_scenario(case, plan_generation(loads), loads, condition,
                                noise_sigma=0.10, seed=5)
     weights = [noise_scale(frame, 0.10) ** 2 for frame in series.values]
@@ -835,6 +837,28 @@ def test_powerflow_jacobian_matches_reference_form(case, sigma10_estimates):
         assert np.array_equal(J, ref_jacobian(topo, V))
 
 
+def ref_se_jacobian(topo, V):
+    """The estimator's Jacobian stacked from fancy-indexed halves: the real
+    power rows by [va(nonslack) | vm], over the voltage rows' [0 | I]."""
+    n, ns = len(V), len(topo.nonslack)
+    S = V[topo.power_anchor] * np.conj(topo.power_rows @ V)
+    dS = power_derivatives(topo.power_rows, topo.power_anchor,
+                           topo.power_diag, V, S)
+    dS_dVa, dS_dVm = dS[:, :n], dS[:, n:]
+    return np.vstack([np.hstack([dS_dVa[:, topo.nonslack].real, dS_dVm.real]),
+                      np.hstack([np.zeros((n, ns)), np.eye(n)])])
+
+
+def test_se_jacobian_matches_reference_form(case, sigma10_estimates):
+    topo = case.topology
+    for va0, vm0 in states(case, sigma10_estimates):
+        V = vm0 * np.exp(1j * va0)
+        S = V[topo.power_anchor] * np.conj(topo.power_rows @ V)
+        H = estimation._linearize(topo, V, S)
+        assert H.flags.c_contiguous
+        assert np.array_equal(H, ref_se_jacobian(topo, V))
+
+
 def test_se_converged_frame_meets_the_decrement_rule(case,
                                                     sigma10_estimates):
     # every converged frame meets the one stop rule at the state it
@@ -864,7 +888,7 @@ def test_se_converged_frame_meets_the_decrement_rule(case,
 def test_se_converges_on_attacked_frames(case):
     # a level-5 covert attack on bus 2 over every hour of sigma10_estimates'
     # loads; measured: all 24 frames converge
-    loads = synthesize_loads((90, 110), 24, np.random.default_rng(5))
+    loads = synthesize_loads(24, np.random.default_rng(5))
     attack = make_condition(case, "attack", 2, 5, 0, 24)
     series = generate_scenario(case, plan_generation(loads), loads, attack,
                                noise_sigma=0.10, seed=5)

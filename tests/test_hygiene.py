@@ -117,22 +117,27 @@ def test_no_test_only_public_names():
     assert unread == []
 
 
+def module_constants(tree: ast.Module) -> list[str]:
+    """The UPPER_CASE names the module assigns at its top level."""
+    names = []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        names += [target.id for target in targets
+                  if isinstance(target, ast.Name) and target.id.isupper()]
+    return names
+
+
 def test_every_module_constant_is_read():
     # an UPPER_CASE module constant that no src/ code reads, outside its
     # own assignment, is a setting that nothing acts on: the rule that
     # read it is gone
     trees = src_modules()
     read = names_read(trees.values())
-    constants = []
-    for path, tree in trees.items():
-        for node in tree.body:
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target] if isinstance(node, ast.AnnAssign)
-                       else [])
-            constants += [(path, target.id) for target in targets
-                          if isinstance(target, ast.Name)
-                          and target.id.isupper()]
-    assert len(constants) >= 40  # 45 today: the scan sees them
+    constants = [(path, name) for path, tree in trees.items()
+                 for name in module_constants(tree)]
+    assert len(constants) >= 40  # 56 today: the scan sees them
     assert sorted(f"{path}:{name}" for path, name in constants
                   if name not in read) == []
 
@@ -155,23 +160,17 @@ def test_every_config_field_is_read():
     assert sorted(set(RunConfig.__dataclass_fields__) - read) == []
 
 
-# defaulted parameters that no src/ call passes, each kept on purpose
-UNPASSED_DEFAULTS_KEPT = {
-    # the console entry point reads sys.argv; tests pass argv
-    ("main", "argv"),
-    # the non-convergence and bisection-oracle tests set these, and they
-    # show that a power-flow solve says when it did not converge
-    ("solve_power_flow", "tol"), ("solve_power_flow", "max_iter"),
-    # the gradient-fidelity criterion builds small networks with these
-    ("build_autoencoder", "hidden"), ("build_autoencoder", "code_size"),
-    ("build_classifier", "hidden"),
-}
+# defaulted parameters that no src/ call passes, each kept on purpose: the
+# console entry point reads sys.argv, and tests pass argv. A setting only
+# tests vary is a module constant that those tests patch
+UNPASSED_DEFAULTS_KEPT = {("main", "argv")}
 
 
-def defaulted_parameters(tree: ast.Module):
-    """(callable name, parameter, positional index or None) per defaulted
-    parameter of a function; an __init__ is called through its class name
-    and a method's index does not count self or cls."""
+def parameters(tree: ast.Module):
+    """(callable name, parameter, positional index or None, defaulted) per
+    parameter of a function but *args and **kwargs; an __init__ is called
+    through its class name and a method's index does not count self or
+    cls."""
     owners = {id(item): node.name for node in ast.walk(tree)
               if isinstance(node, ast.ClassDef) for item in node.body}
     for node in ast.walk(tree):
@@ -184,28 +183,29 @@ def defaulted_parameters(tree: ast.Module):
         positional = [a.arg for a in args.posonlyargs + args.args]
         skip = 1 if positional[:1] in (["self"], ["cls"]) else 0
         first = len(positional) - len(args.defaults)
-        for i in range(first, len(positional)):
-            yield name, positional[i], i - skip
+        for i in range(skip, len(positional)):
+            yield name, positional[i], i - skip, i >= first
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                yield name, arg.arg, None
+            yield name, arg.arg, None, default is not None
 
 
-def passes(call: ast.Call, param: str, index) -> bool:
-    """Whether a call hands `param` a value, by keyword or by position."""
-    if any(k.arg in (param, None) for k in call.keywords):
-        return True
-    if index is None:
-        return False
-    return (len(call.args) > index
-            or any(isinstance(a, ast.Starred) for a in call.args))
+def argument(call: ast.Call, param: str, index):
+    """The expression a call hands `param`, by keyword or by position; an
+    ast.Starred if only a *args or **kwargs may hand it one, else None."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    for i, arg in enumerate(call.args if index is not None else []):
+        if isinstance(arg, ast.Starred) or i == index:
+            return arg
+    if any(k.arg is None for k in call.keywords):
+        return ast.Starred()
+    return None
 
 
-def test_every_default_is_overridden_in_src():
-    # a default that no src/ call overrides is a setting only tests vary:
-    # it belongs in a module constant. Calls match functions by name.
-    trees = [ast.parse(path.read_text())
-             for path in sorted((ROOT / "src").rglob("*.py"))]
+def src_calls(trees) -> dict[str, list[ast.Call]]:
+    """The calls in the modules, by the called name; calls match functions
+    by name."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
@@ -213,11 +213,59 @@ def test_every_default_is_overridden_in_src():
                 func = node.func
                 name = getattr(func, "id", getattr(func, "attr", None))
                 calls.setdefault(name, []).append(node)
-    unpassed = sorted((name, param) for tree in trees
-                      for name, param, index in defaulted_parameters(tree)
-                      if not any(passes(call, param, index)
-                                 for call in calls.get(name, [])))
+    return calls
+
+
+def test_every_default_is_overridden_in_src():
+    # a default that no src/ call overrides is a setting only tests vary:
+    # it belongs in a module constant
+    trees = src_modules().values()
+    calls = src_calls(trees)
+    unpassed = sorted(
+        (name, param) for tree in trees
+        for name, param, index, defaulted in parameters(tree)
+        if defaulted and all(argument(call, param, index) is None
+                             for call in calls.get(name, [])))
     assert unpassed == sorted(UNPASSED_DEFAULTS_KEPT)
+
+
+def constant_arguments(trees) -> list[tuple[str, str, str]]:
+    """(callable, parameter, constant) per required parameter that every
+    call in the modules fills with the one module constant, by name or as
+    an attribute."""
+    constants = {name for tree in trees for name in module_constants(tree)}
+    calls = src_calls(trees)
+    found = []
+    for tree in trees:
+        for name, param, index, defaulted in parameters(tree):
+            args = [argument(call, param, index)
+                    for call in calls.get(name, [])]
+            passed = {ast.unparse(arg) if isinstance(
+                          arg, (ast.Name, ast.Attribute)) else None
+                      for arg in args}
+            if (not defaulted and len(passed) == 1
+                    and (constant := passed.pop()) is not None
+                    and constant.rsplit(".", 1)[-1] in constants):
+                found.append((name, param, constant))
+    return sorted(found)
+
+
+# required parameters that every src/ call fills with one module constant,
+# each kept on purpose: the neural library's layers take their widths from
+# the detector, which builds one LSTM, and tests build others
+FIXED_ARGUMENTS_KEPT = [("LSTM", "hidden", "PREDICTOR_HIDDEN")]
+
+
+def test_no_required_parameter_is_a_fixed_constant():
+    # a required parameter that every src/ call fills with the same module
+    # constant is that constant under another name: the function reads it
+    assert constant_arguments(src_modules().values()) == FIXED_ARGUMENTS_KEPT
+    # the scan finds the household range the load synthesis once took
+    assert constant_arguments([ast.parse(
+        "HOUSEHOLDS_PER_BUS = (90, 110)\n"
+        "def synthesize_loads(households, horizon, rng): pass\n"
+        "demand = synthesize_loads(HOUSEHOLDS_PER_BUS, cfg.horizon, rng)"
+    )]) == [("synthesize_loads", "households", "HOUSEHOLDS_PER_BUS")]
 
 
 POWERFLOW = "src/gridsentry/grid/powerflow.py"
@@ -502,7 +550,9 @@ def test_every_error_is_a_refusal_or_a_named_fault():
                 "(InputError, FileNotFoundError)"]
 
 
-SETTABLE_VALUES = 337  # restated, with the reason, by a change that moves it
+# restated, with the reason, by a change that moves it: 337 -> 331 as the
+# six settings only tests varied became module constants
+SETTABLE_VALUES = 331
 
 
 def settable_values(tree: ast.Module) -> int:

@@ -77,7 +77,7 @@ def test_every_solve_is_a_powerflow_span():
         "from gridsentry.grid import load_case",
         "from gridsentry.scenario import generate_scenario, make_condition",
         "case = load_case()",
-        "loads = synthesize_loads((90, 110), 30, np.random.default_rng(3))",
+        "loads = synthesize_loads(30, np.random.default_rng(3))",
         "plan = plan_generation(loads)",
         "out = {}",
         "for kind in ('attack', 'fault'):",

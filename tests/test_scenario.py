@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from gridsentry import dispatch
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, GridCase, N_SENSORS, load_case,
                              sensor_map, solve_power_flow)
@@ -33,7 +34,7 @@ def sensor_index(case, kind, element):
 @pytest.fixture(scope="module")
 def world(case):
     rng = np.random.default_rng(100)
-    loads = synthesize_loads((90, 110), 48, rng)
+    loads = synthesize_loads(48, rng)
     plan = plan_generation(loads)
     assert plan.commitment.all()
     return loads, plan
@@ -353,17 +354,20 @@ def ref_generate_scenario(case, plan, loads, condition, noise_sigma, seed):
     return ScenarioSeries(values=values, metadata=meta)
 
 
-def test_generate_scenario_matches_reference_form(tmp_path, case, world):
+def test_generate_scenario_matches_reference_form(tmp_path, monkeypatch,
+                                                  case, world):
     loads, plan = world
     # a day at lower demand leaves the bus-6 unit uncommitted on days 1
     # and 2 of these loads, so an attack on it is a no-op there
-    low = synthesize_loads((55, 75), 120, np.random.default_rng(3))
+    with monkeypatch.context() as patched:
+        patched.setattr(dispatch, "HOUSEHOLDS_PER_BUS", (55, 75))
+        low = synthesize_loads(120, np.random.default_rng(3))
     # the weakened case fails the solves of hours 2, 3 and 26 of this
     # profile from hour 16 of its loads, and the attacker's of hours 2-23:
     # gap hours 2 and 3 are masked with hour 1's template, and gap hour 26
     # repeats hour 25's measurement without hour 25's mask. From hour 18
     # on, hours 0 and 1 fail both solves, before any converged one
-    weak_loads = synthesize_loads((90, 110), 48, np.random.default_rng(18))
+    weak_loads = synthesize_loads(48, np.random.default_rng(18))
     weak = load_case(write_weakened_case(tmp_path / "weak.case"))
     runs = [("normal", case, loads, None),
             ("fault", case, loads, make_condition(case, "fault", 3, 4, 10, 30)),
