@@ -107,7 +107,9 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
     """(frames, labels, levels) of the series of cfg's gen-data in data_dir
     (_series_jobs) that a stage uses, "all" in file-name order or the
     "train" or "test" part of split_series: their float64 (S, T, 39)
-    values, the LABEL_INDEX of each frame's label and each series' level.
+    values, the LABEL_INDEX of each frame's label and each series' level,
+    as each series' job gives them: its condition inside cfg's window,
+    normal elsewhere, and its level, 0 for a normal series.
 
     Each record it takes in, in turn, must hold on its keys the record cfg
     implies, compared as JSON text (3.0 is not 3, an absent key not a null
@@ -120,6 +122,9 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
     data_dir = Path(data_dir)
     given = cfg.canonical()
     jobs = sorted(_series_jobs(cfg))
+    # each series' (condition, level), the group split_series keeps it in
+    groups = [("normal" if kind == "normal" else condition_name(kind, target),
+               level) for _, kind, target, level, _ in jobs]
     sidecars = []
 
     def records():
@@ -128,15 +133,15 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
         yield path, read_json_object(path), given, GENERATION_KEYS
         for path, bundle in bundles:
             yield f"bundle file {path}", bundle.dataset, given, GENERATION_KEYS
-        for filename, kind, target, level, _ in jobs:
-            sidecars.append(ScenarioSeries.load_sidecar(data_dir / filename))
-            implied = {"condition": "normal", "horizon": cfg.horizon}
+        for (filename, kind, target, level, _), (condition, _) in zip(
+                jobs, groups):
+            path = (data_dir / filename).with_suffix(".meta.json")
+            sidecars.append(read_json_object(path))
+            implied = {"condition": condition, "horizon": cfg.horizon}
             if kind != "normal":
-                implied.update(condition=condition_name(kind, target),
-                               target=target, level=level,
+                implied.update(target=target, level=level,
                                window=given["window"])
-            yield ((data_dir / filename).with_suffix(".meta.json"),
-                   sidecars[-1].metadata, implied, ANNOTATIONS)
+            yield path, sidecars[-1], implied, ANNOTATIONS
 
     for source, written, implied, keys in records():
         # each side's present keys as one JSON object, in keys order
@@ -152,34 +157,32 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
             raise SeriesFileError(f"{source} records {recorded}; the config "
                                   f"gives {wanted}")
     picked = (range(len(jobs)) if part == "all" else
-              split_series(sidecars, cfg.seed)[("train", "test").index(part)])
+              split_series(groups, cfg.seed)[("train", "test").index(part)])
     frames = np.empty((len(picked), cfg.horizon, N_SENSORS))
-    labels = np.empty((len(picked), cfg.horizon), dtype=int)
+    labels = np.full((len(picked), cfg.horizon), LABEL_INDEX["normal"])
     levels = np.empty(len(picked), dtype=int)
+    window = slice(*cfg.window)
     for row, k in enumerate(picked):
         frames[row] = ScenarioSeries.load(data_dir / jobs[k][0],
                                           sidecars[k]).values
-        labels[row] = [LABEL_INDEX[label] for label in sidecars[k].labels]
-        levels[row] = sidecars[k].level
+        labels[row, window] = LABEL_INDEX[groups[k][0]]
+        levels[row] = groups[k][1]
     return frames, labels, levels
 
 
 SPLIT_FRACTION = 0.8  # share of each (condition, level) group trained on
 
 
-def split_series(series_list, seed: int):
+def split_series(keys, seed: int):
     """Deterministic series-level split, stratified by (condition, level):
-    the positions in series_list of the train and of the test series.
-    SPLIT_FRACTION of each group is trained on.
+    the positions in keys, each series' (condition, level), of the train
+    and of the test series. SPLIT_FRACTION of each group is trained on.
 
-    Only each series' condition and level are read, so a list of sidecars
-    (ScenarioSeries.load_sidecar) splits as the series themselves do. Each
-    group keeps at least one series on either side, so a group of fewer
-    than 2 series is refused with ConfigError.
+    Each group keeps at least one series on either side, so a group of
+    fewer than 2 series is refused with ConfigError.
     """
     groups: dict = {}
-    for k, series in enumerate(series_list):
-        key = (series.metadata["condition"], series.level)
+    for k, key in enumerate(keys):
         groups.setdefault(key, []).append(k)
     small = {key: len(members) for key, members in sorted(groups.items())
              if len(members) < 2}

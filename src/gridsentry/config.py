@@ -165,6 +165,18 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("holdout_replications must be an integer >= 1")
     if cfg.normal_series < 1 or cfg.series_per_condition_per_level < 1:
         raise ConfigError("series counts must be positive")
+    # cli._series_jobs seeds each series with seed*1000003 + kind*100000
+    # + target*10000 + level*100 + idx, which numpy takes only if >= 0;
+    # past these counts two series would share a seed, and so their loads
+    # and noise draws
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if cfg.series_per_condition_per_level > 100:
+        raise ConfigError("series_per_condition_per_level must be <= 100, "
+                          "so that no two series share a seed")
+    if cfg.normal_series > 120100:
+        raise ConfigError("normal_series must be <= 120100, so that no two "
+                          "series share a seed")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     if not isinstance(overrides, dict):

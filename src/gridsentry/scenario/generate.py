@@ -24,21 +24,8 @@ class SeriesFileError(InputError):
 
 @dataclass
 class ScenarioSeries:
-    values: np.ndarray | None   # (T, 39); None for a sidecar alone
-    metadata: dict              # the sidecar
-
-    @property
-    def labels(self) -> list[str]:
-        """The sidecar's condition inside its window, normal elsewhere, for
-        each hour of its horizon."""
-        start, end = self.metadata.get("window", (0, 0))
-        return [self.metadata["condition"] if start <= t < end else "normal"
-                for t in range(self.metadata["horizon"])]
-
-    @property
-    def level(self) -> int:
-        """The sidecar's severity level, 0 for a normal series."""
-        return self.metadata.get("level", 0)
+    values: np.ndarray  # (T, 39)
+    metadata: dict      # the sidecar
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -49,29 +36,13 @@ class ScenarioSeries:
             json.dumps(self.metadata, indent=2, sort_keys=True))
 
     @classmethod
-    def load_sidecar(cls, path: str | Path) -> "ScenarioSeries":
-        """The series of save's file at path as its sidecar alone, without
-        values: the JSON object of its .meta.json, which the dataset reader
-        compares with the series' job. SeriesFileError names a sidecar that
-        holds no JSON object."""
-        sidecar = Path(path).with_suffix(".meta.json")
-        try:
-            meta = json.loads(sidecar.read_text())
-        except ValueError as exc:
-            raise SeriesFileError(f"{sidecar}: {exc}") from None
-        if not isinstance(meta, dict):
-            raise SeriesFileError(f"{sidecar}: not a JSON object")
-        return cls(values=None, metadata=meta)
-
-    @classmethod
-    def load(cls, path: str | Path,
-             sidecar: "ScenarioSeries") -> "ScenarioSeries":
-        """Read save's file, the values of the series whose sidecar
-        load_sidecar read: a float64 array of one row of N_SENSORS finite
-        values for each hour of the sidecar's horizon. A non-finite frame,
-        such as a leading power-flow gap hour, is refused by its hour, with
-        the sidecar's gap hours. SeriesFileError names the file."""
-        shape = (sidecar.metadata["horizon"], N_SENSORS)
+    def load(cls, path: str | Path, sidecar: dict) -> "ScenarioSeries":
+        """Read save's file, the values of the series whose sidecar dict is
+        given: a float64 array of one row of N_SENSORS finite values for
+        each hour of the sidecar's horizon. A non-finite frame, such as a
+        leading power-flow gap hour, is refused by its hour, with the
+        sidecar's gap hours. SeriesFileError names the file."""
+        shape = (sidecar["horizon"], N_SENSORS)
         try:
             with open(path, "rb") as fh:
                 values = np.lib.format.read_array(fh, allow_pickle=False)
@@ -86,10 +57,10 @@ class ScenarioSeries:
                 raise ValueError(
                     "non-finite frames at hours "
                     f"{np.flatnonzero(~finite).tolist()}; the sidecar "
-                    f"records gap hours {sidecar.metadata.get('gap_hours')}")
+                    f"records gap hours {sidecar.get('gap_hours')}")
         except ValueError as exc:
             raise SeriesFileError(f"{path}: {exc}") from None
-        return cls(values=values, metadata=sidecar.metadata)
+        return cls(values=values, metadata=sidecar)
 
 
 def generate_scenario(case: GridCase, plan: GenerationPlan, demand: np.ndarray,

@@ -10,15 +10,18 @@ The pipeline runs none of these; they check it from outside:
   differentiable model (criterion 5, tests/test_neural.py).
 - `write_weakened_case`: a case file on which some solves fail, for the
   gap-hour and template-fallback paths of `gen-data`.
-- `read_series`: a series file read as the stages read it
+- `read_series`: a series file parsed against its sidecar
   (tests/test_cli.py, tests/test_scenario.py).
-- `series_stack`: in-memory series as the `(frames, labels, levels)`
-  stack that `cli.load_dataset` reads from files (tests/test_cli.py,
-  tests/test_detector.py).
+- `frame_labels` and `series_stack`: a series' frame labels, and in-memory
+  series as the `(frames, labels, levels)` stack, from each sidecar's own
+  condition, window, level and horizon, which `cli.load_dataset` takes
+  from each series' job instead (tests/test_cli.py,
+  tests/test_detector.py, tests/test_scenario.py).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -199,16 +202,27 @@ def write_weakened_case(path: Path) -> Path:
 # ------------------------------------------------------------ series files
 
 def read_series(path):
-    """The series file at path, parsed against its sidecar as a stage reads
-    them: load_sidecar first, then load."""
-    return ScenarioSeries.load(path, ScenarioSeries.load_sidecar(path))
+    """The series file at path, parsed against the JSON object of its
+    .meta.json sidecar."""
+    sidecar = json.loads(Path(path).with_suffix(".meta.json").read_text())
+    return ScenarioSeries.load(path, sidecar)
+
+
+def frame_labels(metadata) -> list[str]:
+    """The sidecar's condition inside its window, normal elsewhere, for each
+    hour of its horizon."""
+    start, end = metadata.get("window", (0, 0))
+    return [metadata["condition"] if start <= t < end else "normal"
+            for t in range(metadata["horizon"])]
 
 
 def series_stack(series_list):
     """The (frames, labels, levels) stack of series_list, as
     cli.load_dataset returns a dataset's part: each series' values, the
-    LABEL_INDEX of its frame labels and its level."""
+    LABEL_INDEX of its sidecar's frame labels and its sidecar's level, 0
+    for a normal series."""
     return (np.array([s.values for s in series_list]),
-            np.array([[LABEL_INDEX[label] for label in s.labels]
+            np.array([[LABEL_INDEX[label]
+                       for label in frame_labels(s.metadata)]
                       for s in series_list]),
-            np.array([s.level for s in series_list]))
+            np.array([s.metadata.get("level", 0) for s in series_list]))

@@ -14,7 +14,8 @@ import yaml
 import gridsentry.cli as cli
 from gridsentry import InputError
 from gridsentry.config import (ConfigError, RunManifest, config_hash,
-                               load_config, resolve_output_dir)
+                               load_config, read_json_object,
+                               resolve_output_dir)
 from gridsentry.detector import (LAGS, load_bundle, models, pipeline,
                                  save_bundle)
 from gridsentry.detector.models import SUBMODELS
@@ -23,8 +24,9 @@ from gridsentry.evaluation import HoldoutResult
 from gridsentry.grid import DEFAULT_CASE, load_case
 from gridsentry.neural import TrainConfig, get_state
 from gridsentry.scenario import (LABEL_INDEX, LABELS, ScenarioSeries,
-                                 SeriesFileError)
-from oracles import read_series, series_stack, write_weakened_case
+                                 SeriesFileError, condition_name)
+from oracles import (frame_labels, read_series, series_stack,
+                     write_weakened_case)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -183,6 +185,42 @@ def test_config_validation_before_compute(tmp_path):
 def test_config_refusals(tmp_path, overrides, message):
     with pytest.raises(ConfigError, match=message):
         load_config(write_config(tmp_path / "c.yaml", **overrides))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"series_per_condition_per_level": 101},
+     "series_per_condition_per_level must be <= 100, so that no two series "
+     "share a seed"),
+    ({"normal_series": 120101},
+     "normal_series must be <= 120100, so that no two series share a seed"),
+], ids=["seed", "series_per_condition_per_level", "normal_series"])
+def test_config_refuses_seeds_the_series_jobs_cannot_use(tmp_path, capsys,
+                                                         overrides, message):
+    # a negative seed failed numpy's SeedSequence after gen-data had
+    # written config.json; past these counts two series of _series_jobs
+    # share a seed, and so their loads and noise draws. gen-data refuses
+    # each in one line, before it writes anything
+    config_path = write_config(tmp_path / "c.yaml", **overrides)
+    out = tmp_path / "data"
+    err = refused(capsys, ["--config", str(config_path), "gen-data",
+                           "--out", str(out)])
+    assert err == f"gridsentry: error: {message}\n", err
+    assert not out.exists()
+
+
+def test_series_seeds_are_distinct_up_to_the_count_bounds(tmp_path):
+    # at the largest counts load_config takes, every series of every level
+    # has its own seed; one series more of either count shares one
+    cfg = load_config(write_config(
+        tmp_path / "c.yaml", levels=[1, 2, 3, 4, 5], normal_series=120100,
+        series_per_condition_per_level=100))
+    seeds = [job[-1] for job in cli._series_jobs(cfg)]
+    assert len(set(seeds)) == len(seeds) == 120100 + 8 * 5 * 100
+    for key in ("normal_series", "series_per_condition_per_level"):
+        seeds = [job[-1] for job in cli._series_jobs(
+            replace(cfg, **{key: getattr(cfg, key) + 1}))]
+        assert len(set(seeds)) < len(seeds), key
 
 
 def test_config_file_refusals(tmp_path):
@@ -556,7 +594,8 @@ def csv_dataset(data_dir, dest):
         series = read_series(path)
         rows = ["hour," + ",".join(f"s{i:02d}" for i in range(39)) + ",label"]
         rows += [f"{t},{','.join(map(repr, row))},{label}" for t, (row, label)
-                 in enumerate(zip(series.values.tolist(), series.labels))]
+                 in enumerate(zip(series.values.tolist(),
+                                  frame_labels(series.metadata)))]
         path = dest / path.name
         path.with_suffix(".csv").write_text("\n".join(rows) + "\n")
         path.with_suffix(".meta.json").write_bytes(
@@ -575,8 +614,7 @@ def test_stages_refuse_a_csv_dataset(workspace, se_bundle, tmp_path,
     monkeypatch.setattr(pipeline, "predict_and_residual",
                         lambda *a: residuals.append(a))
     names = series_names(config_path)
-    train, test = cli.split_series(
-        [ScenarioSeries.load_sidecar(old / name) for name in names], 77)
+    train, test = cli.split_series(series_groups(config_path), 77)
     for stage, flags, first in (
             ("train", ["--variant", "SE_DNN"], names[train[0]]),
             ("evaluate", ["--bundle", str(se_bundle)], names[test[0]]),
@@ -594,27 +632,24 @@ def test_stages_refuse_a_csv_dataset(workspace, se_bundle, tmp_path,
 def test_split_is_series_level_and_stratified(workspace):
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
-    series = [ScenarioSeries.load_sidecar(data_dir / name)
-              for name in series_names(config_path)]
-    train, test = cli.split_series(series, cfg.seed)
-    assert sorted(train + test) == list(range(len(series)))
+    groups = series_groups(config_path)
+    train, test = cli.split_series(groups, cfg.seed)
+    assert sorted(train + test) == list(range(len(groups)))
     # every non-singleton condition group keeps at least one test series
-    test_conditions = {series[k].metadata["condition"] for k in test}
+    test_conditions = {groups[k][0] for k in test}
     assert "normal" in test_conditions
     assert any(c.startswith("attack") for c in test_conditions)
 
 
 def test_split_first_parts_are_the_split_of_the_loaded_series(workspace):
-    # the stages split on sidecars alone and parse only their part: each
+    # the stages split on their jobs alone and parse only their part: each
     # part holds the series, in the order, that loading every series and
-    # splitting them gives (a sidecar's seed is one series' own)
+    # splitting them gives (a job's seed is one series' own)
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
     series = cli.load_dataset(cfg, data_dir, "all")
-    sidecars = [ScenarioSeries.load_sidecar(data_dir / name)
-                for name in series_names(config_path)]
-    for part, picked in zip(("train", "test"),
-                            cli.split_series(sidecars, cfg.seed)):
+    for part, picked in zip(("train", "test"), cli.split_series(
+            series_groups(config_path), cfg.seed)):
         loaded = cli.load_dataset(cfg, data_dir, part)
         assert all(np.array_equal(got, whole[picked])
                    for got, whole in zip(loaded, series))
@@ -622,14 +657,13 @@ def test_split_first_parts_are_the_split_of_the_loaded_series(workspace):
 
 def test_load_dataset_stacks_each_series_file(workspace):
     # a part is one (frames, labels, levels) stack: row k holds its k-th
-    # series' file values, the LABEL_INDEX of its sidecar's frame labels
-    # and its sidecar's level, in split order; train and test partition all
+    # series' file values, the LABEL_INDEX of the frame labels its sidecar
+    # records and its sidecar's level, in split order; train and test
+    # partition all
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
     names = series_names(config_path)
-    train, test = cli.split_series(
-        [ScenarioSeries.load_sidecar(data_dir / name) for name in names],
-        cfg.seed)
+    train, test = cli.split_series(series_groups(config_path), cfg.seed)
     assert sorted(train + test) == list(range(len(names)))
     for part, picked in (("all", range(len(names))), ("train", train),
                          ("test", test)):
@@ -740,6 +774,14 @@ def series_names(config_path):
     return sorted(job[0] for job in cli._series_jobs(load_config(config_path)))
 
 
+def series_groups(config_path):
+    """The (condition, level) of each series of series_names(config_path),
+    as its job gives them: the keys the split groups the series by."""
+    return [("normal" if kind == "normal" else condition_name(kind, target),
+             level) for _, kind, target, level, _
+            in sorted(cli._series_jobs(load_config(config_path)))]
+
+
 def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
                                                    holdout_workspace,
                                                    holdout_bundle,
@@ -750,21 +792,19 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
     _, config_path, data_dir = workspace
     holdout_path, holdout_dir = holdout_workspace
     names = series_names(config_path)
-    train, test = cli.split_series(
-        [ScenarioSeries.load_sidecar(data_dir / name) for name in names], 77)
-    sidecars, parsed = [], []
+    train, test = cli.split_series(series_groups(config_path), 77)
+    read, parsed = [], []
     load = ScenarioSeries.load.__func__
-    load_sidecar = ScenarioSeries.load_sidecar.__func__
 
-    def reading(cls, path):
-        sidecars.append(Path(path).name)
-        return load_sidecar(cls, path)
+    def reading(path):
+        read.append(Path(path).name)
+        return read_json_object(path)
 
     def parsing(cls, path, sidecar):
         parsed.append(Path(path).name)
         return load(cls, path, sidecar)
 
-    monkeypatch.setattr(ScenarioSeries, "load_sidecar", classmethod(reading))
+    monkeypatch.setattr(cli, "read_json_object", reading)
     monkeypatch.setattr(ScenarioSeries, "load", classmethod(parsing))
     monkeypatch.setattr(cli, "holdout_experiment", stub_holdout)
     config, bundle = str(config_path), str(se_bundle)
@@ -778,13 +818,14 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
         "holdout": ([str(holdout_path), "holdout", "--bundle",
                      str(holdout_bundle)], None)}
     for stage, (argv, expected) in stages.items():
-        sidecars.clear()
+        read.clear()
         parsed.clear()
         data = holdout_dir if stage == "holdout" else data_dir
         assert cli.main(["--config", *argv, "--data", str(data),
                          "--out", str(tmp_path / stage)]) == 0
         every = series_names(argv[0])
-        assert sidecars == every, stage
+        assert read == ["config.json", *(Path(name).with_suffix(
+            ".meta.json").name for name in every)], stage
         assert parsed == (every if expected is None else expected), stage
     assert 0 < len(train) < len(names) and 0 < len(test) < len(names)
 
@@ -866,8 +907,7 @@ def test_stages_refuse_a_bundle_trained_on_another_dataset(
             data["B"] / path).read_bytes()
     for name, part in (("A", 0), ("B", 1)):
         names = series_names(configs[name])
-        split = cli.split_series([ScenarioSeries.load_sidecar(data[name] / n)
-                                  for n in names], 77)
+        split = cli.split_series(series_groups(configs[name]), 77)
         assert shared_file.name in [names[k] for k in split[part]], name
     assert cli.main(["--config", str(configs["A"]), "train",
                      "--data", str(data["A"]), "--variant", "RNN_DNN"]) == 0
@@ -908,17 +948,19 @@ def test_stages_refuse_a_bundle_trained_on_another_dataset(
     assert parsed
 
 
-@pytest.mark.parametrize("name", ["config.json", "manifest.json"])
+@pytest.mark.parametrize("name", ["config.json", "manifest.json",
+                                  "fault_3_l5_s01.meta.json"])
 def test_stages_refuse_a_json_file_that_holds_no_object(workspace, tmp_path,
                                                         capsys, name):
-    # a dataset's config.json and an output directory's manifest.json are
-    # each one JSON object; anything else is refused in one line naming
-    # the file, before anything is written
+    # a dataset's config.json, each of its series' sidecars and an output
+    # directory's manifest.json are each one JSON object, read by one
+    # reader; anything else is refused in one line naming the file, before
+    # anything is written
     _, config_path, data_dir = workspace
     edited = dataset_copy(data_dir, tmp_path / "edited")
     out = tmp_path / "models"
     out.mkdir()
-    path = (edited if name == "config.json" else out) / name
+    path = (out if name == "manifest.json" else edited) / name
     for text, cause in ((b"", ": Expecting value"),
                         (b"{", ": Expecting property name"),
                         (b"[]", "$"), (b"null", "$"),
@@ -1287,6 +1329,14 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                  "--variant", "SE_DNN"],
                 f"No such file or directory: "
                 f"'{re.escape(str(edited / 'config.json'))}'$")
+    if case == "dataset without a sidecar":
+        # each sidecar is read before any series file is parsed
+        edited = dataset_copy(data_dir, tmp_path / "edited")
+        (edited / "normal_s01.meta.json").unlink()
+        return (["--config", config, "train", "--data", str(edited),
+                 "--variant", "SE_DNN"],
+                f"No such file or directory: "
+                f"'{re.escape(str(edited / 'normal_s01.meta.json'))}'$")
     if case == "nan in series":
         return (train_on_bad_normals(relabel=False),
                 f"{re.escape(str(tmp_path / 'edited'))}/normal_s\\d+\\.npy: "
@@ -1327,7 +1377,8 @@ def refused_input(case, workspace, se_bundle, tmp_path):
     "directory as bundle", "empty bundles entry", "gen-data out is a file",
     "evaluate out under a file", "csv as bundle", "malformed yaml",
     "control character in yaml", "latin-1 config", "nan in case file",
-    "dataset without config.json", "truncated series", "nan in series",
+    "dataset without config.json", "dataset without a sidecar",
+    "truncated series", "nan in series",
     "no normal series", "repeated variant", "24 normal training frames",
     "window [0, 10]"])
 def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,

@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -16,8 +15,8 @@ from gridsentry.scenario import (GENERATOR_BUSES, LABELS, ScenarioSeries,
                                  simulate_nominal)
 from gridsentry.scenario import generate
 from gridsentry.scenario.generate import REACTIVE_RATIO, SeriesFileError
-from oracles import (LinearSystem, covert_attack_run, linear_mask_bias,
-                     random_system, read_series, simulate,
+from oracles import (LinearSystem, covert_attack_run, frame_labels,
+                     linear_mask_bias, random_system, read_series, simulate,
                      write_weakened_case)
 
 
@@ -66,7 +65,8 @@ def test_attack_outside_window(case, world):
     s = generate_scenario(case, plan, loads, spec, 0.01, seed=4)
     nominal = generate_scenario(case, plan, loads, None, 0.01, seed=4)
     np.testing.assert_array_equal(s.values[:5], nominal.values[:5])
-    assert s.labels[:5] == ["normal"] * 5 and s.labels[5] == "attack_2"
+    labels = frame_labels(s.metadata)
+    assert labels[:5] == ["normal"] * 5 and labels[5] == "attack_2"
 
 
 def test_attack_uncommitted_noop(case):
@@ -221,7 +221,7 @@ def test_normal_scenario_deterministic(case, world):
     loads, plan = world
     a = generate_scenario(case, plan, loads, None, 0.01, seed=7)
     b = generate_scenario(case, plan, loads, None, 0.01, seed=7)
-    assert a.labels == ["normal"] * 48
+    assert frame_labels(a.metadata) == ["normal"] * 48
     np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -243,8 +243,8 @@ def test_fault_scenario_exposes_generation_sensor(case, world):
     s = generate_scenario(case, plan, loads, spec, 0.0, seed=8)
     g8 = sensor_index(case, "generation", "8")
     assert s.values[20, g8] == pytest.approx(0.0, abs=1e-6)
-    assert s.labels[20] == "fault_8"
-    assert s.labels[5] == "normal"
+    labels = frame_labels(s.metadata)
+    assert labels[20] == "fault_8" and labels[5] == "normal"
 
 
 def test_attack_fault_differ_only_on_access(case, world):
@@ -283,9 +283,10 @@ def test_labels_and_metadata(case, world):
     loads, plan = world
     spec = make_condition(case, "attack", 3, 2, 10, 20)
     s = generate_scenario(case, plan, loads, spec, 0.01, seed=5)
-    assert set(s.labels) <= set(LABELS)
-    assert s.labels[10] == "attack_3" and s.labels[19] == "attack_3"
-    assert s.labels[9] == "normal" and s.labels[20] == "normal"
+    labels = frame_labels(s.metadata)
+    assert set(labels) <= set(LABELS)
+    assert labels[10] == "attack_3" and labels[19] == "attack_3"
+    assert labels[9] == "normal" and labels[20] == "normal"
     assert s.metadata["level"] == 2
     assert s.metadata["noop_hours"] == []
 
@@ -384,7 +385,6 @@ def test_generate_scenario_matches_reference_form(tmp_path, monkeypatch,
         ref = ref_generate_scenario(grid, plan, profile, condition, 0.10, 5)
         assert np.array_equal(got.values.view(np.uint64),
                               ref.values.view(np.uint64)), name
-        assert got.labels == ref.labels, name
         assert got.metadata == ref.metadata, name
         meta = got.metadata
         seen.update(key for key in ("noop_hours", "gap_hours",
@@ -446,42 +446,29 @@ def test_series_npy_roundtrip(tmp_path, case, world):
     back = read_series(p)
     assert np.array_equal(back.values.view(np.uint64),
                           s.values.view(np.uint64))
-    assert back.labels == s.labels
     assert back.metadata == s.metadata
-    # a sidecar that holds no JSON object is refused as a SeriesFileError
-    # naming it, so the CLI refuses the dataset in one line; what an object
-    # records is compared with its series' job by the dataset reader
-    # (test_cli.py::test_stages_refuse_a_record_that_is_not_its_jobs)
-    for sidecar in ("{", "[]", "3", '"attack_3"', "null"):
-        p.with_suffix(".meta.json").write_text(sidecar)
-        with pytest.raises(SeriesFileError, match="series.meta.json"):
-            read_series(p)
-    # values of another horizon than the sidecar's are refused naming them
-    p.with_suffix(".meta.json").write_text(
-        json.dumps({**s.metadata, "horizon": s.metadata["horizon"] + 1}))
+    # values of another horizon than the sidecar's are refused naming them;
+    # a sidecar that is missing or holds no JSON object is refused by the
+    # dataset reader (test_cli.py::test_refused_input_exits_2_on_one_line,
+    # test_cli.py::test_stages_refuse_a_json_file_that_holds_no_object)
     with pytest.raises(SeriesFileError, match=r"series\.npy: .* shape"):
-        read_series(p)
-    p.with_suffix(".meta.json").unlink()
-    with pytest.raises(FileNotFoundError, match="series.meta.json"):
-        read_series(p)
+        ScenarioSeries.load(p, {**s.metadata,
+                                "horizon": s.metadata["horizon"] + 1})
 
     # extreme, subnormal or signed-zero values come back bit for bit
     values = np.random.default_rng(6).standard_normal((5, N_SENSORS)) * 50
     values[1, :6] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1e-300,
                      0.1 + 0.2]
     fault = {"condition": "fault_6", "target": 6, "level": 1}
-    for series, labels in (
-            (ScenarioSeries(values, {**fault, "window": [2, 4],
-                                     "horizon": 5}),
-             ["normal", "normal", "fault_6", "fault_6", "normal"]),
-            (ScenarioSeries(values[1:2], {**fault, "window": [0, 1],
-                                          "horizon": 1}),
-             ["fault_6"])):
+    for series in (ScenarioSeries(values, {**fault, "window": [2, 4],
+                                           "horizon": 5}),
+                   ScenarioSeries(values[1:2], {**fault, "window": [0, 1],
+                                                "horizon": 1})):
         series.save(p)
         back = read_series(p)
         assert back.values.dtype == np.float64
         assert back.values.shape == series.values.shape
-        assert back.labels == series.labels == labels
+        assert back.metadata == series.metadata
         assert np.array_equal(back.values.view(np.uint64),
                               series.values.view(np.uint64))
 
