@@ -211,7 +211,6 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
     train_set = load_dataset(cfg, data_dir, "train")
     given = cfg.canonical()
     bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
-                          stage_configs=cfg.train_stages,
                           dataset={key: given[key] for key in GENERATION_KEYS})
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle_path = out_dir / f"bundle_{variant}.npz"
@@ -264,10 +263,9 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     bundle = load_bundle(bundle_path, case)
     frames = feature_rows(bundle, load_dataset(
         cfg, data_dir, "all", [(bundle_path, bundle)]), case)
-    results = [holdout_experiment(
-        frames, l, cfg.holdout_replications, cfg.seed,
-        classifier_config=cfg.train_stages["classifier"])
-        for l in cfg.holdout_l_values]
+    results = [holdout_experiment(frames, l, cfg.holdout_replications,
+                                  cfg.seed)
+               for l in cfg.holdout_l_values]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "holdout.csv"

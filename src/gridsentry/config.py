@@ -7,14 +7,13 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
 
 from . import InputError, __version__
 from .detector.models import LAGS, VARIANTS
-from .detector.pipeline import STAGE_DEFAULTS
 from .scenario.attacks import LEVEL_FRACTIONS
 
 OUTPUT_ROOT_ENV = "GRIDSENTRY_OUTPUT_ROOT"
@@ -38,9 +37,6 @@ class RunConfig:
     normal_series: int = 15
     series_per_condition_per_level: int = 4
     variants: tuple[str, ...] = VARIANTS
-    # stage -> the TrainConfig that stage trains with; a config file gives
-    # per-stage overrides of the STAGE_DEFAULTS rows
-    train_stages: dict = field(default_factory=STAGE_DEFAULTS.copy)
     holdout_replications: int = 5
     holdout_l_values: tuple[int, ...] = (1, 2, 3, 4)
     workers: int = 1
@@ -100,7 +96,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("output_dir is required")
 
     raw.setdefault("case_file", None)
-    overrides = raw.pop("train_stages", {})
     cfg = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
                        for key, value in raw.items()})
     for name in ("seed", "horizon", "normal_series",
@@ -179,22 +174,6 @@ def load_config(path: str | Path) -> RunConfig:
                           "series share a seed")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if not isinstance(overrides, dict):
-        raise ConfigError("train_stages must map stage names to settings")
-    for stage, settings in overrides.items():
-        if stage not in STAGE_DEFAULTS:
-            raise ConfigError(f"unknown training stage {stage!r}")
-        if not isinstance(settings, dict):
-            raise ConfigError(f"train_stages.{stage} must map setting names "
-                              "to values")
-    for stage, row in STAGE_DEFAULTS.items():
-        settings = overrides.get(stage, {})
-        try:
-            cfg.train_stages[stage] = replace(row, **settings)
-        except (TypeError, ValueError) as exc:
-            # TrainConfig checks learning_rate first
-            hint = _read_as_string(settings.get("learning_rate"))
-            raise ConfigError(f"train_stages.{stage}: {exc}{hint}") from None
     return cfg
 
 

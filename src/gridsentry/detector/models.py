@@ -47,6 +47,13 @@ CLASSIFIER_HIDDEN = (64, 32)
 # trained bundle's parameters; inference takes the parameters' dtype
 COMPUTE_DTYPE = np.float32
 
+# the training settings of each fit, by stage; tests patch these rows
+STAGE_DEFAULTS = {
+    "autoencoder": TrainConfig(learning_rate=1e-3, epochs=60, batch_size=256),
+    "predictor": TrainConfig(learning_rate=5e-3, epochs=120, batch_size=8),
+    "classifier": TrainConfig(learning_rate=2e-3, epochs=80, batch_size=256),
+}
+
 BUNDLE_FORMAT_VERSION = 5
 
 
@@ -117,21 +124,24 @@ def _in_compute_dtype(model):
     return model
 
 
-def fit_autoencoder(z: np.ndarray, config: TrainConfig, seed: int):
-    """Train encoder+decoder on preprocessed normal frames (N, 39); seed
-    draws the initial weights and the mini-batch order."""
+def fit_autoencoder(z: np.ndarray, seed: int):
+    """Train encoder+decoder on preprocessed normal frames (N, 39) under
+    STAGE_DEFAULTS["autoencoder"]; seed draws the initial weights and the
+    mini-batch order."""
     z = np.asarray(z, dtype=COMPUTE_DTYPE)
     if z.ndim != 2 or z.shape[1] != N_SENSORS:
         raise ValueError(f"autoencoder input must be (N, {N_SENSORS})")
     enc, dec = build_autoencoder(np.random.default_rng(seed))
     model = _in_compute_dtype(Sequential([enc, dec]))
-    history = train(model, z, z, config, seed, loss="mse")
+    history = train(model, z, z, STAGE_DEFAULTS["autoencoder"], seed,
+                    loss="mse")
     return enc, dec, history
 
 
-def fit_predictor(sequences: np.ndarray, config: TrainConfig, seed: int):
-    """Train a stateful one-step-ahead predictor on (N, T, C) sequences;
-    seed draws the initial weights and the mini-batch order.
+def fit_predictor(sequences: np.ndarray, seed: int):
+    """Train a stateful one-step-ahead predictor on (N, T, C) sequences
+    under STAGE_DEFAULTS["predictor"]; seed draws the initial weights and
+    the mini-batch order.
 
     Targets with index < LAGS are masked out, so a T-step series contributes
     T - LAGS training targets.
@@ -146,14 +156,15 @@ def fit_predictor(sequences: np.ndarray, config: TrainConfig, seed: int):
     y = seq[:, 1:]
     mask = np.zeros((n, t - 1), dtype=seq.dtype)
     mask[:, LAGS - 1:] = 1.0  # position j predicts original index j+1
-    history = train(model, x, y, config, seed, loss="mse", mask=mask)
+    history = train(model, x, y, STAGE_DEFAULTS["predictor"], seed,
+                    loss="mse", mask=mask)
     return model, history
 
 
-def fit_classifier(features: np.ndarray, labels: np.ndarray,
-                   config: TrainConfig, seed: int):
-    """Train the 9-label head on (N, 78) residual++observation features;
-    seed draws the initial weights and the mini-batch order."""
+def fit_classifier(features: np.ndarray, labels: np.ndarray, seed: int):
+    """Train the 9-label head on (N, 78) residual++observation features
+    under STAGE_DEFAULTS["classifier"]; seed draws the initial weights and
+    the mini-batch order."""
     features = np.asarray(features, dtype=COMPUTE_DTYPE)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[1] != CLASSIFIER_INPUT:
@@ -164,8 +175,8 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray,
         raise InputError(f"training data missing classes: {missing}")
     model = _in_compute_dtype(
         build_classifier(np.random.default_rng(seed)))
-    history = train(model, features, labels.astype(int), config, seed,
-                    loss="cross_entropy")
+    history = train(model, features, labels.astype(int),
+                    STAGE_DEFAULTS["classifier"], seed, loss="cross_entropy")
     return model, history
 
 

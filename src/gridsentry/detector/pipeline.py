@@ -6,18 +6,10 @@ import numpy as np
 
 from .. import InputError
 from ..grid import GridCase, N_SENSORS, sensor_map_hash
-from ..neural import TrainConfig
 from .models import (CLASSIFIER_INPUT, COMPUTE_DTYPE, LAGS, SUBMODELS,
                      ModelBundle, classify, fit_autoencoder, fit_classifier,
                      fit_predictor, predict_and_residual, state_checksum)
 from .preprocess import fit_preprocess, preprocess
-
-# the one table of per-stage training defaults
-STAGE_DEFAULTS = {
-    "autoencoder": TrainConfig(learning_rate=1e-3, epochs=60, batch_size=256),
-    "predictor": TrainConfig(learning_rate=5e-3, epochs=120, batch_size=8),
-    "classifier": TrainConfig(learning_rate=2e-3, epochs=80, batch_size=256),
-}
 
 # frames per stacked residual forward in feature_rows: a larger stack runs
 # faster, but its activations (dropped on return) grow with series x hours
@@ -59,16 +51,16 @@ def feature_rows(bundle: ModelBundle, series, case: GridCase):
 
 
 def train_bundle(variant: str, series, case: GridCase, seed: int,
-                 stage_configs: dict, dataset: dict) -> ModelBundle:
+                 dataset: dict) -> ModelBundle:
     """Train one detector variant on load_dataset's (frames, labels, levels).
 
     Stage order: preprocess stats -> autoencoder (AEN variant) -> predictor
     (AEN/RNN variants) -> residual features with frozen upstream models ->
     classifier. Stats, autoencoder, and predictor see the normal (level 0)
-    series only. stage_configs maps every stage name to its TrainConfig;
-    fits are seeded seed, seed+1, seed+2 in stage order. dataset is the
-    generation settings of the series, which the bundle keeps; SE_DNN's
-    residuals read its noise_sigma.
+    series only. Each fit trains under its STAGE_DEFAULTS row, seeded
+    seed, seed+1, seed+2 in stage order. dataset is the generation
+    settings of the series, which the bundle keeps; SE_DNN's residuals
+    read its noise_sigma.
     """
     frames, _, levels = series
     normals = frames[levels == 0]
@@ -80,13 +72,11 @@ def train_bundle(variant: str, series, case: GridCase, seed: int,
     if variant != "SE_DNN":
         z = preprocess(normals, bundle.stats)  # (S, T-1, 39)
         if variant == "AEN_RNN_DNN":
-            enc, dec, hist = fit_autoencoder(
-                z.reshape(-1, N_SENSORS), stage_configs["autoencoder"], seed)
+            enc, dec, hist = fit_autoencoder(z.reshape(-1, N_SENSORS), seed)
             bundle.encoder, bundle.decoder = enc, dec
             bundle.history["autoencoder"] = hist
             z = enc.forward(z.astype(enc.dtype))[0]
-        bundle.predictor, hist = fit_predictor(
-            z, stage_configs["predictor"], seed + 1)
+        bundle.predictor, hist = fit_predictor(z, seed + 1)
         bundle.history["predictor"] = hist
 
     # residual generation must not touch the frozen feature models
@@ -98,8 +88,7 @@ def train_bundle(variant: str, series, case: GridCase, seed: int,
             raise RuntimeError(f"{name} parameters changed during "
                                "residual generation")
 
-    bundle.classifier, hist = fit_classifier(
-        x, y, stage_configs["classifier"], seed + 2)
+    bundle.classifier, hist = fit_classifier(x, y, seed + 2)
     bundle.history["classifier"] = hist
     return bundle
 

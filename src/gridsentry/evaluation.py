@@ -179,8 +179,8 @@ class HoldoutResult:
     iqr: float
 
 
-def holdout_experiment(frames, l: int, replications: int, seed: int,
-                       classifier_config) -> HoldoutResult:
+def holdout_experiment(frames, l: int, replications: int,
+                       seed: int) -> HoldoutResult:
     """Retrain the classifier on l randomly drawn attack levels, test on the
     rest; the features, and so the upstream feature models, stay fixed.
 
@@ -188,9 +188,9 @@ def holdout_experiment(frames, l: int, replications: int, seed: int,
     replication: draw l of the severity levels without replacement, train
     the classifier on the normal (level 0) frames plus the frames at those
     levels, then score accuracy on the other frames, those at the held-out
-    levels. Replication rep fits the classifier under classifier_config
-    with seed seed + 1000*l + rep. The table holds every level of
-    LEVEL_FRACTIONS and l is below their count (cmd_holdout, load_config).
+    levels. Replication rep fits the classifier with seed
+    seed + 1000*l + rep. The table holds every level of LEVEL_FRACTIONS
+    and l is below their count (cmd_holdout, load_config).
     """
     levels, features, labels = frames
     all_levels = sorted(set(levels[levels != 0].tolist()))
@@ -203,9 +203,8 @@ def holdout_experiment(frames, l: int, replications: int, seed: int,
             rng.choice(all_levels, size=l, replace=False).tolist()))
         level_sets.append(train_levels)
         train = np.isin(levels, (0, *train_levels))
-        classifier, _ = fit_classifier(
-            features[train], labels[train], classifier_config,
-            seed + 1000 * l + rep)
+        classifier, _ = fit_classifier(features[train], labels[train],
+                                       seed + 1000 * l + rep)
         preds = classify(classifier, features[~train])
         accuracies.append(float(np.mean(preds == labels[~train])))
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,17 +16,6 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     batch_size: int
-
-    def __post_init__(self):
-        rate = self.learning_rate
-        if (isinstance(rate, bool) or not isinstance(rate, numbers.Real)
-                or not 0 <= rate < np.inf):
-            raise ValueError("learning_rate must be a finite number >= 0")
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer))
-                    or isinstance(value, bool) or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1")
 
 
 def flatten_parameters(model) -> tuple[np.ndarray, np.ndarray]:

@@ -58,9 +58,8 @@ def world(tmp_path_factory, case):
     bundles, matrices = {}, {}
     dataset = {key: cfg.canonical()[key] for key in cli.GENERATION_KEYS}
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
-        bundle = pipeline.train_bundle(
-            variant, train, case, seed=cfg.seed,
-            stage_configs=pipeline.STAGE_DEFAULTS, dataset=dataset)
+        bundle = pipeline.train_bundle(variant, train, case, seed=cfg.seed,
+                                       dataset=dataset)
         preds, truth = pipeline.evaluate_predictions(bundle, test, case=case)
         bundles[variant] = bundle
         matrices[variant] = confusion_counts(preds, truth)
@@ -331,12 +330,12 @@ def test_criterion_9_severity_trend(world, case):
 
 # ------------------------------------------------- 10: holdout trend
 
-def test_criterion_10_holdout_trend(world, case):
+def test_criterion_10_holdout_trend(world, case, monkeypatch):
     bundle = world["bundles"]["AEN_RNN_DNN"]
-    cfg = TrainConfig(learning_rate=2e-3, epochs=60, batch_size=256)
+    monkeypatch.setitem(models.STAGE_DEFAULTS, "classifier", TrainConfig(
+        learning_rate=2e-3, epochs=60, batch_size=256))
     table = pipeline.feature_rows(bundle, world["series"], case)
-    results = [holdout_experiment(table, l, 5, 99, classifier_config=cfg)
-               for l in (1, 2, 3, 4)]
+    results = [holdout_experiment(table, l, 5, 99) for l in (1, 2, 3, 4)]
     medians = [r.median for r in results]
     assert all(a <= b for a, b in zip(medians, medians[1:]))  # non-decreasing
     assert results[3].iqr <= results[0].iqr          # IQR shrinks l=1 -> l=4
@@ -363,14 +362,14 @@ def _median_held_out_frames(table, result):
 
 # ------------------------------------------------- 11: determinism
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, monkeypatch):
     config = {
         "seed": 77, "output_dir": str(tmp_path / "d1"), "horizon": 60,
         "window": [24, 50], "levels": [5], "normal_series": 3,
         "series_per_condition_per_level": 2, "variants": ["RNN_DNN"],
-        "train_stages": {"classifier": {"learning_rate": 2e-3, "epochs": 20,
-                                        "batch_size": 128}},
     }
+    monkeypatch.setitem(models.STAGE_DEFAULTS, "classifier", TrainConfig(
+        learning_rate=2e-3, epochs=20, batch_size=128))
     cfg_path = tmp_path / "run.yaml"
     cfg_path.write_text(yaml.safe_dump(config))
 

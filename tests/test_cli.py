@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import weakref
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from gridsentry.config import (ConfigError, RunManifest, config_hash,
 from gridsentry.detector import (LAGS, load_bundle, models, pipeline,
                                  save_bundle)
 from gridsentry.detector.models import SUBMODELS
-from gridsentry.detector.pipeline import STAGE_DEFAULTS
 from gridsentry.evaluation import HoldoutResult
 from gridsentry.grid import DEFAULT_CASE, load_case
 from gridsentry.neural import TrainConfig, get_state
@@ -29,6 +28,17 @@ from oracles import (frame_labels, read_series, series_stack,
                      write_weakened_case)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def short_classifier_fit():
+    """Every classifier fit of this module, the module-scoped workspaces'
+    included, runs 25 epochs of 128 frames, not the packaged 80 of 256;
+    a test patches models.STAGE_DEFAULTS further where it needs to."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(models.STAGE_DEFAULTS, "classifier", TrainConfig(
+            learning_rate=2e-3, epochs=25, batch_size=128))
+        yield
 
 
 def write_config(path, **overrides):
@@ -42,10 +52,6 @@ def write_config(path, **overrides):
         "normal_series": 3,
         "series_per_condition_per_level": 2,
         "variants": ["SE_DNN"],
-        "train_stages": {
-            "classifier": {"learning_rate": 2e-3, "epochs": 25,
-                           "batch_size": 128},
-        },
         "holdout_replications": 2,
         "holdout_l_values": [4],
     }
@@ -147,30 +153,6 @@ def test_config_validation_before_compute(tmp_path):
     path = write_config(tmp_path / "c.yaml", noise_sigma=0.0,
                         variants=["RNN_DNN"])
     assert load_config(path).noise_sigma == 0.0
-    # every bad train_stages entry is a ConfigError naming stage and key
-    for stages, pattern in (
-            ({"critic": {"epochs": 5}}, "critic"),
-            ({"classifier": {"lr": 1}}, "classifier.*lr"),
-            ({"classifier": {"batch_size": 0}}, "classifier.*batch_size"),
-            ({"predictor": {"epochs": 0}}, "predictor.*epochs"),
-            ({"predictor": {"epochs": 2.5}}, "predictor.*epochs"),
-            ({"classifier": {"epochs": True}}, "classifier.*epochs"),
-            ({"classifier": {"batch_size": True}},
-             "classifier.*batch_size"),
-            ({"classifier": {"learning_rate": True}},
-             "classifier.*learning_rate"),
-            ({"autoencoder": {"learning_rate": -1}},
-             "autoencoder.*learning_rate"),
-            ({"classifier": {"learning_rate": float("nan")}},
-             "classifier.*learning_rate"),
-            ({"predictor": {"learning_rate": float("inf")}},
-             "predictor.*learning_rate"),
-            ({"classifier": {"seed": 5}}, "classifier.*seed"),
-            ({"classifier": 5}, "classifier"),
-            ([], "train_stages")):
-        path = write_config(tmp_path / "c.yaml", train_stages=stages)
-        with pytest.raises(ConfigError, match=pattern):
-            load_config(path)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -245,22 +227,30 @@ def test_fixed_simulation_inputs_are_not_config_keys(tmp_path):
             load_config(path)
 
 
+def test_training_settings_are_not_config_keys(tmp_path, capsys):
+    # each fit trains under its row of detector.models.STAGE_DEFAULTS,
+    # which only code sets; a config that names train_stages, as configs
+    # once could, is refused on one line before anything is written
+    config_path = write_config(tmp_path / "c.yaml",
+                               train_stages={"classifier": {"epochs": 5}})
+    out = tmp_path / "data"
+    err = refused(capsys, ["--config", str(config_path), "gen-data",
+                           "--out", str(out)])
+    assert err == "gridsentry: error: unknown config keys: ['train_stages']\n"
+    assert not out.exists()
+
+
 def test_exponent_without_dot_is_refused_as_a_string(tmp_path):
-    # PyYAML reads 1e-3 (no dot) as a string; the refusal says so and
+    # PyYAML reads 1e-2 (no dot) as a string; the refusal says so and
     # names the form that reads as a number
     path = tmp_path / "c.yaml"
-    for text, key in (
-            ("noise_sigma: 1e-2", "noise_sigma"),
-            ("train_stages: {classifier: {learning_rate: 1e-3}}",
-             "train_stages.classifier.*learning_rate")):
-        path.write_text(f"seed: 1\noutput_dir: x\n{text}\n")
-        with pytest.raises(ConfigError, match=key) as info:
-            load_config(path)
-        assert "read as a string" in str(info.value)
-        assert "1.0e-3" in str(info.value)
-        path.write_text(f"seed: 1\noutput_dir: x\n"
-                        f"{text.replace('e-', '.0e-')}\n")
+    path.write_text("seed: 1\noutput_dir: x\nnoise_sigma: 1e-2\n")
+    with pytest.raises(ConfigError, match="noise_sigma") as info:
         load_config(path)
+    assert "read as a string" in str(info.value)
+    assert "1.0e-3" in str(info.value)
+    path.write_text("seed: 1\noutput_dir: x\nnoise_sigma: 1.0e-2\n")
+    assert load_config(path).noise_sigma == 1.0e-2
 
 
 def test_readme_example_config_loads(tmp_path):
@@ -270,46 +260,7 @@ def test_readme_example_config_loads(tmp_path):
     example = example.split("```yaml\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "run.yaml"
     path.write_text(example)
-    cfg = load_config(path)
-    assert cfg.train_stages["classifier"].epochs == 40
-
-
-def test_partial_stage_override_keeps_stage_defaults(tmp_path):
-    path = write_config(tmp_path / "c.yaml",
-                        train_stages={"classifier": {"epochs": 5}})
-    cfg = load_config(path)
-    assert cfg.train_stages == {
-        **STAGE_DEFAULTS,
-        "classifier": TrainConfig(learning_rate=2e-3, epochs=5,
-                                  batch_size=256)}
-
-
-def test_config_records_every_stage_row(tmp_path):
-    # config.json records the row each stage trains with, so a config that
-    # overrides one stage still records the rows of the other two
-    path = tmp_path / "c.yaml"
-    path.write_text(yaml.safe_dump({"seed": 1, "output_dir": "x"}))
-    rows = {stage: {"learning_rate": row.learning_rate, "epochs": row.epochs,
-                    "batch_size": row.batch_size}
-            for stage, row in STAGE_DEFAULTS.items()}
-    assert load_config(path).canonical()["train_stages"] == rows
-    path.write_text(yaml.safe_dump({
-        "seed": 1, "output_dir": "x",
-        "train_stages": {"classifier": {"epochs": 5}}}))
-    rows["classifier"]["epochs"] = 5
-    assert load_config(path).canonical()["train_stages"] == rows
-
-
-def test_every_train_config_field_is_a_config_key(tmp_path):
-    # a TrainConfig field that only code could set, as a seed would be,
-    # has no override that load_config accepts
-    for stage, row in STAGE_DEFAULTS.items():
-        for name in (f.name for f in fields(TrainConfig)):
-            value = getattr(row, name) * 2
-            path = write_config(tmp_path / "c.yaml",
-                                train_stages={stage: {name: value}})
-            assert (load_config(path).train_stages[stage]
-                    == replace(row, **{name: value})), (stage, name)
+    assert load_config(path).seed == 1234
 
 
 @pytest.fixture(scope="module")
@@ -346,15 +297,19 @@ def test_detector_stages_leave_out_numpy_ma(tmp_path):
     config = write_config(
         tmp_path / "run.yaml", horizon=24, window=[6, 18],
         levels=[1, 2, 3, 4, 5], normal_series=6, noise_sigma=0.10,
-        variants=["RNN_DNN"],
-        train_stages={"predictor": {"epochs": 1},
-                      "classifier": {"epochs": 1, "batch_size": 128}})
+        variants=["RNN_DNN"])
     data = tmp_path / "data"
     bundle = data / "models" / "bundle_RNN_DNN.npz"
     code = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(SRC)!r})",
         "import gridsentry.cli as cli",
+        "from gridsentry.detector.models import STAGE_DEFAULTS",
+        "from gridsentry.neural import TrainConfig",
+        "STAGE_DEFAULTS['predictor'] = TrainConfig(",
+        "    learning_rate=5e-3, epochs=1, batch_size=8)",
+        "STAGE_DEFAULTS['classifier'] = TrainConfig(",
+        "    learning_rate=2e-3, epochs=1, batch_size=128)",
         f"config, data, bundle = {str(config)!r}, {str(data)!r}, "
         f"{str(bundle)!r}",
         "for argv in (['gen-data'],",
@@ -889,10 +844,12 @@ def test_stages_refuse_a_bundle_trained_on_another_dataset(
     # and scored on B would score its own training series. evaluate and
     # report refuse it, naming the bundle and the settings its dataset
     # record differs in, before any series is parsed or anything written
+    monkeypatch.setitem(models.STAGE_DEFAULTS, "predictor", TrainConfig(
+        learning_rate=5e-3, epochs=2, batch_size=8))
+    monkeypatch.setitem(models.STAGE_DEFAULTS, "classifier", TrainConfig(
+        learning_rate=2e-3, epochs=2, batch_size=256))
     shared = dict(horizon=36, window=[7, 31], noise_sigma=0.10,
-                  variants=["RNN_DNN"],
-                  train_stages={"predictor": {"epochs": 2},
-                                "classifier": {"epochs": 2}})
+                  variants=["RNN_DNN"])
     configs = {"A": write_config(tmp_path / "a.yaml", normal_series=5,
                                  series_per_condition_per_level=2, **shared),
                "B": write_config(tmp_path / "b.yaml", normal_series=10,
@@ -1012,17 +969,17 @@ def test_train_evaluate_roundtrip(workspace, capsys):
                 in capsys.readouterr().err)
 
 
-def test_float32_bundle_roundtrip(workspace, tmp_path):
+def test_float32_bundle_roundtrip(workspace, tmp_path, monkeypatch):
     # train_bundle fits every sub-model in float32, the file keeps their
     # arrays float32, and the loaded bundle labels every frame as the
     # trained one does
     _, config_path, data_dir = workspace
     series = cli.load_dataset(load_config(config_path), data_dir, "all")
-    configs = {name: replace(cfg, epochs=2)
-               for name, cfg in STAGE_DEFAULTS.items()}
+    for stage, row in list(models.STAGE_DEFAULTS.items()):
+        monkeypatch.setitem(models.STAGE_DEFAULTS, stage,
+                            replace(row, epochs=2))
     case = load_case()
     bundle = pipeline.train_bundle("AEN_RNN_DNN", series, case, seed=3,
-                                   stage_configs=configs,
                                    dataset={"noise_sigma": 0.01})
     path = tmp_path / "bundle.npz"
     save_bundle(bundle, path)
@@ -1052,11 +1009,10 @@ def test_se_dnn_computes_no_differences(workspace, monkeypatch):
 
     monkeypatch.setattr(pipeline, "preprocess", refuse)
     monkeypatch.setattr(models, "preprocess", refuse)
-    configs = {**STAGE_DEFAULTS,
-               "classifier": replace(STAGE_DEFAULTS["classifier"], epochs=1)}
+    monkeypatch.setitem(models.STAGE_DEFAULTS, "classifier", replace(
+        models.STAGE_DEFAULTS["classifier"], epochs=1))
     case = load_case()
     bundle = pipeline.train_bundle("SE_DNN", train, case, seed=3,
-                                   stage_configs=configs,
                                    dataset={"noise_sigma": 0.01})
     levels, table, _ = pipeline.feature_rows(bundle, test, case)
     assert len(levels) == len(test[0]) * (60 - 1 - LAGS)
@@ -1076,8 +1032,7 @@ def test_train_bundle_refuses_a_stack_without_normals(workspace):
                        match="^training set contains no normal series$"):
         pipeline.train_bundle("SE_DNN", (frames[faults], labels[faults],
                                          levels[faults]), load_case(),
-                              seed=3, stage_configs=STAGE_DEFAULTS,
-                              dataset={"noise_sigma": 0.01})
+                              seed=3, dataset={"noise_sigma": 0.01})
 
 
 def test_train_refuses_variant_outside_config(tmp_path, monkeypatch,
@@ -1390,7 +1345,7 @@ def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,
     assert re.search(pattern, err), err
 
 
-def stub_holdout(frames, l, replications, seed, classifier_config=None):
+def stub_holdout(frames, l, replications, seed):
     return HoldoutResult(l=l, accuracies=[0.5] * replications,
                          level_sets=[(1, 2, 3, 4)] * replications,
                          median=0.5, iqr=0.0)
@@ -1531,9 +1486,11 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     config_path = write_config(
         tmp_path / "run.yaml", horizon=36, window=[7, 31],
         levels=[1, 2, 3, 4, 5], normal_series=4, variants=["RNN_DNN"],
-        holdout_l_values=[1, 2, 3, 4], holdout_replications=1,
-        train_stages={"predictor": {"epochs": 2},
-                      "classifier": {"epochs": 2, "batch_size": 128}})
+        holdout_l_values=[1, 2, 3, 4], holdout_replications=1)
+    monkeypatch.setitem(models.STAGE_DEFAULTS, "predictor", TrainConfig(
+        learning_rate=5e-3, epochs=2, batch_size=8))
+    monkeypatch.setitem(models.STAGE_DEFAULTS, "classifier", TrainConfig(
+        learning_rate=2e-3, epochs=2, batch_size=128))
     data_dir = tmp_path / "data"
     assert cli.main(["--config", str(config_path), "gen-data"]) == 0
     assert cli.main(["--config", str(config_path), "train",

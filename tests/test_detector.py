@@ -11,18 +11,15 @@ from gridsentry.detector import (BundleFileError, CLASSIFIER_INPUT, CODE_SIZE,
                                  fit_predictor, fit_preprocess, load_bundle,
                                  predict_and_residual, preprocess, save_bundle,
                                  state_checksum)
-from gridsentry.detector.models import (COMPUTE_DTYPE, SUBMODELS,
-                                       build_autoencoder, build_classifier,
-                                       build_predictor)
+from gridsentry.detector.models import (COMPUTE_DTYPE, STAGE_DEFAULTS,
+                                       SUBMODELS, build_autoencoder,
+                                       build_classifier, build_predictor)
 from gridsentry.detector.pipeline import RESIDUAL_FRAMES
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
 from gridsentry.neural import TrainConfig, get_state, set_state, softmax
 from gridsentry.scenario import LABELS, ScenarioSeries, generate_scenario
 from oracles import chi_square_detect, series_stack
-
-# for fits that are refused before training, or only need to run once
-TINY = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
 
 
 @pytest.fixture(scope="module")
@@ -142,12 +139,13 @@ def test_preprocess_stats_refuse_non_finite():
 
 # ---------------------------------------------------------------- autoencoder
 
-def test_autoencoder_code_width_and_learning():
+def test_autoencoder_code_width_and_learning(monkeypatch):
     rng = np.random.default_rng(4)
     basis = rng.standard_normal((5, N_SENSORS))
     z = rng.standard_normal((600, 5)) @ basis  # rank-5 data, learnable
-    cfg = TrainConfig(learning_rate=1e-3, epochs=30, batch_size=64)
-    enc, dec, history = fit_autoencoder(z, cfg, seed=0)
+    monkeypatch.setitem(STAGE_DEFAULTS, "autoencoder", TrainConfig(
+        learning_rate=1e-3, epochs=30, batch_size=64))
+    enc, dec, history = fit_autoencoder(z, seed=0)
     codes, _ = enc.forward(z)
     assert codes.shape == (600, CODE_SIZE)
     assert history[-1] < history[0] * 0.5
@@ -155,15 +153,16 @@ def test_autoencoder_code_width_and_learning():
 
 def test_autoencoder_rejects_wrong_width():
     with pytest.raises(ValueError):
-        fit_autoencoder(np.zeros((10, 5)), TINY, seed=0)
+        fit_autoencoder(np.zeros((10, 5)), seed=0)
 
 
 # ---------------------------------------------------------------- predictor
 
-def test_predictor_constant_sequence():
+def test_predictor_constant_sequence(monkeypatch):
     seq = np.ones((4, 30, CODE_SIZE)) * 0.5
-    cfg = TrainConfig(learning_rate=1e-2, epochs=80, batch_size=4)
-    model, history = fit_predictor(seq, cfg, seed=0)
+    monkeypatch.setitem(STAGE_DEFAULTS, "predictor", TrainConfig(
+        learning_rate=1e-2, epochs=80, batch_size=4))
+    model, history = fit_predictor(seq, seed=0)
     pred, _ = model.forward(seq[:, :-1])
     mse = np.mean((pred[:, LAGS - 1:] - seq[:, LAGS:]) ** 2)
     assert mse < 1e-3
@@ -203,13 +202,15 @@ def test_se_residuals_near_zero_on_noiseless(case):
     assert np.max(np.abs(residuals * stats.std)) < 1e-6
 
 
-def test_residual_alignment_rnn(case, normal_series, normal_frames):
+def test_residual_alignment_rnn(case, normal_series, normal_frames,
+                                monkeypatch):
     series = normal_series[0]
     stats = fit_preprocess(normal_frames)
     bundle = make_stub_bundle("RNN_DNN", case, stats)
-    cfg = TrainConfig(learning_rate=5e-3, epochs=10, batch_size=4)
+    monkeypatch.setitem(STAGE_DEFAULTS, "predictor", TrainConfig(
+        learning_rate=5e-3, epochs=10, batch_size=4))
     z = preprocess(normal_frames, stats)
-    bundle.predictor, _ = fit_predictor(z, cfg, seed=0)
+    bundle.predictor, _ = fit_predictor(z, seed=0)
     [residuals] = predict_and_residual(bundle, normal_frames[:1], case)
     ts = np.arange(LAGS + 1, len(series.values))  # the residual frames
     assert residuals.shape == (len(ts), N_SENSORS)
@@ -224,12 +225,14 @@ def test_residual_alignment_rnn(case, normal_series, normal_frames):
     np.testing.assert_array_equal(levels, np.zeros(len(ts)))
 
 
-def test_residual_generation_leaves_models_frozen(case, normal_frames):
+def test_residual_generation_leaves_models_frozen(case, normal_frames,
+                                                  monkeypatch):
     stats = fit_preprocess(normal_frames)
     bundle = make_stub_bundle("RNN_DNN", case, stats)
     z = preprocess(normal_frames, stats)
-    bundle.predictor, _ = fit_predictor(
-        z, TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4), seed=0)
+    monkeypatch.setitem(STAGE_DEFAULTS, "predictor", TrainConfig(
+        learning_rate=1e-3, epochs=3, batch_size=4))
+    bundle.predictor, _ = fit_predictor(z, seed=0)
     before = state_checksum(bundle.predictor)
     predict_and_residual(bundle, normal_frames, case)
     assert state_checksum(bundle.predictor) == before
@@ -301,10 +304,11 @@ def separable_toy(n_per_class=80, seed=0):
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def test_classifier_separable_toy():
+def test_classifier_separable_toy(monkeypatch):
     x, y = separable_toy()
-    cfg = TrainConfig(learning_rate=2e-3, epochs=60, batch_size=64)
-    model, _ = fit_classifier(x, y, cfg, seed=0)
+    monkeypatch.setitem(STAGE_DEFAULTS, "classifier", TrainConfig(
+        learning_rate=2e-3, epochs=60, batch_size=64))
+    model, _ = fit_classifier(x, y, seed=0)
     probs = softmax(model.forward(x)[0])
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     accuracy = np.mean(classify(model, x) == y)
@@ -315,7 +319,7 @@ def test_classifier_missing_class_listed():
     x, y = separable_toy(n_per_class=10)
     keep = y != 4
     with pytest.raises(ValueError, match="attack_8"):
-        fit_classifier(x[keep], y[keep], TINY, seed=0)
+        fit_classifier(x[keep], y[keep], seed=0)
 
 
 def test_classify_trivial_and_ties():
@@ -339,13 +343,14 @@ def test_classify_trivial_and_ties():
     assert again == names
 
 
-def test_classify_is_the_argmax_of_the_forward_softmax():
+def test_classify_is_the_argmax_of_the_forward_softmax(monkeypatch):
     # classify runs the layers one at a time and drops each cache, which
     # moves no bit: on float64 and float32 classifiers it labels every
     # frame as the argmax of the softmax of the full forward does
     x, y = separable_toy(n_per_class=20)
-    model, _ = fit_classifier(
-        x, y, TrainConfig(learning_rate=2e-3, epochs=40, batch_size=32), 0)
+    monkeypatch.setitem(STAGE_DEFAULTS, "classifier", TrainConfig(
+        learning_rate=2e-3, epochs=40, batch_size=32))
+    model, _ = fit_classifier(x, y, 0)
     drawn = get_state(model)
     for dtype in (np.float64, np.float32):
         set_state(model, {k: v.astype(dtype) for k, v in drawn.items()})
@@ -370,29 +375,31 @@ def test_variant_shared_classifier_path(case):
 
 # ---------------------------------------------------------------- bundle io
 
-def small_bundle(variant, case, frames):
+def small_bundle(variant, case, frames, monkeypatch):
     """A bundle of `variant` with every sub-model fitted for a few epochs."""
     stats = fit_preprocess(frames)
     bundle = make_stub_bundle(variant, case, stats)
     z = preprocess(frames, stats)
-    cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4)
+    for stage in ("autoencoder", "predictor"):
+        monkeypatch.setitem(STAGE_DEFAULTS, stage, TrainConfig(
+            learning_rate=1e-3, epochs=3, batch_size=4))
+    monkeypatch.setitem(STAGE_DEFAULTS, "classifier", TrainConfig(
+        learning_rate=1e-3, epochs=5, batch_size=64))
     if variant == "AEN_RNN_DNN":
         bundle.encoder, bundle.decoder, _ = fit_autoencoder(
-            np.concatenate(z), cfg, seed=0)
+            np.concatenate(z), seed=0)
         z, _ = bundle.encoder.forward(z)  # the predictor works on 13-wide codes
     if variant != "SE_DNN":
-        bundle.predictor, _ = fit_predictor(z, cfg, seed=0)
+        bundle.predictor, _ = fit_predictor(z, seed=0)
     x, y = separable_toy(n_per_class=60)
-    bundle.classifier, _ = fit_classifier(
-        x, y, TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64),
-        seed=0)
+    bundle.classifier, _ = fit_classifier(x, y, seed=0)
     return bundle
 
 
-def test_bundle_roundtrip(tmp_path, case, normal_frames):
+def test_bundle_roundtrip(tmp_path, case, normal_frames, monkeypatch):
     probe = np.random.default_rng(3).standard_normal((4, CLASSIFIER_INPUT))
     for variant in VARIANTS:
-        bundle = small_bundle(variant, case, normal_frames)
+        bundle = small_bundle(variant, case, normal_frames, monkeypatch)
         path = tmp_path / f"bundle_{variant}.npz"
         save_bundle(bundle, path)
         loaded = load_bundle(path, case)

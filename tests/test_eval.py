@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gridsentry.evaluation as ev
+from gridsentry.detector.models import STAGE_DEFAULTS
 from gridsentry.evaluation import (HoldoutResult, accuracy,
                                    confusion_counts, csv_table, format_report,
                                    holdout_experiment, macro_f1,
@@ -383,18 +384,17 @@ def make_holdout_world(seed=0):
     return tuple(map(np.concatenate, (levels, feats, labels)))
 
 
-def test_holdout_mechanics():
+def test_holdout_mechanics(monkeypatch):
     frames = make_holdout_world()
-    cfg = TrainConfig(learning_rate=5e-3, epochs=15, batch_size=32)
-    result = holdout_experiment(frames, l=4, replications=3, seed=42,
-                                classifier_config=cfg)
+    monkeypatch.setitem(STAGE_DEFAULTS, "classifier", TrainConfig(
+        learning_rate=5e-3, epochs=15, batch_size=32))
+    result = holdout_experiment(frames, l=4, replications=3, seed=42)
     assert isinstance(result, HoldoutResult)
     assert len(result.accuracies) == 3
     for train_levels in result.level_sets:
         assert len(train_levels) == 4  # exactly one held-out level
 
-    again = holdout_experiment(frames, l=4, replications=3, seed=42,
-                               classifier_config=cfg)
+    again = holdout_experiment(frames, l=4, replications=3, seed=42)
     assert again.level_sets == result.level_sets
     assert again.accuracies == result.accuracies
 
@@ -424,11 +424,12 @@ def test_median_and_quartiles_match_numpy_bit_for_bit():
             rng.choice(pool, size=rng.integers(1, 9)).tolist())
 
 
-def test_holdout_median_and_iqr_match_numpy():
+def test_holdout_median_and_iqr_match_numpy(monkeypatch):
     # two epochs leave the four replications' accuracies apart
-    cfg = TrainConfig(learning_rate=5e-3, epochs=2, batch_size=32)
+    monkeypatch.setitem(STAGE_DEFAULTS, "classifier", TrainConfig(
+        learning_rate=5e-3, epochs=2, batch_size=32))
     result = holdout_experiment(make_holdout_world(), l=1, replications=4,
-                                seed=42, classifier_config=cfg)
+                                seed=42)
     acc = result.accuracies
     assert len(set(acc)) == 4
     assert_numpy_median_and_quartiles(acc)
@@ -445,7 +446,7 @@ def test_holdout_trains_on_drawn_levels_and_scores_the_rest(monkeypatch):
     frames = (levels, features, labels)
     fitted = []
 
-    def stub_fit(x, y, config, seed):
+    def stub_fit(x, y, seed):
         fitted.append(x[:, 0].astype(int))
         np.testing.assert_array_equal(y, labels[fitted[-1]])
         return None, []  # classify is stubbed too
@@ -458,9 +459,7 @@ def test_holdout_trains_on_drawn_levels_and_scores_the_rest(monkeypatch):
 
     monkeypatch.setattr(ev, "fit_classifier", stub_fit)
     monkeypatch.setattr(ev, "classify", stub_classify)
-    cfg = TrainConfig(learning_rate=5e-3, epochs=1, batch_size=32)
-    result = holdout_experiment(frames, l=2, replications=4, seed=3,
-                                classifier_config=cfg)
+    result = holdout_experiment(frames, l=2, replications=4, seed=3)
     assert len(fitted) == len(scored) == len(result.level_sets) == 4
     for train_levels, train, test in zip(result.level_sets, fitted, scored):
         assert len(train_levels) == 2

@@ -229,23 +229,31 @@ def test_every_default_is_overridden_in_src():
     assert unpassed == sorted(UNPASSED_DEFAULTS_KEPT)
 
 
+def constant_name(arg) -> str | None:
+    """The name arg reads, bare or as an attribute, also through a
+    constant key, as STAGE_DEFAULTS["classifier"] reads STAGE_DEFAULTS;
+    None for any other expression."""
+    if isinstance(arg, ast.Subscript) and isinstance(arg.slice, ast.Constant):
+        arg = arg.value
+    return (arg.id if isinstance(arg, ast.Name)
+            else arg.attr if isinstance(arg, ast.Attribute) else None)
+
+
 def constant_arguments(trees) -> list[tuple[str, str, str]]:
     """(callable, parameter, constant) per required parameter that every
-    call in the modules fills with the one module constant, by name or as
-    an attribute."""
+    call in the modules fills with the one module constant, by name, as
+    an attribute or through a constant key."""
     constants = {name for tree in trees for name in module_constants(tree)}
     calls = src_calls(trees)
     found = []
     for tree in trees:
         for name, param, index, defaulted in parameters(tree):
-            args = [argument(call, param, index)
-                    for call in calls.get(name, [])]
-            passed = {ast.unparse(arg) if isinstance(
-                          arg, (ast.Name, ast.Attribute)) else None
-                      for arg in args}
+            passed = {ast.unparse(arg) if constant_name(arg) in constants
+                      else None
+                      for arg in (argument(call, param, index)
+                                  for call in calls.get(name, []))}
             if (not defaulted and len(passed) == 1
-                    and (constant := passed.pop()) is not None
-                    and constant.rsplit(".", 1)[-1] in constants):
+                    and (constant := passed.pop()) is not None):
                 found.append((name, param, constant))
     return sorted(found)
 
@@ -266,6 +274,12 @@ def test_no_required_parameter_is_a_fixed_constant():
         "def synthesize_loads(households, horizon, rng): pass\n"
         "demand = synthesize_loads(HOUSEHOLDS_PER_BUS, cfg.horizon, rng)"
     )]) == [("synthesize_loads", "households", "HOUSEHOLDS_PER_BUS")]
+    # and a fit's settings, once passed in as one row of the stage table
+    assert constant_arguments([ast.parse(
+        "STAGE_DEFAULTS = {'classifier': TrainConfig(2e-3, 80, 256)}\n"
+        "def fit_classifier(features, labels, config, seed): pass\n"
+        "fit_classifier(x, y, STAGE_DEFAULTS['classifier'], seed + 2)"
+    )]) == [("fit_classifier", "config", "STAGE_DEFAULTS['classifier']")]
 
 
 POWERFLOW = "src/gridsentry/grid/powerflow.py"
@@ -549,10 +563,11 @@ def test_every_error_is_a_refusal_or_a_named_fault():
                 "(InputError, FileNotFoundError)"]
 
 
-# restated, with the reason, by a change that moves it: 331 -> 330 as
-# ScenarioSeries.load_sidecar and its path went, the sidecars being read by
-# config.read_json_object
-SETTABLE_VALUES = 330
+# restated, with the reason, by a change that moves it: 330 -> 324 as
+# RunConfig.train_stages went, with the settings parameter of the three
+# fits, train_bundle's stage_configs and holdout_experiment's
+# classifier_config, the fits reading detector.models.STAGE_DEFAULTS
+SETTABLE_VALUES = 324
 
 
 def settable_values(tree: ast.Module) -> int:

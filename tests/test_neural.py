@@ -691,19 +691,6 @@ def test_train_rejects_empty():
               seed=0)
 
 
-def test_config_validation():
-    good = dict(learning_rate=1e-3, epochs=1, batch_size=1)
-    for key, value in (("learning_rate", -1), ("learning_rate", np.nan),
-                       ("learning_rate", np.inf), ("epochs", 0),
-                       ("batch_size", 0), ("epochs", 2.5)):
-        with pytest.raises(ValueError, match=key):
-            TrainConfig(**{**good, key: value})
-    with pytest.raises(TypeError):
-        TrainConfig(epochs=1, batch_size=1)  # every field is required
-    with pytest.raises(TypeError, match="seed"):
-        TrainConfig(**good, seed=0)  # each fit takes its seed as an argument
-
-
 # ---------------------------------------------------------------- autoencoder shape
 
 def test_autoencoder_grad_check():

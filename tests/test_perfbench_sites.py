@@ -46,10 +46,10 @@ def test_optim_step_span_once_per_batch():
         "tracer.install()",
         "from gridsentry.detector import models",
         "from gridsentry.neural import TrainConfig",
+        "models.STAGE_DEFAULTS['classifier'] = TrainConfig(",
+        "    learning_rate=1e-3, epochs=3, batch_size=8)",
         "x = np.random.default_rng(0).standard_normal((20, 78))",
-        "models.fit_classifier(x, np.arange(20) % 9,",
-        "                      TrainConfig(learning_rate=1e-3, epochs=3,",
-        "                                  batch_size=8), seed=0)",
+        "models.fit_classifier(x, np.arange(20) % 9, seed=0)",
         "print(json.dumps({'steps': tracer.spans['setup', 'neural.optim_step'][0],",
         "                  'batches': tracer.counts['neural.batches']}))",
     ])
