@@ -21,16 +21,14 @@ from .evaluation import (accuracy, confusion_counts, csv_table,
                          format_report, holdout_experiment, macro_f1,
                          report_rows, severity_sweep)
 from .grid import N_SENSORS, load_case
-from .scenario import (GENERATOR_BUSES, KINDS, LABEL_INDEX, LEVEL_FRACTIONS,
-                       ScenarioSeries, SeriesFileError, condition_name,
-                       generate_scenario, make_condition)
+from .scenario import (GENERATOR_BUSES, KINDS, LABEL_INDEX, LABELS,
+                       LEVEL_FRACTIONS, ScenarioSeries, SeriesFileError,
+                       condition_name, generate_scenario, make_condition)
 
 
 # the RunConfig fields that gen-data's files depend on
 GENERATION_KEYS = ("case_file", "seed", "horizon", "noise_sigma", "levels",
                    "window", "normal_series", "series_per_condition_per_level")
-# the sidecar keys that a series' frame labels and level derive from
-ANNOTATIONS = ("condition", "horizon", "target", "level", "window")
 
 
 def _series_jobs(cfg: RunConfig):
@@ -74,7 +72,7 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     paths = [config_path]
 
     jobs = [(cfg, case, *job) for job in _series_jobs(cfg)]
-    count, conditions_seen, failures = 0, set(), []
+    count, failures = 0, []
     with contextlib.ExitStack() as stack:
         generated = map(_generate_one, jobs)
         if cfg.workers > 1:
@@ -87,16 +85,14 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
         # run holds one series at a time
         for filename, series in generated:
             count += 1
-            if series.metadata.get("gap_hours"):
+            if series.metadata["gap_hours"]:
                 failures.append(filename)
-            series.save(out_dir / filename)
-            paths += [out_dir / filename,
-                      (out_dir / filename).with_suffix(".meta.json")]
-            conditions_seen.add(series.metadata["condition"])
+            paths += series.save(out_dir / filename)
             del series  # before the next one is generated
+    # _series_jobs gives every condition at least one series
     manifest.record("gen-data", paths,
                     status="ok" if not failures else "partial",
-                    series=count, conditions=sorted(conditions_seen),
+                    series=count, conditions=sorted(LABELS),
                     solver_gaps=failures)
     if len(failures) == count:
         raise RuntimeError("every series hit solver gaps; generation failed")
@@ -111,51 +107,31 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
     as each series' job gives them: its condition inside cfg's window,
     normal elsewhere, and its level, 0 for a normal series.
 
-    Each record it takes in, in turn, must hold on its keys the record cfg
-    implies, compared as JSON text (3.0 is not 3, an absent key not a null
-    one): data_dir's config.json and the dataset record of each (path,
-    ModelBundle) pair in bundles, the bundles the stage scores on the part,
-    on GENERATION_KEYS; then each sidecar, read once, on ANNOTATIONS, as
-    its _series_jobs entry implies. Only then are the part's series files
-    parsed, so a defect in another file is not seen.
+    Each record it takes in, in turn, must hold on GENERATION_KEYS what
+    cfg gives, compared as JSON text (3.0 is not 3, an absent key not a
+    null one): data_dir's config.json, then the dataset record of each
+    (path, ModelBundle) pair in bundles, the bundles the stage scores on
+    the part. Only then are the part's series files parsed, so a defect in
+    another file is not seen.
     """
     data_dir = Path(data_dir)
     given = cfg.canonical()
+    config_path = data_dir / "config.json"
+    records = [(config_path, read_json_object(config_path)),
+               *((f"bundle file {path}", bundle.dataset)
+                 for path, bundle in bundles)]
+    for source, written in records:
+        differ = [key for key in GENERATION_KEYS if key not in written
+                  or json.dumps(written[key]) != json.dumps(given[key])]
+        if differ:
+            recorded = {key: written[key] for key in differ if key in written}
+            wanted = {key: given[key] for key in differ}
+            raise SeriesFileError(f"{source} records {recorded}; the config "
+                                  f"gives {wanted}")
     jobs = sorted(_series_jobs(cfg))
     # each series' (condition, level), the group split_series keeps it in
     groups = [("normal" if kind == "normal" else condition_name(kind, target),
                level) for _, kind, target, level, _ in jobs]
-    sidecars = []
-
-    def records():
-        """(source, record, implied record, keys) of each, read in turn."""
-        path = data_dir / "config.json"
-        yield path, read_json_object(path), given, GENERATION_KEYS
-        for path, bundle in bundles:
-            yield f"bundle file {path}", bundle.dataset, given, GENERATION_KEYS
-        for (filename, kind, target, level, _), (condition, _) in zip(
-                jobs, groups):
-            path = (data_dir / filename).with_suffix(".meta.json")
-            sidecars.append(read_json_object(path))
-            implied = {"condition": condition, "horizon": cfg.horizon}
-            if kind != "normal":
-                implied.update(target=target, level=level,
-                               window=given["window"])
-            yield path, sidecars[-1], implied, ANNOTATIONS
-
-    for source, written, implied, keys in records():
-        # each side's present keys as one JSON object, in keys order
-        written_text, implied_text = (
-            json.dumps({key: record[key] for key in keys if key in record})
-            for record in (written, implied))
-        if written_text != implied_text:
-            differ = [key for key in keys
-                      if (key in written, json.dumps(written.get(key)))
-                      != (key in implied, json.dumps(implied.get(key)))]
-            recorded = {key: written[key] for key in differ if key in written}
-            wanted = {key: implied[key] for key in differ if key in implied}
-            raise SeriesFileError(f"{source} records {recorded}; the config "
-                                  f"gives {wanted}")
     picked = (range(len(jobs)) if part == "all" else
               split_series(groups, cfg.seed)[("train", "test").index(part)])
     frames = np.empty((len(picked), cfg.horizon, N_SENSORS))
@@ -163,8 +139,7 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
     levels = np.empty(len(picked), dtype=int)
     window = slice(*cfg.window)
     for row, k in enumerate(picked):
-        frames[row] = ScenarioSeries.load(data_dir / jobs[k][0],
-                                          sidecars[k]).values
+        frames[row] = ScenarioSeries.load(data_dir / jobs[k][0], cfg.horizon)
         labels[row, window] = LABEL_INDEX[groups[k][0]]
         levels[row] = groups[k][1]
     return frames, labels, levels

@@ -25,24 +25,26 @@ class SeriesFileError(InputError):
 @dataclass
 class ScenarioSeries:
     values: np.ndarray  # (T, 39)
-    metadata: dict      # the sidecar
+    metadata: dict      # the sidecar: the per-hour status lists
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | Path) -> list[Path]:
+        """Write the values file at path and its .meta.json sidecar beside
+        it; the paths of the two files."""
         path = Path(path)
         # through a handle, as np.save appends .npy to a name without it
         with open(path, "wb") as fh:
             np.lib.format.write_array(fh, self.values, allow_pickle=False)
-        path.with_suffix(".meta.json").write_text(
-            json.dumps(self.metadata, indent=2, sort_keys=True))
+        sidecar = path.with_suffix(".meta.json")
+        sidecar.write_text(json.dumps(self.metadata, indent=2, sort_keys=True))
+        return [path, sidecar]
 
     @classmethod
-    def load(cls, path: str | Path, sidecar: dict) -> "ScenarioSeries":
-        """Read save's file, the values of the series whose sidecar dict is
-        given: a float64 array of one row of N_SENSORS finite values for
-        each hour of the sidecar's horizon. A non-finite frame, such as a
-        leading power-flow gap hour, is refused by its hour, with the
-        sidecar's gap hours. SeriesFileError names the file."""
-        shape = (sidecar["horizon"], N_SENSORS)
+    def load(cls, path: str | Path, horizon: int) -> np.ndarray:
+        """The values save wrote at path: a float64 array of one row of
+        N_SENSORS finite values for each of horizon hours. A non-finite
+        frame, such as a leading power-flow gap hour, is refused by its
+        hour. SeriesFileError names the file."""
+        shape = (horizon, N_SENSORS)
         try:
             with open(path, "rb") as fh:
                 values = np.lib.format.read_array(fh, allow_pickle=False)
@@ -50,17 +52,15 @@ class ScenarioSeries:
                     raise ValueError("bytes after the array")
             if values.dtype != np.float64 or values.shape != shape:
                 raise ValueError(f"a {values.dtype} array of shape "
-                                 f"{values.shape}; the sidecar gives float64 "
+                                 f"{values.shape}; the config gives float64 "
                                  f"of shape {shape}")
             finite = np.isfinite(values).all(axis=1)
             if not finite.all():
-                raise ValueError(
-                    "non-finite frames at hours "
-                    f"{np.flatnonzero(~finite).tolist()}; the sidecar "
-                    f"records gap hours {sidecar.get('gap_hours')}")
+                raise ValueError("non-finite frames at hours "
+                                 f"{np.flatnonzero(~finite).tolist()}")
         except ValueError as exc:
             raise SeriesFileError(f"{path}: {exc}") from None
-        return cls(values=values, metadata=sidecar)
+        return values
 
 
 def generate_scenario(case: GridCase, plan: GenerationPlan, demand: np.ndarray,
@@ -79,7 +79,6 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, demand: np.ndarray,
     if plan.horizon != demand.shape[0]:
         raise ValueError("plan and demand disagree on horizon")
     T = plan.horizon
-    label = "normal" if condition is None else condition.label
     # 14-bus demand of every hour; the solves get read-only row views
     load_p = np.zeros((T, case.n_bus))
     load_p[:, [b - 1 for b in case.load_buses]] = demand
@@ -142,15 +141,8 @@ def generate_scenario(case: GridCase, plan: GenerationPlan, demand: np.ndarray,
                                        mask_noise[masked])
 
     meta = {
-        "condition": label,
-        "seed": seed,
-        "noise_sigma": noise_sigma,
-        "horizon": T,
         "noop_hours": np.flatnonzero(in_window & ~applied).tolist(),
         "gap_hours": np.flatnonzero(~converged).tolist(),
         "template_fallback_hours": template_fallback_hours,
     }
-    if condition is not None:
-        meta.update(target=condition.target_generator, level=condition.level,
-                    window=[condition.start_hour, condition.end_hour])
     return ScenarioSeries(values=values, metadata=meta)

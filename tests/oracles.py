@@ -10,18 +10,18 @@ The pipeline runs none of these; they check it from outside:
   differentiable model (criterion 5, tests/test_neural.py).
 - `write_weakened_case`: a case file on which some solves fail, for the
   gap-hour and template-fallback paths of `gen-data`.
-- `read_series`: a series file parsed against its sidecar
-  (tests/test_cli.py, tests/test_scenario.py).
-- `frame_labels` and `series_stack`: a series' frame labels, and in-memory
-  series as the `(frames, labels, levels)` stack, from each sidecar's own
-  condition, window, level and horizon, which `cli.load_dataset` takes
-  from each series' job instead (tests/test_cli.py,
-  tests/test_detector.py, tests/test_scenario.py).
+- `read_series`: a series file and its sidecar as save wrote them, read
+  without `ScenarioSeries.load`'s checks (tests/test_cli.py).
+- `named_group`, `frame_labels` and `series_stack`: a series' condition
+  and level from its file name, its frame labels, and series files as the
+  `(frames, labels, levels)` stack, which `cli.load_dataset` takes from
+  each series' job instead (tests/test_cli.py, tests/test_scenario.py).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -201,28 +201,40 @@ def write_weakened_case(path: Path) -> Path:
 
 # ------------------------------------------------------------ series files
 
-def read_series(path):
-    """The series file at path, parsed against the JSON object of its
-    .meta.json sidecar."""
-    sidecar = json.loads(Path(path).with_suffix(".meta.json").read_text())
-    return ScenarioSeries.load(path, sidecar)
+def read_series(path) -> ScenarioSeries:
+    """The series file at path and its .meta.json sidecar, as np.load and
+    json read them."""
+    path = Path(path)
+    return ScenarioSeries(values=np.load(path), metadata=json.loads(
+        path.with_suffix(".meta.json").read_text()))
 
 
-def frame_labels(metadata) -> list[str]:
-    """The sidecar's condition inside its window, normal elsewhere, for each
-    hour of its horizon."""
-    start, end = metadata.get("window", (0, 0))
-    return [metadata["condition"] if start <= t < end else "normal"
-            for t in range(metadata["horizon"])]
+def named_group(path) -> tuple[str, int]:
+    """The (condition, level) that the name of a series file of gen-data
+    spells: <condition>_l<level>_sNN.npy, or normal_sNN.npy at level 0."""
+    condition, level = re.fullmatch(r"(.+?)(?:_l(\d))?_s\d+",
+                                    Path(path).stem).groups()
+    return condition, int(level or 0)
 
 
-def series_stack(series_list):
-    """The (frames, labels, levels) stack of series_list, as
-    cli.load_dataset returns a dataset's part: each series' values, the
-    LABEL_INDEX of its sidecar's frame labels and its sidecar's level, 0
-    for a normal series."""
-    return (np.array([s.values for s in series_list]),
-            np.array([[LABEL_INDEX[label]
-                       for label in frame_labels(s.metadata)]
-                      for s in series_list]),
-            np.array([s.metadata.get("level", 0) for s in series_list]))
+def frame_labels(condition: str, window, horizon: int) -> list[str]:
+    """condition inside the window's hours, normal elsewhere, for each hour
+    of horizon."""
+    start, end = window
+    return [condition if start <= t < end else "normal"
+            for t in range(horizon)]
+
+
+def series_stack(paths, window):
+    """The (frames, labels, levels) stack of the series files at paths, as
+    cli.load_dataset returns a dataset's part: each file's values as
+    np.load reads them, the LABEL_INDEX of the frame labels of the
+    condition its name gives (named_group) inside window, and the level
+    its name gives, 0 for a normal series."""
+    frames = np.array([np.load(path) for path in paths])
+    groups = [named_group(path) for path in paths]
+    return (frames,
+            np.array([[LABEL_INDEX[label] for label in frame_labels(
+                condition, window, frames.shape[1])]
+                for condition, _ in groups]),
+            np.array([level for _, level in groups]))

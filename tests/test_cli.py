@@ -23,8 +23,8 @@ from gridsentry.evaluation import HoldoutResult
 from gridsentry.grid import DEFAULT_CASE, load_case
 from gridsentry.neural import TrainConfig, get_state
 from gridsentry.scenario import (LABEL_INDEX, LABELS, ScenarioSeries,
-                                 SeriesFileError, condition_name)
-from oracles import (frame_labels, read_series, series_stack,
+                                 condition_name)
+from oracles import (frame_labels, named_group, read_series, series_stack,
                      write_weakened_case)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -480,7 +480,7 @@ def test_gen_data_reports_power_flow_gaps(tmp_path):
     # touches the row afterwards
     normal_gaps = 0
     for name, s in series.items():
-        if s.metadata["condition"] != "normal":
+        if named_group(name)[0] != "normal":
             continue
         for t in gaps[name]:
             assert t > 0 and np.array_equal(s.values[t], s.values[t - 1])
@@ -488,38 +488,35 @@ def test_gen_data_reports_power_flow_gaps(tmp_path):
     assert normal_gaps > 0
 
 
-def truncate_first_normal(hours):
-    """An edit for dataset_copy: normal_s00 keeps its first `hours` hours,
-    and its sidecar records that horizon."""
+def truncate_normals(hours):
+    """An edit for dataset_copy: each normal series keeps its first `hours`
+    hours."""
     def edit(name, series):
-        if name == "normal_s00.npy":
+        if named_group(name)[0] == "normal":
             series.values = series.values[:hours]
-            series.metadata["horizon"] = hours
     return edit
 
 
 def test_load_dataset_refuses_mixed_horizons(workspace, tmp_path):
     # the detector stacks a dataset's series, so a copy of the 60-h dataset
-    # with one 48-h series is refused from that series' sidecar, which does
-    # not record the config's horizon
+    # whose normal series hold 48 h is refused from the first of their
+    # values files, which does not hold the config's horizon
     _, config_path, data_dir = workspace
-    mixed = dataset_copy(data_dir, tmp_path / "mixed",
-                         truncate_first_normal(48))
-    sidecar = re.escape(str(mixed / "normal_s00.meta.json"))
-    with pytest.raises(ValueError, match=f"{sidecar} records "
-                                         r"\{'horizon': 48\}; the config "
-                                         r"gives \{'horizon': 60\}$"):
+    mixed = dataset_copy(data_dir, tmp_path / "mixed", truncate_normals(48))
+    values = re.escape(str(mixed / "normal_s00.npy"))
+    with pytest.raises(ValueError, match=f"^{values}: " + re.escape(
+            "a float64 array of shape (48, 39); the config gives float64 "
+            "of shape (60, 39)") + "$"):
         cli.load_dataset(load_config(config_path), mixed, "all")
 
 
 @pytest.mark.parametrize("dataset", ["mixed", "float32 series"])
 def test_train_refuses_unreadable_dataset(workspace, tmp_path, capsys,
                                           dataset):
-    # a copy of the dataset with one series of another horizon, and one
-    # whose normal series hold float32 values, are refused in one line
+    # a copy of the dataset whose normal series hold another horizon, and
+    # one whose normal series hold float32 values, are refused in one line
     # naming the file, as every other refusal of the run's input is; train
-    # parses only its split's files, so a float32 series is refused when
-    # parsed
+    # parses only its split's files, so either is refused when parsed
     _, config_path, data_dir = workspace
 
     def edit(name, series):
@@ -527,11 +524,13 @@ def test_train_refuses_unreadable_dataset(workspace, tmp_path, capsys,
             series.values = series.values.astype(np.float32)
 
     edited = dataset_copy(data_dir, tmp_path / dataset,
-                          truncate_first_normal(36)
+                          truncate_normals(36)
                           if dataset == "mixed" else edit)
-    message = {"mixed": r"normal_s00\.meta\.json records \{'horizon': 36\};",
+    message = {"mixed": r"normal_s0[0-2]\.npy: a float64 array of shape "
+                        r"\(36, 39\); the config gives float64 of shape "
+                        r"\(60, 39\)$",
                "float32 series": r"normal_s0[0-2]\.npy: a float32 array of "
-                                 r"shape \(60, 39\); the sidecar gives "
+                                 r"shape \(60, 39\); the config gives "
                                  r"float64"}
     err = refused(capsys, ["--config", str(config_path), "train",
                            "--data", str(edited), "--variant", "SE_DNN"])
@@ -542,15 +541,19 @@ def test_train_refuses_unreadable_dataset(workspace, tmp_path, capsys,
 def csv_dataset(data_dir, dest):
     """A copy at dest of data_dir in the series format that .npy files
     replaced: each series a CSV of hour, sensor and label columns beside
-    its sidecar, under the name of its .npy file with the suffix .csv."""
+    its sidecar, under the name of its .npy file with the suffix .csv; a
+    frame's label is the condition the file name gives inside the window
+    of data_dir's config.json."""
     dest.mkdir()
-    (dest / "config.json").write_bytes((data_dir / "config.json").read_bytes())
+    config = (data_dir / "config.json").read_bytes()
+    (dest / "config.json").write_bytes(config)
+    window = json.loads(config)["window"]
     for path in sorted(data_dir.glob("*.npy")):
-        series = read_series(path)
+        values = np.load(path)
+        labels = frame_labels(named_group(path)[0], window, len(values))
         rows = ["hour," + ",".join(f"s{i:02d}" for i in range(39)) + ",label"]
         rows += [f"{t},{','.join(map(repr, row))},{label}" for t, (row, label)
-                 in enumerate(zip(series.values.tolist(),
-                                  frame_labels(series.metadata)))]
+                 in enumerate(zip(values.tolist(), labels))]
         path = dest / path.name
         path.with_suffix(".csv").write_text("\n".join(rows) + "\n")
         path.with_suffix(".meta.json").write_bytes(
@@ -612,9 +615,10 @@ def test_split_first_parts_are_the_split_of_the_loaded_series(workspace):
 
 def test_load_dataset_stacks_each_series_file(workspace):
     # a part is one (frames, labels, levels) stack: row k holds its k-th
-    # series' file values, the LABEL_INDEX of the frame labels its sidecar
-    # records and its sidecar's level, in split order; train and test
-    # partition all
+    # series' file values, the LABEL_INDEX of the frame labels of the
+    # condition its file name gives inside the config's window and the
+    # level its file name gives, in split order; train and test partition
+    # all
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
     names = series_names(config_path)
@@ -623,8 +627,8 @@ def test_load_dataset_stacks_each_series_file(workspace):
     for part, picked in (("all", range(len(names))), ("train", train),
                          ("test", test)):
         loaded = cli.load_dataset(cfg, data_dir, part)
-        files = series_stack([read_series(data_dir / names[k])
-                              for k in picked])
+        files = series_stack([data_dir / names[k] for k in picked],
+                             cfg.window)
         assert [a.dtype.kind for a in loaded] == ["f", "i", "i"]
         assert loaded[0].dtype == np.float64
         assert all(np.array_equal(got, want)
@@ -633,74 +637,24 @@ def test_load_dataset_stacks_each_series_file(workspace):
         assert set(loaded[2].tolist()) == {0, 5}
 
 
-@pytest.mark.parametrize("key, value", [
-    ("level", 3), ("target", 2), ("window", [24, 50])])
-def test_load_dataset_refuses_annotated_normal_sidecar(workspace, tmp_path,
-                                                       key, value):
-    # a normal series is level 0, the level train fits its normal-condition
-    # models on: a normal sidecar that records a level (or a target or
-    # window) is refused naming the sidecar and the key, which its job does
-    # not give, not scored at that level
-    _, config_path, data_dir = workspace
-
-    def annotate(name, series):
-        if name == "normal_s00.npy":
-            series.metadata[key] = value
-
-    copy = dataset_copy(data_dir, tmp_path / "annotated", annotate)
-    sidecar = re.escape(str(copy / "normal_s00.meta.json"))
-    with pytest.raises(SeriesFileError,
-                       match=f"^{sidecar} " + re.escape(
-                           f"records {{'{key}': {value}}}; the config gives "
-                           "{}") + "$"):
-        cli.load_dataset(load_config(config_path), copy, "all")
-
-
 ABSENT = object()  # a key that the record does not hold
 
 
 @pytest.mark.parametrize("name, key, value, implied", [
-    # a frame label, a level or a window that disagrees with the file's
-    # job would label frames or group the split by chance
+    # a float, a bool, a null or an absent key is not the config's value
     ("config.json", "seed", 77.0, 77),
-    ("attack_2_l1_s01.meta.json", "window", [0, 24], [6, 18]),
-    ("fault_3_l1_s00.meta.json", "condition", "fault_6", "fault_3"),
-    ("attack_2_l1_s01.meta.json", "level", 3, 1),
-    # a float, a bool, a null or an absent key is not the job's value
-    ("attack_2_l3_s00.meta.json", "level", 3.0, 3),
-    ("attack_2_l1_s01.meta.json", "level", True, 1),
-    ("normal_s00.meta.json", "level", None, ABSENT),
-    ("normal_s00.meta.json", "horizon", ABSENT, 24),
-    ("normal_s00.meta.json", "horizon", 24.0, 24),
     ("config.json", "horizon", 24.0, 24),
-    # a sidecar without its job's condition, target, level, window or
-    # horizon
-    ("attack_2_l1_s01.meta.json", "condition", "attack_5", "attack_2"),
-    ("attack_2_l1_s01.meta.json", "condition", ABSENT, "attack_2"),
-    ("fault_6_l2_s00.meta.json", "target", ABSENT, 6),
-    ("fault_6_l2_s00.meta.json", "level", ABSENT, 2),
-    ("fault_6_l2_s00.meta.json", "level", "2", 2),
-    ("fault_6_l2_s00.meta.json", "level", 0, 2),
-    ("fault_6_l2_s00.meta.json", "level", 6, 2),
-    ("fault_6_l2_s00.meta.json", "window", ABSENT, [6, 18]),
-    ("fault_6_l2_s00.meta.json", "window", [6, 18.0], [6, 18]),
-    ("fault_6_l2_s00.meta.json", "window", [6], [6, 18]),
-    ("fault_6_l2_s00.meta.json", "window", None, [6, 18]),
-    ("fault_6_l2_s00.meta.json", "window", 6, [6, 18]),
-    ("fault_6_l2_s00.meta.json", "window", "ab", [6, 18]),
-    ("normal_s00.meta.json", "horizon", "24", 24),
-    ("normal_s00.meta.json", "horizon", None, 24),
-    ("normal_s00.meta.json", "horizon", -1, 24),
-    ("normal_s00.meta.json", "horizon", True, 24)])
+    ("config.json", "horizon", True, 24),
+    ("config.json", "horizon", ABSENT, 24),
+    ("config.json", "window", [6, 18.0], [6, 18]),
+    ("config.json", "levels", None, [1, 2, 3, 4, 5])])
 def test_stages_refuse_a_record_that_is_not_its_jobs(
         holdout_workspace, tmp_path, capsys, name, key, value, implied):
-    # every record a stage takes in is compared, as JSON text, with the
-    # record its config implies: config.json with the config on
-    # GENERATION_KEYS, each sidecar with its _series_jobs entry on
-    # ANNOTATIONS, as a sidecar's condition, window and level label its
-    # frames and group it in the split. A stage refuses one edited key of
-    # a copy of the dataset in one line naming the file and both values,
-    # before it writes anything
+    # the dataset record a stage takes in is compared, as JSON text, with
+    # the config on GENERATION_KEYS, which fix its _series_jobs: each
+    # series' file, condition, level and split group. A stage refuses one
+    # edited key of a copy of the dataset's config.json in one line naming
+    # the file and both values, before it writes anything
     config_path, data_dir = holdout_workspace
     copy = tmp_path / "copy"
     copy.mkdir()
@@ -741,9 +695,9 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
                                                    holdout_workspace,
                                                    holdout_bundle,
                                                    tmp_path, monkeypatch):
-    # every stage reads each sidecar of its dataset once, but train parses
-    # the train split's series files, evaluate and report the test split's,
-    # and holdout all of them
+    # every stage reads its dataset's config.json and no sidecar; train
+    # parses the train split's series files, evaluate and report the test
+    # split's, and holdout all of them
     _, config_path, data_dir = workspace
     holdout_path, holdout_dir = holdout_workspace
     names = series_names(config_path)
@@ -755,9 +709,9 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
         read.append(Path(path).name)
         return read_json_object(path)
 
-    def parsing(cls, path, sidecar):
+    def parsing(cls, path, horizon):
         parsed.append(Path(path).name)
-        return load(cls, path, sidecar)
+        return load(cls, path, horizon)
 
     monkeypatch.setattr(cli, "read_json_object", reading)
     monkeypatch.setattr(ScenarioSeries, "load", classmethod(parsing))
@@ -779,8 +733,7 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
         assert cli.main(["--config", *argv, "--data", str(data),
                          "--out", str(tmp_path / stage)]) == 0
         every = series_names(argv[0])
-        assert read == ["config.json", *(Path(name).with_suffix(
-            ".meta.json").name for name in every)], stage
+        assert read == ["config.json"], stage
         assert parsed == (every if expected is None else expected), stage
     assert 0 < len(train) < len(names) and 0 < len(test) < len(names)
 
@@ -873,9 +826,9 @@ def test_stages_refuse_a_bundle_trained_on_another_dataset(
     parsed = []
     load = ScenarioSeries.load.__func__
 
-    def parsing(cls, path, sidecar):
+    def parsing(cls, path, horizon):
         parsed.append(path)
-        return load(cls, path, sidecar)
+        return load(cls, path, horizon)
 
     monkeypatch.setattr(ScenarioSeries, "load", classmethod(parsing))
     for stage, flag in (("evaluate", "--bundle"), ("report", "--bundles")):
@@ -905,14 +858,12 @@ def test_stages_refuse_a_bundle_trained_on_another_dataset(
     assert parsed
 
 
-@pytest.mark.parametrize("name", ["config.json", "manifest.json",
-                                  "fault_3_l5_s01.meta.json"])
+@pytest.mark.parametrize("name", ["config.json", "manifest.json"])
 def test_stages_refuse_a_json_file_that_holds_no_object(workspace, tmp_path,
                                                         capsys, name):
-    # a dataset's config.json, each of its series' sidecars and an output
-    # directory's manifest.json are each one JSON object, read by one
-    # reader; anything else is refused in one line naming the file, before
-    # anything is written
+    # a dataset's config.json and an output directory's manifest.json are
+    # each one JSON object, read by one reader; anything else is refused in
+    # one line naming the file, before anything is written
     _, config_path, data_dir = workspace
     edited = dataset_copy(data_dir, tmp_path / "edited")
     out = tmp_path / "models"
@@ -930,6 +881,34 @@ def test_stages_refuse_a_json_file_that_holds_no_object(workspace, tmp_path,
                         f"JSON object{cause}", err.rstrip()), err
         assert [p.name for p in out.iterdir()] == (
             ["manifest.json"] if name == "manifest.json" else [])
+
+
+def test_stages_read_no_sidecar(workspace, se_bundle, tmp_path, capsys):
+    # a series' labels, level and split group come from its job, so the
+    # dataset gen-data writes trains and scores to the same bytes after
+    # every .meta.json sidecar is deleted
+    _, config_path, data_dir = workspace
+    config, bare = str(config_path), tmp_path / "bare"
+    assert cli.main(["--config", config, "gen-data", "--out", str(bare)]) == 0
+    sidecars = sorted(bare.glob("*.meta.json"))
+    assert len(sidecars) == len(series_names(config_path))
+    for path in sidecars:
+        path.unlink()
+    assert cli.main(["--config", config, "train", "--data", str(bare),
+                     "--variant", "SE_DNN"]) == 0
+    bundle = bare / "models" / "bundle_SE_DNN.npz"
+    assert bundle.read_bytes() == se_bundle.read_bytes()
+    reports = {}
+    for name, data, scored in (("kept", data_dir, se_bundle),
+                               ("bare", bare, bundle)):
+        out = tmp_path / f"reports_{name}"
+        assert cli.main(["--config", config, "evaluate", "--data", str(data),
+                         "--bundle", str(scored), "--out", str(out)]) == 0
+        reports[name] = {p.name: p.read_bytes() for p in out.iterdir()
+                         if p.name != "manifest.json"}
+    capsys.readouterr()
+    assert len(reports["bare"]) == 3
+    assert reports["bare"] == reports["kept"]
 
 
 def test_train_evaluate_roundtrip(workspace, capsys):
@@ -1251,21 +1230,6 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 f"{re.escape(str(nan_case))}:{lineno}: not a finite number "
                 "'nan'$")
 
-    def train_on_bad_normals(relabel):
-        """Train on a copy of the dataset whose normal series are relabelled
-        level-5 fault_6 series when `relabel`, else hold a nan frame."""
-        def edit(name, series):
-            if series.metadata["condition"] != "normal":
-                return
-            if relabel:
-                series.metadata.update(condition="fault_6", target=6,
-                                       level=5, window=[24, 50])
-            else:
-                series.values[5, 3] = np.nan
-        edited = dataset_copy(data_dir, tmp_path / "edited", edit)
-        return ["--config", config, "train", "--data", str(edited),
-                "--variant", "SE_DNN"]
-
     if case == "truncated series":
         # every series file lacks its last value, so train refuses the
         # first one of its split that it parses
@@ -1284,28 +1248,16 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                  "--variant", "SE_DNN"],
                 f"No such file or directory: "
                 f"'{re.escape(str(edited / 'config.json'))}'$")
-    if case == "dataset without a sidecar":
-        # each sidecar is read before any series file is parsed
-        edited = dataset_copy(data_dir, tmp_path / "edited")
-        (edited / "normal_s01.meta.json").unlink()
+    if case == "nan in series":
+        # each normal series holds a nan frame
+        def edit(name, series):
+            if named_group(name)[0] == "normal":
+                series.values[5, 3] = np.nan
+        edited = dataset_copy(data_dir, tmp_path / "edited", edit)
         return (["--config", config, "train", "--data", str(edited),
                  "--variant", "SE_DNN"],
-                f"No such file or directory: "
-                f"'{re.escape(str(edited / 'normal_s01.meta.json'))}'$")
-    if case == "nan in series":
-        return (train_on_bad_normals(relabel=False),
-                f"{re.escape(str(tmp_path / 'edited'))}/normal_s\\d+\\.npy: "
-                r"non-finite frames at hours \[5\]; the sidecar records "
-                r"gap hours \[\]$")
-    if case == "no normal series":
-        # each relabelled sidecar records what its normal job does not
-        # give; train_bundle's own refusal of a stack without level-0
-        # series is test_train_bundle_refuses_a_stack_without_normals
-        sidecar = tmp_path / "edited" / "normal_s00.meta.json"
-        return (train_on_bad_normals(relabel=True),
-                re.escape(f"{sidecar} records {{'condition': 'fault_6', "
-                          "'target': 6, 'level': 5, 'window': [24, 50]}; "
-                          "the config gives {'condition': 'normal'}") + "$")
+                f"{re.escape(str(edited))}/normal_s\\d+\\.npy: non-finite "
+                r"frames at hours \[5\]$")
     if case == "repeated variant":
         return (["--config", config, "report", "--data", str(data_dir),
                  "--out", str(tmp_path / "reports"),
@@ -1332,9 +1284,8 @@ def refused_input(case, workspace, se_bundle, tmp_path):
     "directory as bundle", "empty bundles entry", "gen-data out is a file",
     "evaluate out under a file", "csv as bundle", "malformed yaml",
     "control character in yaml", "latin-1 config", "nan in case file",
-    "dataset without config.json", "dataset without a sidecar",
-    "truncated series", "nan in series",
-    "no normal series", "repeated variant", "24 normal training frames",
+    "dataset without config.json", "truncated series", "nan in series",
+    "repeated variant", "24 normal training frames",
     "window [0, 10]"])
 def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,
                                            tmp_path, capsys):
@@ -1464,7 +1415,7 @@ def test_gen_data_refuses_directory_of_another_config(tmp_path, capsys):
 
 def test_gen_data_refuses_its_case_before_writing(tmp_path, capsys):
     # a config.json left by a refused case would pass a later train's
-    # dataset check, which would then stop at a missing sidecar; an --out
+    # dataset check, which would then stop at a missing series file; an --out
     # that did not exist is not created
     nan_case, _ = write_nan_case(tmp_path)
     config = str(write_config(tmp_path / "nan.yaml",

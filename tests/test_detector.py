@@ -19,7 +19,7 @@ from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
 from gridsentry.neural import TrainConfig, get_state, set_state, softmax
 from gridsentry.scenario import LABELS, ScenarioSeries, generate_scenario
-from oracles import chi_square_detect, series_stack
+from oracles import chi_square_detect
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +39,18 @@ def normal_series(case):
     return out
 
 
+def normal_stack(series_list):
+    """The (frames, labels, levels) stack of normal series, as
+    cli.load_dataset returns a dataset's part: every frame normal, at
+    level 0."""
+    frames = np.array([s.values for s in series_list])
+    return (frames, np.full(frames.shape[:2], LABELS.index("normal")),
+            np.zeros(len(frames), dtype=int))
+
+
 @pytest.fixture(scope="module")
 def normal_frames(normal_series):
-    return series_stack(normal_series)[0]
+    return normal_stack(normal_series)[0]
 
 
 def unit_stats():
@@ -214,7 +223,7 @@ def test_residual_alignment_rnn(case, normal_series, normal_frames,
     [residuals] = predict_and_residual(bundle, normal_frames[:1], case)
     ts = np.arange(LAGS + 1, len(series.values))  # the residual frames
     assert residuals.shape == (len(ts), N_SENSORS)
-    levels, x, y = feature_rows(bundle, series_stack([series]), case)
+    levels, x, y = feature_rows(bundle, normal_stack([series]), case)
     assert x.shape == (len(ts), CLASSIFIER_INPUT)
     np.testing.assert_array_equal(x[:, :N_SENSORS],
                                   residuals.astype(x.dtype))
@@ -264,7 +273,7 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
         for name, state in drawn.items():
             set_state(getattr(bundle, name),
                       {k: v.astype(dtype) for k, v in state.items()})
-        stack = series_stack(series)
+        stack = normal_stack(series)
         stacked = predict_and_residual(bundle, stack[0], case)
         _, table, _ = feature_rows(bundle, stack, case)
         # the table is held in the classifier's dtype, whatever the models'

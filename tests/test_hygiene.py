@@ -285,10 +285,11 @@ def test_no_required_parameter_is_a_fixed_constant():
 POWERFLOW = "src/gridsentry/grid/powerflow.py"
 
 
-def walk_with_function(path: Path):
+def walk_with_function(source: Path | str):
     """(node, name of the innermost enclosing function or None) for every
-    AST node of the file at `path`."""
-    stack = [(ast.parse(path.read_text()), None)]
+    AST node of the file at the path `source`, or of the code `source`."""
+    text = source.read_text() if isinstance(source, Path) else source
+    stack = [(ast.parse(text), None)]
     while stack:
         node, func = stack.pop()
         if isinstance(node, ast.FunctionDef):
@@ -346,9 +347,8 @@ def is_metadata(node) -> bool:
 
 def test_one_home_for_series_annotations():
     # a frame's label and a series' level come from the series' job in
-    # cli.load_dataset, which only compares each sidecar with that job's
-    # record: no module reads a label or a level out of a sidecar's level
-    # or window
+    # cli.load_dataset: no module reads a label or a level out of a
+    # sidecar's level or window
     sites = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         rel = str(path.relative_to(ROOT))
@@ -366,18 +366,46 @@ def test_one_home_for_series_annotations():
     assert sites == []
 
 
+def sidecar_sites(source: Path | str) -> list[str | None]:
+    """The enclosing function of each string in `source` (walk_with_function)
+    that spells a series sidecar's suffix, .meta.json."""
+    return [func for node, func in walk_with_function(source)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and ".meta.json" in node.value]
+
+
+def test_only_save_names_a_sidecar():
+    # a sidecar holds the per-hour status lists that gen-data writes beside
+    # each series and no job implies; no stage reads one back, so its
+    # suffix is spelled only where ScenarioSeries.save writes it
+    sites = {(str(path.relative_to(ROOT)), func)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for func in sidecar_sites(path)}
+    assert sites == {("src/gridsentry/scenario/generate.py", "save")}
+    # the scan finds the sidecar read that load_dataset once made
+    assert sidecar_sites(
+        "def load_dataset(cfg, data_dir, part):\n"
+        "    path = (data_dir / name).with_suffix('.meta.json')\n"
+        "    sidecars.append(read_json_object(path))\n") == ["load_dataset"]
+
+
 FRAME_READERS = {"src/gridsentry/scenario/generate.py",
                  "src/gridsentry/cli.py"}
 
 
-def values_reads(path: Path) -> list[tuple[int, str | None]]:
-    """(line, enclosing function) of each read of a `.values` attribute
-    other than as a method call, so `vars(x).values()` does not count."""
+def frame_reads(path: Path) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of each read of a series' sensor frames:
+    a call of ScenarioSeries.load, which returns a values file's frames,
+    or a read of a `.values` attribute other than as a method call, so
+    `vars(x).values()` does not count."""
     nodes = list(walk_with_function(path))
     called = {id(node.func) for node, _ in nodes if isinstance(node, ast.Call)}
     return [(node.lineno, func) for node, func in nodes
-            if isinstance(node, ast.Attribute) and node.attr == "values"
-            and isinstance(node.ctx, ast.Load) and id(node) not in called]
+            if (isinstance(node, ast.Attribute) and node.attr == "values"
+                and isinstance(node.ctx, ast.Load) and id(node) not in called)
+            or (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "load"
+                and getattr(node.func.value, "id", None) == "ScenarioSeries")]
 
 
 def test_one_reader_of_sensor_frames():
@@ -387,7 +415,7 @@ def test_one_reader_of_sensor_frames():
     sites = [f"{path.relative_to(ROOT)}:{line} in {func}"
              for path in sorted((ROOT / "src").rglob("*.py"))
              if str(path.relative_to(ROOT)) not in FRAME_READERS
-             for line, func in values_reads(path)]
+             for line, func in frame_reads(path)]
     assert sites == []
 
 
@@ -395,7 +423,7 @@ def test_one_stacker_of_sensor_frames():
     # cli.load_dataset is where series become frames: it fills the
     # (frames, labels, levels) stack of the part a stage uses once, and
     # every function below it takes the stack
-    reads = values_reads(ROOT / "src/gridsentry/cli.py")
+    reads = frame_reads(ROOT / "src/gridsentry/cli.py")
     assert any(func == "load_dataset" for _, func in reads)
     assert [f"src/gridsentry/cli.py:{line} in {func}"
             for line, func in reads if func != "load_dataset"] == []
@@ -412,9 +440,9 @@ def numpy_root(node) -> bool:
 def test_one_reader_of_series_files():
     # a series file is parsed by ScenarioSeries.load, and load is called
     # only by the dataset reader, which parses the series a stage uses
-    # after every sidecar is read and checked. The values are an .npy
-    # array that only load reads and only save writes; no module parses
-    # text arrays, and np.load reads only bundles, in load_bundle
+    # after the dataset's config.json is read and checked. The values are
+    # an .npy array that only load reads and only save writes; no module
+    # parses text arrays, and np.load reads only bundles, in load_bundle
     sites, array_io = set(), set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         rel = str(path.relative_to(ROOT))

@@ -102,7 +102,7 @@ def test_every_solve_is_a_powerflow_span():
     assert attack["spans"] == 30 + attacked
     assert fault["meta"]["gap_hours"] == []
     assert fault["meta"]["noop_hours"] == meta["noop_hours"]
-    assert fault["spans"] == fault["meta"]["horizon"] == 30
+    assert fault["spans"] == 30  # the horizon of the loads it passes
     total = attack["spans"] + fault["spans"]
     assert out["iters"] >= total and out["unconverged"] == 0
 

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -16,7 +17,7 @@ from gridsentry.scenario import (GENERATOR_BUSES, LABELS, ScenarioSeries,
 from gridsentry.scenario import generate
 from gridsentry.scenario.generate import REACTIVE_RATIO, SeriesFileError
 from oracles import (LinearSystem, covert_attack_run, frame_labels,
-                     linear_mask_bias, random_system, read_series, simulate,
+                     linear_mask_bias, random_system, simulate,
                      write_weakened_case)
 
 
@@ -28,6 +29,13 @@ def case():
 def sensor_index(case, kind, element):
     """Index of the sensor that sensor_map lists as (kind, element)."""
     return next(i for i, k, e in sensor_map(case) if (k, e) == (kind, element))
+
+
+def condition_labels(condition, horizon):
+    """The frame labels of a series of horizon hours generated under
+    condition: its label inside its window, normal elsewhere."""
+    return frame_labels(condition.label,
+                        (condition.start_hour, condition.end_hour), horizon)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +73,7 @@ def test_attack_outside_window(case, world):
     s = generate_scenario(case, plan, loads, spec, 0.01, seed=4)
     nominal = generate_scenario(case, plan, loads, None, 0.01, seed=4)
     np.testing.assert_array_equal(s.values[:5], nominal.values[:5])
-    labels = frame_labels(s.metadata)
+    labels = condition_labels(spec, len(s.values))
     assert labels[:5] == ["normal"] * 5 and labels[5] == "attack_2"
 
 
@@ -221,7 +229,7 @@ def test_normal_scenario_deterministic(case, world):
     loads, plan = world
     a = generate_scenario(case, plan, loads, None, 0.01, seed=7)
     b = generate_scenario(case, plan, loads, None, 0.01, seed=7)
-    assert frame_labels(a.metadata) == ["normal"] * 48
+    assert a.metadata == b.metadata
     np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -243,7 +251,7 @@ def test_fault_scenario_exposes_generation_sensor(case, world):
     s = generate_scenario(case, plan, loads, spec, 0.0, seed=8)
     g8 = sensor_index(case, "generation", "8")
     assert s.values[20, g8] == pytest.approx(0.0, abs=1e-6)
-    labels = frame_labels(s.metadata)
+    labels = condition_labels(spec, len(s.values))
     assert labels[20] == "fault_8" and labels[5] == "normal"
 
 
@@ -283,19 +291,20 @@ def test_labels_and_metadata(case, world):
     loads, plan = world
     spec = make_condition(case, "attack", 3, 2, 10, 20)
     s = generate_scenario(case, plan, loads, spec, 0.01, seed=5)
-    labels = frame_labels(s.metadata)
+    labels = condition_labels(spec, len(s.values))
     assert set(labels) <= set(LABELS)
     assert labels[10] == "attack_3" and labels[19] == "attack_3"
     assert labels[9] == "normal" and labels[20] == "normal"
-    assert s.metadata["level"] == 2
-    assert s.metadata["noop_hours"] == []
+    assert spec.level == 2
+    # the sidecar holds the per-hour status lists, which no job implies
+    assert s.metadata == {"noop_hours": [], "gap_hours": [],
+                          "template_fallback_hours": []}
 
 
 def ref_generate_scenario(case, plan, loads, condition, noise_sigma, seed):
     """generate_scenario's reference form: one hour at a time, with the
     hour's cut, measurement, gap repeat and mask written out."""
     T = plan.horizon
-    label = "normal" if condition is None else condition.label
     load_p = np.zeros((T, case.n_bus))
     load_p[:, [b - 1 for b in case.load_buses]] = loads
     load_q = load_p * REACTIVE_RATIO
@@ -346,12 +355,8 @@ def ref_generate_scenario(case, plan, loads, condition, noise_sigma, seed):
                 row[idx] = (last_template[idx]
                             + z * scale(last_template)[idx])
         values[t] = row
-    meta = {"condition": label, "seed": seed, "noise_sigma": noise_sigma,
-            "horizon": T, "noop_hours": noop_hours, "gap_hours": gap_hours,
+    meta = {"noop_hours": noop_hours, "gap_hours": gap_hours,
             "template_fallback_hours": fallback_hours}
-    if condition is not None:
-        meta.update(target=condition.target_generator, level=condition.level,
-                    window=[condition.start_hour, condition.end_hour])
     return ScenarioSeries(values=values, metadata=meta)
 
 
@@ -440,67 +445,54 @@ def test_series_npy_roundtrip(tmp_path, case, world):
     spec = make_condition(case, "attack", 3, 2, 10, 20)
     s = generate_scenario(case, plan, loads, spec, 0.01, seed=5)
     p = tmp_path / "series.npy"
-    s.save(p)
+    sidecar = tmp_path / "series.meta.json"
+    assert s.save(p) == [p, sidecar]
     assert sorted(f.name for f in tmp_path.iterdir()) == [
         "series.meta.json", "series.npy"]
-    back = read_series(p)
-    assert np.array_equal(back.values.view(np.uint64),
-                          s.values.view(np.uint64))
-    assert back.metadata == s.metadata
-    # values of another horizon than the sidecar's are refused naming them;
-    # a sidecar that is missing or holds no JSON object is refused by the
-    # dataset reader (test_cli.py::test_refused_input_exits_2_on_one_line,
-    # test_cli.py::test_stages_refuse_a_json_file_that_holds_no_object)
+    assert json.loads(sidecar.read_text()) == s.metadata
+    back = ScenarioSeries.load(p, 48)
+    assert np.array_equal(back.view(np.uint64), s.values.view(np.uint64))
+    # values of another horizon than the one given are refused naming them
     with pytest.raises(SeriesFileError, match=r"series\.npy: .* shape"):
-        ScenarioSeries.load(p, {**s.metadata,
-                                "horizon": s.metadata["horizon"] + 1})
+        ScenarioSeries.load(p, 49)
 
     # extreme, subnormal or signed-zero values come back bit for bit
     values = np.random.default_rng(6).standard_normal((5, N_SENSORS)) * 50
     values[1, :6] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1e-300,
                      0.1 + 0.2]
-    fault = {"condition": "fault_6", "target": 6, "level": 1}
-    for series in (ScenarioSeries(values, {**fault, "window": [2, 4],
-                                           "horizon": 5}),
-                   ScenarioSeries(values[1:2], {**fault, "window": [0, 1],
-                                                "horizon": 1})):
-        series.save(p)
-        back = read_series(p)
-        assert back.values.dtype == np.float64
-        assert back.values.shape == series.values.shape
-        assert back.metadata == series.metadata
-        assert np.array_equal(back.values.view(np.uint64),
-                              series.values.view(np.uint64))
+    for rows in (values, values[1:2]):
+        ScenarioSeries(rows, {}).save(p)
+        back = ScenarioSeries.load(p, len(rows))
+        assert back.dtype == np.float64
+        assert back.shape == rows.shape
+        assert np.array_equal(back.view(np.uint64), rows.view(np.uint64))
 
 
 def test_load_refuses_non_finite_frames(tmp_path):
     # a power-flow gap hour with nothing before it to repeat is an all-NaN
     # row (generate.py); the reader refuses it, or any other non-finite
-    # value, naming the file, the hours and the sidecar's gap hours, so no
-    # stage computes stats or features from it
+    # value, naming the file and the hours, so no stage computes stats or
+    # features from it
     values = np.random.default_rng(4).standard_normal((30, N_SENSORS))
     p = tmp_path / "series.npy"
-    for hours, gaps in (([0], [0]), ([0, 1], [0, 1]), ([7, 12], [])):
+    for hours in ([0], [0, 1], [7, 12]):
         bad = values.copy()
         bad[hours[0]] = np.nan
         bad[hours[1:], 3] = np.inf
-        ScenarioSeries(bad, {"condition": "normal", "horizon": 30,
-                             "gap_hours": gaps}).save(p)
+        ScenarioSeries(bad, {"gap_hours": hours}).save(p)
         with pytest.raises(SeriesFileError, match=(
                 rf"series\.npy: non-finite frames at hours "
-                rf"{re.escape(str(hours))}; the sidecar records gap hours "
-                rf"{re.escape(str(gaps))}$")):
-            read_series(p)
+                rf"{re.escape(str(hours))}$")):
+            ScenarioSeries.load(p, 30)
 
 
-def test_load_refuses_a_file_that_is_not_the_sidecars_array(tmp_path):
+def test_load_refuses_a_file_that_is_not_the_horizons_array(tmp_path):
     # the values file must hold one float64 array with a row of sensors for
-    # each hour of the sidecar's horizon; anything else is refused as a
+    # each hour of the horizon given; anything else is refused as a
     # SeriesFileError naming the file, before any frame is read from it
     values = np.random.default_rng(7).standard_normal((6, N_SENSORS))
-    meta = {"condition": "normal", "horizon": 6}
     p = tmp_path / "series.npy"
-    ScenarioSeries(values, meta).save(p)
+    ScenarioSeries(values, {}).save(p)
     good = p.read_bytes()
     archive = tmp_path / "archive.npz"
     np.savez(archive, values=values)
@@ -519,23 +511,23 @@ def test_load_refuses_a_file_that_is_not_the_sidecars_array(tmp_path):
         "npz archive": lambda path: path.write_bytes(archive.read_bytes()),
         "pickled objects": pickled,
         "float32": lambda path: ScenarioSeries(
-            values.astype(np.float32), meta).save(path),
-        "5 rows": lambda path: ScenarioSeries(values[:5], meta).save(path),
+            values.astype(np.float32), {}).save(path),
+        "5 rows": lambda path: ScenarioSeries(values[:5], {}).save(path),
         "7 rows": lambda path: ScenarioSeries(
-            np.vstack([values, values[:1]]), meta).save(path),
+            np.vstack([values, values[:1]]), {}).save(path),
         "38 sensors": lambda path: ScenarioSeries(
-            values[:, :-1], meta).save(path),
+            values[:, :-1], {}).save(path),
     }
     causes = {"empty": "EOF", "csv text": "magic string",
               "truncated": "not fully written",
               "trailing byte": "bytes after the array$", "npz archive": "magic string",
               "pickled objects": "Object arrays",
               "float32": r"a float32 array of shape \(6, 39\)",
-              "5 rows": r"shape \(5, 39\); the sidecar gives float64 of "
+              "5 rows": r"shape \(5, 39\); the config gives float64 of "
                         r"shape \(6, 39\)",
               "7 rows": r"shape \(7, 39\)", "38 sensors": r"shape \(6, 38\)"}
     for name, write in files.items():
         write(p)
         with pytest.raises(SeriesFileError,
                            match=rf"series\.npy: .*{causes[name]}"):
-            read_series(p)
+            ScenarioSeries.load(p, 6)
