@@ -22,20 +22,27 @@ from .evaluation import (accuracy, confusion_counts, csv_table,
                          report_rows, severity_sweep)
 from .grid import N_SENSORS, load_case
 from .scenario import (GENERATOR_BUSES, KINDS, LABEL_INDEX, LABELS,
-                       LEVEL_FRACTIONS, ScenarioSeries, SeriesFileError,
-                       condition_name, generate_scenario, make_condition)
+                       LEVEL_FRACTIONS, STATUS_FLAGS, ScenarioSeries,
+                       SeriesFileError, condition_name, generate_scenario,
+                       make_condition)
 
 
 # the RunConfig fields that gen-data's files depend on
 GENERATION_KEYS = ("case_file", "seed", "horizon", "noise_sigma", "levels",
                    "window", "normal_series", "series_per_condition_per_level")
+# the layout of the files gen-data writes, recorded in its config.json: a
+# values array and a status array, a row of each per series
+DATASET_FORMAT = 2
+VALUES_FILE = "values.npy"
+STATUS_FILE = "status.npy"
 
 
 def _series_jobs(cfg: RunConfig):
-    """Deterministic list of (filename, kind, target, level, seed) jobs."""
+    """Deterministic list of (name, kind, target, level, seed) jobs, in
+    name order: a dataset's rows."""
     jobs = []
     for idx in range(cfg.normal_series):
-        jobs.append((f"normal_s{idx:02d}.npy", "normal", 0, 0,
+        jobs.append((f"normal_s{idx:02d}", "normal", 0, 0,
                      cfg.seed * 1000003 + idx))
     for kind_code, kind in enumerate(KINDS, start=1):
         for target in GENERATOR_BUSES:
@@ -44,21 +51,20 @@ def _series_jobs(cfg: RunConfig):
                     seed = (cfg.seed * 1000003 + kind_code * 100000
                             + target * 10000 + level * 100 + idx)
                     name = condition_name(kind, target)
-                    jobs.append((f"{name}_l{level}_s{idx:02d}.npy",
+                    jobs.append((f"{name}_l{level}_s{idx:02d}",
                                  kind, target, level, seed))
-    return jobs
+    return sorted(jobs)
 
 
 def _generate_one(args):
-    cfg, case, filename, kind, target, level, seed = args
+    cfg, case, kind, target, level, seed = args
     rng = np.random.default_rng(seed)
     demand = synthesize_loads(cfg.horizon, rng)
     plan = plan_generation(demand)
     condition = (None if kind == "normal" else
                  make_condition(case, kind, target, level, *cfg.window))
-    series = generate_scenario(case, plan, demand, condition,
-                               noise_sigma=cfg.noise_sigma, seed=seed)
-    return filename, series
+    return generate_scenario(case, plan, demand, condition,
+                             noise_sigma=cfg.noise_sigma, seed=seed)
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
@@ -67,79 +73,82 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     case = load_case(cfg.case_file)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / "config.json"
-    config_path.write_text(
-        json.dumps(cfg.canonical(), indent=2, sort_keys=True) + "\n")
-    paths = [config_path]
+    config_path.write_text(json.dumps(
+        {**cfg.canonical(), "dataset_format": DATASET_FORMAT},
+        indent=2, sort_keys=True) + "\n")
 
-    jobs = [(cfg, case, *job) for job in _series_jobs(cfg)]
-    count, failures = 0, []
+    jobs = _series_jobs(cfg)
+    tasks = [(cfg, case, *job[1:]) for job in jobs]
     with contextlib.ExitStack() as stack:
-        generated = map(_generate_one, jobs)
+        generated = map(_generate_one, tasks)
         if cfg.workers > 1:
             # imported only here: concurrent.futures loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=cfg.workers))
-            generated = pool.map(_generate_one, jobs)
-        # each series is saved before the next is generated, so a serial
+            generated = pool.map(_generate_one, tasks)
+        # save writes each series before it takes the next, so a serial
         # run holds one series at a time
-        for filename, series in generated:
-            count += 1
-            if series.metadata["gap_hours"]:
-                failures.append(filename)
-            paths += series.save(out_dir / filename)
-            del series  # before the next one is generated
+        status = ScenarioSeries.save(out_dir / VALUES_FILE,
+                                     out_dir / STATUS_FILE, generated,
+                                     (len(jobs), cfg.horizon, N_SENSORS))
+    failures = [job[0] for job, hours in zip(jobs, status)
+                if (hours & STATUS_FLAGS["gap_hours"]).any()]
     # _series_jobs gives every condition at least one series
-    manifest.record("gen-data", paths,
+    manifest.record("gen-data", [config_path, out_dir / VALUES_FILE,
+                                 out_dir / STATUS_FILE],
                     status="ok" if not failures else "partial",
-                    series=count, conditions=sorted(LABELS),
+                    series=len(jobs), conditions=sorted(LABELS),
                     solver_gaps=failures)
-    if len(failures) == count:
+    if len(failures) == len(jobs):
         raise RuntimeError("every series hit solver gaps; generation failed")
     return out_dir
 
 
 def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
     """(frames, labels, levels) of the series of cfg's gen-data in data_dir
-    (_series_jobs) that a stage uses, "all" in file-name order or the
-    "train" or "test" part of split_series: their float64 (S, T, 39)
-    values, the LABEL_INDEX of each frame's label and each series' level,
-    as each series' job gives them: its condition inside cfg's window,
-    normal elsewhere, and its level, 0 for a normal series.
+    (_series_jobs) that a stage uses, "all" in row order or the "train"
+    or "test" part of split_series: their float64 (S, T, 39) values, the
+    LABEL_INDEX of each frame's label and each series' level, as each
+    series' job gives them: its condition inside cfg's window, normal
+    elsewhere, and its level, 0 for a normal series.
 
     Each record it takes in, in turn, must hold on GENERATION_KEYS what
     cfg gives, compared as JSON text (3.0 is not 3, an absent key not a
-    null one): data_dir's config.json, then the dataset record of each
-    (path, ModelBundle) pair in bundles, the bundles the stage scores on
-    the part. Only then are the part's series files parsed, so a defect in
-    another file is not seen.
+    null one): data_dir's config.json, which must also record
+    DATASET_FORMAT, then the dataset record of each (path, ModelBundle)
+    pair in bundles, the bundles the stage scores on the part. Only then
+    are the part's rows of the values file parsed, so a defect in another
+    row is not seen.
     """
     data_dir = Path(data_dir)
     given = cfg.canonical()
+    generation = {key: given[key] for key in GENERATION_KEYS}
     config_path = data_dir / "config.json"
-    records = [(config_path, read_json_object(config_path)),
-               *((f"bundle file {path}", bundle.dataset)
+    records = [(config_path, read_json_object(config_path),
+                {**generation, "dataset_format": DATASET_FORMAT}),
+               *((f"bundle file {path}", bundle.dataset, generation)
                  for path, bundle in bundles)]
-    for source, written in records:
-        differ = [key for key in GENERATION_KEYS if key not in written
-                  or json.dumps(written[key]) != json.dumps(given[key])]
+    for source, written, wanted in records:
+        differ = [key for key in wanted if key not in written
+                  or json.dumps(written[key]) != json.dumps(wanted[key])]
         if differ:
             recorded = {key: written[key] for key in differ if key in written}
-            wanted = {key: given[key] for key in differ}
+            expected = {key: wanted[key] for key in differ}
             raise SeriesFileError(f"{source} records {recorded}; the config "
-                                  f"gives {wanted}")
-    jobs = sorted(_series_jobs(cfg))
+                                  f"gives {expected}")
+    jobs = _series_jobs(cfg)
     # each series' (condition, level), the group split_series keeps it in
     groups = [("normal" if kind == "normal" else condition_name(kind, target),
                level) for _, kind, target, level, _ in jobs]
     picked = (range(len(jobs)) if part == "all" else
               split_series(groups, cfg.seed)[("train", "test").index(part)])
-    frames = np.empty((len(picked), cfg.horizon, N_SENSORS))
+    frames = ScenarioSeries.load(data_dir / VALUES_FILE,
+                                 [job[0] for job in jobs], cfg.horizon, picked)
     labels = np.full((len(picked), cfg.horizon), LABEL_INDEX["normal"])
     levels = np.empty(len(picked), dtype=int)
     window = slice(*cfg.window)
     for row, k in enumerate(picked):
-        frames[row] = ScenarioSeries.load(data_dir / jobs[k][0], cfg.horizon)
         labels[row, window] = LABEL_INDEX[groups[k][0]]
         levels[row] = groups[k][1]
     return frames, labels, levels

@@ -197,7 +197,9 @@ def read_json_object(path: Path) -> dict:
 def file_sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # the loop holds the last chunk as it reads the next, so twice the
+        # chunk size adds to the stage's memory peak on a multi-MB file
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 

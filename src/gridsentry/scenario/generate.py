@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,49 +19,80 @@ from .attacks import (Condition, mask_measurements, reduce_target,
 REACTIVE_RATIO = float(np.tan(np.arccos(0.95)))  # constant 0.95 power factor
 
 
+# a series' per-hour status lists, as bits of its row of a dataset's
+# status array
+STATUS_FLAGS = {"gap_hours": 1, "template_fallback_hours": 2,
+                "noop_hours": 4}
+
+
 class SeriesFileError(InputError):
-    """A series file, or a dataset of them, refused as it loads."""
+    """A dataset's values file, refused as it loads."""
 
 
 @dataclass
 class ScenarioSeries:
     values: np.ndarray  # (T, 39)
-    metadata: dict      # the sidecar: the per-hour status lists
-
-    def save(self, path: str | Path) -> list[Path]:
-        """Write the values file at path and its .meta.json sidecar beside
-        it; the paths of the two files."""
-        path = Path(path)
-        # through a handle, as np.save appends .npy to a name without it
-        with open(path, "wb") as fh:
-            np.lib.format.write_array(fh, self.values, allow_pickle=False)
-        sidecar = path.with_suffix(".meta.json")
-        sidecar.write_text(json.dumps(self.metadata, indent=2, sort_keys=True))
-        return [path, sidecar]
+    metadata: dict      # the per-hour status lists of STATUS_FLAGS
 
     @classmethod
-    def load(cls, path: str | Path, horizon: int) -> np.ndarray:
-        """The values save wrote at path: a float64 array of one row of
-        N_SENSORS finite values for each of horizon hours. A non-finite
-        frame, such as a leading power-flow gap hour, is refused by its
-        hour. SeriesFileError names the file."""
-        shape = (horizon, N_SENSORS)
+    def save(cls, path: str | Path, status_path: str | Path, series,
+             shape: tuple) -> np.ndarray:
+        """Write the values of the shape[0] series that series yields as one
+        float64 array of shape (S, T, 39) at path, each written and dropped
+        before the next is taken, and their STATUS_FLAGS as one (S, T)
+        uint8 array at status_path; that status array."""
+        series, status = iter(series), np.zeros(shape[:2], dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+                "fortran_order": False, "shape": shape})
+            for row in status:
+                one = next(series)
+                one.values.tofile(fh)
+                for key, flag in STATUS_FLAGS.items():
+                    row[one.metadata[key]] |= flag
+                del one  # before the next one is generated
+        with open(status_path, "wb") as fh:
+            np.lib.format.write_array(fh, status, allow_pickle=False)
+        return status
+
+    @classmethod
+    def load(cls, path: str | Path, names: list[str], horizon: int,
+             rows) -> np.ndarray:
+        """The given rows of the values array save wrote at path for the
+        series named names, read one by one into a float64 (len(rows),
+        horizon, 39) stack. The file must hold one float64 array of shape
+        (len(names), horizon, 39) and nothing after it; a non-finite frame
+        of a row read, such as a leading power-flow gap hour, is refused by
+        its series and hour. SeriesFileError names the file."""
+        shape = (len(names), horizon, N_SENSORS)
+        frames = np.empty((len(rows), horizon, N_SENSORS))
         try:
             with open(path, "rb") as fh:
-                values = np.lib.format.read_array(fh, allow_pickle=False)
-                if fh.read(1):  # read_array stops at the header's size
-                    raise ValueError("bytes after the array")
-            if values.dtype != np.float64 or values.shape != shape:
-                raise ValueError(f"a {values.dtype} array of shape "
-                                 f"{values.shape}; the config gives float64 "
-                                 f"of shape {shape}")
-            finite = np.isfinite(values).all(axis=1)
-            if not finite.all():
-                raise ValueError("non-finite frames at hours "
-                                 f"{np.flatnonzero(~finite).tolist()}")
+                # the header of a later version does not parse as 1.0's
+                np.lib.format.read_magic(fh)
+                found, fortran, dtype = (
+                    np.lib.format.read_array_header_1_0(fh))
+                if dtype != np.float64 or found != shape or fortran:
+                    kind = f"Fortran-ordered {dtype}" if fortran else dtype
+                    raise ValueError(f"a {kind} array of shape {found}; the "
+                                     f"config gives float64 of shape {shape}")
+                start, size = fh.tell(), frames.itemsize * math.prod(shape)
+                written = os.fstat(fh.fileno()).st_size - start
+                if written != size:
+                    raise ValueError("bytes after the array" if written > size
+                                     else "the array is not fully written")
+                for frame, k in zip(frames, rows):
+                    fh.seek(start + k * frame.nbytes)
+                    fh.readinto(frame)
+                    finite = np.isfinite(frame).all(axis=1)
+                    if not finite.all():
+                        raise ValueError(
+                            f"non-finite frames of series {names[k]} at "
+                            f"hours {np.flatnonzero(~finite).tolist()}")
         except ValueError as exc:
             raise SeriesFileError(f"{path}: {exc}") from None
-        return values
+        return frames
 
 
 def generate_scenario(case: GridCase, plan: GenerationPlan, demand: np.ndarray,

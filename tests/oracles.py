@@ -10,17 +10,17 @@ The pipeline runs none of these; they check it from outside:
   differentiable model (criterion 5, tests/test_neural.py).
 - `write_weakened_case`: a case file on which some solves fail, for the
   gap-hour and template-fallback paths of `gen-data`.
-- `read_series`: a series file and its sidecar as save wrote them, read
-  without `ScenarioSeries.load`'s checks (tests/test_cli.py).
+- `read_dataset`: a dataset's values and status arrays as save wrote
+  them, read without `ScenarioSeries.load`'s checks (tests/test_cli.py).
 - `named_group`, `frame_labels` and `series_stack`: a series' condition
-  and level from its file name, its frame labels, and series files as the
-  `(frames, labels, levels)` stack, which `cli.load_dataset` takes from
-  each series' job instead (tests/test_cli.py, tests/test_scenario.py).
+  and level from its name, its frame labels, and rows of a values array as
+  the `(frames, labels, levels)` stack, which `cli.load_dataset` takes
+  from each series' job instead (tests/test_cli.py,
+  tests/test_scenario.py).
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +30,7 @@ import numpy as np
 from gridsentry.grid.case import DEFAULT_CASE
 from gridsentry.neural import mse, softmax_cross_entropy
 from gridsentry.neural.train import flatten_parameters
-from gridsentry.scenario import LABEL_INDEX, ScenarioSeries
+from gridsentry.scenario import LABEL_INDEX
 
 # ------------------------------------------------------------ chi square
 
@@ -199,21 +199,19 @@ def write_weakened_case(path: Path) -> Path:
     return path
 
 
-# ------------------------------------------------------------ series files
+# ------------------------------------------------------------ datasets
 
-def read_series(path) -> ScenarioSeries:
-    """The series file at path and its .meta.json sidecar, as np.load and
-    json read them."""
-    path = Path(path)
-    return ScenarioSeries(values=np.load(path), metadata=json.loads(
-        path.with_suffix(".meta.json").read_text()))
+def read_dataset(data_dir) -> tuple[np.ndarray, np.ndarray]:
+    """The values and status arrays of the dataset in data_dir, as np.load
+    reads them."""
+    return (np.load(Path(data_dir) / "values.npy"),
+            np.load(Path(data_dir) / "status.npy"))
 
 
-def named_group(path) -> tuple[str, int]:
-    """The (condition, level) that the name of a series file of gen-data
-    spells: <condition>_l<level>_sNN.npy, or normal_sNN.npy at level 0."""
-    condition, level = re.fullmatch(r"(.+?)(?:_l(\d))?_s\d+",
-                                    Path(path).stem).groups()
+def named_group(name: str) -> tuple[str, int]:
+    """The (condition, level) that the name of a series of gen-data
+    spells: <condition>_l<level>_sNN, or normal_sNN at level 0."""
+    condition, level = re.fullmatch(r"(.+?)(?:_l(\d))?_s\d+", name).groups()
     return condition, int(level or 0)
 
 
@@ -225,14 +223,13 @@ def frame_labels(condition: str, window, horizon: int) -> list[str]:
             for t in range(horizon)]
 
 
-def series_stack(paths, window):
-    """The (frames, labels, levels) stack of the series files at paths, as
-    cli.load_dataset returns a dataset's part: each file's values as
-    np.load reads them, the LABEL_INDEX of the frame labels of the
-    condition its name gives (named_group) inside window, and the level
-    its name gives, 0 for a normal series."""
-    frames = np.array([np.load(path) for path in paths])
-    groups = [named_group(path) for path in paths]
+def series_stack(frames, names, window):
+    """The (frames, labels, levels) stack of the series named names, whose
+    values are the rows of frames, as cli.load_dataset returns a dataset's
+    part: the frames, the LABEL_INDEX of the frame labels of the condition
+    each name gives (named_group) inside window, and the level each name
+    gives, 0 for a normal series."""
+    groups = [named_group(name) for name in names]
     return (frames,
             np.array([[LABEL_INDEX[label] for label in frame_labels(
                 condition, window, frames.shape[1])]

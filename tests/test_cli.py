@@ -22,9 +22,9 @@ from gridsentry.detector.models import SUBMODELS
 from gridsentry.evaluation import HoldoutResult
 from gridsentry.grid import DEFAULT_CASE, load_case
 from gridsentry.neural import TrainConfig, get_state
-from gridsentry.scenario import (LABEL_INDEX, LABELS, ScenarioSeries,
-                                 condition_name)
-from oracles import (frame_labels, named_group, read_series, series_stack,
+from gridsentry.scenario import (LABEL_INDEX, LABELS, STATUS_FLAGS,
+                                 ScenarioSeries, condition_name)
+from oracles import (frame_labels, named_group, read_dataset, series_stack,
                      write_weakened_case)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -80,17 +80,13 @@ def refused(capsys, argv) -> str:
     return err
 
 
-def dataset_copy(data_dir, dest, edit=None):
-    """A copy at dest of data_dir's config.json and series files, each
-    series passed through edit(name, series) before it is saved where edit
-    is given."""
+def dataset_copy(data_dir, dest, edit=lambda values: values):
+    """A copy at dest of data_dir's config.json, values array and status
+    array, the values array passed through edit before np.save writes it."""
     dest.mkdir()
-    (dest / "config.json").write_bytes((data_dir / "config.json").read_bytes())
-    for path in sorted(data_dir.glob("*.npy")):
-        series = read_series(path)
-        if edit is not None:
-            edit(path.name, series)
-        series.save(dest / path.name)
+    for name in ("config.json", "status.npy"):
+        (dest / name).write_bytes((data_dir / name).read_bytes())
+    np.save(dest / "values.npy", edit(read_dataset(data_dir)[0]))
     return dest
 
 
@@ -384,11 +380,13 @@ def se_bundle(workspace):
 
 
 def test_gen_data_manifest_and_conditions(workspace):
+    # a dataset is its config.json, a values array and a status array,
+    # each listed in the manifest
     _, _, data_dir = workspace
     manifest = RunManifest.read(data_dir)
     listed = set(manifest["files"])
     on_disk = {p.name for p in data_dir.iterdir() if p.name != "manifest.json"}
-    assert on_disk == listed
+    assert on_disk == listed == {"config.json", "values.npy", "status.npy"}
     assert set(manifest["stages"]["gen-data"]["conditions"]) == set(LABELS)
     assert manifest["stages"]["gen-data"]["series"] == 3 + 2 * 4 * 2
 
@@ -414,41 +412,40 @@ def test_gen_data_workers_match_serial(tmp_path):
                          "--out", str(out)]) == 0
         files[workers] = RunManifest.read(out)["files"]
         del files[workers]["config.json"]  # records `workers` itself
-    assert len(files[1]) == 2 * (1 + 8)  # an .npy and a .meta.json per series
+    assert sorted(files[1]) == ["status.npy", "values.npy"]
     assert files[2] == files[1]
 
 
 def test_gen_data_saves_each_series_before_generating_the_next(
         tmp_path, monkeypatch):
-    # serial gen-data holds one series at a time: it saves series k before
-    # it generates series k + 1, and series k - 1 is gone by then
-    events, series_refs = [], []
-    generate, save = cli._generate_one, ScenarioSeries.save
+    # serial gen-data holds one series at a time, and never the whole
+    # values array: series k is in the values file before series k + 1 is
+    # generated, and no earlier series is alive by then
+    values = tmp_path / "data" / "values.npy"
+    seeds, written, alive, series_refs = [], [], [], []
+    generate = cli._generate_one
 
-    def generating(job):
-        events.append(("generate", job[2], _alive(series_refs)))
-        filename, series = generate(job)
+    def generating(task):
+        seeds.append(task[-1])
+        written.append(values.stat().st_size)
+        alive.append(sum(ref() is not None for ref in series_refs))
+        series = generate(task)
         series_refs.append(weakref.ref(series))
-        return filename, series
-
-    def saving(series, path):
-        events.append(("save", path.name, _alive(series_refs[:-1])))
-        return save(series, path)
+        return series
 
     monkeypatch.setattr(cli, "_generate_one", generating)
-    monkeypatch.setattr(ScenarioSeries, "save", saving)
     path = write_config(tmp_path / "run.yaml", horizon=24, window=[6, 18],
                         normal_series=2, series_per_condition_per_level=1)
     assert cli.main(["--config", str(path), "gen-data",
                      "--out", str(tmp_path / "data")]) == 0
-    names = [job[0] for job in cli._series_jobs(load_config(path))]
-    assert len(names) == 2 + 8
-    assert events == [(step, name, 0) for name in names
-                      for step in ("generate", "save")]
-
-
-def _alive(refs):
-    return sum(ref() is not None for ref in refs)
+    jobs = cli._series_jobs(load_config(path))
+    assert seeds == [job[-1] for job in jobs] and len(jobs) == 2 + 8
+    row = 24 * 39 * 8
+    header = values.stat().st_size - len(jobs) * row
+    # the header may wait in the file's buffer until the first row is out
+    assert written[0] in (0, header)
+    assert written[1:] == [header + k * row for k in range(1, len(jobs))]
+    assert alive == [0] * len(jobs)
 
 
 def test_gen_data_reports_power_flow_gaps(tmp_path):
@@ -464,125 +461,118 @@ def test_gen_data_reports_power_flow_gaps(tmp_path):
     assert cli.main(["--config", str(path), "gen-data",
                      "--out", str(out)]) == 0
     stage = RunManifest.read(out)["stages"]["gen-data"]
-    series = {p.name: read_series(p) for p in out.glob("*.npy")}
-    assert stage["series"] == len(series) == 3 + 8
-    gaps = {name: s.metadata["gap_hours"] for name, s in series.items()}
-    fallbacks = sum(len(s.metadata["template_fallback_hours"])
-                    for s in series.values())
+    values, status = read_dataset(out)
+    names = series_names(path)
+    assert stage["series"] == len(values) == len(status) == len(names) == 11
+    gaps = {name: np.flatnonzero(row & STATUS_FLAGS["gap_hours"]).tolist()
+            for name, row in zip(names, status)}
+    fallbacks = int(np.count_nonzero(
+        status & STATUS_FLAGS["template_fallback_hours"]))
     print(f"[gaps] {sum(map(len, gaps.values()))} gap hours in "
           f"{len(stage['solver_gaps'])} series, {fallbacks} "
           "template-fallback hours")
     assert stage["status"] == "partial"
-    assert sorted(stage["solver_gaps"]) == sorted(
-        name for name, hours in gaps.items() if hours)
-    assert sum(map(len, gaps.values())) > 0 and fallbacks > 0
+    assert stage["solver_gaps"] == [name for name in names if gaps[name]]
+    assert sum(map(len, gaps.values())) == 122 and fallbacks == 2
     # a gap hour repeats the hour before it; in a normal series no mask
     # touches the row afterwards
     normal_gaps = 0
-    for name, s in series.items():
+    for name, series in zip(names, values):
         if named_group(name)[0] != "normal":
             continue
         for t in gaps[name]:
-            assert t > 0 and np.array_equal(s.values[t], s.values[t - 1])
+            assert t > 0 and np.array_equal(series[t], series[t - 1])
             normal_gaps += 1
     assert normal_gaps > 0
 
 
-def truncate_normals(hours):
-    """An edit for dataset_copy: each normal series keeps its first `hours`
-    hours."""
-    def edit(name, series):
-        if named_group(name)[0] == "normal":
-            series.values = series.values[:hours]
-    return edit
-
-
 def test_load_dataset_refuses_mixed_horizons(workspace, tmp_path):
-    # the detector stacks a dataset's series, so a copy of the 60-h dataset
-    # whose normal series hold 48 h is refused from the first of their
-    # values files, which does not hold the config's horizon
+    # the detector stacks a dataset's series, so every series has the
+    # config's horizon: a copy of the 60-h dataset whose values array holds
+    # 48 h of each series is refused naming the values file
     _, config_path, data_dir = workspace
-    mixed = dataset_copy(data_dir, tmp_path / "mixed", truncate_normals(48))
-    values = re.escape(str(mixed / "normal_s00.npy"))
+    mixed = dataset_copy(data_dir, tmp_path / "mixed",
+                         lambda values: values[:, :48])
+    values = re.escape(str(mixed / "values.npy"))
     with pytest.raises(ValueError, match=f"^{values}: " + re.escape(
-            "a float64 array of shape (48, 39); the config gives float64 "
-            "of shape (60, 39)") + "$"):
+            "a float64 array of shape (19, 48, 39); the config gives "
+            "float64 of shape (19, 60, 39)") + "$"):
         cli.load_dataset(load_config(config_path), mixed, "all")
 
 
 @pytest.mark.parametrize("dataset", ["mixed", "float32 series"])
 def test_train_refuses_unreadable_dataset(workspace, tmp_path, capsys,
                                           dataset):
-    # a copy of the dataset whose normal series hold another horizon, and
-    # one whose normal series hold float32 values, are refused in one line
-    # naming the file, as every other refusal of the run's input is; train
-    # parses only its split's files, so either is refused when parsed
+    # a copy of the dataset whose values array holds another horizon, and
+    # one that holds float32 values, are refused in one line naming the
+    # values file, as every other refusal of the run's input is
     _, config_path, data_dir = workspace
-
-    def edit(name, series):
-        if name.startswith("normal_"):
-            series.values = series.values.astype(np.float32)
-
     edited = dataset_copy(data_dir, tmp_path / dataset,
-                          truncate_normals(36)
-                          if dataset == "mixed" else edit)
-    message = {"mixed": r"normal_s0[0-2]\.npy: a float64 array of shape "
-                        r"\(36, 39\); the config gives float64 of shape "
-                        r"\(60, 39\)$",
-               "float32 series": r"normal_s0[0-2]\.npy: a float32 array of "
-                                 r"shape \(60, 39\); the config gives "
-                                 r"float64"}
+                          (lambda values: values[:, :36]) if dataset == "mixed"
+                          else (lambda values: values.astype(np.float32)))
+    message = {"mixed": r"a float64 array of shape \(19, 36, 39\); the "
+                        r"config gives float64 of shape \(19, 60, 39\)$",
+               "float32 series": r"a float32 array of shape \(19, 60, 39\); "
+                                 r"the config gives float64"}
     err = refused(capsys, ["--config", str(config_path), "train",
                            "--data", str(edited), "--variant", "SE_DNN"])
-    assert re.search(re.escape(str(edited)) + "/" + message[dataset],
-                     err), err
+    assert re.search(re.escape(str(edited / "values.npy")) + ": "
+                     + message[dataset], err), err
 
 
-def csv_dataset(data_dir, dest):
-    """A copy at dest of data_dir in the series format that .npy files
-    replaced: each series a CSV of hour, sensor and label columns beside
-    its sidecar, under the name of its .npy file with the suffix .csv; a
-    frame's label is the condition the file name gives inside the window
-    of data_dir's config.json."""
+def older_dataset(config_path, data_dir, dest, layout):
+    """A copy at dest of config_path's dataset in data_dir as gridsentry
+    wrote it before one values and one status array, with no
+    dataset_format in its config.json: in the "npy files" layout, each
+    series' values as <name>.npy beside a <name>.meta.json sidecar of its
+    status lists; in the earlier "csv files" layout, each series as
+    <name>.csv of hour, sensor and label columns beside that sidecar, a
+    frame's label the condition its name gives inside the window."""
     dest.mkdir()
-    config = (data_dir / "config.json").read_bytes()
-    (dest / "config.json").write_bytes(config)
-    window = json.loads(config)["window"]
-    for path in sorted(data_dir.glob("*.npy")):
-        values = np.load(path)
-        labels = frame_labels(named_group(path)[0], window, len(values))
+    config = json.loads((data_dir / "config.json").read_text())
+    del config["dataset_format"]
+    (dest / "config.json").write_text(json.dumps(config))
+    for name, values, status in zip(series_names(config_path),
+                                    *read_dataset(data_dir)):
+        sidecar = {key: np.flatnonzero(status & flag).tolist()
+                   for key, flag in STATUS_FLAGS.items()}
+        (dest / f"{name}.meta.json").write_text(json.dumps(sidecar))
+        if layout == "npy files":
+            np.save(dest / f"{name}.npy", values)
+            continue
+        labels = frame_labels(named_group(name)[0], config["window"],
+                              len(values))
         rows = ["hour," + ",".join(f"s{i:02d}" for i in range(39)) + ",label"]
         rows += [f"{t},{','.join(map(repr, row))},{label}" for t, (row, label)
                  in enumerate(zip(values.tolist(), labels))]
-        path = dest / path.name
-        path.with_suffix(".csv").write_text("\n".join(rows) + "\n")
-        path.with_suffix(".meta.json").write_bytes(
-            (data_dir / path.name).with_suffix(".meta.json").read_bytes())
+        (dest / f"{name}.csv").write_text("\n".join(rows) + "\n")
     return dest
 
 
-def test_stages_refuse_a_csv_dataset(workspace, se_bundle, tmp_path,
-                                     monkeypatch, capsys):
-    # a dataset written before series files were .npy arrays holds no
-    # .npy file: each stage refuses it in one line naming the first file of
-    # its part, before it computes a feature or writes anything
-    _, config_path, data_dir = workspace
-    old = csv_dataset(data_dir, tmp_path / "old")
+@pytest.mark.parametrize("layout", ["npy files", "csv files"])
+def test_stages_refuse_a_dataset_of_an_older_format(
+        holdout_workspace, holdout_bundle, tmp_path, monkeypatch, capsys,
+        layout):
+    # a dataset written before gen-data wrote one values and one status
+    # array records no dataset_format in its config.json: each stage
+    # refuses it in one line naming that file, before it computes a
+    # feature or writes anything
+    config_path, data_dir = holdout_workspace
+    old = older_dataset(config_path, data_dir, tmp_path / "old", layout)
     residuals = []
     monkeypatch.setattr(pipeline, "predict_and_residual",
                         lambda *a: residuals.append(a))
-    names = series_names(config_path)
-    train, test = cli.split_series(series_groups(config_path), 77)
-    for stage, flags, first in (
-            ("train", ["--variant", "SE_DNN"], names[train[0]]),
-            ("evaluate", ["--bundle", str(se_bundle)], names[test[0]]),
-            ("report", ["--bundles", str(se_bundle)], names[test[0]])):
+    bundle = str(holdout_bundle)
+    for stage, flags in (("train", ["--variant", "SE_DNN"]),
+                         ("evaluate", ["--bundle", bundle]),
+                         ("holdout", ["--bundle", bundle]),
+                         ("report", ["--bundles", bundle])):
         out = tmp_path / stage
         err = refused(capsys, ["--config", str(config_path), stage,
                                "--data", str(old), "--out", str(out),
                                *flags])
-        assert err.endswith(f"No such file or directory: "
-                            f"'{old / first}'\n"), err
+        assert err == (f"gridsentry: error: {old / 'config.json'} records "
+                       "{}; the config gives {'dataset_format': 2}\n"), err
         assert not out.exists()
     assert residuals == []
 
@@ -615,20 +605,20 @@ def test_split_first_parts_are_the_split_of_the_loaded_series(workspace):
 
 def test_load_dataset_stacks_each_series_file(workspace):
     # a part is one (frames, labels, levels) stack: row k holds its k-th
-    # series' file values, the LABEL_INDEX of the frame labels of the
-    # condition its file name gives inside the config's window and the
-    # level its file name gives, in split order; train and test partition
-    # all
+    # series' row of the values array, the LABEL_INDEX of the frame labels
+    # of the condition its name gives inside the config's window and the
+    # level its name gives, in split order; train and test partition all
     _, config_path, data_dir = workspace
     cfg = load_config(config_path)
     names = series_names(config_path)
+    values = read_dataset(data_dir)[0]
     train, test = cli.split_series(series_groups(config_path), cfg.seed)
     assert sorted(train + test) == list(range(len(names)))
     for part, picked in (("all", range(len(names))), ("train", train),
                          ("test", test)):
         loaded = cli.load_dataset(cfg, data_dir, part)
-        files = series_stack([data_dir / names[k] for k in picked],
-                             cfg.window)
+        files = series_stack(values[list(picked)],
+                             [names[k] for k in picked], cfg.window)
         assert [a.dtype.kind for a in loaded] == ["f", "i", "i"]
         assert loaded[0].dtype == np.float64
         assert all(np.array_equal(got, want)
@@ -647,7 +637,9 @@ ABSENT = object()  # a key that the record does not hold
     ("config.json", "horizon", True, 24),
     ("config.json", "horizon", ABSENT, 24),
     ("config.json", "window", [6, 18.0], [6, 18]),
-    ("config.json", "levels", None, [1, 2, 3, 4, 5])])
+    ("config.json", "levels", None, [1, 2, 3, 4, 5]),
+    # and a dataset_format other than the one this gridsentry writes
+    ("config.json", "dataset_format", 1, 2)])
 def test_stages_refuse_a_record_that_is_not_its_jobs(
         holdout_workspace, tmp_path, capsys, name, key, value, implied):
     # the dataset record a stage takes in is compared, as JSON text, with
@@ -678,8 +670,8 @@ def test_stages_refuse_a_record_that_is_not_its_jobs(
 
 
 def series_names(config_path):
-    """The file names of the series that config_path's gen-data writes, in
-    the file-name order that every stage reads them in."""
+    """The names of the series that config_path's gen-data writes, in name
+    order: the rows of its dataset's arrays."""
     return sorted(job[0] for job in cli._series_jobs(load_config(config_path)))
 
 
@@ -695,9 +687,10 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
                                                    holdout_workspace,
                                                    holdout_bundle,
                                                    tmp_path, monkeypatch):
-    # every stage reads its dataset's config.json and no sidecar; train
-    # parses the train split's series files, evaluate and report the test
-    # split's, and holdout all of them
+    # every stage reads its dataset's config.json and no other JSON; train
+    # parses the train split's rows of the values array, evaluate and
+    # report the test split's, and holdout all of them, and each holds
+    # only the rows it parses
     _, config_path, data_dir = workspace
     holdout_path, holdout_dir = holdout_workspace
     names = series_names(config_path)
@@ -709,9 +702,11 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
         read.append(Path(path).name)
         return read_json_object(path)
 
-    def parsing(cls, path, horizon):
-        parsed.append(Path(path).name)
-        return load(cls, path, horizon)
+    def parsing(cls, path, names, horizon, rows):
+        frames = load(cls, path, names, horizon, rows)
+        parsed.append((Path(path).name, [names[k] for k in rows],
+                       len(frames)))
+        return frames
 
     monkeypatch.setattr(cli, "read_json_object", reading)
     monkeypatch.setattr(ScenarioSeries, "load", classmethod(parsing))
@@ -732,10 +727,32 @@ def test_each_stage_parses_only_the_series_it_uses(workspace, se_bundle,
         data = holdout_dir if stage == "holdout" else data_dir
         assert cli.main(["--config", *argv, "--data", str(data),
                          "--out", str(tmp_path / stage)]) == 0
-        every = series_names(argv[0])
+        rows = series_names(argv[0]) if expected is None else expected
         assert read == ["config.json"], stage
-        assert parsed == (every if expected is None else expected), stage
+        assert parsed == [("values.npy", rows, len(rows))], stage
     assert 0 < len(train) < len(names) and 0 < len(test) < len(names)
+
+    # so a non-finite frame in a row of the other part is not seen: train
+    # fits the same bundle with every test row broken, and evaluate scores
+    # the bundle to the same report with every train row broken
+    def broken(name, rows):
+        def edit(values):
+            values[rows, 5] = np.nan
+            return values
+        return dataset_copy(data_dir, tmp_path / name, edit)
+
+    no_test, no_train = broken("no_test", test), broken("no_train", train)
+    assert cli.main(["--config", config, "train", "--data", str(no_test),
+                     "--variant", "SE_DNN"]) == 0
+    assert ((no_test / "models" / "bundle_SE_DNN.npz").read_bytes()
+            == se_bundle.read_bytes())
+    for data in (data_dir, no_train):
+        assert cli.main(["--config", config, "evaluate", "--data", str(data),
+                         "--bundle", bundle,
+                         "--out", str(tmp_path / f"scored_{data.name}")]) == 0
+    for name in ("report_SE_DNN.csv", "confusion_SE_DNN.csv"):
+        assert ((tmp_path / "scored_data" / name).read_bytes()
+                == (tmp_path / f"scored_{no_train.name}" / name).read_bytes())
 
 
 @pytest.mark.parametrize("override", [
@@ -792,7 +809,7 @@ def test_holdout_refuses_a_dataset_without_every_level(
 def test_stages_refuse_a_bundle_trained_on_another_dataset(
         holdout_workspace, se_bundle, tmp_path, monkeypatch, capsys):
     # two datasets of one seed that differ only in series counts hold the
-    # same file under the same name, and split it apart: attack_3_l5_s00 is
+    # same series under the same name, and split it apart: attack_3_l5_s00 is
     # in A's train split and in B's test split. So a bundle trained on A
     # and scored on B would score its own training series. evaluate and
     # report refuse it, naming the bundle and the settings its dataset
@@ -811,14 +828,16 @@ def test_stages_refuse_a_bundle_trained_on_another_dataset(
     for name, config in configs.items():
         assert cli.main(["--config", str(config), "gen-data",
                          "--out", str(data[name])]) == 0
-    shared_file = Path("attack_3_l5_s00.npy")
-    for path in (shared_file, shared_file.with_suffix(".meta.json")):
-        assert (data["A"] / path).read_bytes() == (
-            data["B"] / path).read_bytes()
+    shared = "attack_3_l5_s00"
+    rows = [(read_dataset(data[name]),
+             series_names(configs[name]).index(shared)) for name in configs]
+    for k in (0, 1):  # the series' values row and status row
+        assert np.array_equal(rows[0][0][k][rows[0][1]],
+                              rows[1][0][k][rows[1][1]])
     for name, part in (("A", 0), ("B", 1)):
         names = series_names(configs[name])
         split = cli.split_series(series_groups(configs[name]), 77)
-        assert shared_file.name in [names[k] for k in split[part]], name
+        assert shared in [names[k] for k in split[part]], name
     assert cli.main(["--config", str(configs["A"]), "train",
                      "--data", str(data["A"]), "--variant", "RNN_DNN"]) == 0
     bundle = data["A"] / "models" / "bundle_RNN_DNN.npz"
@@ -826,9 +845,9 @@ def test_stages_refuse_a_bundle_trained_on_another_dataset(
     parsed = []
     load = ScenarioSeries.load.__func__
 
-    def parsing(cls, path, horizon):
+    def parsing(cls, path, *args):
         parsed.append(path)
-        return load(cls, path, horizon)
+        return load(cls, path, *args)
 
     monkeypatch.setattr(ScenarioSeries, "load", classmethod(parsing))
     for stage, flag in (("evaluate", "--bundle"), ("report", "--bundles")):
@@ -884,16 +903,14 @@ def test_stages_refuse_a_json_file_that_holds_no_object(workspace, tmp_path,
 
 
 def test_stages_read_no_sidecar(workspace, se_bundle, tmp_path, capsys):
-    # a series' labels, level and split group come from its job, so the
-    # dataset gen-data writes trains and scores to the same bytes after
-    # every .meta.json sidecar is deleted
+    # a series' labels, level and split group come from its job, and no
+    # stage reads the per-hour status yet, so the dataset trains and scores
+    # to the same bytes after its status array, which holds what the
+    # per-series sidecars once did, is deleted
     _, config_path, data_dir = workspace
-    config, bare = str(config_path), tmp_path / "bare"
-    assert cli.main(["--config", config, "gen-data", "--out", str(bare)]) == 0
-    sidecars = sorted(bare.glob("*.meta.json"))
-    assert len(sidecars) == len(series_names(config_path))
-    for path in sidecars:
-        path.unlink()
+    config = str(config_path)
+    bare = dataset_copy(data_dir, tmp_path / "bare")
+    (bare / "status.npy").unlink()
     assert cli.main(["--config", config, "train", "--data", str(bare),
                      "--variant", "SE_DNN"]) == 0
     bundle = bare / "models" / "bundle_SE_DNN.npz"
@@ -1196,8 +1213,8 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 f"output directory {re.escape(str(afile / 'sub'))}: "
                 f"{re.escape(str(afile))} is a file$")
     if case == "csv as bundle":
-        # a series file is an .npy array too
-        npy = data_dir / "normal_s00.npy"
+        # a dataset's values file is an .npy array too
+        npy = data_dir / "values.npy"
         return (["--config", config, "evaluate", "--data", str(data_dir),
                  "--bundle", str(npy)],
                 f"meta in bundle file {re.escape(str(npy))}: an .npy array, "
@@ -1230,16 +1247,18 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 f"{re.escape(str(nan_case))}:{lineno}: not a finite number "
                 "'nan'$")
 
-    if case == "truncated series":
-        # every series file lacks its last value, so train refuses the
-        # first one of its split that it parses
+    if case in ("truncated series", "trailing bytes"):
+        # the values array lacks its last value, or has a byte after it
         edited = dataset_copy(data_dir, tmp_path / "edited")
-        for path in edited.glob("*.npy"):
-            path.write_bytes(path.read_bytes()[:-8])
+        values = edited / "values.npy"
+        good = values.read_bytes()
+        values.write_bytes(good[:-8] if case == "truncated series"
+                           else good + b"\0")
         return (["--config", config, "train", "--data", str(edited),
                  "--variant", "SE_DNN"],
-                f"{re.escape(str(edited))}/[^/]+\\.npy: Failed to read all "
-                "data for array")
+                f"{re.escape(str(values))}: "
+                + ("the array is not fully written$"
+                   if case == "truncated series" else "bytes after the array$"))
     if case == "dataset without config.json":
         # the dataset's config.json is what a stage checks its config on
         edited = dataset_copy(data_dir, tmp_path / "edited")
@@ -1249,15 +1268,19 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                 f"No such file or directory: "
                 f"'{re.escape(str(edited / 'config.json'))}'$")
     if case == "nan in series":
-        # each normal series holds a nan frame
-        def edit(name, series):
-            if named_group(name)[0] == "normal":
-                series.values[5, 3] = np.nan
+        # each normal series holds a nan frame; train refuses the first
+        # one of its split
+        normals = [k for k, name in enumerate(series_names(config))
+                   if named_group(name)[0] == "normal"]
+
+        def edit(values):
+            values[normals, 5, 3] = np.nan
+            return values
         edited = dataset_copy(data_dir, tmp_path / "edited", edit)
         return (["--config", config, "train", "--data", str(edited),
                  "--variant", "SE_DNN"],
-                f"{re.escape(str(edited))}/normal_s\\d+\\.npy: non-finite "
-                r"frames at hours \[5\]$")
+                f"{re.escape(str(edited / 'values.npy'))}: non-finite "
+                r"frames of series normal_s\d+ at hours \[5\]$")
     if case == "repeated variant":
         return (["--config", config, "report", "--data", str(data_dir),
                  "--out", str(tmp_path / "reports"),
@@ -1284,7 +1307,8 @@ def refused_input(case, workspace, se_bundle, tmp_path):
     "directory as bundle", "empty bundles entry", "gen-data out is a file",
     "evaluate out under a file", "csv as bundle", "malformed yaml",
     "control character in yaml", "latin-1 config", "nan in case file",
-    "dataset without config.json", "truncated series", "nan in series",
+    "dataset without config.json", "truncated series", "trailing bytes",
+    "nan in series",
     "repeated variant", "24 normal training frames",
     "window [0, 10]"])
 def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,

@@ -375,13 +375,13 @@ def sidecar_sites(source: Path | str) -> list[str | None]:
 
 
 def test_only_save_names_a_sidecar():
-    # a sidecar holds the per-hour status lists that gen-data writes beside
-    # each series and no job implies; no stage reads one back, so its
-    # suffix is spelled only where ScenarioSeries.save writes it
+    # a series' per-hour status lists are its row of the dataset's status
+    # array, which ScenarioSeries.save writes beside the values array; no
+    # module writes or reads a per-series .meta.json sidecar
     sites = {(str(path.relative_to(ROOT)), func)
              for path in sorted((ROOT / "src").rglob("*.py"))
              for func in sidecar_sites(path)}
-    assert sites == {("src/gridsentry/scenario/generate.py", "save")}
+    assert sites == set()
     # the scan finds the sidecar read that load_dataset once made
     assert sidecar_sites(
         "def load_dataset(cfg, data_dir, part):\n"
@@ -389,8 +389,10 @@ def test_only_save_names_a_sidecar():
         "    sidecars.append(read_json_object(path))\n") == ["load_dataset"]
 
 
-FRAME_READERS = {"src/gridsentry/scenario/generate.py",
-                 "src/gridsentry/cli.py"}
+# (module, function) of each read of a series' frames: save writes them
+# to the values array, and the dataset reader reads the part's rows back
+FRAME_READERS = {("src/gridsentry/scenario/generate.py", "save"),
+                 ("src/gridsentry/cli.py", "load_dataset")}
 
 
 def frame_reads(path: Path) -> list[tuple[int, str | None]]:
@@ -409,13 +411,13 @@ def frame_reads(path: Path) -> list[tuple[int, str | None]]:
 
 
 def test_one_reader_of_sensor_frames():
-    # a series' sensor frames are read where they are made and in the
+    # a series' sensor frames are read where save writes them and in the
     # dataset reader, which stacks the part a stage uses; every stage
     # works on that stack
     sites = [f"{path.relative_to(ROOT)}:{line} in {func}"
              for path in sorted((ROOT / "src").rglob("*.py"))
-             if str(path.relative_to(ROOT)) not in FRAME_READERS
-             for line, func in frame_reads(path)]
+             for line, func in frame_reads(path)
+             if (str(path.relative_to(ROOT)), func) not in FRAME_READERS]
     assert sites == []
 
 
@@ -437,12 +439,23 @@ def numpy_root(node) -> bool:
     return getattr(node, "id", None) == "np"
 
 
+# the .npy I/O of a dataset's arrays: numpy's format functions, an array's
+# tofile and a file's readinto
+ARRAY_IO = {"read_array", "write_array", "read_magic",
+            "read_array_header_1_0", "read_array_header_2_0",
+            "write_array_header_1_0", "write_array_header_2_0",
+            "open_memmap", "load", "save", "loadtxt", "genfromtxt",
+            "fromfile", "frombuffer"}
+ARRAY_METHOD_IO = {"tofile", "readinto"}
+
+
 def test_one_reader_of_series_files():
-    # a series file is parsed by ScenarioSeries.load, and load is called
-    # only by the dataset reader, which parses the series a stage uses
-    # after the dataset's config.json is read and checked. The values are
-    # an .npy array that only load reads and only save writes; no module
-    # parses text arrays, and np.load reads only bundles, in load_bundle
+    # a dataset's values file is parsed by ScenarioSeries.load, and load is
+    # called only by the dataset reader, which parses the rows a stage uses
+    # after the dataset's config.json is read and checked. The values and
+    # the status are .npy arrays that only save writes, and only load
+    # reads, row by row; no module parses text arrays, and np.load reads
+    # only bundles, in load_bundle
     sites, array_io = set(), set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         rel = str(path.relative_to(ROOT))
@@ -454,20 +467,24 @@ def test_one_reader_of_series_files():
                     and getattr(node.func.value, "id", None)
                     == "ScenarioSeries"):
                 sites.add((rel, func))
-            if name in ("read_array", "write_array", "open_memmap", "load",
-                        "save", "loadtxt", "genfromtxt", "fromfile",
-                        "tofile") and numpy_root(node.func):
+            if ((name in ARRAY_IO and numpy_root(node.func))
+                    or name in ARRAY_METHOD_IO):
                 array_io.add((rel, func, name))
     assert sites == {("src/gridsentry/cli.py", "load_dataset")}
+    generate = "src/gridsentry/scenario/generate.py"
     assert array_io == {
-        ("src/gridsentry/scenario/generate.py", "load", "read_array"),
-        ("src/gridsentry/scenario/generate.py", "save", "write_array"),
+        (generate, "save", "write_array_header_1_0"),
+        (generate, "save", "tofile"), (generate, "save", "write_array"),
+        (generate, "load", "read_magic"),
+        (generate, "load", "read_array_header_1_0"),
+        (generate, "load", "readinto"),
         ("src/gridsentry/detector/models.py", "load_bundle", "load")}
 
 
 def test_one_list_of_a_datasets_files():
-    # a dataset is the files its config's gen-data writes: the job list is
-    # spelled once, read by gen-data and by the dataset reader, and no
+    # a dataset is the config.json, values array and status array its
+    # config's gen-data writes, a row of each array per job: the job list
+    # is spelled once, read by gen-data and by the dataset reader, and no
     # module lists a directory to find the files a stage reads
     jobs, listings = set(), []
     for path in sorted((ROOT / "src").rglob("*.py")):
@@ -591,11 +608,11 @@ def test_every_error_is_a_refusal_or_a_named_fault():
                 "(InputError, FileNotFoundError)"]
 
 
-# restated, with the reason, by a change that moves it: 330 -> 324 as
-# RunConfig.train_stages went, with the settings parameter of the three
-# fits, train_bundle's stage_configs and holdout_experiment's
-# classifier_config, the fits reading detector.models.STAGE_DEFAULTS
-SETTABLE_VALUES = 324
+# restated, with the reason, by a change that moves it: 324 -> 329 as a
+# dataset became one values and one status array: ScenarioSeries.save
+# takes the status path, the series and the array's shape, and .load the
+# series' names and the rows to read
+SETTABLE_VALUES = 329
 
 
 def settable_values(tree: ast.Module) -> int:

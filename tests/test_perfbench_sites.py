@@ -10,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from gridsentry.detector import LAGS
+from gridsentry.scenario import STATUS_FLAGS
 from oracles import write_weakened_case
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,7 +152,7 @@ def test_stacked_residuals_are_traced():
 def test_ledger_counts_gen_data_series(tmp_path):
     # the benchmark's series, gap and template-fallback counts come from
     # the Ledger's wrapper around generate_scenario: one call per series
-    # written, with the metadata its sidecar holds
+    # written, with the metadata its row of status.npy holds
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump(dict(
         seed=7, output_dir=str(tmp_path / "data"), horizon=120,
@@ -172,13 +174,60 @@ def test_ledger_counts_gen_data_series(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     counts = json.loads(result.stdout.splitlines()[-1])
-    sidecars = [json.loads(p.read_text())
-                for p in (tmp_path / "data").glob("*.meta.json")]
-    assert counts["series"] == len(sidecars) == 3 + 8
-    gaps = sum(len(m["gap_hours"]) for m in sidecars)
-    fallbacks = sum(len(m["template_fallback_hours"]) for m in sidecars)
-    assert gaps > 0 and fallbacks > 0
-    assert counts["gap_hours"] == gaps
-    assert counts["template_fallback_hours"] == fallbacks
-    assert counts["series_failed"] == sum(
-        bool(m["gap_hours"] or m["template_fallback_hours"]) for m in sidecars)
+    status = np.load(tmp_path / "data" / "status.npy")
+    gap = (status & STATUS_FLAGS["gap_hours"]) > 0
+    fallback = (status & STATUS_FLAGS["template_fallback_hours"]) > 0
+    assert counts["series"] == len(status) == 3 + 8
+    assert gap.sum() > 0 and fallback.sum() > 0
+    assert counts["gap_hours"] == gap.sum()
+    assert counts["template_fallback_hours"] == fallback.sum()
+    assert counts["series_failed"] == (gap | fallback).any(axis=1).sum()
+
+
+def test_series_io_spans_the_one_writer_and_the_one_reader(tmp_path):
+    # series_io.write and .read time ScenarioSeries.save and .load, and
+    # series_io.bytes sizes the file at their args[1]: a traced gen-data
+    # makes one write span and a traced train one read span, each sizing
+    # the values file, which a writer or reader that moves the path off
+    # args[1] would miss
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(dict(
+        seed=7, output_dir=str(tmp_path / "data"), horizon=60,
+        window=[24, 50], noise_sigma=0.01, levels=[5], normal_series=3,
+        series_per_condition_per_level=2, variants=["RNN_DNN"])))
+    data = str(tmp_path / "data")
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]",
+        "import gridsentry.cli",
+        "from tracer import Ledger, Tracer",
+        "tracer = Tracer(Ledger())",
+        "tracer.install()",
+        "from gridsentry.detector import models",
+        "from gridsentry.neural import TrainConfig",
+        "for stage in ('predictor', 'classifier'):",
+        "    models.STAGE_DEFAULTS[stage] = TrainConfig(",
+        "        learning_rate=1e-3, epochs=1, batch_size=256)",
+        "out = {}",
+        f"for stage, argv in (('gen_data', ['gen-data', '--out', {data!r}]),",
+        f"                    ('train', ['train', '--data', {data!r},",
+        "                               '--variant', 'RNN_DNN'])):",
+        "    tracer.stage = stage",
+        f"    assert gridsentry.cli.main(['--config', {str(config)!r},",
+        "                                *argv]) == 0",
+        "    out[stage] = tracer.counts['series_io.bytes']",
+        "totals = tracer.totals()",
+        "out['write'] = tracer.spans['gen_data', 'series_io.write'][0]",
+        "out['read'] = tracer.spans['train', 'series_io.read'][0]",
+        "out['spans'] = totals['series_io.write'][0] + totals[",
+        "    'series_io.read'][0]",
+        "print(json.dumps(out))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.splitlines()[-1])
+    values = (tmp_path / "data" / "values.npy").stat().st_size
+    assert values == 128 + (3 + 2 * 8) * 60 * 39 * 8  # header and rows
+    assert out == {"write": 1, "read": 1, "spans": 2,
+                   "gen_data": values, "train": 2 * values}

@@ -1,4 +1,4 @@
-import json
+import io
 import re
 
 import numpy as np
@@ -9,8 +9,8 @@ from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, GridCase, N_SENSORS, load_case,
                              sensor_map, solve_power_flow)
 from gridsentry.grid.powerflow import NOISE_FLOOR
-from gridsentry.scenario import (GENERATOR_BUSES, LABELS, ScenarioSeries,
-                                 THREE_CLASSES, access_set,
+from gridsentry.scenario import (GENERATOR_BUSES, LABELS, STATUS_FLAGS,
+                                 ScenarioSeries, THREE_CLASSES, access_set,
                                  generate_scenario, make_condition,
                                  mask_measurements, reduce_target,
                                  simulate_nominal)
@@ -296,7 +296,7 @@ def test_labels_and_metadata(case, world):
     assert labels[10] == "attack_3" and labels[19] == "attack_3"
     assert labels[9] == "normal" and labels[20] == "normal"
     assert spec.level == 2
-    # the sidecar holds the per-hour status lists, which no job implies
+    # the metadata holds the per-hour status lists, which no job implies
     assert s.metadata == {"noop_hours": [], "gap_hours": [],
                           "template_fallback_hours": []}
 
@@ -440,67 +440,108 @@ def test_unconverged_solves_are_never_measured(case, world, monkeypatch):
                                rtol=0, atol=1e-7)
 
 
+def save_stack(path, stack):
+    """ScenarioSeries.save of one series per row of stack, each with no
+    status hour, at path and status.npy beside it."""
+    quiet = {key: [] for key in STATUS_FLAGS}
+    return ScenarioSeries.save(path, path.with_name("status.npy"),
+                               (ScenarioSeries(v, quiet) for v in stack),
+                               stack.shape)
+
+
 def test_series_npy_roundtrip(tmp_path, case, world):
+    # save writes one values array and one status array, a row of each per
+    # series; load reads back the rows it is given, in their order
     loads, plan = world
-    spec = make_condition(case, "attack", 3, 2, 10, 20)
-    s = generate_scenario(case, plan, loads, spec, 0.01, seed=5)
-    p = tmp_path / "series.npy"
-    sidecar = tmp_path / "series.meta.json"
-    assert s.save(p) == [p, sidecar]
+    series = [generate_scenario(case, plan, loads, spec, 0.01, seed=5)
+              for spec in (make_condition(case, "attack", 3, 2, 10, 20),
+                           make_condition(case, "fault", 2, 5, 0, 48), None)]
+    # a status flag of each kind, set in two series at one hour
+    for s, key, hours in ((series[0], "noop_hours", [10, 11]),
+                          (series[0], "gap_hours", [11]),
+                          (series[1], "template_fallback_hours", [0]),
+                          (series[2], "gap_hours", [3, 47])):
+        s.metadata[key] = hours
+    p, status_path = tmp_path / "values.npy", tmp_path / "status.npy"
+    status = ScenarioSeries.save(p, status_path, iter(series), (3, 48, 39))
     assert sorted(f.name for f in tmp_path.iterdir()) == [
-        "series.meta.json", "series.npy"]
-    assert json.loads(sidecar.read_text()) == s.metadata
-    back = ScenarioSeries.load(p, 48)
-    assert np.array_equal(back.view(np.uint64), s.values.view(np.uint64))
+        "status.npy", "values.npy"]
+    stack = np.array([s.values for s in series])
+    assert p.read_bytes() == array_bytes(stack)  # numpy's own header
+    assert status_path.read_bytes() == array_bytes(status)
+    assert status.dtype == np.uint8 and status.shape == (3, 48)
+    for row, s in zip(status, series):
+        for key, flag in STATUS_FLAGS.items():
+            assert np.flatnonzero(row & flag).tolist() == s.metadata[key]
+    assert status[0, 11] == STATUS_FLAGS["noop_hours"] | STATUS_FLAGS[
+        "gap_hours"]
+    names = ["attack", "fault", "normal"]
+    for rows in ([0, 1, 2], [2, 0], [1]):
+        back = ScenarioSeries.load(p, names, 48, rows)
+        assert np.array_equal(back.view(np.uint64),
+                              stack[rows].view(np.uint64))
     # values of another horizon than the one given are refused naming them
-    with pytest.raises(SeriesFileError, match=r"series\.npy: .* shape"):
-        ScenarioSeries.load(p, 49)
+    with pytest.raises(SeriesFileError, match=r"values\.npy: .* shape"):
+        ScenarioSeries.load(p, names, 49, [0])
 
     # extreme, subnormal or signed-zero values come back bit for bit
-    values = np.random.default_rng(6).standard_normal((5, N_SENSORS)) * 50
-    values[1, :6] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1e-300,
-                     0.1 + 0.2]
-    for rows in (values, values[1:2]):
-        ScenarioSeries(rows, {}).save(p)
-        back = ScenarioSeries.load(p, len(rows))
+    values = np.random.default_rng(6).standard_normal((2, 5, N_SENSORS)) * 50
+    values[1, 1, :6] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1e-300,
+                        0.1 + 0.2]
+    for stack in (values, values[1:]):
+        save_stack(p, stack)
+        back = ScenarioSeries.load(p, ["a", "b"][:len(stack)], 5,
+                                   range(len(stack)))
         assert back.dtype == np.float64
-        assert back.shape == rows.shape
-        assert np.array_equal(back.view(np.uint64), rows.view(np.uint64))
+        assert back.shape == stack.shape
+        assert np.array_equal(back.view(np.uint64), stack.view(np.uint64))
+
+
+def array_bytes(array) -> bytes:
+    """The bytes np.save writes for array."""
+    out = io.BytesIO()
+    np.save(out, array)
+    return out.getvalue()
 
 
 def test_load_refuses_non_finite_frames(tmp_path):
     # a power-flow gap hour with nothing before it to repeat is an all-NaN
     # row (generate.py); the reader refuses it, or any other non-finite
-    # value, naming the file and the hours, so no stage computes stats or
-    # features from it
-    values = np.random.default_rng(4).standard_normal((30, N_SENSORS))
-    p = tmp_path / "series.npy"
+    # value, naming the file, the series and the hours, so no stage
+    # computes stats or features from it. A row it is not given is not read
+    values = np.random.default_rng(4).standard_normal((3, 30, N_SENSORS))
+    p = tmp_path / "values.npy"
+    names = ["normal_s00", "normal_s01", "normal_s02"]
     for hours in ([0], [0, 1], [7, 12]):
         bad = values.copy()
-        bad[hours[0]] = np.nan
-        bad[hours[1:], 3] = np.inf
-        ScenarioSeries(bad, {"gap_hours": hours}).save(p)
+        bad[1, hours[0]] = np.nan
+        bad[1, hours[1:], 3] = np.inf
+        save_stack(p, bad)
+        assert np.array_equal(ScenarioSeries.load(p, names, 30, [2, 0]),
+                              values[[2, 0]])
         with pytest.raises(SeriesFileError, match=(
-                rf"series\.npy: non-finite frames at hours "
-                rf"{re.escape(str(hours))}$")):
-            ScenarioSeries.load(p, 30)
+                r"values\.npy: non-finite frames of series normal_s01 at "
+                rf"hours {re.escape(str(hours))}$")):
+            ScenarioSeries.load(p, names, 30, [0, 1, 2])
 
 
 def test_load_refuses_a_file_that_is_not_the_horizons_array(tmp_path):
-    # the values file must hold one float64 array with a row of sensors for
-    # each hour of the horizon given; anything else is refused as a
-    # SeriesFileError naming the file, before any frame is read from it
-    values = np.random.default_rng(7).standard_normal((6, N_SENSORS))
-    p = tmp_path / "series.npy"
-    ScenarioSeries(values, {}).save(p)
+    # the values file must hold one float64 array with a row of a series'
+    # sensors for each hour of the horizon given, for each series named;
+    # anything else is refused as a SeriesFileError naming the file,
+    # before any frame is read from it
+    values = np.random.default_rng(7).standard_normal((2, 6, N_SENSORS))
+    p = tmp_path / "values.npy"
+    save_stack(p, values)
     good = p.read_bytes()
     archive = tmp_path / "archive.npz"
     np.savez(archive, values=values)
 
-    def pickled(path):
-        with open(path, "wb") as fh:
-            np.lib.format.write_array(fh, np.array([values], dtype=object),
-                                      allow_pickle=True)
+    def written(array, **options):
+        def write(path):
+            with open(path, "wb") as fh:
+                np.lib.format.write_array(fh, array, **options)
+        return write
 
     files = {
         "empty": lambda path: path.write_bytes(b""),
@@ -509,25 +550,32 @@ def test_load_refuses_a_file_that_is_not_the_horizons_array(tmp_path):
         "truncated": lambda path: path.write_bytes(good[:-8]),
         "trailing byte": lambda path: path.write_bytes(good + b"\xe9"),
         "npz archive": lambda path: path.write_bytes(archive.read_bytes()),
-        "pickled objects": pickled,
-        "float32": lambda path: ScenarioSeries(
-            values.astype(np.float32), {}).save(path),
-        "5 rows": lambda path: ScenarioSeries(values[:5], {}).save(path),
-        "7 rows": lambda path: ScenarioSeries(
-            np.vstack([values, values[:1]]), {}).save(path),
-        "38 sensors": lambda path: ScenarioSeries(
-            values[:, :-1], {}).save(path),
+        "pickled objects": written(np.array([values], dtype=object),
+                                   allow_pickle=True),
+        "version 2.0": written(values, version=(2, 0)),
+        "Fortran order": written(np.asfortranarray(values)),
+        "float32": written(values.astype(np.float32)),
+        "one series": written(values[:1]),
+        "5 hours": written(values[:, :5]),
+        "7 hours": written(np.concatenate([values, values[:, :1]], axis=1)),
+        "38 sensors": written(values[:, :, :-1]),
     }
     causes = {"empty": "EOF", "csv text": "magic string",
-              "truncated": "not fully written",
-              "trailing byte": "bytes after the array$", "npz archive": "magic string",
-              "pickled objects": "Object arrays",
-              "float32": r"a float32 array of shape \(6, 39\)",
-              "5 rows": r"shape \(5, 39\); the config gives float64 of "
-                        r"shape \(6, 39\)",
-              "7 rows": r"shape \(7, 39\)", "38 sensors": r"shape \(6, 38\)"}
+              "truncated": "the array is not fully written$",
+              "trailing byte": "bytes after the array$",
+              "npz archive": "magic string",
+              "pickled objects": r"a object array of shape \(1, 2, 6, 39\)",
+              "version 2.0": "Cannot parse header",
+              "Fortran order": r"a Fortran-ordered float64 array of shape "
+                               r"\(2, 6, 39\)",
+              "float32": r"a float32 array of shape \(2, 6, 39\)",
+              "one series": r"shape \(1, 6, 39\); the config gives float64 "
+                            r"of shape \(2, 6, 39\)$",
+              "5 hours": r"shape \(2, 5, 39\)", "7 hours": r"shape \(2, 7, 39\)",
+              "38 sensors": r"shape \(2, 6, 38\)"}
+    assert set(causes) == set(files)
     for name, write in files.items():
         write(p)
         with pytest.raises(SeriesFileError,
-                           match=rf"series\.npy: .*{causes[name]}"):
-            ScenarioSeries.load(p, 6)
+                           match=rf"values\.npy: .*{causes[name]}"):
+            ScenarioSeries.load(p, ["a", "b"], 6, [0])
