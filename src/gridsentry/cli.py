@@ -13,7 +13,7 @@ import numpy as np
 
 from . import InputError
 from .config import (ConfigError, RunConfig, RunManifest, config_hash,
-                     load_config, read_json_object, resolve_output_dir)
+                     load_config, read_json_object)
 from .detector import load_bundle, save_bundle, train_bundle
 from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import plan_generation, synthesize_loads
@@ -28,11 +28,11 @@ from .scenario import (GENERATOR_BUSES, KINDS, LABEL_INDEX, LABELS,
 
 
 # the RunConfig fields that gen-data's files depend on
-GENERATION_KEYS = ("case_file", "seed", "horizon", "noise_sigma", "levels",
-                   "window", "normal_series", "series_per_condition_per_level")
+GENERATION_KEYS = ("seed", "horizon", "noise_sigma", "levels", "window",
+                   "normal_series", "series_per_condition_per_level")
 # the layout of the files gen-data writes, recorded in its config.json: a
 # values array and a status array, a row of each per series
-DATASET_FORMAT = 2
+DATASET_FORMAT = 3
 VALUES_FILE = "values.npy"
 STATUS_FILE = "status.npy"
 
@@ -69,8 +69,7 @@ def _generate_one(args):
 
 def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     manifest = RunManifest(out_dir, config_hash(cfg))
-    # a refused case leaves no directory or config.json behind
-    case = load_case(cfg.case_file)
+    case = load_case()
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / "config.json"
     config_path.write_text(json.dumps(
@@ -191,7 +190,7 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
         raise ConfigError(f"variant {variant!r} is not in the config's "
                           f"variants {list(cfg.variants)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
-    case = load_case(cfg.case_file)
+    case = load_case()
     train_set = load_dataset(cfg, data_dir, "train")
     given = cfg.canonical()
     bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
@@ -209,7 +208,7 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
 def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
                  out_dir: Path) -> float:
     manifest = RunManifest(out_dir, config_hash(cfg))
-    case = load_case(cfg.case_file)
+    case = load_case()
     bundle = load_bundle(bundle_path, case)
     test_set = load_dataset(cfg, data_dir, "test", [(bundle_path, bundle)])
     preds, truth = evaluate_predictions(bundle, test_set, case)
@@ -243,7 +242,7 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
         raise ConfigError(f"holdout needs levels {sorted(LEVEL_FRACTIONS)}, "
                           f"the config has levels {list(cfg.levels)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
-    case = load_case(cfg.case_file)
+    case = load_case()
     bundle = load_bundle(bundle_path, case)
     frames = feature_rows(bundle, load_dataset(
         cfg, data_dir, "all", [(bundle_path, bundle)]), case)
@@ -271,7 +270,7 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
 def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
                out_dir: Path) -> Path:
     manifest = RunManifest(out_dir, config_hash(cfg))
-    case = load_case(cfg.case_file)
+    case = load_case()
     bundles = {}
     for path in bundle_paths:
         bundle = load_bundle(path, case)
@@ -356,24 +355,23 @@ def _run(args) -> int:
     cfg = load_config(args.config)
 
     if args.command == "gen-data":
-        cmd_gen_data(cfg, resolve_output_dir(args.out or cfg.output_dir))
+        cmd_gen_data(cfg, Path(args.out or cfg.output_dir))
         return 0
-    data_dir = resolve_output_dir(args.data)
-    out = (resolve_output_dir(args.out) if args.out else
+    data_dir = Path(args.data)
+    out = (Path(args.out) if args.out else
            data_dir / ("models" if args.command == "train" else "reports"))
     if args.command == "train":
         cmd_train(cfg, data_dir, args.variant, out)
         return 0
     if args.command == "evaluate":
-        score = cmd_evaluate(cfg, data_dir, resolve_output_dir(args.bundle),
-                             out)
+        score = cmd_evaluate(cfg, data_dir, Path(args.bundle), out)
         return int(args.gate is not None and score < args.gate)
     if args.command == "holdout":
-        cmd_holdout(cfg, data_dir, resolve_output_dir(args.bundle), out)
+        cmd_holdout(cfg, data_dir, Path(args.bundle), out)
         return 0
     if args.command == "report":
-        cmd_report(cfg, data_dir, [resolve_output_dir(p)
-                                   for p in args.bundles.split(",")], out)
+        cmd_report(cfg, data_dir, [Path(p) for p in args.bundles.split(",")],
+                   out)
         return 0
     raise AssertionError(args.command)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -16,8 +15,6 @@ from . import InputError, __version__
 from .detector.models import LAGS, VARIANTS
 from .scenario.attacks import LEVEL_FRACTIONS
 
-OUTPUT_ROOT_ENV = "GRIDSENTRY_OUTPUT_ROOT"
-
 
 class ConfigError(InputError):
     """Invalid or unresolvable run configuration."""
@@ -25,9 +22,6 @@ class ConfigError(InputError):
 
 @dataclass
 class RunConfig:
-    # None is the packaged case (grid.case.DEFAULT_CASE); it is recorded as
-    # null, so config.json does not depend on where the package lives
-    case_file: str | None
     output_dir: str
     seed: int
     horizon: int = 120
@@ -43,14 +37,6 @@ class RunConfig:
 
     def canonical(self) -> dict:
         return json.loads(json.dumps(asdict(self), sort_keys=True))
-
-
-def resolve_output_dir(path: str) -> Path:
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    out = Path(path)
-    if root and not out.is_absolute():
-        out = Path(root) / out
-    return out
 
 
 def _is_int(value) -> bool:
@@ -95,7 +81,6 @@ def load_config(path: str | Path) -> RunConfig:
     if "output_dir" not in raw:
         raise ConfigError("output_dir is required")
 
-    raw.setdefault("case_file", None)
     cfg = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
                        for key, value in raw.items()})
     for name in ("seed", "horizon", "normal_series",
@@ -110,11 +95,6 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{name} must be a list")
     if not isinstance(cfg.output_dir, str):
         raise ConfigError("output_dir must be a path string")
-    if cfg.case_file is not None and not isinstance(cfg.case_file, str):
-        raise ConfigError("case_file must be a path string")
-
-    if cfg.case_file is not None and not Path(cfg.case_file).exists():
-        raise ConfigError(f"case file not found: {cfg.case_file}")
     if cfg.horizon < 24:
         raise ConfigError("horizon must cover at least one day")
     if not 0 <= cfg.window[0] < cfg.window[1] <= cfg.horizon:

@@ -54,7 +54,7 @@ STAGE_DEFAULTS = {
     "classifier": TrainConfig(learning_rate=2e-3, epochs=80, batch_size=256),
 }
 
-BUNDLE_FORMAT_VERSION = 5
+BUNDLE_FORMAT_VERSION = 6
 
 
 class BundleFileError(InputError):

@@ -3,22 +3,15 @@
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .. import InputError
-
 DEFAULT_CASE = Path(__file__).resolve().parent.parent / "data" / "ieee14.case"
 # the PV buses, in the order of every setpoint and commitment column
 GENERATOR_BUSES = (2, 3, 6, 8)
-
-
-class CaseError(InputError):
-    """Malformed or invalid case file."""
 
 
 @dataclass(frozen=True)
@@ -78,95 +71,28 @@ class GridCase:
         return Topology(self)
 
 
-def load_case(path: str | Path | None = None) -> GridCase:
-    """Parse a plain-text case file (see data/ieee14.case for the schema);
-    None is the packaged IEEE 14-bus case, DEFAULT_CASE. A number that is
-    not finite (nan, inf) is refused, naming its line."""
-    path = Path(DEFAULT_CASE if path is None else path)
-    if not path.exists():
-        raise CaseError(f"case file not found: {path}")
-    base_mva = None
+def load_case() -> GridCase:
+    """Parse DEFAULT_CASE, the packaged IEEE 14-bus case (see
+    data/ieee14.case for the schema). It is program data, not a run's
+    input, so nothing here checks it: tests/test_grid.py pins the structure
+    the solvers rely on, and a line that does not parse fails with its
+    traceback."""
     buses: list[Bus] = []
     branches: list[Branch] = []
-
-    def number(text):  # a finite float; a refusal names the line parsed
-        value = float(text)
-        if not math.isfinite(value):
-            raise CaseError(f"{path}:{lineno}: not a finite number '{text}'")
-        return value
-
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for raw in DEFAULT_CASE.read_text().splitlines():
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
             continue
-        tok = line.split()
-        try:
-            if tok[0] == "base_mva":
-                base_mva = number(tok[1])
-            elif tok[0] == "bus":
-                if tok[2] not in ("slack", "generator", "load"):
-                    raise CaseError(f"{path}:{lineno}: unknown bus kind "
-                                    f"'{tok[2]}'")
-                vset = None if tok[3] == "-" else number(tok[3])
-                buses.append(Bus(int(tok[1]), tok[2], vset,
-                                 number(tok[4]), number(tok[5])))
-            elif tok[0] == "branch":
-                branches.append(Branch(int(tok[1]), int(tok[2]), number(tok[3]),
-                                       number(tok[4]), number(tok[5]), number(tok[6])))
-            else:
-                raise CaseError(f"{path}:{lineno}: unknown record '{tok[0]}'")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, CaseError):
-                raise
-            raise CaseError(f"{path}:{lineno}: cannot parse '{raw}'") from exc
-    if base_mva is None:
-        raise CaseError(f"{path}: missing base_mva record")
-    case = GridCase(tuple(buses), tuple(branches), base_mva)
-    validate_case(case)
-    return case
-
-
-def validate_case(case: GridCase) -> None:
-    ids = [b.id for b in case.buses]
-    if len(set(ids)) != len(ids):
-        raise CaseError("duplicate bus ids")
-    if ids != list(range(1, len(ids) + 1)):
-        raise CaseError("bus ids must be consecutive starting at 1")
-    if len(case.buses) != 14:
-        raise CaseError(f"expected 14 buses, got {len(case.buses)}")
-    if len(case.branches) != 20:
-        raise CaseError(f"expected 20 branches, got {len(case.branches)}")
-    slacks = [b.id for b in case.buses if b.kind == "slack"]
-    if slacks != [1]:
-        raise CaseError(f"expected exactly one slack bus (id 1), got {slacks}")
-    if tuple(case.generator_buses) != GENERATOR_BUSES:
-        raise CaseError(f"generator buses must be {list(GENERATOR_BUSES)}, got {case.generator_buses}")
-    for b in case.buses:
-        if b.kind in ("slack", "generator"):
-            if b.voltage_setpoint is None or b.voltage_setpoint <= 0:
-                raise CaseError(f"bus {b.id}: missing or non-positive voltage setpoint")
-    for br in case.branches:
-        if br.reactance == 0:
-            raise CaseError(f"branch {br.from_bus}-{br.to_bus}: zero reactance")
-        if br.from_bus == br.to_bus:
-            raise CaseError(f"branch {br.from_bus}-{br.to_bus}: self loop")
-        for end in (br.from_bus, br.to_bus):
-            if not 1 <= end <= len(case.buses):
-                raise CaseError(f"branch references unknown bus {end}")
-    # connectivity
-    adj = {b.id: set() for b in case.buses}
-    for br in case.branches:
-        adj[br.from_bus].add(br.to_bus)
-        adj[br.to_bus].add(br.from_bus)
-    seen, stack = set(), [1]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adj[u] - seen)
-    if len(seen) != len(case.buses):
-        raise CaseError("network graph is disconnected")
+        if tok[0] == "base_mva":
+            base_mva = float(tok[1])
+        elif tok[0] == "bus":
+            vset = None if tok[3] == "-" else float(tok[3])
+            buses.append(Bus(int(tok[1]), tok[2], vset,
+                             float(tok[4]), float(tok[5])))
+        else:  # branch
+            branches.append(Branch(int(tok[1]), int(tok[2]),
+                                   *map(float, tok[3:7])))
+    return GridCase(tuple(buses), tuple(branches), base_mva)
 
 
 class Topology:
@@ -184,15 +110,15 @@ class Topology:
     def __init__(self, case: GridCase):
         n, nbr = case.n_bus, len(case.branches)
         self.Yf = np.zeros((nbr, n), dtype=complex)
-        self.Yt = np.zeros((nbr, n), dtype=complex)
+        Yt = np.zeros((nbr, n), dtype=complex)
         self.Y = np.zeros((n, n), dtype=complex)
         for i, br in enumerate(case.branches):
             f, t = br.from_bus - 1, br.to_bus - 1
             ys = 1.0 / complex(br.resistance, br.reactance)
-            self.Yf[i, f] = self.Yt[i, t] = ys + 0.5j * br.line_charging
-            self.Yf[i, t] = self.Yt[i, f] = -ys
+            self.Yf[i, f] = Yt[i, t] = ys + 0.5j * br.line_charging
+            self.Yf[i, t] = Yt[i, f] = -ys
             self.Y[f] += self.Yf[i]
-            self.Y[t] += self.Yt[i]
+            self.Y[t] += Yt[i]
         self.from_bus = np.array([br.from_bus - 1 for br in case.branches],
                                  dtype=int)
         self.buses = np.arange(n)

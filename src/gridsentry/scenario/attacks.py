@@ -54,10 +54,6 @@ class Condition:
     sensor_access: frozenset[int]
 
     @property
-    def label(self) -> str:
-        return condition_name(self.kind, self.target_generator)
-
-    @property
     def fraction(self) -> float:
         return LEVEL_FRACTIONS[self.level]
 

@@ -9,7 +9,8 @@ The pipeline runs none of these; they check it from outside:
 - `grad_check`: the central-difference gradient oracle for every
   differentiable model (criterion 5, tests/test_neural.py).
 - `write_weakened_case`: a case file on which some solves fail, for the
-  gap-hour and template-fallback paths of `gen-data`.
+  gap-hour and template-fallback paths of `gen-data`; a test patches
+  `gridsentry.grid.case.DEFAULT_CASE` with it.
 - `read_dataset`: a dataset's values and status arrays as save wrote
   them, read without `ScenarioSeries.load`'s checks (tests/test_cli.py).
 - `named_group`, `frame_labels` and `series_stack`: a series' condition
@@ -186,8 +187,9 @@ def grad_check(model, x: np.ndarray, target: np.ndarray, loss: str = "mse",
 
 def write_weakened_case(path: Path) -> Path:
     """Write the packaged case with every branch reactance tripled to
-    `path`: power flow fails at some hours of a series on it, and the
-    attacker's nominal solve at others."""
+    `path`, a case to patch grid.case.DEFAULT_CASE with: power flow fails
+    at some hours of a series on it, and the attacker's nominal solve at
+    others."""
     lines = []
     for line in Path(DEFAULT_CASE).read_text().splitlines():
         tok = line.split()

@@ -23,7 +23,6 @@ from gridsentry.evaluation import (confusion_counts, holdout_experiment,
                                    macro_f1, precision_recall_f1,
                                    severity_sweep)
 from gridsentry.grid import load_case, solve_power_flow
-from gridsentry.grid.case import DEFAULT_CASE
 from gridsentry.neural import (Dense, LSTM, LeakyReLU, ReLU, Sequential,
                                Sigmoid, TrainConfig)
 from gridsentry.scenario import LABELS, generate_scenario, make_condition
@@ -49,8 +48,8 @@ def case():
 def world(tmp_path_factory, case):
     """Dataset + three trained variants + evaluation matrices + timings."""
     out = tmp_path_factory.mktemp("acceptance")
-    cfg = RunConfig(case_file=str(DEFAULT_CASE), output_dir=str(out / "data"),
-                    seed=SEED, noise_sigma=NOISE_SIGMA)
+    cfg = RunConfig(output_dir=str(out / "data"), seed=SEED,
+                    noise_sigma=NOISE_SIGMA)
     t0 = time.time()
     data_dir = cli.cmd_gen_data(cfg, out / "data")
     series, train, test = (cli.load_dataset(cfg, data_dir, part)

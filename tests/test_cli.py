@@ -14,13 +14,12 @@ import yaml
 import gridsentry.cli as cli
 from gridsentry import InputError
 from gridsentry.config import (ConfigError, RunManifest, config_hash,
-                               load_config, read_json_object,
-                               resolve_output_dir)
+                               load_config, read_json_object)
 from gridsentry.detector import (LAGS, load_bundle, models, pipeline,
                                  save_bundle)
 from gridsentry.detector.models import SUBMODELS
 from gridsentry.evaluation import HoldoutResult
-from gridsentry.grid import DEFAULT_CASE, load_case
+from gridsentry.grid import load_case
 from gridsentry.neural import TrainConfig, get_state
 from gridsentry.scenario import (LABEL_INDEX, LABELS, STATUS_FLAGS,
                                  ScenarioSeries, condition_name)
@@ -60,15 +59,6 @@ def write_config(path, **overrides):
     return path
 
 
-def write_nan_case(tmp_path):
-    """A copy at tmp_path of the packaged case with the reactance of branch
-    7-8 written as nan, and the line number of that record."""
-    text, old = DEFAULT_CASE.read_text(), "branch 7  8  0.0     0.17615"
-    nan_case = tmp_path / "nan.case"
-    nan_case.write_text(text.replace(old, "branch 7  8  0.0     nan"))
-    return nan_case, text[:text.index(old)].count("\n") + 1
-
-
 def refused(capsys, argv) -> str:
     """The message of a cli.main run refused as argparse refuses a usage
     error: one `gridsentry: error:` line on stderr, then exit code 2."""
@@ -103,9 +93,6 @@ def test_config_requires_seed_and_output(tmp_path):
 
 
 def test_config_validation_before_compute(tmp_path):
-    path = write_config(tmp_path / "c.yaml", case_file="/nonexistent.case")
-    with pytest.raises(ConfigError, match="case file"):
-        load_config(path)
     path = write_config(tmp_path / "c.yaml", window=[50, 24])
     with pytest.raises(ConfigError, match="window"):
         load_config(path)
@@ -137,7 +124,7 @@ def test_config_validation_before_compute(tmp_path):
                        ("noise_sigma", float("nan")),
                        ("noise_sigma", float("inf")),
                        ("noise_sigma", 0.0),
-                       ("case_file", 5), ("output_dir", 5)):
+                       ("output_dir", 5)):
         path = write_config(tmp_path / "c.yaml", **{key: value})
         with pytest.raises(ConfigError, match=key):
             load_config(path)
@@ -212,15 +199,24 @@ def test_config_file_refusals(tmp_path):
         load_config(listed)
 
 
-def test_fixed_simulation_inputs_are_not_config_keys(tmp_path):
-    # the households per bus and the split fraction are constants of the
-    # code (dispatch.HOUSEHOLDS_PER_BUS, cli.SPLIT_FRACTION), not settings
+def test_fixed_simulation_inputs_are_not_config_keys(tmp_path, capsys):
+    # the households per bus, the split fraction and the grid are constants
+    # of the code (dispatch.HOUSEHOLDS_PER_BUS, cli.SPLIT_FRACTION and
+    # grid.case.DEFAULT_CASE, the packaged IEEE 14-bus case), not settings
     for key, value in (("num_households", [90, 110]),
-                       ("split_fraction", 0.8)):
+                       ("split_fraction", 0.8),
+                       ("case_file", "ieee14.case")):
         path = write_config(tmp_path / "c.yaml", **{key: value})
         with pytest.raises(ConfigError,
                            match=rf"unknown config keys: \['{key}'\]"):
             load_config(path)
+    # a config that names case_file, as configs once could, is refused on
+    # one line before anything is written
+    out = tmp_path / "data"
+    err = refused(capsys, ["--config", str(path), "gen-data",
+                           "--out", str(out)])
+    assert err == "gridsentry: error: unknown config keys: ['case_file']\n"
+    assert not out.exists()
 
 
 def test_training_settings_are_not_config_keys(tmp_path, capsys):
@@ -331,33 +327,6 @@ def test_config_hash_stable(tmp_path):
     assert config_hash(load_config(other)) != h1
 
 
-def test_output_root_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("GRIDSENTRY_OUTPUT_ROOT", str(tmp_path / "root"))
-    assert resolve_output_dir("runs/a") == tmp_path / "root" / "runs" / "a"
-    assert resolve_output_dir("/abs/p") == Path("/abs/p")
-
-
-def test_output_root_env_resolves_bundle_paths(tmp_path, monkeypatch):
-    # train writes its bundle under the root, so evaluate, holdout and
-    # report read a relative --bundle or --bundles entry from there too
-    root = tmp_path / "root"
-    monkeypatch.setenv("GRIDSENTRY_OUTPUT_ROOT", str(root))
-    config = str(write_config(tmp_path / "run.yaml"))
-    seen = {}
-    for command in ("evaluate", "holdout", "report"):
-        monkeypatch.setattr(cli, f"cmd_{command}",
-                            lambda cfg, data, bundle, out, gate=None,
-                            command=command: seen.update({command: bundle}))
-    bundle = "runs/demo/data/models/bundle_SE_DNN.npz"
-    for command, flag in (("evaluate", "--bundle"), ("holdout", "--bundle"),
-                          ("report", "--bundles")):
-        cli.main(["--config", config, command, "--data", "runs/demo/data",
-                  flag, f"{bundle},/abs/b.npz" if flag == "--bundles"
-                  else bundle])
-    assert seen == {"evaluate": root / bundle, "holdout": root / bundle,
-                    "report": [root / bundle, Path("/abs/b.npz")]}
-
-
 # ---------------------------------------------------------------- pipeline
 
 @pytest.fixture(scope="module")
@@ -448,15 +417,15 @@ def test_gen_data_saves_each_series_before_generating_the_next(
     assert alive == [0] * len(jobs)
 
 
-def test_gen_data_reports_power_flow_gaps(tmp_path):
+def test_gen_data_reports_power_flow_gaps(tmp_path, monkeypatch):
     # the packaged case with every branch reactance tripled: power flow
     # fails at some hours (122 gap hours over the 11 series at seed 7) and
     # the attacker's nominal solve at others (2 template-fallback hours)
-    case_file = write_weakened_case(tmp_path / "weak.case")
+    monkeypatch.setattr("gridsentry.grid.case.DEFAULT_CASE",
+                        write_weakened_case(tmp_path / "weak.case"))
     path = write_config(tmp_path / "run.yaml", seed=7, horizon=120,
                         window=[24, 104], noise_sigma=0.10, normal_series=3,
-                        series_per_condition_per_level=1,
-                        case_file=str(case_file))
+                        series_per_condition_per_level=1)
     out = tmp_path / "data"
     assert cli.main(["--config", str(path), "gen-data",
                      "--out", str(out)]) == 0
@@ -521,15 +490,25 @@ def test_train_refuses_unreadable_dataset(workspace, tmp_path, capsys,
 
 
 def older_dataset(config_path, data_dir, dest, layout):
-    """A copy at dest of config_path's dataset in data_dir as gridsentry
-    wrote it before one values and one status array, with no
-    dataset_format in its config.json: in the "npy files" layout, each
-    series' values as <name>.npy beside a <name>.meta.json sidecar of its
-    status lists; in the earlier "csv files" layout, each series as
-    <name>.csv of hour, sensor and label columns beside that sidecar, a
-    frame's label the condition its name gives inside the window."""
+    """A copy at dest of config_path's dataset in data_dir as an older
+    gridsentry wrote it, its config.json recording the packaged case as
+    `case_file: null`. In the "format 2" layout, the values and status
+    arrays of today beside a config.json of dataset_format 2. Before one
+    values and one status array, config.json held no dataset_format: in
+    the "npy files" layout, each series' values as <name>.npy beside a
+    <name>.meta.json sidecar of its status lists; in the earlier "csv
+    files" layout, each series as <name>.csv of hour, sensor and label
+    columns beside that sidecar, a frame's label the condition its name
+    gives inside the window."""
     dest.mkdir()
-    config = json.loads((data_dir / "config.json").read_text())
+    config = {**json.loads((data_dir / "config.json").read_text()),
+              "case_file": None}
+    if layout == "format 2":
+        (dest / "config.json").write_text(
+            json.dumps({**config, "dataset_format": 2}))
+        for name in ("values.npy", "status.npy"):
+            (dest / name).write_bytes((data_dir / name).read_bytes())
+        return dest
     del config["dataset_format"]
     (dest / "config.json").write_text(json.dumps(config))
     for name, values, status in zip(series_names(config_path),
@@ -549,16 +528,18 @@ def older_dataset(config_path, data_dir, dest, layout):
     return dest
 
 
-@pytest.mark.parametrize("layout", ["npy files", "csv files"])
+@pytest.mark.parametrize("layout", ["format 2", "npy files", "csv files"])
 def test_stages_refuse_a_dataset_of_an_older_format(
         holdout_workspace, holdout_bundle, tmp_path, monkeypatch, capsys,
         layout):
-    # a dataset written before gen-data wrote one values and one status
-    # array records no dataset_format in its config.json: each stage
+    # a dataset written while a config could name its case records
+    # dataset_format 2 in its config.json, and one written before gen-data
+    # wrote one values and one status array records none: each stage
     # refuses it in one line naming that file, before it computes a
     # feature or writes anything
     config_path, data_dir = holdout_workspace
     old = older_dataset(config_path, data_dir, tmp_path / "old", layout)
+    recorded = {"dataset_format": 2} if layout == "format 2" else {}
     residuals = []
     monkeypatch.setattr(pipeline, "predict_and_residual",
                         lambda *a: residuals.append(a))
@@ -572,7 +553,8 @@ def test_stages_refuse_a_dataset_of_an_older_format(
                                "--data", str(old), "--out", str(out),
                                *flags])
         assert err == (f"gridsentry: error: {old / 'config.json'} records "
-                       "{}; the config gives {'dataset_format': 2}\n"), err
+                       f"{recorded}; the config gives "
+                       "{'dataset_format': 3}\n"), err
         assert not out.exists()
     assert residuals == []
 
@@ -639,7 +621,7 @@ ABSENT = object()  # a key that the record does not hold
     ("config.json", "window", [6, 18.0], [6, 18]),
     ("config.json", "levels", None, [1, 2, 3, 4, 5]),
     # and a dataset_format other than the one this gridsentry writes
-    ("config.json", "dataset_format", 1, 2)])
+    ("config.json", "dataset_format", 1, 3)])
 def test_stages_refuse_a_record_that_is_not_its_jobs(
         holdout_workspace, tmp_path, capsys, name, key, value, implied):
     # the dataset record a stage takes in is compared, as JSON text, with
@@ -1171,9 +1153,11 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return (evaluate(**{"classifier/layer0.Dense.W": None}),
                 f"classifier in bundle file {named}: missing parameter "
                 "'layer0.Dense.W'")
-    if case == "format version 3":
-        return (evaluate(**{"meta/format_version": np.array(3)}),
-                f"unsupported bundle file version 3 in {named}; expected 5$")
+    if case in ("format version 3", "format version 5"):
+        version = int(case[-1])
+        return (evaluate(**{"meta/format_version": np.array(version)}),
+                f"unsupported bundle file version {version} in {named}; "
+                "expected 6$")
     if case == "unknown variant":
         return (evaluate(**{"meta/variant": np.array("XX")}),
                 f"meta in bundle file {named}: unknown variant 'XX'$")
@@ -1199,8 +1183,7 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         # the empty entry names the current directory
         return (["--config", config, "report", "--data", str(data_dir),
                  "--bundles", f"{se_bundle},"],
-                f"bundle file {re.escape(str(resolve_output_dir('')))} is a "
-                "directory$")
+                r"bundle file \. is a directory$")
     afile = tmp_path / "afile"
     afile.write_text("")
     if case == "gen-data out is a file":
@@ -1236,17 +1219,6 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return (["--config", str(bad_yaml), "gen-data"],
                 f"{re.escape(str(bad_yaml))}: not UTF-8 text: invalid "
                 "continuation byte at byte 23$")
-    if case == "nan in case file":
-        # gen-data took it, made every hour a solver gap and ended in a
-        # traceback
-        nan_case, lineno = write_nan_case(tmp_path)
-        nan_config = write_config(tmp_path / "nan.yaml",
-                                  case_file=str(nan_case))
-        return (["--config", str(nan_config), "gen-data", "--out",
-                 str(tmp_path / "nan_data")],
-                f"{re.escape(str(nan_case))}:{lineno}: not a finite number "
-                "'nan'$")
-
     if case in ("truncated series", "trailing bytes"):
         # the values array lacks its last value, or has a byte after it
         edited = dataset_copy(data_dir, tmp_path / "edited")
@@ -1303,10 +1275,11 @@ def refused_input(case, workspace, se_bundle, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "misshapen array", "missing array", "format version 3",
+    "format version 5",
     "unknown variant", "other sensor map", "empty bundle", "npy as bundle",
     "directory as bundle", "empty bundles entry", "gen-data out is a file",
     "evaluate out under a file", "csv as bundle", "malformed yaml",
-    "control character in yaml", "latin-1 config", "nan in case file",
+    "control character in yaml", "latin-1 config",
     "dataset without config.json", "truncated series", "trailing bytes",
     "nan in series",
     "repeated variant", "24 normal training frames",
@@ -1394,15 +1367,14 @@ def test_holdout_refuses_partial_levels_before_loading(tmp_path, monkeypatch,
 
 
 def test_default_case_recorded_without_checkout_path(workspace):
-    # the workspace config names no case_file: config.json records null, so
-    # two checkouts of one commit write the same bytes; a given path is kept
+    # every run is on the packaged case, which config.json does not name:
+    # it records the config's settings and the dataset format, and no path
+    # into the checkout, so two checkouts of one commit write the same bytes
     _, config_path, data_dir = workspace
     text = (data_dir / "config.json").read_text()
-    assert json.loads(text)["case_file"] is None
-    assert str(SRC.parent) not in text
-    explicit = write_config(config_path.parent / "explicit.yaml",
-                            case_file=str(DEFAULT_CASE))
-    assert load_config(explicit).canonical()["case_file"] == str(DEFAULT_CASE)
+    assert json.loads(text) == {**load_config(config_path).canonical(),
+                                "dataset_format": cli.DATASET_FORMAT}
+    assert "case_file" not in text and str(SRC.parent) not in text
 
 
 def test_stages_sharing_a_directory_keep_each_others_records(
@@ -1435,22 +1407,6 @@ def test_gen_data_refuses_directory_of_another_config(tmp_path, capsys):
     assert str(out) in refused(capsys, ["--config", str(other), "gen-data",
                                         "--out", str(out)])
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-
-def test_gen_data_refuses_its_case_before_writing(tmp_path, capsys):
-    # a config.json left by a refused case would pass a later train's
-    # dataset check, which would then stop at a missing series file; an --out
-    # that did not exist is not created
-    nan_case, _ = write_nan_case(tmp_path)
-    config = str(write_config(tmp_path / "nan.yaml",
-                              case_file=str(nan_case)))
-    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
-    existing.mkdir()
-    for out in (fresh, existing):
-        assert "not a finite number 'nan'" in refused(
-            capsys, ["--config", config, "gen-data", "--out", str(out)])
-    assert not fresh.exists()
-    assert list(existing.iterdir()) == []
 
 
 def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):

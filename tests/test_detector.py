@@ -480,19 +480,20 @@ def test_sensor_map_mismatch_refused(tmp_path, case):
 
 
 def test_load_refuses_older_format(tmp_path, case):
-    # version 3 held float64 parameters, and version 4 the noise level
-    # alone, not the record of the dataset trained on; the message names
-    # the file, the version found and the one expected; a version that is
-    # not an integer scalar is refused too (int() raised a TypeError on a
-    # list or a string, and read 5.5 as 5)
+    # version 3 held float64 parameters, version 4 the noise level alone,
+    # not the record of the dataset trained on, and version 5 a record
+    # with the case_file key; the message names the file, the version
+    # found and the one expected; a version that is not an integer scalar
+    # is refused too (int() raised a TypeError on a list or a string, and
+    # read 6.5 as 6)
     path = tmp_path / "bundle.npz"
     save_bundle(stub_classifier_bundle(case), path)
-    for old in (2, 3, 4, 5.5, [5, 5], ["5"]):
+    for old in (2, 3, 4, 5, 6.5, [6, 6], ["6"]):
         np.savez(path, **{**saved_arrays(path),
                           "meta/format_version": np.array(old)})
         with pytest.raises(BundleFileError, match=(
                 f"^unsupported bundle file version {re.escape(str(old))} in "
-                f"{re.escape(str(path))}; expected 5$")):
+                f"{re.escape(str(path))}; expected 6$")):
             load_bundle(path, case)
 
 

@@ -6,10 +6,9 @@ import pytest
 from scipy.optimize import bisect, fsolve
 
 from gridsentry.dispatch import plan_generation, synthesize_loads
-from gridsentry.grid import (Branch, Bus, CaseError, GridCase, N_SENSORS,
-                             estimate_state, estimation, load_case, measure,
-                             noise_scale, powerflow, sensor_map,
-                             solve_power_flow)
+from gridsentry.grid import (Branch, Bus, GridCase, N_SENSORS, estimate_state,
+                             estimation, load_case, measure, noise_scale,
+                             powerflow, sensor_map, solve_power_flow)
 from gridsentry.grid.case import GEN_OFFSET, VOLT_OFFSET
 from gridsentry.grid.estimation import RankDeficientError
 from gridsentry.grid.powerflow import (PowerFlowSolution, _jacobian,
@@ -61,116 +60,6 @@ def test_generator_orders_agree(case):
     # a setpoint vector is a plan row: its entries follow the plan's columns
     # (GENERATOR_BUSES, the fleet arrays' order) and the case's PV buses alike
     assert GENERATOR_BUSES == tuple(case.generator_buses)
-
-
-def open_case_text():
-    from gridsentry.grid import DEFAULT_CASE
-    return DEFAULT_CASE.read_text()
-
-
-def test_load_case_wrong_bus_count(tmp_path):
-    bad = "\n".join(ln for ln in open_case_text().splitlines()
-                    if not ln.startswith("bus 14"))
-    p = tmp_path / "bad.case"
-    p.write_text(bad)
-    with pytest.raises(CaseError):
-        load_case(p)
-
-
-def test_load_case_duplicate_bus(tmp_path):
-    src = open_case_text()
-    dup = src.replace("bus 14 load      -     0.149  0.050",
-                      "bus 13 load      -     0.149  0.050")
-    p = tmp_path / "dup.case"
-    p.write_text(dup)
-    with pytest.raises(CaseError):
-        load_case(p)
-
-
-def test_load_case_generator_buses(tmp_path):
-    # every setpoint vector follows GENERATOR_BUSES, so a case with other
-    # PV buses is refused
-    p = tmp_path / "gen7.case"
-    p.write_text(open_case_text().replace(
-        "bus 7  load      -     0.000", "bus 7  generator 1.000 0.000"))
-    with pytest.raises(CaseError, match=r"must be \[2, 3, 6, 8\], "
-                                        r"got \[2, 3, 6, 7, 8\]"):
-        load_case(p)
-
-
-def test_load_case_unknown_bus_kind(tmp_path):
-    # a misspelt kind would load as neither load nor generator, and gen-data
-    # would fail on the load columns it then lacks
-    p = tmp_path / "lod.case"
-    text = open_case_text()
-    old = "bus 4  load "
-    assert text.count(old) == 1
-    p.write_text(text.replace(old, "bus 4  lod  "))
-    lineno = text[:text.index(old)].count("\n") + 1
-    with pytest.raises(CaseError, match=rf"lod\.case:{lineno}: unknown bus "
-                                        r"kind 'lod'"):
-        load_case(p)
-
-
-def test_load_case_missing_file(tmp_path):
-    with pytest.raises(CaseError):
-        load_case(tmp_path / "nope.case")
-
-
-# name -> (text of the packaged case, its replacement, the refusal); a
-# message with {at} names the file and the edited line
-CASE_REFUSALS = {
-    "unknown record": ("bus 14 load      -     0.149  0.050",
-                       "shunt 14 0.149", r"{at}: unknown record 'shunt'"),
-    "short line": ("branch 13 14 0.17093 0.34802 0.0    3.0",
-                   "branch 13 14 0.17093",
-                   r"{at}: cannot parse 'branch 13 14 0.17093'"),
-    "not a number": ("bus 4  load      -     0.478",
-                     "bus 4  load      x     0.478",
-                     r"{at}: cannot parse 'bus 4  load      x"),
-    "no base_mva": ("base_mva 100.0", "", r"missing base_mva record"),
-    "bus ids": ("bus 14 load", "bus 15 load",
-                r"bus ids must be consecutive starting at 1"),
-    "19 branches": ("branch 13 14 0.17093 0.34802 0.0    3.0", "",
-                    r"expected 20 branches, got 19"),
-    "no slack": ("bus 1  slack", "bus 1  load ",
-                 r"expected exactly one slack bus \(id 1\), got \[\]"),
-    "no setpoint": ("bus 2  generator 1.045", "bus 2  generator -    ",
-                    r"bus 2: missing or non-positive voltage setpoint"),
-    "zero reactance": ("branch 7  8  0.0     0.17615",
-                       "branch 7  8  0.0     0.0",
-                       r"branch 7-8: zero reactance"),
-    "self loop": ("branch 12 13", "branch 12 12", r"branch 12-12: self loop"),
-    "unknown bus": ("branch 13 14", "branch 13 15",
-                    r"branch references unknown bus 15"),
-    # bus 8 hangs off bus 7 through a single branch
-    "disconnected": ("branch 7  8 ", "branch 7  9 ",
-                     r"network graph is disconnected"),
-    # a non-finite number is refused where it is read, not as solver gaps
-    # in every series
-    "nan reactance": ("branch 7  8  0.0     0.17615",
-                      "branch 7  8  0.0     nan",
-                      r"{at}: not a finite number 'nan'"),
-    "inf load": ("bus 9  load      -     0.295", "bus 9  load      -     inf",
-                 r"{at}: not a finite number 'inf'"),
-    "-inf setpoint": ("bus 3  generator 1.010", "bus 3  generator -inf ",
-                      r"{at}: not a finite number '-inf'"),
-    "nan base_mva": ("base_mva 100.0", "base_mva NaN",
-                     r"{at}: not a finite number 'NaN'"),
-}
-
-
-@pytest.mark.parametrize("name", CASE_REFUSALS)
-def test_load_case_refusals(tmp_path, name):
-    old, new, message = CASE_REFUSALS[name]
-    text = open_case_text()
-    assert text.count(old) == 1
-    path = tmp_path / "edited.case"
-    path.write_text(text.replace(old, new))
-    lineno = text[:text.index(old)].count("\n") + 1
-    with pytest.raises(CaseError, match=message.format(
-            at=rf"edited\.case:{lineno}")):
-        load_case(path)
 
 
 # ---------------------------------------------------------------- admittance

@@ -81,6 +81,38 @@ def test_src_calls_no_numpy_function_that_loads_numpy_ma():
         "q1, q3 = np.percentile(acc, [25, 75])")) == ["2 np.percentile"]
 
 
+# the names through which os reads the process environment
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree: ast.Module) -> list[str]:
+    """The sites in tree that reach the process environment: an os.environ
+    or os.getenv attribute, or an import of one of them from os."""
+    sites = [f"{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ENVIRONMENT_READERS]
+    sites += [f"{node.lineno} from os import {alias.name}"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              for alias in node.names if alias.name in ENVIRONMENT_READERS]
+    return sites
+
+
+def test_src_reads_no_environment_variable():
+    # a run's inputs are its config and its command line: no variable of
+    # the process environment changes what a stage reads or writes
+    sites = [f"{path.relative_to(ROOT)}:{site}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for site in environment_reads(ast.parse(path.read_text()))]
+    assert sites == []
+    # the scan finds the output root that relative paths were once
+    # resolved under, and an imported getenv
+    assert environment_reads(ast.parse(
+        "root = os.environ.get(OUTPUT_ROOT_ENV)\n"
+        "from os import getenv")) == ["1 os.environ",
+                                      "2 from os import getenv"]
+
+
 def src_modules() -> dict[str, ast.Module]:
     """The parsed src/ modules but package __init__ files, by path; an
     __init__ only re-exports names, which does not count as reading them."""
@@ -608,11 +640,11 @@ def test_every_error_is_a_refusal_or_a_named_fault():
                 "(InputError, FileNotFoundError)"]
 
 
-# restated, with the reason, by a change that moves it: 324 -> 329 as a
-# dataset became one values and one status array: ScenarioSeries.save
-# takes the status path, the series and the array's shape, and .load the
-# series' names and the rows to read
-SETTABLE_VALUES = 329
+# restated, with the reason, by a change that moves it: 329 -> 324 as the
+# grid became the packaged case and a run's paths are taken as given:
+# RunConfig.case_file, load_case's path, the case parser's number(),
+# validate_case's case and resolve_output_dir's path are gone
+SETTABLE_VALUES = 324
 
 
 def settable_values(tree: ast.Module) -> int:

@@ -157,12 +157,15 @@ def test_ledger_counts_gen_data_series(tmp_path):
     config.write_text(yaml.safe_dump(dict(
         seed=7, output_dir=str(tmp_path / "data"), horizon=120,
         window=[24, 104], noise_sigma=0.10, levels=[5], normal_series=3,
-        series_per_condition_per_level=1,
-        case_file=str(write_weakened_case(tmp_path / "weak.case")))))
+        series_per_condition_per_level=1)))
+    weak = write_weakened_case(tmp_path / "weak.case")
     code = "\n".join([
         "import json, sys",
         f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]",
+        "from pathlib import Path",
         "import gridsentry.cli",
+        "import gridsentry.grid.case",
+        f"gridsentry.grid.case.DEFAULT_CASE = Path({str(weak)!r})",
         "from tracer import Ledger",
         "ledger = Ledger()",
         "ledger.install()",

@@ -11,9 +11,9 @@ from gridsentry.grid import (Branch, GridCase, N_SENSORS, load_case,
 from gridsentry.grid.powerflow import NOISE_FLOOR
 from gridsentry.scenario import (GENERATOR_BUSES, LABELS, STATUS_FLAGS,
                                  ScenarioSeries, THREE_CLASSES, access_set,
-                                 generate_scenario, make_condition,
-                                 mask_measurements, reduce_target,
-                                 simulate_nominal)
+                                 condition_name, generate_scenario,
+                                 make_condition, mask_measurements,
+                                 reduce_target, simulate_nominal)
 from gridsentry.scenario import generate
 from gridsentry.scenario.generate import REACTIVE_RATIO, SeriesFileError
 from oracles import (LinearSystem, covert_attack_run, frame_labels,
@@ -34,7 +34,8 @@ def sensor_index(case, kind, element):
 def condition_labels(condition, horizon):
     """The frame labels of a series of horizon hours generated under
     condition: its label inside its window, normal elsewhere."""
-    return frame_labels(condition.label,
+    return frame_labels(condition_name(condition.kind,
+                                       condition.target_generator),
                         (condition.start_hour, condition.end_hour), horizon)
 
 
@@ -102,7 +103,8 @@ def test_labels_derive_from_conditions(case):
     assert THREE_CLASSES == ("normal", "attack", "fault")
     attack = make_condition(case, "attack", 6, 2, 0, 10)
     fault = make_condition(case, "fault", 6, 2, 0, 10)
-    assert (attack.label, fault.label) == ("attack_6", "fault_6")
+    assert [condition_name(c.kind, c.target_generator)
+            for c in (attack, fault)] == ["attack_6", "fault_6"]
     assert attack.sensor_access == access_set(case, 6)
     assert fault.sensor_access == frozenset()
     assert attack.fraction == fault.fraction == 0.4
@@ -374,7 +376,10 @@ def test_generate_scenario_matches_reference_form(tmp_path, monkeypatch,
     # repeats hour 25's measurement without hour 25's mask. From hour 18
     # on, hours 0 and 1 fail both solves, before any converged one
     weak_loads = synthesize_loads(48, np.random.default_rng(18))
-    weak = load_case(write_weakened_case(tmp_path / "weak.case"))
+    with monkeypatch.context() as patched:
+        patched.setattr("gridsentry.grid.case.DEFAULT_CASE",
+                        write_weakened_case(tmp_path / "weak.case"))
+        weak = load_case()
     runs = [("normal", case, loads, None),
             ("fault", case, loads, make_condition(case, "fault", 3, 4, 10, 30)),
             ("no-op attack", case, low,

@@ -1,0 +1,155 @@
+"""Compare the output trees of two gridsentry runs, file by file.
+
+    python3 tools/parity.py compare A B
+
+Every file under A or B, by its path relative to the tree, gets one line:
+it is missing from one tree, byte-equal, or differing. Under a differing
+file come its details:
+
+- an .npy file, or each array of an .npz archive: the largest absolute and
+  relative difference, or the dtype and shape of each side where those
+  differ; an array only one archive holds is named;
+- a .json file: each key, dotted down nested objects, that one side lacks
+  or whose value differs, with both values.
+
+`manifest.json` is compared without its `created` field, the time the
+directory was first written; a manifest equal but for it is "equal without
+created".
+
+The exit status is 1 if any file is missing or differing, else 0. The tool
+reports; it chooses no tolerance. It needs the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SHOWN = 120  # characters of a value shown in a detail line
+
+
+def files(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def shown(value) -> str:
+    text = repr(value)
+    return text if len(text) <= SHOWN else text[:SHOWN - 3] + "..."
+
+
+def array_details(name: str, a: np.ndarray, b: np.ndarray) -> list[str]:
+    """One line on how arrays a and b differ, or none when they are equal."""
+    numeric = a.dtype.kind in "biufc" and b.dtype.kind in "biufc"
+    if a.shape != b.shape or (numeric and a.dtype != b.dtype):
+        return [f"{name}: {a.dtype}{list(a.shape)} vs {b.dtype}"
+                f"{list(b.shape)}"]
+    if not numeric:  # strings of any width, or objects: compare the values
+        return [] if a.tolist() == b.tolist() else [
+            f"{name}: {shown(a.tolist())} vs {shown(b.tolist())}"]
+    if np.array_equal(a, b, equal_nan=a.dtype.kind in "fc"):
+        return []
+    x, y = (v.astype(np.complex128).reshape(-1) for v in (a, b))
+    diff = np.abs(x - y)
+    diff[np.isnan(x) & np.isnan(y)] = 0.0
+    scale = np.maximum(np.abs(x), np.abs(y))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    return [f"{name}: max abs diff {np.nanmax(diff):.6g}, max rel diff "
+            f"{np.nanmax(rel):.6g}, {np.count_nonzero(diff)} of {diff.size} "
+            "elements differ"]
+
+
+def archive_details(a: Path, b: Path) -> list[str]:
+    with np.load(a) as left, np.load(b) as right:
+        names = sorted(set(left.files) | set(right.files))
+        lines = []
+        for name in names:
+            if name not in left.files or name not in right.files:
+                side = "B" if name in left.files else "A"
+                lines.append(f"{name}: missing in {side}")
+            else:
+                lines += array_details(name, left[name], right[name])
+        return lines or ["every array equal"]
+
+
+def flatten(value, prefix="") -> dict:
+    """A JSON value as {dotted key: leaf value}, descending into objects."""
+    if not isinstance(value, dict):
+        return {prefix: value}
+    out = {}
+    for key, item in value.items():
+        out.update(flatten(item, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def json_details(a, b) -> list[str]:
+    left, right = flatten(a), flatten(b)
+    lines = []
+    for key in sorted(set(left) | set(right)):
+        if key not in right:
+            lines.append(f"{key}: only in A, {shown(left[key])}")
+        elif key not in left:
+            lines.append(f"{key}: only in B, {shown(right[key])}")
+        elif json.dumps(left[key]) != json.dumps(right[key]):
+            lines.append(f"{key}: {shown(left[key])} vs {shown(right[key])}")
+    return lines
+
+
+def compare_file(a: Path, b: Path) -> tuple[str, list[str]]:
+    """The verdict on one file present in both trees, and its details."""
+    if a.read_bytes() == b.read_bytes():
+        return "byte-equal", []
+    if a.suffix == ".json":
+        left, right = (json.loads(p.read_text()) for p in (a, b))
+        if a.name == "manifest.json":  # created is the time, not an output
+            left, right = ({k: v for k, v in d.items() if k != "created"}
+                           for d in (left, right))
+            if left == right:
+                return "equal without created", []
+        return "differing", json_details(left, right)
+    if a.suffix == ".npy":
+        return "differing", (array_details("array", np.load(a), np.load(b))
+                             or ["array equal"])
+    if a.suffix == ".npz":
+        return "differing", archive_details(a, b)
+    return "differing", []
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print one line per file of trees a and b; 1 on any difference."""
+    left, right = files(a), files(b)
+    counts: dict[str, int] = {}
+    for rel in sorted(left | right):
+        if rel not in right or rel not in left:
+            verdict, details = f"missing in {'B' if rel in left else 'A'}", []
+        else:
+            verdict, details = compare_file(a / rel, b / rel)
+        counts[verdict] = counts.get(verdict, 0) + 1
+        print(f"{verdict}: {rel}")
+        for line in details:
+            print(f"    {line}")
+    print(f"{len(left | right)} files: " + ", ".join(
+        f"{n} {verdict}" for verdict, n in sorted(counts.items())))
+    return int(any(verdict.startswith(("differing", "missing"))
+                   for verdict in counts))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="parity", description=__doc__.split("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    cmp = sub.add_parser("compare", help="compare two output trees")
+    cmp.add_argument("a", type=Path)
+    cmp.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    for root in (args.a, args.b):
+        if not root.is_dir():
+            parser.error(f"not a directory: {root}")
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
