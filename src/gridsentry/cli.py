@@ -190,10 +190,9 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
         raise ConfigError(f"variant {variant!r} is not in the config's "
                           f"variants {list(cfg.variants)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
-    case = load_case()
     train_set = load_dataset(cfg, data_dir, "train")
     given = cfg.canonical()
-    bundle = train_bundle(variant, train_set, case, seed=cfg.seed,
+    bundle = train_bundle(variant, train_set, seed=cfg.seed,
                           dataset={key: given[key] for key in GENERATION_KEYS})
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle_path = out_dir / f"bundle_{variant}.npz"
@@ -208,10 +207,9 @@ def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
 def cmd_evaluate(cfg: RunConfig, data_dir: Path, bundle_path: Path,
                  out_dir: Path) -> float:
     manifest = RunManifest(out_dir, config_hash(cfg))
-    case = load_case()
-    bundle = load_bundle(bundle_path, case)
+    bundle = load_bundle(bundle_path)
     test_set = load_dataset(cfg, data_dir, "test", [(bundle_path, bundle)])
-    preds, truth = evaluate_predictions(bundle, test_set, case)
+    preds, truth = evaluate_predictions(bundle, test_set)
     counts = confusion_counts(preds, truth)
     rows = report_rows(counts)
 
@@ -242,10 +240,9 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
         raise ConfigError(f"holdout needs levels {sorted(LEVEL_FRACTIONS)}, "
                           f"the config has levels {list(cfg.levels)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
-    case = load_case()
-    bundle = load_bundle(bundle_path, case)
+    bundle = load_bundle(bundle_path)
     frames = feature_rows(bundle, load_dataset(
-        cfg, data_dir, "all", [(bundle_path, bundle)]), case)
+        cfg, data_dir, "all", [(bundle_path, bundle)]))
     results = [holdout_experiment(frames, l, cfg.holdout_replications,
                                   cfg.seed)
                for l in cfg.holdout_l_values]
@@ -270,10 +267,9 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
 def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
                out_dir: Path) -> Path:
     manifest = RunManifest(out_dir, config_hash(cfg))
-    case = load_case()
     bundles = {}
     for path in bundle_paths:
-        bundle = load_bundle(path, case)
+        bundle = load_bundle(path)
         if bundle.variant in bundles:
             raise ConfigError(f"report got two {bundle.variant} bundles; "
                               "pass one bundle per variant")
@@ -282,7 +278,7 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
                             zip(bundle_paths, bundles.values()))
     rows = [{"variant": variant, **row}
             for variant, bundle in bundles.items()
-            for row in severity_sweep(feature_rows(bundle, test_set, case),
+            for row in severity_sweep(feature_rows(bundle, test_set),
                                       bundle.classifier)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -340,14 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. An InputError or a missing file prints one
-    `gridsentry: error: <message>` line to stderr and exits 2, as
-    argparse's usage errors do; any other error keeps its traceback."""
+    """Run one subcommand. An InputError, or a path missing or of the wrong
+    kind, prints one `gridsentry: error: <message>` line to stderr and exits
+    2, as argparse's usage errors do; any other error keeps its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

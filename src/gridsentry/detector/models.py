@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import InputError
-from ..grid import (GridCase, N_SENSORS, estimate_state, noise_scale,
-                    sensor_map_hash)
+from ..grid import N_SENSORS, estimate_state, load_case, noise_scale
 from ..neural import (Dense, LSTM, LeakyReLU, ReLU, Sequential, Sigmoid,
                       TrainConfig, get_state, set_state, softmax, train)
 from ..scenario import LABELS
@@ -54,7 +53,7 @@ STAGE_DEFAULTS = {
     "classifier": TrainConfig(learning_rate=2e-3, epochs=80, batch_size=256),
 }
 
-BUNDLE_FORMAT_VERSION = 6
+BUNDLE_FORMAT_VERSION = 7
 
 
 class BundleFileError(InputError):
@@ -65,7 +64,6 @@ class BundleFileError(InputError):
 class ModelBundle:
     variant: str
     stats: PreprocessStats
-    sensor_hash: str
     # the generation settings of the dataset trained on (cli.GENERATION_KEYS)
     dataset: dict
     classifier: Sequential | None = None
@@ -180,8 +178,8 @@ def fit_classifier(features: np.ndarray, labels: np.ndarray, seed: int):
     return model, history
 
 
-def predict_and_residual(bundle: ModelBundle, frames: np.ndarray,
-                         case: GridCase) -> np.ndarray:
+def predict_and_residual(bundle: ModelBundle,
+                         frames: np.ndarray) -> np.ndarray:
     """The (S, T-1-LAGS, 39) residuals of the (S, T, 39) frame stack, in
     series order, under the bundle's variant.
 
@@ -200,6 +198,7 @@ def predict_and_residual(bundle: ModelBundle, frames: np.ndarray,
     """
     if bundle.variant == "SE_DNN":
         frames, sigma = frames[:, LAGS + 1:], bundle.dataset["noise_sigma"]
+        case = load_case()
         # one WLS fit per frame, each sensor weighted by its noise variance
         fitted = [estimate_state(case, y, noise_scale(y, sigma) ** 2)
                   .predicted_measurements
@@ -236,21 +235,13 @@ def classify(classifier: Sequential, features: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------ storage
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
-    """Write `bundle` to an .npz file; load_bundle reads it back.
-
-    A bundle without a sensor-map hash (ValueError) is refused here, since
-    load_bundle would refuse the file it makes.
-    """
-    if not bundle.sensor_hash:
-        raise ValueError("bundle has no sensor-map hash; load_bundle "
-                         "would refuse it")
+    """Write `bundle` to an .npz file; load_bundle reads it back."""
     arrays = {
         "meta/format_version": np.array(BUNDLE_FORMAT_VERSION),
         "meta/variant": np.array(bundle.variant),
         "meta/std": bundle.stats.std,
         "meta/raw_mean": bundle.stats.raw_mean,
         "meta/raw_std": bundle.stats.raw_std,
-        "meta/sensor_hash": np.array(bundle.sensor_hash),
         "meta/dataset": np.array(json.dumps(bundle.dataset, sort_keys=True)),
     }
     for name in SUBMODELS[bundle.variant]:
@@ -259,16 +250,15 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     np.savez(path, **arrays)
 
 
-def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
-    """Read a bundle file trained against `case`'s sensor index map, with
-    exactly the sub-models its variant trains.
+def load_bundle(path: str | Path) -> ModelBundle:
+    """Read a bundle file, with exactly the sub-models its variant trains.
 
     A BundleFileError naming the file refuses a format version that is not
-    the integer BUNDLE_FORMAT_VERSION, a sensor-map hash that is missing,
-    empty or not `case`'s, a file that is no .npz archive (a directory, an
-    empty file, an .npy array), an unknown variant, a dataset record that
-    is not a JSON object, and a missing (KeyError) or misshapen
-    (ValueError) array, naming its sub-model or "meta".
+    the integer BUNDLE_FORMAT_VERSION, a file that is no .npz archive (a
+    directory, an empty file, an .npy array), an unknown variant, a dataset
+    record that is not a JSON object, and a missing (KeyError) or misshapen
+    (ValueError) array, naming its sub-model or "meta". The format version
+    also stands for the sensor layout the bundle was trained on.
     """
     if Path(path).is_dir():
         raise BundleFileError(f"bundle file {path} is a directory")
@@ -285,15 +275,11 @@ def load_bundle(path: str | Path, case: GridCase) -> ModelBundle:
                 raise BundleFileError(
                     f"unsupported bundle file version {version.tolist()} in "
                     f"{path}; expected {BUNDLE_FORMAT_VERSION}")
-            if str(data.get("meta/sensor_hash", "")) != sensor_map_hash(case):
-                raise BundleFileError(f"bundle file {path} was trained on "
-                                      "a different sensor index map")
             bundle = ModelBundle(
                 variant=str(data["meta/variant"]),
                 stats=PreprocessStats(std=data["meta/std"],
                                       raw_mean=data["meta/raw_mean"],
                                       raw_std=data["meta/raw_std"]),
-                sensor_hash=str(data["meta/sensor_hash"]),
                 dataset=json.loads(str(data["meta/dataset"])))
             if not isinstance(bundle.dataset, dict):
                 raise ValueError("meta/dataset is not a JSON object")

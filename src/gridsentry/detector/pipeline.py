@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import InputError
-from ..grid import GridCase, N_SENSORS, sensor_map_hash
+from ..grid import N_SENSORS
 from .models import (CLASSIFIER_INPUT, COMPUTE_DTYPE, LAGS, SUBMODELS,
                      ModelBundle, classify, fit_autoencoder, fit_classifier,
                      fit_predictor, predict_and_residual, state_checksum)
@@ -17,7 +17,7 @@ from .preprocess import fit_preprocess, preprocess
 RESIDUAL_FRAMES = 480
 
 
-def feature_rows(bundle: ModelBundle, series, case: GridCase):
+def feature_rows(bundle: ModelBundle, series):
     """The frame table of series, load_dataset's (frames, labels, levels):
     (levels, features, label indices), one entry per residual frame, frames
     LAGS+1 .. T-1 of each series in order.
@@ -42,7 +42,7 @@ def feature_rows(bundle: ModelBundle, series, case: GridCase):
     for k in range(0, len(frames), size):
         group = frames[k:k + size]
         features[k:k + size, :, :N_SENSORS] = predict_and_residual(
-            bundle, group, case)
+            bundle, group)
         features[k:k + size, :, N_SENSORS:] = bundle.stats.standardize_raw(
             group[:, LAGS + 1:])
     return (np.repeat(levels, features.shape[1]),
@@ -50,7 +50,7 @@ def feature_rows(bundle: ModelBundle, series, case: GridCase):
             labels[:, LAGS + 1:].ravel())
 
 
-def train_bundle(variant: str, series, case: GridCase, seed: int,
+def train_bundle(variant: str, series, seed: int,
                  dataset: dict) -> ModelBundle:
     """Train one detector variant on load_dataset's (frames, labels, levels).
 
@@ -68,7 +68,7 @@ def train_bundle(variant: str, series, case: GridCase, seed: int,
         raise InputError("training set contains no normal series")
 
     bundle = ModelBundle(variant=variant, stats=fit_preprocess(normals),
-                         sensor_hash=sensor_map_hash(case), dataset=dataset)
+                         dataset=dataset)
     if variant != "SE_DNN":
         z = preprocess(normals, bundle.stats)  # (S, T-1, 39)
         if variant == "AEN_RNN_DNN":
@@ -82,7 +82,7 @@ def train_bundle(variant: str, series, case: GridCase, seed: int,
     # residual generation must not touch the frozen feature models
     frozen = {name: state_checksum(getattr(bundle, name))
               for name in SUBMODELS[variant] if name != "classifier"}
-    _, x, y = feature_rows(bundle, series, case)
+    _, x, y = feature_rows(bundle, series)
     for name, digest in frozen.items():
         if state_checksum(getattr(bundle, name)) != digest:
             raise RuntimeError(f"{name} parameters changed during "
@@ -93,7 +93,7 @@ def train_bundle(variant: str, series, case: GridCase, seed: int,
     return bundle
 
 
-def evaluate_predictions(bundle: ModelBundle, series, case: GridCase):
+def evaluate_predictions(bundle: ModelBundle, series):
     """(predicted label indices, true label indices) over a dataset."""
-    _, x, truth = feature_rows(bundle, series, case)
+    _, x, truth = feature_rows(bundle, series)
     return classify(bundle.classifier, x), truth

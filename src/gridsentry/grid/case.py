@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -37,7 +36,6 @@ class Branch:
 class GridCase:
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
-    base_power: float
 
     @property
     def n_bus(self) -> int:
@@ -83,16 +81,14 @@ def load_case() -> GridCase:
         tok = raw.split("#", 1)[0].split()
         if not tok:
             continue
-        if tok[0] == "base_mva":
-            base_mva = float(tok[1])
-        elif tok[0] == "bus":
+        if tok[0] == "bus":
             vset = None if tok[3] == "-" else float(tok[3])
             buses.append(Bus(int(tok[1]), tok[2], vset,
                              float(tok[4]), float(tok[5])))
         else:  # branch
             branches.append(Branch(int(tok[1]), int(tok[2]),
                                    *map(float, tok[3:7])))
-    return GridCase(tuple(buses), tuple(branches), base_mva)
+    return GridCase(tuple(buses), tuple(branches))
 
 
 class Topology:
@@ -190,13 +186,3 @@ def sensor_map(case: GridCase) -> list[tuple[int, str, str]]:
     for b in case.buses:
         rows.append((VOLT_OFFSET + b.id - 1, "voltage", str(b.id)))
     return rows
-
-
-def sensor_map_csv(case: GridCase) -> str:
-    lines = ["index,kind,element"]
-    lines += [f"{i},{k},{e}" for i, k, e in sensor_map(case)]
-    return "\n".join(lines) + "\n"
-
-
-def sensor_map_hash(case: GridCase) -> str:
-    return hashlib.sha256(sensor_map_csv(case).encode()).hexdigest()[:16]

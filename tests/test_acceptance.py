@@ -45,7 +45,7 @@ def case():
 
 
 @pytest.fixture(scope="session")
-def world(tmp_path_factory, case):
+def world(tmp_path_factory):
     """Dataset + three trained variants + evaluation matrices + timings."""
     out = tmp_path_factory.mktemp("acceptance")
     cfg = RunConfig(output_dir=str(out / "data"), seed=SEED,
@@ -57,9 +57,9 @@ def world(tmp_path_factory, case):
     bundles, matrices = {}, {}
     dataset = {key: cfg.canonical()[key] for key in cli.GENERATION_KEYS}
     for variant in ("AEN_RNN_DNN", "RNN_DNN", "SE_DNN"):
-        bundle = pipeline.train_bundle(variant, train, case, seed=cfg.seed,
+        bundle = pipeline.train_bundle(variant, train, seed=cfg.seed,
                                        dataset=dataset)
-        preds, truth = pipeline.evaluate_predictions(bundle, test, case=case)
+        preds, truth = pipeline.evaluate_predictions(bundle, test)
         bundles[variant] = bundle
         matrices[variant] = confusion_counts(preds, truth)
     return {
@@ -303,11 +303,10 @@ def test_criterion_8_baseline_gap(world):
 
 # ------------------------------------------------- 9: severity trend
 
-def test_criterion_9_severity_trend(world, case):
+def test_criterion_9_severity_trend(world):
     bundle = world["bundles"]["AEN_RNN_DNN"]
     f1_by_bus = {bus: {} for bus in (2, 3, 6, 8)}
-    for row in severity_sweep(pipeline.feature_rows(bundle, world["test"],
-                                                    case),
+    for row in severity_sweep(pipeline.feature_rows(bundle, world["test"]),
                               bundle.classifier):
         f1_by_bus[row["bus"]][row["level"]] = row["f1"]
     margins = {}
@@ -329,11 +328,11 @@ def test_criterion_9_severity_trend(world, case):
 
 # ------------------------------------------------- 10: holdout trend
 
-def test_criterion_10_holdout_trend(world, case, monkeypatch):
+def test_criterion_10_holdout_trend(world, monkeypatch):
     bundle = world["bundles"]["AEN_RNN_DNN"]
     monkeypatch.setitem(models.STAGE_DEFAULTS, "classifier", TrainConfig(
         learning_rate=2e-3, epochs=60, batch_size=256))
-    table = pipeline.feature_rows(bundle, world["series"], case)
+    table = pipeline.feature_rows(bundle, world["series"])
     results = [holdout_experiment(table, l, 5, 99) for l in (1, 2, 3, 4)]
     medians = [r.median for r in results]
     assert all(a <= b for a, b in zip(medians, medians[1:]))  # non-decreasing

@@ -19,7 +19,6 @@ from gridsentry.detector import (LAGS, load_bundle, models, pipeline,
                                  save_bundle)
 from gridsentry.detector.models import SUBMODELS
 from gridsentry.evaluation import HoldoutResult
-from gridsentry.grid import load_case
 from gridsentry.neural import TrainConfig, get_state
 from gridsentry.scenario import (LABEL_INDEX, LABELS, STATUS_FLAGS,
                                  ScenarioSeries, condition_name)
@@ -956,12 +955,11 @@ def test_float32_bundle_roundtrip(workspace, tmp_path, monkeypatch):
     for stage, row in list(models.STAGE_DEFAULTS.items()):
         monkeypatch.setitem(models.STAGE_DEFAULTS, stage,
                             replace(row, epochs=2))
-    case = load_case()
-    bundle = pipeline.train_bundle("AEN_RNN_DNN", series, case, seed=3,
+    bundle = pipeline.train_bundle("AEN_RNN_DNN", series, seed=3,
                                    dataset={"noise_sigma": 0.01})
     path = tmp_path / "bundle.npz"
     save_bundle(bundle, path)
-    loaded = load_bundle(path, case)
+    loaded = load_bundle(path)
     with np.load(path) as data:
         weights = [k for k in data.files if not k.startswith("meta/")]
         assert len(weights) == 23  # 6 + 6 + 5 + 6 arrays
@@ -969,8 +967,8 @@ def test_float32_bundle_roundtrip(workspace, tmp_path, monkeypatch):
     for name in SUBMODELS["AEN_RNN_DNN"]:
         for key, arr in get_state(getattr(loaded, name)).items():
             assert arr.dtype == np.float32, (name, key)
-    preds, truth = pipeline.evaluate_predictions(bundle, series, case)
-    again, truth_again = pipeline.evaluate_predictions(loaded, series, case)
+    preds, truth = pipeline.evaluate_predictions(bundle, series)
+    again, truth_again = pipeline.evaluate_predictions(loaded, series)
     assert np.array_equal(preds, again) and np.array_equal(truth, truth_again)
     assert len(preds) == len(series[0]) * (series[0].shape[1] - 1 - 10)
 
@@ -989,10 +987,9 @@ def test_se_dnn_computes_no_differences(workspace, monkeypatch):
     monkeypatch.setattr(models, "preprocess", refuse)
     monkeypatch.setitem(models.STAGE_DEFAULTS, "classifier", replace(
         models.STAGE_DEFAULTS["classifier"], epochs=1))
-    case = load_case()
-    bundle = pipeline.train_bundle("SE_DNN", train, case, seed=3,
+    bundle = pipeline.train_bundle("SE_DNN", train, seed=3,
                                    dataset={"noise_sigma": 0.01})
-    levels, table, _ = pipeline.feature_rows(bundle, test, case)
+    levels, table, _ = pipeline.feature_rows(bundle, test)
     assert len(levels) == len(test[0]) * (60 - 1 - LAGS)
     # its float64 WLS residuals are held in the classifier's dtype
     assert table.dtype == models.COMPUTE_DTYPE
@@ -1009,17 +1006,16 @@ def test_train_bundle_refuses_a_stack_without_normals(workspace):
     with pytest.raises(InputError,
                        match="^training set contains no normal series$"):
         pipeline.train_bundle("SE_DNN", (frames[faults], labels[faults],
-                                         levels[faults]), load_case(),
+                                         levels[faults]),
                               seed=3, dataset={"noise_sigma": 0.01})
 
 
 def test_train_refuses_variant_outside_config(tmp_path, monkeypatch,
                                               capsys):
     # write_config's variants list only SE_DNN; training another variant
-    # stops before the case or the dataset is read and before models/ exists
+    # stops before the dataset is read and before models/ exists
     config_path = write_config(tmp_path / "run.yaml")
     read = []
-    monkeypatch.setattr(cli, "load_case", read.append)
     monkeypatch.setattr(cli, "load_dataset", lambda *a: read.append(a))
     data_dir = tmp_path / "data"
     assert "RNN_DNN" in refused(capsys, [
@@ -1153,18 +1149,14 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return (evaluate(**{"classifier/layer0.Dense.W": None}),
                 f"classifier in bundle file {named}: missing parameter "
                 "'layer0.Dense.W'")
-    if case in ("format version 3", "format version 5"):
+    if case.startswith("format version "):
         version = int(case[-1])
         return (evaluate(**{"meta/format_version": np.array(version)}),
                 f"unsupported bundle file version {version} in {named}; "
-                "expected 6$")
+                "expected 7$")
     if case == "unknown variant":
         return (evaluate(**{"meta/variant": np.array("XX")}),
                 f"meta in bundle file {named}: unknown variant 'XX'$")
-    if case == "other sensor map":
-        return (evaluate(**{"meta/sensor_hash": np.array("wrong")}),
-                f"bundle file {named} was trained on a different sensor "
-                "index map")
     if case == "empty bundle":
         argv = evaluate()
         bundle.write_bytes(b"")
@@ -1184,8 +1176,18 @@ def refused_input(case, workspace, se_bundle, tmp_path):
         return (["--config", config, "report", "--data", str(data_dir),
                  "--bundles", f"{se_bundle},"],
                 r"bundle file \. is a directory$")
+    if case == "config is a directory":
+        return (["--config", str(tmp_path), "gen-data"],
+                f"Is a directory: '{re.escape(str(tmp_path))}'$")
     afile = tmp_path / "afile"
     afile.write_text("")
+    if case == "data is a file":
+        # the stage reads the dataset's config.json under --data
+        return (["--config", config, "evaluate", "--data", str(afile),
+                 "--bundle", str(se_bundle), "--out",
+                 str(tmp_path / "reports")],
+                f"Not a directory: "
+                f"'{re.escape(str(afile / 'config.json'))}'$")
     if case == "gen-data out is a file":
         return (["--config", config, "gen-data", "--out", str(afile)],
                 f"output directory {re.escape(str(afile))}: "
@@ -1275,11 +1277,12 @@ def refused_input(case, workspace, se_bundle, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "misshapen array", "missing array", "format version 3",
-    "format version 5",
-    "unknown variant", "other sensor map", "empty bundle", "npy as bundle",
+    "format version 5", "format version 6",
+    "unknown variant", "empty bundle", "npy as bundle",
     "directory as bundle", "empty bundles entry", "gen-data out is a file",
     "evaluate out under a file", "csv as bundle", "malformed yaml",
-    "control character in yaml", "latin-1 config",
+    "control character in yaml", "latin-1 config", "config is a directory",
+    "data is a file",
     "dataset without config.json", "truncated series", "trailing bytes",
     "nan in series",
     "repeated variant", "24 normal training frames",
@@ -1287,7 +1290,8 @@ def refused_input(case, workspace, se_bundle, tmp_path):
 def test_refused_input_exits_2_on_one_line(case, workspace, se_bundle,
                                            tmp_path, capsys):
     # every check of a run's input raises an InputError, which cli.main
-    # prints on one line naming the file or the cause, with exit 2
+    # prints on one line naming the file or the cause, with exit 2, as it
+    # does a path that is missing or of the wrong kind
     argv, pattern = refused_input(case, workspace, se_bundle, tmp_path)
     err = refused(capsys, argv)
     assert re.search(pattern, err), err
@@ -1434,9 +1438,9 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     calls = []
     residuals = pipeline.predict_and_residual
 
-    def counting(bundle, frames, case):
+    def counting(bundle, frames):
         calls.append(frames)
-        return residuals(bundle, frames, case)
+        return residuals(bundle, frames)
 
     monkeypatch.setattr(pipeline, "predict_and_residual", counting)
     assert cli.main(["--config", str(config_path), "holdout",
@@ -1446,16 +1450,3 @@ def test_evaluation_stages_compute_features_once(tmp_path, monkeypatch):
     assert cli.main(["--config", str(config_path), "report",
                      "--data", str(data_dir), "--bundles", bundle_path]) == 0
     assert np.array_equal(np.concatenate(calls), test)
-
-
-def test_evaluate_refuses_wrong_sensor_map(workspace, se_bundle, tmp_path,
-                                           capsys):
-    base, config_path, data_dir = workspace
-    with np.load(se_bundle) as data:
-        arrays = {k: data[k] for k in data.files}
-    arrays["meta/sensor_hash"] = np.array("wrong")
-    broken = tmp_path / "broken.npz"
-    np.savez(broken, **arrays)
-    assert "sensor" in refused(capsys, [
-        "--config", str(config_path), "evaluate",
-        "--data", str(data_dir), "--bundle", str(broken)])

@@ -16,7 +16,7 @@ from gridsentry.detector.models import (COMPUTE_DTYPE, STAGE_DEFAULTS,
                                        build_classifier, build_predictor)
 from gridsentry.detector.pipeline import RESIDUAL_FRAMES
 from gridsentry.dispatch import plan_generation, synthesize_loads
-from gridsentry.grid import N_SENSORS, load_case, sensor_map_hash
+from gridsentry.grid import N_SENSORS, load_case
 from gridsentry.neural import TrainConfig, get_state, set_state, softmax
 from gridsentry.scenario import LABELS, ScenarioSeries, generate_scenario
 from oracles import chi_square_detect
@@ -188,9 +188,8 @@ def test_predictor_window_arithmetic():
 
 # ---------------------------------------------------------------- residuals
 
-def make_stub_bundle(variant, case, stats=None, **kwargs):
+def make_stub_bundle(variant, stats=None, **kwargs):
     return ModelBundle(variant=variant, stats=stats or unit_stats(),
-                       sensor_hash=sensor_map_hash(case),
                        dataset={"noise_sigma": 0.01},
                        **kwargs)
 
@@ -203,27 +202,25 @@ def test_se_residuals_near_zero_on_noiseless(case):
                                noise_sigma=0.0, seed=0)
     stats = fit_preprocess(
         np.random.default_rng(6).standard_normal((1, 200, N_SENSORS)))
-    bundle = make_stub_bundle("SE_DNN", case, stats)
-    [residuals] = predict_and_residual(bundle, series.values[None],
-                                       case=case)
+    bundle = make_stub_bundle("SE_DNN", stats)
+    [residuals] = predict_and_residual(bundle, series.values[None])
     # one row per frame LAGS+1 .. T-1
     assert residuals.shape == (len(series.values) - 1 - LAGS, N_SENSORS)
     assert np.max(np.abs(residuals * stats.std)) < 1e-6
 
 
-def test_residual_alignment_rnn(case, normal_series, normal_frames,
-                                monkeypatch):
+def test_residual_alignment_rnn(normal_series, normal_frames, monkeypatch):
     series = normal_series[0]
     stats = fit_preprocess(normal_frames)
-    bundle = make_stub_bundle("RNN_DNN", case, stats)
+    bundle = make_stub_bundle("RNN_DNN", stats)
     monkeypatch.setitem(STAGE_DEFAULTS, "predictor", TrainConfig(
         learning_rate=5e-3, epochs=10, batch_size=4))
     z = preprocess(normal_frames, stats)
     bundle.predictor, _ = fit_predictor(z, seed=0)
-    [residuals] = predict_and_residual(bundle, normal_frames[:1], case)
+    [residuals] = predict_and_residual(bundle, normal_frames[:1])
     ts = np.arange(LAGS + 1, len(series.values))  # the residual frames
     assert residuals.shape == (len(ts), N_SENSORS)
-    levels, x, y = feature_rows(bundle, normal_stack([series]), case)
+    levels, x, y = feature_rows(bundle, normal_stack([series]))
     assert x.shape == (len(ts), CLASSIFIER_INPUT)
     np.testing.assert_array_equal(x[:, :N_SENSORS],
                                   residuals.astype(x.dtype))
@@ -234,28 +231,27 @@ def test_residual_alignment_rnn(case, normal_series, normal_frames,
     np.testing.assert_array_equal(levels, np.zeros(len(ts)))
 
 
-def test_residual_generation_leaves_models_frozen(case, normal_frames,
-                                                  monkeypatch):
+def test_residual_generation_leaves_models_frozen(normal_frames, monkeypatch):
     stats = fit_preprocess(normal_frames)
-    bundle = make_stub_bundle("RNN_DNN", case, stats)
+    bundle = make_stub_bundle("RNN_DNN", stats)
     z = preprocess(normal_frames, stats)
     monkeypatch.setitem(STAGE_DEFAULTS, "predictor", TrainConfig(
         learning_rate=1e-3, epochs=3, batch_size=4))
     bundle.predictor, _ = fit_predictor(z, seed=0)
     before = state_checksum(bundle.predictor)
-    predict_and_residual(bundle, normal_frames, case)
+    predict_and_residual(bundle, normal_frames)
     assert state_checksum(bundle.predictor) == before
 
 
 @pytest.mark.parametrize("variant", ["RNN_DNN", "AEN_RNN_DNN"])
-def test_stacked_residuals_match_one_series_form(case, normal_series,
-                                                 normal_frames, variant):
+def test_stacked_residuals_match_one_series_form(normal_series, normal_frames,
+                                                 variant):
     # equal-length series, more of them than two groups of feature_rows
     # hold: every series' residuals carry the bits of the one-series form
     # (2-D code rows, a (1, T, D) predictor batch) run in the models'
     # parameter dtype, float64 and float32
     stats = fit_preprocess(normal_frames)
-    bundle = make_stub_bundle(variant, case, stats)
+    bundle = make_stub_bundle(variant, stats)
     r = np.random.default_rng(7)
     coded = variant == "AEN_RNN_DNN"
     if coded:
@@ -274,8 +270,8 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
             set_state(getattr(bundle, name),
                       {k: v.astype(dtype) for k, v in state.items()})
         stack = normal_stack(series)
-        stacked = predict_and_residual(bundle, stack[0], case)
-        _, table, _ = feature_rows(bundle, stack, case)
+        stacked = predict_and_residual(bundle, stack[0])
+        _, table, _ = feature_rows(bundle, stack)
         # the table is held in the classifier's dtype, whatever the models'
         assert table.dtype == COMPUTE_DTYPE
         assert stacked.shape == (len(series), t - 1 - LAGS, N_SENSORS)
@@ -294,7 +290,7 @@ def test_stacked_residuals_match_one_series_form(case, normal_series,
             assert residuals.shape == (len(idx), N_SENSORS)
             assert residuals.dtype == dtype
             assert np.array_equal(residuals, z[idx] - z_hat[idx - 1])
-            [alone] = predict_and_residual(bundle, frames, case)
+            [alone] = predict_and_residual(bundle, frames)
             assert np.array_equal(alone, residuals)
             assert np.array_equal(x[:, :N_SENSORS], residuals.astype(x.dtype))
 
@@ -369,7 +365,7 @@ def test_classify_is_the_argmax_of_the_forward_softmax(monkeypatch):
         assert np.array_equal(classify(model, x), expected)
 
 
-def test_variant_shared_classifier_path(case):
+def test_variant_shared_classifier_path():
     # RNN_DNN and AEN_RNN_DNN differ only in the residual generator; the
     # classifier path is byte-identical given identical features
     stats = unit_stats()
@@ -377,17 +373,17 @@ def test_variant_shared_classifier_path(case):
     x = np.random.default_rng(2).standard_normal((5, CLASSIFIER_INPUT))
     outs = []
     for variant in ("RNN_DNN", "AEN_RNN_DNN"):
-        bundle = make_stub_bundle(variant, case, stats, classifier=model)
+        bundle = make_stub_bundle(variant, stats, classifier=model)
         outs.append(bundle.classifier.forward(x)[0])
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
 # ---------------------------------------------------------------- bundle io
 
-def small_bundle(variant, case, frames, monkeypatch):
+def small_bundle(variant, frames, monkeypatch):
     """A bundle of `variant` with every sub-model fitted for a few epochs."""
     stats = fit_preprocess(frames)
-    bundle = make_stub_bundle(variant, case, stats)
+    bundle = make_stub_bundle(variant, stats)
     z = preprocess(frames, stats)
     for stage in ("autoencoder", "predictor"):
         monkeypatch.setitem(STAGE_DEFAULTS, stage, TrainConfig(
@@ -405,13 +401,13 @@ def small_bundle(variant, case, frames, monkeypatch):
     return bundle
 
 
-def test_bundle_roundtrip(tmp_path, case, normal_frames, monkeypatch):
+def test_bundle_roundtrip(tmp_path, normal_frames, monkeypatch):
     probe = np.random.default_rng(3).standard_normal((4, CLASSIFIER_INPUT))
     for variant in VARIANTS:
-        bundle = small_bundle(variant, case, normal_frames, monkeypatch)
+        bundle = small_bundle(variant, normal_frames, monkeypatch)
         path = tmp_path / f"bundle_{variant}.npz"
         save_bundle(bundle, path)
-        loaded = load_bundle(path, case)
+        loaded = load_bundle(path)
         assert loaded.variant == variant
         assert loaded.dataset == bundle.dataset == {"noise_sigma": 0.01}
         for name in ("std", "raw_mean", "raw_std"):
@@ -432,14 +428,14 @@ def test_bundle_roundtrip(tmp_path, case, normal_frames, monkeypatch):
                 variant != "SE_DNN")
         np.testing.assert_array_equal(loaded.classifier.forward(probe)[0],
                                       bundle.classifier.forward(probe)[0])
-        [r1] = predict_and_residual(bundle, normal_frames[:1], case)
-        [r2] = predict_and_residual(loaded, normal_frames[:1], case)
+        [r1] = predict_and_residual(bundle, normal_frames[:1])
+        [r2] = predict_and_residual(loaded, normal_frames[:1])
         np.testing.assert_array_equal(r1, r2)
 
 
-def stub_classifier_bundle(case, **kwargs):
+def stub_classifier_bundle(**kwargs):
     """An SE_DNN bundle with an untrained classifier: a complete bundle."""
-    return make_stub_bundle("SE_DNN", case, **kwargs,
+    return make_stub_bundle("SE_DNN", **kwargs,
                             classifier=build_classifier(
                                 np.random.default_rng(0)))
 
@@ -449,84 +445,54 @@ def saved_arrays(path):
         return {k: data[k] for k in data.files}
 
 
-def test_sensor_map_mismatch_refused(tmp_path, case):
-    path = tmp_path / "bundle.npz"
-    # an empty hash is refused at write time
-    bundle = stub_classifier_bundle(case)
-    bundle.sensor_hash = ""
-    with pytest.raises(ValueError, match="sensor-map hash"):
-        save_bundle(bundle, path)
-    assert not path.exists()
-    bundle.sensor_hash = "not-the-real-hash"
-    save_bundle(bundle, path)
-    mismatch = (f"^bundle file {re.escape(str(path))} was trained on a "
-                "different sensor index map")
-    with pytest.raises(BundleFileError, match=mismatch):
-        load_bundle(path, case)
-    save_bundle(stub_classifier_bundle(case), path)
-    assert load_bundle(path, case).sensor_hash == sensor_map_hash(case)
-    arrays = saved_arrays(path)
-    # a hand-written file with an empty hash, or with none at all, is
-    # refused at load time
-    for drop in (False, True):
-        written = dict(arrays)
-        if drop:
-            del written["meta/sensor_hash"]
-        else:
-            written["meta/sensor_hash"] = np.array("")
-        np.savez(path, **written)
-        with pytest.raises(BundleFileError, match=mismatch):
-            load_bundle(path, case)
-
-
-def test_load_refuses_older_format(tmp_path, case):
+def test_load_refuses_older_format(tmp_path):
     # version 3 held float64 parameters, version 4 the noise level alone,
-    # not the record of the dataset trained on, and version 5 a record
-    # with the case_file key; the message names the file, the version
-    # found and the one expected; a version that is not an integer scalar
-    # is refused too (int() raised a TypeError on a list or a string, and
-    # read 6.5 as 6)
+    # not the record of the dataset trained on, version 5 a record with
+    # the case_file key, and version 6 a sensor-map hash; the message names
+    # the file, the version found and the one expected; a version that is
+    # not an integer scalar is refused too (int() raised a TypeError on a
+    # list or a string, and read 7.5 as 7)
     path = tmp_path / "bundle.npz"
-    save_bundle(stub_classifier_bundle(case), path)
-    for old in (2, 3, 4, 5, 6.5, [6, 6], ["6"]):
+    save_bundle(stub_classifier_bundle(), path)
+    for old in (2, 3, 4, 5, 6, 7.5, [7, 7], ["7"]):
         np.savez(path, **{**saved_arrays(path),
                           "meta/format_version": np.array(old)})
         with pytest.raises(BundleFileError, match=(
                 f"^unsupported bundle file version {re.escape(str(old))} in "
-                f"{re.escape(str(path))}; expected 6$")):
-            load_bundle(path, case)
+                f"{re.escape(str(path))}; expected 7$")):
+            load_bundle(path)
 
 
-def test_load_names_submodel_and_file_of_a_bad_array(tmp_path, case):
+def test_load_names_submodel_and_file_of_a_bad_array(tmp_path):
     path = tmp_path / "bundle.npz"
-    save_bundle(stub_classifier_bundle(case), path)
+    save_bundle(stub_classifier_bundle(), path)
     arrays = saved_arrays(path)
     np.savez(path, **{**arrays, "classifier/layer2.Dense.W": np.zeros(3)})
     with pytest.raises(BundleFileError, match=f"classifier in bundle file "
                        f"{re.escape(str(path))}: shape mismatch"):
-        load_bundle(path, case)
+        load_bundle(path)
     # a missing meta array or an unknown variant names the file too
     named = f"meta in bundle file {re.escape(str(path))}: "
     for key in ("meta/format_version", "meta/variant", "meta/std",
                 "meta/dataset"):
         np.savez(path, **{k: v for k, v in arrays.items() if k != key})
         with pytest.raises(BundleFileError, match=named + key):
-            load_bundle(path, case)
+            load_bundle(path)
     # the dataset record is one JSON object
     for record, cause in (("{", "Expecting property name"),
                           ("[0.01]", "meta/dataset is not a JSON object$")):
         np.savez(path, **{**arrays, "meta/dataset": np.array(record)})
         with pytest.raises(BundleFileError, match=named + cause):
-            load_bundle(path, case)
+            load_bundle(path)
     np.savez(path, **{**arrays, "meta/variant": np.array("XX")})
     with pytest.raises(BundleFileError,
                        match=named + "unknown variant 'XX'$"):
-        load_bundle(path, case)
+        load_bundle(path)
 
 
 def test_bundle_architecture_conformance():
     with pytest.raises(ValueError):
-        ModelBundle(variant="nope", stats=unit_stats(), sensor_hash="",
+        ModelBundle(variant="nope", stats=unit_stats(),
                     dataset={"noise_sigma": 0.01})
 
 

@@ -67,7 +67,7 @@ def test_generator_orders_agree(case):
 def toy_case(branches, n=2):
     buses = [Bus(1, "slack", 1.0, 0.0, 0.0)]
     buses += [Bus(i, "load", None, 0.0, 0.0) for i in range(2, n + 1)]
-    return GridCase(tuple(buses), tuple(branches), 100.0)
+    return GridCase(tuple(buses), tuple(branches))
 
 
 def ref_admittance(case):
@@ -102,8 +102,7 @@ def test_admittance_no_shunt_rowsum(case):
     # zero line charging everywhere -> diagonal equals minus the off-diagonal sum
     flat = GridCase(case.buses,
                     tuple(Branch(b.from_bus, b.to_bus, b.resistance, b.reactance,
-                                 0.0, b.flow_limit) for b in case.branches),
-                    case.base_power)
+                                 0.0, b.flow_limit) for b in case.branches))
     Y = flat.topology.Y
     off = Y - np.diag(np.diag(Y))
     np.testing.assert_allclose(np.diag(Y), -off.sum(axis=1), atol=1e-12)
@@ -145,8 +144,7 @@ def test_zero_injection_fixed_point(case):
                               1.0 if b.voltage_setpoint is not None else None,
                               0.0, 0.0) for b in case.buses),
                     tuple(Branch(b.from_bus, b.to_bus, b.resistance, b.reactance,
-                                 0.0, b.flow_limit) for b in case.branches),
-                    case.base_power)
+                                 0.0, b.flow_limit) for b in case.branches))
     z = np.zeros(14)
     sol = solve_power_flow(flat, z, z, np.zeros(4))
     assert sol.converged
@@ -384,8 +382,7 @@ def test_attacker_nominal_solve_matches_reference_form(case, load_chain):
     perturbed = GridCase(case.buses,
                          tuple(Branch(b.from_bus, b.to_bus, b.resistance,
                                       b.reactance * 1.05, b.line_charging,
-                                      b.flow_limit) for b in case.branches),
-                         case.base_power)
+                                      b.flow_limit) for b in case.branches))
     for model in (case, perturbed):
         warm = warm_ref = None
         for lp, lq, setp in load_chain[:6]:
@@ -457,13 +454,32 @@ def test_measure_deterministic(case):
                               alone.view(np.uint64))
 
 
+# the (index, kind, element) rows of the 39 sensors: the columns of every
+# dataset's values array and of every bundle's inputs; no file records them,
+# so the two format versions stand for this layout
+SENSOR_LAYOUT = [
+    (0, "flow", "1-2"), (1, "flow", "1-5"), (2, "flow", "2-3"),
+    (3, "flow", "2-4"), (4, "flow", "2-5"), (5, "flow", "3-4"),
+    (6, "flow", "4-5"), (7, "flow", "4-7"), (8, "flow", "4-9"),
+    (9, "flow", "5-6"), (10, "flow", "6-11"), (11, "flow", "6-12"),
+    (12, "flow", "6-13"), (13, "flow", "7-8"), (14, "flow", "7-9"),
+    (15, "flow", "9-10"), (16, "flow", "9-14"), (17, "flow", "10-11"),
+    (18, "flow", "12-13"), (19, "flow", "13-14"),
+    (20, "generation", "1"), (21, "generation", "2"), (22, "generation", "3"),
+    (23, "generation", "6"), (24, "generation", "8"),
+    (25, "voltage", "1"), (26, "voltage", "2"), (27, "voltage", "3"),
+    (28, "voltage", "4"), (29, "voltage", "5"), (30, "voltage", "6"),
+    (31, "voltage", "7"), (32, "voltage", "8"), (33, "voltage", "9"),
+    (34, "voltage", "10"), (35, "voltage", "11"), (36, "voltage", "12"),
+    (37, "voltage", "13"), (38, "voltage", "14"),
+]
+
+
 def test_sensor_map(case):
-    rows = sensor_map(case)
-    assert len(rows) == 39
-    kinds = [k for _, k, _ in rows]
-    assert kinds.count("flow") == 20
-    assert kinds.count("generation") == 5
-    assert kinds.count("voltage") == 14
+    assert sensor_map(case) == SENSOR_LAYOUT, (
+        "the sensor layout changed: bump cli.DATASET_FORMAT and "
+        "detector.models.BUNDLE_FORMAT_VERSION, so that every dataset and "
+        "bundle of the old layout is refused")
 
 
 # ---------------------------------------------------------------- estimation

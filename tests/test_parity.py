@@ -1,5 +1,8 @@
-"""tools/parity.py compare: two runs' output trees, file by file."""
+"""tools/parity.py: run a config's stages, and compare two runs' output
+trees file by file."""
 
+import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +13,13 @@ import yaml
 import gridsentry.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "parity.py"
 
 
 def compare(a, b):
     """The exit status and the output lines of `parity.py compare a b`."""
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "parity.py"), "compare",
-         str(a), str(b)], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, str(TOOL), "compare",
+                             str(a), str(b)], capture_output=True, text=True)
     assert result.stderr == ""
     return result.returncode, result.stdout.splitlines()
 
@@ -81,3 +84,47 @@ def test_compare_reports_each_array_of_a_bundle(tmp_path):
         "differ",
         "    x: missing in A",
         "1 files: 1 differing"]
+
+
+def test_two_runs_of_a_config_compare_equal(tmp_path):
+    # `run` writes a config's stages under OUT/<config stem>, each stage
+    # named on stderr; two runs write the same bytes, the manifests but for
+    # the time they were created; holdout runs only on a config with every
+    # level
+    config = tmp_path / "tiny.yaml"
+    settings = dict(seed=3, output_dir="unused", horizon=36, window=[7, 31],
+                    levels=[5], normal_series=4,
+                    series_per_condition_per_level=2, variants=["SE_DNN"])
+    config.write_text(yaml.safe_dump(settings))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        result = subprocess.run(
+            [sys.executable, str(TOOL), "run", str(out), str(config)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert result.returncode == 0, result.stderr
+        data = out / "tiny"
+        bundle = data / "models" / "bundle_SE_DNN.npz"
+        assert [line.split(" ", 4)[4] for line in result.stderr.splitlines()
+                ] == [f"gen-data --out {data}",
+                      f"train --data {data} --variant SE_DNN",
+                      f"evaluate --data {data} --bundle {bundle}",
+                      f"report --data {data} --bundles {bundle}"]
+    code, lines = compare(a, b)
+    assert code == 0, lines
+    assert lines[-1].startswith("12 files: ")
+    for line in lines[:-1]:
+        verdict, rel = line.split(": ")
+        assert verdict == "byte-equal" or (
+            verdict == "equal without created"
+            and rel.endswith("manifest.json")), line
+    assert "byte-equal: tiny/reports/severity.csv" in lines
+
+    spec = importlib.util.spec_from_file_location("parity", TOOL)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    config.write_text(yaml.safe_dump({**settings, "levels": [1, 2, 3, 4, 5],
+                                      "variants": ["RNN_DNN", "SE_DNN"]}))
+    assert [argv[0] for argv in parity.stages(config, a)] == [
+        "gen-data", "train", "evaluate", "holdout", "train", "evaluate",
+        "holdout", "report"]

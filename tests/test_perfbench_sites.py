@@ -125,17 +125,17 @@ def test_stacked_residuals_are_traced():
         "from gridsentry.detector.models import build_predictor",
         "from gridsentry.detector.pipeline import (RESIDUAL_FRAMES,",
         "                                          feature_rows)",
-        "from gridsentry.grid import N_SENSORS, load_case",
+        "from gridsentry.grid import N_SENSORS",
         "r = np.random.default_rng(0)",
         "ones = np.ones(N_SENSORS)",
         "bundle = ModelBundle(",
         "    variant='RNN_DNN', stats=PreprocessStats(ones, 0 * ones, ones),",
-        "    sensor_hash='-', dataset={'noise_sigma': 0.1},",
+        "    dataset={'noise_sigma': 0.1},",
         "    predictor=build_predictor(N_SENSORS, r))",
         "n = RESIDUAL_FRAMES // 20 + 1",
         "series = (r.standard_normal((n, 20, N_SENSORS)),",
         "          np.zeros((n, 20), dtype=int), np.zeros(n, dtype=int))",
-        "levels, _, _ = feature_rows(bundle, series, load_case())",
+        "levels, _, _ = feature_rows(bundle, series)",
         "print(json.dumps({'series': n, 'frames': len(levels),",
         "    'residuals': tracer.spans['setup', 'models.residuals'][0],",
         "    'lstm': tracer.spans['setup', 'neural.lstm_forward'][0]}))",

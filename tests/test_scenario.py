@@ -143,8 +143,7 @@ def test_nominal_template_model_mismatch(case, world):
     perturbed = GridCase(case.buses,
                          tuple(Branch(b.from_bus, b.to_bus, b.resistance,
                                       b.reactance * 1.05, b.line_charging,
-                                      b.flow_limit) for b in case.branches),
-                         case.base_power)
+                                      b.flow_limit) for b in case.branches))
     y_true = simulate_nominal(case, lp, lq, u).sensors
     y_est = simulate_nominal(perturbed, lp, lq, u).sensors
     dev = np.max(np.abs(y_true - y_est))

@@ -1,10 +1,19 @@
-"""Compare the output trees of two gridsentry runs, file by file.
+"""Run gridsentry's stages on configs, and compare two runs' output trees.
 
+    PYTHONPATH=src python3 tools/parity.py run OUT CONFIG...
     python3 tools/parity.py compare A B
 
-Every file under A or B, by its path relative to the tree, gets one line:
-it is missing from one tree, byte-equal, or differing. Under a differing
-file come its details:
+`run` runs each config's stages in process, through the `gridsentry.cli`
+that Python imports (PYTHONPATH picks the checkout), into OUT/<config
+stem>/: `gen-data` there, then for each of the config's variants `train`
+(into models/), `evaluate` (into reports/) and, only where the config has
+every level, `holdout` (into holdout_<variant>/), then `report` over the
+bundles, if there are any (into reports/). BLAS runs on one thread. It
+stops at the first stage that fails, with that stage's exit status.
+
+`compare` prints one line for every file under A or B, by its path
+relative to the tree: it is missing from one tree, byte-equal, or
+differing. Under a differing file come its details:
 
 - an .npy file, or each array of an .npz archive: the largest absolute and
   relative difference, or the dtype and shape of each side where those
@@ -16,16 +25,23 @@ file come its details:
 directory was first written; a manifest equal but for it is "equal without
 created".
 
-The exit status is 1 if any file is missing or differing, else 0. The tool
-reports; it chooses no tolerance. It needs the standard library and numpy.
+Its exit status is 1 if any file is missing or differing, else 0. The tool
+reports; it chooses no seed and no tolerance. `compare` needs the standard
+library and numpy, `run` gridsentry too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+if __name__ == "__main__":  # BLAS on one thread, set before numpy loads
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
 
 import numpy as np
 
@@ -137,14 +153,64 @@ def compare(a: Path, b: Path) -> int:
                    for verdict in counts))
 
 
+def stages(config: Path, data: Path):
+    """The argv, after --config, of each stage `run` runs for config into
+    data, in order. The first is gen-data's; the generator reads config
+    only after it, once gen-data has taken it."""
+    from gridsentry.config import load_config
+    from gridsentry.scenario import LEVEL_FRACTIONS
+
+    yield ["gen-data", "--out", str(data)]
+    cfg = load_config(config)
+    bundles = []
+    for variant in cfg.variants:
+        bundle = str(data / "models" / f"bundle_{variant}.npz")
+        bundles.append(bundle)
+        yield ["train", "--data", str(data), "--variant", variant]
+        yield ["evaluate", "--data", str(data), "--bundle", bundle]
+        if set(cfg.levels) == set(LEVEL_FRACTIONS):
+            yield ["holdout", "--data", str(data), "--bundle", bundle,
+                   "--out", str(data / f"holdout_{variant}")]
+    if bundles:
+        yield ["report", "--data", str(data), "--bundles", ",".join(bundles)]
+
+
+def run(out: Path, configs: list[Path]) -> int:
+    """Run every stage of each config into out/<config stem>; the exit
+    status of the first stage that fails, else 0."""
+    from gridsentry.cli import main as cli_main
+
+    for config in configs:
+        for argv in stages(config, out / config.stem):
+            argv = ["--config", str(config), *argv]
+            print("parity: gridsentry " + " ".join(argv), file=sys.stderr)
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # a refused input
+                code = exc.code
+            if code:
+                print(f"parity: stage failed with exit status {code}",
+                      file=sys.stderr)
+                return code
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="parity", description=__doc__.split("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="mode", required=True)
+    runs = sub.add_parser("run", help="run each config's stages")
+    runs.add_argument("out", type=Path)
+    runs.add_argument("configs", type=Path, nargs="+")
     cmp = sub.add_parser("compare", help="compare two output trees")
     cmp.add_argument("a", type=Path)
     cmp.add_argument("b", type=Path)
     args = parser.parse_args(argv)
+    if args.mode == "run":
+        stems = [config.stem for config in args.configs]
+        if len(set(stems)) < len(stems):
+            parser.error(f"two configs share a file stem: {stems}")
+        return run(args.out, args.configs)
     for root in (args.a, args.b):
         if not root.is_dir():
             parser.error(f"not a directory: {root}")
