@@ -6,14 +6,15 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import InputError
-from .config import (ConfigError, RunConfig, RunManifest, config_hash,
-                     load_config, read_json_object)
+from .config import (RunConfig, RunManifest, config_hash, load_config,
+                     read_json_object)
 from .detector import load_bundle, save_bundle, train_bundle
 from .detector.pipeline import evaluate_predictions, feature_rows
 from .dispatch import plan_generation, synthesize_loads
@@ -23,8 +24,7 @@ from .evaluation import (accuracy, confusion_counts, csv_table,
 from .grid import N_SENSORS, load_case
 from .scenario import (GENERATOR_BUSES, KINDS, LABEL_INDEX, LABELS,
                        LEVEL_FRACTIONS, STATUS_FLAGS, ScenarioSeries,
-                       SeriesFileError, condition_name, generate_scenario,
-                       make_condition)
+                       condition_name, generate_scenario, make_condition)
 
 
 # the RunConfig fields that gen-data's files depend on
@@ -78,13 +78,16 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
 
     jobs = _series_jobs(cfg)
     tasks = [(cfg, case, *job[1:]) for job in jobs]
+    # a pool forks all its processes at its first submit, so it gets no
+    # more than there are series or CPUs; no output depends on the count
+    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         generated = map(_generate_one, tasks)
-        if cfg.workers > 1:
+        if workers > 1:
             # imported only here: concurrent.futures loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=cfg.workers))
+                ProcessPoolExecutor(max_workers=workers))
             generated = pool.map(_generate_one, tasks)
         # save writes each series before it takes the next, so a serial
         # run holds one series at a time
@@ -134,8 +137,8 @@ def load_dataset(cfg: RunConfig, data_dir: Path, part: str, bundles=()):
         if differ:
             recorded = {key: written[key] for key in differ if key in written}
             expected = {key: wanted[key] for key in differ}
-            raise SeriesFileError(f"{source} records {recorded}; the config "
-                                  f"gives {expected}")
+            raise InputError(f"{source} records {recorded}; the config "
+                             f"gives {expected}")
     jobs = _series_jobs(cfg)
     # each series' (condition, level), the group split_series keeps it in
     groups = [("normal" if kind == "normal" else condition_name(kind, target),
@@ -162,7 +165,7 @@ def split_series(keys, seed: int):
     and of the test series. SPLIT_FRACTION of each group is trained on.
 
     Each group keeps at least one series on either side, so a group of
-    fewer than 2 series is refused with ConfigError.
+    fewer than 2 series is refused with InputError.
     """
     groups: dict = {}
     for k, key in enumerate(keys):
@@ -170,8 +173,8 @@ def split_series(keys, seed: int):
     small = {key: len(members) for key, members in sorted(groups.items())
              if len(members) < 2}
     if small:
-        raise ConfigError(f"the split needs at least 2 series per "
-                          f"(condition, level) group; got {small}")
+        raise InputError(f"the split needs at least 2 series per "
+                         f"(condition, level) group; got {small}")
     train, test = [], []
     for group_id, key in enumerate(sorted(groups)):
         members = groups[key]
@@ -187,8 +190,8 @@ def split_series(keys, seed: int):
 def cmd_train(cfg: RunConfig, data_dir: Path, variant: str,
               out_dir: Path) -> Path:
     if variant not in cfg.variants:
-        raise ConfigError(f"variant {variant!r} is not in the config's "
-                          f"variants {list(cfg.variants)}")
+        raise InputError(f"variant {variant!r} is not in the config's "
+                         f"variants {list(cfg.variants)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
     train_set = load_dataset(cfg, data_dir, "train")
     given = cfg.canonical()
@@ -237,8 +240,8 @@ def cmd_holdout(cfg: RunConfig, data_dir: Path, bundle_path: Path,
     # each replication trains on l levels and tests on the others, so the
     # dataset must hold every level; refuse before loading anything
     if set(cfg.levels) != set(LEVEL_FRACTIONS):
-        raise ConfigError(f"holdout needs levels {sorted(LEVEL_FRACTIONS)}, "
-                          f"the config has levels {list(cfg.levels)}")
+        raise InputError(f"holdout needs levels {sorted(LEVEL_FRACTIONS)}, "
+                         f"the config has levels {list(cfg.levels)}")
     manifest = RunManifest(out_dir, config_hash(cfg))
     bundle = load_bundle(bundle_path)
     frames = feature_rows(bundle, load_dataset(
@@ -271,8 +274,8 @@ def cmd_report(cfg: RunConfig, data_dir: Path, bundle_paths: list[Path],
     for path in bundle_paths:
         bundle = load_bundle(path)
         if bundle.variant in bundles:
-            raise ConfigError(f"report got two {bundle.variant} bundles; "
-                              "pass one bundle per variant")
+            raise InputError(f"report got two {bundle.variant} bundles; "
+                             "pass one bundle per variant")
         bundles[bundle.variant] = bundle
     test_set = load_dataset(cfg, data_dir, "test",
                             zip(bundle_paths, bundles.values()))

@@ -16,10 +16,6 @@ from .detector.models import LAGS, VARIANTS
 from .scenario.attacks import LEVEL_FRACTIONS
 
 
-class ConfigError(InputError):
-    """Invalid or unresolvable run configuration."""
-
-
 @dataclass
 class RunConfig:
     output_dir: str
@@ -55,105 +51,103 @@ def _read_as_string(value) -> str:
 def load_config(path: str | Path) -> RunConfig:
     """Parse and fully validate a YAML run config before any compute."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(path.read_text()) or {}
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
-                          f"{exc.start}") from None
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
     except yaml.YAMLError as exc:
         # the parser's own text runs over several lines
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
-        raise ConfigError(
+        raise InputError(
             f"{path}: malformed YAML{where}: {problem}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a mapping")
+        raise InputError("config must be a mapping")
 
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise InputError(f"unknown config keys: {sorted(unknown)}")
     if "seed" not in raw:
-        raise ConfigError("seed must be explicit (no wall-clock defaults)")
+        raise InputError("seed must be explicit (no wall-clock defaults)")
     if "output_dir" not in raw:
-        raise ConfigError("output_dir is required")
+        raise InputError("output_dir is required")
 
     cfg = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
                        for key, value in raw.items()})
     for name in ("seed", "horizon", "normal_series",
                  "series_per_condition_per_level", "workers"):
         if not _is_int(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be an integer")
+            raise InputError(f"{name} must be an integer")
     if (not isinstance(cfg.window, tuple) or len(cfg.window) != 2
             or not all(map(_is_int, cfg.window))):
-        raise ConfigError("window must be a pair of integers")
+        raise InputError("window must be a pair of integers")
     for name in ("levels", "variants", "holdout_l_values"):
         if not isinstance(getattr(cfg, name), tuple):
-            raise ConfigError(f"{name} must be a list")
+            raise InputError(f"{name} must be a list")
     if not isinstance(cfg.output_dir, str):
-        raise ConfigError("output_dir must be a path string")
+        raise InputError("output_dir must be a path string")
     if cfg.horizon < 24:
-        raise ConfigError("horizon must cover at least one day")
+        raise InputError("horizon must cover at least one day")
     if not 0 <= cfg.window[0] < cfg.window[1] <= cfg.horizon:
-        raise ConfigError("window must fit inside the horizon")
+        raise InputError("window must fit inside the horizon")
     if cfg.window[1] <= LAGS + 1:
-        raise ConfigError(f"window must end after hour LAGS + 1 = {LAGS + 1}, "
-                          "the first frame the classifier sees; no attack or "
-                          "fault frame would reach it")
+        raise InputError(f"window must end after hour LAGS + 1 = {LAGS + 1}, "
+                         "the first frame the classifier sees; no attack or "
+                         "fault frame would reach it")
     value = cfg.noise_sigma
     if (not isinstance(value, (int, float)) or isinstance(value, bool)
             or not math.isfinite(value)):
-        raise ConfigError(
+        raise InputError(
             f"noise_sigma must be a finite number{_read_as_string(value)}")
     if cfg.noise_sigma < 0:
-        raise ConfigError("noise_sigma must be >= 0")
+        raise InputError("noise_sigma must be >= 0")
     if any(not _is_int(lvl) or lvl not in LEVEL_FRACTIONS
            for lvl in cfg.levels):
-        raise ConfigError(
+        raise InputError(
             f"levels must be integers drawn from {sorted(LEVEL_FRACTIONS)}")
     if any(v not in VARIANTS for v in cfg.variants):
-        raise ConfigError(f"variants must be drawn from {VARIANTS}")
+        raise InputError(f"variants must be drawn from {VARIANTS}")
     if cfg.noise_sigma == 0 and "SE_DNN" in cfg.variants:
-        raise ConfigError("noise_sigma must be > 0 when variants lists "
-                          "SE_DNN: its WLS fit weighs each sensor by its "
-                          "noise variance")
+        raise InputError("noise_sigma must be > 0 when variants lists "
+                         "SE_DNN: its WLS fit weighs each sensor by its "
+                         "noise variance")
     # holdout trains on l levels and tests on the rest, so one must remain
     max_l = len(LEVEL_FRACTIONS) - 1
     if any(not _is_int(l) or not 1 <= l <= max_l
            for l in cfg.holdout_l_values):
-        raise ConfigError(f"holdout_l_values must be integers in 1..{max_l}")
+        raise InputError(f"holdout_l_values must be integers in 1..{max_l}")
     # a repeated entry would generate, train or hold out the same thing
     # twice, writing its outputs over each other
     for name in ("levels", "variants", "holdout_l_values"):
         values = getattr(cfg, name)
         if len(set(values)) != len(values):
-            raise ConfigError(f"{name} must not repeat an entry")
+            raise InputError(f"{name} must not repeat an entry")
     # with no level nothing is generated; with no l, holdout writes an
     # empty table after computing every series' features
     for name in ("levels", "holdout_l_values"):
         if not getattr(cfg, name):
-            raise ConfigError(f"{name} must name at least one entry")
+            raise InputError(f"{name} must name at least one entry")
     if not _is_int(cfg.holdout_replications) or cfg.holdout_replications < 1:
-        raise ConfigError("holdout_replications must be an integer >= 1")
+        raise InputError("holdout_replications must be an integer >= 1")
     if cfg.normal_series < 1 or cfg.series_per_condition_per_level < 1:
-        raise ConfigError("series counts must be positive")
+        raise InputError("series counts must be positive")
     # cli._series_jobs seeds each series with seed*1000003 + kind*100000
     # + target*10000 + level*100 + idx, which numpy takes only if >= 0;
     # past these counts two series would share a seed, and so their loads
     # and noise draws
     if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
+        raise InputError("seed must be >= 0")
     if cfg.series_per_condition_per_level > 100:
-        raise ConfigError("series_per_condition_per_level must be <= 100, "
-                          "so that no two series share a seed")
+        raise InputError("series_per_condition_per_level must be <= 100, "
+                         "so that no two series share a seed")
     if cfg.normal_series > 120100:
-        raise ConfigError("normal_series must be <= 120100, so that no two "
-                          "series share a seed")
+        raise InputError("normal_series must be <= 120100, so that no two "
+                         "series share a seed")
     if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
+        raise InputError("workers must be >= 1")
     return cfg
 
 
@@ -163,14 +157,14 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def read_json_object(path: Path) -> dict:
-    """The JSON object in the file at path; ConfigError names the file when
+    """The JSON object in the file at path; InputError names the file when
     it holds none (a missing file raises FileNotFoundError)."""
     try:
         data = json.loads(Path(path).read_text())
     except ValueError as exc:  # a UnicodeDecodeError too
-        raise ConfigError(f"{path}: not a JSON object: {exc}") from None
+        raise InputError(f"{path}: not a JSON object: {exc}") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: not a JSON object")
+        raise InputError(f"{path}: not a JSON object")
     return data
 
 
@@ -199,13 +193,13 @@ class RunManifest:
         self.path = self.directory / "manifest.json"
         for path in (self.directory, *self.directory.parents):
             if path.exists() and not path.is_dir():
-                raise ConfigError(f"output directory {self.directory}: "
-                                  f"{path} is a file")
+                raise InputError(f"output directory {self.directory}: "
+                                 f"{path} is a file")
         if self.path.exists():
             self.data = self.read(self.directory)
             if self.data.get("config_hash") != cfg_hash:
-                raise ConfigError(f"{self.directory} holds the outputs of "
-                                  "another config; use a fresh directory")
+                raise InputError(f"{self.directory} holds the outputs of "
+                                 "another config; use a fresh directory")
         else:
             self.data = {
                 "config_hash": cfg_hash,

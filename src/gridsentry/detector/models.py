@@ -56,10 +56,6 @@ STAGE_DEFAULTS = {
 BUNDLE_FORMAT_VERSION = 7
 
 
-class BundleFileError(InputError):
-    """A bundle file refused as it loads."""
-
-
 @dataclass
 class ModelBundle:
     variant: str
@@ -253,15 +249,14 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
 def load_bundle(path: str | Path) -> ModelBundle:
     """Read a bundle file, with exactly the sub-models its variant trains.
 
-    A BundleFileError naming the file refuses a format version that is not
-    the integer BUNDLE_FORMAT_VERSION, a file that is no .npz archive (a
-    directory, an empty file, an .npy array), an unknown variant, a dataset
-    record that is not a JSON object, and a missing (KeyError) or misshapen
-    (ValueError) array, naming its sub-model or "meta". The format version
-    also stands for the sensor layout the bundle was trained on.
+    An InputError naming the file refuses a format version that is not the
+    integer BUNDLE_FORMAT_VERSION, a file that is no .npz archive (an empty
+    file, an .npy array), an unknown variant, a dataset record that is not
+    a JSON object, and a missing (KeyError) or misshapen (ValueError)
+    array, naming its sub-model or "meta"; a directory raises np.load's
+    IsADirectoryError. The format version also stands for the sensor
+    layout the bundle was trained on.
     """
-    if Path(path).is_dir():
-        raise BundleFileError(f"bundle file {path} is a directory")
     part = "meta"
     try:
         data = np.load(Path(path))
@@ -272,7 +267,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             # an integer scalar only: int() would read 5.5 as 5
             if (version.dtype.kind not in "iu"
                     or version.tolist() != BUNDLE_FORMAT_VERSION):
-                raise BundleFileError(
+                raise InputError(
                     f"unsupported bundle file version {version.tolist()} in "
                     f"{path}; expected {BUNDLE_FORMAT_VERSION}")
             bundle = ModelBundle(
@@ -297,8 +292,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 set_state(getattr(bundle, part),
                           {k[len(prefix):]: data[k] for k in data.files
                            if k.startswith(prefix)})
-    except BundleFileError:
+    except InputError:
         raise
     except (EOFError, KeyError, ValueError) as exc:
-        raise BundleFileError(f"{part} in bundle file {path}: {exc.args[0]}")
+        raise InputError(f"{part} in bundle file {path}: {exc.args[0]}")
     return bundle

@@ -25,10 +25,6 @@ STATUS_FLAGS = {"gap_hours": 1, "template_fallback_hours": 2,
                 "noop_hours": 4}
 
 
-class SeriesFileError(InputError):
-    """A dataset's values file, refused as it loads."""
-
-
 @dataclass
 class ScenarioSeries:
     values: np.ndarray  # (T, 39)
@@ -64,7 +60,7 @@ class ScenarioSeries:
         horizon, 39) stack. The file must hold one float64 array of shape
         (len(names), horizon, 39) and nothing after it; a non-finite frame
         of a row read, such as a leading power-flow gap hour, is refused by
-        its series and hour. SeriesFileError names the file."""
+        its series and hour. InputError names the file."""
         shape = (len(names), horizon, N_SENSORS)
         frames = np.empty((len(rows), horizon, N_SENSORS))
         try:
@@ -91,7 +87,7 @@ class ScenarioSeries:
                             f"non-finite frames of series {names[k]} at "
                             f"hours {np.flatnonzero(~finite).tolist()}")
         except ValueError as exc:
-            raise SeriesFileError(f"{path}: {exc}") from None
+            raise InputError(f"{path}: {exc}") from None
         return frames
 
 

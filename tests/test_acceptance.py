@@ -335,8 +335,6 @@ def test_criterion_10_holdout_trend(world, monkeypatch):
     table = pipeline.feature_rows(bundle, world["series"])
     results = [holdout_experiment(table, l, 5, 99) for l in (1, 2, 3, 4)]
     medians = [r.median for r in results]
-    assert all(a <= b for a, b in zip(medians, medians[1:]))  # non-decreasing
-    assert results[3].iqr <= results[0].iqr          # IQR shrinks l=1 -> l=4
     # each gap over 0 in accuracy, and as frames of the larger l's median
     # replication: how many of its held-out frames the gap amounts to
     gaps = []
@@ -345,10 +343,14 @@ def test_criterion_10_holdout_trend(world, monkeypatch):
         gap = b.median - a.median
         gaps.append(f"l={a.l}->{b.l} {gap:+.4f} ({gap * frames:+.1f} of "
                     f"{frames} frames)")
-    _report(10, f"medians {[round(m, 4) for m in medians]}, gaps "
-                f"{'; '.join(gaps)}, IQR l=1 {results[0].iqr:.4f} -> l=4 "
-                f"{results[3].iqr:.4f} (margin "
-                f"{results[0].iqr - results[3].iqr:+.4f})")
+    # the margins, reported on a failure too
+    margins = (f"medians {[round(m, 4) for m in medians]}, gaps "
+               f"{'; '.join(gaps)}, IQR l=1 {results[0].iqr:.4f} -> l=4 "
+               f"{results[3].iqr:.4f} (margin "
+               f"{results[0].iqr - results[3].iqr:+.4f})")
+    assert all(a <= b for a, b in zip(medians, medians[1:])), margins
+    assert results[3].iqr <= results[0].iqr, margins  # IQR shrinks
+    _report(10, margins)
 
 
 def _median_held_out_frames(table, result):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -13,8 +14,8 @@ import yaml
 
 import gridsentry.cli as cli
 from gridsentry import InputError
-from gridsentry.config import (ConfigError, RunManifest, config_hash,
-                               load_config, read_json_object)
+from gridsentry.config import (RunManifest, config_hash, load_config,
+                               read_json_object)
 from gridsentry.detector import (LAGS, load_bundle, models, pipeline,
                                  save_bundle)
 from gridsentry.detector.models import SUBMODELS
@@ -84,29 +85,29 @@ def dataset_copy(data_dir, dest, edit=lambda values: values):
 def test_config_requires_seed_and_output(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump({"output_dir": "x"}))
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(InputError, match="seed"):
         load_config(path)
     path.write_text(yaml.safe_dump({"seed": 1}))
-    with pytest.raises(ConfigError, match="output_dir"):
+    with pytest.raises(InputError, match="output_dir"):
         load_config(path)
 
 
 def test_config_validation_before_compute(tmp_path):
     path = write_config(tmp_path / "c.yaml", window=[50, 24])
-    with pytest.raises(ConfigError, match="window"):
+    with pytest.raises(InputError, match="window"):
         load_config(path)
     path = write_config(tmp_path / "c.yaml", levels=[9])
-    with pytest.raises(ConfigError, match="levels"):
+    with pytest.raises(InputError, match="levels"):
         load_config(path)
     path = write_config(tmp_path / "c.yaml", unknown_key=1)
-    with pytest.raises(ConfigError, match="unknown"):
+    with pytest.raises(InputError, match="unknown"):
         load_config(path)
     # list fields, and holdout settings that would only fail in `holdout`
     for key, value in (("levels", 3), ("variants", 3),
                        ("holdout_l_values", 3), ("holdout_l_values", [7]),
                        ("holdout_replications", 0)):
         path = write_config(tmp_path / "c.yaml", **{key: value})
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(InputError, match=key):
             load_config(path)
     # malformed numbers that gen-data would take, or fail on only after it
     # has written config.json
@@ -125,12 +126,12 @@ def test_config_validation_before_compute(tmp_path):
                        ("noise_sigma", 0.0),
                        ("output_dir", 5)):
         path = write_config(tmp_path / "c.yaml", **{key: value})
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(InputError, match=key):
             load_config(path)
     # noiseless data is refused only for SE_DNN, whose WLS fit weighs each
     # sensor by its noise variance
     path = write_config(tmp_path / "c.yaml", noise_sigma=0.0)
-    with pytest.raises(ConfigError, match="SE_DNN.*noise variance"):
+    with pytest.raises(InputError, match="SE_DNN.*noise variance"):
         load_config(path)
     path = write_config(tmp_path / "c.yaml", noise_sigma=0.0,
                         variants=["RNN_DNN"])
@@ -147,7 +148,7 @@ def test_config_validation_before_compute(tmp_path):
 ], ids=["horizon", "variant", "normal_series",
         "series_per_condition_per_level", "workers"])
 def test_config_refusals(tmp_path, overrides, message):
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(InputError, match=message):
         load_config(write_config(tmp_path / "c.yaml", **overrides))
 
 
@@ -189,12 +190,13 @@ def test_series_seeds_are_distinct_up_to_the_count_bounds(tmp_path):
 
 def test_config_file_refusals(tmp_path):
     missing = tmp_path / "missing.yaml"
-    with pytest.raises(ConfigError, match=rf"^config file not found: "
-                                          rf"{re.escape(str(missing))}$"):
+    # the OS names a missing file; load_config does not reword it
+    with pytest.raises(FileNotFoundError, match=rf"^\[Errno 2\] No such file "
+                       rf"or directory: '{re.escape(str(missing))}'$"):
         load_config(missing)
     listed = tmp_path / "list.yaml"
     listed.write_text("- seed\n- output_dir\n")
-    with pytest.raises(ConfigError, match=r"^config must be a mapping$"):
+    with pytest.raises(InputError, match=r"^config must be a mapping$"):
         load_config(listed)
 
 
@@ -206,7 +208,7 @@ def test_fixed_simulation_inputs_are_not_config_keys(tmp_path, capsys):
                        ("split_fraction", 0.8),
                        ("case_file", "ieee14.case")):
         path = write_config(tmp_path / "c.yaml", **{key: value})
-        with pytest.raises(ConfigError,
+        with pytest.raises(InputError,
                            match=rf"unknown config keys: \['{key}'\]"):
             load_config(path)
     # a config that names case_file, as configs once could, is refused on
@@ -236,7 +238,7 @@ def test_exponent_without_dot_is_refused_as_a_string(tmp_path):
     # names the form that reads as a number
     path = tmp_path / "c.yaml"
     path.write_text("seed: 1\noutput_dir: x\nnoise_sigma: 1e-2\n")
-    with pytest.raises(ConfigError, match="noise_sigma") as info:
+    with pytest.raises(InputError, match="noise_sigma") as info:
         load_config(path)
     assert "read as a string" in str(info.value)
     assert "1.0e-3" in str(info.value)
@@ -382,6 +384,40 @@ def test_gen_data_workers_match_serial(tmp_path):
         del files[workers]["config.json"]  # records `workers` itself
     assert sorted(files[1]) == ["status.npy", "values.npy"]
     assert files[2] == files[1]
+
+
+def test_gen_data_caps_the_pool_at_its_series_and_the_cpus(tmp_path,
+                                                          monkeypatch):
+    # a pool forks all of its max_workers at its first submit, so gen-data
+    # asks for no more than its series or the CPUs; the fake pool records
+    # the size it is asked for, starts no process and maps in this one
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    path = write_config(tmp_path / "w.yaml", horizon=24, window=[6, 18],
+                        normal_series=1, series_per_condition_per_level=1,
+                        workers=64)
+    assert len(cli._series_jobs(load_config(path))) == 9
+    for cpus, size in ((4, [4]), (1000, [9]), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        asked.clear()
+        assert cli.main(["--config", str(path), "gen-data",
+                         "--out", str(tmp_path / f"data{cpus}")]) == 0
+        assert asked == size, cpus
 
 
 def test_gen_data_saves_each_series_before_generating_the_next(
@@ -1170,12 +1206,12 @@ def refused_input(case, workspace, se_bundle, tmp_path):
     if case == "directory as bundle":
         return (["--config", config, "evaluate", "--data", str(data_dir),
                  "--bundle", str(data_dir)],
-                f"bundle file {re.escape(str(data_dir))} is a directory$")
+                rf"\[Errno 21\] Is a directory: '{re.escape(str(data_dir))}'$")
     if case == "empty bundles entry":
         # the empty entry names the current directory
         return (["--config", config, "report", "--data", str(data_dir),
                  "--bundles", f"{se_bundle},"],
-                r"bundle file \. is a directory$")
+                r"\[Errno 21\] Is a directory: '\.'$")
     if case == "config is a directory":
         return (["--config", str(tmp_path), "gen-data"],
                 f"Is a directory: '{re.escape(str(tmp_path))}'$")
@@ -1349,8 +1385,8 @@ def test_missing_config_exits_2_with_one_line(tmp_path):
          "gen-data"], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)})
     assert result.returncode == 2
-    assert result.stderr == (f"gridsentry: error: config file not found: "
-                             f"{missing}\n")
+    assert result.stderr == ("gridsentry: error: [Errno 2] No such file or "
+                             f"directory: '{missing}'\n")
 
 
 def test_holdout_refuses_partial_levels_before_loading(tmp_path, monkeypatch,

@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from gridsentry.detector import (BundleFileError, CLASSIFIER_INPUT, CODE_SIZE,
-                                 EPSILON, LAGS, ModelBundle, PreprocessStats,
-                                 VARIANTS, classify,
+from gridsentry import InputError
+from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
+                                 ModelBundle, PreprocessStats, VARIANTS,
+                                 classify,
                                  feature_rows,
                                  fit_autoencoder, fit_classifier,
                                  fit_predictor, fit_preprocess, load_bundle,
@@ -457,7 +458,7 @@ def test_load_refuses_older_format(tmp_path):
     for old in (2, 3, 4, 5, 6, 7.5, [7, 7], ["7"]):
         np.savez(path, **{**saved_arrays(path),
                           "meta/format_version": np.array(old)})
-        with pytest.raises(BundleFileError, match=(
+        with pytest.raises(InputError, match=(
                 f"^unsupported bundle file version {re.escape(str(old))} in "
                 f"{re.escape(str(path))}; expected 7$")):
             load_bundle(path)
@@ -468,7 +469,7 @@ def test_load_names_submodel_and_file_of_a_bad_array(tmp_path):
     save_bundle(stub_classifier_bundle(), path)
     arrays = saved_arrays(path)
     np.savez(path, **{**arrays, "classifier/layer2.Dense.W": np.zeros(3)})
-    with pytest.raises(BundleFileError, match=f"classifier in bundle file "
+    with pytest.raises(InputError, match=f"classifier in bundle file "
                        f"{re.escape(str(path))}: shape mismatch"):
         load_bundle(path)
     # a missing meta array or an unknown variant names the file too
@@ -476,17 +477,16 @@ def test_load_names_submodel_and_file_of_a_bad_array(tmp_path):
     for key in ("meta/format_version", "meta/variant", "meta/std",
                 "meta/dataset"):
         np.savez(path, **{k: v for k, v in arrays.items() if k != key})
-        with pytest.raises(BundleFileError, match=named + key):
+        with pytest.raises(InputError, match=named + key):
             load_bundle(path)
     # the dataset record is one JSON object
     for record, cause in (("{", "Expecting property name"),
                           ("[0.01]", "meta/dataset is not a JSON object$")):
         np.savez(path, **{**arrays, "meta/dataset": np.array(record)})
-        with pytest.raises(BundleFileError, match=named + cause):
+        with pytest.raises(InputError, match=named + cause):
             load_bundle(path)
     np.savez(path, **{**arrays, "meta/variant": np.array("XX")})
-    with pytest.raises(BundleFileError,
-                       match=named + "unknown variant 'XX'$"):
+    with pytest.raises(InputError, match=named + "unknown variant 'XX'$"):
         load_bundle(path)
 
 

@@ -616,9 +616,9 @@ INTERNAL_FAULTS = {"RankDeficientError", "NumericalError",
 
 
 def test_every_error_is_a_refusal_or_a_named_fault():
-    # every check of a run's input raises an InputError, defined once, and
-    # cli.main catches that one base (and a path that is missing or of the
-    # wrong kind); any other error class is a named internal fault
+    # every check of a run's input raises an InputError, defined once and
+    # never subclassed, and cli.main catches it (and a path that is missing
+    # or of the wrong kind); any other error class is a named internal fault
     bases = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -631,6 +631,7 @@ def test_every_error_is_a_refusal_or_a_named_fault():
         return name == "InputError" or any(map(refusal, bases.get(name, [])))
 
     assert bases["InputError"] == ["ValueError"]
+    assert {name for name in bases if refusal(name)} == {"InputError"}
     assert {name for name in bases if not refusal(name)} == INTERNAL_FAULTS
     cli = ast.parse((ROOT / "src/gridsentry/cli.py").read_text())
     main = next(node for node in cli.body

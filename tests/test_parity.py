@@ -1,5 +1,5 @@
-"""tools/parity.py: run a config's stages, and compare two runs' output
-trees file by file."""
+"""tools/parity.py: run a config's stages, compare two runs' output trees
+file by file, and run the acceptance file per seed."""
 
 import importlib.util
 import os
@@ -14,6 +14,13 @@ import gridsentry.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "parity.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("parity", TOOL)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    return parity
 
 
 def compare(a, b):
@@ -120,11 +127,53 @@ def test_two_runs_of_a_config_compare_equal(tmp_path):
             and rel.endswith("manifest.json")), line
     assert "byte-equal: tiny/reports/severity.csv" in lines
 
-    spec = importlib.util.spec_from_file_location("parity", TOOL)
-    parity = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(parity)
+    parity = load_tool()
     config.write_text(yaml.safe_dump({**settings, "levels": [1, 2, 3, 4, 5],
                                       "variants": ["RNN_DNN", "SE_DNN"]}))
     assert [argv[0] for argv in parity.stages(config, a)] == [
         "gen-data", "train", "evaluate", "holdout", "train", "evaluate",
         "holdout", "report"]
+
+
+TINY_ACCEPTANCE = """
+import pytest
+
+SEED = 0
+
+
+def test_prints_its_seed():
+    print(f"[criterion 1] PASS - seed {SEED}")
+
+
+def test_even_seed():
+    assert SEED % 2 == 0
+
+
+@pytest.mark.xfail(reason="never holds")
+def test_never():
+    assert False
+"""
+
+
+def test_seeds_runs_the_acceptance_file_once_per_seed(tmp_path, capsys,
+                                                      monkeypatch):
+    # each seed's run sets the module's SEED from outside it, and prints
+    # that run's criterion, FAILED and XFAIL lines and summary under the
+    # seed; a failing run makes the exit status 1
+    parity = load_tool()
+    tiny = tmp_path / "test_tiny.py"
+    tiny.write_text(TINY_ACCEPTANCE)
+    monkeypatch.setattr(parity, "ACCEPTANCE", tiny)
+    assert parity.seeds([4, 7]) == 1
+    blocks = capsys.readouterr().out.split("\nseed ")
+    assert [block.splitlines()[0] for block in blocks] == [
+        "seed 4: exit status 0", "7: exit status 1"]
+    for seed, block in zip((4, 7), blocks):
+        lines = [line.strip() for line in block.splitlines()[1:]]
+        assert lines[0] == f"[criterion 1] PASS - seed {seed}"
+        assert lines[-2].startswith("XFAIL ") and "never holds" in lines[-2]
+        assert lines[-1].startswith(
+            "2 passed, 1 xfailed in " if seed == 4 else
+            "1 failed, 1 passed, 1 xfailed in ")
+    assert lines[1].startswith("FAILED ") and "test_even_seed" in lines[1]
+    assert parity.seeds([4]) == 0

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from gridsentry import dispatch
+from gridsentry import InputError, dispatch
 from gridsentry.dispatch import plan_generation, synthesize_loads
 from gridsentry.grid import (Branch, GridCase, N_SENSORS, load_case,
                              sensor_map, solve_power_flow)
@@ -15,7 +15,7 @@ from gridsentry.scenario import (GENERATOR_BUSES, LABELS, STATUS_FLAGS,
                                  make_condition, mask_measurements,
                                  reduce_target, simulate_nominal)
 from gridsentry.scenario import generate
-from gridsentry.scenario.generate import REACTIVE_RATIO, SeriesFileError
+from gridsentry.scenario.generate import REACTIVE_RATIO
 from oracles import (LinearSystem, covert_attack_run, frame_labels,
                      linear_mask_bias, random_system, simulate,
                      write_weakened_case)
@@ -485,7 +485,7 @@ def test_series_npy_roundtrip(tmp_path, case, world):
         assert np.array_equal(back.view(np.uint64),
                               stack[rows].view(np.uint64))
     # values of another horizon than the one given are refused naming them
-    with pytest.raises(SeriesFileError, match=r"values\.npy: .* shape"):
+    with pytest.raises(InputError, match=r"values\.npy: .* shape"):
         ScenarioSeries.load(p, names, 49, [0])
 
     # extreme, subnormal or signed-zero values come back bit for bit
@@ -523,7 +523,7 @@ def test_load_refuses_non_finite_frames(tmp_path):
         save_stack(p, bad)
         assert np.array_equal(ScenarioSeries.load(p, names, 30, [2, 0]),
                               values[[2, 0]])
-        with pytest.raises(SeriesFileError, match=(
+        with pytest.raises(InputError, match=(
                 r"values\.npy: non-finite frames of series normal_s01 at "
                 rf"hours {re.escape(str(hours))}$")):
             ScenarioSeries.load(p, names, 30, [0, 1, 2])
@@ -532,7 +532,7 @@ def test_load_refuses_non_finite_frames(tmp_path):
 def test_load_refuses_a_file_that_is_not_the_horizons_array(tmp_path):
     # the values file must hold one float64 array with a row of a series'
     # sensors for each hour of the horizon given, for each series named;
-    # anything else is refused as a SeriesFileError naming the file,
+    # anything else is refused as an InputError naming the file,
     # before any frame is read from it
     values = np.random.default_rng(7).standard_normal((2, 6, N_SENSORS))
     p = tmp_path / "values.npy"
@@ -580,6 +580,6 @@ def test_load_refuses_a_file_that_is_not_the_horizons_array(tmp_path):
     assert set(causes) == set(files)
     for name, write in files.items():
         write(p)
-        with pytest.raises(SeriesFileError,
+        with pytest.raises(InputError,
                            match=rf"values\.npy: .*{causes[name]}"):
             ScenarioSeries.load(p, ["a", "b"], 6, [0])

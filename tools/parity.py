@@ -1,7 +1,9 @@
-"""Run gridsentry's stages on configs, and compare two runs' output trees.
+"""Run gridsentry's stages on configs, compare two runs' output trees, and
+run the acceptance file at several seeds.
 
     PYTHONPATH=src python3 tools/parity.py run OUT CONFIG...
     python3 tools/parity.py compare A B
+    python3 tools/parity.py seeds [SEED...]
 
 `run` runs each config's stages in process, through the `gridsentry.cli`
 that Python imports (PYTHONPATH picks the checkout), into OUT/<config
@@ -25,9 +27,18 @@ differing. Under a differing file come its details:
 directory was first written; a manifest equal but for it is "equal without
 created".
 
-Its exit status is 1 if any file is missing or differing, else 0. The tool
-reports; it chooses no seed and no tolerance. `compare` needs the standard
-library and numpy, `run` gridsentry too.
+Its exit status is 1 if any file is missing or differing, else 0.
+
+`seeds` runs tests/test_acceptance.py of this checkout once per seed
+(default: SEEDS, README's seed table), each in a fresh pytest process with
+BLAS on one thread and the module's SEED set to the seed by a plugin of
+this file. Under each seed it prints that run's [criterion N] lines, its
+FAILED, ERROR, XFAIL and XPASS lines and its summary line. Its exit status
+is 1 if any seed's run fails, else 0.
+
+The tool reports; it chooses no seed and no tolerance. `compare` needs the
+standard library and numpy, `run` gridsentry too, and `seeds` pytest and
+the acceptance file's imports.
 """
 
 from __future__ import annotations
@@ -35,17 +46,23 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS",
+                                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 if __name__ == "__main__":  # BLAS on one thread, set before numpy loads
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
-        os.environ[name] = "1"
+    os.environ.update(ONE_THREAD)
 
 import numpy as np
 
 SHOWN = 120  # characters of a value shown in a detail line
+ROOT = Path(__file__).resolve().parents[1]
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+SEEDS = (1234, 4242, 5555)  # the columns of README's seed table
+# the lines of a pytest -q -rfExX run that seeds prints, as they start
+SHOWN_LINES = ("FAILED", "ERROR", "XFAIL", "XPASS")
 
 
 def files(root: Path) -> set[str]:
@@ -195,6 +212,47 @@ def run(out: Path, configs: list[Path]) -> int:
     return 0
 
 
+class Seed:
+    """A pytest plugin that sets SEED in each test module it collects."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def pytest_collection_modifyitems(self, items):
+        for module in {item.module for item in items}:
+            if not hasattr(module, "SEED"):
+                raise ValueError(f"{module.__file__} has no SEED to set")
+            module.SEED = self.seed
+
+
+def seeds(values) -> int:
+    """Run ACCEPTANCE once per seed, each in a fresh pytest process, and
+    print each run's criterion, failure, xfail and summary lines under its
+    seed; 1 if any run fails, else 0."""
+    args = [str(ACCEPTANCE), "-q", "-s", "-rfExX", "-p", "no:cacheprovider"]
+    failed = False
+    for seed in values:
+        code = (f"import sys, pytest; sys.path.insert(0, "
+                f"{str(ROOT / 'tools')!r}); import parity; "
+                f"sys.exit(pytest.main({args!r}, "
+                f"plugins=[parity.Seed({seed})]))")
+        # a wide terminal, so that no FAILED line's message is cut short
+        result = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                                env={**os.environ, **ONE_THREAD,
+                                     "COLUMNS": "1000"},
+                                capture_output=True, text=True)
+        lines = result.stdout.splitlines() or result.stderr.splitlines()
+        print(f"seed {seed}: exit status {result.returncode}")
+        for line in lines[:-1]:
+            if "[criterion " in line:  # after the progress dots, with -s
+                print("    " + line[line.index("[criterion "):])
+            elif line.startswith(SHOWN_LINES):
+                print("    " + line)
+        print("    " + (lines[-1] if lines else "no output"), flush=True)
+        failed |= result.returncode != 0
+    return int(failed)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="parity", description=__doc__.split("\n\n", 1)[0])
@@ -205,12 +263,16 @@ def main(argv=None) -> int:
     cmp = sub.add_parser("compare", help="compare two output trees")
     cmp.add_argument("a", type=Path)
     cmp.add_argument("b", type=Path)
+    seeded = sub.add_parser("seeds", help="run the acceptance file per seed")
+    seeded.add_argument("seeds", type=int, nargs="*", default=list(SEEDS))
     args = parser.parse_args(argv)
     if args.mode == "run":
         stems = [config.stem for config in args.configs]
         if len(set(stems)) < len(stems):
             parser.error(f"two configs share a file stem: {stems}")
         return run(args.out, args.configs)
+    if args.mode == "seeds":
+        return seeds(args.seeds)
     for root in (args.a, args.b):
         if not root.is_dir():
             parser.error(f"not a directory: {root}")
