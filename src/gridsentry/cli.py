@@ -370,8 +370,10 @@ def _run(args) -> int:
         cmd_holdout(cfg, data_dir, Path(args.bundle), out)
         return 0
     if args.command == "report":
-        cmd_report(cfg, data_dir, [Path(p) for p in args.bundles.split(",")],
-                   out)
+        paths = args.bundles.split(",")
+        if "" in paths:
+            raise InputError(f"--bundles {args.bundles!r} has an empty entry")
+        cmd_report(cfg, data_dir, [Path(p) for p in paths], out)
         return 0
     raise AssertionError(args.command)
 

@@ -4,7 +4,8 @@ Variant map:
   AEN_RNN_DNN - autoencoder code space, recurrent one-step predictor,
                 residual = standardized diff minus decoded prediction
   RNN_DNN     - recurrent predictor straight in the 39-dim diff space
-  SE_DNN      - residual from weighted-least-squares state estimation
+  SE_DNN      - residual from weighted-least-squares state estimation,
+                linearized at the mean normal training frame
 All variants feed the same 78-dim (residual ++ observation) classifier.
 """
 
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import InputError
-from ..grid import N_SENSORS, estimate_state, load_case, noise_scale
+from ..grid import (N_SENSORS, estimate_state, linearized_predictions,
+                    load_case, noise_scale)
 from ..neural import (Dense, LSTM, LeakyReLU, ReLU, Sequential, Sigmoid,
                       TrainConfig, get_state, set_state, softmax, train)
 from ..scenario import LABELS
@@ -194,12 +196,18 @@ def predict_and_residual(bundle: ModelBundle,
     """
     if bundle.variant == "SE_DNN":
         frames, sigma = frames[:, LAGS + 1:], bundle.dataset["noise_sigma"]
-        case = load_case()
-        # one WLS fit per frame, each sensor weighted by its noise variance
-        fitted = [estimate_state(case, y, noise_scale(y, sigma) ** 2)
-                  .predicted_measurements
-                  for y in frames.reshape(-1, N_SENSORS)]
-        return (frames - np.reshape(fitted, frames.shape)) / bundle.stats.std
+        case, mean = load_case(), bundle.stats.raw_mean
+        # the AC WLS fit of the mean normal frame anchors a linearized fit
+        # of every frame, each sensor weighted by its noise variance
+        anchor = estimate_state(case, mean, noise_scale(mean, sigma) ** 2)
+        if not anchor.converged:
+            raise InputError(
+                "the WLS fit of the bundle's mean normal frame (raw_mean) "
+                f"did not converge in {anchor.iterations} linearizations")
+        rows = frames.reshape(-1, N_SENSORS)
+        fitted = linearized_predictions(case, anchor, rows,
+                                        noise_scale(rows, sigma) ** 2)
+        return (frames - fitted.reshape(frames.shape)) / bundle.stats.std
 
     z = preprocess(frames, bundle.stats)  # z row j <-> frame j+1
     coded = bundle.variant == "AEN_RNN_DNN"

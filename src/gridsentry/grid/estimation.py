@@ -1,4 +1,6 @@
-"""Weighted-least-squares state estimation over the 39-sensor measurement model."""
+"""Weighted-least-squares state estimation over the 39-sensor measurement model:
+the AC fit of one frame, and the fit of a frame stack linearized at one
+point."""
 
 from __future__ import annotations
 
@@ -61,6 +63,34 @@ def _linearize(topo: Topology, V: np.ndarray, S: np.ndarray) -> np.ndarray:
                            topo.power_diag, V, S)
     return np.concatenate([dS.view(float).take(topo.se_index),
                            topo.se_volt_rows])
+
+
+def linearized_predictions(case: GridCase, anchor: StateEstimate,
+                           values: np.ndarray,
+                           variances: np.ndarray) -> np.ndarray:
+    """The (F, 39) WLS predictions of the (F, 39) frames `values`, each
+    sensor weighted by its measurement variance in `variances`, under the
+    measurement model linearized at the state of `anchor`.
+
+    With h0 and H0 the predictions and Jacobian at the anchor, each frame y
+    solves (H0^T W H0) dx = H0^T W (y - h0), W = 1 / variances, and predicts
+    h0 + H0 dx: one linear solve per frame, all in one batched solve
+    (Abur & Exposito, Power System State Estimation, 2004, ch. 2-3).
+    """
+    topo = case.topology
+    vm = anchor.voltage_magnitude
+    V = vm * np.exp(1j * anchor.voltage_angle)
+    h0, S = sensor_function(topo, V, vm)
+    H0 = _linearize(topo, V, S)
+    n = H0.shape[1]
+    W = 1.0 / variances
+    # every frame's gain as one (F, 39) @ (39, n * n) product over the
+    # sensors' outer products H0[k]^T H0[k]
+    outer = (H0[:, :, None] * H0[:, None, :]).reshape(N_SENSORS, n * n)
+    gain = (W @ outer).reshape(-1, n, n)
+    grad = (W * (values - h0)) @ H0
+    dx = np.linalg.solve(gain, grad[..., None])[..., 0]
+    return h0 + dx @ H0.T
 
 
 def _newton_step(topo: Topology, V: np.ndarray, Wr: np.ndarray,

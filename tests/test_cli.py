@@ -1208,10 +1208,10 @@ def refused_input(case, workspace, se_bundle, tmp_path):
                  "--bundle", str(data_dir)],
                 rf"\[Errno 21\] Is a directory: '{re.escape(str(data_dir))}'$")
     if case == "empty bundles entry":
-        # the empty entry names the current directory
+        bundles = f"{se_bundle},"
         return (["--config", config, "report", "--data", str(data_dir),
-                 "--bundles", f"{se_bundle},"],
-                r"\[Errno 21\] Is a directory: '\.'$")
+                 "--bundles", bundles],
+                f"--bundles {re.escape(repr(bundles))} has an empty entry$")
     if case == "config is a directory":
         return (["--config", str(tmp_path), "gen-data"],
                 f"Is a directory: '{re.escape(str(tmp_path))}'$")

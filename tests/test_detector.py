@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from gridsentry.detector import (CLASSIFIER_INPUT, CODE_SIZE, EPSILON, LAGS,
                                  fit_predictor, fit_preprocess, load_bundle,
                                  predict_and_residual, preprocess, save_bundle,
                                  state_checksum)
+from gridsentry.detector import models
 from gridsentry.detector.models import (COMPUTE_DTYPE, STAGE_DEFAULTS,
                                        SUBMODELS, build_autoencoder,
                                        build_classifier, build_predictor)
 from gridsentry.detector.pipeline import RESIDUAL_FRAMES
 from gridsentry.dispatch import plan_generation, synthesize_loads
-from gridsentry.grid import N_SENSORS, load_case
+from gridsentry.grid import (N_SENSORS, estimate_state, estimation, load_case,
+                             noise_scale)
+from gridsentry.grid.powerflow import sensor_function
 from gridsentry.neural import TrainConfig, get_state, set_state, softmax
 from gridsentry.scenario import LABELS, ScenarioSeries, generate_scenario
 from oracles import chi_square_detect
@@ -195,19 +199,54 @@ def make_stub_bundle(variant, stats=None, **kwargs):
                        **kwargs)
 
 
-def test_se_residuals_near_zero_on_noiseless(case):
-    rng = np.random.default_rng(5)
-    loads = synthesize_loads(24, rng)
-    plan = plan_generation(loads)
-    series = generate_scenario(case, plan, loads, None,
-                               noise_sigma=0.0, seed=0)
-    stats = fit_preprocess(
-        np.random.default_rng(6).standard_normal((1, 200, N_SENSORS)))
-    bundle = make_stub_bundle("SE_DNN", stats)
-    [residuals] = predict_and_residual(bundle, series.values[None])
+def se_bundle_and_anchor(case, normal_frames):
+    """An SE_DNN stub bundle on the normal frames' stats, and the AC WLS
+    fit of their mean frame, which anchors the bundle's linearized fit."""
+    bundle = make_stub_bundle("SE_DNN", fit_preprocess(normal_frames))
+    mean = bundle.stats.raw_mean
+    sigma = bundle.dataset["noise_sigma"]
+    return bundle, estimate_state(case, mean, noise_scale(mean, sigma) ** 2)
+
+
+def test_se_residuals_vanish_in_the_linearized_model(case, normal_frames):
+    # frames h0 + H0 delta lie in the range of the model linearized at the
+    # anchor, so the linearized WLS fit predicts each one exactly
+    bundle, anchor = se_bundle_and_anchor(case, normal_frames)
+    assert anchor.converged
+    topo = case.topology
+    vm = anchor.voltage_magnitude
+    V = vm * np.exp(1j * anchor.voltage_angle)
+    h0, S = sensor_function(topo, V, vm)
+    H0 = estimation._linearize(topo, V, S)
+    delta = 1e-2 * np.random.default_rng(7).standard_normal(
+        (2, LAGS + 13, H0.shape[1]))
+    [residuals, _] = predict_and_residual(bundle, h0 + delta @ H0.T)
     # one row per frame LAGS+1 .. T-1
-    assert residuals.shape == (len(series.values) - 1 - LAGS, N_SENSORS)
-    assert np.max(np.abs(residuals * stats.std)) < 1e-6
+    assert residuals.shape == (12, N_SENSORS)
+    assert np.max(np.abs(residuals * bundle.stats.std)) <= 1e-9
+
+
+def test_se_stacked_residuals_match_one_series_calls(case, normal_frames):
+    # BLAS sums the batched gain product in an order that depends on the
+    # stack's size, so a slice agrees with its one-series call to float64
+    # rounding (about 1e-14 here), not to the bit
+    bundle, _ = se_bundle_and_anchor(case, normal_frames)
+    stacked = predict_and_residual(bundle, normal_frames)
+    assert stacked.dtype == np.float64
+    for k, frames in enumerate(normal_frames):
+        np.testing.assert_allclose(
+            stacked[k], predict_and_residual(bundle, frames[None])[0],
+            rtol=0, atol=1e-12)
+
+
+def test_se_unconverged_anchor_is_refused(case, normal_frames, monkeypatch):
+    # the linearized fit needs a converged anchor: a fit that stops short
+    # says so, naming the frame it could not fit
+    bundle, anchor = se_bundle_and_anchor(case, normal_frames)
+    monkeypatch.setattr(models, "estimate_state", lambda *args: replace(
+        anchor, converged=False))
+    with pytest.raises(InputError, match="bundle's mean normal frame"):
+        predict_and_residual(bundle, normal_frames)
 
 
 def test_residual_alignment_rnn(normal_series, normal_frames, monkeypatch):

@@ -1,7 +1,9 @@
 """tools/parity.py: run a config's stages, compare two runs' output trees
-file by file, and run the acceptance file per seed."""
+file by file, run the acceptance file per seed, and time the acceptance
+world's stages."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -177,3 +179,86 @@ def test_seeds_runs_the_acceptance_file_once_per_seed(tmp_path, capsys,
             "1 failed, 1 passed, 1 xfailed in ")
     assert lines[1].startswith("FAILED ") and "test_even_seed" in lines[1]
     assert parity.seeds([4]) == 0
+
+
+def test_compare_names_the_differing_cell_of_a_csv_and_line_of_a_text(
+        tmp_path):
+    # a report's CSV names its first differing cell, by line and header
+    # column, and each numeric column's largest difference; a headerless
+    # CSV (a confusion matrix) names columns by number; a text report
+    # names its first differing line, and a shorter side ends there
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        root.mkdir()
+    (a / "report.csv").write_text(
+        "section,name,precision,recall,f1\n"
+        "label,normal,0.900000,0.800000,0.847059\n"
+        "label,fault,0.500000,0.600000,0.545455\n")
+    (b / "report.csv").write_text(
+        "section,name,precision,recall,f1\n"
+        "label,normal,0.900000,0.750000,0.818182\n"
+        "label,fault,0.510000,0.600000,0.551351\n")
+    (a / "confusion.csv").write_text("5,1\n0,7\n")
+    (b / "confusion.csv").write_text("5,1\n2,5\n0,0\n")
+    (a / "report.txt").write_text("macro-F1 0.70\nframes 12\n")
+    (b / "report.txt").write_text("macro-F1 0.68\n")
+    code, lines = compare(a, b)
+    assert code == 1
+    assert lines == [
+        "differing: confusion.csv",
+        "    2 vs 3 rows",
+        "    first difference: line 2, column 1: '0' vs '2'",
+        "    max abs diff by column: column 1 2, column 2 2",
+        "differing: report.csv",
+        "    first difference: line 2, column 4 (recall): '0.800000' vs "
+        "'0.750000'",
+        "    max abs diff by column: column 3 (precision) 0.01, "
+        "column 4 (recall) 0.05, column 5 (f1) 0.028877",
+        "differing: report.txt",
+        "    line 1: 'macro-F1 0.70' vs 'macro-F1 0.68'",
+        "3 files: 3 differing"]
+    (b / "report.txt").write_text("macro-F1 0.70\n")
+    assert compare(a, b)[1][-2] == "    line 2: 'frames 12' vs end"
+
+
+def test_time_records_every_stage_of_a_tiny_world(tmp_path, monkeypatch):
+    # the world's config is RunConfig defaults with the acceptance file's
+    # SEED and NOISE_SIGMA; on a tiny config with short fits, the record
+    # holds each stage's median and raw times, all positive, the peak RSS
+    # and where the timing was made
+    from gridsentry.config import RunConfig
+    from gridsentry.detector import models
+    from gridsentry.neural import TrainConfig
+
+    parity = load_tool()
+    acceptance = tmp_path / "test_tiny.py"
+    acceptance.write_text("SEED = 17\nNOISE_SIGMA = 0.05  # sigma\n")
+    monkeypatch.setattr(parity, "ACCEPTANCE", acceptance)
+    assert parity.world_config() == RunConfig(output_dir="", seed=17,
+                                              noise_sigma=0.05)
+
+    for stage in ("autoencoder", "predictor", "classifier"):
+        monkeypatch.setitem(models.STAGE_DEFAULTS, stage, TrainConfig(
+            learning_rate=1e-3, epochs=2, batch_size=64))
+    cfg = RunConfig(output_dir="", seed=3, horizon=36, window=(7, 31),
+                    levels=(5,), normal_series=4,
+                    series_per_condition_per_level=2, noise_sigma=0.1)
+    out = tmp_path / "BENCH_tiny.json"
+    record = parity.bench(out, cfg, repeat=2)
+    assert json.loads(out.read_text()) == record
+    assert set(record) == {"config", "repeat", "stages", "peak_rss_mb",
+                           "commit", "modified", "python", "numpy", "blas",
+                           "blas_threads", "cpu", "cpus"}
+    assert record["config"]["seed"] == 3 and "output_dir" not in (
+        record["config"])
+    assert list(record["stages"]) == [
+        "gen_data", "load_dataset", "train_AEN_RNN_DNN", "score_AEN_RNN_DNN",
+        "train_RNN_DNN", "score_RNN_DNN", "train_SE_DNN", "score_SE_DNN"]
+    for stage in record["stages"].values():
+        assert len(stage["runs_s"]) == 2
+        assert min(stage["runs_s"]) > 0
+        assert stage["median_s"] == np.median(stage["runs_s"])
+    assert record["peak_rss_mb"] > 0 and record["repeat"] == 2
+    # both None outside a git checkout
+    assert record["commit"] is None or len(record["commit"]) == 40
+    assert record["modified"] is None or isinstance(record["modified"], list)

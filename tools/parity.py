@@ -1,9 +1,10 @@
-"""Run gridsentry's stages on configs, compare two runs' output trees, and
-run the acceptance file at several seeds.
+"""Run gridsentry's stages on configs, compare two runs' output trees, run
+the acceptance file at several seeds, and time the acceptance world's stages.
 
     PYTHONPATH=src python3 tools/parity.py run OUT CONFIG...
     python3 tools/parity.py compare A B
     python3 tools/parity.py seeds [SEED...]
+    PYTHONPATH=src python3 tools/parity.py time OUT.json [--repeat N]
 
 `run` runs each config's stages in process, through the `gridsentry.cli`
 that Python imports (PYTHONPATH picks the checkout), into OUT/<config
@@ -21,7 +22,11 @@ differing. Under a differing file come its details:
   relative difference, or the dtype and shape of each side where those
   differ; an array only one archive holds is named;
 - a .json file: each key, dotted down nested objects, that one side lacks
-  or whose value differs, with both values.
+  or whose value differs, with both values;
+- a .csv file: the row counts where they differ, the first differing cell
+  by its line and column (named by the header, if the first line is one),
+  and the largest absolute difference of each numeric column;
+- any other UTF-8 text file: the first differing line of each side.
 
 `manifest.json` is compared without its `created` field, the time the
 directory was first written; a manifest equal but for it is "equal without
@@ -36,18 +41,36 @@ this file. Under each seed it prints that run's [criterion N] lines, its
 FAILED, ERROR, XFAIL and XPASS lines and its summary line. Its exit status
 is 1 if any seed's run fails, else 0.
 
-The tool reports; it chooses no seed and no tolerance. `compare` needs the
-standard library and numpy, `run` gridsentry too, and `seeds` pytest and
-the acceptance file's imports.
+`time` builds the acceptance `world` as tests/test_acceptance.py's
+fixture does, in process with BLAS on one thread: RunConfig defaults with
+that file's SEED and NOISE_SIGMA. Each of --repeat repetitions (default 3)
+times gen-data, the loading of the dataset's parts, and each variant's
+train and test-split scoring. OUT.json records each stage's median and
+raw times, the process's peak RSS, the git commit of the gridsentry that
+Python imports (PYTHONPATH picks the checkout) with the files modified
+since it, the Python, numpy and BLAS versions, and the machine.
+
+The tool reports; it chooses no seed, size or tolerance. `compare` needs
+the standard library and numpy, `run` and `time` gridsentry too, and
+`seeds` pytest and the acceptance file's imports.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import csv
+import io
 import json
 import os
+import platform
+import resource
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
+from itertools import zip_longest
 from pathlib import Path
 
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS",
@@ -131,6 +154,51 @@ def json_details(a, b) -> list[str]:
     return lines
 
 
+def number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_details(a: str, b: str) -> list[str]:
+    """How the CSV texts a and b differ: row counts, the first differing
+    cell and each numeric column's largest absolute difference."""
+    left, right = (list(csv.reader(io.StringIO(text))) for text in (a, b))
+    header = left[0] if left and None in map(number, left[0]) else []
+
+    def column(j: int) -> str:
+        return f"column {j + 1}" + (f" ({header[j]})" if j < len(header)
+                                    else "")
+
+    lines = []
+    if len(left) != len(right):
+        lines.append(f"{len(left)} vs {len(right)} rows")
+    first, largest = None, {}
+    for i, (x, y) in enumerate(zip(left, right)):
+        for j, (u, v) in enumerate(zip_longest(x, y)):
+            if u != v and first is None:
+                first = (f"first difference: line {i + 1}, {column(j)}: "
+                         f"{shown(u)} vs {shown(v)}")
+            p, q = number(u or ""), number(v or "")
+            if p is not None and q is not None:
+                largest[j] = max(largest.get(j, 0.0), abs(p - q))
+    lines += [first] if first else []
+    if largest:
+        lines.append("max abs diff by column: " + ", ".join(
+            f"{column(j)} {largest[j]:.6g}" for j in sorted(largest)))
+    return lines
+
+
+def text_details(a: str, b: str) -> list[str]:
+    """The first line at which the texts a and b differ, on each side."""
+    for i, (x, y) in enumerate(zip_longest(a.splitlines(), b.splitlines())):
+        if x != y:
+            return [f"line {i + 1}: {shown(x) if x is not None else 'end'} "
+                    f"vs {shown(y) if y is not None else 'end'}"]
+    return ["every line equal"]  # the line endings differ
+
+
 def compare_file(a: Path, b: Path) -> tuple[str, list[str]]:
     """The verdict on one file present in both trees, and its details."""
     if a.read_bytes() == b.read_bytes():
@@ -148,7 +216,13 @@ def compare_file(a: Path, b: Path) -> tuple[str, list[str]]:
                              or ["array equal"])
     if a.suffix == ".npz":
         return "differing", archive_details(a, b)
-    return "differing", []
+    try:
+        left, right = (p.read_bytes().decode() for p in (a, b))
+    except UnicodeDecodeError:
+        return "differing", []
+    if a.suffix == ".csv":
+        return "differing", csv_details(left, right)
+    return "differing", text_details(left, right)
 
 
 def compare(a: Path, b: Path) -> int:
@@ -253,6 +327,119 @@ def seeds(values) -> int:
     return int(failed)
 
 
+def acceptance_setting(name: str):
+    """The literal that ACCEPTANCE assigns to its module-level `name`."""
+    for node in ast.parse(ACCEPTANCE.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name]):
+            return ast.literal_eval(node.value)
+    raise ValueError(f"{ACCEPTANCE} assigns no {name}")
+
+
+def world_config():
+    """The config of ACCEPTANCE's `world` fixture: RunConfig defaults with
+    the file's SEED and NOISE_SIGMA; each repetition sets output_dir."""
+    from gridsentry.config import RunConfig
+
+    return RunConfig(output_dir="", seed=acceptance_setting("SEED"),
+                     noise_sigma=acceptance_setting("NOISE_SIGMA"))
+
+
+def time_stages(cfg, work: Path) -> dict[str, float]:
+    """Run the `world` fixture's stages of cfg in work, as the fixture
+    does; the wall time of each stage, in seconds."""
+    from dataclasses import replace
+
+    from gridsentry import cli
+    from gridsentry.detector import pipeline
+
+    cfg = replace(cfg, output_dir=str(work / "data"))
+    times = {}
+    start = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal start
+        now = time.perf_counter()
+        times[stage], start = now - start, now
+
+    data_dir = cli.cmd_gen_data(cfg, work / "data")
+    lap("gen_data")
+    train, test = (cli.load_dataset(cfg, data_dir, part)
+                   for part in ("train", "test"))
+    lap("load_dataset")
+    dataset = {key: cfg.canonical()[key] for key in cli.GENERATION_KEYS}
+    for variant in cfg.variants:
+        bundle = pipeline.train_bundle(variant, train, seed=cfg.seed,
+                                       dataset=dataset)
+        lap(f"train_{variant}")
+        pipeline.evaluate_predictions(bundle, test)
+        lap(f"score_{variant}")
+    return times
+
+
+def provenance() -> dict:
+    """Where a timing was made: the gridsentry checkout's commit and the
+    files modified since it, the Python, numpy and BLAS, and the machine."""
+    import gridsentry
+
+    def git(*args) -> str | None:
+        try:
+            result = subprocess.run(
+                ["git", *args], capture_output=True, text=True,
+                cwd=Path(gridsentry.__file__).resolve().parent)
+        except OSError:
+            return None
+        return result.stdout if result.returncode == 0 else None
+
+    cpu = platform.processor() or None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    commit, status = git("rev-parse", "HEAD"), git("status", "--porcelain",
+                                                   "--", ".")
+    return {
+        "commit": commit and commit.strip(),
+        # porcelain lines are "XY path", with a 2-letter status
+        "modified": None if status is None else [
+            line[3:] for line in status.splitlines()],
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+    }
+
+
+def bench(out: Path, cfg, repeat: int) -> dict:
+    """Time cfg's stages `repeat` times, each in a fresh directory, and
+    write the record to out; the record."""
+    runs = []
+    for _ in range(repeat):
+        with tempfile.TemporaryDirectory(prefix="parity-time-") as work:
+            runs.append(time_stages(cfg, Path(work)))
+    config = cfg.canonical()
+    del config["output_dir"]
+    record = {
+        "config": config,
+        "repeat": repeat,
+        "stages": {stage: {"median_s": statistics.median(
+                               run[stage] for run in runs),
+                           "runs_s": [run[stage] for run in runs]}
+                   for stage in runs[0]},
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024,
+        **provenance(),
+    }
+    out.write_text(json.dumps(record, indent=2) + "\n")
+    return record
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="parity", description=__doc__.split("\n\n", 1)[0])
@@ -265,6 +452,9 @@ def main(argv=None) -> int:
     cmp.add_argument("b", type=Path)
     seeded = sub.add_parser("seeds", help="run the acceptance file per seed")
     seeded.add_argument("seeds", type=int, nargs="*", default=list(SEEDS))
+    timed = sub.add_parser("time", help="time the acceptance world's stages")
+    timed.add_argument("out", type=Path)
+    timed.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
     if args.mode == "run":
         stems = [config.stem for config in args.configs]
@@ -273,6 +463,11 @@ def main(argv=None) -> int:
         return run(args.out, args.configs)
     if args.mode == "seeds":
         return seeds(args.seeds)
+    if args.mode == "time":
+        if args.repeat < 1:
+            parser.error(f"--repeat must be at least 1, not {args.repeat}")
+        bench(args.out, world_config(), args.repeat)
+        return 0
     for root in (args.a, args.b):
         if not root.is_dir():
             parser.error(f"not a directory: {root}")
