@@ -151,12 +151,9 @@ class Topology:
 
         # WLS state estimation over x = [va(nonslack) | vm]: positions of
         # d Re(S over power_rows) / dx in the same (rows, 4n) float view of
-        # the power_rows derivatives, of the second derivatives by x in a
-        # flat (2n, 2n) Hessian by [va | vm], and the voltage sensors' rows
-        # dvm/dx
+        # the power_rows derivatives, and the voltage sensors' rows dvm/dx
         cols = np.concatenate([self.nonslack, n + self.buses])
         self.se_index = (4 * n * rows)[:, None] + 2 * cols
-        self.se_hessian_index = 2 * n * cols[:, None] + cols
         self.se_volt_rows = np.hstack([np.zeros((n, len(self.nonslack))),
                                        np.eye(n)])
         for value in vars(self).values():

@@ -45,38 +45,6 @@ def power_derivatives(M: np.ndarray, anchor: np.ndarray, diag: np.ndarray,
     return np.concatenate([dS_dVa, dS_dVm], axis=1)
 
 
-def power_hessian(M: np.ndarray, anchor: np.ndarray, V: np.ndarray,
-                  lam: np.ndarray) -> np.ndarray:
-    """The (2n, 2n) Hessian of sum_k lam_k Re S_k, S = complex_power(M,
-    anchor, V), by [every bus angle | every bus magnitude]: the real part of
-    MATPOWER's d2Sbr_dV2 (Zimmerman, Technical Note 2),
-
-        Haa = F - D - E,  Hva = 1j G (B - B^T - D + E),  Hvv = G F G,
-
-    where B = conj(diag V) M^H diag(lam) C diag V, C picks each row's anchor
-    bus, F = B + B^T, D and E hold B's row and column sums on the diagonal,
-    and G = diag(1 / |V|). B^T is formed from power_derivatives'
-    V[anchor_k] * conj(M_kj V_j)."""
-    n, rows = len(V), np.arange(len(anchor))
-    L = np.zeros((n, len(anchor)))  # (diag(lam) C)^T
-    L[anchor, rows] = lam
-    P = V[anchor, None] * np.conj(M * V)
-    Br, Bi = L @ P.real, L @ P.imag  # B^T, in real products
-    inv_vm = 1.0 / np.abs(V)
-    H = np.empty((2 * n, 2 * n))
-    # Re(D + E) and Im(D - E) are the column sums of Re F and Im(B^T - B)
-    Haa = Br + Br.T
-    H[n:, n:] = Haa * (inv_vm[:, None] * inv_vm)
-    Haa.ravel()[::n + 1] -= Haa.sum(axis=0)
-    H[:n, :n] = Haa
-    Hva = Bi - Bi.T
-    Hva.ravel()[::n + 1] += Hva.sum(axis=0)
-    Hva *= inv_vm[:, None]
-    H[n:, :n] = Hva
-    H[:n, n:] = Hva.T
-    return H
-
-
 def sensor_function(topo: Topology, V: np.ndarray, vm: np.ndarray):
     """h(V) = [Re S over power_rows | vm], the 39 sensors at voltages V of
     magnitudes vm, with no load at the generation buses; and that S."""

@@ -3,6 +3,12 @@
 The pipeline runs none of these; they check it from outside:
 - `chi_square_detect`: the classical chi-square detector on the sum of
   squared residuals (criterion 4, tests/test_detector.py).
+- `step_controlled_estimate`: the AC WLS fit of one noisy or attacked
+  frame, Gauss-Newton with step halving finished by Newton steps, with
+  `power_hessian` and `se_hessian_index` for its Newton phase; the
+  chi-square tests and criterion 8's reason rest on it
+  (tests/test_grid.py). The program's own fit, `estimate_state`, is plain
+  Gauss-Newton, which the small-residual fit of a mean normal frame needs.
 - The linear state-space toy system (`LinearSystem`, `random_system`,
   `simulate`, `linear_mask_bias`, `covert_attack_run`) for exact covertness
   checks (criteria 2 and 4, tests/test_scenario.py).
@@ -28,7 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gridsentry.grid.case import DEFAULT_CASE
+from gridsentry.grid.case import DEFAULT_CASE, VOLT_OFFSET
+from gridsentry.grid.estimation import (DEC_TOL, MAX_ITER, RankDeficientError,
+                                        StateEstimate, _evaluate, _linearize)
 from gridsentry.neural import mse, softmax_cross_entropy
 from gridsentry.neural.train import flatten_parameters
 from gridsentry.scenario import LABEL_INDEX
@@ -60,6 +68,152 @@ def chi_square_detect(residuals: np.ndarray, window: int,
         n_windows, window * m).sum(axis=1)
     threshold = chi2.ppf(1.0 - alpha, df=window * m)
     return ssr > threshold
+
+
+# ------------------------------------------------------------ AC WLS
+
+# Gauss-Newton with step halving on the weighted SSR, finished by Newton,
+# since Gauss-Newton alone converges only linearly on a large-residual fit.
+# After a Gauss-Newton step whose decrement g^T G^-1 g is below NEWTON_DEC,
+# the fit solves the SSR's full Hessian instead, and takes that step if it
+# is a finite descent direction; otherwise it takes the Gauss-Newton step
+# and goes on by the same rule. It stops converged when the decrement
+# g^T dx of its step is below DEC_TOL (on a Newton step only where the full
+# Hessian is positive definite, so that the point is a minimum); and
+# unconverged after MAX_ITER linearizations, or when MAX_HALVINGS halvings
+# of a step find no point whose SSR falls by ARMIJO t g^T dx. DEC_TOL and
+# MAX_ITER are estimate_state's.
+NEWTON_DEC = 0.1
+ARMIJO = 1e-4
+MAX_HALVINGS = 20
+
+
+def power_hessian(M: np.ndarray, anchor: np.ndarray, V: np.ndarray,
+                  lam: np.ndarray) -> np.ndarray:
+    """The (2n, 2n) Hessian of sum_k lam_k Re S_k, S = complex_power(M,
+    anchor, V), by [every bus angle | every bus magnitude]: the real part of
+    MATPOWER's d2Sbr_dV2 (Zimmerman, Technical Note 2),
+
+        Haa = F - D - E,  Hva = 1j G (B - B^T - D + E),  Hvv = G F G,
+
+    where B = conj(diag V) M^H diag(lam) C diag V, C picks each row's anchor
+    bus, F = B + B^T, D and E hold B's row and column sums on the diagonal,
+    and G = diag(1 / |V|). B^T is formed from power_derivatives'
+    V[anchor_k] * conj(M_kj V_j)."""
+    n, rows = len(V), np.arange(len(anchor))
+    L = np.zeros((n, len(anchor)))  # (diag(lam) C)^T
+    L[anchor, rows] = lam
+    P = V[anchor, None] * np.conj(M * V)
+    Br, Bi = L @ P.real, L @ P.imag  # B^T, in real products
+    inv_vm = 1.0 / np.abs(V)
+    H = np.empty((2 * n, 2 * n))
+    # Re(D + E) and Im(D - E) are the column sums of Re F and Im(B^T - B)
+    Haa = Br + Br.T
+    H[n:, n:] = Haa * (inv_vm[:, None] * inv_vm)
+    Haa.ravel()[::n + 1] -= Haa.sum(axis=0)
+    H[:n, :n] = Haa
+    Hva = Bi - Bi.T
+    Hva.ravel()[::n + 1] += Hva.sum(axis=0)
+    Hva *= inv_vm[:, None]
+    H[n:, :n] = Hva
+    H[:n, n:] = Hva.T
+    return H
+
+
+def se_hessian_index(topo) -> np.ndarray:
+    """Positions of the second derivatives by the estimator's state
+    x = [va(nonslack) | vm] in a flat (2n, 2n) Hessian by [va | vm]."""
+    n = len(topo.buses)
+    cols = np.concatenate([topo.nonslack, n + topo.buses])
+    return 2 * n * cols[:, None] + cols
+
+
+def _newton_step(topo, V: np.ndarray, Wr: np.ndarray, gain: np.ndarray,
+                 grad: np.ndarray):
+    """The Newton step at V, whose weighted residual is Wr, and its
+    decrement; None unless the step is a finite descent direction and, if
+    its decrement is below DEC_TOL, the Hessian is positive definite.
+
+    The SSR's Hessian, halved, is the gain H^T W H less the residual-weighted
+    curvature of h, in which only the power rows are curved."""
+    curvature = power_hessian(topo.power_rows, topo.power_anchor, V,
+                              Wr[:len(topo.power_anchor)])
+    hessian = gain - curvature.take(se_hessian_index(topo))
+    try:
+        dx = np.linalg.solve(hessian, grad)
+        decrement = grad @ dx
+        if not 0.0 < decrement < np.inf:
+            return None
+        if decrement < DEC_TOL:
+            np.linalg.cholesky(hessian)  # raises unless positive definite
+    except np.linalg.LinAlgError:
+        return None
+    return dx, decrement
+
+
+def step_controlled_estimate(case, values: np.ndarray,
+                             weights: np.ndarray) -> StateEstimate:
+    """Step-controlled Gauss-Newton WLS fit of (voltage magnitudes, angles)
+    to one frame, finished by Newton steps near the minimum, with
+    estimate_state's measurement model, cold start and StateEstimate.
+
+    It takes only steps that lower the weighted SSR, and returns the last
+    point it accepted: its state, predictions and objective. It raises
+    RankDeficientError on a singular gain or a Gauss-Newton step that is
+    not a finite descent direction.
+    """
+    topo = case.topology
+    nonslack = topo.nonslack
+    ns = len(nonslack)
+    W = 1.0 / weights
+
+    vm = np.clip(values[VOLT_OFFSET:], 0.5, 1.5)
+    va = np.zeros(case.n_bus)
+    V, S, h, r, objective = _evaluate(topo, values, W, va, vm)
+
+    step_va = np.zeros_like(va)  # the slack's angle stays 0
+    converged = newton = False
+    for iterations in range(1, MAX_ITER + 1):
+        H = _linearize(topo, V, S)
+        HtW = H.T * W
+        grad = HtW @ r
+        gain = HtW @ H
+        step = _newton_step(topo, V, W * r, gain, grad) if newton else None
+        if step is not None:
+            dx, decrement = step
+        else:
+            try:
+                dx = np.linalg.solve(gain, grad)
+            except np.linalg.LinAlgError as exc:
+                raise RankDeficientError(
+                    "WLS gain matrix is singular") from exc
+            decrement = grad @ dx
+            if not 0.0 <= decrement < np.inf:
+                raise RankDeficientError(
+                    "WLS step is not a finite descent direction")
+            newton = decrement < NEWTON_DEC
+        if decrement < DEC_TOL:
+            converged = True
+            break
+        if iterations == MAX_ITER:
+            break
+        step_va[nonslack] = dx[:ns]
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            trial_va, trial_vm = va + t * step_va, vm + t * dx[ns:]
+            trial = _evaluate(topo, values, W, trial_va, trial_vm)
+            if trial[-1] <= objective - ARMIJO * t * decrement:
+                break
+            t *= 0.5
+        else:
+            break  # no step along dx lowers the SSR enough
+        va, vm = trial_va, trial_vm
+        V, S, h, r, objective = trial
+
+    return StateEstimate(
+        voltage_magnitude=vm, voltage_angle=va,
+        predicted_measurements=h, objective=objective,
+        converged=converged, iterations=iterations)
 
 
 # ------------------------------------------------------------ linear toy

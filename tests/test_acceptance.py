@@ -283,7 +283,8 @@ def test_criterion_7_end_to_end(world):
     "leaves 32+ honest redundant sensors, so the state-estimation baseline "
     "flags the masked sensors as gross errors and saturates bus-2 attack "
     "recall (~1.0): chi2(12) at alpha = 0.01 on converged WLS at sigma = "
-    "0.10 alarms on 1.0 of bus-2 level-5 attack frames and on 0-0.021 under "
+    "0.10 (tests/oracles.py's step_controlled_estimate) alarms on 1.0 of "
+    "bus-2 level-5 attack frames and on 0-0.021 under "
     "every other level-5 condition (test_grid.py's "
     "test_chi_square_on_wls_flags_the_bus2_attack); and the shared "
     "residual++observation classifier input puts all three variants within "

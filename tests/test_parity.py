@@ -186,10 +186,15 @@ def test_compare_names_the_differing_cell_of_a_csv_and_line_of_a_text(
     # a report's CSV names its first differing cell, by line and header
     # column, and each numeric column's largest difference; a headerless
     # CSV (a confusion matrix) names columns by number; a text report
-    # names its first differing line, and a shorter side ends there
+    # names its first differing line, and a shorter side ends there; a
+    # JSON list (a holdout summary) names the differing entry by index
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):
         root.mkdir()
+    for root, median in ((a, 0.7), (b, 0.71)):
+        (root / "holdout.json").write_text(json.dumps(
+            [{"l": 2, "median": 0.725, "level_sets": [[1, 2]]},
+             {"l": 3, "median": median, "level_sets": [[1, 2, 3]]}]))
     (a / "report.csv").write_text(
         "section,name,precision,recall,f1\n"
         "label,normal,0.900000,0.800000,0.847059\n"
@@ -209,6 +214,8 @@ def test_compare_names_the_differing_cell_of_a_csv_and_line_of_a_text(
         "    2 vs 3 rows",
         "    first difference: line 2, column 1: '0' vs '2'",
         "    max abs diff by column: column 1 2, column 2 2",
+        "differing: holdout.json",
+        "    [1].median: 0.7 vs 0.71",
         "differing: report.csv",
         "    first difference: line 2, column 4 (recall): '0.800000' vs "
         "'0.750000'",
@@ -216,7 +223,7 @@ def test_compare_names_the_differing_cell_of_a_csv_and_line_of_a_text(
         "column 4 (recall) 0.05, column 5 (f1) 0.028877",
         "differing: report.txt",
         "    line 1: 'macro-F1 0.70' vs 'macro-F1 0.68'",
-        "3 files: 3 differing"]
+        "4 files: 4 differing"]
     (b / "report.txt").write_text("macro-F1 0.70\n")
     assert compare(a, b)[1][-2] == "    line 2: 'frames 12' vs end"
 

@@ -21,8 +21,9 @@ differing. Under a differing file come its details:
 - an .npy file, or each array of an .npz archive: the largest absolute and
   relative difference, or the dtype and shape of each side where those
   differ; an array only one archive holds is named;
-- a .json file: each key, dotted down nested objects, that one side lacks
-  or whose value differs, with both values;
+- a .json file: each key, dotted down nested objects and indexed down
+  lists (`[1].median`), that one side lacks or whose value differs, with
+  both values;
 - a .csv file: the row counts where they differ, the first differing cell
   by its line and column (named by the header, if the first line is one),
   and the largest absolute difference of each numeric column;
@@ -132,12 +133,19 @@ def archive_details(a: Path, b: Path) -> list[str]:
 
 
 def flatten(value, prefix="") -> dict:
-    """A JSON value as {dotted key: leaf value}, descending into objects."""
-    if not isinstance(value, dict):
-        return {prefix: value}
+    """A JSON value as {key: leaf value}, descending into objects by dotted
+    key and into lists by [index]; a leaf, or an empty object or list, at
+    the top is keyed "(top)"."""
+    if isinstance(value, dict) and value:
+        items = ((f"{prefix}.{key}" if prefix else key, item)
+                 for key, item in value.items())
+    elif isinstance(value, list) and value:
+        items = ((f"{prefix}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return {prefix or "(top)": value}
     out = {}
-    for key, item in value.items():
-        out.update(flatten(item, f"{prefix}.{key}" if prefix else key))
+    for key, item in items:
+        out.update(flatten(item, key))
     return out
 
 
